@@ -2,8 +2,8 @@
 //! with open-loop request bursts and an elastic grow/shrink pulse, end to end.
 //! Tracks the serving loop (backlog-driven iterations, replica masking) and the
 //! tenant-eviction claim path on top of the scenario overhead that `scenario_step`
-//! gates — `never` runs the tenancy-off datapath, `fair_share` the full eviction
-//! machinery on conflicting circuits.
+//! gates — `inference_burst_never` runs the tenancy-off datapath,
+//! `inference_burst_fair_share` the full eviction machinery on conflicting circuits.
 
 #![allow(deprecated)] // the `with_*` chains here migrate to field style over time
 
@@ -69,10 +69,10 @@ fn bench_inference_burst(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("inference_burst");
     group.sample_size(20);
-    group.bench_function("never", |b| {
+    group.bench_function("inference_burst_never", |b| {
         b.iter(|| black_box(run_mixed(&train_dag, EvictionPolicy::Never)))
     });
-    group.bench_function("fair_share", |b| {
+    group.bench_function("inference_burst_fair_share", |b| {
         b.iter(|| black_box(run_mixed(&train_dag, EvictionPolicy::FairShare)))
     });
     group.finish();

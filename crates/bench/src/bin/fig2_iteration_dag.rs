@@ -31,8 +31,7 @@ fn main() {
     ]);
     for prefix in ["FSDP-AG", "FSDP-RS", "TP-", "PP-fwd", "PP-bwd", "sync-AR"] {
         let count = dag
-            .tasks
-            .iter()
+            .tasks()
             .filter(|t| t.label_str().starts_with(prefix))
             .count();
         summary.row(&[format!("{prefix}* tasks"), count.to_string()]);

@@ -19,8 +19,7 @@
 //! is `--gpus 1024,4096,10240`; `--gpus 102400` exercises the 100k-GPU ceiling
 //! (interned DAG + dense controller state + port-indexed OCS matching; see
 //! EXPERIMENTS.md for the memory budget); `--gpus 1024000` is the million-GPU
-//! regime — a documented manual run (cold-arena compaction keeps it inside the
-//! 12 GiB budget; see EXPERIMENTS.md). `--parallel-threads N` steps each head
+//! regime — a documented manual run (see EXPERIMENTS.md for its memory budget). `--parallel-threads N` steps each head
 //! time-slice on N scoped worker threads, and `--commit-threads N` commits each
 //! drained batch's per-rail traffic on up to N rail-sharded workers — results are
 //! byte-identical for any N on either knob.
@@ -51,6 +50,7 @@ use railsim_bench::{mem, scale_run_config, scaled_cluster, scaled_dag, Report};
 use railsim_cost::ocs_tech::{ocs_technologies, scaleup};
 use railsim_topology::RailId;
 use serde::Serialize;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One simulated scalability data point, written to `results/table3_scale.json`.
@@ -328,7 +328,7 @@ fn run_scale_point(
         _ => num_gpus,
     };
     let build_start = Instant::now();
-    let dag = scaled_dag(job_gpus);
+    let dag = Arc::new(scaled_dag(job_gpus));
     let dag_tasks = dag.len();
     eprintln!(
         "[{num_gpus} GPUs] built {dag_tasks}-task DAG in {:.2}s ({})",
@@ -358,31 +358,15 @@ fn run_scale_point(
         replanned.recovery_policy = RecoveryPolicy::Replan;
         configs.push(("optical provisioned 25ms replan", replanned));
     }
-    // Move the DAG into its final use instead of cloning it everywhere: at 100k
-    // GPUs a deep clone of the ~8.9M-task arena is seconds of memcpy and a
-    // transient double-memory spike that would dominate the reported peak RSS.
-    let uses_per_config = match scenario {
-        ScenarioKind::Clean => 1,
-        ScenarioKind::RailFlap | ScenarioKind::TwoJob => 2,
-    };
-    let total_uses = configs.len() * uses_per_config;
-    let mut dag = Some(dag);
-    let mut used = 0usize;
-    let mut next_dag = move |dag: &mut Option<railsim_workload::TrainingDag>| {
-        used += 1;
-        if used == total_uses {
-            dag.take().expect("each use consumes the DAG once")
-        } else {
-            dag.as_ref().expect("DAG still owned").clone()
-        }
-    };
+    // Every run shares the one DAG: scenarios read its columns through the `Arc`, so
+    // no run copies the (at 100k GPUs, ~8.9M-task) tables.
     let mut runs = Vec::new();
     for (policy_name, config) in configs {
         match scenario {
             ScenarioKind::Clean => {
                 let wall = Instant::now();
                 let result = Scenario::new(cluster.clone())
-                    .job(next_dag(&mut dag), config)
+                    .job_shared(Arc::clone(&dag), config)
                     .run();
                 let wall_clock_s = wall.elapsed().as_secs_f64();
                 runs.extend(rows_of(
@@ -406,7 +390,7 @@ fn run_scale_point(
                 // inflation is computable from the artifact alone.
                 let wall = Instant::now();
                 let clean = Scenario::new(cluster.clone())
-                    .job(next_dag(&mut dag), config)
+                    .job_shared(Arc::clone(&dag), config)
                     .run();
                 let clean_wall = wall.elapsed().as_secs_f64();
                 let it1 = &clean.jobs[0].result.iterations[1];
@@ -414,7 +398,7 @@ fn run_scale_point(
                 let up = down + it1.iteration_time.mul_f64(0.5);
                 let wall = Instant::now();
                 let flapped = Scenario::new(cluster.clone())
-                    .job(next_dag(&mut dag), config)
+                    .job_shared(Arc::clone(&dag), config)
                     .inject(down, ScenarioEvent::RailDown(RailId(0)))
                     .inject(up, ScenarioEvent::RailUp(RailId(0)))
                     .run();
@@ -452,11 +436,9 @@ fn run_scale_point(
             }
             ScenarioKind::TwoJob => {
                 let wall = Instant::now();
-                let job_a = next_dag(&mut dag);
-                let job_b = next_dag(&mut dag);
                 let result = Scenario::new(cluster.clone())
-                    .job(job_a, config)
-                    .job(job_b, config)
+                    .job_shared(Arc::clone(&dag), config)
+                    .job_shared(Arc::clone(&dag), config)
                     .run();
                 let wall_clock_s = wall.elapsed().as_secs_f64();
                 runs.extend(rows_of(

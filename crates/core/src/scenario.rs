@@ -89,7 +89,7 @@ use railsim_topology::{
     Cluster, ElectricalRailFabric, GpuId, OpticalRailFabric, RailConnectivity, RailHealth, RailId,
     RailSet,
 };
-use railsim_workload::{JobId, LabelId, RankSet, TaskId, TaskKind, TaskTable, TrainingDag};
+use railsim_workload::{JobId, LabelId, RankSet, TaskId, TaskKind, TrainingDag};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -160,9 +160,10 @@ pub enum JobPlacement {
 /// One job declaration: the DAG, its configuration and its placement.
 ///
 /// The DAG rides behind an [`Arc`] so the same template can back many concurrent
-/// scenarios (a fleet sweep pays DAG construction once); declaring a job never
-/// deep-clones the arena. A rebase (non-zero placement or group-id offset) clones at
-/// build time, exactly as before.
+/// scenarios (a fleet sweep pays DAG construction once), and the run reads the task
+/// columns and dependents CSR through it: declaring or running a job never copies
+/// them. A rebase (non-zero placement or group-id offset) copies the rank-bearing
+/// columns at build time and shares the label and dependency columns.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The job's training DAG (immutably shared; see [`ScenarioSpec`]).
@@ -209,7 +210,7 @@ impl ScenarioSpec {
     }
 
     /// Adds a job sharing `dag` with automatic placement. The template is *not*
-    /// cloned — scenarios built from the same `Arc` share one arena.
+    /// cloned — scenarios built from the same `Arc` share one set of task columns.
     pub fn job(self, dag: Arc<TrainingDag>, config: OpusConfig) -> Self {
         self.job_placed(dag, config, JobPlacement::Auto)
     }
@@ -623,27 +624,18 @@ struct MemoState {
 struct JobContext {
     job: JobId,
     gpu_offset: u32,
-    /// The condensed task columns the run actually reads per event: kind, label and
-    /// participants, indexed by [`TaskId`]. The full `TrainingDag` — dependency
-    /// edges, comm groups, parallelism config — is consumed at build time: edges
-    /// become the CSR `dependents` table plus `dep_counts`, groups become the
-    /// `group_table`/`circuit_pool`, and the row-major task arena (three heap words
-    /// per task for `deps` alone) is dropped. At the million-GPU regime this is the
-    /// difference between the run fitting its memory budget and carrying ~90M dead
-    /// `Vec<TaskId>` headers to the finish line.
-    tasks: TaskTable,
-    /// Per-task dependency indegree — the template `remaining` resets from at every
-    /// iteration start (tasks with count 0 are the iteration's roots).
-    dep_counts: Vec<u32>,
+    /// The job's (possibly rebased) DAG, shared with the spec it came from. The run
+    /// reads its task columns per event and its dependents CSR and indegrees per
+    /// completion; it builds no per-task copies of them.
+    dag: Arc<TrainingDag>,
     config: OpusConfig,
     group_table: GroupTable,
     /// Deduplicated circuit demands; see [`CircuitSlot`].
     circuit_pool: Vec<CircuitSlot>,
+    /// The `circuit_pool` slot of each group (the first, for a repeated ad-hoc id).
+    slot_of_group: HashMap<GroupId, u32>,
     /// Per-task index into `circuit_pool` (`NO_SLOT` for compute tasks).
     task_circuit_slot: Vec<u32>,
-    /// Reverse dependency edges in CSR layout.
-    dependents_off: Vec<u32>,
-    dependents: Vec<u32>,
     /// Event-engine lane per task, derived from the task's rail affinity.
     task_shard: Vec<ShardId>,
     shim: OpusShim,
@@ -675,7 +667,9 @@ struct JobContext {
     iteration: u32,
     iter_start: SimTime,
     remaining: Vec<u32>,
-    finish: Vec<SimTime>,
+    /// The latest task end of the in-flight iteration (the iteration start until a
+    /// task finishes): the iteration ends when its last task does.
+    iter_end: SimTime,
     comm_records: Vec<CommRecord>,
     reconfig_events: Vec<ReconfigEvent>,
     total_circuit_wait: SimDuration,
@@ -920,9 +914,9 @@ impl ScenarioSim {
             injections,
         } = spec;
         assert!(!jobs.is_empty(), "a scenario needs at least one job");
-        // The DAG builder that ran before us freed its scratch into the
-        // allocator's bins; release it so setup's own tables (circuit pool,
-        // dependents CSR, task columns) don't stack on top of dead pages.
+        // Whatever ran before us (a DAG build, an earlier scenario) freed its memory
+        // into the allocator's bins; hand it back so setup's tables and the run's
+        // live state don't stack on top of dead pages.
         railsim_workload::release_free_heap();
         assert!(
             jobs.len() <= u16::MAX as usize,
@@ -1063,22 +1057,28 @@ impl ScenarioSim {
                 JobPlacement::AtGpu(offset) => offset,
             };
             let max_rank = spec.dag.max_rank();
-            assert!(
-                gpu_offset + max_rank < cluster.num_gpus(),
-                "job{j} places rank {max_rank} at GPU {} but the cluster only has {} GPUs",
-                gpu_offset + max_rank,
-                cluster.num_gpus()
-            );
+            let last_gpu = gpu_offset
+                .checked_add(max_rank)
+                .filter(|&gpu| gpu < cluster.num_gpus())
+                .unwrap_or_else(|| {
+                    panic!(
+                        "job{j} places rank {max_rank} at GPU {} but the cluster only has {} \
+                         GPUs",
+                        gpu_offset as u64 + max_rank as u64,
+                        cluster.num_gpus()
+                    )
+                });
             let group_offset = if j == 0 { 0 } else { next_group_id };
             // Share the template straight in when no rebase is needed — an `Arc`
-            // clone, so a fleet of scenarios built from one template never
-            // deep-clones a (potentially 100k-GPU, multi-million-task) arena.
+            // clone, so a fleet of scenarios built from one template never copies
+            // its (potentially 100k-GPU, multi-million-task) columns; a rebase
+            // copies only the rank-bearing columns and shares the rest.
             let dag = if gpu_offset == 0 && group_offset == 0 {
                 spec.dag
             } else {
                 Arc::new(spec.dag.rebase(gpu_offset, group_offset))
             };
-            next_free_gpu = next_free_gpu.max(gpu_offset + max_rank + 1);
+            next_free_gpu = next_free_gpu.max(last_gpu + 1);
             next_group_id = next_group_id.max(dag.groups.keys().next_back().map_or(0, |g| g.0 + 1));
             if spec.config.policy.is_optical() {
                 let latency = spec.config.reconfig_latency;
@@ -1185,10 +1185,6 @@ impl ScenarioSim {
             injections_applied: 0,
         };
 
-        // Setup is the RSS high-water mark of a run: the builder's churn is all
-        // freed by now, but the allocator keeps it resident unless asked.
-        railsim_workload::release_free_heap();
-
         ScenarioSim {
             cluster,
             jobs: contexts,
@@ -1214,43 +1210,29 @@ impl ScenarioSim {
     ) -> JobContext {
         let group_table = GroupTable::build(cluster, dag.groups.values());
         let planner = CircuitPlanner::for_cluster(cluster);
-        let (circuit_pool, task_circuit_slot) =
+        let (circuit_pool, slot_of_group, task_circuit_slot) =
             Self::plan_task_circuits(cluster, &dag, &group_table, &planner);
-        let (dependents_off, dependents, dep_counts) = Self::build_dependents(&dag);
         let task_shard = Self::assign_task_shards(cluster, &dag, &circuit_pool, &task_circuit_slot);
         let rng = SimRng::new(config.seed);
-        let n = dag.tasks.len();
+        let n = dag.len();
         // Inference replicas share no tasks, so a task's replica is simply its first
         // participant's slice of the job's GPU range.
         let task_replica: Vec<u32> = match &serving {
-            Some(s) => dag
-                .tasks
-                .iter()
-                .map(|task| (task.participants.first().0 - gpu_offset) / s.gpus_per_replica)
+            Some(s) => (0..n as u32)
+                .map(|i| (dag.participants(TaskId(i)).first().0 - gpu_offset) / s.gpus_per_replica)
                 .collect(),
             None => Vec::new(),
         };
         let is_training = serving.is_none();
-        // Condense last: every structural consumer above has run, so the DAG's
-        // dependency edges and groups are no longer needed. A uniquely-owned DAG is
-        // drained chunk-by-chunk (freeing ~90M `deps` vectors at the 1M-GPU scale
-        // *before* the run allocates its live state); a template still shared with
-        // other scenario variants is condensed by column clone and left alive.
-        let tasks = match Arc::try_unwrap(dag) {
-            Ok(owned) => TaskTable::from_owned(owned),
-            Err(shared) => TaskTable::from_shared(&shared),
-        };
         JobContext {
             job,
             gpu_offset,
-            tasks,
-            dep_counts,
+            dag,
             config,
             group_table,
             circuit_pool,
+            slot_of_group,
             task_circuit_slot,
-            dependents_off,
-            dependents,
             task_shard,
             shim: OpusShim::new(),
             rng,
@@ -1267,7 +1249,7 @@ impl ScenarioSim {
             iteration: 0,
             iter_start: SimTime::ZERO,
             remaining: Vec::with_capacity(n),
-            finish: vec![SimTime::ZERO; n],
+            iter_end: SimTime::ZERO,
             comm_records: Vec::new(),
             reconfig_events: Vec::new(),
             total_circuit_wait: SimDuration::ZERO,
@@ -1308,10 +1290,9 @@ impl ScenarioSim {
         circuit_pool: &[CircuitSlot],
         task_circuit_slot: &[u32],
     ) -> Vec<ShardId> {
-        dag.tasks
-            .iter()
-            .map(|task| {
-                let slot = task_circuit_slot[task.id.0 as usize];
+        (0..dag.len() as u32)
+            .map(|i| {
+                let slot = task_circuit_slot[i as usize];
                 let rail = (slot != NO_SLOT)
                     .then(|| {
                         circuit_pool[slot as usize]
@@ -1322,51 +1303,22 @@ impl ScenarioSim {
                             .copied()
                     })
                     .flatten()
-                    .unwrap_or_else(|| cluster.rail_of(task.participants.first()));
+                    .unwrap_or_else(|| cluster.rail_of(dag.participants(TaskId(i)).first()));
                 ShardId(rail.0)
             })
             .collect()
     }
 
-    /// Builds the reverse dependency edges in CSR layout plus the per-task indegree
-    /// (`(offsets, edges, dep_counts)`). The indegrees are the only thing the run
-    /// ever needs the forward `deps` edges for, so capturing them here lets the task
-    /// arena be dropped right after this pass.
-    fn build_dependents(dag: &TrainingDag) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let n = dag.tasks.len();
-        let mut counts = vec![0u32; n + 1];
-        let mut dep_counts = vec![0u32; n];
-        for task in &dag.tasks {
-            dep_counts[task.id.0 as usize] = task.deps.len() as u32;
-            for dep in &task.deps {
-                counts[dep.0 as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts;
-        let mut cursor = offsets.clone();
-        let mut edges = vec![0u32; offsets[n] as usize];
-        for task in &dag.tasks {
-            for dep in &task.deps {
-                let c = &mut cursor[dep.0 as usize];
-                edges[*c as usize] = task.id.0;
-                *c += 1;
-            }
-        }
-        (offsets, edges, dep_counts)
-    }
-
     /// Plans the circuit demand of every communication task, deduplicated into one
     /// [`CircuitSlot`] per communication group (plus one per ad-hoc point-to-point
-    /// pair that belongs to no group). Returns the pool and the per-task slot index.
+    /// pair that belongs to no group). Returns the pool, each group's slot and the
+    /// per-task slot index.
     fn plan_task_circuits(
         cluster: &Cluster,
         dag: &TrainingDag,
         table: &GroupTable,
         planner: &CircuitPlanner,
-    ) -> (Vec<CircuitSlot>, Vec<u32>) {
+    ) -> (Vec<CircuitSlot>, HashMap<GroupId, u32>, Vec<u32>) {
         // Groups partition the ranks of each axis, so `(axis, rank) -> group` is a
         // function; index it once instead of scanning every group per point-to-point
         // task (the scan was quadratic at the 10k-GPU scale: #p2p tasks x #groups).
@@ -1377,10 +1329,10 @@ impl ScenarioSim {
             }
         }
         let mut pool: Vec<CircuitSlot> = Vec::new();
-        let mut slot_of_group: HashMap<GroupId, u32> = HashMap::new();
-        let mut task_slot = vec![NO_SLOT; dag.tasks.len()];
+        let mut group_slots: HashMap<GroupId, u32> = HashMap::new();
+        let mut task_slot = vec![NO_SLOT; dag.len()];
         let mut group_slot = |pool: &mut Vec<CircuitSlot>, id: GroupId| -> u32 {
-            *slot_of_group.entry(id).or_insert_with(|| {
+            *group_slots.entry(id).or_insert_with(|| {
                 let circuits = table
                     .circuits(id)
                     .expect("communication group must be registered")
@@ -1431,7 +1383,11 @@ impl ScenarioSim {
             };
             task_slot[task.id.0 as usize] = slot;
         }
-        (pool, task_slot)
+        let mut slot_of_group = HashMap::with_capacity(pool.len());
+        for (i, slot) in pool.iter().enumerate() {
+            slot_of_group.entry(slot.group).or_insert(i as u32);
+        }
+        (pool, slot_of_group, task_slot)
     }
 
     /// Number of event lanes the engine runs with.
@@ -1652,8 +1608,8 @@ impl ScenarioSim {
         ctx.iter_start = at;
         ctx.iter_degraded = ctx.degraded_slots > 0;
         ctx.remaining.clear();
-        ctx.remaining.extend_from_slice(&ctx.dep_counts);
-        ctx.finish.fill(SimTime::ZERO);
+        ctx.remaining.extend(ctx.dag.indegrees());
+        ctx.iter_end = at;
         if ctx.serving.is_some() {
             // Snapshot the elastic size for this iteration and mask out every task
             // of a replica at or beyond it (replicas share no tasks, so a masked
@@ -1666,15 +1622,15 @@ impl ScenarioSim {
                 ctx.done_left > 0,
                 "a serving iteration must run at least one replica"
             );
-            for (i, &indegree) in ctx.dep_counts.iter().enumerate() {
+            for (i, indegree) in ctx.dag.indegrees().enumerate() {
                 if indegree == 0 && ctx.task_replica[i] < active {
                     let shard = ctx.task_shard[i];
                     engine.schedule_at(shard, at, SimEvent::Ready(j as u16, TaskId(i as u32)));
                 }
             }
         } else {
-            ctx.done_left = ctx.tasks.len();
-            for (i, &indegree) in ctx.dep_counts.iter().enumerate() {
+            ctx.done_left = ctx.dag.len();
+            for (i, indegree) in ctx.dag.indegrees().enumerate() {
                 if indegree == 0 {
                     let shard = ctx.task_shard[i];
                     engine.schedule_at(shard, at, SimEvent::Ready(j as u16, TaskId(i as u32)));
@@ -1697,7 +1653,7 @@ impl ScenarioSim {
             "every unmasked task must have executed"
         );
         let start = ctx.iter_start;
-        let end = ctx.finish.iter().copied().max().unwrap_or(start).max(start);
+        let end = ctx.iter_end;
         let mut comm_records = std::mem::take(&mut ctx.comm_records);
         comm_records.sort_by_key(|r| (r.issued_at, r.task));
         let result = IterationResult {
@@ -1761,11 +1717,9 @@ impl ScenarioSim {
                         .reconfig_events
                         .iter()
                         .map(|ev| {
-                            ctx.circuit_pool
-                                .iter()
-                                .position(|slot| slot.group == ev.group)
+                            *ctx.slot_of_group
+                                .get(&ev.group)
                                 .expect("a logged reconfiguration names a pooled group")
-                                as u32
                         })
                         .collect();
                     ctx.memo.template = Some(m);
@@ -1931,7 +1885,7 @@ impl ScenarioSim {
                     Self::execute_task(&mut jobs[j], fleet, cluster, id, now, planned)
                 };
                 let ctx = &mut self.jobs[j];
-                ctx.finish[id.0 as usize] = end;
+                ctx.iter_end = ctx.iter_end.max(end);
                 if let Some(rec) = record {
                     debug_assert!(
                         ctx.total_circuit_wait
@@ -1959,16 +1913,13 @@ impl ScenarioSim {
             SimEvent::Done(j, id) => {
                 let j = j as usize;
                 let ctx = &mut self.jobs[j];
-                let lo = ctx.dependents_off[id.0 as usize] as usize;
-                let hi = ctx.dependents_off[id.0 as usize + 1] as usize;
-                for i in lo..hi {
-                    let dep_idx = ctx.dependents[i];
-                    let slot = &mut ctx.remaining[dep_idx as usize];
+                for &dependent in ctx.dag.dependents(id) {
+                    let slot = &mut ctx.remaining[dependent.0 as usize];
                     debug_assert!(*slot > 0, "dependency counter underflow");
                     *slot -= 1;
                     if *slot == 0 {
-                        let shard = ctx.task_shard[dep_idx as usize];
-                        engine.schedule_at(shard, now, SimEvent::Ready(j as u16, TaskId(dep_idx)));
+                        let shard = ctx.task_shard[dependent.0 as usize];
+                        engine.schedule_at(shard, now, SimEvent::Ready(j as u16, dependent));
                     }
                 }
                 ctx.done_left -= 1;
@@ -2000,7 +1951,7 @@ impl ScenarioSim {
                 if slot == NO_SLOT {
                     return CommitClass::Seq;
                 }
-                let bytes = match *ctx.tasks.kind(id) {
+                let bytes = match *ctx.dag.kind(id) {
                     TaskKind::Compute { .. } => return CommitClass::Seq,
                     TaskKind::Collective { bytes, .. } | TaskKind::PointToPoint { bytes, .. } => {
                         bytes
@@ -2170,8 +2121,8 @@ impl ScenarioSim {
         now: SimTime,
         planned: Option<EventPlan>,
     ) -> RailOutcome {
-        let label = ctx.tasks.label(id);
-        let (kind, axis, bytes, group) = match ctx.tasks.kind(id).clone() {
+        let label = ctx.dag.label(id);
+        let (kind, axis, bytes, group) = match *ctx.dag.kind(id) {
             TaskKind::Collective {
                 group,
                 kind,
@@ -2312,11 +2263,11 @@ impl ScenarioSim {
         let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
         if ctx.iteration == 0 {
             let group = slot.group;
-            for rank in ctx.tasks.ranks(id) {
+            for rank in ctx.dag.participants(id).ranks() {
                 ctx.shim.observe(*rank, group);
             }
         }
-        ctx.finish[id.0 as usize] = end;
+        ctx.iter_end = ctx.iter_end.max(end);
         debug_assert!(
             ctx.total_circuit_wait
                 .checked_add(record.circuit_wait)
@@ -2574,7 +2525,7 @@ impl ScenarioSim {
             return None;
         }
         let controller = self.fleet.backend.controller()?;
-        let bytes = match *ctx.tasks.kind(id) {
+        let bytes = match *ctx.dag.kind(id) {
             TaskKind::Compute { .. } => return None,
             TaskKind::Collective { bytes, .. } | TaskKind::PointToPoint { bytes, .. } => bytes,
         };
@@ -2594,7 +2545,7 @@ impl ScenarioSim {
     /// The α–β transfer duration of a communication task (None for compute tasks).
     /// Depends only on immutable per-task data, so it can be computed concurrently.
     fn plan_comm_duration(ctx: &JobContext, cluster: &Cluster, id: TaskId) -> Option<SimDuration> {
-        let task_kind = ctx.tasks.kind(id);
+        let task_kind = ctx.dag.kind(id);
         if matches!(task_kind, TaskKind::Compute { .. }) {
             return None;
         }
@@ -2655,9 +2606,9 @@ impl ScenarioSim {
     ) -> (SimTime, Option<CommRecord>) {
         // Handles are `Copy`, so taking them out of the table costs nothing — the hot
         // path never clones a label `String` or a participant `Vec` per event.
-        let kind = ctx.tasks.kind(id).clone();
-        let label = ctx.tasks.label(id);
-        let participants = ctx.tasks.participants(id);
+        let kind = *ctx.dag.kind(id);
+        let label = ctx.dag.label(id);
+        let participants = ctx.dag.participants(id);
         match kind {
             TaskKind::Compute { duration } => {
                 let jitter = ctx.rng.jitter(ctx.config.compute_jitter);
@@ -3156,6 +3107,18 @@ mod tests {
             .run();
     }
 
+    #[test]
+    #[should_panic(expected = "job1 places rank 15 at GPU 4294967309")]
+    fn placement_past_the_u32_gpu_range_is_rejected() {
+        // `offset + max_rank` wraps in u32: unchecked, this job would land on GPUs
+        // 0..14 on top of job 0 instead of being rejected.
+        let config = OpusConfig::electrical();
+        let _ = Scenario::new(tiny_cluster(4))
+            .job(tiny_dag(), config)
+            .job_placed(tiny_dag(), config, JobPlacement::AtGpu(u32::MAX - 1))
+            .run();
+    }
+
     /// Runs the scenario and reports job 0's fast-forward counter next to the
     /// result (the counter is observability-only and not part of the result).
     fn run_counting_ff(scenario: Scenario) -> (ScenarioResult, u64) {
@@ -3303,17 +3266,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "jobs exceed it")]
     fn more_jobs_than_a_u16_index_fail_fast() {
-        // 65,536 copies of an empty DAG: the index-width assert must fire in
-        // `build` before any per-job validation touches them.
-        let empty = TrainingDag {
-            tasks: railsim_workload::TaskArena::default(),
-            groups: std::collections::BTreeMap::new(),
-            config: ParallelismConfig::paper_llama3_8b(),
-        };
+        // 65,536 jobs sharing one DAG: the index-width assert must fire in `build`
+        // before any per-job validation touches them.
+        let dag = Arc::new(tiny_dag());
         let config = OpusConfig::electrical();
         let mut scenario = Scenario::new(tiny_cluster(1));
         for _ in 0..(u16::MAX as usize + 1) {
-            scenario = scenario.job(empty.clone(), config);
+            scenario = scenario.job_shared(Arc::clone(&dag), config);
         }
         let _ = scenario.run();
     }

@@ -23,15 +23,13 @@
 //!   `r * gpus_per_replica() ..`, so a task's replica is recoverable from its first
 //!   participant — the property the scenario driver uses to build its replica mask.
 
-use crate::arena::Arena;
 use crate::compute::GpuSpec;
-use crate::dag::{Task, TaskId, TaskKind, TrainingDag};
-use crate::deps::DepList;
+use crate::dag::{TaskColumns, TaskId, TaskKind, TrainingDag};
 use crate::intern::{LabelId, RankSet};
 use crate::model::ModelConfig;
 use crate::parallelism::{DataParallelKind, ParallelismConfig};
 use railsim_collectives::{CollectiveKind, CommGroup, GroupId, ParallelismAxis};
-use railsim_sim::Bytes;
+use railsim_sim::{Bytes, SimDuration};
 use railsim_topology::GpuId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -157,21 +155,8 @@ impl InferenceDagBuilder {
         let prefill_act = act_bytes(cfg.prefill_seq_len as u64);
         let decode_act = act_bytes(1);
 
-        let mut tasks: Arena<Task> = Arena::new();
+        let mut cols = TaskColumns::default();
         let mut groups: BTreeMap<GroupId, CommGroup> = BTreeMap::new();
-        let mut alloc = |kind: TaskKind, ranks: &[GpuId], deps: DepList, label: &str| {
-            let id = TaskId(tasks.len() as u32);
-            tasks.alloc(Task {
-                id,
-                kind,
-                participants: RankSet::intern(ranks),
-                deps,
-                label: LabelId::intern(label),
-                microbatch: None,
-                layer: None,
-            });
-            id
-        };
 
         for r in 0..cfg.replicas {
             let base = r * cfg.gpus_per_replica();
@@ -190,61 +175,81 @@ impl InferenceDagBuilder {
                     CommGroup::new(id, ParallelismAxis::Tensor, stage_ranks(s)),
                 );
             }
+            // One stage's pass: per-rank compute, a TP AllReduce over the stage, and
+            // (except on the last stage) the activation hop to the next stage.
+            let stage_pass = |cols: &mut TaskColumns,
+                              s: u32,
+                              deps: &[TaskId],
+                              compute: SimDuration,
+                              bytes: Bytes,
+                              [compute_label, sync_label, hop_label]: [String; 3]|
+             -> (TaskId, Option<TaskId>) {
+                let ranks = stage_ranks(s);
+                let compute_label = LabelId::intern(&compute_label);
+                let compute_ids: Vec<TaskId> = ranks
+                    .iter()
+                    .map(|rank| {
+                        cols.push(
+                            TaskKind::Compute { duration: compute },
+                            RankSet::intern(std::slice::from_ref(rank)),
+                            compute_label,
+                            None,
+                            None,
+                            deps,
+                        )
+                    })
+                    .collect();
+                let sync = cols.push(
+                    TaskKind::Collective {
+                        group: tp_group(s),
+                        kind: CollectiveKind::AllReduce,
+                        axis: ParallelismAxis::Tensor,
+                        bytes,
+                    },
+                    RankSet::intern(&ranks),
+                    LabelId::intern(&sync_label),
+                    None,
+                    None,
+                    &compute_ids,
+                );
+                let hop = (s + 1 < cfg.pipeline).then(|| {
+                    let (src, dst) = (ranks[0], GpuId(base + (s + 1) * cfg.tensor));
+                    cols.push(
+                        TaskKind::PointToPoint {
+                            src,
+                            dst,
+                            axis: ParallelismAxis::Pipeline,
+                            bytes,
+                        },
+                        RankSet::intern(&[src, dst]),
+                        LabelId::intern(&hop_label),
+                        None,
+                        None,
+                        &[sync],
+                    )
+                });
+                (sync, hop)
+            };
 
             // Prefill: compute -> TP AllReduce per stage, activations hop stages.
             let mut prev_hop: Option<TaskId> = None;
             // The last sync task of each stage in the previous pass, for decode deps.
             let mut stage_tail: Vec<TaskId> = Vec::with_capacity(cfg.pipeline as usize);
             for s in 0..cfg.pipeline {
-                let ranks = stage_ranks(s);
-                let mut compute_ids = Vec::with_capacity(ranks.len());
-                for rank in &ranks {
-                    let mut deps = DepList::new();
-                    if let Some(hop) = prev_hop {
-                        deps.push(hop);
-                    }
-                    compute_ids.push(alloc(
-                        TaskKind::Compute {
-                            duration: prefill_compute,
-                        },
-                        std::slice::from_ref(rank),
-                        deps,
-                        &format!("prefill r{r} s{s}"),
-                    ));
-                }
-                let mut deps = DepList::new();
-                for id in &compute_ids {
-                    deps.push(*id);
-                }
-                let sync = alloc(
-                    TaskKind::Collective {
-                        group: tp_group(s),
-                        kind: CollectiveKind::AllReduce,
-                        axis: ParallelismAxis::Tensor,
-                        bytes: prefill_act,
-                    },
-                    &ranks,
-                    deps,
-                    &format!("prefill-TP r{r} s{s}"),
+                let (sync, hop) = stage_pass(
+                    &mut cols,
+                    s,
+                    prev_hop.as_slice(),
+                    prefill_compute,
+                    prefill_act,
+                    [
+                        format!("prefill r{r} s{s}"),
+                        format!("prefill-TP r{r} s{s}"),
+                        format!("prefill-act r{r} s{s}->s{}", s + 1),
+                    ],
                 );
                 stage_tail.push(sync);
-                if s + 1 < cfg.pipeline {
-                    let mut deps = DepList::new();
-                    deps.push(sync);
-                    let src = ranks[0];
-                    let dst = GpuId(base + (s + 1) * cfg.tensor);
-                    prev_hop = Some(alloc(
-                        TaskKind::PointToPoint {
-                            src,
-                            dst,
-                            axis: ParallelismAxis::Pipeline,
-                            bytes: prefill_act,
-                        },
-                        &[src, dst],
-                        deps,
-                        &format!("prefill-act r{r} s{s}->s{}", s + 1),
-                    ));
-                }
+                prev_hop = hop;
             }
 
             // Decode: `decode_steps` pipelined one-token passes. Stage `s` of step `t`
@@ -253,64 +258,29 @@ impl InferenceDagBuilder {
             for t in 0..cfg.decode_steps {
                 let mut hop: Option<TaskId> = None;
                 for s in 0..cfg.pipeline {
-                    let ranks = stage_ranks(s);
-                    let mut compute_ids = Vec::with_capacity(ranks.len());
-                    for rank in &ranks {
-                        let mut deps = DepList::new();
-                        deps.push(stage_tail[s as usize]);
-                        if let Some(h) = hop {
-                            deps.push(h);
-                        }
-                        compute_ids.push(alloc(
-                            TaskKind::Compute {
-                                duration: decode_compute,
-                            },
-                            std::slice::from_ref(rank),
-                            deps,
-                            &format!("decode r{r} t{t} s{s}"),
-                        ));
-                    }
-                    let mut deps = DepList::new();
-                    for id in &compute_ids {
-                        deps.push(*id);
-                    }
-                    let sync = alloc(
-                        TaskKind::Collective {
-                            group: tp_group(s),
-                            kind: CollectiveKind::AllReduce,
-                            axis: ParallelismAxis::Tensor,
-                            bytes: decode_act,
-                        },
-                        &ranks,
-                        deps,
-                        &format!("decode-TP r{r} t{t} s{s}"),
+                    let mut deps = vec![stage_tail[s as usize]];
+                    deps.extend(hop);
+                    let (sync, next_hop) = stage_pass(
+                        &mut cols,
+                        s,
+                        &deps,
+                        decode_compute,
+                        decode_act,
+                        [
+                            format!("decode r{r} t{t} s{s}"),
+                            format!("decode-TP r{r} t{t} s{s}"),
+                            format!("decode-tok r{r} t{t} s{s}->s{}", s + 1),
+                        ],
                     );
                     stage_tail[s as usize] = sync;
-                    if s + 1 < cfg.pipeline {
-                        let mut deps = DepList::new();
-                        deps.push(sync);
-                        let src = ranks[0];
-                        let dst = GpuId(base + (s + 1) * cfg.tensor);
-                        hop = Some(alloc(
-                            TaskKind::PointToPoint {
-                                src,
-                                dst,
-                                axis: ParallelismAxis::Pipeline,
-                                bytes: decode_act,
-                            },
-                            &[src, dst],
-                            deps,
-                            &format!("decode-tok r{r} t{t} s{s}->s{}", s + 1),
-                        ));
-                    }
+                    hop = next_hop;
                 }
             }
         }
 
-        TrainingDag {
-            tasks,
+        cols.finish(
             groups,
-            config: ParallelismConfig {
+            ParallelismConfig {
                 tensor: cfg.tensor,
                 sequence_parallel: false,
                 context: 1,
@@ -322,7 +292,8 @@ impl InferenceDagBuilder {
                 microbatch_size: cfg.batch_size,
                 seq_len: cfg.prefill_seq_len,
             },
-        }
+            cfg.world_size(),
+        )
     }
 }
 
@@ -352,7 +323,7 @@ mod tests {
         let cfg = InferenceConfig::tiny_test(2, 2, 3);
         let per = cfg.gpus_per_replica();
         let dag = InferenceDagBuilder::new(cfg, GpuSpec::a100()).build();
-        for task in &dag.tasks {
+        for task in dag.tasks() {
             let replica = task.ranks()[0].0 / per;
             for rank in task.ranks() {
                 assert_eq!(rank.0 / per, replica, "task {} spans replicas", task.label);
@@ -364,8 +335,7 @@ mod tests {
     fn pipeline_hops_ride_the_pipeline_axis() {
         let dag = dag(2, 2, 1);
         let hops: Vec<_> = dag
-            .tasks
-            .iter()
+            .tasks()
             .filter(|t| matches!(t.kind, TaskKind::PointToPoint { .. }))
             .collect();
         assert!(!hops.is_empty());
@@ -378,8 +348,7 @@ mod tests {
     fn prefill_moves_more_bytes_than_decode() {
         let dag = dag(2, 2, 1);
         let bytes_of = |prefix: &str| -> u64 {
-            dag.tasks
-                .iter()
+            dag.tasks()
                 .filter(|t| t.label_str().starts_with(prefix))
                 .map(|t| t.kind.bytes().as_u64())
                 .sum()

@@ -39,10 +39,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod compute;
 pub mod dag;
-pub mod deps;
 pub mod inference;
 pub mod intern;
 pub mod mem;
@@ -55,10 +53,8 @@ pub mod strategy;
 pub mod traffic;
 pub mod windows;
 
-pub use arena::{Arena, Handle};
 pub use compute::{ComputeModel, GpuSpec};
-pub use dag::{DagBuilder, JobId, Task, TaskArena, TaskId, TaskKind, TaskTable, TrainingDag};
-pub use deps::{DepList, DEPS_INLINE};
+pub use dag::{DagBuilder, JobId, Task, TaskId, TaskKind, TrainingDag};
 pub use inference::{InferenceConfig, InferenceDagBuilder};
 pub use intern::{LabelId, RankSet};
 pub use mem::release_free_heap;

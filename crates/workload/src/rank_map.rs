@@ -155,19 +155,14 @@ impl RankMapping {
             .collect()
     }
 
-    /// All communication groups along `axis` (one per combination of the other axes).
+    /// All communication groups along `axis` (one per combination of the other axes),
+    /// ordered by their first member. Each group is enumerated once, from its anchor:
+    /// the member at coordinate 0 along `axis`, which is also its lowest rank.
     pub fn groups_for_axis(&self, axis: ParallelismAxis) -> Vec<Vec<u32>> {
-        let mut groups = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for rank in 0..self.world_size() {
-            let members = self.group_members(rank, axis);
-            if seen.insert(members[0]) && members[0] == rank {
-                groups.push(members);
-            }
-        }
-        // Keep only groups anchored at their first member to avoid duplicates.
-        groups.retain(|g| !g.is_empty());
-        groups
+        (0..self.world_size())
+            .filter(|&rank| self.coords_of(rank).along(axis) == 0)
+            .map(|anchor| self.group_members(anchor, axis))
+            .collect()
     }
 
     /// Builds [`CommGroup`]s for every active axis, assigning sequential group ids.

@@ -51,9 +51,9 @@ proptest! {
     }
 }
 
-/// The owned-field mirror of [`Task`], shaped exactly like the seed's `Task` before
-/// interning (same field names, same order, `String` label, `Vec<GpuId>`
-/// participants).
+/// The owned-field mirror of the [`Task`] row view, shaped exactly like the seed's
+/// row-major `Task` before interning and the columnar layout (same field names, same
+/// order, `String` label, `Vec<GpuId>` participants, `Vec<TaskId>` deps).
 #[derive(Serialize)]
 struct OwnedTask {
     id: TaskId,
@@ -66,10 +66,10 @@ struct OwnedTask {
 }
 
 impl OwnedTask {
-    fn of(task: &Task) -> Self {
+    fn of(task: &Task<'_>) -> Self {
         OwnedTask {
             id: task.id,
-            kind: task.kind.clone(),
+            kind: task.kind,
             participants: task.ranks().to_vec(),
             deps: task.deps.to_vec(),
             label: task.label_str().to_owned(),
@@ -88,14 +88,12 @@ fn interned_dag_serializes_byte_identically_to_the_string_labeled_layout() {
     assert!(dag.len() > 100, "need a non-trivial DAG for the comparison");
 
     let interned: Vec<String> = dag
-        .tasks
-        .iter()
-        .map(|t| serde_json::to_string_pretty(t).expect("task serializes"))
+        .tasks()
+        .map(|t| serde_json::to_string_pretty(&t).expect("task serializes"))
         .collect();
     let owned: Vec<String> = dag
-        .tasks
-        .iter()
-        .map(|t| serde_json::to_string_pretty(&OwnedTask::of(t)).expect("mirror serializes"))
+        .tasks()
+        .map(|t| serde_json::to_string_pretty(&OwnedTask::of(&t)).expect("mirror serializes"))
         .collect();
     assert_eq!(
         interned, owned,

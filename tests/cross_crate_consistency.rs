@@ -192,7 +192,7 @@ fn inference_replicas_are_disjoint_closed_subgraphs() {
             task.id
         );
         let replica = *replicas.iter().next().unwrap();
-        for &dep in &task.deps {
+        for &dep in task.deps {
             let dep_replica = replica_of(dag.task(dep).ranks()[0]);
             assert_eq!(
                 dep_replica, replica,
