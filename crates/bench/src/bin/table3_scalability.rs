@@ -6,23 +6,19 @@
 //!
 //! ```text
 //! table3_scalability [--gpus 1024,4096,10240,102400,1024000] [--iterations 2]
-//!                    [--parallel-threads N] [--commit-threads N]
 //!                    [--policy electrical|optical|replan|both]
 //!                    [--scenario clean|rail-flap|two-job] [--no-memo] [--skip-sim]
 //! ```
 //!
 //! `--gpus` accepts a comma-separated list of cluster sizes (positive multiples of
 //! 64); the default runs the 1024-GPU point so the binary stays interactive, and the
-//! CI scale-smoke steps run the 1k point sequentially, the 10k point with
-//! `--parallel-threads`, the 10k point with `--policy optical`, and the 1k
-//! `rail-flap` / `two-job` scenario points under `timeout 120`. The full paper regime
-//! is `--gpus 1024,4096,10240`; `--gpus 102400` exercises the 100k-GPU ceiling
-//! (interned DAG + dense controller state + port-indexed OCS matching; see
-//! EXPERIMENTS.md for the memory budget); `--gpus 1024000` is the million-GPU
-//! regime — a documented manual run (see EXPERIMENTS.md for its memory budget). `--parallel-threads N` steps each head
-//! time-slice on N scoped worker threads, and `--commit-threads N` commits each
-//! drained batch's per-rail traffic on up to N rail-sharded workers — results are
-//! byte-identical for any N on either knob.
+//! CI scale-smoke steps run the 1k point, the 10k and 100k points with
+//! `--policy optical`, and the 1k `rail-flap` / `two-job` scenario points under
+//! `timeout 120`. The full paper regime is `--gpus 1024,4096,10240`; `--gpus 102400`
+//! exercises the 100k-GPU ceiling (columnar DAG + dense controller state +
+//! port-indexed OCS matching; see EXPERIMENTS.md for the memory budget);
+//! `--gpus 1024000` is the million-GPU regime — a documented manual run (see
+//! EXPERIMENTS.md for its memory budget). Every run steps one sequential event loop.
 //! `--policy` restricts a point to one network policy (the default runs the
 //! electrical baseline and the provisioned optical policy back to back); `replan`
 //! runs the provisioned optical policy with `RecoveryPolicy::Replan`, so a
@@ -64,10 +60,6 @@ struct ScaleRun {
     job: u32,
     /// Number of jobs sharing the fabric in this run.
     num_jobs: u32,
-    event_shards: usize,
-    parallel_threads: u32,
-    /// Rail-sharded commit-phase worker count (1 = sequential commits).
-    commit_threads: u32,
     policy: &'static str,
     dag_tasks: usize,
     iterations: u32,
@@ -128,8 +120,6 @@ impl ScenarioKind {
 struct Args {
     gpus: Vec<u32>,
     iterations: u32,
-    parallel_threads: u32,
-    commit_threads: u32,
     policy: PolicyFilter,
     scenario: ScenarioKind,
     memoize: bool,
@@ -140,8 +130,6 @@ fn parse_args() -> Args {
     let mut parsed = Args {
         gpus: vec![1024u32],
         iterations: 2,
-        parallel_threads: 1,
-        commit_threads: 1,
         policy: PolicyFilter::Both,
         scenario: ScenarioKind::Clean,
         memoize: true,
@@ -164,28 +152,6 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--iterations must be an integer");
                 assert!(parsed.iterations > 0, "--iterations must be positive");
-            }
-            "--parallel-threads" => {
-                parsed.parallel_threads = args
-                    .next()
-                    .expect("--parallel-threads needs a value")
-                    .parse()
-                    .expect("--parallel-threads must be an integer");
-                assert!(
-                    parsed.parallel_threads > 0,
-                    "--parallel-threads must be positive"
-                );
-            }
-            "--commit-threads" => {
-                parsed.commit_threads = args
-                    .next()
-                    .expect("--commit-threads needs a value")
-                    .parse()
-                    .expect("--commit-threads must be an integer");
-                assert!(
-                    parsed.commit_threads > 0,
-                    "--commit-threads must be positive"
-                );
             }
             "--policy" => {
                 parsed.policy = match args.next().expect("--policy needs a value").as_str() {
@@ -256,9 +222,6 @@ fn rows_of(
     num_gpus: u32,
     num_rails: u32,
     scenario: &'static str,
-    event_shards: usize,
-    parallel_threads: u32,
-    commit_threads: u32,
     policy: &'static str,
     dag_tasks: usize,
     iterations: u32,
@@ -275,9 +238,6 @@ fn rows_of(
             scenario,
             job: job.job.0,
             num_jobs: result.jobs.len() as u32,
-            event_shards,
-            parallel_threads,
-            commit_threads,
             policy,
             dag_tasks,
             iterations,
@@ -303,8 +263,6 @@ fn rows_of(
 fn run_scale_point(
     num_gpus: u32,
     iterations: u32,
-    parallel_threads: u32,
-    commit_threads: u32,
     policy: PolicyFilter,
     scenario: ScenarioKind,
     memoize: bool,
@@ -337,12 +295,6 @@ fn run_scale_point(
     );
 
     let mut provisioned = scale_run_config(iterations);
-    if parallel_threads > 1 {
-        provisioned.parallel_threads = Some(parallel_threads);
-    }
-    if commit_threads > 1 {
-        provisioned.commit_threads = Some(commit_threads);
-    }
     if !memoize {
         provisioned.memoize_steady_state = false;
     }
@@ -374,9 +326,6 @@ fn run_scale_point(
                     num_gpus,
                     num_rails,
                     "clean",
-                    num_rails as usize,
-                    parallel_threads,
-                    commit_threads,
                     policy_name,
                     dag_tasks,
                     iterations,
@@ -408,9 +357,6 @@ fn run_scale_point(
                     num_gpus,
                     num_rails,
                     "clean",
-                    num_rails as usize,
-                    parallel_threads,
-                    commit_threads,
                     policy_name,
                     dag_tasks,
                     iterations,
@@ -421,9 +367,6 @@ fn run_scale_point(
                     num_gpus,
                     num_rails,
                     "rail-flap",
-                    num_rails as usize,
-                    parallel_threads,
-                    commit_threads,
                     policy_name,
                     dag_tasks,
                     iterations,
@@ -446,9 +389,6 @@ fn run_scale_point(
                     num_gpus,
                     num_rails,
                     "two-job",
-                    num_rails as usize,
-                    parallel_threads,
-                    commit_threads,
                     policy_name,
                     dag_tasks,
                     iterations,
@@ -483,7 +423,6 @@ fn main() {
             "Job",
             "Policy",
             "DAG tasks",
-            "Thr p/c",
             "Iter time (s)",
             "Reconfigs",
             "Circ wait (s)",
@@ -495,22 +434,13 @@ fn main() {
     );
     let mut all_runs = Vec::new();
     for &n in &args.gpus {
-        for run in run_scale_point(
-            n,
-            args.iterations,
-            args.parallel_threads,
-            args.commit_threads,
-            args.policy,
-            args.scenario,
-            args.memoize,
-        ) {
+        for run in run_scale_point(n, args.iterations, args.policy, args.scenario, args.memoize) {
             report.row(&[
                 run.num_gpus.to_string(),
                 run.scenario.to_string(),
                 run.job.to_string(),
                 run.policy.to_string(),
                 run.dag_tasks.to_string(),
-                format!("{}/{}", run.parallel_threads, run.commit_threads),
                 format!("{:.3}", run.steady_iteration_time_s),
                 run.total_reconfigs.to_string(),
                 format!("{:.3}", run.circuit_wait_s),
@@ -524,7 +454,7 @@ fn main() {
         }
     }
     report.note("DGX H200 nodes, TP=8 / PP=8 / FSDP over the rest, 8 micro-batches, 1F1B");
-    report.note("full paper regime: --gpus 1024,4096,10240; 100k ceiling: --gpus 102400; 1M regime: --gpus 1024000 --policy optical --commit-threads 4 (manual; see EXPERIMENTS.md)");
+    report.note("full paper regime: --gpus 1024,4096,10240; 100k ceiling: --gpus 102400; 1M regime: --gpus 1024000 --policy optical (manual; see EXPERIMENTS.md)");
     report.note("scenarios: clean | rail-flap (RailDown pulse in iteration 1, clean reference emitted too) | two-job (two half-size jobs on shared rails)");
     let policies_note = match args.policy {
         PolicyFilter::Electrical => "the electrical run",

@@ -139,7 +139,7 @@ impl CircuitPlanner {
     /// would masquerade as scale-up-only).
     ///
     /// The result depends only on `pristine`, the cluster geometry and the sorted
-    /// healthy-rail set, so every shard/thread/worker arrangement derives the same
+    /// healthy-rail set, so every run (and every fleet worker) derives the same
     /// degraded plan.
     pub fn replan_degraded(
         &self,

@@ -1,7 +1,7 @@
 //! Opus configuration.
 
 use railsim_collectives::Algorithm;
-use railsim_sim::{Bandwidth, Bytes, SimDuration, SimTime};
+use railsim_sim::{Bandwidth, Bytes, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Offloading of small, bursty collectives to the host's packet-switched network.
@@ -168,31 +168,6 @@ pub struct OpusConfig {
     pub seed: u64,
     /// Optional offload of small collectives to the host packet-switched network (§5).
     pub host_offload: Option<HostOffload>,
-    /// Number of event lanes in the sharded discrete-event engine. `None` (the
-    /// default) uses one lane per rail, which keeps each lane's heap small at the
-    /// 1k–10k GPU Table 3 scale. The shard count never changes simulation *results*
-    /// — the engine's cross-shard merge reproduces the single-queue total order
-    /// exactly — only its memory locality.
-    pub event_shards: Option<u32>,
-    /// Number of worker threads for parallel event stepping. `None` or `Some(1)` (the
-    /// default) steps sequentially. With more threads the simulator drains each head
-    /// time-slice from every event lane, evaluates the pure per-event work (α–β
-    /// cost-model durations) on `std::thread::scope` workers, and commits stateful
-    /// effects in global `(time, seq)` order — so, like `event_shards`, the thread
-    /// count never changes simulation results, only wall-clock time.
-    pub parallel_threads: Option<u32>,
-    /// Number of worker threads for the rail-sharded *commit* phase. `None` or
-    /// `Some(1)` (the default) commits every event sequentially on the coordinator.
-    /// With more threads, runs of commits whose effects are provably confined to a
-    /// single rail (optical scale-out collectives riding one rail's circuits) are
-    /// executed on `std::thread::scope` workers — one per rail, each owning that
-    /// rail's OCS, occupancy segment, and lifetime counter — while everything
-    /// cross-rail or global (compute tasks, multi-rail collectives, injections,
-    /// fast-forwards, counters, logs, event scheduling) is applied by the coordinator
-    /// in the global `(time, seq)` order. Like `parallel_threads`, the knob never
-    /// changes simulation results — the determinism suites pin byte-identical output
-    /// for every commit-thread count — only wall-clock time.
-    pub commit_threads: Option<u32>,
     /// Steady-state iteration memoization (default: enabled). When two consecutive
     /// iterations of a job commit byte-identical timelines up to a constant time
     /// offset — same communication records, same circuit waits, no reconfigurations —
@@ -262,9 +237,6 @@ impl OpusConfig {
             compute_jitter: 0.03,
             seed: 7,
             host_offload: None,
-            event_shards: None,
-            parallel_threads: None,
-            commit_threads: None,
             memoize_steady_state: true,
             recovery_policy: RecoveryPolicy::Stall,
             eviction: EvictionPolicy::Never,
@@ -297,25 +269,6 @@ impl OpusConfig {
         self
     }
 
-    /// Overrides the event-engine shard count (default: one shard per rail).
-    #[deprecated(since = "0.1.0", note = "set `event_shards = Some(shards)` directly")]
-    pub fn with_event_shards(mut self, shards: u32) -> Self {
-        assert!(shards > 0, "the engine needs at least one event shard");
-        self.event_shards = Some(shards);
-        self
-    }
-
-    /// Overrides the parallel-stepping thread count (default: sequential).
-    #[deprecated(
-        since = "0.1.0",
-        note = "set `parallel_threads = Some(threads)` directly"
-    )]
-    pub fn with_parallel_threads(mut self, threads: u32) -> Self {
-        assert!(threads > 0, "parallel stepping needs at least one thread");
-        self.parallel_threads = Some(threads);
-        self
-    }
-
     /// Enables or disables steady-state iteration memoization (enabled by default;
     /// see [`OpusConfig::memoize_steady_state`]).
     #[deprecated(
@@ -344,9 +297,6 @@ impl OpusConfig {
         self.compute_jitter.clamp(0.0, 0.999_999) == 0.0
     }
 }
-
-/// A marker for "the beginning of time" used when backdating provisioned requests.
-pub const EPOCH: SimTime = SimTime::ZERO;
 
 #[cfg(test)]
 mod tests {
@@ -395,27 +345,6 @@ mod tests {
     #[should_panic(expected = "at least one iteration")]
     fn zero_iterations_rejected() {
         let _ = OpusConfig::electrical().with_iterations(0);
-    }
-
-    #[test]
-    fn event_shards_default_to_per_rail() {
-        let base = OpusConfig::electrical();
-        assert_eq!(base.event_shards, None, "default is one shard per rail");
-        assert_eq!(base.with_event_shards(16).event_shards, Some(16));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one event shard")]
-    fn zero_event_shards_rejected() {
-        let _ = OpusConfig::electrical().with_event_shards(0);
-    }
-
-    #[test]
-    fn commit_threads_default_to_sequential() {
-        let mut cfg = OpusConfig::provisioned(SimDuration::from_millis(25));
-        assert_eq!(cfg.commit_threads, None, "default commits sequentially");
-        cfg.commit_threads = Some(8);
-        assert_eq!(cfg.commit_threads, Some(8));
     }
 
     #[test]

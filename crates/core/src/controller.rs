@@ -17,72 +17,11 @@ use crate::config::EvictionPolicy;
 use crate::metrics::ReconfigEvent;
 use railsim_collectives::GroupId;
 use railsim_sim::{SimDuration, SimTime};
-use railsim_topology::{CircuitConfig, Ocs, OpticalRailFabric, RailId};
+use railsim_topology::{CircuitConfig, OpticalRailFabric, RailId};
 
 /// Sentinel tenant id: the port's current hold was not placed by a tenant-tagged
 /// transfer (or the port was never busy). Untagged holds are never evictable.
 pub const NO_TENANT: u32 = u32::MAX;
-
-/// The per-rail port-claim arithmetic shared by the sequential controller and the
-/// rail-sharded [`RailLane`] commit path — one function so the two paths cannot
-/// drift. Given a tenant's request over one rail's `config` at `requested_at`:
-///
-/// 1. the requester waits for every *non-evictable* hold (its own traffic, untagged
-///    holds, and — under [`EvictionPolicy::FairShare`] — tenants that have waited at
-///    least as long on this rail) to drain;
-/// 2. every evictable hold still extending past that wait is evicted: its remaining
-///    occupancy is clamped to the requester's start and the displacement is charged
-///    to both sides' eviction counters (one count per port hold taken);
-/// 3. the requester's own wait (`start - requested_at`) is added to the rail's
-///    fairness ledger.
-///
-/// Returns `(start, evicted_port_holds)`.
-#[allow(clippy::too_many_arguments)]
-fn claim_rail_ports(
-    policy: EvictionPolicy,
-    tenant: u32,
-    config: &CircuitConfig,
-    requested_at: SimTime,
-    num_rails: u32,
-    ports_per_gpu: u8,
-    port_busy: &mut [SimTime],
-    port_tenant: &mut [u32],
-    wait: &mut [SimDuration],
-    suffered: &mut [u64],
-    inflicted: &mut [u64],
-) -> (SimTime, u64) {
-    let evictable = |holder: u32, wait: &[SimDuration]| {
-        holder != NO_TENANT
-            && holder != tenant
-            && match policy {
-                EvictionPolicy::Never => false,
-                EvictionPolicy::LruTenant => true,
-                EvictionPolicy::FairShare => wait[tenant as usize] > wait[holder as usize],
-            }
-    };
-    let mut start = requested_at;
-    for port in config.ports() {
-        let (_, idx) = port.rail_dense_index(num_rails, ports_per_gpu);
-        if !evictable(port_tenant[idx], wait) {
-            start = start.max(port_busy[idx]);
-        }
-    }
-    let mut evicted = 0u64;
-    for port in config.ports() {
-        let (_, idx) = port.rail_dense_index(num_rails, ports_per_gpu);
-        if port_busy[idx] > start {
-            // Only evictable holds can still extend past `start`.
-            let holder = port_tenant[idx];
-            debug_assert!(evictable(holder, wait));
-            suffered[holder as usize] += 1;
-            inflicted[tenant as usize] += 1;
-            port_busy[idx] = start;
-            evicted += 1;
-        }
-    }
-    wait[tenant as usize] += start - requested_at;
-    (start, evicted)
-}
 
 /// The Opus controller: rail OCSes plus occupancy tracking and the reconfiguration log.
 ///
@@ -90,9 +29,8 @@ fn claim_rail_ports(
 /// fabric's geometry and indexed by
 /// [`PortId::rail_dense_index`](railsim_topology::PortId::rail_dense_index) / rail
 /// index. The occupancy map is touched on every scale-out communication event (the
-/// profiled hot path of the 10k-GPU runs), so it must not hash — and it is segmented
-/// *by rail* so the sharded commit phase can split the controller into independent
-/// [`RailLane`]s without any cross-rail aliasing.
+/// profiled hot path of the 10k-GPU runs), so it must not hash; it is segmented by
+/// rail, one dense table per rail.
 #[derive(Debug, Clone)]
 pub struct OpusController {
     fabric: OpticalRailFabric,
@@ -129,7 +67,8 @@ pub struct OpusController {
     /// Port holds evicted *by* each tenant, per `[rail][tenant]`.
     evictions_inflicted: Vec<Vec<u64>>,
     /// Installed circuits displaced by evicting installs, per rail (counted through
-    /// [`Ocs::conflicting_circuits`] at the moment an eviction fires).
+    /// [`Ocs::conflicting_circuits`](railsim_topology::Ocs::conflicting_circuits) at
+    /// the moment an eviction fires).
     circuits_evicted: Vec<u64>,
 }
 
@@ -270,10 +209,10 @@ impl OpusController {
     }
 
     /// The time at which every circuit of the group is ready, or `None` when any rail
-    /// is missing part of the configuration. Pure O(circuits in the group) read — this
-    /// is the install feasibility/ready-time evaluation the simulator runs
-    /// concurrently in its prep phase; pair it with [`OpusController::circuit_epoch`]
-    /// to validate the answer at commit time.
+    /// is missing part of the configuration. A pure O(circuits in the group) read: a
+    /// `Some` answer is exactly what a no-op [`OpusController::request`] would
+    /// resolve to, so the simulator uses it as the request's fast path (pair it with
+    /// [`OpusController::note_noop_request`]).
     pub fn installed_ready_time(&self, circuits: &GroupCircuits) -> Option<SimTime> {
         let mut ready = SimTime::ZERO;
         for (rail, config) in &circuits.per_rail {
@@ -282,21 +221,9 @@ impl OpusController {
         Some(ready)
     }
 
-    /// Generation counter of the fabric's circuit state: unchanged between two reads
-    /// ⇒ no matching changed in between, so any pre-evaluated
-    /// [`OpusController::installed_ready_time`] answer is still valid. Delegates to
-    /// the fabric (which sums per-switch epochs), so even mutations that bypass the
-    /// controller — a future fault injector tearing down a GPU's circuits, say —
-    /// invalidate outstanding answers. Occupancy updates deliberately do *not* bump
-    /// it: they never affect an installed configuration's ready time.
-    pub fn circuit_epoch(&self) -> u64 {
-        self.fabric.circuit_epoch()
-    }
-
-    /// Accounts for a request that was pre-evaluated as a no-op (circuits installed
-    /// everywhere) and committed against an unchanged [`OpusController::circuit_epoch`]:
-    /// bumps the same counters [`OpusController::request`] would have, without
-    /// re-walking the rails.
+    /// Accounts for a request that [`OpusController::installed_ready_time`] resolved
+    /// as a no-op (circuits installed everywhere): bumps the same counters
+    /// [`OpusController::request`] would have, without re-walking the rails.
     pub fn note_noop_request(&mut self) {
         self.requests += 1;
         self.noop_requests += 1;
@@ -315,12 +242,11 @@ impl OpusController {
     /// `config` on `rail` starting at `start` (the template event's start plus the
     /// replay shift), exactly as the request that produced the original event did.
     /// Goes straight to the fabric — the conflict wait is already baked into `start`
-    /// — so matching state, per-circuit ready times, the circuit epoch and the
-    /// set-up/torn-down counters all advance precisely as a naive re-step would have
-    /// left them. Bumps the per-rail lifetime counter but does *not* log an event
-    /// (the replay emits the shifted template events directly) or touch the request
-    /// counters (see [`OpusController::replay_requests`]). Returns when the circuits
-    /// are ready.
+    /// — so matching state, per-circuit ready times and the set-up/torn-down
+    /// counters all advance precisely as a naive re-step would have left them.
+    /// Bumps the per-rail lifetime counter but does *not* log an event (the replay
+    /// emits the shifted template events directly) or touch the request counters
+    /// (see [`OpusController::replay_requests`]). Returns when the circuits are ready.
     pub fn replay_install(
         &mut self,
         rail: RailId,
@@ -347,6 +273,36 @@ impl OpusController {
         circuits: &GroupCircuits,
         requested_at: SimTime,
     ) -> SimTime {
+        self.request_as(None, group, circuits, requested_at)
+    }
+
+    /// The tenant-tagged variant of [`OpusController::request`]: identical FC-FS
+    /// semantics under [`EvictionPolicy::Never`], but under an evicting policy the
+    /// requester may displace *other* tenants' port holds instead of waiting for them
+    /// (see [`OpusController::claim_ports`] for the arbitration rule). The requester's
+    /// own traffic is never preempted, so intra-tenant ordering stays FC-FS.
+    pub fn request_from(
+        &mut self,
+        tenant: u32,
+        group: GroupId,
+        circuits: &GroupCircuits,
+        requested_at: SimTime,
+    ) -> SimTime {
+        let tenant = self.tenancy_active().then_some(tenant);
+        self.request_as(tenant, group, circuits, requested_at)
+    }
+
+    /// The one request path. Each rail whose circuits are not yet installed starts
+    /// switching once its ports are free: for an untagged request (`None`) that means
+    /// every hold has drained; a tenant-tagged request claims the ports under the
+    /// eviction policy instead.
+    fn request_as(
+        &mut self,
+        tenant: Option<u32>,
+        group: GroupId,
+        circuits: &GroupCircuits,
+        requested_at: SimTime,
+    ) -> SimTime {
         self.requests += 1;
         if circuits.per_rail.is_empty() {
             self.noop_requests += 1;
@@ -369,6 +325,8 @@ impl OpusController {
             let ocs_already = self.noop_scratch[i];
             let start = if ocs_already {
                 requested_at
+            } else if let Some(tenant) = tenant {
+                self.claim_ports(tenant, *rail, config, requested_at)
             } else {
                 // Conflict avoidance: wait for ongoing traffic on the affected ports.
                 let mut free = requested_at;
@@ -398,81 +356,72 @@ impl OpusController {
         ready
     }
 
-    /// The tenant-tagged variant of [`OpusController::request`]: identical FC-FS
-    /// semantics under [`EvictionPolicy::Never`] (it delegates), but under an evicting
-    /// policy the requester may displace *other* tenants' port holds instead of
-    /// waiting for them (see [`claim_rail_ports`] for the arbitration rule). The
-    /// requester's own traffic is never preempted, so intra-tenant ordering stays
-    /// FC-FS.
-    pub fn request_from(
+    /// True when `tenant` may displace the hold on dense port `idx` of `rail` instead
+    /// of waiting for it: never when tenancy is off, never for untagged holds or the
+    /// tenant's own traffic, and otherwise as the eviction policy decides (under
+    /// [`EvictionPolicy::FairShare`], only holds of tenants that have waited less on
+    /// this rail).
+    fn evictable(&self, tenant: u32, rail: usize, idx: usize) -> bool {
+        if !self.tenancy_active() {
+            return false;
+        }
+        let holder = self.port_tenant[rail][idx];
+        holder != NO_TENANT
+            && holder != tenant
+            && match self.eviction {
+                EvictionPolicy::Never => false,
+                EvictionPolicy::LruTenant => true,
+                EvictionPolicy::FairShare => {
+                    let wait = &self.wait_by_rail[rail];
+                    wait[tenant as usize] > wait[holder as usize]
+                }
+            }
+    }
+
+    /// Claims `config`'s ports on `rail` for `tenant`'s request at `requested_at`
+    /// (tenancy must be active) and returns when the install may start:
+    ///
+    /// 1. the requester waits for every hold it may not evict (see
+    ///    [`OpusController::evictable`]) to drain;
+    /// 2. every evictable hold still extending past that wait is evicted: its
+    ///    remaining occupancy is clamped to the requester's start and the
+    ///    displacement is charged to both sides' eviction counters (one count per
+    ///    port hold taken);
+    /// 3. the requester's own wait (`start - requested_at`) is added to the rail's
+    ///    fairness ledger.
+    fn claim_ports(
         &mut self,
         tenant: u32,
-        group: GroupId,
-        circuits: &GroupCircuits,
+        rail: RailId,
+        config: &CircuitConfig,
         requested_at: SimTime,
     ) -> SimTime {
-        if !self.tenancy_active() {
-            return self.request(group, circuits, requested_at);
-        }
-        self.requests += 1;
-        if circuits.per_rail.is_empty() {
-            self.noop_requests += 1;
-            return requested_at;
-        }
-        self.noop_scratch.clear();
-        let mut already_everywhere = true;
-        for (rail, config) in &circuits.per_rail {
-            let noop = self.fabric.ocs(*rail).already_installed(config);
-            self.noop_scratch.push(noop);
-            already_everywhere &= noop;
-        }
-        if already_everywhere {
-            self.noop_requests += 1;
-        }
-        let mut ready = requested_at;
-        for (i, (rail, config)) in circuits.per_rail.iter().enumerate() {
-            let ocs_already = self.noop_scratch[i];
-            let start = if ocs_already {
-                requested_at
-            } else {
-                let r = rail.index();
-                let (start, evicted) = claim_rail_ports(
-                    self.eviction,
-                    tenant,
-                    config,
-                    requested_at,
-                    self.num_rails,
-                    self.ports_per_gpu,
-                    &mut self.port_busy[r],
-                    &mut self.port_tenant[r],
-                    &mut self.wait_by_rail[r],
-                    &mut self.evictions_suffered[r],
-                    &mut self.evictions_inflicted[r],
-                );
-                if evicted > 0 {
-                    self.circuits_evicted[r] +=
-                        self.fabric.ocs(*rail).conflicting_circuits(config) as u64;
-                }
-                start
-            };
-            let rail_ready = self
-                .fabric
-                .install(*rail, config, start)
-                .unwrap_or_else(|e| panic!("circuit install failed on {rail}: {e}"));
-            if !ocs_already {
-                self.events.push(ReconfigEvent {
-                    rail: *rail,
-                    group,
-                    requested_at,
-                    started_at: start,
-                    ready_at: rail_ready,
-                    circuits_installed: config.len(),
-                });
-                self.lifetime_by_rail[rail.index()] += 1;
+        let r = rail.index();
+        let mut start = requested_at;
+        for port in config.ports() {
+            let (_, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
+            if !self.evictable(tenant, r, idx) {
+                start = start.max(self.port_busy[r][idx]);
             }
-            ready = ready.max(rail_ready);
         }
-        ready
+        let mut evicted = false;
+        for port in config.ports() {
+            let (_, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
+            if self.port_busy[r][idx] > start {
+                // Only evictable holds can still extend past `start`.
+                debug_assert!(self.evictable(tenant, r, idx));
+                let holder = self.port_tenant[r][idx];
+                self.evictions_suffered[r][holder as usize] += 1;
+                self.evictions_inflicted[r][tenant as usize] += 1;
+                self.port_busy[r][idx] = start;
+                evicted = true;
+            }
+        }
+        if evicted {
+            self.circuits_evicted[r] += self.fabric.ocs(rail).conflicting_circuits(config) as u64;
+        }
+        self.wait_by_rail[r][tenant as usize] += start - requested_at;
+        start
     }
 
     /// The tenant-aware variant of [`OpusController::ports_free_at`]: the earliest
@@ -481,25 +430,11 @@ impl OpusController {
     /// displace are skipped. Used to back-date provisioned requests, so a tenant that
     /// can evict issues its speculative request as early as eviction would allow.
     pub fn ports_free_for(&self, tenant: u32, circuits: &GroupCircuits) -> SimTime {
-        if !self.tenancy_active() {
-            return self.ports_free_at(circuits);
-        }
         let mut free = SimTime::ZERO;
         for config in circuits.per_rail.values() {
             for port in config.ports() {
                 let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                let holder = self.port_tenant[rail][idx];
-                let evictable = holder != NO_TENANT
-                    && holder != tenant
-                    && match self.eviction {
-                        EvictionPolicy::Never => false,
-                        EvictionPolicy::LruTenant => true,
-                        EvictionPolicy::FairShare => {
-                            self.wait_by_rail[rail][tenant as usize]
-                                > self.wait_by_rail[rail][holder as usize]
-                        }
-                    };
-                if !evictable {
+                if !self.evictable(tenant, rail, idx) {
                     free = free.max(self.port_busy[rail][idx]);
                 }
             }
@@ -509,10 +444,8 @@ impl OpusController {
 
     /// Handles a rail failure: tears down every circuit on the rail's OCS (the light
     /// path is gone, whatever group owned it). Returns how many circuits were lost.
-    /// Tearing down bumps the fabric's circuit epoch, so any pre-evaluated
-    /// install-ready answer for a group touching this rail is withdrawn — the next
-    /// request for such a group takes the full install path and pays the
-    /// reconfiguration delay after recovery.
+    /// The next request for a group touching this rail therefore takes the full
+    /// install path and pays the reconfiguration delay after recovery.
     pub fn rail_failed(&mut self, rail: RailId) -> usize {
         let ocs = self.fabric.ocs_mut(rail);
         let lost = ocs.num_circuits();
@@ -526,9 +459,8 @@ impl OpusController {
     ///
     /// This is the plan-swap half of `RecoveryPolicy::Replan`: before installing a
     /// degraded (or restored) plan, the old plan's surviving circuits are withdrawn so
-    /// the group never holds ports under two plans at once. Any real teardown bumps
-    /// the affected switch's epoch, so pre-evaluated install-ready answers for the old
-    /// plan are withdrawn with it; the next request pays the reconfiguration delay.
+    /// the group never holds ports under two plans at once; the next request pays the
+    /// reconfiguration delay.
     pub fn withdraw(&mut self, circuits: &GroupCircuits) -> usize {
         let mut n = 0;
         for (rail, config) in &circuits.per_rail {
@@ -603,243 +535,6 @@ impl OpusController {
             .get(rail.index())
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Splits the controller's rail-partitioned mutable state into one exclusive
-    /// [`RailLane`] per rail. The lanes borrow disjoint pieces (each rail's OCS, its
-    /// occupancy segment, its lifetime counter), so they can be moved onto separate
-    /// worker threads for a rail-sharded commit phase. Global bookkeeping — the
-    /// request counters and the event log — is *not* split; the coordinator applies
-    /// those effects in the global event order after the lanes join.
-    pub fn rail_lanes(&mut self) -> Vec<RailLane<'_>> {
-        let num_rails = self.num_rails;
-        let ports_per_gpu = self.ports_per_gpu;
-        let eviction = self.eviction;
-        self.fabric
-            .ocses_mut()
-            .iter_mut()
-            .zip(self.port_busy.iter_mut())
-            .zip(self.lifetime_by_rail.iter_mut())
-            .zip(
-                self.port_tenant
-                    .iter_mut()
-                    .zip(self.wait_by_rail.iter_mut())
-                    .zip(
-                        self.evictions_suffered
-                            .iter_mut()
-                            .zip(self.evictions_inflicted.iter_mut()),
-                    )
-                    .zip(self.circuits_evicted.iter_mut()),
-            )
-            .enumerate()
-            .map(
-                |(
-                    i,
-                    (
-                        ((ocs, port_busy), lifetime),
-                        (((port_tenant, wait), (suffered, inflicted)), circuits_evicted),
-                    ),
-                )| RailLane {
-                    rail: RailId(i as u32),
-                    ocs,
-                    port_busy,
-                    lifetime,
-                    num_rails,
-                    ports_per_gpu,
-                    eviction,
-                    port_tenant,
-                    wait,
-                    suffered,
-                    inflicted,
-                    circuits_evicted,
-                },
-            )
-            .collect()
-    }
-}
-
-/// An exclusive handle to one rail's share of the controller's mutable state: the
-/// rail's OCS, its segment of the occupancy table, and its lifetime reconfiguration
-/// counter. [`OpusController::rail_lanes`] splits the controller into one lane per
-/// rail; because rails never share switches or ports, the lanes can be driven on
-/// separate worker threads and reproduce exactly the per-rail state transitions the
-/// sequential [`OpusController::request`] / [`OpusController::occupy`] path performs —
-/// as long as each rail's requests are replayed in their sequential order. Cross-rail
-/// bookkeeping (request counters, the reconfiguration log) stays on the controller
-/// and is applied by the coordinator in the global event order.
-#[derive(Debug)]
-pub struct RailLane<'a> {
-    rail: RailId,
-    ocs: &'a mut Ocs,
-    port_busy: &'a mut Vec<SimTime>,
-    lifetime: &'a mut u64,
-    num_rails: u32,
-    ports_per_gpu: u8,
-    eviction: EvictionPolicy,
-    port_tenant: &'a mut Vec<u32>,
-    wait: &'a mut Vec<SimDuration>,
-    suffered: &'a mut Vec<u64>,
-    inflicted: &'a mut Vec<u64>,
-    circuits_evicted: &'a mut u64,
-}
-
-impl RailLane<'_> {
-    /// The rail this lane controls.
-    pub fn rail(&self) -> RailId {
-        self.rail
-    }
-
-    /// The time at which `config` is ready on this rail, or `None` when any of its
-    /// circuits is missing. The single-rail analogue of
-    /// [`OpusController::installed_ready_time`].
-    pub fn installed_ready(&self, config: &CircuitConfig) -> Option<SimTime> {
-        self.ocs.installed_ready(config)
-    }
-
-    /// True when every circuit of `config` is already installed (possibly settling).
-    pub fn already_installed(&self, config: &CircuitConfig) -> bool {
-        self.ocs.already_installed(config)
-    }
-
-    /// The earliest time at or after which every port of `config` is free of traffic.
-    /// The single-rail analogue of [`OpusController::ports_free_at`].
-    pub fn ports_free_at(&self, config: &CircuitConfig) -> SimTime {
-        let mut free = SimTime::ZERO;
-        for port in config.ports() {
-            let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-            debug_assert_eq!(
-                rail,
-                self.rail.index(),
-                "port {port} is not on {}",
-                self.rail
-            );
-            free = free.max(self.port_busy[idx]);
-        }
-        free
-    }
-
-    /// Installs `config` on the rail's OCS starting at `start`, exactly as the
-    /// sequential [`OpusController::request`] install loop would (a no-op install
-    /// leaves the circuit epoch untouched). Returns when the circuits are ready.
-    pub fn install(&mut self, config: &CircuitConfig, start: SimTime) -> SimTime {
-        let rail = self.rail;
-        self.ocs
-            .install(config, start)
-            .unwrap_or_else(|e| panic!("circuit install failed on {rail}: {e}"))
-    }
-
-    /// Bumps the rail's lifetime reconfiguration counter. The per-event log entry is
-    /// emitted by the coordinator, which owns the (global) event log.
-    pub fn note_reconfig(&mut self) {
-        *self.lifetime += 1;
-    }
-
-    /// Records traffic on `config`'s ports until `until`, blocking conflicting
-    /// reconfigurations before then. The single-rail analogue of
-    /// [`OpusController::occupy`].
-    pub fn occupy(&mut self, config: &CircuitConfig, until: SimTime) {
-        for port in config.ports() {
-            let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-            debug_assert_eq!(
-                rail,
-                self.rail.index(),
-                "port {port} is not on {}",
-                self.rail
-            );
-            let slot = &mut self.port_busy[idx];
-            *slot = (*slot).max(until);
-        }
-    }
-
-    /// True when tenant-aware arbitration is active on this lane.
-    pub fn tenancy_active(&self) -> bool {
-        self.eviction.can_evict()
-    }
-
-    /// The single-rail analogue of [`OpusController::ports_free_for`]: the earliest
-    /// time `tenant` would actually have to wait until on this rail, skipping holds
-    /// the eviction policy lets it displace.
-    pub fn ports_free_for(&self, tenant: u32, config: &CircuitConfig) -> SimTime {
-        if !self.tenancy_active() {
-            return self.ports_free_at(config);
-        }
-        let mut free = SimTime::ZERO;
-        for port in config.ports() {
-            let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-            debug_assert_eq!(
-                rail,
-                self.rail.index(),
-                "port {port} is not on {}",
-                self.rail
-            );
-            let holder = self.port_tenant[idx];
-            let evictable = holder != NO_TENANT
-                && holder != tenant
-                && match self.eviction {
-                    EvictionPolicy::Never => false,
-                    EvictionPolicy::LruTenant => true,
-                    EvictionPolicy::FairShare => {
-                        self.wait[tenant as usize] > self.wait[holder as usize]
-                    }
-                };
-            if !evictable {
-                free = free.max(self.port_busy[idx]);
-            }
-        }
-        free
-    }
-
-    /// Claims `config`'s ports for `tenant` at `requested_at`: waits for
-    /// non-evictable holds, evicts the rest, updates the fairness ledgers — exactly
-    /// the arithmetic [`OpusController::request_from`] performs for one rail (both
-    /// call [`claim_rail_ports`]). Returns the install start time. Falls back to the
-    /// plain FC-FS wait when tenancy is off.
-    pub fn claim_ports(
-        &mut self,
-        tenant: u32,
-        config: &CircuitConfig,
-        requested_at: SimTime,
-    ) -> SimTime {
-        if !self.tenancy_active() {
-            return requested_at.max(self.ports_free_at(config));
-        }
-        let (start, evicted) = claim_rail_ports(
-            self.eviction,
-            tenant,
-            config,
-            requested_at,
-            self.num_rails,
-            self.ports_per_gpu,
-            self.port_busy,
-            self.port_tenant,
-            self.wait,
-            self.suffered,
-            self.inflicted,
-        );
-        if evicted > 0 {
-            *self.circuits_evicted += self.ocs.conflicting_circuits(config) as u64;
-        }
-        start
-    }
-
-    /// The single-rail analogue of [`OpusController::occupy_for`]: max-merged
-    /// occupancy plus the tenant stamp on every hold this transfer extends.
-    pub fn occupy_for(&mut self, tenant: u32, config: &CircuitConfig, until: SimTime) {
-        let active = self.tenancy_active();
-        for port in config.ports() {
-            let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-            debug_assert_eq!(
-                rail,
-                self.rail.index(),
-                "port {port} is not on {}",
-                self.rail
-            );
-            let slot = &mut self.port_busy[idx];
-            if active && until >= *slot {
-                self.port_tenant[idx] = tenant;
-            }
-            *slot = (*slot).max(until);
-        }
     }
 }
 
@@ -949,25 +644,21 @@ mod tests {
     }
 
     #[test]
-    fn epoch_tracks_installs_and_installed_ready_matches_noop_requests() {
+    fn installed_ready_matches_noop_requests() {
         let (cluster, mut ctrl, planner) = setup();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        // Nothing installed yet: no pre-evaluated ready time, epoch at zero.
+        // Nothing installed yet: no fast-path ready time.
         assert_eq!(ctrl.installed_ready_time(&circuits), None);
-        assert_eq!(ctrl.circuit_epoch(), 0);
 
         let ready = ctrl.request(group.id, &circuits, SimTime::ZERO);
-        assert_eq!(ctrl.circuit_epoch(), 1, "a real install bumps the epoch");
         // The pure read now answers exactly what a no-op request would return.
         assert_eq!(ctrl.installed_ready_time(&circuits), Some(ready));
         let later = SimTime::from_millis(500);
         assert_eq!(ctrl.request(group.id, &circuits, later), later);
-        assert_eq!(ctrl.circuit_epoch(), 1, "a no-op request leaves the epoch");
 
-        // Occupancy must not invalidate pre-evaluated answers either.
+        // Occupancy never changes an installed configuration's ready time.
         ctrl.occupy(&circuits, SimTime::from_secs(10));
-        assert_eq!(ctrl.circuit_epoch(), 1);
         assert_eq!(ctrl.installed_ready_time(&circuits), Some(ready));
 
         let before = (ctrl.requests(), ctrl.noop_requests());
@@ -975,8 +666,8 @@ mod tests {
         assert_eq!(ctrl.requests(), before.0 + 1);
         assert_eq!(ctrl.noop_requests(), before.1 + 1);
 
-        // A conflicting install (shared port on rail 0) bumps the epoch again and
-        // withdraws the old group's pre-evaluated answer.
+        // A conflicting install (shared port on rail 0) tears the old group's
+        // circuits down, so its fast path is gone.
         let pp = CommGroup::new(
             railsim_collectives::GroupId(2),
             ParallelismAxis::Pipeline,
@@ -984,12 +675,11 @@ mod tests {
         );
         let pp_circuits = planner.plan(&cluster, &pp);
         ctrl.request(pp.id, &pp_circuits, SimTime::from_secs(20));
-        assert_eq!(ctrl.circuit_epoch(), 2);
         assert_eq!(ctrl.installed_ready_time(&circuits), None);
     }
 
     #[test]
-    fn withdraw_removes_only_the_groups_circuits_and_bumps_the_epoch() {
+    fn withdraw_removes_only_the_groups_circuits() {
         let (cluster, mut ctrl, planner) = setup();
         let a = dp_group(1, &[0, 4]);
         let b = dp_group(2, &[1, 5]);
@@ -997,70 +687,14 @@ mod tests {
         let cb = planner.plan(&cluster, &b);
         ctrl.request(a.id, &ca, SimTime::ZERO);
         ctrl.request(b.id, &cb, SimTime::ZERO);
-        let epoch = ctrl.circuit_epoch();
         let removed = ctrl.withdraw(&ca);
         assert!(removed > 0, "group a held circuits");
         assert!(!ctrl.is_installed(&ca));
         assert!(ctrl.is_installed(&cb), "group b's circuits survive");
-        assert!(
-            ctrl.circuit_epoch() > epoch,
-            "a real withdraw bumps the epoch"
-        );
         assert_eq!(ctrl.installed_ready_time(&ca), None);
         // Withdrawing again is a free no-op.
-        let epoch = ctrl.circuit_epoch();
         assert_eq!(ctrl.withdraw(&ca), 0);
-        assert_eq!(ctrl.circuit_epoch(), epoch);
-    }
-
-    #[test]
-    fn rail_lanes_reproduce_the_sequential_request_path() {
-        // Drive the same single-rail request through `request()` on one controller and
-        // through a `RailLane` on another; every observable (ready time, occupancy,
-        // epoch, lifetime counters, no-op detection) must match.
-        let (cluster, mut seq, planner) = setup();
-        let mut sharded = seq.clone();
-        let group = dp_group(1, &[0, 4]);
-        let circuits = planner.plan(&cluster, &group);
-        let config = circuits.per_rail.values().next().unwrap();
-        let t0 = SimTime::from_millis(100);
-
-        let seq_ready = seq.request(group.id, &circuits, t0);
-        seq.occupy(&circuits, SimTime::from_millis(400));
-
-        {
-            let mut lanes = sharded.rail_lanes();
-            let lane = &mut lanes[0];
-            assert_eq!(lane.rail(), RailId(0));
-            assert_eq!(lane.installed_ready(config), None);
-            assert!(!lane.already_installed(config));
-            let start = lane.ports_free_at(config).max(t0);
-            let ready = lane.install(config, start);
-            lane.note_reconfig();
-            assert_eq!(ready, seq_ready);
-            lane.occupy(config, SimTime::from_millis(400));
-            assert_eq!(lane.installed_ready(config), Some(ready));
-            assert!(lane.already_installed(config));
-        }
-        assert_eq!(sharded.circuit_epoch(), seq.circuit_epoch());
-        assert_eq!(sharded.lifetime_reconfigs(), seq.lifetime_reconfigs());
-        assert_eq!(
-            sharded.ports_free_at(&circuits),
-            seq.ports_free_at(&circuits)
-        );
-        assert_eq!(
-            sharded.installed_ready_time(&circuits),
-            seq.installed_ready_time(&circuits)
-        );
-
-        // A later no-op request on the sequential side equals the lane's fast path.
-        let later = SimTime::from_millis(600);
-        let seq_again = seq.request(group.id, &circuits, later);
-        let lane_again = {
-            let lanes = sharded.rail_lanes();
-            lanes[0].installed_ready(config).unwrap().max(later)
-        };
-        assert_eq!(lane_again, seq_again);
+        assert!(ctrl.is_installed(&cb));
     }
 
     #[test]
@@ -1131,7 +765,12 @@ mod tests {
         let pp_circuits = planner.plan(&cluster, &pp);
         ctrl.request_from(0, dp.id, &dp_circuits, SimTime::ZERO);
         ctrl.occupy_for(0, &dp_circuits, SimTime::from_millis(300));
-        // Equal waits (both zero): tenant 1 may not evict and waits like FC-FS.
+        // Equal waits (both zero): tenant 1 may not evict and waits like FC-FS, so a
+        // provisioned request could not be back-dated past the hold either.
+        assert_eq!(
+            ctrl.ports_free_for(1, &pp_circuits),
+            SimTime::from_millis(300)
+        );
         let ready = ctrl.request_from(1, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(325));
         assert_eq!(ctrl.evictions_inflicted_by(1), 0);
@@ -1149,6 +788,16 @@ mod tests {
             vec![GpuId(0), GpuId(12)],
         );
         let other_circuits = planner.plan(&cluster, &other);
+        assert_eq!(
+            ctrl.ports_free_for(1, &other_circuits),
+            SimTime::ZERO,
+            "the longer waiter's back-dating skips the evictable hold"
+        );
+        assert_eq!(
+            ctrl.ports_free_for(0, &other_circuits),
+            SimTime::from_millis(900),
+            "a tenant never skips its own hold"
+        );
         let ready = ctrl.request_from(1, other.id, &other_circuits, SimTime::from_millis(400));
         assert_eq!(
             ready,
@@ -1157,65 +806,6 @@ mod tests {
         );
         assert_eq!(ctrl.evictions_suffered_by(0), 1);
         assert_eq!(ctrl.evictions_inflicted_by(1), 1);
-    }
-
-    #[test]
-    fn rail_lane_claim_matches_the_sequential_eviction_path() {
-        // The same tenant-tagged contention sequence through `request_from` on one
-        // controller and through `RailLane::{ports_free_for, claim_ports, occupy_for}`
-        // on a clone must leave identical observables.
-        let (cluster, mut seq, planner) = setup();
-        seq.set_eviction(EvictionPolicy::FairShare, 2);
-        let mut sharded = seq.clone();
-        let dp = dp_group(1, &[0, 4]);
-        let pp = CommGroup::new(
-            railsim_collectives::GroupId(2),
-            ParallelismAxis::Pipeline,
-            vec![GpuId(0), GpuId(8)],
-        );
-        let dp_circuits = planner.plan(&cluster, &dp);
-        let pp_circuits = planner.plan(&cluster, &pp);
-        let dp_config = dp_circuits.per_rail.values().next().unwrap();
-        let pp_config = pp_circuits.per_rail.values().next().unwrap();
-
-        let r1 = seq.request_from(0, dp.id, &dp_circuits, SimTime::ZERO);
-        seq.occupy_for(0, &dp_circuits, SimTime::from_millis(300));
-        let r2 = seq.request_from(1, pp.id, &pp_circuits, SimTime::from_millis(150));
-        seq.occupy_for(1, &pp_circuits, SimTime::from_millis(500));
-
-        {
-            let mut lanes = sharded.rail_lanes();
-            let lane = &mut lanes[0];
-            assert!(lane.tenancy_active());
-            let start = lane.claim_ports(0, dp_config, SimTime::ZERO);
-            assert_eq!(lane.install(dp_config, start), r1);
-            lane.note_reconfig();
-            lane.occupy_for(0, dp_config, SimTime::from_millis(300));
-            assert_eq!(
-                lane.ports_free_for(1, pp_config),
-                SimTime::from_millis(300),
-                "equal waits: tenant 1 cannot skip the hold"
-            );
-            let start = lane.claim_ports(1, pp_config, SimTime::from_millis(150));
-            assert_eq!(lane.install(pp_config, start), r2);
-            lane.note_reconfig();
-            lane.occupy_for(1, pp_config, SimTime::from_millis(500));
-        }
-        assert_eq!(sharded.tenant_wait(0), seq.tenant_wait(0));
-        assert_eq!(sharded.tenant_wait(1), seq.tenant_wait(1));
-        assert_eq!(
-            sharded.evictions_suffered_by(0),
-            seq.evictions_suffered_by(0)
-        );
-        assert_eq!(
-            sharded.evictions_inflicted_by(1),
-            seq.evictions_inflicted_by(1)
-        );
-        assert_eq!(
-            sharded.ports_free_at(&pp_circuits),
-            seq.ports_free_at(&pp_circuits)
-        );
-        assert_eq!(sharded.circuit_epoch(), seq.circuit_epoch());
     }
 
     #[test]

@@ -35,9 +35,12 @@
 //! iteration state — while the discrete-event engine, the rail fabric (one OCS per
 //! rail under an optical policy) and the rail health state are shared fleet-wide.
 //! All events, from every job and from the injected timeline, multiplex over one
-//! [`ShardedEngine`] and commit in the engine's global `(time, seq)` order, so
-//! scenario results are byte-identical for any shard or worker-thread count, exactly
-//! like single-job runs.
+//! [`ShardedEngine`] (one event lane per rail) and commit one at a time, in the
+//! engine's global `(time, seq)` order, from a single sequential loop. That order is
+//! the simulator's whole determinism contract, and it mirrors Opus itself: the
+//! controller arbitrates each rail first-come-first-serve over the sequentially
+//! ordered demands it receives. Parallel work runs one level up, across independent
+//! scenarios (see [`crate::fleet`]).
 //!
 //! Injected events are scheduled before any task event, so an injection at time `T`
 //! always applies *before* every task event at `T` (task events carry later sequence
@@ -75,7 +78,7 @@
 use crate::circuits::{CircuitPlanner, GroupCircuits};
 use crate::config::OpusConfig;
 use crate::config::{EvictionPolicy, ReconfigPolicy, RecoveryPolicy};
-use crate::controller::{OpusController, RailLane};
+use crate::controller::OpusController;
 use crate::group_table::GroupTable;
 use crate::metrics::{CommRecord, IterationResult, ReconfigEvent, SimulationResult};
 use crate::serving::ServingSpec;
@@ -84,7 +87,7 @@ use railsim_collectives::{
     cost::{collective_time, CostParams},
     degraded_params, CollectiveKind, CommGroup, GroupId, ParallelismAxis,
 };
-use railsim_sim::{scoped_run, ShardId, ShardedEngine, SimDuration, SimRng, SimTime};
+use railsim_sim::{ShardId, ShardedEngine, SimDuration, SimRng, SimTime};
 use railsim_topology::{
     Cluster, ElectricalRailFabric, GpuId, OpticalRailFabric, RailConnectivity, RailHealth, RailId,
     RailSet,
@@ -112,7 +115,8 @@ pub enum ScenarioEvent {
         reconfig_latency: SimDuration,
     },
     /// The job starts at this point instead of at time zero. A job with a
-    /// `JobArrival` injection anywhere in the timeline does not start on its own.
+    /// `JobArrival` injection anywhere in the timeline does not start on its own; a
+    /// job arrives at most once.
     JobArrival {
         /// The arriving job (its index in declaration order).
         job: JobId,
@@ -271,9 +275,9 @@ impl ScenarioSpec {
     /// # Panics
     /// Panics when the scenario is malformed: no jobs, an invalid DAG, zero
     /// iterations, a placement outside the cluster, an injection on a nonexistent
-    /// rail or job, inconsistent optical reconfiguration latencies across jobs, or a
-    /// timeline under which a job cannot finish (a needed rail fails and never
-    /// recovers).
+    /// rail or job, a job that arrives twice, inconsistent optical reconfiguration
+    /// latencies across jobs, or a timeline under which a job cannot finish (a
+    /// needed rail fails and never recovers).
     pub fn run(self) -> ScenarioResult {
         let mut sim = ScenarioSim::build(self);
         sim.run_scenario();
@@ -509,11 +513,6 @@ struct CircuitSlot {
     /// (`None` whenever the live plan *is* the pristine plan). Boxed so the common
     /// healthy case costs one pointer, not a second `GroupCircuits`.
     pristine: Option<Box<GroupCircuits>>,
-    /// Bumped on every plan swap. [`EventPlan`]s carry the version they were prepped
-    /// against, so a swap that commits between prep and commit invalidates them and
-    /// the commit recomputes against the live plan (see
-    /// [`ScenarioSim::replan_after_health_change`]).
-    version: u32,
 }
 
 impl CircuitSlot {
@@ -533,26 +532,6 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// Sentinel for "no job" in the fleet's per-port tenant table.
 const NO_JOB: u32 = u32::MAX;
-
-/// The pure, state-independent work of one event, evaluated concurrently on the
-/// parallel stepping path's worker threads before the event's commit turn.
-#[derive(Debug, Clone, Copy)]
-struct EventPlan {
-    /// The α–β cost-model transfer duration (None for compute tasks).
-    duration: Option<SimDuration>,
-    /// Optical install feasibility/ready-time evaluation: when the task's circuits
-    /// were fully installed at prep time, the controller's circuit epoch and the time
-    /// at which every circuit is ready. Commit honours it only while the epoch is
-    /// unchanged (no install — and no rail failure — happened in between), which
-    /// keeps results byte-identical to the sequential path; a stale or absent plan
-    /// falls back to the full controller request.
-    optical_ready: Option<(u64, SimTime)>,
-    /// The [`CircuitSlot::version`] the plan was computed against (0 for tasks
-    /// without circuit demand). A replan swap committed after prep bumps the slot
-    /// version, and the mismatch makes the commit recompute both the duration and the
-    /// optical path against the live plan.
-    slot_version: u32,
-}
 
 /// One entry of the sorted injected timeline.
 struct Injection {
@@ -808,34 +787,19 @@ impl Fleet {
         job: JobId,
         label: LabelId,
     ) -> SimTime {
-        outage_gate(&self.health, circuits, now, job, label)
-    }
-}
-
-/// The outage gate as a free function, so the rail-sharded commit workers — which
-/// hold only a shared `RailHealth` borrow, not the whole [`Fleet`] — evaluate the
-/// exact same check (and panic with the exact same diagnostic) as the sequential
-/// path. Health only changes at injection commits, which are barriers for the
-/// sharded phase, so the read is race-free.
-fn outage_gate(
-    health: &RailHealth,
-    circuits: &GroupCircuits,
-    now: SimTime,
-    job: JobId,
-    label: LabelId,
-) -> SimTime {
-    let mut gated = now;
-    for &rail in circuits.per_rail.keys() {
-        if let Some(avail) = health.available_from(rail) {
-            assert!(
-                avail != SimTime::MAX,
-                "{job} task {label} needs {rail}, which failed with no scheduled \
-                 recovery — the scenario timeline is unsatisfiable"
-            );
-            gated = gated.max(avail);
+        let mut gated = now;
+        for &rail in circuits.per_rail.keys() {
+            if let Some(avail) = self.health.available_from(rail) {
+                assert!(
+                    avail != SimTime::MAX,
+                    "{job} task {label} needs {rail}, which failed with no scheduled \
+                     recovery — the scenario timeline is unsatisfiable"
+                );
+                gated = gated.max(avail);
+            }
         }
+        gated
     }
-    gated
 }
 
 /// Nearest-rank 99th percentile of request latencies (sorts in place). `None` for an
@@ -856,53 +820,7 @@ pub(crate) struct ScenarioSim {
     jobs: Vec<JobContext>,
     fleet: Fleet,
     injections: Vec<Injection>,
-    num_shards: usize,
-    threads: usize,
-    /// Worker threads for the rail-sharded commit phase (1 = sequential commits).
-    commit_threads: usize,
     makespan: SimTime,
-}
-
-/// Below this many rail-classed commits in a batch segment, the sharded commit path
-/// falls back to committing sequentially: spawning scoped workers costs more than the
-/// per-rail work itself. Mirrors the prep path's `PARALLEL_SLICE_MIN` reasoning.
-const COMMIT_SHARD_MIN: usize = 64;
-
-/// How one popped event's commit interacts with shared state, deciding where the
-/// rail-sharded commit phase may run it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CommitClass {
-    /// Touches no rail-partitioned controller state (compute tasks, `Done`
-    /// bookkeeping, electrical / offloaded / scale-up-only communications): commits
-    /// on the coordinator, safely interleaved with rail workers' *outputs* because it
-    /// never reads or writes any rail lane.
-    Seq,
-    /// An optical scale-out communication whose circuits ride exactly one rail: its
-    /// controller effects are confined to that rail's lane and can run on the rail's
-    /// worker, with the global effects (counters, records, scheduling) merged on the
-    /// coordinator in `(time, seq)` order.
-    Rail(usize),
-    /// Mutates cross-rail or global state (injections, fast-forwards, multi-rail
-    /// communications): flushes the current segment and commits alone on the
-    /// coordinator, exactly like the sequential path.
-    Barrier,
-}
-
-/// The pure per-rail outcome of one rail-classed commit, computed on a rail worker
-/// and merged by the coordinator. Everything in here is a *value*: the worker mutates
-/// only its own [`RailLane`]; counters, logs, records and event scheduling happen at
-/// merge time in the global event order.
-struct RailOutcome {
-    /// The task's end time (`Done` is scheduled here at merge time).
-    end: SimTime,
-    /// The request was a no-op (circuits already installed): the coordinator bumps
-    /// the no-op counter alongside the request counter.
-    noop: bool,
-    /// The reconfiguration this commit performed, if any, exactly as the sequential
-    /// controller would have logged it.
-    reconfig: Option<ReconfigEvent>,
-    /// The communication record, byte-identical to the sequential path's.
-    record: CommRecord,
 }
 
 impl ScenarioSim {
@@ -949,6 +867,7 @@ impl ScenarioSim {
                 })
                 .collect()
         };
+        let mut arriving = vec![false; jobs.len()];
         for i in 0..timeline.len() {
             if let ScenarioEvent::RailDown(rail) = timeline[i].event {
                 timeline[i].recover_at = timeline[i + 1..]
@@ -976,6 +895,12 @@ impl ScenarioSim {
                         jobs[job.index()].serving.is_none(),
                         "JobArrival targets {job}, a serving job — serving jobs start on \
                          their first RequestBurst instead"
+                    );
+                    assert!(
+                        !std::mem::replace(&mut arriving[job.index()], true),
+                        "{job} arrives twice (a second JobArrival at {}); a job starts \
+                         exactly once",
+                        timeline[i].at
                     );
                 }
                 ScenarioEvent::RequestBurst { job, requests } => {
@@ -1006,13 +931,6 @@ impl ScenarioSim {
         let faults = timeline
             .iter()
             .any(|inj| matches!(inj.event, ScenarioEvent::RailDown(_)));
-        let arriving: Vec<bool> = (0..jobs.len())
-            .map(|j| {
-                timeline.iter().any(|inj| {
-                    matches!(inj.event, ScenarioEvent::JobArrival { job } if job.index() == j)
-                })
-            })
-            .collect();
         for (j, job_spec) in jobs.iter().enumerate() {
             if job_spec.serving.is_some() {
                 let fed = timeline.iter().any(|inj| {
@@ -1110,31 +1028,6 @@ impl ScenarioSim {
             ));
         }
 
-        let num_shards = contexts
-            .iter()
-            .map(|c| c.config.event_shards.unwrap_or_else(|| cluster.num_rails()))
-            .max()
-            .unwrap_or(1)
-            .max(1) as usize;
-        // Shard folding happens at build time, against the scenario-wide lane count.
-        for ctx in &mut contexts {
-            for shard in &mut ctx.task_shard {
-                shard.0 %= num_shards as u32;
-            }
-        }
-        let threads = contexts
-            .iter()
-            .map(|c| c.config.parallel_threads.unwrap_or(1))
-            .max()
-            .unwrap_or(1)
-            .max(1) as usize;
-        let commit_threads = contexts
-            .iter()
-            .map(|c| c.config.commit_threads.unwrap_or(1))
-            .max()
-            .unwrap_or(1)
-            .max(1) as usize;
-
         let backend = match optical_latency {
             Some(latency) => {
                 let mut controller = Box::new(OpusController::new(OpticalRailFabric::for_cluster(
@@ -1190,9 +1083,6 @@ impl ScenarioSim {
             jobs: contexts,
             fleet,
             injections: timeline,
-            num_shards,
-            threads,
-            commit_threads,
             makespan: SimTime::ZERO,
         }
     }
@@ -1280,10 +1170,9 @@ impl ScenarioSim {
 
     /// Assigns every task to an event lane by rail affinity: communication tasks go to
     /// the first rail their circuits touch, everything else to the rail of its first
-    /// participant (its local rank). The raw rail index is stored here; [`build`]
-    /// folds it onto the scenario-wide lane count afterwards. Shard choice is pure
-    /// load balancing — the engine's global-sequence merge keeps results
-    /// byte-identical for any assignment.
+    /// participant (its local rank). The engine runs one lane per rail, so the rail
+    /// index is the lane. Lane choice is pure memory locality — the engine's
+    /// global-sequence merge keeps results byte-identical for any assignment.
     fn assign_task_shards(
         cluster: &Cluster,
         dag: &TrainingDag,
@@ -1343,7 +1232,6 @@ impl ScenarioSim {
                     group_size: dag.groups[&id].size() as u32,
                     circuits,
                     pristine: None,
-                    version: 0,
                 });
                 slot
             })
@@ -1373,7 +1261,6 @@ impl ScenarioSim {
                                 group_size: 2,
                                 circuits: planner.plan(cluster, &pseudo),
                                 pristine: None,
-                                version: 0,
                             });
                             slot
                         }
@@ -1388,11 +1275,6 @@ impl ScenarioSim {
             slot_of_group.entry(slot.group).or_insert(i as u32);
         }
         (pool, slot_of_group, task_slot)
-    }
-
-    /// Number of event lanes the engine runs with.
-    pub(crate) fn num_event_shards(&self) -> usize {
-        self.num_shards
     }
 
     /// One job's group table.
@@ -1427,7 +1309,8 @@ impl ScenarioSim {
 
     /// Runs every job to completion, applying the injected timeline.
     pub(crate) fn run_scenario(&mut self) {
-        let mut engine: ShardedEngine<SimEvent> = ShardedEngine::new(self.num_shards);
+        let mut engine: ShardedEngine<SimEvent> =
+            ShardedEngine::new(self.cluster.num_rails() as usize);
         // External events first: they win every same-timestamp tie against task
         // events (which are scheduled later and carry larger sequence numbers).
         for (i, inj) in self.injections.iter().enumerate() {
@@ -1439,32 +1322,8 @@ impl ScenarioSim {
             }
         }
 
-        if self.threads > 1 || self.commit_threads > 1 {
-            // Parallel stepping: drain the head time-slice from every lane, evaluate
-            // the pure per-event work on scoped worker threads, then commit the
-            // stateful part in global `(time, seq)` order — sequentially, or (with
-            // `commit_threads > 1`) with runs of single-rail commits executed on
-            // per-rail workers and merged back in the same order. Either way the
-            // commit order equals the single-queue pop order, so results are
-            // byte-identical to the sequential path for any thread count.
-            loop {
-                let batch = {
-                    let sim = &*self;
-                    engine.pop_batch_parallel(self.threads, |_, _, ev| sim.prep_event(*ev))
-                };
-                let Some(batch) = batch else { break };
-                if self.commit_threads > 1 {
-                    self.commit_batch_sharded(&mut engine, batch);
-                } else {
-                    for (now, _, event, planned) in batch {
-                        self.commit_event(&mut engine, now, event, planned);
-                    }
-                }
-            }
-        } else {
-            while let Some((now, event)) = engine.pop() {
-                self.commit_event(&mut engine, now, event, None);
-            }
+        while let Some((now, event)) = engine.pop() {
+            self.commit_event(&mut engine, now, event);
         }
 
         assert_eq!(
@@ -1819,8 +1678,8 @@ impl ScenarioSim {
         // max-merge, so applying the recorded ends in bulk lands on exactly the
         // per-event result. Each logged reconfiguration is re-performed against the
         // fabric at its shifted start (the conflict wait is baked into `started_at`),
-        // advancing the matching cycle, per-circuit ready times, epoch and lifetime
-        // counters exactly as the naive iteration would have. Request counters move
+        // advancing the matching cycle, per-circuit ready times and lifetime counters
+        // exactly as the naive iteration would have. Request counters move
         // by the template's measured delta.
         if let Some(controller) = fleet.backend.controller_mut() {
             for (ev, &slot) in reconfig_events.iter().zip(&ctx.memo.template_slots) {
@@ -1870,7 +1729,6 @@ impl ScenarioSim {
         engine: &mut ShardedEngine<SimEvent>,
         now: SimTime,
         event: SimEvent,
-        planned: Option<EventPlan>,
     ) {
         match event {
             SimEvent::Ready(j, id) => {
@@ -1882,7 +1740,7 @@ impl ScenarioSim {
                         cluster,
                         ..
                     } = self;
-                    Self::execute_task(&mut jobs[j], fleet, cluster, id, now, planned)
+                    Self::execute_task(&mut jobs[j], fleet, cluster, id, now)
                 };
                 let ctx = &mut self.jobs[j];
                 ctx.iter_end = ctx.iter_end.max(end);
@@ -1932,371 +1790,6 @@ impl ScenarioSim {
         }
     }
 
-    /// Classifies one event's commit for the rail-sharded phase. Evaluated *lazily*
-    /// — against the live circuit plans at the event's position in the batch walk —
-    /// because a barrier commit (an injection triggering a replan) can change a
-    /// slot's rail footprint mid-batch. Within a barrier-free run the classification
-    /// inputs (policy, task kind, slot plans, offload threshold) are immutable, so
-    /// classifying the whole run up front is exact.
-    fn commit_class(&self, event: SimEvent) -> CommitClass {
-        match event {
-            SimEvent::External(_) | SimEvent::FastForward(_) => CommitClass::Barrier,
-            SimEvent::Done(..) => CommitClass::Seq,
-            SimEvent::Ready(j, id) => {
-                let ctx = &self.jobs[j as usize];
-                if !ctx.config.policy.is_optical() {
-                    return CommitClass::Seq;
-                }
-                let slot = ctx.task_circuit_slot[id.0 as usize];
-                if slot == NO_SLOT {
-                    return CommitClass::Seq;
-                }
-                let bytes = match *ctx.dag.kind(id) {
-                    TaskKind::Compute { .. } => return CommitClass::Seq,
-                    TaskKind::Collective { bytes, .. } | TaskKind::PointToPoint { bytes, .. } => {
-                        bytes
-                    }
-                };
-                let slot = &ctx.circuit_pool[slot as usize];
-                if slot.circuits.is_scaleup_only()
-                    || ctx
-                        .config
-                        .host_offload
-                        .is_some_and(|h| bytes <= h.threshold)
-                {
-                    return CommitClass::Seq;
-                }
-                match slot.circuits.per_rail.len() {
-                    1 => {
-                        let rail = slot.circuits.per_rail.keys().next().expect("len checked");
-                        CommitClass::Rail(rail.index())
-                    }
-                    _ => CommitClass::Barrier,
-                }
-            }
-        }
-    }
-
-    /// Commits one drained batch with the rail-sharded phase: maximal barrier-free
-    /// runs commit via [`ScenarioSim::commit_segment`]; each barrier flushes the run
-    /// and commits alone on the coordinator. The walk preserves the batch's global
-    /// `(time, seq)` order end to end.
-    fn commit_batch_sharded(
-        &mut self,
-        engine: &mut ShardedEngine<SimEvent>,
-        batch: Vec<(SimTime, ShardId, SimEvent, Option<EventPlan>)>,
-    ) {
-        let mut i = 0;
-        while i < batch.len() {
-            let mut k = i;
-            while k < batch.len() && self.commit_class(batch[k].2) != CommitClass::Barrier {
-                k += 1;
-            }
-            if k > i {
-                self.commit_segment(engine, &batch[i..k]);
-            }
-            if k < batch.len() {
-                let (now, _, event, planned) = batch[k];
-                self.commit_event(engine, now, event, planned);
-                k += 1;
-            }
-            i = k;
-        }
-    }
-
-    /// Commits one barrier-free run of events. Rail-classed commits are evaluated on
-    /// per-rail workers — each owning its rail's [`RailLane`], replaying that rail's
-    /// commits in sequence order — while every global effect (counters, logs,
-    /// records, scheduling, and all `Seq`-classed commits) is applied on the
-    /// coordinator in the run's `(time, seq)` order. Small runs and
-    /// `commit_threads <= 1` fall back to plain sequential commits.
-    fn commit_segment(
-        &mut self,
-        engine: &mut ShardedEngine<SimEvent>,
-        batch: &[(SimTime, ShardId, SimEvent, Option<EventPlan>)],
-    ) {
-        let num_rails = self.cluster.num_rails() as usize;
-        let mut per_rail: Vec<Vec<usize>> = vec![Vec::new(); num_rails];
-        let mut rail_events = 0usize;
-        for (i, &(_, _, event, _)) in batch.iter().enumerate() {
-            if let CommitClass::Rail(rail) = self.commit_class(event) {
-                per_rail[rail].push(i);
-                rail_events += 1;
-            }
-        }
-        if self.commit_threads <= 1 || rail_events < COMMIT_SHARD_MIN {
-            for &(now, _, event, planned) in batch {
-                self.commit_event(engine, now, event, planned);
-            }
-            return;
-        }
-
-        // Phase 1: evaluate every rail's commits on its own worker. The lanes borrow
-        // disjoint controller state; everything else the workers read — job tables,
-        // circuit plans, the shim's provisioning flag, rail health — only changes at
-        // barrier commits or iteration boundaries, both of which are provably absent
-        // from a barrier-free run (a pending `Ready` keeps its job's iteration open).
-        let commit_threads = self.commit_threads;
-        let mut outcomes: Vec<Option<RailOutcome>> = Vec::with_capacity(batch.len());
-        outcomes.resize_with(batch.len(), || None);
-        {
-            let ScenarioSim {
-                jobs,
-                fleet,
-                cluster,
-                ..
-            } = &mut *self;
-            let Fleet {
-                backend,
-                health,
-                faults,
-                ..
-            } = fleet;
-            let faults = *faults;
-            let health: &RailHealth = health;
-            let jobs: &[JobContext] = jobs;
-            let cluster: &Cluster = cluster;
-            let controller = backend
-                .controller_mut()
-                .expect("rail-classed commits imply an optical backend");
-            let mut lanes: Vec<Option<RailLane<'_>>> =
-                controller.rail_lanes().into_iter().map(Some).collect();
-            let tasks: Vec<(Vec<usize>, RailLane<'_>)> = per_rail
-                .into_iter()
-                .enumerate()
-                .filter(|(_, idxs)| !idxs.is_empty())
-                .map(|(rail, idxs)| (idxs, lanes[rail].take().expect("one lane per rail")))
-                .collect();
-            let results = scoped_run(tasks, commit_threads, |(idxs, mut lane)| {
-                idxs.into_iter()
-                    .map(|i| {
-                        let (now, _, event, planned) = batch[i];
-                        let SimEvent::Ready(j, id) = event else {
-                            unreachable!("only Ready events classify as rail commits")
-                        };
-                        let outcome = Self::commit_rail_comm(
-                            &jobs[j as usize],
-                            cluster,
-                            health,
-                            faults,
-                            &mut lane,
-                            id,
-                            now,
-                            planned,
-                        );
-                        (i, outcome)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for (i, outcome) in results.into_iter().flatten() {
-                outcomes[i] = Some(outcome);
-            }
-        }
-
-        // Phase 2: merge in the run's global order — rail outcomes interleaved with
-        // the coordinator-committed `Seq` events exactly where the sequential walk
-        // would have placed them.
-        for (i, &(now, _, event, planned)) in batch.iter().enumerate() {
-            match outcomes[i].take() {
-                Some(outcome) => self.apply_rail_outcome(engine, event, outcome),
-                None => self.commit_event(engine, now, event, planned),
-            }
-        }
-    }
-
-    /// The per-rail half of one rail-classed commit, run on the rail's worker: the
-    /// single-rail re-enactment of [`ScenarioSim::execute_comm`]'s optical scale-out
-    /// path, mutating only the rail's [`RailLane`]. Every step mirrors the sequential
-    /// code path exactly — same no-op fast path, same provisioning back-dating, same
-    /// conflict wait, same unconditional install — so the merged result is
-    /// byte-identical for any thread count.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_rail_comm(
-        ctx: &JobContext,
-        cluster: &Cluster,
-        health: &RailHealth,
-        faults: bool,
-        lane: &mut RailLane<'_>,
-        id: TaskId,
-        now: SimTime,
-        planned: Option<EventPlan>,
-    ) -> RailOutcome {
-        let label = ctx.dag.label(id);
-        let (kind, axis, bytes, group) = match *ctx.dag.kind(id) {
-            TaskKind::Collective {
-                group,
-                kind,
-                axis,
-                bytes,
-            } => (kind, axis, bytes, Some(group)),
-            TaskKind::PointToPoint { axis, bytes, .. } => {
-                (CollectiveKind::SendRecv, axis, bytes, None)
-            }
-            TaskKind::Compute { .. } => unreachable!("rail commits are communications"),
-        };
-        let config = &ctx.config;
-        let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
-        // Same invalidation as the sequential path: a plan prepped before a replan
-        // swap describes the old circuits. (A swap cannot commit *during* the run —
-        // it only happens at injection barriers — so the version read is race-free.)
-        let planned = planned.filter(|p| p.slot_version == slot.version);
-        let rail_config = slot
-            .circuits
-            .per_rail
-            .values()
-            .next()
-            .expect("rail-classed tasks ride exactly one rail");
-        let group_size = if group.is_some() {
-            slot.group_size as usize
-        } else {
-            2
-        };
-        let duration = planned.and_then(|p| p.duration).unwrap_or_else(|| {
-            let params = slot.adjust_params(Self::comm_params(config, cluster, true, false));
-            collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params)
-        });
-
-        // The outage gate runs (and panics on unsatisfiable timelines) exactly where
-        // the sequential path runs it, even though the no-op fast path below ignores
-        // its result — installed circuits imply the rail is up.
-        let gated = if faults {
-            outage_gate(health, &slot.circuits, now, ctx.job, label)
-        } else {
-            now
-        };
-
-        // The prep-phase `optical_ready` answer is deliberately ignored here: the
-        // worker owns the rail's live state, so re-reading it answers exactly what
-        // the epoch-validated plan (or the sequential recompute) would have.
-        let (noop, reconfig, ready) = if let Some(installed) = lane.installed_ready(rail_config) {
-            (true, None, installed)
-        } else {
-            let provisioned = config.provisioning_active(ctx.iteration) && ctx.shim.can_provision();
-            let requested_at = if provisioned {
-                let earliest_useful = SimTime::from_nanos(
-                    now.as_nanos()
-                        .saturating_sub(config.reconfig_latency.as_nanos()),
-                );
-                lane.ports_free_for(ctx.job.0, rail_config)
-                    .max(earliest_useful)
-            } else {
-                now
-            };
-            let requested_at = if gated > now {
-                requested_at.max(gated)
-            } else {
-                requested_at
-            };
-            let noop = lane.already_installed(rail_config);
-            let start_install = if noop {
-                requested_at
-            } else {
-                // Under `EvictionPolicy::Never` this is exactly the old
-                // `requested_at.max(lane.ports_free_at(rail_config))`; an active
-                // policy may instead evict other tenants' port holds.
-                lane.claim_ports(ctx.job.0, rail_config, requested_at)
-            };
-            // Unconditional, like `OpusController::request`: a no-op install leaves
-            // the matching (and the epoch) untouched and returns the existing ready
-            // time.
-            let rail_ready = lane.install(rail_config, start_install);
-            let reconfig = (!noop).then(|| {
-                lane.note_reconfig();
-                ReconfigEvent {
-                    rail: lane.rail(),
-                    group: slot.group,
-                    requested_at,
-                    started_at: start_install,
-                    ready_at: rail_ready,
-                    circuits_installed: rail_config.len(),
-                }
-            });
-            (noop, reconfig, requested_at.max(rail_ready))
-        };
-
-        let start = ready.max(now);
-        let end = start + duration;
-        lane.occupy_for(ctx.job.0, rail_config, end);
-        RailOutcome {
-            end,
-            noop,
-            reconfig,
-            record: CommRecord {
-                task: id,
-                label,
-                axis,
-                kind,
-                group,
-                bytes,
-                scaleout: true,
-                rails: slot.circuits.rail_set(),
-                issued_at: now,
-                start,
-                end,
-                circuit_wait: start.duration_since(now),
-            },
-        }
-    }
-
-    /// The coordinator half of one rail-classed commit, applied at the event's turn
-    /// in the global order: profiling-iteration shim observation, per-job metric
-    /// streams, controller counters, fleet accounting and `Done` scheduling — every
-    /// effect the sequential `Ready` arm performs outside the rail's own lane.
-    fn apply_rail_outcome(
-        &mut self,
-        engine: &mut ShardedEngine<SimEvent>,
-        event: SimEvent,
-        outcome: RailOutcome,
-    ) {
-        let SimEvent::Ready(j, id) = event else {
-            unreachable!("only Ready events carry rail outcomes")
-        };
-        let j = j as usize;
-        let RailOutcome {
-            end,
-            noop,
-            reconfig,
-            record,
-        } = outcome;
-        let ScenarioSim { jobs, fleet, .. } = &mut *self;
-        let ctx = &mut jobs[j];
-        let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
-        if ctx.iteration == 0 {
-            let group = slot.group;
-            for rank in ctx.dag.participants(id).ranks() {
-                ctx.shim.observe(*rank, group);
-            }
-        }
-        ctx.iter_end = ctx.iter_end.max(end);
-        debug_assert!(
-            ctx.total_circuit_wait
-                .checked_add(record.circuit_wait)
-                .is_some(),
-            "total_circuit_wait overflowed u64 nanoseconds — the saturating \
-             clamp would silently freeze the metric"
-        );
-        ctx.total_circuit_wait = ctx.total_circuit_wait.saturating_add(record.circuit_wait);
-        let (start, rec_end) = (record.start, record.end);
-        ctx.comm_records.push(record);
-        if let Some(ev) = reconfig {
-            ctx.reconfig_events.push(ev);
-        }
-        fleet
-            .backend
-            .controller_mut()
-            .expect("rail outcomes imply an optical backend")
-            .replay_requests(1, noop as u64);
-        if fleet.multi_job {
-            let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
-            fleet.note_transfer(ctx.job.0, &slot.circuits, start, rec_end);
-        }
-        engine.schedule_at(
-            ctx.task_shard[id.0 as usize],
-            end,
-            SimEvent::Done(j as u16, id),
-        );
-    }
-
     /// Applies one injected external event at its committed time.
     fn apply_injection(&mut self, idx: usize, now: SimTime, engine: &mut ShardedEngine<SimEvent>) {
         self.fleet.injections_applied += 1;
@@ -2338,14 +1831,7 @@ impl ScenarioSim {
                     c.set_rail_reconfig_delay(rail, reconfig_latency);
                 }
             }
-            ScenarioEvent::JobArrival { job } => {
-                let j = job.index();
-                assert!(
-                    self.jobs[j].arrives_via_event && self.jobs[j].iteration == 0,
-                    "{job} arrived twice"
-                );
-                self.start_iteration(j, now, engine);
-            }
+            ScenarioEvent::JobArrival { job } => self.start_iteration(job.index(), now, engine),
             ScenarioEvent::RequestBurst { job, requests } => {
                 let j = job.index();
                 let ctx = &mut self.jobs[j];
@@ -2379,12 +1865,10 @@ impl ScenarioSim {
     /// (a rail under the pristine plan just failed: re-stripe its circuits onto
     /// surviving rails via [`CircuitPlanner::replan_degraded`]), *re-stripe* (already
     /// degraded and the healthy set changed again), or *restore* (every rail of the
-    /// pristine plan is back). Swapped-out circuits are withdrawn from the fabric —
-    /// bumping the circuit epoch, which invalidates any concurrently prepped
-    /// `optical_ready` — and the new plan is installed lazily by the group's next
-    /// request, paying one reconfiguration delay. Everything here runs at injection
-    /// commit time, so the swap is a deterministic function of the committed timeline
-    /// and results stay byte-identical for any shard or thread count.
+    /// pristine plan is back). Swapped-out circuits are withdrawn from the fabric and
+    /// the new plan is installed lazily by the group's next request, paying one
+    /// reconfiguration delay. Everything here runs at injection commit time, so the
+    /// swap is a deterministic function of the committed timeline.
     fn replan_after_health_change(&mut self, now: SimTime) {
         let ScenarioSim {
             cluster,
@@ -2433,7 +1917,6 @@ impl ScenarioSim {
                         }
                         slot.pristine =
                             Some(Box::new(std::mem::replace(&mut slot.circuits, degraded)));
-                        slot.version += 1;
                         ctx.replan_reconfigs += 1;
                         swapped = true;
                     }
@@ -2451,7 +1934,6 @@ impl ScenarioSim {
                             c.withdraw(&slot.circuits);
                         }
                         slot.circuits = degraded;
-                        slot.version += 1;
                         ctx.replan_reconfigs += 1;
                         swapped = true;
                     }
@@ -2463,7 +1945,6 @@ impl ScenarioSim {
                             c.withdraw(&slot.circuits);
                         }
                         slot.circuits = *slot.pristine.take().expect("matched is_some");
-                        slot.version += 1;
                         ctx.replan_reconfigs += 1;
                         swapped = true;
                     }
@@ -2487,91 +1968,6 @@ impl ScenarioSim {
                 ctx.iter_degraded = true;
             }
         }
-    }
-
-    /// The pure (state-independent) part of handling an event, safe to evaluate on a
-    /// worker thread before its commit turn: the cost-model duration of a
-    /// communication task, plus the optical install feasibility/ready-time check
-    /// (validated against the controller's circuit epoch at commit). Compute jitter
-    /// and stateful controller interaction are *not* pure — they run at commit time,
-    /// in global event order.
-    fn prep_event(&self, event: SimEvent) -> Option<EventPlan> {
-        match event {
-            SimEvent::Ready(j, id) => {
-                let ctx = &self.jobs[j as usize];
-                let slot = ctx.task_circuit_slot[id.0 as usize];
-                Some(EventPlan {
-                    duration: Self::plan_comm_duration(ctx, &self.cluster, id),
-                    optical_ready: self.plan_optical_ready(ctx, id),
-                    slot_version: if slot == NO_SLOT {
-                        0
-                    } else {
-                        ctx.circuit_pool[slot as usize].version
-                    },
-                })
-            }
-            SimEvent::Done(..) | SimEvent::External(_) | SimEvent::FastForward(_) => None,
-        }
-    }
-
-    /// Pre-evaluates the optical no-op fast path for a communication task: when every
-    /// circuit the task needs is already installed, a reconfiguration request is free
-    /// and its outcome — `max(now, ready time of the slowest circuit)` — depends only
-    /// on circuit state that the epoch check pins. A rail failure tears its circuits
-    /// down (bumping the epoch), so a stale answer can never leak across an outage.
-    /// Returns `None` for anything that must take the stateful path.
-    fn plan_optical_ready(&self, ctx: &JobContext, id: TaskId) -> Option<(u64, SimTime)> {
-        if !ctx.config.policy.is_optical() {
-            return None;
-        }
-        let controller = self.fleet.backend.controller()?;
-        let bytes = match *ctx.dag.kind(id) {
-            TaskKind::Compute { .. } => return None,
-            TaskKind::Collective { bytes, .. } | TaskKind::PointToPoint { bytes, .. } => bytes,
-        };
-        let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
-        if slot.circuits.is_scaleup_only()
-            || ctx
-                .config
-                .host_offload
-                .is_some_and(|h| bytes <= h.threshold)
-        {
-            return None;
-        }
-        let ready = controller.installed_ready_time(&slot.circuits)?;
-        Some((controller.circuit_epoch(), ready))
-    }
-
-    /// The α–β transfer duration of a communication task (None for compute tasks).
-    /// Depends only on immutable per-task data, so it can be computed concurrently.
-    fn plan_comm_duration(ctx: &JobContext, cluster: &Cluster, id: TaskId) -> Option<SimDuration> {
-        let task_kind = ctx.dag.kind(id);
-        if matches!(task_kind, TaskKind::Compute { .. }) {
-            return None;
-        }
-        let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
-        let (kind, bytes, group_size) = match *task_kind {
-            TaskKind::Compute { .. } => unreachable!("filtered above"),
-            TaskKind::Collective { kind, bytes, .. } => (kind, bytes, slot.group_size as usize),
-            TaskKind::PointToPoint { bytes, .. } => (CollectiveKind::SendRecv, bytes, 2),
-        };
-        let scaleout = !slot.circuits.is_scaleup_only();
-        let offloaded = scaleout
-            && ctx
-                .config
-                .host_offload
-                .is_some_and(|h| bytes <= h.threshold);
-        let mut params = Self::comm_params(&ctx.config, cluster, scaleout, offloaded);
-        if scaleout && !offloaded {
-            params = slot.adjust_params(params);
-        }
-        Some(collective_time(
-            kind,
-            ctx.config.scaleout_algorithm,
-            group_size,
-            bytes,
-            &params,
-        ))
     }
 
     /// The α–β cost parameters of a transfer class.
@@ -2602,7 +1998,6 @@ impl ScenarioSim {
         cluster: &Cluster,
         id: TaskId,
         now: SimTime,
-        planned: Option<EventPlan>,
     ) -> (SimTime, Option<CommRecord>) {
         // Handles are `Copy`, so taking them out of the table costs nothing — the hot
         // path never clones a label `String` or a participant `Vec` per event.
@@ -2632,7 +2027,6 @@ impl ScenarioSim {
                     Some(group),
                     label,
                     participants,
-                    planned,
                 );
                 (record.end, Some(record))
             }
@@ -2649,7 +2043,6 @@ impl ScenarioSim {
                     None,
                     label,
                     participants,
-                    planned,
                 );
                 (record.end, Some(record))
             }
@@ -2669,15 +2062,10 @@ impl ScenarioSim {
         group: Option<GroupId>,
         label: LabelId,
         participants: RankSet,
-        planned: Option<EventPlan>,
     ) -> CommRecord {
         let iteration = ctx.iteration;
         let config = &ctx.config;
         let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
-        // A plan prepped before a replan swap committed describes the old circuits;
-        // drop it and recompute against the live slot (recomputation is
-        // deterministic, so over-invalidation cannot perturb results).
-        let planned = planned.filter(|p| p.slot_version == slot.version);
         let circuit_group = slot.group;
         let circuits = &slot.circuits;
         let group_size = if group.is_some() {
@@ -2698,13 +2086,11 @@ impl ScenarioSim {
             }
         }
 
-        let duration = planned.and_then(|p| p.duration).unwrap_or_else(|| {
-            let mut params = Self::comm_params(config, cluster, scaleout, offloaded);
-            if scaleout && !offloaded {
-                params = slot.adjust_params(params);
-            }
-            collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params)
-        });
+        let mut params = Self::comm_params(config, cluster, scaleout, offloaded);
+        if scaleout && !offloaded {
+            params = slot.adjust_params(params);
+        }
+        let duration = collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params);
 
         // The outage gate: with rail failures in the timeline, a transfer that needs
         // a down rail cannot start (electrical) or install circuits (optical) before
@@ -2739,18 +2125,11 @@ impl ScenarioSim {
                 .expect("optical job implies an optical backend");
             if !scaleout || offloaded {
                 (now, SimDuration::ZERO, SimDuration::ZERO)
-            } else if let Some(ready) = planned
-                .and_then(|p| p.optical_ready)
-                .filter(|&(epoch, _)| epoch == controller.circuit_epoch())
-                .map(|(_, ready)| ready)
-                .or_else(|| controller.installed_ready_time(circuits))
-            {
+            } else if let Some(ready) = controller.installed_ready_time(circuits) {
                 // The request is a no-op: the circuits are installed on every rail —
                 // which also implies every needed rail is up, because a failure tears
                 // its circuits down — so it resolves to `max(now, slowest circuit
-                // ready)`. Either prep proved it and no install invalidated the
-                // answer (the epoch check), or one fresh O(group circuits) walk just
-                // did.
+                // ready)`, found by one O(group circuits) walk.
                 controller.note_noop_request();
                 let start = ready.max(now);
                 (start, start.duration_since(now), SimDuration::ZERO)
@@ -3055,6 +2434,22 @@ mod tests {
             result.jobs[0].result.iterations[0].iteration_time,
             result.jobs[1].result.iterations[0].iteration_time
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "job1 arrives twice")]
+    fn a_repeated_job_arrival_is_rejected() {
+        // The repeat lands while the job's first iteration is still running; left
+        // unchecked it would restart that iteration on top of its in-flight tasks.
+        let config = OpusConfig::electrical()
+            .with_iterations(1)
+            .with_jitter(0.0, 1);
+        let _ = Scenario::new(tiny_cluster(8))
+            .job(tiny_dag(), config)
+            .job(tiny_dag(), config)
+            .inject(ms(250), ScenarioEvent::JobArrival { job: JobId(1) })
+            .inject(ms(251), ScenarioEvent::JobArrival { job: JobId(1) })
+            .run();
     }
 
     #[test]
@@ -3394,117 +2789,6 @@ mod tests {
         assert_eq!(b.jobs[0].replan_reconfigs, 0);
     }
 
-    #[test]
-    fn shard_and_thread_counts_never_change_replan_results() {
-        // A replan job and a stall job sharing the fabric, with swaps landing
-        // mid-iteration: results must stay byte-identical for any shard x thread
-        // combination (the slot-version guard invalidates concurrently prepped
-        // plans deterministically).
-        let stall = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
-        let mut replan = stall;
-        replan.recovery_policy = RecoveryPolicy::Replan;
-        let clean = clean_single(stall);
-        let t1 = clean.iterations[1].started_at;
-        let dur = clean.iterations[1].iteration_time;
-        let run = |config: OpusConfig| {
-            Scenario::new(tiny_cluster(8))
-                .job(tiny_dag(), config)
-                .job(tiny_dag(), stall)
-                .inject(t1 + dur.mul_f64(0.25), ScenarioEvent::RailDown(RailId(0)))
-                .inject(t1 + dur.mul_f64(0.75), ScenarioEvent::RailUp(RailId(0)))
-                .run()
-        };
-        let reference = run(replan);
-        assert!(
-            reference.jobs[0].replan_reconfigs > 0,
-            "the flap must actually trigger replans for the determinism check to bite"
-        );
-        for (shards, threads, commits) in [(1u32, 1u32, 2u32), (2, 4, 1), (64, 8, 8)] {
-            let mut alt_cfg = replan
-                .with_event_shards(shards)
-                .with_parallel_threads(threads);
-            alt_cfg.commit_threads = Some(commits);
-            let alt = run(alt_cfg);
-            assert_eq!(
-                format!("{alt:?}"),
-                format!("{reference:?}"),
-                "{shards} shards x {threads} threads x {commits} commit threads"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_and_thread_counts_never_change_scenario_results() {
-        let base = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.05, 9);
-        let run = |config: OpusConfig| {
-            let clean = clean_single(base);
-            let t1 = clean.iterations[1].started_at;
-            Scenario::new(tiny_cluster(8))
-                .job(tiny_dag(), config)
-                .job(tiny_dag(), base)
-                .inject(
-                    t1 + SimDuration::from_micros(10),
-                    ScenarioEvent::RailDown(RailId(1)),
-                )
-                .inject(
-                    t1 + clean.iterations[1].iteration_time,
-                    ScenarioEvent::RailUp(RailId(1)),
-                )
-                .run()
-        };
-        let reference = run(base);
-        for (shards, threads, commits) in [(1u32, 1u32, 4u32), (2, 4, 2), (64, 8, 8)] {
-            let mut alt_cfg = base
-                .with_event_shards(shards)
-                .with_parallel_threads(threads);
-            alt_cfg.commit_threads = Some(commits);
-            let alt = run(alt_cfg);
-            for (a, b) in alt.jobs.iter().zip(reference.jobs.iter()) {
-                for (x, y) in a.result.iterations.iter().zip(b.result.iterations.iter()) {
-                    assert_eq!(x.iteration_time, y.iteration_time, "{shards}x{threads}");
-                    assert_eq!(x.comm_records, y.comm_records, "{shards}x{threads}");
-                    assert_eq!(x.reconfig_events, y.reconfig_events);
-                }
-            }
-            assert_eq!(alt.fleet.rail_busy, reference.fleet.rail_busy);
-        }
-    }
-
-    #[test]
-    fn commit_thread_counts_never_change_single_job_results() {
-        // Single-job optical runs are the 100k/1M hot path the sharded commit phase
-        // exists for; pin every policy against the sequential reference across
-        // commit-thread counts. `tiny_dag` batches are small, so drop the fallback
-        // threshold's protection by running several iterations — the grid still
-        // exercises both the fallback and (with the threshold in mind) the merge
-        // discipline itself via the larger determinism suites.
-        for base in [
-            OpusConfig::on_demand(SimDuration::from_millis(5)),
-            OpusConfig::provisioned(SimDuration::from_millis(5)),
-        ] {
-            let mut reference_cfg = base;
-            reference_cfg.iterations = 3;
-            let reference = Scenario::new(tiny_cluster(4))
-                .job(tiny_dag(), reference_cfg)
-                .run();
-            for commits in [2u32, 8] {
-                let mut cfg = reference_cfg;
-                cfg.commit_threads = Some(commits);
-                let alt = Scenario::new(tiny_cluster(4)).job(tiny_dag(), cfg).run();
-                assert_eq!(
-                    format!("{alt:?}"),
-                    format!("{reference:?}"),
-                    "{commits} commit threads, {:?}",
-                    base.policy
-                );
-            }
-        }
-    }
-
     // ---- serving (elastic inference) scenarios ------------------------------------
 
     use railsim_workload::{InferenceConfig, InferenceDagBuilder};
@@ -3618,28 +2902,6 @@ mod tests {
             counts.windows(2).any(|w| w[0] == max && w[1] == min),
             "the shrink must take effect at an iteration boundary: {counts:?}"
         );
-    }
-
-    #[test]
-    fn mixed_tenancy_is_deterministic_for_any_shard_thread_commit_count() {
-        for eviction in [EvictionPolicy::Never, EvictionPolicy::FairShare] {
-            let reference = serde_json::to_string_pretty(&mixed_tenancy_spec(eviction).run())
-                .expect("results serialize");
-            for (shards, threads, commits) in [(2u32, 3u32, 2u32), (7, 2, 4), (1, 4, 8)] {
-                let mut spec = mixed_tenancy_spec(eviction);
-                for job in &mut spec.jobs {
-                    job.config.event_shards = Some(shards);
-                    job.config.parallel_threads = Some(threads);
-                    job.config.commit_threads = Some(commits);
-                }
-                let alt = serde_json::to_string_pretty(&spec.run()).expect("results serialize");
-                assert_eq!(
-                    alt, reference,
-                    "{eviction:?} diverged at shards={shards} threads={threads} \
-                     commits={commits}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!
 //! [`ArrivalProcess`] generates the burst timeline deterministically (splitmix64):
 //! the same seed always produces the same open-loop arrival sequence, so serving
-//! scenarios stay byte-identical for any shard or thread count like everything
-//! else in the simulator.
+//! scenarios are byte-identical run to run like everything else in the simulator.
 
 use crate::scenario::ScenarioEvent;
 use railsim_sim::{SimDuration, SimTime};

@@ -59,11 +59,6 @@ impl OpusSimulator {
         }
     }
 
-    /// Number of event lanes the engine runs with.
-    pub fn num_event_shards(&self) -> usize {
-        self.sim.num_event_shards()
-    }
-
     /// The group table (communication groups and their planned circuits).
     pub fn group_table(&self) -> &GroupTable {
         self.sim.job_group_table(0)
@@ -382,67 +377,6 @@ mod tests {
             has_offloaded_record,
             "some traffic must actually have been offloaded"
         );
-    }
-
-    #[test]
-    fn shard_count_never_changes_results() {
-        // The sharded engine's merge must reproduce the single-queue total order, so
-        // any shard count — including 1, which *is* the single-queue layout — must
-        // yield identical records, timings and reconfigurations.
-        let (cluster, dag) = tiny_setup();
-        let base = OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(2)
-            .with_jitter(0.05, 9);
-        let reference = OpusSimulator::new(cluster.clone(), dag.clone(), base).run();
-        for shards in [1u32, 2, 7, 64] {
-            let mut sim =
-                OpusSimulator::new(cluster.clone(), dag.clone(), base.with_event_shards(shards));
-            assert_eq!(sim.num_event_shards(), shards as usize);
-            let run = sim.run();
-            assert_eq!(run.iterations.len(), reference.iterations.len());
-            for (a, b) in run.iterations.iter().zip(reference.iterations.iter()) {
-                assert_eq!(a.iteration_time, b.iteration_time, "{shards} shards");
-                assert_eq!(a.comm_records, b.comm_records, "{shards} shards");
-                assert_eq!(a.reconfig_events, b.reconfig_events, "{shards} shards");
-                assert_eq!(a.total_circuit_wait, b.total_circuit_wait);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_thread_count_never_changes_results() {
-        // The parallel stepping path commits in global (time, seq) order, so any
-        // thread count — across any shard count — must yield records, timings and
-        // reconfigurations identical to the sequential pop loop.
-        let (cluster, dag) = tiny_setup();
-        let base = OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(2)
-            .with_jitter(0.05, 9);
-        let reference = OpusSimulator::new(cluster.clone(), dag.clone(), base).run();
-        for (threads, shards) in [(1u32, 1u32), (2, 4), (4, 7), (8, 64)] {
-            let run = OpusSimulator::new(
-                cluster.clone(),
-                dag.clone(),
-                base.with_event_shards(shards)
-                    .with_parallel_threads(threads),
-            )
-            .run();
-            assert_eq!(run.iterations.len(), reference.iterations.len());
-            for (a, b) in run.iterations.iter().zip(reference.iterations.iter()) {
-                assert_eq!(a.iteration_time, b.iteration_time, "{threads}x{shards}");
-                assert_eq!(a.comm_records, b.comm_records, "{threads}x{shards}");
-                assert_eq!(a.reconfig_events, b.reconfig_events, "{threads}x{shards}");
-                assert_eq!(a.total_circuit_wait, b.total_circuit_wait);
-            }
-        }
-    }
-
-    #[test]
-    fn default_shard_count_is_one_per_rail() {
-        let (cluster, dag) = tiny_setup();
-        let rails = cluster.num_rails() as usize;
-        let sim = OpusSimulator::new(cluster, dag, OpusConfig::electrical());
-        assert_eq!(sim.num_event_shards(), rails);
     }
 
     #[test]

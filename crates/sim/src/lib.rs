@@ -9,17 +9,18 @@
 //! * [`Engine`] — a minimal discrete-event simulation driver,
 //! * [`ShardedEngine`] — the same driver with one event lane per shard (rail) and a
 //!   deterministic cross-shard merge, for 1k–10k GPU clusters,
-//! * [`scoped_run`] — scoped fork–join evaluation with results in task order, the
-//!   primitive behind both the parallel prep and the sharded commit phases,
 //! * [`SimRng`] — a seedable, reproducible random-number generator,
 //! * [`stats`] — summary statistics, histograms and empirical CDFs used by the
 //!   experiment harness.
 //!
-//! The design intentionally avoids an async runtime: the simulations in this workspace
-//! are CPU-bound and must be bit-for-bit reproducible across runs, so a binary-heap
-//! event queue with a `(time, sequence)` total order is both simpler and stricter than
-//! task-based concurrency. (This mirrors the "simplicity and robustness over tricks"
-//! philosophy of event-driven network stacks such as smoltcp.)
+//! The design intentionally avoids an async runtime and worker threads: the
+//! simulations in this workspace are CPU-bound and must be bit-for-bit reproducible
+//! across runs, so one sequential loop over a binary-heap event queue with a
+//! `(time, sequence)` total order is both simpler and stricter than task-based
+//! concurrency. Parallelism lives one level up, across independent simulations (the
+//! `opus` fleet sweep runs variants on a worker pool). (This mirrors the "simplicity
+//! and robustness over tricks" philosophy of event-driven network stacks such as
+//! smoltcp.)
 //!
 //! ## Quick example
 //!
@@ -45,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod sharded;
@@ -54,7 +54,6 @@ pub mod time;
 pub mod units;
 
 pub use engine::Engine;
-pub use parallel::scoped_run;
 pub use queue::{EventQueue, Scheduled};
 pub use rng::SimRng;
 pub use sharded::{ShardId, ShardedEngine};

@@ -4,7 +4,11 @@
 //! paper's 16-GPU testbed: every push/pop churns one huge heap, and the working set
 //! falls out of cache long before the Fig. 7 / Table 3 regime (1k–10k GPUs). The
 //! [`ShardedEngine`] splits the pending-event set into independent lanes — one per
-//! rail in the Opus simulator — and merges them deterministically on pop.
+//! rail in the Opus simulator — and merges them deterministically on pop. The lanes
+//! are a memory-locality measure, not a concurrency one: events are still popped
+//! one at a time by a single sequential loop. (Forcing one lane left every simulated
+//! result unchanged and measured ~8–9 % slower on the 10k-GPU single-job and 4k-GPU
+//! mixed-tenancy benchmark workloads; see EXPERIMENTS.md, "1M-GPU regime".)
 //!
 //! ## Determinism
 //!
@@ -14,8 +18,8 @@
 //! produced for the same schedule calls. Two consequences:
 //!
 //! * the sharded engine is a drop-in replacement: byte-identical simulation output
-//!   regardless of the shard count (guarded by `tests/determinism.rs` and the
-//!   sharded-vs-single property test), and
+//!   regardless of the shard count (guarded by the sharded-vs-single-queue property
+//!   tests), and
 //! * the `(time, shard, seq)` triple is still a total order — `seq` alone already
 //!   breaks every tie — so shard assignment is free to be a pure load-balancing
 //!   decision.
@@ -40,8 +44,8 @@ use crate::time::{SimDuration, SimTime};
 
 /// Index of an event lane in a [`ShardedEngine`].
 ///
-/// The Opus simulator keys lanes by rail (`RailId` maps onto `ShardId` modulo the
-/// shard count); the engine itself treats the id as an opaque lane index.
+/// The Opus simulator keys lanes by rail (`RailId(r)` runs on `ShardId(r)`); the
+/// engine itself treats the id as an opaque lane index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
 
@@ -133,8 +137,8 @@ impl<E> ShardedEngine<E> {
     }
 
     /// Wraps a raw lane index into a valid [`ShardId`] by taking it modulo the shard
-    /// count. This is how callers with more keys than shards (e.g. rails on a large
-    /// cluster, shards capped by a knob) fold their key space onto the lanes.
+    /// count. This is how callers with more keys than shards fold their key space
+    /// onto the lanes.
     pub fn shard_for(&self, key: u32) -> ShardId {
         ShardId(key % self.shards.len() as u32)
     }
@@ -230,117 +234,6 @@ impl<E> ShardedEngine<E> {
     }
 }
 
-/// Slices smaller than this are evaluated inline: spawning scoped workers for a
-/// handful of events costs more than the work itself.
-const PARALLEL_SLICE_MIN: usize = 64;
-
-impl<E: Sync> ShardedEngine<E> {
-    /// Pops the entire *head time-slice* — every pending event whose timestamp equals
-    /// the globally earliest one — evaluating `work` for each event on up to
-    /// `max_threads` scoped worker threads (one contiguous run of shards per worker;
-    /// small slices run inline). Returns the slice in global `(time, seq)` order, i.e.
-    /// exactly the order a sequence of [`ShardedEngine::pop`] calls would have
-    /// delivered, with each event's `work` result attached. Returns `None` when idle.
-    ///
-    /// `work` must be pure with respect to simulation state: it runs concurrently and
-    /// in no particular order. The caller applies stateful effects (and schedules
-    /// follow-up events) while walking the returned slice — events scheduled during
-    /// that walk carry later sequence numbers than everything in the slice, so
-    /// draining slice-by-slice preserves the single-queue total order even when
-    /// handlers schedule more events at the current timestamp.
-    pub fn pop_batch_parallel<R, F>(
-        &mut self,
-        max_threads: usize,
-        work: F,
-    ) -> Option<Vec<(SimTime, ShardId, E, R)>>
-    where
-        R: Send,
-        F: Fn(SimTime, ShardId, &E) -> R + Sync,
-    {
-        let head = self.peek_time()?;
-        // Drain every shard's run of head-timestamped events, keeping lane order
-        // (within one shard the heap pops ties in ascending seq already).
-        let mut lanes: Vec<Vec<(u64, E)>> = Vec::with_capacity(self.shards.len());
-        let mut drained = 0usize;
-        for shard in &mut self.shards {
-            let mut lane = Vec::new();
-            while shard.peek_time() == Some(head) {
-                let scheduled = shard.pop().expect("peeked event must pop");
-                lane.push((scheduled.seq, scheduled.event));
-            }
-            drained += lane.len();
-            lanes.push(lane);
-        }
-        debug_assert!(drained > 0, "peek_time returned Some for an empty slice");
-        self.now = head;
-        self.processed += drained as u64;
-        self.pending -= drained;
-
-        // Evaluate the pure work, one worker per contiguous run of shards.
-        let results: Vec<Vec<R>> = if drained < PARALLEL_SLICE_MIN || max_threads <= 1 {
-            lanes
-                .iter()
-                .enumerate()
-                .map(|(i, lane)| {
-                    lane.iter()
-                        .map(|(_, e)| work(head, ShardId(i as u32), e))
-                        .collect()
-                })
-                .collect()
-        } else {
-            let chunk = lanes.len().div_ceil(max_threads.min(lanes.len()));
-            let work = &work;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = lanes
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(c, lane_chunk)| {
-                        scope.spawn(move || {
-                            lane_chunk
-                                .iter()
-                                .enumerate()
-                                .flat_map(|(i, lane)| {
-                                    let shard = ShardId((c * chunk + i) as u32);
-                                    lane.iter().map(move |(_, e)| work(head, shard, e))
-                                })
-                                .collect::<Vec<R>>()
-                        })
-                    })
-                    .collect();
-                // Re-split each worker's flat output back into per-lane vectors.
-                let mut out: Vec<Vec<R>> = Vec::with_capacity(lanes.len());
-                for (c, handle) in handles.into_iter().enumerate() {
-                    let mut flat = handle.join().expect("worker panicked").into_iter();
-                    for lane in &lanes[c * chunk..(c * chunk + chunk).min(lanes.len())] {
-                        out.push(flat.by_ref().take(lane.len()).collect());
-                    }
-                }
-                out
-            })
-        };
-
-        // Commit order: all events share `head`, so ascending seq IS the single-queue
-        // total order.
-        let mut slice: Vec<(u64, ShardId, E, R)> = lanes
-            .into_iter()
-            .zip(results)
-            .enumerate()
-            .flat_map(|(i, (lane, lane_results))| {
-                lane.into_iter()
-                    .zip(lane_results)
-                    .map(move |((seq, e), r)| (seq, ShardId(i as u32), e, r))
-            })
-            .collect();
-        slice.sort_unstable_by_key(|(seq, ..)| *seq);
-        Some(
-            slice
-                .into_iter()
-                .map(|(_, shard, e, r)| (head, shard, e, r))
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,77 +312,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _: ShardedEngine<()> = ShardedEngine::new(0);
-    }
-
-    #[test]
-    fn pop_batch_parallel_drains_one_time_slice_in_seq_order() {
-        let mut engine = ShardedEngine::new(4);
-        let t1 = SimTime::from_millis(1);
-        let t2 = SimTime::from_millis(2);
-        for i in 0..10u32 {
-            engine.schedule_at(ShardId(i % 4), t1, i);
-        }
-        engine.schedule_at(ShardId(0), t2, 100);
-        let batch = engine
-            .pop_batch_parallel(2, |_, _, &e| e * 2)
-            .expect("slice pending");
-        // Only the t1 slice, in global insertion order, with work results attached.
-        assert_eq!(batch.len(), 10);
-        for (i, (time, shard, event, doubled)) in batch.iter().enumerate() {
-            assert_eq!(*time, t1);
-            assert_eq!(*event, i as u32);
-            assert_eq!(*doubled, 2 * i as u32);
-            assert_eq!(*shard, ShardId(i as u32 % 4));
-        }
-        assert_eq!(engine.now(), t1);
-        assert_eq!(engine.pending_events(), 1);
-        assert_eq!(engine.processed_events(), 10);
-        let tail = engine.pop_batch_parallel(2, |_, _, &e| e).unwrap();
-        assert_eq!(tail, vec![(t2, ShardId(0), 100, 100)]);
-        assert!(engine.pop_batch_parallel(2, |_, _, &e| e).is_none());
-        assert!(engine.is_idle());
-    }
-
-    #[test]
-    fn pop_batch_parallel_interleaves_with_same_time_follow_ups() {
-        // Events scheduled while a slice is being committed land in the *next* slice
-        // at the same timestamp, with later sequence numbers — matching where a
-        // single queue would deliver them.
-        let mut engine = ShardedEngine::new(2);
-        let t = SimTime::from_millis(3);
-        engine.schedule_at(ShardId(0), t, 0u32);
-        engine.schedule_at(ShardId(1), t, 1u32);
-        let mut order = Vec::new();
-        while let Some(batch) = engine.pop_batch_parallel(2, |_, _, &e| e) {
-            for (time, _, event, _) in batch {
-                order.push(event);
-                if event < 2 {
-                    // Follow-up at the same instant, like a Done -> Ready handoff.
-                    engine.schedule_now(ShardId(event % 2), event + 2);
-                }
-                assert_eq!(time, t);
-            }
-        }
-        assert_eq!(order, vec![0, 1, 2, 3]);
-        assert_eq!(engine.clamped_events(), 0);
-    }
-
-    #[test]
-    fn pop_batch_parallel_uses_worker_threads_above_the_inline_threshold() {
-        let mut engine = ShardedEngine::new(8);
-        let t = SimTime::from_millis(1);
-        let n = (super::PARALLEL_SLICE_MIN * 3) as u32;
-        for i in 0..n {
-            engine.schedule_at(ShardId(i % 8), t, i);
-        }
-        let batch = engine
-            .pop_batch_parallel(3, |_, shard, &e| (shard, e.wrapping_mul(3)))
-            .unwrap();
-        assert_eq!(batch.len(), n as usize);
-        for (i, (_, shard, event, (work_shard, tripled))) in batch.iter().enumerate() {
-            assert_eq!(*event, i as u32, "global seq order preserved");
-            assert_eq!(shard, work_shard, "work sees the event's own shard");
-            assert_eq!(*tripled, (i as u32).wrapping_mul(3));
-        }
     }
 }

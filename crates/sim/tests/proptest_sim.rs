@@ -119,53 +119,6 @@ proptest! {
     }
 
     #[test]
-    fn pop_batch_parallel_matches_single_queue_with_cascading_events(
-        seeds in proptest::collection::vec((0u64..10_000u64, 0u32..64u32), 1..40),
-        num_shards in 1u32..64u32,
-        threads in 1usize..9usize,
-        fanout in 1u32..4u32,
-    ) {
-        // The parallel stepping path must deliver the exact single-queue total order
-        // for any shard count x thread count, including events scheduled mid-slice
-        // (the simulator commits follow-ups while walking a slice). The work closure
-        // result must also line up with the event it was computed for.
-        let mut single: Engine<(u64, u32)> = Engine::new();
-        let mut parallel: ShardedEngine<(u64, u32)> = ShardedEngine::new(num_shards as usize);
-        for &(nanos, key) in &seeds {
-            let at = SimTime::from_nanos(nanos);
-            single.schedule_at(at, (nanos, 0));
-            parallel.schedule_at(parallel.shard_for(key), at, (nanos, 0));
-        }
-        let mut single_log = Vec::new();
-        single.run(|eng, t, (tag, depth)| {
-            single_log.push((t, tag, depth));
-            if depth < 2 {
-                for f in 0..fanout {
-                    let delta = SimDuration::from_nanos(tag % 97 + u64::from(f));
-                    eng.schedule_after(delta, (tag.wrapping_add(u64::from(f) + 1), depth + 1));
-                }
-            }
-        });
-        let mut parallel_log = Vec::new();
-        while let Some(batch) = parallel.pop_batch_parallel(threads, |_, _, &(tag, _)| tag ^ 0xA5) {
-            for (t, _shard, (tag, depth), work) in batch {
-                prop_assert_eq!(work, tag ^ 0xA5, "work result belongs to its event");
-                parallel_log.push((t, tag, depth));
-                if depth < 2 {
-                    for f in 0..fanout {
-                        let delta = SimDuration::from_nanos(tag % 97 + u64::from(f));
-                        let shard = parallel.shard_for((tag % 64) as u32 + f);
-                        parallel.schedule_after(shard, delta, (tag.wrapping_add(u64::from(f) + 1), depth + 1));
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(single_log, parallel_log);
-        prop_assert_eq!(parallel.clamped_events(), 0);
-        prop_assert_eq!(single.processed_events(), parallel.processed_events());
-    }
-
-    #[test]
     fn event_queue_len_tracks_pushes_and_pops(times in proptest::collection::vec(0u64..1_000u64, 0..100)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {

@@ -163,14 +163,6 @@ impl OpticalRailFabric {
         &mut self.ocses[rail.index()]
     }
 
-    /// Mutable access to *every* rail's OCS at once, indexed by rail. This is the
-    /// state split a rail-sharded commit phase needs: each element is an independent
-    /// switch, so the slice can be `&mut`-partitioned and each rail's segment handed
-    /// to its own worker thread without any cross-rail aliasing.
-    pub fn ocses_mut(&mut self) -> &mut [Ocs] {
-        &mut self.ocses
-    }
-
     /// Installs a circuit configuration on one rail. Returns the time at which all
     /// requested circuits are ready.
     pub fn install(
@@ -203,14 +195,6 @@ impl OpticalRailFabric {
     /// Lifetime circuits torn down, per rail (index == rail id).
     pub fn circuits_torn_down_by_rail(&self) -> Vec<u64> {
         self.ocses.iter().map(|o| o.circuits_torn_down()).collect()
-    }
-
-    /// Generation counter of the whole fabric's circuit state: the sum of every
-    /// rail's [`Ocs::epoch`]. Any mutation of any rail's matching — install,
-    /// tear-down, clear, through *any* code path — changes it, so two equal reads
-    /// guarantee every pre-evaluated connectivity/ready-time answer is still valid.
-    pub fn circuit_epoch(&self) -> u64 {
-        self.ocses.iter().map(|o| o.epoch()).sum()
     }
 
     /// Bandwidth of a single optical circuit (one logical NIC port).
@@ -363,25 +347,6 @@ mod tests {
         // Rail 1 is untouched: GPUs 1 and 9 remain disconnected.
         assert!(!f.is_connected(RailId(1), GpuId(1), GpuId(9), SimTime::from_secs(1)));
         assert!(f.is_connected(RailId(0), GpuId(0), GpuId(8), SimTime::from_secs(1)));
-    }
-
-    #[test]
-    fn ocses_mut_exposes_one_independent_switch_per_rail() {
-        let c = cluster();
-        let mut f = OpticalRailFabric::for_cluster(&c, SimDuration::ZERO);
-        let cfg = CircuitConfig::new(vec![Circuit::new(
-            PortId::new(GpuId(1), 0),
-            PortId::new(GpuId(9), 0),
-        )])
-        .unwrap();
-        let lanes = f.ocses_mut();
-        assert_eq!(lanes.len(), 4);
-        let (r0, rest) = lanes.split_first_mut().unwrap();
-        // An install through rail 1's split-off lane must not touch rail 0.
-        rest[0].install(&cfg, SimTime::ZERO).unwrap();
-        assert_eq!(r0.num_circuits(), 0);
-        assert!(f.is_connected(RailId(1), GpuId(1), GpuId(9), SimTime::ZERO));
-        assert_eq!(f.circuit_epoch(), 1);
     }
 
     #[test]

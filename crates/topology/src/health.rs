@@ -10,8 +10,8 @@
 //! recovery time* ([`RailHealth::fail`]'s `recover_at`). That lets the simulator answer
 //! "from when on can this rail carry new traffic?" in closed form
 //! ([`RailHealth::available_from`]) instead of parking events, which keeps the
-//! discrete-event engine's `(time, seq)` order — and therefore determinism across
-//! shard and thread counts — untouched by fault injection.
+//! discrete-event engine's `(time, seq)` order — and therefore determinism —
+//! untouched by fault injection.
 
 use crate::ids::RailId;
 use railsim_sim::{SimDuration, SimTime};

@@ -173,8 +173,8 @@ impl PortId {
     /// The port's `(rail, index)` position in per-rail dense tables of
     /// `num_nodes * ports_per_gpu` entries each: the owning GPU's rail is its local
     /// rank (`gpu % num_rails`), and within the rail ports are node-major,
-    /// logical-port-minor. This is the partition a rail-sharded commit phase indexes
-    /// by — each rail's table can be handed to its own worker as an exclusive slice.
+    /// logical-port-minor. The Opus controller keeps its per-port occupancy in one
+    /// such table per rail.
     pub fn rail_dense_index(self, num_rails: u32, ports_per_gpu: u8) -> (usize, usize) {
         debug_assert!(
             self.port < ports_per_gpu,

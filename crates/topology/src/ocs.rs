@@ -196,12 +196,6 @@ pub struct Ocs {
     reconfig_count: u64,
     circuits_torn_down: u64,
     circuits_set_up: u64,
-    /// Bumped by every mutation that changes the matching (install with new circuits,
-    /// tear-down, clear). Two equal reads bracket a span with unchanged circuit
-    /// state, so pre-evaluated connectivity/ready-time answers can be revalidated
-    /// without re-walking anything. Living on the switch itself (not a caller) makes
-    /// the guarantee structural: *no* mutation path can bypass it.
-    epoch: u64,
     /// Install-time scratch: sorted dense indices of the requested new ports. Kept on
     /// the switch so the hot path never allocates.
     scratch: Vec<u32>,
@@ -243,7 +237,6 @@ impl Ocs {
             reconfig_count: 0,
             circuits_torn_down: 0,
             circuits_set_up: 0,
-            epoch: 0,
             scratch: Vec::new(),
         }
     }
@@ -346,13 +339,6 @@ impl Ocs {
         self.circuits_set_up
     }
 
-    /// Generation counter of the matching: bumped by every state-changing install,
-    /// tear-down and clear. Equal across two reads ⇒ the matching (and every ready
-    /// time) was unchanged in between.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Iterates over installed circuits and their ready times, in ascending
     /// [`Circuit`] order (the order the former `BTreeMap` storage produced: the dense
     /// scan visits each circuit at its smaller endpoint, and smaller endpoints are
@@ -427,9 +413,9 @@ impl Ocs {
 
     /// The time at which every circuit of `config` is ready, or `None` when any of
     /// them is not installed. The O(config) read half of a no-op
-    /// [`Ocs::install`] — callers that pre-evaluate reconfiguration requests (the
-    /// Opus simulator's parallel prep phase) use it to answer "would this request be
-    /// free, and when would it be ready?" without touching switch state.
+    /// [`Ocs::install`] — the Opus simulator's no-op fast path uses it to answer
+    /// "would this request be free, and when would it be ready?" without touching
+    /// switch state.
     pub fn installed_ready(&self, config: &CircuitConfig) -> Option<SimTime> {
         let mut ready = SimTime::ZERO;
         for c in config.circuits() {
@@ -566,7 +552,6 @@ impl Ocs {
             self.num_circuits += 1;
         }
         self.reconfig_count += 1;
-        self.epoch += 1;
         self.scratch = scratch;
 
         // All requested circuits (old and new) must be ready.
@@ -594,7 +579,6 @@ impl Ocs {
         }
         if n > 0 {
             self.reconfig_count += 1;
-            self.epoch += 1;
         }
         n
     }
@@ -620,7 +604,6 @@ impl Ocs {
         }
         if n > 0 {
             self.reconfig_count += 1;
-            self.epoch += 1;
         }
         n
     }
@@ -630,7 +613,6 @@ impl Ocs {
         if self.num_circuits > 0 {
             self.circuits_torn_down += self.num_circuits as u64;
             self.reconfig_count += 1;
-            self.epoch += 1;
         }
         self.peer.fill(NO_PEER);
         self.ready.fill(SimTime::ZERO);
@@ -721,7 +703,7 @@ mod tests {
         ])
         .unwrap();
         ocs.install(&installed, SimTime::ZERO).unwrap();
-        let epoch = ocs.epoch();
+        let reconfigs = ocs.reconfig_count();
         // Claims one endpoint of each installed circuit: both get displaced.
         let takeover = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(2, 0))]).unwrap();
         assert_eq!(ocs.conflicting_circuits(&takeover), 2);
@@ -737,7 +719,11 @@ mod tests {
         // Untouched ports conflict with nothing.
         let free = CircuitConfig::new(vec![Circuit::new(port(6, 0), port(7, 0))]).unwrap();
         assert_eq!(ocs.conflicting_circuits(&free), 0);
-        assert_eq!(ocs.epoch(), epoch, "a count query must not mutate");
+        assert_eq!(
+            ocs.reconfig_count(),
+            reconfigs,
+            "a count query must not mutate"
+        );
         // The install then performs exactly the counted teardowns.
         let before = ocs.circuits_torn_down();
         ocs.install(&takeover, SimTime::ZERO).unwrap();
@@ -812,18 +798,21 @@ mod tests {
         let theirs = CircuitConfig::new(vec![Circuit::new(port(2, 0), port(3, 0))]).unwrap();
         ocs.install(&mine, SimTime::ZERO).unwrap();
         ocs.install(&theirs, SimTime::ZERO).unwrap();
-        let epoch = ocs.epoch();
+        let reconfigs = ocs.reconfig_count();
         assert_eq!(ocs.tear_down(&mine), 1);
         assert_eq!(ocs.num_circuits(), 1, "the other group's circuit survives");
         assert!(ocs.gpus_connected(GpuId(2), GpuId(3), SimTime::ZERO));
-        assert!(ocs.epoch() > epoch, "a real teardown bumps the epoch");
+        assert_eq!(
+            ocs.reconfig_count(),
+            reconfigs + 1,
+            "a real teardown is a reconfiguration"
+        );
         // Withdrawing an absent config is a free no-op.
-        let epoch = ocs.epoch();
         assert_eq!(ocs.tear_down(&mine), 0);
         assert_eq!(
-            ocs.epoch(),
-            epoch,
-            "a no-op teardown must not bump the epoch"
+            ocs.reconfig_count(),
+            reconfigs + 1,
+            "a no-op teardown is not a reconfiguration"
         );
     }
 

@@ -8,24 +8,17 @@
 
 use photonic_rails::prelude::*;
 
-fn serialized_run_threads(jitter_seed: u64, latency_ms: u64, threads: u32) -> String {
+fn serialized_run(jitter_seed: u64, latency_ms: u64) -> String {
     let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
     let model = ModelConfig::tiny_test();
     let parallel = ParallelismConfig::paper_llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
     let dag = DagBuilder::new(model, parallel, compute).build();
-    let mut config = OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
+    let config = OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
         .with_iterations(3)
         .with_jitter(0.05, jitter_seed);
-    if threads > 1 {
-        config = config.with_parallel_threads(threads);
-    }
     let result = OpusSimulator::new(cluster, dag, config).run();
     serde_json::to_string_pretty(&result).expect("simulation results serialize")
-}
-
-fn serialized_run(jitter_seed: u64, latency_ms: u64) -> String {
-    serialized_run_threads(jitter_seed, latency_ms, 1)
 }
 
 #[test]
@@ -57,20 +50,5 @@ fn determinism_holds_across_policies() {
         let first = serialized_run(7, latency_ms);
         let second = serialized_run(7, latency_ms);
         assert_eq!(first, second, "divergence at latency {latency_ms} ms");
-    }
-}
-
-#[test]
-fn parallel_stepping_is_byte_identical_across_thread_counts() {
-    // `pop_batch_parallel` commits in global (time, seq) order, so the serialized
-    // metrics of a run must not depend on how many worker threads evaluated the pure
-    // per-event work — 1, 2 and 8 threads must all match the sequential pop loop.
-    let sequential = serialized_run(42, 25);
-    for threads in [1u32, 2, 8] {
-        let parallel = serialized_run_threads(42, 25, threads);
-        assert_eq!(
-            sequential, parallel,
-            "parallel stepping with {threads} threads diverged from sequential"
-        );
     }
 }

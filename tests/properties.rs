@@ -6,6 +6,7 @@
 #![allow(deprecated)] // the `with_*` chains here migrate to field style over time
 
 use photonic_rails::collectives::cost::{collective_time, CostParams};
+use photonic_rails::opus::FleetMetrics;
 use photonic_rails::prelude::*;
 use photonic_rails::sim::{EventQueue, SimRng};
 use photonic_rails::topology::fattree::ClosDimensions;
@@ -280,25 +281,20 @@ proptest! {
     // ---- scenario driver ----------------------------------------------------------
 
     #[test]
-    fn injected_timelines_are_byte_identical_across_shards_and_threads(
+    fn injected_timelines_are_reproducible_and_conserve_circuits(
         pulses in proptest::collection::vec((0u64..400, 1u64..200, 0u32..4), 0..3),
         degrade in (0u64..400, 0u32..5, 0u64..100),
         arrival_ms in 0u64..300,
         seed in 0u64..1000,
-        shards in 1u32..65,
-        threads in 1u32..9,
-        commits in 1u32..9,
         replan in 0u32..2,
     ) {
         // Any timeline of rail-down/up pulses, OCS degradation and a late job
         // arrival, over a two-job scenario on shared rails, must serialize
-        // byte-identically for every engine lane count, prep-worker count and
-        // commit-thread count — the same contract the single-job determinism suite
-        // pins, extended to the scenario driver's external event class. Half the
-        // cases flip the jobs to `RecoveryPolicy::Replan`, so degraded-plan swaps
-        // (and swap-backs) — commit barriers that re-classify rail traffic
-        // mid-batch — interleave with the rail flaps while the sharded commit
-        // phase runs.
+        // byte-identically across two runs — the same contract the single-job
+        // determinism suite pins, extended to the scenario driver's external event
+        // class. Half the cases flip the jobs to `RecoveryPolicy::Replan`, so
+        // degraded-plan swaps (and swap-backs) interleave with the rail flaps. No
+        // rail may ever tear down a circuit it did not set up.
         let build = |config: OpusConfig| {
             let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 8).build();
             let model = ModelConfig::tiny_test();
@@ -334,41 +330,41 @@ proptest! {
                     },
                 );
             }
-            serde_json::to_string_pretty(&scenario.run()).expect("scenario results serialize")
+            scenario.run()
         };
-        let mut base = OpusConfig::provisioned(SimDuration::from_millis(5))
+        let mut config = OpusConfig::provisioned(SimDuration::from_millis(5))
             .with_iterations(2)
             .with_jitter(0.05, seed);
         if replan == 1 {
-            base.recovery_policy = RecoveryPolicy::Replan;
+            config.recovery_policy = RecoveryPolicy::Replan;
         }
-        let reference = build(base);
-        let mut alt = base.with_event_shards(shards).with_parallel_threads(threads);
-        alt.commit_threads = Some(commits);
-        let variant = build(alt);
+        let result = build(config);
         prop_assert_eq!(
-            reference, variant,
-            "scenario diverged at {} shards x {} threads x {} commit threads",
-            shards, threads, commits
+            serde_json::to_string_pretty(&result).expect("scenario results serialize"),
+            serde_json::to_string_pretty(&build(config)).expect("scenario results serialize"),
+            "two runs of the same timeline diverged"
+        );
+        prop_assert!(
+            circuits_conserved(&result.fleet),
+            "set up {:?} vs torn down {:?}",
+            result.fleet.circuits_set_up_by_rail,
+            result.fleet.circuits_torn_down_by_rail
         );
     }
 
     #[test]
-    fn serving_timelines_are_byte_identical_across_shards_and_threads(
+    fn serving_timelines_are_reproducible_and_retire_every_request(
         bursts in proptest::collection::vec((0u64..200, 1u32..16), 1..5),
         grow_ms in 0u64..200,
         shrink_ms in 0u64..200,
         eviction_draw in 0u32..3,
         seed in 0u64..1000,
-        shards in 1u32..65,
-        threads in 1u32..9,
-        commits in 1u32..9,
     ) {
         // The serving event class — open-loop request bursts, elastic grow/shrink,
         // tenant-aware eviction — joins the same contract as the rail flaps above: a
         // mixed training + inference scenario on shared rails must serialize
-        // byte-identically for every engine lane count, prep-worker count and
-        // commit-thread count, under every eviction policy.
+        // byte-identically across two runs under every eviction policy, conserve
+        // circuits per rail, and retire exactly the requests it was sent.
         let eviction = [
             EvictionPolicy::Never,
             EvictionPolicy::LruTenant,
@@ -402,44 +398,44 @@ proptest! {
                     ScenarioEvent::RequestBurst { job: JobId(1), requests },
                 );
             }
-            serde_json::to_string_pretty(&scenario.run()).expect("scenario results serialize")
+            scenario.run()
         };
-        let mut base = OpusConfig::on_demand(SimDuration::from_millis(5))
+        let mut config = OpusConfig::on_demand(SimDuration::from_millis(5))
             .with_iterations(2)
             .with_jitter(0.05, seed);
-        base.eviction = eviction;
-        let reference = build(base);
-        let mut alt = base.with_event_shards(shards).with_parallel_threads(threads);
-        alt.commit_threads = Some(commits);
-        let variant = build(alt);
+        config.eviction = eviction;
+        let result = build(config);
         prop_assert_eq!(
-            reference, variant,
-            "mixed-tenancy scenario diverged at {} shards x {} threads x {} commit threads under {}",
-            shards, threads, commits, eviction.name()
+            serde_json::to_string_pretty(&result).expect("scenario results serialize"),
+            serde_json::to_string_pretty(&build(config)).expect("scenario results serialize"),
+            "two runs of the same mixed-tenancy timeline diverged under {}",
+            eviction.name()
         );
+        prop_assert!(
+            circuits_conserved(&result.fleet),
+            "set up {:?} vs torn down {:?}",
+            result.fleet.circuits_set_up_by_rail,
+            result.fleet.circuits_torn_down_by_rail
+        );
+        let injected: u64 = bursts.iter().map(|&(_, requests)| u64::from(requests)).sum();
+        prop_assert_eq!(result.jobs[1].requests_completed, injected);
     }
 
     #[test]
     fn memoized_fast_forward_is_byte_identical_to_naive(
         flap in (100u64..2_000, 50u64..1_000, 0u32..5),
         two_jobs in 0u32..2,
-        shards in 1u32..65,
-        threads in 1u32..9,
-        commits in 1u32..9,
         replan in 0u32..2,
     ) {
         // `rail == 4` doubles as "no flap" (the cluster has 4 rails).
         let two_jobs = two_jobs == 1;
         let flap = (flap.2 < 4).then_some(flap);
-        // Steady-state memoization must be invisible: for any engine lane count and
-        // worker-thread count, a clean single-job run (memo engages), a rail-flap
-        // timeline (memo invalidates and re-arms) and a two-job scenario (memo
-        // disables itself) all serialize byte-identically to the naive path. Half
-        // the cases run under `RecoveryPolicy::Replan`, so fast-forward windows must
-        // also agree with the naive path while a degraded plan is live. The naive
-        // side additionally commits on a drawn rail-sharded thread count, so memo
-        // replay, replan swaps and the parallel commit phase are pinned against
-        // each other in one stroke.
+        // Steady-state memoization must be invisible: a clean single-job run (memo
+        // engages), a rail-flap timeline (memo invalidates and re-arms) and a
+        // two-job scenario (memo disables itself) all serialize byte-identically to
+        // the naive path. Half the cases run under `RecoveryPolicy::Replan`, so
+        // fast-forward windows must also agree with the naive path while a degraded
+        // plan is live.
         let build = |config: OpusConfig| {
             let nodes = if two_jobs { 8 } else { 4 };
             let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, nodes).build();
@@ -466,19 +462,14 @@ proptest! {
         };
         let mut base = OpusConfig::provisioned(SimDuration::from_millis(5))
             .with_iterations(8)
-            .with_jitter(0.0, 1)
-            .with_event_shards(shards)
-            .with_parallel_threads(threads);
+            .with_jitter(0.0, 1);
         if replan == 1 {
             base.recovery_policy = RecoveryPolicy::Replan;
         }
-        let mut naive = base.with_memoization(false);
-        naive.commit_threads = Some(commits);
         prop_assert_eq!(
             build(base),
-            build(naive),
-            "memoized and naive paths diverged at {} shards x {} threads x {} commit threads",
-            shards, threads, commits
+            build(base.with_memoization(false)),
+            "memoized and naive paths diverged"
         );
     }
 
@@ -525,6 +516,16 @@ proptest! {
             serde_json::to_string_pretty(&fresh.run()).expect("scenario results serialize")
         );
     }
+}
+
+/// Per rail, the optical fabric never tears down more circuits than it set up (and
+/// an optical scenario reports both counters for every rail).
+fn circuits_conserved(fleet: &FleetMetrics) -> bool {
+    let (up, down) = (
+        &fleet.circuits_set_up_by_rail,
+        &fleet.circuits_torn_down_by_rail,
+    );
+    !up.is_empty() && up.len() == down.len() && up.iter().zip(down).all(|(u, d)| u >= d)
 }
 
 /// The shared 4-node workload behind the fleet proptests.
