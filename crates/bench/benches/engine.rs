@@ -1,8 +1,8 @@
-//! Micro-benchmark: throughput of the discrete-event engine (event queue push/pop),
-//! the substrate every simulation in the workspace runs on.
+//! Micro-benchmark: throughput of the discrete-event engine, the substrate every
+//! simulation in the workspace runs on, next to the `(time, seq)` heap it reproduces.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use railsim_sim::{Engine, EventQueue, ShardedEngine, SimDuration, SimTime};
+use railsim_sim::{Engine, EventQueue, SimDuration, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
@@ -39,22 +39,27 @@ fn bench_engine_cascade(c: &mut Criterion) {
     });
 }
 
-fn bench_sharded_engine(c: &mut Criterion) {
-    // The same 10k-event workload as `event_queue_push_pop_10k`, spread across 8
-    // lanes (one per DGX H200 rail): measures the cross-shard merge overhead against
-    // the smaller per-lane heaps.
-    c.bench_function("sharded_engine_push_pop_10k_8shards", |b| {
+fn bench_engine_same_instant_fanout(c: &mut Criterion) {
+    // The simulator's regime: 1k chains of 10 events over a handful of timestamps.
+    // Roots start on 4 instants; each event's follow-up alternates between a
+    // zero-delay one at `now` (Done -> Ready) and one a fixed 1 us later
+    // (Ready -> Done), so most schedules land on the instant being drained.
+    c.bench_function("engine_same_instant_fanout_10k", |b| {
         b.iter(|| {
-            let mut engine: ShardedEngine<u64> = ShardedEngine::new(8);
-            for i in 0..10_000u64 {
-                let t = (i * 2_654_435_761) % 1_000_000;
-                let shard = engine.shard_for((i % 8) as u32);
-                engine.schedule_at(shard, SimTime::from_nanos(t), i);
+            let mut engine: Engine<u32> = Engine::new();
+            for chain in 0..1_000u32 {
+                let at = SimTime::from_micros(u64::from(chain % 4));
+                engine.schedule_at(at, chain * 10);
             }
             let mut total = 0u64;
-            while let Some((_, ev)) = engine.pop() {
-                total = total.wrapping_add(black_box(ev));
-            }
+            engine.run(|eng, _t, ev| {
+                total = total.wrapping_add(u64::from(black_box(ev)));
+                match ev % 10 {
+                    9 => {}
+                    step if step % 2 == 0 => eng.schedule_now(ev + 1),
+                    _ => eng.schedule_after(SimDuration::from_micros(1), ev + 1),
+                }
+            });
             total
         })
     });
@@ -64,6 +69,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_engine_cascade,
-    bench_sharded_engine
+    bench_engine_same_instant_fanout
 );
 criterion_main!(benches);

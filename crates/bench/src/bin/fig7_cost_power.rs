@@ -3,7 +3,7 @@
 //!
 //! With `--simulate`, each figure size is also *synthesized and executed*: a DGX H200
 //! cluster of that size runs one provisioned-optical training iteration on the
-//! sharded event engine, demonstrating that the cost model's x-axis is a regime the
+//! event engine, demonstrating that the cost model's x-axis is a regime the
 //! simulator actually covers (not just a spreadsheet row).
 
 use opus::OpusSimulator;
@@ -36,7 +36,7 @@ fn simulated_iteration_table(sizes: &[u64]) {
             format!("{:.2}", wall.elapsed().as_secs_f64()),
         ]);
     }
-    report.note("provisioned optical, 25 ms OCS, TP=8 / PP=8 / FSDP, sharded event engine");
+    report.note("provisioned optical, 25 ms OCS, TP=8 / PP=8 / FSDP");
     report.print();
 }
 

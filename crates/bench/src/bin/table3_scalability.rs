@@ -1,8 +1,7 @@
 //! Table 3: the OCS technology scalability–latency trade-off
 //! (`#GPUs = scale-up size × radix / 2`), plus the datacenter-scale *simulated*
 //! scalability runs that back it up: synthesized 1k–10k GPU clusters executed by the
-//! sharded event engine under the electrical baseline and the provisioned optical
-//! policy.
+//! event engine under the electrical baseline and the provisioned optical policy.
 //!
 //! ```text
 //! table3_scalability [--gpus 1024,4096,10240,102400,1024000] [--iterations 2]
@@ -416,7 +415,7 @@ fn main() {
     }
 
     let mut report = Report::new(
-        "Table 3 (simulated) — sharded-engine scalability runs",
+        "Table 3 (simulated) — datacenter-scale scalability runs",
         &[
             "# GPUs",
             "Scenario",

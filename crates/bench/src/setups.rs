@@ -129,7 +129,7 @@ pub fn scale_run_config(iterations: u32) -> OpusConfig {
 /// The execution DAG of one training iteration at datacenter scale (Llama 3 8B under
 /// [`scaled_parallelism`], compute modeled on the H200 of the [`scaled_cluster`]
 /// nodes). At 10240 GPUs this is on the order of a million tasks — the regime the
-/// columnar DAG and the sharded event engine exist for.
+/// columnar DAG and the timestamp-bucketed event engine exist for.
 pub fn scaled_dag(num_gpus: u32) -> TrainingDag {
     let parallel = scaled_parallelism(num_gpus);
     let compute = ComputeModel::derive(&paper_model(), &parallel, &GpuSpec::h200());

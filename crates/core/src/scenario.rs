@@ -35,16 +35,17 @@
 //! iteration state — while the discrete-event engine, the rail fabric (one OCS per
 //! rail under an optical policy) and the rail health state are shared fleet-wide.
 //! All events, from every job and from the injected timeline, multiplex over one
-//! [`ShardedEngine`] (one event lane per rail) and commit one at a time, in the
-//! engine's global `(time, seq)` order, from a single sequential loop. That order is
-//! the simulator's whole determinism contract, and it mirrors Opus itself: the
-//! controller arbitrates each rail first-come-first-serve over the sequentially
-//! ordered demands it receives. Parallel work runs one level up, across independent
-//! scenarios (see [`crate::fleet`]).
+//! [`Engine`] and commit one at a time, in the engine's `(time, scheduling order)`
+//! order, from a single sequential loop. That order is the simulator's whole
+//! determinism contract, and it mirrors Opus itself: the controller arbitrates each
+//! rail first-come-first-serve over the sequentially ordered demands it receives.
+//! Parallel work runs one level up, across independent scenarios (see
+//! [`crate::fleet`]).
 //!
 //! Injected events are scheduled before any task event, so an injection at time `T`
-//! always applies *before* every task event at `T` (task events carry later sequence
-//! numbers). Two injections at the same time apply in the order they were declared.
+//! always applies *before* every task event at `T` (task events are scheduled later,
+//! so they queue behind it). Two injections at the same time apply in the order they
+//! were declared.
 //!
 //! Single-job runs with an inert jitter RNG additionally memoize their steady state:
 //! once two consecutive iterations commit byte-identical timelines up to a constant
@@ -87,7 +88,7 @@ use railsim_collectives::{
     cost::{collective_time, CostParams},
     degraded_params, CollectiveKind, CommGroup, GroupId, ParallelismAxis,
 };
-use railsim_sim::{ShardId, ShardedEngine, SimDuration, SimRng, SimTime};
+use railsim_sim::{Engine, SimDuration, SimRng, SimTime};
 use railsim_topology::{
     Cluster, ElectricalRailFabric, GpuId, OpticalRailFabric, RailConnectivity, RailHealth, RailId,
     RailSet,
@@ -481,9 +482,9 @@ impl ScenarioResult {
 /// Events of the scenario's discrete-event simulation: per-job DAG execution plus the
 /// injected external timeline. External events are scheduled at build time, before
 /// any task event, so they sort ahead of every task event at the same timestamp in
-/// the engine's `(time, seq)` order.
+/// the engine's `(time, scheduling order)` order.
 /// The job index rides in a `u16` so the whole event stays 8 bytes — the engine's
-/// heap entries are the hot path's working set, and a wider event measurably slows
+/// slab nodes are the hot path's working set, and a wider event measurably slows
 /// the 100k-GPU single-job regime. 65k concurrent jobs is far beyond any scenario
 /// ([`ScenarioSim::build`] rejects more, so the index can never silently alias).
 #[derive(Debug, Clone, Copy)]
@@ -615,8 +616,6 @@ struct JobContext {
     slot_of_group: HashMap<GroupId, u32>,
     /// Per-task index into `circuit_pool` (`NO_SLOT` for compute tasks).
     task_circuit_slot: Vec<u32>,
-    /// Event-engine lane per task, derived from the task's rail affinity.
-    task_shard: Vec<ShardId>,
     shim: OpusShim,
     rng: SimRng,
     /// True when a `JobArrival` injection starts this job (it does not start at 0).
@@ -1102,7 +1101,6 @@ impl ScenarioSim {
         let planner = CircuitPlanner::for_cluster(cluster);
         let (circuit_pool, slot_of_group, task_circuit_slot) =
             Self::plan_task_circuits(cluster, &dag, &group_table, &planner);
-        let task_shard = Self::assign_task_shards(cluster, &dag, &circuit_pool, &task_circuit_slot);
         let rng = SimRng::new(config.seed);
         let n = dag.len();
         // Inference replicas share no tasks, so a task's replica is simply its first
@@ -1123,7 +1121,6 @@ impl ScenarioSim {
             circuit_pool,
             slot_of_group,
             task_circuit_slot,
-            task_shard,
             shim: OpusShim::new(),
             rng,
             arrives_via_event,
@@ -1166,36 +1163,6 @@ impl ScenarioSim {
             degraded_iterations: 0,
             iter_degraded: false,
         }
-    }
-
-    /// Assigns every task to an event lane by rail affinity: communication tasks go to
-    /// the first rail their circuits touch, everything else to the rail of its first
-    /// participant (its local rank). The engine runs one lane per rail, so the rail
-    /// index is the lane. Lane choice is pure memory locality — the engine's
-    /// global-sequence merge keeps results byte-identical for any assignment.
-    fn assign_task_shards(
-        cluster: &Cluster,
-        dag: &TrainingDag,
-        circuit_pool: &[CircuitSlot],
-        task_circuit_slot: &[u32],
-    ) -> Vec<ShardId> {
-        (0..dag.len() as u32)
-            .map(|i| {
-                let slot = task_circuit_slot[i as usize];
-                let rail = (slot != NO_SLOT)
-                    .then(|| {
-                        circuit_pool[slot as usize]
-                            .circuits
-                            .per_rail
-                            .keys()
-                            .next()
-                            .copied()
-                    })
-                    .flatten()
-                    .unwrap_or_else(|| cluster.rail_of(dag.participants(TaskId(i)).first()));
-                ShardId(rail.0)
-            })
-            .collect()
     }
 
     /// Plans the circuit demand of every communication task, deduplicated into one
@@ -1309,12 +1276,11 @@ impl ScenarioSim {
 
     /// Runs every job to completion, applying the injected timeline.
     pub(crate) fn run_scenario(&mut self) {
-        let mut engine: ShardedEngine<SimEvent> =
-            ShardedEngine::new(self.cluster.num_rails() as usize);
+        let mut engine: Engine<SimEvent> = Engine::new();
         // External events first: they win every same-timestamp tie against task
-        // events (which are scheduled later and carry larger sequence numbers).
+        // events (which are scheduled later, so they queue behind).
         for (i, inj) in self.injections.iter().enumerate() {
-            engine.schedule_at(ShardId(0), inj.at, SimEvent::External(i as u32));
+            engine.schedule_at(inj.at, SimEvent::External(i as u32));
         }
         for j in 0..self.jobs.len() {
             if !self.jobs[j].arrives_via_event && self.jobs[j].serving.is_none() {
@@ -1329,8 +1295,8 @@ impl ScenarioSim {
         assert_eq!(
             engine.clamped_events(),
             0,
-            "the scenario executor never schedules into the past; a clamp means the \
-             sharded merge delivered an event out of order"
+            "the scenario executor never schedules into the past; a clamp means a \
+             commit scheduled an event before the time it committed at"
         );
         for ctx in &self.jobs {
             if ctx.serving.is_some() {
@@ -1462,7 +1428,7 @@ impl ScenarioSim {
     }
 
     /// Resets job `j`'s per-iteration state and schedules its root tasks at `at`.
-    fn start_iteration(&mut self, j: usize, at: SimTime, engine: &mut ShardedEngine<SimEvent>) {
+    fn start_iteration(&mut self, j: usize, at: SimTime, engine: &mut Engine<SimEvent>) {
         let ctx = &mut self.jobs[j];
         ctx.iter_start = at;
         ctx.iter_degraded = ctx.degraded_slots > 0;
@@ -1483,16 +1449,14 @@ impl ScenarioSim {
             );
             for (i, indegree) in ctx.dag.indegrees().enumerate() {
                 if indegree == 0 && ctx.task_replica[i] < active {
-                    let shard = ctx.task_shard[i];
-                    engine.schedule_at(shard, at, SimEvent::Ready(j as u16, TaskId(i as u32)));
+                    engine.schedule_at(at, SimEvent::Ready(j as u16, TaskId(i as u32)));
                 }
             }
         } else {
             ctx.done_left = ctx.dag.len();
             for (i, indegree) in ctx.dag.indegrees().enumerate() {
                 if indegree == 0 {
-                    let shard = ctx.task_shard[i];
-                    engine.schedule_at(shard, at, SimEvent::Ready(j as u16, TaskId(i as u32)));
+                    engine.schedule_at(at, SimEvent::Ready(j as u16, TaskId(i as u32)));
                 }
             }
         }
@@ -1500,7 +1464,7 @@ impl ScenarioSim {
 
     /// Finalizes job `j`'s just-completed iteration and starts the next one (or
     /// retires the job).
-    fn finish_iteration(&mut self, j: usize, engine: &mut ShardedEngine<SimEvent>) {
+    fn finish_iteration(&mut self, j: usize, engine: &mut Engine<SimEvent>) {
         let ScenarioSim { jobs, fleet, .. } = &mut *self;
         let ctx = &mut jobs[j];
         debug_assert!(
@@ -1514,7 +1478,9 @@ impl ScenarioSim {
         let start = ctx.iter_start;
         let end = ctx.iter_end;
         let mut comm_records = std::mem::take(&mut ctx.comm_records);
-        comm_records.sort_by_key(|r| (r.issued_at, r.task));
+        // The key is unique (a task issues one record per iteration), so the unstable
+        // sort lands on the stable order without the stable sort's scratch buffer.
+        comm_records.sort_unstable_by_key(|r| (r.issued_at, r.task));
         let result = IterationResult {
             iteration: ctx.iteration,
             iteration_time: end.duration_since(start),
@@ -1597,12 +1563,7 @@ impl ScenarioSim {
     /// steady-state template exists and the replayed window `(at, at + period]` is
     /// provably free of external events. Returns false when the iteration must be
     /// stepped naively.
-    fn try_fast_forward(
-        &mut self,
-        j: usize,
-        at: SimTime,
-        engine: &mut ShardedEngine<SimEvent>,
-    ) -> bool {
+    fn try_fast_forward(&mut self, j: usize, at: SimTime, engine: &mut Engine<SimEvent>) -> bool {
         let ctx = &self.jobs[j];
         let Some(template) = ctx.memo.template else {
             return false;
@@ -1610,16 +1571,16 @@ impl ScenarioSim {
         let predicted_end = at + ctx.completed[template].iteration_time;
         // Injections apply in timeline order, so the next unapplied one is the
         // earliest. It must lie *strictly* beyond the predicted end: an external at
-        // exactly that time would commit before the replay event (externals carry
-        // the lowest sequence numbers) and could perturb same-instant task events
-        // the template baked in.
+        // exactly that time would commit before the replay event (externals are
+        // scheduled first) and could perturb same-instant task events the template
+        // baked in.
         if let Some(next) = self.injections.get(self.fleet.injections_applied) {
             if next.at <= predicted_end {
                 return false;
             }
         }
         self.jobs[j].iter_start = at;
-        engine.schedule_at(ShardId(0), predicted_end, SimEvent::FastForward(j as u16));
+        engine.schedule_at(predicted_end, SimEvent::FastForward(j as u16));
         true
     }
 
@@ -1629,12 +1590,7 @@ impl ScenarioSim {
     /// next iteration (fast-forwarded again, or naively when an injection comes into
     /// range). By the steady-state argument on [`MemoState`] the emitted result is
     /// byte-identical to naive stepping — the determinism suites pin this.
-    fn commit_fast_forward(
-        &mut self,
-        j: usize,
-        now: SimTime,
-        engine: &mut ShardedEngine<SimEvent>,
-    ) {
+    fn commit_fast_forward(&mut self, j: usize, now: SimTime, engine: &mut Engine<SimEvent>) {
         let ScenarioSim { jobs, fleet, .. } = self;
         let ctx = &mut jobs[j];
         let template = ctx
@@ -1724,12 +1680,7 @@ impl ScenarioSim {
 
     /// Applies one popped event: executes a job task, releases its dependents, or
     /// applies an injected external event.
-    fn commit_event(
-        &mut self,
-        engine: &mut ShardedEngine<SimEvent>,
-        now: SimTime,
-        event: SimEvent,
-    ) {
+    fn commit_event(&mut self, engine: &mut Engine<SimEvent>, now: SimTime, event: SimEvent) {
         match event {
             SimEvent::Ready(j, id) => {
                 let j = j as usize;
@@ -1762,11 +1713,7 @@ impl ScenarioSim {
                         }
                     }
                 }
-                engine.schedule_at(
-                    self.jobs[j].task_shard[id.0 as usize],
-                    end,
-                    SimEvent::Done(j as u16, id),
-                );
+                engine.schedule_at(end, SimEvent::Done(j as u16, id));
             }
             SimEvent::Done(j, id) => {
                 let j = j as usize;
@@ -1776,8 +1723,7 @@ impl ScenarioSim {
                     debug_assert!(*slot > 0, "dependency counter underflow");
                     *slot -= 1;
                     if *slot == 0 {
-                        let shard = ctx.task_shard[dependent.0 as usize];
-                        engine.schedule_at(shard, now, SimEvent::Ready(j as u16, dependent));
+                        engine.schedule_at(now, SimEvent::Ready(j as u16, dependent));
                     }
                 }
                 ctx.done_left -= 1;
@@ -1791,7 +1737,7 @@ impl ScenarioSim {
     }
 
     /// Applies one injected external event at its committed time.
-    fn apply_injection(&mut self, idx: usize, now: SimTime, engine: &mut ShardedEngine<SimEvent>) {
+    fn apply_injection(&mut self, idx: usize, now: SimTime, engine: &mut Engine<SimEvent>) {
         self.fleet.injections_applied += 1;
         // Every external event invalidates steady-state memos: the template was
         // recorded against the pre-event fabric, and the iteration the event landed

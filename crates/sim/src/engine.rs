@@ -1,23 +1,106 @@
 //! The discrete-event simulation driver.
 //!
-//! [`Engine`] owns an [`EventQueue`] plus the simulation clock. Callers drive the
+//! [`Engine`] owns the pending events plus the simulation clock. Callers drive the
 //! simulation explicitly with [`Engine::pop`] (pull style) or [`Engine::run`] /
 //! [`Engine::run_until`] (push style with a handler closure). The engine never runs
 //! events "in the past": popping an event advances the clock to that event's timestamp,
 //! and scheduling an event before the current time is a logic error that panics in
 //! debug builds and is clamped to `now` in release builds.
+//!
+//! ## Timestamp buckets
+//!
+//! Events pop in `(time, scheduling order)` order — exactly the order of the
+//! [`EventQueue`](crate::EventQueue) binary heap keyed on `(time, seq)` — but the
+//! engine stores neither value per event. Events due at the current time sit in one
+//! FIFO list; every later timestamp has a FIFO list of its own, the earliest held
+//! aside and the rest in an ordered map. Scheduling appends to the list of the event's
+//! exact timestamp, and scheduling order *is* sequence order, so every list is already
+//! sorted. Popping drains the current list, then promotes the earliest future list to
+//! be the current one, advances the clock to its timestamp and takes the map's first
+//! list as the next earliest.
+//!
+//! The workspace's simulations repeat one traffic pattern across replicas and
+//! iterations, so millions of events share a few thousand distinct timestamps: almost
+//! every schedule appends to an existing list (zero-delay follow-ups to the current
+//! one), and the map stays small. Holding the earliest future list outside the map
+//! keeps the opposite extreme cheap too: a chain with one future instant at a time
+//! never touches the map. All lists thread through one slab of `(event, next)` nodes
+//! with a free list, so a running simulation allocates nothing per event.
+//!
+//! ```
+//! use railsim_sim::{Engine, SimTime};
+//!
+//! let mut engine: Engine<&'static str> = Engine::new();
+//! engine.schedule_at(SimTime::from_millis(2), "later");
+//! engine.schedule_at(SimTime::from_millis(1), "first");
+//! engine.schedule_at(SimTime::from_millis(1), "second");
+//! let (t, e) = engine.pop().unwrap();
+//! assert_eq!((t, e), (SimTime::from_millis(1), "first"));
+//! // A zero-delay follow-up joins the instant behind what is already due.
+//! engine.schedule_now("third");
+//!
+//! let rest: Vec<_> = std::iter::from_fn(|| engine.pop()).map(|(_, e)| e).collect();
+//! assert_eq!(rest, vec!["second", "third", "later"]);
+//! ```
 
-use crate::queue::{EventQueue, Scheduled};
 use crate::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
+
+/// End-of-list marker for slab indices.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a pending event (`None` while the slot is on the free list) and the
+/// index of the next slot in its list.
+#[derive(Debug)]
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
+}
+
+/// A FIFO list of slab slots, by head and tail index.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn is_empty(&self) -> bool {
+        self.head == NIL
+    }
+
+    fn push_back<E>(&mut self, nodes: &mut [Node<E>], node: u32) {
+        match self.tail {
+            NIL => self.head = node,
+            tail => nodes[tail as usize].next = node,
+        }
+        self.tail = node;
+    }
+}
 
 /// A minimal deterministic discrete-event simulation engine.
 ///
 /// `E` is the caller-defined event type. See the crate-level documentation for an
-/// end-to-end example.
+/// end-to-end example and the module documentation for the data structure.
 #[derive(Debug)]
 pub struct Engine<E> {
-    queue: EventQueue<E>,
+    /// Every list's nodes; free slots chain from `free`.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    /// Events due at `now`, in scheduling order.
+    due: List,
+    /// The earliest timestamp after `now` and its events (an empty list when nothing
+    /// is scheduled after `now`).
+    next: (SimTime, List),
+    /// Events due after `next`'s timestamp, one list per exact timestamp.
+    later: BTreeMap<SimTime, List>,
     now: SimTime,
+    pending: usize,
     processed: u64,
     clamped: u64,
 }
@@ -32,8 +115,13 @@ impl<E> Engine<E> {
     /// Creates an engine with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Engine {
-            queue: EventQueue::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            due: List::EMPTY,
+            next: (SimTime::ZERO, List::EMPTY),
+            later: BTreeMap::new(),
             now: SimTime::ZERO,
+            pending: 0,
             processed: 0,
             clamped: 0,
         }
@@ -53,63 +141,102 @@ impl<E> Engine<E> {
     ///
     /// Release builds clamp instead of panicking so the simulation makes progress, but
     /// a non-zero count means the caller's event logic violated causality; correctness
-    /// guards (the sharded merge, the determinism suite) assert this stays zero.
+    /// guards (the scenario driver, the determinism suite) assert this stays zero.
     pub fn clamped_events(&self) -> u64 {
         self.clamped
     }
 
     /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.pending
     }
 
     /// True when no events are pending.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.pending == 0
     }
 
-    /// Schedules `event` at the absolute time `at`.
+    /// Schedules `event` at the absolute time `at`, after every event already
+    /// scheduled for that instant.
     ///
     /// Scheduling in the past is a logic error: it panics in debug builds; in release
-    /// builds the event is clamped to fire "now" so the simulation still makes
-    /// progress, and the clamp is counted in [`Engine::clamped_events`] so callers can
-    /// assert it never happened.
+    /// builds the event is clamped to fire "now", behind everything already due now,
+    /// so the simulation still makes progress, and the clamp is counted in
+    /// [`Engine::clamped_events`] so callers can assert it never happened.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled an event in the past: at={at} now={}",
             self.now
         );
-        if at < self.now {
-            self.clamped += 1;
-        }
-        let at = at.max(self.now);
-        self.queue.push(at, event);
+        let node = self.alloc(event);
+        let list = if at <= self.now {
+            if at < self.now {
+                self.clamped += 1;
+            }
+            &mut self.due
+        } else {
+            let (next_at, next) = self.next;
+            if next.is_empty() || at < next_at {
+                // `at` becomes the earliest future instant.
+                if !next.is_empty() {
+                    self.later.insert(next_at, next);
+                }
+                self.next = (at, List::EMPTY);
+                &mut self.next.1
+            } else if at == next_at {
+                &mut self.next.1
+            } else {
+                self.later.entry(at).or_insert(List::EMPTY)
+            }
+        };
+        list.push_back(&mut self.nodes, node);
+        self.pending += 1;
     }
 
     /// Schedules `event` to fire `after` the current simulated time.
     pub fn schedule_after(&mut self, after: SimDuration, event: E) {
-        let at = self.now.saturating_add(after);
-        self.queue.push(at, event);
+        self.schedule_at(self.now.saturating_add(after), event);
     }
 
     /// Schedules `event` to fire immediately (at the current simulated time), after all
     /// events already scheduled for this instant.
     pub fn schedule_now(&mut self, event: E) {
-        self.queue.push(self.now, event);
+        self.schedule_at(self.now, event);
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Scheduled { time, event, .. } = self.queue.pop()?;
-        self.now = time;
+        if self.due.is_empty() {
+            let (time, list) = self.next;
+            if list.is_empty() {
+                return None;
+            }
+            self.now = time;
+            self.due = list;
+            self.next = self.later.pop_first().unwrap_or((time, List::EMPTY));
+        }
+        let idx = self.due.head;
+        let slot = &mut self.nodes[idx as usize];
+        let event = slot.event.take().expect("a listed slot holds an event");
+        self.due.head = slot.next;
+        if self.due.head == NIL {
+            self.due.tail = NIL;
+        }
+        slot.next = self.free;
+        self.free = idx;
+        self.pending -= 1;
         self.processed += 1;
-        Some((time, event))
+        Some((self.now, event))
     }
 
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        if !self.due.is_empty() {
+            Some(self.now)
+        } else {
+            (!self.next.1.is_empty()).then_some(self.next.0)
+        }
     }
 
     /// Runs the simulation to completion, invoking `handler` for every event.
@@ -140,6 +267,29 @@ impl<E> Engine<E> {
         }
         self.now
     }
+
+    /// Stores `event` in a slab slot — the most recently freed one, or a new one —
+    /// and returns the slot's index, unlinked.
+    fn alloc(&mut self, event: E) -> u32 {
+        let node = Node {
+            event: Some(event),
+            next: NIL,
+        };
+        if self.free == NIL {
+            assert!(
+                self.nodes.len() < NIL as usize,
+                "more than u32::MAX - 1 events pending"
+            );
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            let slot = &mut self.nodes[idx as usize];
+            self.free = slot.next;
+            *slot = node;
+            idx
+        }
+    }
 }
 
 #[cfg(test)]
@@ -150,6 +300,10 @@ mod tests {
     enum Ev {
         Tick(u32),
         Stop,
+    }
+
+    fn drain<E>(engine: &mut Engine<E>) -> Vec<(SimTime, E)> {
+        std::iter::from_fn(|| engine.pop()).collect()
     }
 
     #[test]
@@ -171,6 +325,26 @@ mod tests {
         // 1ms + 4 * 2ms = 9ms final time.
         assert_eq!(engine.now(), SimTime::from_millis(9));
         assert_eq!(engine.processed_events(), 6);
+        assert_eq!(engine.clamped_events(), 0);
+    }
+
+    #[test]
+    fn run_drives_cascading_events() {
+        let mut engine = Engine::new();
+        engine.schedule_at(SimTime::from_millis(1), 0u32);
+        // Queued up front for the instant the third bounce lands on, so it
+        // was scheduled first and must pop ahead of that bounce.
+        engine.schedule_at(SimTime::from_millis(7), 100);
+        let mut seen = Vec::new();
+        engine.run(|eng, _t, n| {
+            seen.push(n);
+            if n < 5 {
+                eng.schedule_after(SimDuration::from_millis(3), n + 1);
+            }
+        });
+        assert_eq!(seen, vec![0, 1, 100, 2, 3, 4, 5]);
+        assert_eq!(engine.now(), SimTime::from_millis(16));
+        assert_eq!(engine.clamped_events(), 0);
     }
 
     #[test]
@@ -198,6 +372,70 @@ mod tests {
     }
 
     #[test]
+    fn clock_advances_to_popped_timestamps() {
+        let mut engine = Engine::new();
+        engine.schedule_at(SimTime::from_millis(10), "late");
+        engine.schedule_at(SimTime::from_millis(2), "early");
+        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(2)));
+        assert_eq!(engine.pop(), Some((SimTime::from_millis(2), "early")));
+        assert_eq!(engine.now(), SimTime::from_millis(2));
+        engine.schedule_now("now");
+        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(2)));
+        engine.pop();
+        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(10)));
+        engine.pop();
+        assert_eq!(engine.now(), SimTime::from_millis(10));
+        assert_eq!(engine.peek_time(), None);
+    }
+
+    #[test]
+    fn scheduling_at_now_queues_behind_pending_events() {
+        let mut engine = Engine::new();
+        let t = SimTime::from_millis(5);
+        engine.schedule_at(t, "a");
+        engine.schedule_at(t, "b");
+        engine.schedule_at(SimTime::from_millis(6), "next instant");
+        assert_eq!(engine.pop(), Some((t, "a")));
+        // The clock advanced to `t`; `b` is already due there.
+        engine.schedule_now("c");
+        engine.schedule_at(t, "d");
+        engine.schedule_after(SimDuration::ZERO, "e");
+        let order: Vec<_> = drain(&mut engine).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["b", "c", "d", "e", "next instant"]);
+    }
+
+    #[test]
+    fn drain_and_refill_reuses_nodes_in_order() {
+        let mut engine = Engine::new();
+        for round in 0..3u32 {
+            let base = engine.now();
+            // Interleave two future instants; from the second round on, their lists
+            // are built from slots the previous round freed.
+            for i in 0..8u32 {
+                let at = base + SimDuration::from_nanos(u64::from(2 - i % 2));
+                engine.schedule_at(at, (round, i));
+            }
+            assert_eq!(engine.pending_events(), 8);
+            let first: Vec<_> = (0..3).map(|_| engine.pop().unwrap().1).collect();
+            assert_eq!(first, vec![(round, 1), (round, 3), (round, 5)]);
+            assert_eq!(engine.pending_events(), 5);
+            // Refill while half drained: freed slots come back into both lists.
+            engine.schedule_now((round, 8));
+            engine.schedule_at(base + SimDuration::from_nanos(2), (round, 9));
+            assert_eq!(engine.pending_events(), 7);
+            let rest: Vec<_> = drain(&mut engine).into_iter().map(|(_, e)| e).collect();
+            let expected: Vec<_> = [7, 8, 0, 2, 4, 6, 9].map(|i| (round, i)).to_vec();
+            assert_eq!(rest, expected);
+            assert!(engine.is_idle());
+            assert_eq!(engine.pending_events(), 0);
+        }
+        assert_eq!(engine.processed_events(), 30);
+        // At most eight events were ever pending at once: freed slots were reused
+        // instead of growing the slab.
+        assert_eq!(engine.nodes.len(), 8);
+    }
+
+    #[test]
     #[should_panic(expected = "scheduled an event in the past")]
     #[cfg(debug_assertions)]
     fn scheduling_in_the_past_panics_in_debug() {
@@ -218,13 +456,15 @@ mod tests {
 
     #[test]
     #[cfg(not(debug_assertions))]
-    fn past_scheduling_is_clamped_and_counted_in_release() {
+    fn past_scheduling_is_clamped_behind_due_events_and_counted_in_release() {
         let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_millis(10), 0u32);
+        let t = SimTime::from_millis(10);
+        engine.schedule_at(t, 0u32);
+        engine.schedule_at(t, 1);
         engine.pop();
-        engine.schedule_at(SimTime::from_millis(1), 1);
+        engine.schedule_at(SimTime::from_millis(1), 2);
         assert_eq!(engine.clamped_events(), 1);
-        let (t, _) = engine.pop().unwrap();
-        assert_eq!(t, SimTime::from_millis(10), "clamped to now, not the past");
+        // Clamped to now, not the past, and behind the event already due now.
+        assert_eq!(drain(&mut engine), vec![(t, 1), (t, 2)]);
     }
 }

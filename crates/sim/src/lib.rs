@@ -5,22 +5,21 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`units`] — byte counts and bandwidths with explicit unit conversions,
-//! * [`EventQueue`] — a deterministic priority queue of timestamped events,
-//! * [`Engine`] — a minimal discrete-event simulation driver,
-//! * [`ShardedEngine`] — the same driver with one event lane per shard (rail) and a
-//!   deterministic cross-shard merge, for 1k–10k GPU clusters,
+//! * [`Engine`] — a minimal discrete-event simulation driver whose pending events are
+//!   FIFO lists bucketed by exact timestamp,
+//! * [`EventQueue`] — a `(time, sequence)` binary heap, the reference order the
+//!   engine's property tests compare against,
 //! * [`SimRng`] — a seedable, reproducible random-number generator,
 //! * [`stats`] — summary statistics, histograms and empirical CDFs used by the
 //!   experiment harness.
 //!
 //! The design intentionally avoids an async runtime and worker threads: the
 //! simulations in this workspace are CPU-bound and must be bit-for-bit reproducible
-//! across runs, so one sequential loop over a binary-heap event queue with a
-//! `(time, sequence)` total order is both simpler and stricter than task-based
-//! concurrency. Parallelism lives one level up, across independent simulations (the
-//! `opus` fleet sweep runs variants on a worker pool). (This mirrors the "simplicity
-//! and robustness over tricks" philosophy of event-driven network stacks such as
-//! smoltcp.)
+//! across runs, so one sequential loop over an event set with a `(time, sequence)`
+//! total order is both simpler and stricter than task-based concurrency. Parallelism
+//! lives one level up, across independent simulations (the `opus` fleet sweep runs
+//! variants on a worker pool). (This mirrors the "simplicity and robustness over
+//! tricks" philosophy of event-driven network stacks such as smoltcp.)
 //!
 //! ## Quick example
 //!
@@ -48,7 +47,6 @@
 pub mod engine;
 pub mod queue;
 pub mod rng;
-pub mod sharded;
 pub mod stats;
 pub mod time;
 pub mod units;
@@ -56,6 +54,5 @@ pub mod units;
 pub use engine::Engine;
 pub use queue::{EventQueue, Scheduled};
 pub use rng::SimRng;
-pub use sharded::{ShardId, ShardedEngine};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, Bytes};

@@ -1,9 +1,11 @@
 //! A deterministic event queue.
 //!
 //! Events are ordered by `(timestamp, insertion sequence)`, so two events scheduled for
-//! the same simulated time are always delivered in the order they were scheduled. This
-//! makes every simulation in the workspace reproducible bit-for-bit regardless of the
-//! host platform or allocator behaviour.
+//! the same simulated time are always delivered in the order they were scheduled. That
+//! total order is what makes every simulation in the workspace reproducible bit-for-bit
+//! regardless of the host platform or allocator behaviour; [`crate::Engine`] delivers
+//! events in exactly this order (its property tests compare it against this queue)
+//! without storing a timestamp or sequence number per event.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -82,19 +84,6 @@ impl<E> EventQueue<E> {
         seq
     }
 
-    /// Schedules `event` with a caller-supplied sequence number.
-    ///
-    /// This is the primitive behind [`crate::ShardedEngine`]: shards share one global
-    /// sequence counter so that the cross-shard merge reproduces the exact total order
-    /// a single queue would have produced. The internal counter is bumped past `seq`,
-    /// so `push` and `push_with_seq` can be mixed without ever reusing a number; the
-    /// caller is responsible for not passing the same `seq` twice (ties on
-    /// `(time, seq)` would make pop order unspecified).
-    pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
-        self.next_seq = self.next_seq.max(seq.saturating_add(1));
-        self.heap.push(Scheduled { time, seq, event });
-    }
-
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         self.heap.pop()
@@ -103,12 +92,6 @@ impl<E> EventQueue<E> {
     /// The delivery time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
-    }
-
-    /// The `(time, seq)` ordering key of the earliest pending event. The sharded
-    /// engine's merge compares these keys across shards without popping.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|s| (s.time, s.seq))
     }
 
     /// Number of pending events.
@@ -151,17 +134,6 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|s| s.event).collect();
         let expected: Vec<_> = (0..100).collect();
         assert_eq!(order, expected);
-    }
-
-    #[test]
-    fn push_with_seq_keeps_the_counter_ahead() {
-        let mut q = EventQueue::new();
-        q.push_with_seq(SimTime::from_millis(1), 10, "explicit");
-        let auto_seq = q.push(SimTime::from_millis(1), "auto");
-        assert!(auto_seq > 10, "auto seq {auto_seq} must not collide");
-        assert_eq!(q.peek_key(), Some((SimTime::from_millis(1), 10)));
-        assert_eq!(q.pop().unwrap().event, "explicit");
-        assert_eq!(q.pop().unwrap().event, "auto");
     }
 
     #[test]

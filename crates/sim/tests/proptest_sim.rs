@@ -1,9 +1,10 @@
 //! Property-based tests for the simulation substrate: time arithmetic, the event
-//! queue's total order, the engine's clock monotonicity and the statistics helpers.
+//! queue's total order, the engine's agreement with it and its clock monotonicity, and
+//! the statistics helpers.
 
 use proptest::prelude::*;
 use railsim_sim::stats::{Cdf, Summary};
-use railsim_sim::{Bandwidth, Bytes, Engine, EventQueue, ShardedEngine, SimDuration, SimTime};
+use railsim_sim::{Bandwidth, Bytes, Engine, EventQueue, Scheduled, SimDuration, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -51,71 +52,74 @@ proptest! {
     }
 
     #[test]
-    fn sharded_engine_pops_the_single_queue_order(
-        schedule in proptest::collection::vec((0u64..1_000_000u64, 0u32..64u32), 1..300),
-        num_shards in 1u32..64u32,
+    fn engine_pops_the_event_queue_order(
+        schedule in proptest::collection::vec((0u64..8u64, 0usize..3usize), 1..300),
     ) {
-        // The sharded engine must be a drop-in replacement for the single queue: for
-        // an arbitrary schedule and an arbitrary shard assignment (1..64 shards), both
-        // engines pop the exact same (time, event) sequence.
-        let mut single: Engine<usize> = Engine::new();
-        let mut sharded: ShardedEngine<usize> = ShardedEngine::new(num_shards as usize);
-        for (i, &(nanos, key)) in schedule.iter().enumerate() {
-            let at = SimTime::from_nanos(nanos);
-            single.schedule_at(at, i);
-            sharded.schedule_at(sharded.shard_for(key), at, i);
-        }
-        loop {
-            let a = single.pop();
-            let b = sharded.pop();
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
+        // The engine must pop exactly the `(time, seq)` order of the reference heap.
+        // Timestamps come from a narrow range, so most events share an instant. After
+        // each scheduled event a few pops advance the clock, and an event drawn before
+        // the clock is scheduled at `now` instead: most schedules then land on the
+        // instant being drained, which is the simulator's regime.
+        let mut engine: Engine<usize> = Engine::new();
+        let mut reference = EventQueue::new();
+        let mut popped = Vec::new();
+        let mut reference_popped = Vec::new();
+        for (i, &(nanos, pops)) in schedule.iter().enumerate() {
+            let at = SimTime::from_nanos(nanos).max(engine.now());
+            engine.schedule_at(at, i);
+            reference.push(at, i);
+            for _ in 0..pops {
+                popped.extend(engine.pop());
+                reference_popped.extend(reference.pop().map(|s| (s.time, s.event)));
             }
         }
-        prop_assert_eq!(single.processed_events(), sharded.processed_events());
-        prop_assert_eq!(sharded.clamped_events(), 0);
+        popped.extend(std::iter::from_fn(|| engine.pop()));
+        reference_popped.extend(std::iter::from_fn(|| reference.pop()).map(|s| (s.time, s.event)));
+        prop_assert_eq!(popped, reference_popped);
+        prop_assert_eq!(engine.processed_events(), schedule.len() as u64);
+        prop_assert!(engine.is_idle());
+        prop_assert_eq!(engine.clamped_events(), 0);
     }
 
     #[test]
-    fn sharded_engine_matches_single_queue_with_cascading_events(
-        seeds in proptest::collection::vec((0u64..10_000u64, 0u32..64u32), 1..40),
-        num_shards in 1u32..64u32,
+    fn engine_matches_event_queue_with_cascading_events(
+        seeds in proptest::collection::vec(0u64..8u64, 1..40),
         fanout in 1u32..4u32,
     ) {
-        // Same property, but with events scheduled *during* the run (the simulator's
-        // Ready -> Done pattern): every popped event below a depth budget schedules
-        // follow-ups at now + delta, hopping shards deterministically.
-        let mut single: Engine<(u64, u32)> = Engine::new();
-        let mut sharded: ShardedEngine<(u64, u32)> = ShardedEngine::new(num_shards as usize);
-        for &(nanos, key) in &seeds {
+        // Events scheduled *during* the run (the simulator's Ready -> Done pattern):
+        // every popped event below a depth budget schedules follow-ups at now + delta,
+        // with delta in 0..3 ns, so zero-delay follow-ups join the instant being
+        // drained. The reference replays the same handler over the `(time, seq)` heap.
+        let follow_ups = |tag: u64, depth: u32| {
+            let n = if depth < 3 { fanout } else { 0 };
+            (0..u64::from(n)).map(move |f| {
+                let delta = SimDuration::from_nanos(tag.wrapping_add(f) % 3);
+                (delta, (tag.wrapping_mul(31).wrapping_add(f + 1), depth + 1))
+            })
+        };
+        let mut engine: Engine<(u64, u32)> = Engine::new();
+        let mut reference = EventQueue::new();
+        for &nanos in &seeds {
             let at = SimTime::from_nanos(nanos);
-            single.schedule_at(at, (nanos, 0));
-            sharded.schedule_at(sharded.shard_for(key), at, (nanos, 0));
+            engine.schedule_at(at, (nanos, 0));
+            reference.push(at, (nanos, 0));
         }
-        let mut single_log = Vec::new();
-        single.run(|eng, t, (tag, depth)| {
-            single_log.push((t, tag, depth));
-            if depth < 2 {
-                for f in 0..fanout {
-                    let delta = SimDuration::from_nanos(tag % 97 + u64::from(f));
-                    eng.schedule_after(delta, (tag.wrapping_add(u64::from(f) + 1), depth + 1));
-                }
+        let mut log = Vec::new();
+        engine.run(|eng, t, (tag, depth)| {
+            log.push((t, tag, depth));
+            for (delta, event) in follow_ups(tag, depth) {
+                eng.schedule_after(delta, event);
             }
         });
-        let mut sharded_log = Vec::new();
-        sharded.run(|eng, t, _shard, (tag, depth)| {
-            sharded_log.push((t, tag, depth));
-            if depth < 2 {
-                for f in 0..fanout {
-                    let delta = SimDuration::from_nanos(tag % 97 + u64::from(f));
-                    let shard = eng.shard_for((tag % 64) as u32 + f);
-                    eng.schedule_after(shard, delta, (tag.wrapping_add(u64::from(f) + 1), depth + 1));
-                }
+        let mut reference_log = Vec::new();
+        while let Some(Scheduled { time, event: (tag, depth), .. }) = reference.pop() {
+            reference_log.push((time, tag, depth));
+            for (delta, event) in follow_ups(tag, depth) {
+                reference.push(time + delta, event);
             }
-        });
-        prop_assert_eq!(single_log, sharded_log);
-        prop_assert_eq!(sharded.clamped_events(), 0);
+        }
+        prop_assert_eq!(log, reference_log);
+        prop_assert_eq!(engine.clamped_events(), 0);
     }
 
     #[test]

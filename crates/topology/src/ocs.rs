@@ -110,9 +110,10 @@ impl CircuitConfig {
         self.circuits.is_empty()
     }
 
-    /// All distinct ports used by this configuration.
-    pub fn ports(&self) -> BTreeSet<PortId> {
-        self.circuits.iter().flat_map(|c| [c.a(), c.b()]).collect()
+    /// Every port used by this configuration, each exactly once ([`CircuitConfig::new`]
+    /// rejects a repeated port), in circuit order.
+    pub fn ports(&self) -> impl Iterator<Item = PortId> + '_ {
+        self.circuits.iter().flat_map(|c| [c.a(), c.b()])
     }
 
     /// True when the configuration contains a circuit between the two GPUs.
@@ -650,6 +651,19 @@ mod tests {
         let c2 = Circuit::new(port(0, 0), port(2, 0));
         let err = CircuitConfig::new(vec![c1, c2]).unwrap_err();
         assert_eq!(err, OcsError::PortConflict { port: port(0, 0) });
+    }
+
+    #[test]
+    fn ports_yields_each_endpoint_once() {
+        let cfg = CircuitConfig::new(vec![
+            Circuit::new(port(3, 0), port(1, 0)),
+            Circuit::new(port(0, 1), port(2, 0)),
+        ])
+        .unwrap();
+        let mut ports: Vec<_> = cfg.ports().collect();
+        ports.sort();
+        assert_eq!(ports, vec![port(0, 1), port(1, 0), port(2, 0), port(3, 0)]);
+        assert_eq!(CircuitConfig::empty().ports().count(), 0);
     }
 
     #[test]
