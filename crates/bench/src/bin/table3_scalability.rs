@@ -40,7 +40,7 @@
 //!
 //! `--skip-sim` prints only the OCS technology table.
 
-use opus::{baseline_of, OpusConfig, RecoveryPolicy, Scenario, ScenarioEvent, ScenarioResult};
+use opus::{baseline_of, OpusConfig, RecoveryPolicy, ScenarioEvent, ScenarioResult, ScenarioSpec};
 use railsim_bench::{mem, scale_run_config, scaled_cluster, scaled_dag, Report};
 use railsim_cost::ocs_tech::{ocs_technologies, scaleup};
 use railsim_topology::RailId;
@@ -310,15 +310,16 @@ fn run_scale_point(
         configs.push(("optical provisioned 25ms replan", replanned));
     }
     // Every run shares the one DAG: scenarios read its columns through the `Arc`, so
-    // no run copies the (at 100k GPUs, ~8.9M-task) tables.
+    // no run copies the (at 100k GPUs, ~8.9M-task) tables. The rows read only
+    // aggregates, so no run keeps its per-transfer records either.
     let mut runs = Vec::new();
     for (policy_name, config) in configs {
         match scenario {
             ScenarioKind::Clean => {
                 let wall = Instant::now();
-                let result = Scenario::new(cluster.clone())
-                    .job_shared(Arc::clone(&dag), config)
-                    .run();
+                let result = ScenarioSpec::new(cluster.clone())
+                    .job(Arc::clone(&dag), config)
+                    .run_without_records();
                 let wall_clock_s = wall.elapsed().as_secs_f64();
                 runs.extend(rows_of(
                     &result,
@@ -337,19 +338,19 @@ fn run_scale_point(
                 // iteration 1, half an iteration long) and lands in the JSON so the
                 // inflation is computable from the artifact alone.
                 let wall = Instant::now();
-                let clean = Scenario::new(cluster.clone())
-                    .job_shared(Arc::clone(&dag), config)
-                    .run();
+                let clean = ScenarioSpec::new(cluster.clone())
+                    .job(Arc::clone(&dag), config)
+                    .run_without_records();
                 let clean_wall = wall.elapsed().as_secs_f64();
                 let it1 = &clean.jobs[0].result.iterations[1];
                 let down = it1.started_at + it1.iteration_time.mul_f64(0.25);
                 let up = down + it1.iteration_time.mul_f64(0.5);
                 let wall = Instant::now();
-                let flapped = Scenario::new(cluster.clone())
-                    .job_shared(Arc::clone(&dag), config)
+                let flapped = ScenarioSpec::new(cluster.clone())
+                    .job(Arc::clone(&dag), config)
                     .inject(down, ScenarioEvent::RailDown(RailId(0)))
                     .inject(up, ScenarioEvent::RailUp(RailId(0)))
-                    .run();
+                    .run_without_records();
                 let flap_wall = wall.elapsed().as_secs_f64();
                 runs.extend(rows_of(
                     &clean,
@@ -378,10 +379,10 @@ fn run_scale_point(
             }
             ScenarioKind::TwoJob => {
                 let wall = Instant::now();
-                let result = Scenario::new(cluster.clone())
-                    .job_shared(Arc::clone(&dag), config)
-                    .job_shared(Arc::clone(&dag), config)
-                    .run();
+                let result = ScenarioSpec::new(cluster.clone())
+                    .job(Arc::clone(&dag), config)
+                    .job(Arc::clone(&dag), config)
+                    .run_without_records();
                 let wall_clock_s = wall.elapsed().as_secs_f64();
                 runs.extend(rows_of(
                     &result,

@@ -495,6 +495,53 @@ impl OpusController {
         }
     }
 
+    /// The occupancy footprint of a set of transfers, each given as its group's
+    /// circuits and its end: per port, the latest end among the transfers that used
+    /// it, in a table shaped like the occupancy table (`SimTime::ZERO` where none
+    /// did). [`OpusController::replay_port_ends`] merges it back.
+    pub(crate) fn port_ends<'a>(
+        &self,
+        transfers: impl IntoIterator<Item = (&'a GroupCircuits, SimTime)>,
+    ) -> Vec<Vec<SimTime>> {
+        let mut ends: Vec<Vec<SimTime>> = self
+            .port_busy
+            .iter()
+            .map(|rail| vec![SimTime::ZERO; rail.len()])
+            .collect();
+        for (circuits, end) in transfers {
+            for config in circuits.per_rail.values() {
+                for port in config.ports() {
+                    let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
+                    let slot = &mut ends[rail][idx];
+                    *slot = (*slot).max(end);
+                }
+            }
+        }
+        ends
+    }
+
+    /// Occupies every port of a [`OpusController::port_ends`] footprint until its
+    /// end plus `shift`. Occupancy is a max-merge, so this leaves exactly what
+    /// occupying each transfer of the footprint, shifted, one by one would. Zero
+    /// entries mark ports the footprint never used and are skipped, so a transfer
+    /// ending at time zero must not be replayed under a nonzero shift (a memo
+    /// template never is: one that ends a transfer at zero has a zero period).
+    pub(crate) fn replay_port_ends(&mut self, ends: &[Vec<SimTime>], shift: SimDuration) {
+        for (busy, ends) in self.port_busy.iter_mut().zip(ends) {
+            for (slot, &end) in busy.iter_mut().zip(ends) {
+                if end > SimTime::ZERO {
+                    *slot = (*slot).max(end + shift);
+                }
+            }
+        }
+    }
+
+    /// The per-port occupancy table, one dense table per rail.
+    #[cfg(test)]
+    pub(crate) fn port_occupancy(&self) -> &[Vec<SimTime>] {
+        &self.port_busy
+    }
+
     /// The tenant-tagged variant of [`OpusController::occupy`]: the same max-merged
     /// occupancy, but each port whose hold this transfer extends (or establishes) is
     /// stamped with the owning tenant, so a later contender knows whose traffic it

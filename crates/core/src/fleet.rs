@@ -62,7 +62,7 @@
 //! ```
 
 use crate::config::{OpusConfig, ReconfigPolicy, RecoveryPolicy};
-use crate::scenario::{JobPlacement, ScenarioEvent, ScenarioSim, ScenarioSpec};
+use crate::scenario::{JobPlacement, Records, ScenarioEvent, ScenarioSim, ScenarioSpec};
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{Cluster, RailId};
 use railsim_workload::TrainingDag;
@@ -608,7 +608,9 @@ impl FleetService {
         let (level, placement, trace) = sweep.coords(variant_idx);
         let spec = self.variant_spec(sweep, variant_idx);
         let outages = injected_outages(&spec.injections);
-        let mut sim = ScenarioSim::build(spec);
+        // A variant reports aggregates only, so its run keeps no per-transfer
+        // records (see `ScenarioSpec::run_without_records`).
+        let mut sim = ScenarioSim::build(spec, Records::MemoOnly);
         sim.run_scenario();
         let memoized_iterations = sim.job_memoized_iterations(0);
         let result = sim.into_result();

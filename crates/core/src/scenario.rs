@@ -54,6 +54,11 @@
 //! [`MemoState`] for the detection and invalidation semantics and
 //! [`OpusConfig::memoize_steady_state`](crate::OpusConfig) for the knob.
 //!
+//! [`ScenarioSpec::run_without_records`] runs the same simulation for callers that
+//! read only aggregates: it keeps a transfer's [`CommRecord`] only while
+//! steady-state detection may still compare it, and returns every iteration's
+//! records empty.
+//!
 //! ## Failure and recovery model
 //!
 //! `RailDown(r)` marks rail `r` unhealthy and tears down every circuit on its OCS.
@@ -190,7 +195,8 @@ pub struct JobSpec {
 ///
 /// This is the declarative core both [`Scenario`] (the classic builder, now a thin
 /// shim over a spec) and the fleet sweep expansion (`opus::fleet`) produce; the
-/// executor consumes it via [`ScenarioSpec::run`]. Every field is public — a spec can
+/// executor consumes it via [`ScenarioSpec::run`] (or
+/// [`ScenarioSpec::run_without_records`]). Every field is public — a spec can
 /// be assembled directly, inspected, cloned cheaply (jobs share their DAGs via
 /// [`Arc`]) and re-run without touching imperative setup calls.
 #[derive(Debug, Clone)]
@@ -277,13 +283,40 @@ impl ScenarioSpec {
     /// Panics when the scenario is malformed: no jobs, an invalid DAG, zero
     /// iterations, a placement outside the cluster, an injection on a nonexistent
     /// rail or job, a job that arrives twice, inconsistent optical reconfiguration
-    /// latencies across jobs, or a timeline under which a job cannot finish (a
-    /// needed rail fails and never recovers).
+    /// latencies across jobs, a job whose circuits could use a rail beyond the
+    /// 64 a [`CommRecord`] can name, or a timeline under which a job cannot finish
+    /// (a needed rail fails and never recovers).
     pub fn run(self) -> ScenarioResult {
-        let mut sim = ScenarioSim::build(self);
+        let mut sim = ScenarioSim::build(self, Records::Keep);
         sim.run_scenario();
         sim.into_result()
     }
+
+    /// Builds and runs the scenario exactly like [`ScenarioSpec::run`], but returns
+    /// every [`IterationResult::comm_records`] empty; every other field is identical.
+    ///
+    /// For callers that read only aggregates — iteration times, circuit wait,
+    /// reconfigurations, fleet counters. The run keeps a transfer's record only
+    /// while steady-state detection may still compare it, so its memory no longer
+    /// grows with transfers × iterations.
+    ///
+    /// # Panics
+    /// Panics when the scenario is malformed; see [`ScenarioSpec::run`].
+    pub fn run_without_records(self) -> ScenarioResult {
+        let mut sim = ScenarioSim::build(self, Records::MemoOnly);
+        sim.run_scenario();
+        sim.into_result()
+    }
+}
+
+/// Which [`CommRecord`]s a run keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Records {
+    /// Every record of every iteration ([`ScenarioSpec::run`]).
+    Keep,
+    /// Only the records steady-state detection may still compare, dropped once it
+    /// has ([`ScenarioSpec::run_without_records`]); see [`MemoState::may_read`].
+    MemoOnly,
 }
 
 /// Builder for a multi-job, fault-injecting simulation on one shared cluster.
@@ -534,6 +567,9 @@ const NO_SLOT: u32 = u32::MAX;
 /// Sentinel for "no job" in the fleet's per-port tenant table.
 const NO_JOB: u32 = u32::MAX;
 
+/// Rails a [`CommRecord`] can name: its [`RailSet`] is a 64-bit mask.
+const RECORD_RAILS: u32 = u64::BITS;
+
 /// One entry of the sorted injected timeline.
 struct Injection {
     at: SimTime,
@@ -560,9 +596,10 @@ struct Injection {
 /// state (port occupancy, OCS ready times) either shifted along or was already
 /// dominated by the advancing clock — so every later unperturbed iteration is the
 /// same iteration shifted again. Each fast-forward replays the template's
-/// controller-side effects at shifted times (port occupancy, circuit installs,
-/// request counters), so the shared state a later naive iteration reads is exactly
-/// what re-stepping would have left.
+/// shared-state effects at shifted times (circuit installs, port occupancy from the
+/// template's per-port latest transfer ends, request counters, rail busy time), so
+/// the shared state a later naive iteration reads is exactly what re-stepping
+/// would have left.
 ///
 /// ## Invalidation
 ///
@@ -590,6 +627,12 @@ struct MemoState {
     /// Per template reconfiguration event: the `circuit_pool` slot whose circuits the
     /// event installed, so the replay can re-perform the install without a search.
     template_slots: Vec<u32>,
+    /// The template's occupancy footprint: per NIC port, its latest transfer end
+    /// (see [`OpusController::port_ends`]; empty without a controller).
+    template_port_ends: Vec<Vec<SimTime>>,
+    /// The template's transfer time per rail, added to the fleet's busy time by
+    /// every fast-forward.
+    template_rail_busy: Vec<SimDuration>,
     /// Earliest iteration index admissible as the *first* member of a detection
     /// pair. Starts at 1 (iteration 0 profiles: the shim observes, provisioning is
     /// still off) and moves past every iteration perturbed by an injection.
@@ -597,6 +640,17 @@ struct MemoState {
     /// Iterations replayed from the memo instead of re-stepped (observability only;
     /// never serialized, so golden pins are unaffected).
     fast_forwarded: u64,
+}
+
+impl MemoState {
+    /// True while iteration `m`'s records may still feed a detection that leads to
+    /// a fast-forward: as a member of a pair at or after `min_pair`, with no
+    /// template yet and an iteration left to replay after the pair. (An injection
+    /// that clears the template also moves `min_pair` past the in-flight
+    /// iteration, so a `false` at an iteration's start stays `false` at its end.)
+    fn may_read(&self, m: u32, iterations: u32) -> bool {
+        self.enabled && self.template.is_none() && m >= self.min_pair && m + 1 < iterations
+    }
 }
 
 /// Per-job context: everything a standalone simulator used to own globally, now
@@ -648,6 +702,8 @@ struct JobContext {
     /// The latest task end of the in-flight iteration (the iteration start until a
     /// task finishes): the iteration ends when its last task does.
     iter_end: SimTime,
+    /// The in-flight iteration keeps its records (see [`Records`]).
+    keep_iter_records: bool,
     comm_records: Vec<CommRecord>,
     reconfig_events: Vec<ReconfigEvent>,
     total_circuit_wait: SimDuration,
@@ -730,23 +786,28 @@ struct Fleet {
 }
 
 impl Fleet {
-    /// Accounts one scale-out transfer for the cross-job fleet counters: overlap
-    /// detection and port-tenant takeovers. Only called in multi-job scenarios —
-    /// with one job both counters are structurally zero, and the single-job path is
-    /// the 100k-GPU perf-gated hot path, so it must not pay for fleet bookkeeping
-    /// (per-rail busy time is recovered from the committed records at collection
-    /// time instead; see [`ScenarioSim::into_result`]).
+    /// Adds `busy` to one rail's transfer time.
+    fn add_rail_busy(&mut self, rail: usize, busy: SimDuration) {
+        debug_assert!(
+            self.rail_busy[rail].checked_add(busy).is_some(),
+            "rail_busy[{rail}] overflowed u64 nanoseconds — the saturating clamp would \
+             silently freeze the fleet counter"
+        );
+        self.rail_busy[rail] = self.rail_busy[rail].saturating_add(busy);
+    }
+
+    /// Accounts one scale-out, non-offloaded transfer: its duration joins the busy
+    /// time of every rail it uses and, in multi-job scenarios, it feeds the
+    /// cross-job counters (overlap detection and port-tenant takeovers). With one
+    /// job those counters are structurally zero, and the single-job path is the
+    /// 100k-GPU perf-gated hot path, so it pays for the busy time only.
     fn note_transfer(&mut self, job: u32, circuits: &GroupCircuits, start: SimTime, end: SimTime) {
         for (&rail, config) in &circuits.per_rail {
             let i = rail.index();
-            debug_assert!(
-                self.rail_busy[i]
-                    .checked_add(end.duration_since(start))
-                    .is_some(),
-                "rail_busy[{i}] overflowed u64 nanoseconds — the saturating clamp would \
-                 silently freeze the fleet counter"
-            );
-            self.rail_busy[i] = self.rail_busy[i].saturating_add(end.duration_since(start));
+            self.add_rail_busy(i, end.duration_since(start));
+            if !self.multi_job {
+                continue;
+            }
             // An overlap is counted when any *other* job still had a transfer in
             // flight on the rail when this one started (at most once per transfer
             // per rail, like the pre-fix counter).
@@ -820,11 +881,12 @@ pub(crate) struct ScenarioSim {
     fleet: Fleet,
     injections: Vec<Injection>,
     makespan: SimTime,
+    records: Records,
 }
 
 impl ScenarioSim {
     /// Builds every job context and the shared fleet state.
-    pub(crate) fn build(spec: ScenarioSpec) -> ScenarioSim {
+    pub(crate) fn build(spec: ScenarioSpec, records: Records) -> ScenarioSim {
         let ScenarioSpec {
             cluster,
             jobs,
@@ -1016,7 +1078,7 @@ impl ScenarioSim {
                     ),
                 }
             }
-            contexts.push(Self::build_job(
+            let ctx = Self::build_job(
                 &cluster,
                 JobId(j as u32),
                 gpu_offset,
@@ -1024,7 +1086,9 @@ impl ScenarioSim {
                 spec.config,
                 arriving[j],
                 spec.serving,
-            ));
+            );
+            Self::check_record_rails(&cluster, &ctx);
+            contexts.push(ctx);
         }
 
         let backend = match optical_latency {
@@ -1083,6 +1147,7 @@ impl ScenarioSim {
             fleet,
             injections: timeline,
             makespan: SimTime::ZERO,
+            records,
         }
     }
 
@@ -1137,6 +1202,7 @@ impl ScenarioSim {
             iter_start: SimTime::ZERO,
             remaining: Vec::with_capacity(n),
             iter_end: SimTime::ZERO,
+            keep_iter_records: false,
             comm_records: Vec::new(),
             reconfig_events: Vec::new(),
             total_circuit_wait: SimDuration::ZERO,
@@ -1153,6 +1219,8 @@ impl ScenarioSim {
                 last_delta: None,
                 template_delta: (0, 0),
                 template_slots: Vec::new(),
+                template_port_ends: Vec::new(),
+                template_rail_busy: Vec::new(),
                 min_pair: 1,
                 fast_forwarded: 0,
             },
@@ -1162,6 +1230,31 @@ impl ScenarioSim {
             replan_reconfigs: 0,
             degraded_iterations: 0,
             iter_degraded: false,
+        }
+    }
+
+    /// Rejects a job whose transfers could use a rail a record's [`RailSet`] cannot
+    /// hold: a pristine circuit plan on such a rail, or an optical
+    /// [`RecoveryPolicy::Replan`] job on a cluster that has one (a re-stripe may
+    /// target any healthy rail).
+    fn check_record_rails(cluster: &Cluster, ctx: &JobContext) {
+        if ctx.config.recovery_policy == RecoveryPolicy::Replan && ctx.config.policy.is_optical() {
+            assert!(
+                cluster.num_rails() <= RECORD_RAILS,
+                "{} re-plans around failed rails on a cluster with {} rails, but a transfer \
+                 record holds rails 0..{RECORD_RAILS} only",
+                ctx.job,
+                cluster.num_rails()
+            );
+        }
+        for slot in &ctx.circuit_pool {
+            if let Some(rail) = slot.circuits.per_rail.keys().find(|r| r.0 >= RECORD_RAILS) {
+                panic!(
+                    "{} {} plans circuits on {rail}, but a transfer record holds rails \
+                     0..{RECORD_RAILS} only",
+                    ctx.job, slot.group
+                );
+            }
         }
     }
 
@@ -1334,23 +1427,10 @@ impl ScenarioSim {
         let circuits_torn_down_by_rail = fabric
             .map(|f| f.circuits_torn_down_by_rail())
             .unwrap_or_default();
-        // Single-job scenarios skip the per-transfer fleet walk on the hot path;
-        // recover the per-rail busy time from the committed records instead (the sum
-        // is identical — every non-offloaded scale-out record names its rails).
-        if !self.fleet.multi_job {
-            for it in self.jobs.iter().flat_map(|ctx| ctx.completed.iter()) {
-                for rec in &it.comm_records {
-                    for rail in &rec.rails {
-                        let slot = &mut self.fleet.rail_busy[rail.index()];
-                        debug_assert!(
-                            slot.checked_add(rec.transfer_time()).is_some(),
-                            "rail_busy[{}] overflowed u64 nanoseconds — the saturating \
-                             clamp would silently freeze the fleet counter",
-                            rail.index()
-                        );
-                        *slot = slot.saturating_add(rec.transfer_time());
-                    }
-                }
+        // A record-free run hands out no records, whatever detection still held.
+        if self.records == Records::MemoOnly {
+            for it in self.jobs.iter_mut().flat_map(|ctx| &mut ctx.completed) {
+                it.comm_records = Vec::new();
             }
         }
         // Tenant-fairness accounting: the controller's per-tenant ledgers (only
@@ -1432,6 +1512,8 @@ impl ScenarioSim {
         let ctx = &mut self.jobs[j];
         ctx.iter_start = at;
         ctx.iter_degraded = ctx.degraded_slots > 0;
+        ctx.keep_iter_records = self.records == Records::Keep
+            || ctx.memo.may_read(ctx.iteration, ctx.config.iterations);
         ctx.remaining.clear();
         ctx.remaining.extend(ctx.dag.indegrees());
         ctx.iter_end = at;
@@ -1465,7 +1547,12 @@ impl ScenarioSim {
     /// Finalizes job `j`'s just-completed iteration and starts the next one (or
     /// retires the job).
     fn finish_iteration(&mut self, j: usize, engine: &mut Engine<SimEvent>) {
-        let ScenarioSim { jobs, fleet, .. } = &mut *self;
+        let ScenarioSim {
+            jobs,
+            fleet,
+            records,
+            ..
+        } = &mut *self;
         let ctx = &mut jobs[j];
         debug_assert!(
             ctx.remaining
@@ -1538,7 +1625,8 @@ impl ScenarioSim {
                 {
                     // The replay re-performs the template's installs; resolve each
                     // event's circuits to its pool slot once, up front.
-                    ctx.memo.template_slots = ctx.completed[m]
+                    let template = &ctx.completed[m];
+                    ctx.memo.template_slots = template
                         .reconfig_events
                         .iter()
                         .map(|ev| {
@@ -1547,12 +1635,46 @@ impl ScenarioSim {
                                 .expect("a logged reconfiguration names a pooled group")
                         })
                         .collect();
+                    // Fold the template's records into what each replay adds to the
+                    // shared state: per-rail busy time and per-port occupancy. The
+                    // rail-carrying records are the scale-out, non-offloaded ones.
+                    let mut rail_busy = vec![SimDuration::ZERO; fleet.rail_busy.len()];
+                    for rec in &template.comm_records {
+                        for rail in &rec.rails {
+                            let busy = &mut rail_busy[rail.index()];
+                            *busy = busy.saturating_add(rec.transfer_time());
+                        }
+                    }
+                    ctx.memo.template_rail_busy = rail_busy;
+                    if let Some(controller) = fleet.backend.controller() {
+                        ctx.memo.template_port_ends = controller.port_ends(
+                            template
+                                .comm_records
+                                .iter()
+                                .filter(|rec| !rec.rails.is_empty())
+                                .map(|rec| {
+                                    let slot = ctx.task_circuit_slot[rec.task.0 as usize];
+                                    (&ctx.circuit_pool[slot as usize].circuits, rec.end)
+                                }),
+                        );
+                    }
                     ctx.memo.template = Some(m);
                     ctx.memo.template_delta = delta;
                 }
             }
             ctx.memo.counters_at_finish = counters;
             ctx.memo.last_delta = Some(delta);
+            if *records == Records::MemoOnly {
+                // Detection has compared this pair; only the newest iteration may
+                // still seed the next one.
+                let m = ctx.completed.len() - 1;
+                if m > 0 {
+                    ctx.completed[m - 1].comm_records = Vec::new();
+                }
+                if !ctx.memo.may_read(m as u32, ctx.config.iterations) {
+                    ctx.completed[m].comm_records = Vec::new();
+                }
+            }
         }
         if ctx.iteration < ctx.config.iterations && !self.try_fast_forward(j, end, engine) {
             self.start_iteration(j, end, engine);
@@ -1585,13 +1707,19 @@ impl ScenarioSim {
     }
 
     /// Commits one memoized fast-forward: emits the template iteration shifted to
-    /// start at the job's `iter_start`, replays the controller-side effects a naive
-    /// re-step would have had (port occupancy, request counters), and schedules the
-    /// next iteration (fast-forwarded again, or naively when an injection comes into
-    /// range). By the steady-state argument on [`MemoState`] the emitted result is
-    /// byte-identical to naive stepping — the determinism suites pin this.
+    /// start at the job's `iter_start` (its records only when the run keeps them),
+    /// replays the shared-state effects a naive re-step would have had (circuit
+    /// installs, port occupancy, request counters, rail busy time), and schedules
+    /// the next iteration (fast-forwarded again, or naively when an injection comes
+    /// into range). By the steady-state argument on [`MemoState`] the emitted result
+    /// is byte-identical to naive stepping — the determinism suites pin this.
     fn commit_fast_forward(&mut self, j: usize, now: SimTime, engine: &mut Engine<SimEvent>) {
-        let ScenarioSim { jobs, fleet, .. } = self;
+        let ScenarioSim {
+            jobs,
+            fleet,
+            records,
+            ..
+        } = self;
         let ctx = &mut jobs[j];
         let template = ctx
             .memo
@@ -1604,17 +1732,20 @@ impl ScenarioSim {
             ctx.iter_start + template.iteration_time,
             "a fast-forward commits exactly at its predicted iteration end"
         );
-        let comm_records: Vec<CommRecord> = template
-            .comm_records
-            .iter()
-            .map(|r| {
-                let mut rec = r.clone();
-                rec.issued_at += shift;
-                rec.start += shift;
-                rec.end += shift;
-                rec
-            })
-            .collect();
+        let comm_records: Vec<CommRecord> = match records {
+            Records::Keep => template
+                .comm_records
+                .iter()
+                .map(|r| {
+                    let mut rec = r.clone();
+                    rec.issued_at += shift;
+                    rec.start += shift;
+                    rec.end += shift;
+                    rec
+                })
+                .collect(),
+            Records::MemoOnly => Vec::new(),
+        };
         let reconfig_events: Vec<ReconfigEvent> = template
             .reconfig_events
             .iter()
@@ -1631,12 +1762,12 @@ impl ScenarioSim {
         // Replay the controller-side state the re-stepped iteration would have left
         // behind; it matters the moment an injection later breaks steadiness and the
         // stateful request path resumes reading shared state. Port occupancy is a
-        // max-merge, so applying the recorded ends in bulk lands on exactly the
-        // per-event result. Each logged reconfiguration is re-performed against the
-        // fabric at its shifted start (the conflict wait is baked into `started_at`),
-        // advancing the matching cycle, per-circuit ready times and lifetime counters
-        // exactly as the naive iteration would have. Request counters move
-        // by the template's measured delta.
+        // max-merge, so merging the template's per-port latest ends, shifted, lands
+        // on exactly the per-transfer result. Each logged reconfiguration is
+        // re-performed against the fabric at its shifted start (the conflict wait is
+        // baked into `started_at`), advancing the matching cycle, per-circuit ready
+        // times and lifetime counters exactly as the naive iteration would have.
+        // Request counters move by the template's measured delta.
         if let Some(controller) = fleet.backend.controller_mut() {
             for (ev, &slot) in reconfig_events.iter().zip(&ctx.memo.template_slots) {
                 let config = &ctx.circuit_pool[slot as usize].circuits.per_rail[&ev.rail];
@@ -1646,16 +1777,13 @@ impl ScenarioSim {
                     "a replayed install must land on the template's ready time"
                 );
             }
-            for rec in &comm_records {
-                if rec.scaleout && !rec.rails.is_empty() {
-                    let slot =
-                        &ctx.circuit_pool[ctx.task_circuit_slot[rec.task.0 as usize] as usize];
-                    controller.occupy(&slot.circuits, rec.end);
-                }
-            }
+            controller.replay_port_ends(&ctx.memo.template_port_ends, shift);
             let (requests, noops) = ctx.memo.template_delta;
             controller.replay_requests(requests, noops);
             ctx.memo.counters_at_finish = (controller.requests(), controller.noop_requests());
+        }
+        for (rail, &busy) in ctx.memo.template_rail_busy.iter().enumerate() {
+            fleet.add_rail_busy(rail, busy);
         }
         ctx.completed.push(IterationResult {
             iteration: ctx.iteration,
@@ -1705,7 +1833,9 @@ impl ScenarioSim {
                     );
                     ctx.total_circuit_wait =
                         ctx.total_circuit_wait.saturating_add(rec.circuit_wait);
-                    ctx.comm_records.push(rec);
+                    if ctx.keep_iter_records {
+                        ctx.comm_records.push(rec);
+                    }
                     // Attribute any reconfigurations this commit caused to the job.
                     if let Some(c) = self.fleet.backend.controller_mut() {
                         if !c.events().is_empty() {
@@ -2128,9 +2258,7 @@ impl ScenarioSim {
                     controller.occupy_for(ctx.job.0, circuits, end);
                 }
             }
-            if fleet.multi_job {
-                fleet.note_transfer(ctx.job.0, circuits, start, end);
-            }
+            fleet.note_transfer(ctx.job.0, circuits, start, end);
         }
 
         CommRecord {
@@ -2463,7 +2591,7 @@ mod tests {
     /// Runs the scenario and reports job 0's fast-forward counter next to the
     /// result (the counter is observability-only and not part of the result).
     fn run_counting_ff(scenario: Scenario) -> (ScenarioResult, u64) {
-        let mut sim = ScenarioSim::build(scenario.into_spec());
+        let mut sim = ScenarioSim::build(scenario.into_spec(), Records::Keep);
         sim.run_scenario();
         let ff = sim.job_memoized_iterations(0);
         (sim.into_result(), ff)
@@ -2551,10 +2679,90 @@ mod tests {
                 .job(tiny_dag(), config)
                 .job(tiny_dag(), config)
                 .into_spec(),
+            Records::Keep,
         );
         sim.run_scenario();
         assert_eq!(sim.job_memoized_iterations(0), 0);
         assert_eq!(sim.job_memoized_iterations(1), 0);
+    }
+
+    #[test]
+    fn memoized_runs_leave_the_naive_port_occupancy() {
+        // The fast-forward replays occupancy from the template's per-port latest
+        // ends instead of per transfer; the table it leaves must be the naive one,
+        // whether or not the run keeps its records.
+        let provisioned = OpusConfig::provisioned(SimDuration::from_millis(5))
+            .with_iterations(10)
+            .with_jitter(0.0, 1);
+        let on_demand = OpusConfig::on_demand(SimDuration::from_millis(1))
+            .with_iterations(8)
+            .with_jitter(0.0, 1);
+        let clean = clean_single(provisioned);
+        let t4 = clean.iterations[4].started_at;
+        let dur = clean.iterations[4].iteration_time;
+        let flap = [
+            (t4 + dur.mul_f64(0.25), ScenarioEvent::RailDown(RailId(0))),
+            (t4 + dur.mul_f64(0.75), ScenarioEvent::RailUp(RailId(0))),
+        ];
+        for (name, config, injections) in [
+            ("provisioned", provisioned, &[][..]),
+            ("on_demand", on_demand, &[][..]),
+            ("provisioned with a flap", provisioned, &flap[..]),
+        ] {
+            let spec = |config: OpusConfig| {
+                Scenario::new(tiny_cluster(4))
+                    .job(tiny_dag(), config)
+                    .inject_all(injections.iter().copied())
+                    .into_spec()
+            };
+            let occupancy = |config: OpusConfig, records: Records| {
+                let mut sim = ScenarioSim::build(spec(config), records);
+                sim.run_scenario();
+                let ff = sim.job_memoized_iterations(0);
+                let table = sim.controller().expect("optical").port_occupancy().to_vec();
+                (table, ff)
+            };
+            let (naive, _) = occupancy(config.with_memoization(false), Records::Keep);
+            let (kept, ff_kept) = occupancy(config, Records::Keep);
+            let (free, ff_free) = occupancy(config, Records::MemoOnly);
+            assert!(ff_kept >= 1, "{name}: the memo must fast-forward");
+            assert_eq!(
+                ff_free, ff_kept,
+                "{name}: dropping records must not cost a fast-forward"
+            );
+            assert_eq!(kept, naive, "{name}");
+            assert_eq!(free, naive, "{name}, record-free");
+        }
+    }
+
+    /// Two GB200 NVL72 nodes (72 rails) running one 2-way data-parallel job whose
+    /// tensor-parallel domain fills a node, so its gradient all-reduce uses every
+    /// rail, 64 through 71 included.
+    fn nvl72_spec(recovery: RecoveryPolicy) -> ScenarioSpec {
+        let cluster = ClusterSpec::from_preset(NodePreset::Gb200Nvl72, 2).build();
+        let model = ModelConfig::tiny_test();
+        let parallel = ParallelismConfig {
+            tensor: 72,
+            ..ParallelismConfig::data_only(2)
+        };
+        let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
+        let dag = DagBuilder::new(model, parallel, compute).build();
+        let mut config = OpusConfig::provisioned(SimDuration::from_millis(25));
+        config.iterations = 1;
+        config.recovery_policy = recovery;
+        ScenarioSpec::new(cluster).job(Arc::new(dag), config)
+    }
+
+    #[test]
+    #[should_panic(expected = "plans circuits on rail64, but a transfer record holds rails 0..64")]
+    fn circuits_on_rails_a_record_cannot_hold_are_rejected_at_build() {
+        let _ = ScenarioSim::build(nvl72_spec(RecoveryPolicy::Stall), Records::Keep);
+    }
+
+    #[test]
+    #[should_panic(expected = "re-plans around failed rails on a cluster with 72 rails")]
+    fn replan_on_more_rails_than_a_record_holds_is_rejected_at_build() {
+        let _ = ScenarioSim::build(nvl72_spec(RecoveryPolicy::Replan), Records::Keep);
     }
 
     #[test]
@@ -2598,6 +2806,8 @@ mod tests {
         // After every tenant drained, a late transfer overlaps nothing.
         fleet.note_transfer(2, &circuits, ms(400), ms(410));
         assert_eq!(fleet.overlaps[0], 3);
+        // The same per-transfer accounting sums the rail's busy time, for one job
+        // or many.
         assert_eq!(
             fleet.rail_busy[0],
             SimDuration::from_millis(300 + 10 + 15 + 10 + 10)

@@ -33,7 +33,7 @@ use crate::config::{OpusConfig, ReconfigPolicy};
 use crate::controller::OpusController;
 use crate::group_table::GroupTable;
 use crate::metrics::SimulationResult;
-use crate::scenario::{Scenario, ScenarioSim};
+use crate::scenario::{Records, Scenario, ScenarioSim};
 use crate::shim::OpusShim;
 use railsim_sim::SimDuration;
 use railsim_topology::Cluster;
@@ -55,7 +55,10 @@ impl OpusSimulator {
     /// Panics if the DAG is invalid or references ranks outside the cluster.
     pub fn new(cluster: Cluster, dag: TrainingDag, config: OpusConfig) -> Self {
         OpusSimulator {
-            sim: ScenarioSim::build(Scenario::new(cluster).job(dag, config).into_spec()),
+            sim: ScenarioSim::build(
+                Scenario::new(cluster).job(dag, config).into_spec(),
+                Records::Keep,
+            ),
         }
     }
 

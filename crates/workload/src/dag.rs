@@ -47,7 +47,7 @@ use railsim_topology::GpuId;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a job in a multi-job scenario.
 ///
@@ -213,6 +213,10 @@ struct TaskGraph {
     /// Task `i`'s dependents, ascending, in the same CSR layout.
     dependent_offsets: Vec<u32>,
     dependents: Vec<TaskId>,
+    /// Set once [`TrainingDag::validate`] has found the graph acyclic, so copies
+    /// sharing the graph (fleet variants, rebases) skip the Kahn pass. A failure is
+    /// never cached: every call on a cyclic graph recomputes its stuck tasks.
+    acyclic: OnceLock<()>,
 }
 
 fn csr_row<'a>(offsets: &[u32], edges: &'a [TaskId], i: usize) -> &'a [TaskId] {
@@ -349,7 +353,8 @@ impl TrainingDag {
     }
 
     /// Validates structural invariants: participants are non-empty, collective groups
-    /// exist, and the graph is acyclic.
+    /// exist, and the graph is acyclic. The graph is shared with clones and rebases,
+    /// so its acyclicity is established once for all of them.
     pub fn validate(&self) -> Result<(), String> {
         // Consecutive tasks mostly share a participant set and a group, so only
         // changes need resolving.
@@ -372,9 +377,13 @@ impl TrainingDag {
                 }
             }
         }
+        if self.graph.acyclic.get().is_some() {
+            return Ok(());
+        }
         let mut visited = 0usize;
         let remaining = self.kahn(|_| visited += 1);
         if visited == self.len() {
+            let _ = self.graph.acyclic.set(());
             return Ok(());
         }
         // Report a few of the tasks stuck in the cycle to make the error actionable.
@@ -664,6 +673,7 @@ impl TaskColumns {
                 deps,
                 dependent_offsets,
                 dependents,
+                acyclic: OnceLock::new(),
             }),
             rank_end,
             groups,
@@ -1559,6 +1569,11 @@ mod tests {
         assert_eq!(dag.task(a).layer, None);
         let err = dag.validate().unwrap_err();
         assert!(err.contains("contains a cycle"), "{err}");
+        assert_eq!(
+            dag.validate().unwrap_err(),
+            err,
+            "a failure is recomputed, stuck tasks included"
+        );
     }
 
     #[test]
@@ -1583,6 +1598,25 @@ mod tests {
             }
         }
         assert!(moved.validate().is_ok());
+    }
+
+    #[test]
+    fn acyclicity_is_validated_once_per_shared_graph() {
+        let set = RankSet::intern(&[GpuId(0)]);
+        let label = LabelId::intern("t");
+        let compute = TaskKind::Compute {
+            duration: SimDuration::ZERO,
+        };
+        let mut cols = TaskColumns::default();
+        let a = cols.push(compute, set, label, None, None, &[]);
+        cols.push(compute, set, label, None, None, &[a]);
+        let dag = cols.finish(BTreeMap::new(), ParallelismConfig::data_only(1), 1);
+        assert!(dag.graph.acyclic.get().is_none());
+        assert_eq!(dag.rebase(4, 0).validate(), Ok(()));
+        assert!(
+            dag.graph.acyclic.get().is_some(),
+            "validating a rebase covers the graph it shares"
+        );
     }
 
     #[test]

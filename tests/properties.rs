@@ -427,50 +427,39 @@ proptest! {
         two_jobs in 0u32..2,
         replan in 0u32..2,
     ) {
-        // `rail == 4` doubles as "no flap" (the cluster has 4 rails).
-        let two_jobs = two_jobs == 1;
-        let flap = (flap.2 < 4).then_some(flap);
         // Steady-state memoization must be invisible: a clean single-job run (memo
         // engages), a rail-flap timeline (memo invalidates and re-arms) and a
         // two-job scenario (memo disables itself) all serialize byte-identically to
         // the naive path. Half the cases run under `RecoveryPolicy::Replan`, so
         // fast-forward windows must also agree with the naive path while a degraded
         // plan is live.
+        let base = memo_config(replan == 1);
         let build = |config: OpusConfig| {
-            let nodes = if two_jobs { 8 } else { 4 };
-            let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, nodes).build();
-            let model = ModelConfig::tiny_test();
-            let parallel = ParallelismConfig::paper_llama3_8b();
-            let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
-            let dag = DagBuilder::new(model, parallel, compute).build();
-            let mut scenario = Scenario::new(cluster).job(dag.clone(), config);
-            if two_jobs {
-                scenario = scenario.job(dag, config);
-            }
-            if let Some((down_ms, up_delta_ms, rail)) = flap {
-                scenario = scenario
-                    .inject(
-                        SimTime::from_millis(down_ms),
-                        ScenarioEvent::RailDown(RailId(rail)),
-                    )
-                    .inject(
-                        SimTime::from_millis(down_ms + up_delta_ms),
-                        ScenarioEvent::RailUp(RailId(rail)),
-                    );
-            }
-            serde_json::to_string_pretty(&scenario.run()).expect("scenario results serialize")
+            serialized(&flap_spec(flap, two_jobs == 1, config).run())
         };
-        let mut base = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(8)
-            .with_jitter(0.0, 1);
-        if replan == 1 {
-            base.recovery_policy = RecoveryPolicy::Replan;
-        }
         prop_assert_eq!(
             build(base),
             build(base.with_memoization(false)),
             "memoized and naive paths diverged"
         );
+    }
+
+    #[test]
+    fn record_free_runs_match_runs_with_records_cleared(
+        flap in (100u64..2_000, 50u64..1_000, 0u32..5),
+        two_jobs in 0u32..2,
+        replan in 0u32..2,
+        memo in 0u32..2,
+    ) {
+        // `run_without_records` keeps records only while the memo can compare them
+        // and replays fast-forwards without them; everything else it reports must be
+        // exactly what `run` reports, over the same memo / flap / two-job / replan
+        // generator as the memoization property.
+        let config = memo_config(replan == 1).with_memoization(memo == 1);
+        let spec = flap_spec(flap, two_jobs == 1, config);
+        let mut full = spec.clone().run();
+        clear_records(&mut full);
+        prop_assert_eq!(serialized(&spec.run_without_records()), serialized(&full));
     }
 
     // ---- fleet service -------------------------------------------------------------
@@ -515,6 +504,103 @@ proptest! {
             serde_json::to_string_pretty(&shared.run()).expect("scenario results serialize"),
             serde_json::to_string_pretty(&fresh.run()).expect("scenario results serialize")
         );
+    }
+}
+
+#[test]
+fn record_free_serving_runs_match_runs_with_records_cleared() {
+    // The serving tenant, its bursts, grow/shrink and a FairShare trainer: no memo,
+    // so the record-free run keeps no record at all.
+    let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 5).build();
+    let model = ModelConfig::tiny_test();
+    let parallel = ParallelismConfig::paper_llama3_8b();
+    let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
+    let train_dag = DagBuilder::new(model, parallel, compute).build();
+    let inference = InferenceConfig::tiny_test(4, 2, 2);
+    let serving = ServingSpec::for_inference(&inference, 1);
+    let serve_dag = InferenceDagBuilder::new(inference, GpuSpec::a100()).build();
+    let mut config = OpusConfig::on_demand(SimDuration::from_millis(5))
+        .with_iterations(3)
+        .with_jitter(0.0, 1);
+    config.eviction = EvictionPolicy::FairShare;
+    let burst = |ms: u64, requests: u32| {
+        (
+            SimTime::from_millis(ms),
+            ScenarioEvent::RequestBurst {
+                job: JobId(1),
+                requests,
+            },
+        )
+    };
+    let spec = Scenario::new(cluster)
+        .job(train_dag, config)
+        .serving_job(serve_dag, config, JobPlacement::AtGpu(4), serving)
+        .inject_all([burst(1, 8), burst(40, 12), burst(90, 3)])
+        .inject(
+            SimTime::from_millis(20),
+            ScenarioEvent::JobGrow { job: JobId(1) },
+        )
+        .inject(
+            SimTime::from_millis(60),
+            ScenarioEvent::JobShrink { job: JobId(1) },
+        )
+        .into_spec();
+    let mut full = spec.clone().run();
+    assert!(full.jobs[1].result.iterations.len() > 1);
+    clear_records(&mut full);
+    assert_eq!(serialized(&spec.run_without_records()), serialized(&full));
+}
+
+/// The memoization generator: the paper's 16-GPU job (twice, side by side, when
+/// `two_jobs`) with an optional rail flap; `flap.2 == 4` means no flap (the
+/// cluster has 4 rails).
+fn flap_spec(flap: (u64, u64, u32), two_jobs: bool, config: OpusConfig) -> ScenarioSpec {
+    let nodes = if two_jobs { 8 } else { 4 };
+    let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, nodes).build();
+    let model = ModelConfig::tiny_test();
+    let parallel = ParallelismConfig::paper_llama3_8b();
+    let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
+    let dag = DagBuilder::new(model, parallel, compute).build();
+    let mut scenario = Scenario::new(cluster).job(dag.clone(), config);
+    if two_jobs {
+        scenario = scenario.job(dag, config);
+    }
+    let (down_ms, up_delta_ms, rail) = flap;
+    if rail < 4 {
+        scenario = scenario
+            .inject(
+                SimTime::from_millis(down_ms),
+                ScenarioEvent::RailDown(RailId(rail)),
+            )
+            .inject(
+                SimTime::from_millis(down_ms + up_delta_ms),
+                ScenarioEvent::RailUp(RailId(rail)),
+            );
+    }
+    scenario.into_spec()
+}
+
+/// Eight jitter-free provisioned iterations: long enough for the memo to detect
+/// steady state and fast-forward.
+fn memo_config(replan: bool) -> OpusConfig {
+    let mut config = OpusConfig::provisioned(SimDuration::from_millis(5))
+        .with_iterations(8)
+        .with_jitter(0.0, 1);
+    if replan {
+        config.recovery_policy = RecoveryPolicy::Replan;
+    }
+    config
+}
+
+fn serialized(result: &ScenarioResult) -> String {
+    serde_json::to_string_pretty(result).expect("scenario results serialize")
+}
+
+fn clear_records(result: &mut ScenarioResult) {
+    for job in &mut result.jobs {
+        for it in &mut job.result.iterations {
+            it.comm_records.clear();
+        }
     }
 }
 
