@@ -1,38 +1,37 @@
 //! Macro-benchmark: one full training-iteration simulation under each network policy
 //! (the engine behind Fig. 8).
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use opus::{OpusConfig, OpusSimulator};
+use opus::{OpusConfig, ScenarioSpec};
 use railsim_bench::{paper_cluster, paper_dag};
-use railsim_sim::SimDuration;
+use railsim_sim::{SimDuration, SimTime};
+use std::sync::Arc;
 
 fn bench_iteration_sim(c: &mut Criterion) {
     let cluster = paper_cluster();
-    let dag = paper_dag();
+    let dag = Arc::new(paper_dag());
+    let run = |config: OpusConfig| -> SimTime {
+        let result = ScenarioSpec::new(cluster.clone())
+            .job(Arc::clone(&dag), config)
+            .run();
+        result.fleet.makespan
+    };
 
     let mut group = c.benchmark_group("iteration_simulation");
     group.sample_size(20);
     group.bench_function("electrical_baseline", |b| {
-        b.iter(|| {
-            let mut sim = OpusSimulator::new(
-                cluster.clone(),
-                dag.clone(),
-                OpusConfig::electrical().with_iterations(1),
-            );
-            black_box(sim.run().steady_state_iteration_time())
-        })
+        let config = OpusConfig {
+            iterations: 1,
+            ..OpusConfig::electrical()
+        };
+        b.iter(|| black_box(run(config)))
     });
     group.bench_function("optical_provisioned_25ms_2iters", |b| {
-        b.iter(|| {
-            let mut sim = OpusSimulator::new(
-                cluster.clone(),
-                dag.clone(),
-                OpusConfig::provisioned(SimDuration::from_millis(25)).with_iterations(2),
-            );
-            black_box(sim.run().steady_state_iteration_time())
-        })
+        let config = OpusConfig {
+            iterations: 2,
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        };
+        b.iter(|| black_box(run(config)))
     });
     group.finish();
 }

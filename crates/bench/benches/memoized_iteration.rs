@@ -4,41 +4,49 @@
 //! (byte-identity between the two paths is pinned by the determinism and compat
 //! suites; this tracks the wall-clock side of the bargain).
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use opus::{OpusConfig, OpusSimulator};
+use opus::{JobResult, OpusConfig, ScenarioSpec};
 use railsim_bench::{paper_cluster, paper_dag};
 use railsim_sim::SimDuration;
+use std::sync::Arc;
 
 const ITERATIONS: u32 = 16;
 
 fn bench_memoized_iteration(c: &mut Criterion) {
     let cluster = paper_cluster();
-    let dag = paper_dag();
-    let config = OpusConfig::provisioned(SimDuration::from_millis(25))
-        .with_iterations(ITERATIONS)
-        .with_jitter(0.0, 1);
+    let dag = Arc::new(paper_dag());
+    let config = OpusConfig {
+        iterations: ITERATIONS,
+        compute_jitter: 0.0,
+        seed: 1,
+        ..OpusConfig::provisioned(SimDuration::from_millis(25))
+    };
+    let run = |config: OpusConfig| -> JobResult {
+        ScenarioSpec::new(cluster.clone())
+            .job(Arc::clone(&dag), config)
+            .run()
+            .jobs
+            .remove(0)
+    };
 
     let mut group = c.benchmark_group("memoized_iteration");
     group.sample_size(20);
     group.bench_function("memoized_16_iters", |b| {
         b.iter(|| {
-            let mut sim = OpusSimulator::new(cluster.clone(), dag.clone(), config);
-            let result = sim.run();
+            let job = run(config);
             assert!(
-                sim.memoized_iterations() > 0,
+                job.memoized_iterations > 0,
                 "the memo must engage on the jitter-free bench workload"
             );
-            black_box(result.steady_state_iteration_time())
+            black_box(job.result.steady_state_iteration_time())
         })
     });
     group.bench_function("naive_16_iters", |b| {
-        b.iter(|| {
-            let mut sim =
-                OpusSimulator::new(cluster.clone(), dag.clone(), config.with_memoization(false));
-            black_box(sim.run().steady_state_iteration_time())
-        })
+        let naive = OpusConfig {
+            memoize_steady_state: false,
+            ..config
+        };
+        b.iter(|| black_box(run(naive).result.steady_state_iteration_time()))
     });
     group.finish();
 }

@@ -1,31 +1,33 @@
 //! Macro-benchmark of the scenario driver: a two-job shared-rail scenario with a
-//! rail-flap pulse, end to end. Tracks the redesigned entry point's overhead — the
-//! per-job context multiplexing, the injected-event class and the fleet counters —
-//! on top of the raw single-job hot path that `iteration_sim` gates.
-
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
+//! rail-flap pulse, end to end. Tracks the multi-job overhead — the per-job context
+//! multiplexing, the injected-event class and the fleet counters — on top of the
+//! single-job hot path that `iteration_sim` gates.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use opus::{OpusConfig, Scenario, ScenarioEvent};
+use opus::{OpusConfig, ScenarioEvent, ScenarioSpec};
 use railsim_bench::{paper_cluster, paper_dag};
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{ClusterSpec, NodePreset, RailId};
+use std::sync::Arc;
 
 fn bench_scenario_step(c: &mut Criterion) {
     let single_cluster = paper_cluster();
     let two_job_cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 8).build();
-    let dag = paper_dag();
-    let config = OpusConfig::provisioned(SimDuration::from_millis(25))
-        .with_iterations(2)
-        .with_jitter(0.0, 7);
+    let dag = Arc::new(paper_dag());
+    let config = OpusConfig {
+        iterations: 2,
+        compute_jitter: 0.0,
+        seed: 7,
+        ..OpusConfig::provisioned(SimDuration::from_millis(25))
+    };
 
     let mut group = c.benchmark_group("scenario_step");
     group.sample_size(20);
-    // Baseline shape: the wrapper-equivalent single job through the scenario API.
+    // Baseline shape: one clean job.
     group.bench_function("single_job_clean", |b| {
         b.iter(|| {
-            let result = Scenario::new(single_cluster.clone())
-                .job(dag.clone(), config)
+            let result = ScenarioSpec::new(single_cluster.clone())
+                .job(Arc::clone(&dag), config)
                 .run();
             black_box(result.fleet.makespan)
         })
@@ -33,9 +35,9 @@ fn bench_scenario_step(c: &mut Criterion) {
     // The scenario-only machinery: two jobs on shared rails plus a rail-flap pulse.
     group.bench_function("two_job_rail_flap", |b| {
         b.iter(|| {
-            let result = Scenario::new(two_job_cluster.clone())
-                .job(dag.clone(), config)
-                .job(dag.clone(), config)
+            let result = ScenarioSpec::new(two_job_cluster.clone())
+                .job(Arc::clone(&dag), config)
+                .job(Arc::clone(&dag), config)
                 .inject(
                     SimTime::from_millis(200),
                     ScenarioEvent::RailDown(RailId(0)),

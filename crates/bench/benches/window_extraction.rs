@@ -1,25 +1,22 @@
 //! Micro-benchmark: extracting inter-parallelism windows (Fig. 4) from a simulated
 //! iteration's communication records.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use opus::{window_cdf, windows_on_rail, OpusConfig, OpusSimulator};
+use opus::{window_cdf, windows_on_rail, OpusConfig, ScenarioSpec};
 use railsim_bench::{paper_cluster, paper_dag};
 use railsim_topology::RailId;
 
 fn bench_window_extraction(c: &mut Criterion) {
     let cluster = paper_cluster();
     let rails = cluster.all_rails();
-    let mut sim = OpusSimulator::new(
-        cluster,
-        paper_dag(),
-        OpusConfig::electrical()
-            .with_iterations(2)
-            .with_jitter(0.05, 42),
-    );
-    let result = sim.run();
-    let records = &result.iterations[1].comm_records;
+    let config = OpusConfig {
+        iterations: 2,
+        compute_jitter: 0.05,
+        seed: 42,
+        ..OpusConfig::electrical()
+    };
+    let result = ScenarioSpec::new(cluster).job(paper_dag(), config).run();
+    let records = &result.jobs[0].result.iterations[1].comm_records;
 
     c.bench_function("window_extraction_all_rails", |b| {
         b.iter(|| {

@@ -3,10 +3,11 @@
 //! reconfiguring the optical rails for them. Sweeps the reconfiguration latency and
 //! compares provisioned photonic rails with and without host offload.
 
-use opus::{HostOffload, OpusConfig, OpusSimulator};
+use opus::{HostOffload, OpusConfig, ScenarioSpec, SimulationResult};
 use railsim_bench::{paper_cluster, paper_dag, Report};
 use railsim_sim::SimDuration;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct OffloadRow {
@@ -19,20 +20,23 @@ struct OffloadRow {
 
 fn main() {
     const ITERATIONS: u32 = 3;
-    fn run_config(mut base: OpusConfig) -> OpusConfig {
-        base.iterations = ITERATIONS;
-        base.compute_jitter = 0.0;
-        base.seed = 13;
-        base
-    }
     let cluster = paper_cluster();
-    let dag = paper_dag();
-    let baseline = OpusSimulator::new(
-        cluster.clone(),
-        dag.clone(),
-        run_config(OpusConfig::electrical()),
-    )
-    .run();
+    let dag = Arc::new(paper_dag());
+    let run = |base: OpusConfig| -> SimulationResult {
+        let config = OpusConfig {
+            iterations: ITERATIONS,
+            compute_jitter: 0.0,
+            seed: 13,
+            ..base
+        };
+        ScenarioSpec::new(cluster.clone())
+            .job(Arc::clone(&dag), config)
+            .run()
+            .jobs
+            .remove(0)
+            .result
+    };
+    let baseline = run(OpusConfig::electrical());
     let base = baseline.steady_state_iteration_time().as_secs_f64();
 
     let mut report = Report::new(
@@ -47,18 +51,11 @@ fn main() {
     let mut rows = Vec::new();
     for latency_ms in [1.0f64, 15.0, 25.0, 100.0, 500.0] {
         let latency = SimDuration::from_millis_f64(latency_ms);
-        let plain = OpusSimulator::new(
-            cluster.clone(),
-            dag.clone(),
-            run_config(OpusConfig::provisioned(latency)),
-        )
-        .run();
-        let offload = OpusSimulator::new(cluster.clone(), dag.clone(), {
-            let mut cfg = run_config(OpusConfig::provisioned(latency));
-            cfg.host_offload = Some(HostOffload::frontend_100g());
-            cfg
-        })
-        .run();
+        let plain = run(OpusConfig::provisioned(latency));
+        let offload = run(OpusConfig {
+            host_offload: Some(HostOffload::frontend_100g()),
+            ..OpusConfig::provisioned(latency)
+        });
         let n_plain = plain.steady_state_iteration_time().as_secs_f64() / base;
         let n_off = offload.steady_state_iteration_time().as_secs_f64() / base;
         let r_plain = plain

@@ -4,7 +4,7 @@
 //! bandwidth under a static split, next to the reconfiguration count a time-multiplexed
 //! rail pays instead.
 
-use opus::{OpusConfig, OpusSimulator};
+use opus::{OpusConfig, ScenarioSpec};
 use railsim_bench::{paper_dag, Report};
 use railsim_collectives::{
     constraints::{AxisDemand, DegreeBudget},
@@ -100,14 +100,14 @@ fn main() {
     let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4)
         .with_nic(NicConfig::slingshot11_dual())
         .build();
-    let mut sim = OpusSimulator::new(cluster, paper_dag(), {
-        let mut cfg = OpusConfig::provisioned(SimDuration::from_millis(25));
-        cfg.iterations = 2;
-        cfg.compute_jitter = 0.0;
-        cfg.seed = 5;
-        cfg
-    });
-    let result = sim.run();
+    let config = OpusConfig {
+        iterations: 2,
+        compute_jitter: 0.0,
+        seed: 5,
+        ..OpusConfig::provisioned(SimDuration::from_millis(25))
+    };
+    let scenario = ScenarioSpec::new(cluster).job(paper_dag(), config).run();
+    let result = &scenario.jobs[0].result;
     let mut tm = Report::new(
         "Time-multiplexed alternative (Opus, provisioned 25 ms OCS)",
         &["metric", "value"],

@@ -1,11 +1,13 @@
-//! Ablation: what provisioning actually buys — circuit-wait time on the critical path,
-//! reconfiguration counts and no-op request rates across policies, at a fixed
-//! piezo-class (25 ms) switching delay.
+//! Ablation: what provisioning actually buys — circuit-wait time summed over every
+//! transfer of an iteration (not only the waits on the critical path), reconfiguration
+//! counts and no-op request rates across policies, at a fixed piezo-class (25 ms)
+//! switching delay.
 
-use opus::{OpusConfig, OpusSimulator, ReconfigPolicy};
+use opus::{OpusConfig, ReconfigPolicy, ScenarioSpec};
 use railsim_bench::{paper_cluster, paper_dag, Report};
 use railsim_sim::SimDuration;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct AblationRow {
@@ -20,7 +22,7 @@ struct AblationRow {
 fn main() {
     const ITERATIONS: u32 = 4;
     let cluster = paper_cluster();
-    let dag = paper_dag();
+    let dag = Arc::new(paper_dag());
     let latency = SimDuration::from_millis(25);
 
     let configs = [
@@ -34,7 +36,7 @@ fn main() {
         &[
             "policy",
             "iter time (s)",
-            "circuit wait (s)",
+            "circuit wait, summed (s)",
             "reconfigs/iter",
             "requests",
             "no-op requests",
@@ -42,14 +44,16 @@ fn main() {
     );
     let mut rows = Vec::new();
     for config in configs {
-        let mut sim = OpusSimulator::new(cluster.clone(), dag.clone(), {
-            let mut cfg = config;
-            cfg.iterations = ITERATIONS;
-            cfg.compute_jitter = 0.0;
-            cfg.seed = 3;
-            cfg
-        });
-        let result = sim.run();
+        let config = OpusConfig {
+            iterations: ITERATIONS,
+            compute_jitter: 0.0,
+            seed: 3,
+            ..config
+        };
+        let scenario = ScenarioSpec::new(cluster.clone())
+            .job(Arc::clone(&dag), config)
+            .run();
+        let result = &scenario.jobs[0].result;
         let steady: Vec<_> = result.iterations.iter().skip(1).collect();
         let iter_time = result.steady_state_iteration_time().as_secs_f64();
         let wait: f64 = steady
@@ -59,10 +63,8 @@ fn main() {
             / steady.len() as f64;
         let reconfigs =
             steady.iter().map(|i| i.reconfig_count()).sum::<usize>() as f64 / steady.len() as f64;
-        let (requests, noops) = sim
-            .controller()
-            .map(|c| (c.requests(), c.noop_requests()))
-            .unwrap_or((0, 0));
+        let requests = scenario.fleet.controller_requests;
+        let noops = scenario.fleet.noop_requests;
         let name = match config.policy {
             ReconfigPolicy::Electrical => "electrical baseline",
             ReconfigPolicy::OnDemand => "optical, on-demand",

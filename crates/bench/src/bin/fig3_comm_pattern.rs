@@ -2,7 +2,7 @@
 //! warm-up / steady / cool-down pipeline phases, for (a) PP=2, FSDP=2 and (b) PP=3,
 //! FSDP=2, together with the distinct circuit configurations each rail cycles through.
 
-use opus::{phases_on_rail, OpusConfig, OpusSimulator};
+use opus::{phases_on_rail, OpusConfig, ScenarioSpec};
 use railsim_bench::Report;
 use railsim_sim::SimDuration;
 use railsim_topology::{ClusterSpec, NodePreset, RailId};
@@ -34,8 +34,8 @@ fn run_variant(name: &str, parallel: ParallelismConfig, rows: &mut Vec<PhaseRow>
     config.iterations = 1;
     config.compute_jitter = 0.0;
     config.seed = 1;
-    let mut sim = OpusSimulator::new(cluster, dag, config);
-    let result = sim.run();
+    let scenario = ScenarioSpec::new(cluster).job(dag, config).run();
+    let result = &scenario.jobs[0].result;
     let it = &result.iterations[0];
 
     let mut report = Report::new(

@@ -4,7 +4,7 @@
 
 use opus::{
     default_traffic_buckets_mb, window_cdf, windows_by_following_traffic, windows_on_rail,
-    OpusConfig, OpusSimulator,
+    OpusConfig, ScenarioSpec,
 };
 use railsim_bench::{paper_cluster, paper_dag, Report};
 use railsim_topology::RailId;
@@ -34,8 +34,8 @@ fn main() {
     config.iterations = ITERATIONS;
     config.compute_jitter = 0.05;
     config.seed = 42;
-    let mut sim = OpusSimulator::new(cluster.clone(), dag, config);
-    let result = sim.run();
+    let scenario = ScenarioSpec::new(cluster.clone()).job(dag, config).run();
+    let result = &scenario.jobs[0].result;
 
     // (a) CDF of window sizes per rail.
     let mut cdf_report = Report::new(

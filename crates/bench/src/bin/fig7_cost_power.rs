@@ -6,7 +6,7 @@
 //! event engine, demonstrating that the cost model's x-axis is a regime the
 //! simulator actually covers (not just a spreadsheet row).
 
-use opus::OpusSimulator;
+use opus::ScenarioSpec;
 use railsim_bench::{scale_run_config, scaled_cluster, scaled_dag, Report};
 use railsim_cost::{FabricCost, FabricKind, GpuBackendCostModel};
 
@@ -26,8 +26,10 @@ fn simulated_iteration_table(sizes: &[u64]) {
         let dag = scaled_dag(n as u32);
         let dag_tasks = dag.len();
         let wall = std::time::Instant::now();
-        let mut sim = OpusSimulator::new(cluster, dag, scale_run_config(2));
-        let result = sim.run();
+        let scenario = ScenarioSpec::new(cluster)
+            .job(dag, scale_run_config(2))
+            .run();
+        let result = &scenario.jobs[0].result;
         report.row(&[
             n.to_string(),
             dag_tasks.to_string(),

@@ -4,10 +4,11 @@
 //! The `latency = 0` case is the fully connected electrical baseline every other point
 //! is normalized against.
 
-use opus::{OpusConfig, OpusSimulator};
+use opus::{OpusConfig, ScenarioSpec, SimulationResult};
 use railsim_bench::{fig8_latencies_ms, paper_cluster, paper_dag_large_batch, Report};
 use railsim_sim::SimDuration;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Fig8Point {
@@ -20,21 +21,24 @@ struct Fig8Point {
 
 fn main() {
     const ITERATIONS: u32 = 3;
-    fn run_config(mut base: OpusConfig) -> OpusConfig {
-        base.iterations = ITERATIONS;
-        base.compute_jitter = 0.0;
-        base.seed = 1;
-        base
-    }
     let cluster = paper_cluster();
-    let dag = paper_dag_large_batch();
+    let dag = Arc::new(paper_dag_large_batch());
+    let run = |base: OpusConfig| -> SimulationResult {
+        let config = OpusConfig {
+            iterations: ITERATIONS,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..base
+        };
+        ScenarioSpec::new(cluster.clone())
+            .job(Arc::clone(&dag), config)
+            .run()
+            .jobs
+            .remove(0)
+            .result
+    };
 
-    let baseline = OpusSimulator::new(
-        cluster.clone(),
-        dag.clone(),
-        run_config(OpusConfig::electrical()),
-    )
-    .run();
+    let baseline = run(OpusConfig::electrical());
     let baseline_time = baseline.steady_state_iteration_time();
 
     let mut report = Report::new(
@@ -56,18 +60,8 @@ fn main() {
     let mut points = Vec::new();
     for latency_ms in fig8_latencies_ms() {
         let latency = SimDuration::from_millis_f64(latency_ms);
-        let on_demand = OpusSimulator::new(
-            cluster.clone(),
-            dag.clone(),
-            run_config(OpusConfig::on_demand(latency)),
-        )
-        .run();
-        let provisioned = OpusSimulator::new(
-            cluster.clone(),
-            dag.clone(),
-            run_config(OpusConfig::provisioned(latency)),
-        )
-        .run();
+        let on_demand = run(OpusConfig::on_demand(latency));
+        let provisioned = run(OpusConfig::provisioned(latency));
         let norm_od =
             on_demand.steady_state_iteration_time().as_secs_f64() / baseline_time.as_secs_f64();
         let norm_pr =

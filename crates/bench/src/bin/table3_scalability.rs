@@ -40,9 +40,12 @@
 //!
 //! `--skip-sim` prints only the OCS technology table.
 
-use opus::{baseline_of, OpusConfig, RecoveryPolicy, ScenarioEvent, ScenarioResult, ScenarioSpec};
+use opus::{
+    OpusConfig, ReconfigPolicy, RecoveryPolicy, ScenarioEvent, ScenarioResult, ScenarioSpec,
+};
 use railsim_bench::{mem, scale_run_config, scaled_cluster, scaled_dag, Report};
 use railsim_cost::ocs_tech::{ocs_technologies, scaleup};
+use railsim_sim::SimDuration;
 use railsim_topology::RailId;
 use serde::Serialize;
 use std::sync::Arc;
@@ -299,7 +302,12 @@ fn run_scale_point(
     }
     let mut configs: Vec<(&'static str, OpusConfig)> = Vec::new();
     if matches!(policy, PolicyFilter::Electrical | PolicyFilter::Both) {
-        configs.push(("electrical", baseline_of(&provisioned)));
+        let electrical = OpusConfig {
+            policy: ReconfigPolicy::Electrical,
+            reconfig_latency: SimDuration::ZERO,
+            ..provisioned
+        };
+        configs.push(("electrical", electrical));
     }
     if matches!(policy, PolicyFilter::Optical | PolicyFilter::Both) {
         configs.push(("optical provisioned 25ms", provisioned));

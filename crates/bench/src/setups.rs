@@ -116,8 +116,8 @@ pub fn scaled_parallelism(num_gpus: u32) -> ParallelismConfig {
 /// The canonical simulation configuration of the datacenter-scale runs, shared by
 /// `table3_scalability` and `fig7_cost_power --simulate` so the two binaries always
 /// report the same regime: provisioned optical with a 25 ms piezo-class OCS, jitter
-/// disabled for run-to-run comparability. (The electrical baseline is
-/// `opus::baseline_of` applied to this.)
+/// disabled for run-to-run comparability. (The electrical baseline is this with the
+/// electrical policy and a zero reconfiguration latency.)
 pub fn scale_run_config(iterations: u32) -> OpusConfig {
     let mut config = OpusConfig::provisioned(SimDuration::from_millis(25));
     config.iterations = iterations;

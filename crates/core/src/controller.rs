@@ -119,11 +119,6 @@ impl OpusController {
         }
     }
 
-    /// The active contention policy.
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.eviction
-    }
-
     /// True when tenant-aware arbitration is active (an evicting policy was set).
     pub fn tenancy_active(&self) -> bool {
         self.eviction.can_evict()
@@ -279,8 +274,9 @@ impl OpusController {
     /// The tenant-tagged variant of [`OpusController::request`]: identical FC-FS
     /// semantics under [`EvictionPolicy::Never`], but under an evicting policy the
     /// requester may displace *other* tenants' port holds instead of waiting for them
-    /// (see [`OpusController::claim_ports`] for the arbitration rule). The requester's
-    /// own traffic is never preempted, so intra-tenant ordering stays FC-FS.
+    /// (which holds it may take is the policy's rule; see [`EvictionPolicy`]). The
+    /// requester's own traffic is never preempted, so intra-tenant ordering stays
+    /// FC-FS.
     pub fn request_from(
         &mut self,
         tenant: u32,

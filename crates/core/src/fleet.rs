@@ -1,7 +1,7 @@
 //! Batch scenario evaluation and Monte Carlo capacity planning.
 //!
-//! One [`Scenario`](crate::Scenario) run answers one question; production questions
-//! are distributions — "P99 makespan under this rail-failure rate", "cheapest
+//! One [`ScenarioSpec`] run answers one question; production questions are
+//! distributions — "P99 makespan under this rail-failure rate", "cheapest
 //! provisioning level that meets an SLO". Scenarios are embarrassingly parallel above
 //! the engine, so this module turns the simulator into a batch service:
 //!
@@ -10,9 +10,8 @@
 //!   sweep of hundreds of variants pays DAG construction once.
 //! * [`SweepSpec`] describes the variant grid *declaratively*: provisioning levels
 //!   (policy + reconfiguration latency + cost), placements, seeded failure traces and
-//!   the memoization knob. The grid expands to concrete
-//!   [`ScenarioSpec`](crate::ScenarioSpec)s on demand; per-variant seeds derive
-//!   deterministically from the base seed via splitmix64
+//!   the memoization knob. The grid expands to concrete [`ScenarioSpec`]s on demand;
+//!   per-variant seeds derive deterministically from the base seed via splitmix64
 //!   ([`SweepSpec::seed_for`]), so results are reproducible independent of worker
 //!   count.
 //! * A fixed-size `std::thread::scope` worker pool evaluates variants one per core
@@ -62,7 +61,7 @@
 //! ```
 
 use crate::config::{OpusConfig, ReconfigPolicy, RecoveryPolicy};
-use crate::scenario::{JobPlacement, Records, ScenarioEvent, ScenarioSim, ScenarioSpec};
+use crate::scenario::{JobPlacement, ScenarioEvent, ScenarioSpec};
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{Cluster, RailId};
 use railsim_workload::TrainingDag;
@@ -236,9 +235,9 @@ impl FailureModel {
 
 /// A declarative sweep: the variant grid is the cross product
 /// `levels × placements × traces_per_level`, expanded lazily to concrete
-/// [`ScenarioSpec`](crate::ScenarioSpec)s. Trace 0 of every `(level, placement)`
-/// cell is the *clean reference* (no injections) that anchors the availability
-/// ratio; traces `1..` are seeded failure traces.
+/// [`ScenarioSpec`]s. Trace 0 of every `(level, placement)` cell is the *clean
+/// reference* (no injections) that anchors the availability ratio; traces `1..` are
+/// seeded failure traces.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     /// Key of the DAG template registered via [`FleetService::dag_template`].
@@ -609,11 +608,8 @@ impl FleetService {
         let spec = self.variant_spec(sweep, variant_idx);
         let outages = injected_outages(&spec.injections);
         // A variant reports aggregates only, so its run keeps no per-transfer
-        // records (see `ScenarioSpec::run_without_records`).
-        let mut sim = ScenarioSim::build(spec, Records::MemoOnly);
-        sim.run_scenario();
-        let memoized_iterations = sim.job_memoized_iterations(0);
-        let result = sim.into_result();
+        // records.
+        let result = spec.run_without_records();
         let job = &result.jobs[0].result;
         let job_end = job
             .iterations
@@ -635,7 +631,7 @@ impl FleetService {
                 .fold(SimDuration::ZERO, |acc, w| acc + w),
             reconfigs: job.total_reconfigs(),
             outages,
-            memoized_iterations,
+            memoized_iterations: result.jobs[0].memoized_iterations,
         }
     }
 

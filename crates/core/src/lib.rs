@@ -19,19 +19,18 @@
 //! * [`OpusController`] — receives (possibly speculative) reconfiguration requests,
 //!   avoids conflicts with ongoing traffic (FC-FS over the job's sequentially ordered
 //!   demands), programs the per-rail OCSes and acknowledges when circuits settle.
-//! * [`Scenario`] — the simulation entry point: places one or more jobs on a shared
-//!   cluster, injects external events (rail failures/recoveries, OCS degradation,
-//!   late job arrivals) and reports per-job metrics plus fleet-level rail counters.
-//! * [`OpusSimulator`] — the single-job wrapper over [`Scenario`]: executes one
-//!   [`railsim_workload::TrainingDag`] over a cluster under the electrical baseline,
-//!   on-demand optical, or provisioned optical policy, producing the timings behind
-//!   Fig. 3, Fig. 4 and Fig. 8.
+//! * [`ScenarioSpec`] — the simulation entry point: places one or more jobs, each a
+//!   [`railsim_workload::TrainingDag`] under the electrical baseline, on-demand
+//!   optical or provisioned optical policy, on a shared cluster, injects external
+//!   events (rail failures/recoveries, OCS degradation, late job arrivals) and
+//!   reports per-job metrics plus fleet-level rail counters. A one-job spec produces
+//!   the timings behind Fig. 3, Fig. 4 and Fig. 8.
 //! * [`window`] — the inter-parallelism window analysis of §3.1 / Fig. 4.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use opus::{OpusConfig, Scenario};
+//! use opus::{OpusConfig, ScenarioSpec};
 //! use railsim_sim::SimDuration;
 //! use railsim_topology::{ClusterSpec, NodePreset};
 //! use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
@@ -46,9 +45,11 @@
 //! // Photonic rails with a 25 ms piezo OCS and provisioning, 2 iterations, driven
 //! // through the scenario entry point (see [`scenario`] for fault injection and
 //! // multi-job placement).
-//! let mut config = OpusConfig::provisioned(SimDuration::from_millis(25));
-//! config.iterations = 2;
-//! let result = Scenario::new(cluster).job(dag, config).run();
+//! let config = OpusConfig {
+//!     iterations: 2,
+//!     ..OpusConfig::provisioned(SimDuration::from_millis(25))
+//! };
+//! let result = ScenarioSpec::new(cluster).job(dag, config).run();
 //! assert!(
 //!     result.jobs[0].result.steady_state_iteration_time() > SimDuration::ZERO
 //! );
@@ -66,7 +67,6 @@ pub mod metrics;
 pub mod scenario;
 pub mod serving;
 pub mod shim;
-pub mod simulation;
 pub mod window;
 
 pub use circuits::{CircuitPlanner, GroupCircuits};
@@ -79,12 +79,10 @@ pub use fleet::{
 pub use group_table::{GroupEntry, GroupTable};
 pub use metrics::{CommRecord, IterationResult, ReconfigEvent, SimulationResult};
 pub use scenario::{
-    FleetMetrics, JobPlacement, JobResult, JobSpec, Scenario, ScenarioEvent, ScenarioResult,
-    ScenarioSpec,
+    FleetMetrics, JobPlacement, JobResult, JobSpec, ScenarioEvent, ScenarioResult, ScenarioSpec,
 };
 pub use serving::{ArrivalProcess, ServingSpec};
 pub use shim::{OpusShim, ShimProfile};
-pub use simulation::{baseline_of, run_policies, OpusSimulator};
 pub use window::{
     default_traffic_buckets_mb, phases_by_rail, phases_on_rail, window_cdf,
     windows_by_following_traffic, windows_of_iterations, windows_on_rail, Phase, Window,

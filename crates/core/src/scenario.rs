@@ -1,13 +1,15 @@
-//! The scenario driver: multi-job, fault-injecting simulations.
+//! The scenario driver: the simulator's one way to build and run a simulation.
 //!
-//! [`Scenario`] is the redesigned entry point of the simulator. Where
-//! [`OpusSimulator`](crate::OpusSimulator) runs *one* pristine job to completion, a
-//! scenario places any number of jobs on one shared cluster, injects external events
-//! (rail failures and recoveries, OCS degradation, late job arrivals) at scheduled
-//! times, and reports per-job metrics plus fleet-level rail counters:
+//! A [`ScenarioSpec`] places any number of jobs on one shared cluster, injects
+//! external events (rail failures and recoveries, OCS degradation, late job
+//! arrivals) at scheduled times, and [`ScenarioSpec::run`] reports per-job metrics
+//! plus fleet-level rail counters. A single pristine job is simply a spec with one
+//! job and no injections; it executes a [`TrainingDag`] under the electrical
+//! baseline, on-demand optical or provisioned optical policy and produces the
+//! timings behind Fig. 3, Fig. 4 and Fig. 8.
 //!
 //! ```
-//! use opus::{OpusConfig, Scenario, ScenarioEvent};
+//! use opus::{OpusConfig, ScenarioEvent, ScenarioSpec};
 //! use railsim_sim::{SimDuration, SimTime};
 //! use railsim_topology::{ClusterSpec, NodePreset, RailId};
 //! use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
@@ -18,16 +20,34 @@
 //! let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
 //! let dag = DagBuilder::new(model, parallel, compute).build();
 //!
-//! let mut config = OpusConfig::provisioned(SimDuration::from_millis(25));
-//! config.iterations = 2;
-//! let result = Scenario::new(cluster)
+//! let config = OpusConfig {
+//!     iterations: 2,
+//!     ..OpusConfig::provisioned(SimDuration::from_millis(25))
+//! };
+//! let result = ScenarioSpec::new(cluster)
 //!     .job(dag, config)
 //!     .inject(SimTime::from_millis(5), ScenarioEvent::RailDown(RailId(0)))
 //!     .inject(SimTime::from_millis(80), ScenarioEvent::RailUp(RailId(0)))
 //!     .run();
 //! assert_eq!(result.jobs.len(), 1);
 //! assert_eq!(result.fleet.injections_applied, 2);
+//! assert_eq!(result.jobs[0].result.iterations.len(), 2);
 //! ```
+//!
+//! ## How a communication task executes
+//!
+//! 1. The task becomes *group-ready* when every participant's prerequisites are done
+//!    (the paper's `T_comm_start` — the slowest rank has joined).
+//! 2. Its circuit demand is looked up in the job's [`GroupTable`]. Scale-up traffic
+//!    (TP) and the electrical baseline skip straight to the transfer.
+//! 3. On photonic rails the shim asks the controller for the group's circuits. If the
+//!    demand matrix did not change the request is free; otherwise the controller waits
+//!    for conflicting traffic to drain, reconfigures the OCS, and the transfer starts
+//!    once the circuits settle. With provisioning the request is back-dated to the
+//!    moment the affected circuits went idle, hiding the switching delay inside the
+//!    inter-parallelism window.
+//! 4. The transfer's duration comes from the α–β collective cost model; its ports are
+//!    marked busy until it completes.
 //!
 //! ## Execution model
 //!
@@ -50,9 +70,10 @@
 //! Single-job runs with an inert jitter RNG additionally memoize their steady state:
 //! once two consecutive iterations commit byte-identical timelines up to a constant
 //! offset, later unperturbed iterations are replayed with a shifted clock instead of
-//! re-stepped — byte-identical results at a fraction of the wall-clock cost. See
-//! [`MemoState`] for the detection and invalidation semantics and
-//! [`OpusConfig::memoize_steady_state`](crate::OpusConfig) for the knob.
+//! re-stepped — byte-identical results at a fraction of the wall-clock cost. The
+//! detection and invalidation semantics are documented on the executor's private
+//! `MemoState`; [`OpusConfig::memoize_steady_state`] is the knob and
+//! [`JobResult::memoized_iterations`] counts the replayed iterations.
 //!
 //! [`ScenarioSpec::run_without_records`] runs the same simulation for callers that
 //! read only aggregates: it keeps a transfer's [`CommRecord`] only while
@@ -193,12 +214,13 @@ pub struct JobSpec {
 /// A scenario described as plain data: the shared cluster, the job declarations and
 /// the injected external-event timeline.
 ///
-/// This is the declarative core both [`Scenario`] (the classic builder, now a thin
-/// shim over a spec) and the fleet sweep expansion (`opus::fleet`) produce; the
-/// executor consumes it via [`ScenarioSpec::run`] (or
-/// [`ScenarioSpec::run_without_records`]). Every field is public — a spec can
-/// be assembled directly, inspected, cloned cheaply (jobs share their DAGs via
-/// [`Arc`]) and re-run without touching imperative setup calls.
+/// This is the only way to build a simulation. Assemble it with the builder methods
+/// ([`job`](ScenarioSpec::job), [`inject`](ScenarioSpec::inject), ...) or directly
+/// from its public fields, as the fleet sweep expansion ([`crate::fleet`]) does, and
+/// run it with [`ScenarioSpec::run`] (or [`ScenarioSpec::run_without_records`]). A
+/// spec can be inspected, cloned cheaply (jobs share their DAGs via [`Arc`]) and
+/// re-run. Jobs are identified by [`JobId`] in declaration order; injections may be
+/// declared in any order.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// The shared cluster every job is placed on.
@@ -220,21 +242,23 @@ impl ScenarioSpec {
         }
     }
 
-    /// Adds a job sharing `dag` with automatic placement. The template is *not*
-    /// cloned — scenarios built from the same `Arc` share one set of task columns.
-    pub fn job(self, dag: Arc<TrainingDag>, config: OpusConfig) -> Self {
+    /// Adds a job with automatic placement (packed after the previous job, node
+    /// aligned). Pass an `Arc` to share one DAG template across scenarios: it is
+    /// *not* cloned, so scenarios built from the same `Arc` share one set of task
+    /// columns.
+    pub fn job(self, dag: impl Into<Arc<TrainingDag>>, config: OpusConfig) -> Self {
         self.job_placed(dag, config, JobPlacement::Auto)
     }
 
-    /// Adds a job sharing `dag` with an explicit placement.
+    /// Adds a job with an explicit placement.
     pub fn job_placed(
         mut self,
-        dag: Arc<TrainingDag>,
+        dag: impl Into<Arc<TrainingDag>>,
         config: OpusConfig,
         at: JobPlacement,
     ) -> Self {
         self.jobs.push(JobSpec {
-            dag,
+            dag: dag.into(),
             config,
             placement: at,
             serving: None,
@@ -247,13 +271,13 @@ impl ScenarioSpec {
     /// requests. See [`ServingSpec`] and the [`crate::serving`] module docs.
     pub fn serving_job(
         mut self,
-        dag: Arc<TrainingDag>,
+        dag: impl Into<Arc<TrainingDag>>,
         config: OpusConfig,
         at: JobPlacement,
         serving: ServingSpec,
     ) -> Self {
         self.jobs.push(JobSpec {
-            dag,
+            dag: dag.into(),
             config,
             placement: at,
             serving: Some(serving),
@@ -311,114 +335,12 @@ impl ScenarioSpec {
 
 /// Which [`CommRecord`]s a run keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Records {
+enum Records {
     /// Every record of every iteration ([`ScenarioSpec::run`]).
     Keep,
     /// Only the records steady-state detection may still compare, dropped once it
     /// has ([`ScenarioSpec::run_without_records`]); see [`MemoState::may_read`].
     MemoOnly,
-}
-
-/// Builder for a multi-job, fault-injecting simulation on one shared cluster.
-///
-/// See the [module docs](self) for the execution model. Jobs are identified by
-/// [`JobId`] in declaration order; injections may be declared in any order (they are
-/// sorted by time, declaration order breaking ties).
-///
-/// `Scenario` is a thin shim over [`ScenarioSpec`]: each builder call appends to the
-/// spec, and [`Scenario::run`] is exactly `self.into_spec().run()` (the compat suite
-/// pins the two paths byte-identical). Code that wants the declarative form — or
-/// wants to share one DAG template across many scenarios — can work with
-/// [`ScenarioSpec`] directly.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    spec: ScenarioSpec,
-}
-
-impl Scenario {
-    /// Starts a scenario on `cluster`.
-    pub fn new(cluster: Cluster) -> Self {
-        Scenario {
-            spec: ScenarioSpec::new(cluster),
-        }
-    }
-
-    /// Wraps an assembled spec in the builder.
-    pub fn from_spec(spec: ScenarioSpec) -> Self {
-        Scenario { spec }
-    }
-
-    /// The underlying declarative spec.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    /// Unwraps the builder into its declarative spec.
-    pub fn into_spec(self) -> ScenarioSpec {
-        self.spec
-    }
-
-    /// Adds a job with automatic placement (packed after the previous job, node
-    /// aligned). Returns the builder; the job's id is [`JobId`] of its declaration
-    /// index.
-    pub fn job(self, dag: TrainingDag, config: OpusConfig) -> Self {
-        self.job_placed(dag, config, JobPlacement::Auto)
-    }
-
-    /// Adds a job sharing an existing DAG template (no clone) with automatic
-    /// placement.
-    pub fn job_shared(mut self, dag: Arc<TrainingDag>, config: OpusConfig) -> Self {
-        self.spec = self.spec.job(dag, config);
-        self
-    }
-
-    /// Adds a job with an explicit placement.
-    pub fn job_placed(mut self, dag: TrainingDag, config: OpusConfig, at: JobPlacement) -> Self {
-        self.spec = self.spec.job_placed(Arc::new(dag), config, at);
-        self
-    }
-
-    /// Adds a *serving* job — an elastic inference deployment. See
-    /// [`ScenarioSpec::serving_job`].
-    pub fn serving_job(
-        mut self,
-        dag: TrainingDag,
-        config: OpusConfig,
-        at: JobPlacement,
-        serving: ServingSpec,
-    ) -> Self {
-        self.spec = self.spec.serving_job(Arc::new(dag), config, at, serving);
-        self
-    }
-
-    /// Injects an external event at the given absolute time.
-    pub fn inject(mut self, at: SimTime, event: ScenarioEvent) -> Self {
-        self.spec = self.spec.inject(at, event);
-        self
-    }
-
-    /// Injects a whole pre-generated timeline (e.g. the output of
-    /// [`crate::serving::ArrivalProcess::bursts`]).
-    pub fn inject_all(
-        mut self,
-        events: impl IntoIterator<Item = (SimTime, ScenarioEvent)>,
-    ) -> Self {
-        self.spec = self.spec.inject_all(events);
-        self
-    }
-
-    /// Number of jobs declared so far.
-    pub fn num_jobs(&self) -> usize {
-        self.spec.jobs.len()
-    }
-
-    /// Builds and runs the scenario to completion.
-    ///
-    /// # Panics
-    /// Panics when the scenario is malformed; see [`ScenarioSpec::run`].
-    pub fn run(self) -> ScenarioResult {
-        self.spec.run()
-    }
 }
 
 /// One job's outcome in a [`ScenarioResult`].
@@ -453,8 +375,13 @@ pub struct JobResult {
     /// The 99th-percentile request latency (arrival to retiring iteration end),
     /// nearest-rank over every retired request. `None` for training jobs.
     pub p99_request_latency: Option<SimDuration>,
-    /// Its per-iteration metrics, exactly as a standalone
-    /// [`OpusSimulator`](crate::OpusSimulator) run reports them.
+    /// Iterations replayed from the steady-state memo instead of re-stepped (0 with
+    /// memoization off, or when the run never reached steady state). A replayed
+    /// iteration is byte-identical to a stepped one, so this counter is the only
+    /// observable difference and it is not serialized.
+    #[serde(skip)]
+    pub memoized_iterations: u64,
+    /// Its per-iteration metrics.
     pub result: SimulationResult,
 }
 
@@ -479,6 +406,16 @@ pub struct FleetMetrics {
     /// [`EvictionPolicy`] (empty unless a policy other than
     /// [`EvictionPolicy::Never`] was active).
     pub circuits_evicted_by_rail: Vec<u64>,
+    /// Reconfiguration requests the shared controller received, from every job,
+    /// memoized iterations included (0 when no job ran an optical policy). Not
+    /// serialized.
+    #[serde(skip)]
+    pub controller_requests: u64,
+    /// The subset of [`controller_requests`](FleetMetrics::controller_requests)
+    /// whose circuits were already installed, so the OCS was left untouched. Not
+    /// serialized.
+    #[serde(skip)]
+    pub noop_requests: u64,
     /// Injected failures per rail.
     pub rail_failures: Vec<u64>,
     /// Accumulated injected downtime per rail (closed outages only).
@@ -637,8 +574,8 @@ struct MemoState {
     /// pair. Starts at 1 (iteration 0 profiles: the shim observes, provisioning is
     /// still off) and moves past every iteration perturbed by an injection.
     min_pair: u32,
-    /// Iterations replayed from the memo instead of re-stepped (observability only;
-    /// never serialized, so golden pins are unaffected).
+    /// Iterations replayed from the memo instead of re-stepped (reported as
+    /// [`JobResult::memoized_iterations`], which is not serialized).
     fast_forwarded: u64,
 }
 
@@ -663,8 +600,8 @@ struct JobContext {
     /// completion; it builds no per-task copies of them.
     dag: Arc<TrainingDag>,
     config: OpusConfig,
-    group_table: GroupTable,
-    /// Deduplicated circuit demands; see [`CircuitSlot`].
+    /// Deduplicated circuit demands, planned from the job's [`GroupTable`]; see
+    /// [`CircuitSlot`].
     circuit_pool: Vec<CircuitSlot>,
     /// The `circuit_pool` slot of each group (the first, for a repeated ad-hoc id).
     slot_of_group: HashMap<GroupId, u32>,
@@ -873,9 +810,8 @@ fn p99(latencies: &mut [SimDuration]) -> Option<SimDuration> {
     Some(latencies[idx])
 }
 
-/// The built, runnable scenario. `pub(crate)` so the single-job
-/// [`OpusSimulator`](crate::OpusSimulator) wrapper can drive it directly.
-pub(crate) struct ScenarioSim {
+/// The built, runnable scenario.
+struct ScenarioSim {
     cluster: Cluster,
     jobs: Vec<JobContext>,
     fleet: Fleet,
@@ -886,7 +822,7 @@ pub(crate) struct ScenarioSim {
 
 impl ScenarioSim {
     /// Builds every job context and the shared fleet state.
-    pub(crate) fn build(spec: ScenarioSpec, records: Records) -> ScenarioSim {
+    fn build(spec: ScenarioSpec, records: Records) -> ScenarioSim {
         let ScenarioSpec {
             cluster,
             jobs,
@@ -1182,7 +1118,6 @@ impl ScenarioSim {
             gpu_offset,
             dag,
             config,
-            group_table,
             circuit_pool,
             slot_of_group,
             task_circuit_slot,
@@ -1337,38 +1272,8 @@ impl ScenarioSim {
         (pool, slot_of_group, task_slot)
     }
 
-    /// One job's group table.
-    pub(crate) fn job_group_table(&self, job: usize) -> &GroupTable {
-        &self.jobs[job].group_table
-    }
-
-    /// One job's shim.
-    pub(crate) fn job_shim(&self, job: usize) -> &OpusShim {
-        &self.jobs[job].shim
-    }
-
-    /// The shared controller, when any job runs an optical policy.
-    pub(crate) fn controller(&self) -> Option<&OpusController> {
-        self.fleet.backend.controller()
-    }
-
-    /// Number of iterations one job fast-forwarded from its steady-state memo
-    /// instead of re-stepping. Observability only — deliberately not part of any
-    /// serialized result, so the golden pins stay byte-identical to the naive path.
-    pub(crate) fn job_memoized_iterations(&self, job: usize) -> u64 {
-        self.jobs[job].memo.fast_forwarded
-    }
-
-    /// Takes one job's completed iterations (used by the single-job wrapper to hand
-    /// the result out without cloning a multi-million-record vector).
-    pub(crate) fn take_job_result(&mut self, job: usize) -> SimulationResult {
-        SimulationResult {
-            iterations: std::mem::take(&mut self.jobs[job].completed),
-        }
-    }
-
     /// Runs every job to completion, applying the injected timeline.
-    pub(crate) fn run_scenario(&mut self) {
+    fn run_scenario(&mut self) {
         let mut engine: Engine<SimEvent> = Engine::new();
         // External events first: they win every same-timestamp tie against task
         // events (which are scheduled later, so they queue behind).
@@ -1419,14 +1324,17 @@ impl ScenarioSim {
     }
 
     /// Collects the per-job and fleet results.
-    pub(crate) fn into_result(mut self) -> ScenarioResult {
-        let fabric = self.fleet.backend.controller().map(|c| c.fabric());
+    fn into_result(mut self) -> ScenarioResult {
+        let controller = self.fleet.backend.controller();
+        let fabric = controller.map(|c| c.fabric());
         let circuits_set_up_by_rail = fabric
             .map(|f| f.circuits_set_up_by_rail())
             .unwrap_or_default();
         let circuits_torn_down_by_rail = fabric
             .map(|f| f.circuits_torn_down_by_rail())
             .unwrap_or_default();
+        let (controller_requests, noop_requests) =
+            controller.map_or((0, 0), |c| (c.requests(), c.noop_requests()));
         // A record-free run hands out no records, whatever detection still held.
         if self.records == Records::MemoOnly {
             for it in self.jobs.iter_mut().flat_map(|ctx| &mut ctx.completed) {
@@ -1462,6 +1370,8 @@ impl ScenarioSim {
             circuits_set_up_by_rail,
             circuits_torn_down_by_rail,
             circuits_evicted_by_rail,
+            controller_requests,
+            noop_requests,
             rail_failures: self.fleet.health.failures_by_rail().to_vec(),
             rail_downtime: self.fleet.health.downtime_by_rail().to_vec(),
             injections_applied: self.fleet.injections_applied,
@@ -1498,6 +1408,7 @@ impl ScenarioSim {
                     circuit_wait_share,
                     requests_completed: ctx.requests_completed,
                     p99_request_latency: p99(&mut ctx.request_latencies),
+                    memoized_iterations: ctx.memo.fast_forwarded,
                     result: SimulationResult {
                         iterations: ctx.completed,
                     },
@@ -2286,8 +2197,6 @@ impl ScenarioSim {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the dense `with_*` chains migrate to field style over time
-
     use super::*;
     use railsim_topology::{ClusterSpec, NodePreset};
     use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
@@ -2303,8 +2212,19 @@ mod tests {
         ClusterSpec::from_preset(NodePreset::PerlmutterA100, nodes).build()
     }
 
+    /// `base` for `iterations` iterations with the jitter RNG inert (amplitude 0,
+    /// seed 1), so the run is eligible for steady-state memoization.
+    fn jitter_free(base: OpusConfig, iterations: u32) -> OpusConfig {
+        OpusConfig {
+            iterations,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..base
+        }
+    }
+
     fn clean_single(config: OpusConfig) -> SimulationResult {
-        Scenario::new(tiny_cluster(4))
+        ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .run()
             .jobs
@@ -2314,10 +2234,10 @@ mod tests {
 
     #[test]
     fn single_job_scenario_reports_one_job_and_fleet_counters() {
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
-        let result = Scenario::new(tiny_cluster(4)).job(tiny_dag(), config).run();
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 2);
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(tiny_dag(), config)
+            .run();
         assert_eq!(result.jobs.len(), 1);
         assert_eq!(result.jobs[0].job, JobId(0));
         assert_eq!(result.jobs[0].gpu_offset, 0);
@@ -2335,6 +2255,11 @@ mod tests {
             result.fleet.circuits_set_up_by_rail.iter().sum::<u64>() > 0,
             "an optical job must have installed circuits"
         );
+        assert!(
+            result.fleet.noop_requests > 0,
+            "most of an optical job's requests find their circuits installed"
+        );
+        assert!(result.fleet.controller_requests > result.fleet.noop_requests);
     }
 
     #[test]
@@ -2342,11 +2267,9 @@ mod tests {
         // Two copies of the same job, side by side on an 8-node cluster: disjoint
         // GPUs and ports, so the shared fabric must give each job exactly the
         // iteration times of a standalone 4-node run.
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 2);
         let standalone = clean_single(config);
-        let result = Scenario::new(tiny_cluster(8))
+        let result = ScenarioSpec::new(tiny_cluster(8))
             .job(tiny_dag(), config)
             .job(tiny_dag(), config)
             .run();
@@ -2376,7 +2299,7 @@ mod tests {
         );
         // Both jobs used the same rails — fleet busy time doubles.
         let busy: f64 = result.fleet.rail_busy.iter().map(|d| d.as_secs_f64()).sum();
-        let single_busy: f64 = Scenario::new(tiny_cluster(4))
+        let single_busy: f64 = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .run()
             .fleet
@@ -2389,17 +2312,17 @@ mod tests {
 
     #[test]
     fn rail_flap_inflates_the_faulted_iteration_then_recovers() {
-        let config = OpusConfig::on_demand(SimDuration::from_millis(1))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
-        let clean_scenario = Scenario::new(tiny_cluster(4)).job(tiny_dag(), config).run();
+        let config = jitter_free(OpusConfig::on_demand(SimDuration::from_millis(1)), 3);
+        let clean_scenario = ScenarioSpec::new(tiny_cluster(4))
+            .job(tiny_dag(), config)
+            .run();
         let clean = &clean_scenario.jobs[0].result;
         let t1 = clean.iterations[1].started_at;
         let dur = clean.iterations[1].iteration_time;
         // Fail rail 0 a quarter into iteration 1, recover it half an iteration later.
         let down = t1 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
-        let result = Scenario::new(tiny_cluster(4))
+        let result = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
@@ -2431,15 +2354,13 @@ mod tests {
 
     #[test]
     fn electrical_jobs_wait_out_rail_outages_too() {
-        let config = OpusConfig::electrical()
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
+        let config = jitter_free(OpusConfig::electrical(), 2);
         let clean = clean_single(config);
         let t1 = clean.iterations[1].started_at;
         let dur = clean.iterations[1].iteration_time;
         let down = t1 + dur.mul_f64(0.1);
         let up = down + dur;
-        let result = Scenario::new(tiny_cluster(4))
+        let result = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
@@ -2455,10 +2376,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "no scheduled recovery")]
     fn unrecovered_rail_failure_is_a_scenario_bug() {
-        let config = OpusConfig::electrical()
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
-        let _ = Scenario::new(tiny_cluster(4))
+        let config = jitter_free(OpusConfig::electrical(), 2);
+        let _ = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(SimTime::ZERO, ScenarioEvent::RailDown(RailId(0)))
             .run();
@@ -2466,11 +2385,9 @@ mod tests {
 
     #[test]
     fn ocs_degradation_slows_reconfigurations() {
-        let config = OpusConfig::on_demand(SimDuration::from_millis(1))
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
+        let config = jitter_free(OpusConfig::on_demand(SimDuration::from_millis(1)), 2);
         let clean = clean_single(config);
-        let result = Scenario::new(tiny_cluster(4))
+        let result = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(
                 SimTime::ZERO,
@@ -2489,11 +2406,9 @@ mod tests {
 
     #[test]
     fn job_arrival_delays_the_start() {
-        let config = OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 1);
+        let config = jitter_free(OpusConfig::electrical(), 1);
         let at = SimTime::from_millis(250);
-        let result = Scenario::new(tiny_cluster(8))
+        let result = ScenarioSpec::new(tiny_cluster(8))
             .job(tiny_dag(), config)
             .job(tiny_dag(), config)
             .inject(at, ScenarioEvent::JobArrival { job: JobId(1) })
@@ -2515,10 +2430,8 @@ mod tests {
     fn a_repeated_job_arrival_is_rejected() {
         // The repeat lands while the job's first iteration is still running; left
         // unchecked it would restart that iteration on top of its in-flight tasks.
-        let config = OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 1);
-        let _ = Scenario::new(tiny_cluster(8))
+        let config = jitter_free(OpusConfig::electrical(), 1);
+        let _ = ScenarioSpec::new(tiny_cluster(8))
             .job(tiny_dag(), config)
             .job(tiny_dag(), config)
             .inject(ms(250), ScenarioEvent::JobArrival { job: JobId(1) })
@@ -2530,10 +2443,8 @@ mod tests {
     fn overlapping_placements_report_port_takeovers() {
         // Two jobs time-sharing the same GPUs: every transfer alternation flips the
         // port tenant, which the fleet counters must surface.
-        let config = OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 1);
-        let result = Scenario::new(tiny_cluster(4))
+        let config = jitter_free(OpusConfig::electrical(), 1);
+        let result = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .job_placed(tiny_dag(), config, JobPlacement::AtGpu(0))
             .run();
@@ -2544,11 +2455,9 @@ mod tests {
     #[test]
     fn injections_sort_into_the_timeline_in_declaration_order_on_ties() {
         // Down and up at the same instant, declared down-then-up: the rail ends up.
-        let config = OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 1);
+        let config = jitter_free(OpusConfig::electrical(), 1);
         let t = SimTime::from_millis(1);
-        let result = Scenario::new(tiny_cluster(4))
+        let result = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(t, ScenarioEvent::RailDown(RailId(0)))
             .inject(t, ScenarioEvent::RailUp(RailId(0)))
@@ -2561,7 +2470,7 @@ mod tests {
     #[should_panic(expected = "only has 4 rails")]
     fn injection_on_unknown_rail_is_rejected() {
         let config = OpusConfig::electrical();
-        let _ = Scenario::new(tiny_cluster(4))
+        let _ = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(SimTime::ZERO, ScenarioEvent::RailDown(RailId(9)))
             .run();
@@ -2571,7 +2480,7 @@ mod tests {
     #[should_panic(expected = "cluster only has 16 GPUs")]
     fn placement_outside_the_cluster_is_rejected() {
         let config = OpusConfig::electrical();
-        let _ = Scenario::new(tiny_cluster(4))
+        let _ = ScenarioSpec::new(tiny_cluster(4))
             .job_placed(tiny_dag(), config, JobPlacement::AtGpu(8))
             .run();
     }
@@ -2582,19 +2491,10 @@ mod tests {
         // `offset + max_rank` wraps in u32: unchecked, this job would land on GPUs
         // 0..14 on top of job 0 instead of being rejected.
         let config = OpusConfig::electrical();
-        let _ = Scenario::new(tiny_cluster(4))
+        let _ = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .job_placed(tiny_dag(), config, JobPlacement::AtGpu(u32::MAX - 1))
             .run();
-    }
-
-    /// Runs the scenario and reports job 0's fast-forward counter next to the
-    /// result (the counter is observability-only and not part of the result).
-    fn run_counting_ff(scenario: Scenario) -> (ScenarioResult, u64) {
-        let mut sim = ScenarioSim::build(scenario.into_spec(), Records::Keep);
-        sim.run_scenario();
-        let ff = sim.job_memoized_iterations(0);
-        (sim.into_result(), ff)
     }
 
     #[test]
@@ -2610,39 +2510,62 @@ mod tests {
             ),
             ("electrical", OpusConfig::electrical()),
         ] {
-            let config = config.with_iterations(8).with_jitter(0.0, 1);
-            let (memo, ff) =
-                run_counting_ff(Scenario::new(tiny_cluster(4)).job(tiny_dag(), config));
-            let naive = Scenario::new(tiny_cluster(4))
-                .job(tiny_dag(), config.with_memoization(false))
+            let config = jitter_free(config, 8);
+            let mut memo = ScenarioSpec::new(tiny_cluster(4))
+                .job(tiny_dag(), config)
                 .run();
+            let naive = ScenarioSpec::new(tiny_cluster(4))
+                .job(
+                    tiny_dag(),
+                    OpusConfig {
+                        memoize_steady_state: false,
+                        ..config
+                    },
+                )
+                .run();
+            let ff = std::mem::take(&mut memo.jobs[0].memoized_iterations);
             assert!(
                 ff >= 1,
                 "{name}: steady state must be detected and fast-forwarded (ff = {ff})"
             );
+            assert_eq!(naive.jobs[0].memoized_iterations, 0, "{name}");
+            // Everything else, the controller's request counters included, must be
+            // what naive stepping reports.
             assert_eq!(format!("{memo:?}"), format!("{naive:?}"), "{name}");
         }
     }
 
     #[test]
     fn memoization_gates_on_the_knob_and_on_jitter() {
-        let base = OpusConfig::provisioned(SimDuration::from_millis(5)).with_iterations(6);
-        let (_, ff_off) = run_counting_ff(
-            Scenario::new(tiny_cluster(4))
-                .job(tiny_dag(), base.with_jitter(0.0, 1).with_memoization(false)),
-        );
+        let base = OpusConfig {
+            iterations: 6,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
+        let memoized_iterations = |config: OpusConfig| {
+            ScenarioSpec::new(tiny_cluster(4))
+                .job(tiny_dag(), config)
+                .run()
+                .jobs[0]
+                .memoized_iterations
+        };
+        let ff_off = memoized_iterations(OpusConfig {
+            compute_jitter: 0.0,
+            seed: 1,
+            memoize_steady_state: false,
+            ..base
+        });
         assert_eq!(ff_off, 0, "the knob must disable fast-forwarding");
-        let (_, ff_jitter) = run_counting_ff(
-            Scenario::new(tiny_cluster(4)).job(tiny_dag(), base.with_jitter(0.05, 7)),
-        );
+        let ff_jitter = memoized_iterations(OpusConfig {
+            compute_jitter: 0.05,
+            seed: 7,
+            ..base
+        });
         assert_eq!(ff_jitter, 0, "a live jitter RNG must disable memoization");
     }
 
     #[test]
     fn rail_flap_invalidates_memoization_and_still_matches_naive() {
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(10)
-            .with_jitter(0.0, 1);
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 10);
         let clean = clean_single(config);
         let t4 = clean.iterations[4].started_at;
         let dur = clean.iterations[4].iteration_time;
@@ -2651,13 +2574,18 @@ mod tests {
         let down = t4 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
         let flapped = |config: OpusConfig| {
-            Scenario::new(tiny_cluster(4))
+            ScenarioSpec::new(tiny_cluster(4))
                 .job(tiny_dag(), config)
                 .inject(down, ScenarioEvent::RailDown(RailId(0)))
                 .inject(up, ScenarioEvent::RailUp(RailId(0)))
         };
-        let (memo, ff) = run_counting_ff(flapped(config));
-        let naive = flapped(config.with_memoization(false)).run();
+        let mut memo = flapped(config).run();
+        let naive = flapped(OpusConfig {
+            memoize_steady_state: false,
+            ..config
+        })
+        .run();
+        let ff = std::mem::take(&mut memo.jobs[0].memoized_iterations);
         assert_eq!(format!("{memo:?}"), format!("{naive:?}"));
         assert!(
             ff >= 1,
@@ -2671,19 +2599,13 @@ mod tests {
 
     #[test]
     fn multi_job_scenarios_never_fast_forward() {
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(6)
-            .with_jitter(0.0, 1);
-        let mut sim = ScenarioSim::build(
-            Scenario::new(tiny_cluster(8))
-                .job(tiny_dag(), config)
-                .job(tiny_dag(), config)
-                .into_spec(),
-            Records::Keep,
-        );
-        sim.run_scenario();
-        assert_eq!(sim.job_memoized_iterations(0), 0);
-        assert_eq!(sim.job_memoized_iterations(1), 0);
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 6);
+        let result = ScenarioSpec::new(tiny_cluster(8))
+            .job(tiny_dag(), config)
+            .job(tiny_dag(), config)
+            .run();
+        assert_eq!(result.jobs[0].memoized_iterations, 0);
+        assert_eq!(result.jobs[1].memoized_iterations, 0);
     }
 
     #[test]
@@ -2691,12 +2613,8 @@ mod tests {
         // The fast-forward replays occupancy from the template's per-port latest
         // ends instead of per transfer; the table it leaves must be the naive one,
         // whether or not the run keeps its records.
-        let provisioned = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(10)
-            .with_jitter(0.0, 1);
-        let on_demand = OpusConfig::on_demand(SimDuration::from_millis(1))
-            .with_iterations(8)
-            .with_jitter(0.0, 1);
+        let provisioned = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 10);
+        let on_demand = jitter_free(OpusConfig::on_demand(SimDuration::from_millis(1)), 8);
         let clean = clean_single(provisioned);
         let t4 = clean.iterations[4].started_at;
         let dur = clean.iterations[4].iteration_time;
@@ -2710,19 +2628,24 @@ mod tests {
             ("provisioned with a flap", provisioned, &flap[..]),
         ] {
             let spec = |config: OpusConfig| {
-                Scenario::new(tiny_cluster(4))
+                ScenarioSpec::new(tiny_cluster(4))
                     .job(tiny_dag(), config)
                     .inject_all(injections.iter().copied())
-                    .into_spec()
             };
             let occupancy = |config: OpusConfig, records: Records| {
                 let mut sim = ScenarioSim::build(spec(config), records);
                 sim.run_scenario();
-                let ff = sim.job_memoized_iterations(0);
-                let table = sim.controller().expect("optical").port_occupancy().to_vec();
-                (table, ff)
+                let ff = sim.jobs[0].memo.fast_forwarded;
+                let controller = sim.fleet.backend.controller().expect("optical");
+                (controller.port_occupancy().to_vec(), ff)
             };
-            let (naive, _) = occupancy(config.with_memoization(false), Records::Keep);
+            let (naive, _) = occupancy(
+                OpusConfig {
+                    memoize_steady_state: false,
+                    ..config
+                },
+                Records::Keep,
+            );
             let (kept, ff_kept) = occupancy(config, Records::Keep);
             let (free, ff_free) = occupancy(config, Records::MemoOnly);
             assert!(ff_kept >= 1, "{name}: the memo must fast-forward");
@@ -2821,9 +2744,9 @@ mod tests {
         // before any per-job validation touches them.
         let dag = Arc::new(tiny_dag());
         let config = OpusConfig::electrical();
-        let mut scenario = Scenario::new(tiny_cluster(1));
+        let mut scenario = ScenarioSpec::new(tiny_cluster(1));
         for _ in 0..(u16::MAX as usize + 1) {
-            scenario = scenario.job_shared(Arc::clone(&dag), config);
+            scenario = scenario.job(Arc::clone(&dag), config);
         }
         let _ = scenario.run();
     }
@@ -2836,7 +2759,7 @@ mod tests {
         let dur = clean.iterations[1].iteration_time;
         let down = t1 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
-        Scenario::new(tiny_cluster(4))
+        ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
@@ -2845,9 +2768,7 @@ mod tests {
 
     #[test]
     fn replan_beats_stall_on_the_same_flap() {
-        let stall = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let stall = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 3);
         let mut replan = stall;
         replan.recovery_policy = RecoveryPolicy::Replan;
         let clean = clean_single(stall);
@@ -2879,16 +2800,14 @@ mod tests {
 
     #[test]
     fn replan_degraded_clock_spans_exactly_the_outage() {
-        let mut config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let mut config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 3);
         config.recovery_policy = RecoveryPolicy::Replan;
         let clean = clean_single(config);
         let t1 = clean.iterations[1].started_at;
         let dur = clean.iterations[1].iteration_time;
         let down = t1 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
-        let result = Scenario::new(tiny_cluster(4))
+        let result = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
@@ -2906,11 +2825,9 @@ mod tests {
         // The stall twin of this timeline panics ("no scheduled recovery", pinned by
         // `unrecovered_rail_failure_is_a_scenario_bug`): the degraded plan excludes
         // the dead rail, so a replan job keeps training to the end of the scenario.
-        let mut config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let mut config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 3);
         config.recovery_policy = RecoveryPolicy::Replan;
-        let result = Scenario::new(tiny_cluster(4))
+        let result = ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(SimTime::from_micros(1), ScenarioEvent::RailDown(RailId(0)))
             .run();
@@ -2934,9 +2851,7 @@ mod tests {
     fn replan_policy_on_electrical_jobs_is_inert() {
         // Electrical fabrics have no circuits to re-stripe; the policy knob must not
         // change their (stalling) behavior or invent replan metrics.
-        let stall = OpusConfig::electrical()
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let stall = jitter_free(OpusConfig::electrical(), 3);
         let mut replan = stall;
         replan.recovery_policy = RecoveryPolicy::Replan;
         let a = flapped_scenario(stall);
@@ -2966,9 +2881,7 @@ mod tests {
         let parallel = ParallelismConfig::paper_llama3_8b();
         let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
         let train_dag = DagBuilder::new(model, parallel, compute).build();
-        let mut train_cfg = OpusConfig::on_demand(SimDuration::from_millis(25))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let mut train_cfg = jitter_free(OpusConfig::on_demand(SimDuration::from_millis(25)), 3);
         train_cfg.eviction = eviction;
         let serve_cfg = train_cfg;
         let inference = InferenceConfig::tiny_test(4, 2, 2);
@@ -3085,10 +2998,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a serving job")]
     fn request_burst_for_a_training_job_is_rejected() {
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
-        Scenario::new(tiny_cluster(4))
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 2);
+        ScenarioSpec::new(tiny_cluster(4))
             .job(tiny_dag(), config)
             .inject(
                 ms(5),
@@ -3115,5 +3026,235 @@ mod tests {
         let mut spec = mixed_tenancy_spec(EvictionPolicy::Never);
         spec.jobs[1].config.eviction = EvictionPolicy::FairShare;
         spec.run();
+    }
+
+    // ---- single-job runs ------------------------------------------------------------
+
+    #[test]
+    fn electrical_baseline_runs_to_completion() {
+        let result = clean_single(OpusConfig {
+            iterations: 1,
+            ..OpusConfig::electrical()
+        });
+        assert_eq!(result.iterations.len(), 1);
+        let it = &result.iterations[0];
+        assert!(it.iteration_time > SimDuration::ZERO);
+        assert!(!it.comm_records.is_empty());
+        assert_eq!(it.reconfig_count(), 0, "electrical rails never reconfigure");
+        assert_eq!(it.total_circuit_wait, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn optical_zero_latency_matches_electrical_baseline_closely() {
+        let baseline = clean_single(jitter_free(OpusConfig::electrical(), 2));
+        let optical = clean_single(jitter_free(OpusConfig::on_demand(SimDuration::ZERO), 2));
+        // A zero-latency optical fabric still serializes a port's circuits (a single
+        // NIC port cannot talk to two peers at once), so it can be marginally slower
+        // than the packet-switched baseline, but only marginally.
+        let ratio = optical.normalized_against(&baseline);
+        assert!(
+            (0.98..=1.08).contains(&ratio),
+            "zero-latency optical should closely match the baseline, ratio = {ratio}"
+        );
+    }
+
+    #[test]
+    fn reconfigurations_happen_on_parallelism_shifts_only() {
+        let result = clean_single(OpusConfig {
+            iterations: 1,
+            ..OpusConfig::on_demand(SimDuration::from_millis(1))
+        });
+        let it = &result.iterations[0];
+        assert!(
+            it.reconfig_count() > 0,
+            "optical rails must reconfigure at least once"
+        );
+        // Far fewer reconfigurations than communication operations: Opus only switches
+        // when the demand matrix changes (Objective 2).
+        assert!(
+            it.reconfig_count() < it.comm_records.iter().filter(|r| r.scaleout).count(),
+            "reconfig count {} should be far below scale-out op count",
+            it.reconfig_count()
+        );
+    }
+
+    #[test]
+    fn iteration_time_is_monotone_in_reconfig_latency() {
+        let mut prev = SimDuration::ZERO;
+        for ms in [0u64, 10, 100, 1000] {
+            let result = clean_single(jitter_free(
+                OpusConfig::on_demand(SimDuration::from_millis(ms)),
+                2,
+            ));
+            let t = result.steady_state_iteration_time();
+            assert!(
+                t >= prev,
+                "iteration time must not decrease with latency (at {ms} ms: {t} < {prev})"
+            );
+            prev = t;
+        }
+    }
+
+    #[test]
+    fn provisioning_is_never_slower_than_on_demand() {
+        for ms in [1u64, 25, 100, 500] {
+            let latency = SimDuration::from_millis(ms);
+            let on_demand = clean_single(jitter_free(OpusConfig::on_demand(latency), 3));
+            let provisioned = clean_single(jitter_free(OpusConfig::provisioned(latency), 3));
+            let t_od = on_demand.steady_state_iteration_time();
+            let t_pr = provisioned.steady_state_iteration_time();
+            assert!(
+                t_pr <= t_od + SimDuration::from_micros(1),
+                "provisioned ({t_pr}) must not exceed on-demand ({t_od}) at {ms} ms"
+            );
+        }
+    }
+
+    #[test]
+    fn provisioning_hides_most_of_a_moderate_delay() {
+        let model = ModelConfig::llama3_8b();
+        let parallel = ParallelismConfig::paper_llama3_8b();
+        let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
+        let dag = Arc::new(DagBuilder::new(model, parallel, compute).build());
+        let run = |base: OpusConfig| {
+            let config = jitter_free(base, 2);
+            ScenarioSpec::new(tiny_cluster(4))
+                .job(Arc::clone(&dag), config)
+                .run()
+                .jobs
+                .remove(0)
+                .result
+        };
+        let baseline = run(OpusConfig::electrical());
+        let provisioned = run(OpusConfig::provisioned(SimDuration::from_millis(25)));
+        let ratio = provisioned.normalized_against(&baseline);
+        assert!(
+            ratio < 1.10,
+            "a 25 ms piezo-class switch with provisioning should cost well under 10 %, got {ratio}"
+        );
+    }
+
+    #[test]
+    fn tp_traffic_never_touches_the_rails() {
+        let result = clean_single(OpusConfig {
+            iterations: 1,
+            ..OpusConfig::on_demand(SimDuration::from_millis(1))
+        });
+        for rec in &result.iterations[0].comm_records {
+            if rec.axis == ParallelismAxis::Tensor {
+                assert!(
+                    !rec.scaleout,
+                    "TP record {} must stay in the scale-up domain",
+                    rec.label
+                );
+                assert!(rec.rails.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn scaleout_records_carry_rails_and_groups() {
+        let result = clean_single(OpusConfig {
+            iterations: 1,
+            ..OpusConfig::on_demand(SimDuration::from_millis(1))
+        });
+        let scaleout: Vec<_> = result.iterations[0]
+            .comm_records
+            .iter()
+            .filter(|r| r.scaleout)
+            .collect();
+        assert!(!scaleout.is_empty());
+        for rec in scaleout {
+            assert!(!rec.rails.is_empty(), "{} must name its rails", rec.label);
+            assert!(rec.end > rec.start);
+        }
+    }
+
+    #[test]
+    fn profile_is_captured_during_the_first_iteration() {
+        let config = OpusConfig {
+            iterations: 2,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
+        let spec = ScenarioSpec::new(tiny_cluster(4)).job(tiny_dag(), config);
+        let mut sim = ScenarioSim::build(spec, Records::Keep);
+        sim.run_scenario();
+        let shim = &sim.jobs[0].shim;
+        assert!(shim.can_provision());
+        assert!(shim.profile().shift_count(GpuId(0)) > 0);
+    }
+
+    #[test]
+    fn host_offload_reduces_reconfigurations_without_slowing_the_iteration() {
+        use crate::config::HostOffload;
+        let plain = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(100)), 2);
+        let offloaded = clean_single(OpusConfig {
+            host_offload: Some(HostOffload::frontend_100g()),
+            ..plain
+        });
+        let plain = clean_single(plain);
+        // The sub-megabyte sync AllReduces no longer hit the rails, so the offloaded
+        // run reconfigures at most as often and must not be slower.
+        assert!(offloaded.total_reconfigs() <= plain.total_reconfigs());
+        assert!(
+            offloaded.steady_state_iteration_time()
+                <= plain.steady_state_iteration_time() + SimDuration::from_micros(1)
+        );
+        // Offloaded records carry no rails.
+        let has_offloaded_record = offloaded
+            .iterations
+            .iter()
+            .flat_map(|i| i.comm_records.iter())
+            .any(|r| r.scaleout && r.rails.is_empty());
+        assert!(
+            has_offloaded_record,
+            "some traffic must actually have been offloaded"
+        );
+    }
+
+    #[test]
+    fn multiple_iterations_advance_the_clock() {
+        let result = clean_single(OpusConfig {
+            iterations: 3,
+            ..OpusConfig::electrical()
+        });
+        assert_eq!(result.iterations.len(), 3);
+        for w in result.iterations.windows(2) {
+            assert!(w[1].started_at > w[0].started_at);
+        }
+    }
+
+    #[test]
+    fn memoized_runs_report_their_fast_forwards_and_match_the_naive_path() {
+        let base = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(25)), 12);
+        let run = |config: OpusConfig| {
+            ScenarioSpec::new(tiny_cluster(4))
+                .job(tiny_dag(), config)
+                .run()
+                .jobs
+                .remove(0)
+        };
+        let memoized = run(base);
+        let naive = run(OpusConfig {
+            memoize_steady_state: false,
+            ..base
+        });
+        assert_eq!(naive.memoized_iterations, 0);
+        assert!(
+            memoized.memoized_iterations >= 8,
+            "a 12-iteration jitter-free run must fast-forward most of its tail, \
+             fast-forwarded {}",
+            memoized.memoized_iterations
+        );
+        let (memo_result, naive_result) = (memoized.result, naive.result);
+        assert_eq!(memo_result.iterations.len(), naive_result.iterations.len());
+        for (a, b) in memo_result.iterations.iter().zip(&naive_result.iterations) {
+            assert_eq!(a.iteration, b.iteration);
+            assert_eq!(a.iteration_time, b.iteration_time);
+            assert_eq!(a.started_at, b.started_at);
+            assert_eq!(a.comm_records, b.comm_records);
+            assert_eq!(a.reconfig_events, b.reconfig_events);
+            assert_eq!(a.total_circuit_wait, b.total_circuit_wait);
+        }
     }
 }

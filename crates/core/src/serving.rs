@@ -7,8 +7,7 @@
 //! [`RequestBurst`](crate::ScenarioEvent::RequestBurst), then iterates — each
 //! finished iteration retires up to `batch_capacity × active replicas` queued
 //! requests, FIFO — until its backlog drains, going idle again between bursts.
-//! [`ScenarioEvent::JobGrow`](crate::ScenarioEvent::JobGrow) /
-//! [`ScenarioEvent::JobShrink`](crate::ScenarioEvent::JobShrink) resize the active
+//! [`ScenarioEvent::JobGrow`] / [`ScenarioEvent::JobShrink`] resize the active
 //! replica set at the next iteration boundary: the DAG always carries every
 //! replica's tasks (placed up front through the usual
 //! [`JobPlacement`](crate::JobPlacement) machinery), and the driver masks whole
@@ -25,9 +24,8 @@ use railsim_workload::{InferenceConfig, JobId};
 
 /// The serving-side declaration of one elastic inference job.
 ///
-/// Attached to a job via [`ScenarioSpec::serving_job`](crate::ScenarioSpec) (or
-/// [`Scenario::serving_job`](crate::Scenario)); the DAG itself comes from
-/// [`railsim_workload::InferenceDagBuilder`]. `replicas × gpus_per_replica` must
+/// Attached to a job via [`ScenarioSpec::serving_job`](crate::ScenarioSpec::serving_job);
+/// the DAG itself comes from [`railsim_workload::InferenceDagBuilder`]. `replicas × gpus_per_replica` must
 /// equal the DAG's world size — the scenario builder asserts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingSpec {

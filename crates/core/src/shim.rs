@@ -64,11 +64,6 @@ impl ShimProfile {
         self.sequences.values().all(|v| v.is_empty())
     }
 
-    /// The group the rank will use at `position` in its sequence, if known.
-    pub fn group_at(&self, rank: GpuId, position: usize) -> Option<GroupId> {
-        self.sequence(rank).get(position).copied()
-    }
-
     /// The next *different* group after `position` in the rank's sequence — i.e. the
     /// next parallelism shift the shim should provision for. Returns `None` when the
     /// remainder of the iteration stays on the same group.

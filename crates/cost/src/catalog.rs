@@ -12,24 +12,24 @@ use serde::{Deserialize, Serialize};
 /// Price and power figures for the components of a GPU-backend network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ComponentCatalog {
-    /// Price of one 400 G pluggable transceiver (FS.COM 400GBASE-XDR4, ~\$550 [15]).
+    /// Price of one 400 G pluggable transceiver (FS.COM 400GBASE-XDR4, ~\$550 \[15\]).
     pub transceiver_400g_usd: f64,
     /// Power draw of one 400 G transceiver in watts (~12 W typical).
     pub transceiver_400g_watts: f64,
     /// Price of one 64×400 G electrical packet switch (FS N9510-64D, Tomahawk-4,
-    /// ~\$36 000 [16]).
+    /// ~\$36 000 \[16\]).
     pub electrical_switch_usd: f64,
     /// Typical power draw of that switch in watts (~1 800 W fully populated).
     pub electrical_switch_watts: f64,
     /// Ports per electrical switch.
     pub electrical_switch_ports: u64,
     /// Price of one optical circuit switch port (Polatis Series 7000-class piezo OCS,
-    /// ~\$500/port at list [53]).
+    /// ~\$500/port at list \[53\]).
     pub ocs_port_usd: f64,
     /// Power draw of one OCS port in watts (a 384–576-port piezo/MEMS chassis draws
     /// ~45–65 W total, i.e. ~0.1–0.15 W per port [8, 53]).
     pub ocs_port_watts: f64,
-    /// Price of one ConnectX-7-class 400 G NIC (~\$1 600 [44]). NICs are present in
+    /// Price of one ConnectX-7-class 400 G NIC (~\$1 600 \[44\]). NICs are present in
     /// every fabric alternative, so they are excluded from comparisons by default.
     pub nic_usd: f64,
     /// NIC power in watts.

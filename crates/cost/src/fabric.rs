@@ -4,7 +4,7 @@
 //!
 //! * **Fat-tree** — one full-bisection folded Clos over all `N` endpoints.
 //! * **Rail-optimized** — one independent Clos per rail (8 rails for DGX H200), each
-//!   connecting the `N / 8` same-rank GPUs ([71]'s design, the state of the art the
+//!   connecting the `N / 8` same-rank GPUs (\[71\]'s design, the state of the art the
 //!   paper compares against).
 //! * **Opus** — one flat optical circuit switch layer per rail: no packet switches, no
 //!   switch-side transceivers, just an OCS port per endpoint.

@@ -142,7 +142,7 @@ impl FatTreeDimensions {
 }
 
 /// Component counts for a rail-optimized fabric: one independent Clos per rail, each
-/// connecting the same-rank GPUs of every scale-up domain (the design of [71]).
+/// connecting the same-rank GPUs of every scale-up domain (the design of \[71\]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RailClosDimensions {
     /// Number of rails (GPUs per scale-up domain).

@@ -8,7 +8,7 @@
 //!    through their rail (electrical switch or optical circuit).
 //! 3. **PXN forwarding** — the GPUs differ in both node and local rank. Traffic is
 //!    forwarded through the GPU in the *sender's* node that shares the receiver's local
-//!    rank (NVIDIA's PXN mechanism [43]), paying one extra scale-up hop — the
+//!    rank (NVIDIA's PXN mechanism \[43\]), paying one extra scale-up hop — the
 //!    "bandwidth tax" the paper mentions when discussing multi-hopping (§3, §5).
 
 use crate::cluster::Cluster;

@@ -100,7 +100,7 @@ impl ModelConfig {
     }
 
     /// Llama 3.1 405B — used for the paper's Eq. 1 window-count estimate (127 windows
-    /// per iteration at the configuration reported in [10]/[41]).
+    /// per iteration at the configuration reported in \[10\]/\[41\]).
     pub fn llama31_405b() -> Self {
         ModelConfig {
             name: "Llama3.1-405B".into(),

@@ -1,7 +1,7 @@
 //! Rule-of-thumb parallelism strategy selection (Table 1 of the paper).
 //!
 //! The paper's Table 1 summarizes the community's rule-of-thumb mapping from model size
-//! and GPU count to parallelism strategies (following the Ultra-Scale Playbook [67]).
+//! and GPU count to parallelism strategies (following the Ultra-Scale Playbook \[67\]).
 //! [`recommend`] reproduces that table and is used both by the `table1_strategies`
 //! experiment binary and by examples that need a sensible default configuration.
 

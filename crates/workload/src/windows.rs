@@ -82,7 +82,7 @@ pub fn window_count(inputs: &WindowCountInputs) -> WindowCountBreakdown {
     }
 }
 
-/// The paper's Llama 3.1 405B training recipe ([10], [41]): PP=8 over 126 layers with
+/// The paper's Llama 3.1 405B training recipe (\[10\], \[41\]): PP=8 over 126 layers with
 /// 16 micro-batches and context parallelism, yielding 127 windows per iteration.
 pub fn llama31_405b_inputs() -> WindowCountInputs {
     WindowCountInputs {

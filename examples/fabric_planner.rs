@@ -10,6 +10,7 @@
 
 use photonic_rails::cost::ocs_tech::{ocs_technologies, scaleup};
 use photonic_rails::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let target_gpus: u64 = std::env::args()
@@ -99,17 +100,21 @@ fn main() {
         seq_len: 8192,
     };
     let compute = ComputeModel::derive(&modelcfg, &parallel, &GpuSpec::h100());
-    let dag = DagBuilder::new(modelcfg, parallel, compute).build();
-    let mut electrical = OpusConfig::electrical();
-    electrical.iterations = 2;
-    let baseline = OpusSimulator::new(slice.clone(), dag.clone(), electrical)
-        .run()
-        .steady_state_iteration_time();
-    let mut provisioned = OpusConfig::provisioned(SimDuration::from_millis(25));
-    provisioned.iterations = 2;
-    let piezo = OpusSimulator::new(slice, dag, provisioned)
-        .run()
-        .steady_state_iteration_time();
+    let dag = Arc::new(DagBuilder::new(modelcfg, parallel, compute).build());
+    let iteration_time = |config: OpusConfig| {
+        let config = OpusConfig {
+            iterations: 2,
+            ..config
+        };
+        ScenarioSpec::new(slice.clone())
+            .job(Arc::clone(&dag), config)
+            .run()
+            .jobs[0]
+            .result
+            .steady_state_iteration_time()
+    };
+    let baseline = iteration_time(OpusConfig::electrical());
+    let piezo = iteration_time(OpusConfig::provisioned(SimDuration::from_millis(25)));
     println!(
         "\nperformance check on a 32-GPU slice: electrical {baseline} vs piezo-OCS Opus {piezo} ({:.1}% overhead)",
         100.0 * (piezo.as_secs_f64() / baseline.as_secs_f64() - 1.0)

@@ -49,7 +49,7 @@ fn main() {
         config.seed = 7;
 
         // Clean reference run.
-        let clean = Scenario::new(cluster())
+        let clean = ScenarioSpec::new(cluster())
             .job(build_dag(), config)
             .run()
             .jobs
@@ -63,7 +63,7 @@ fn main() {
         let down = t1 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
 
-        let faulted = Scenario::new(cluster())
+        let faulted = ScenarioSpec::new(cluster())
             .job(build_dag(), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))

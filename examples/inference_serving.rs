@@ -52,7 +52,7 @@ fn run(eviction: EvictionPolicy) -> ScenarioResult {
         SimTime::from_millis(150),
     );
 
-    Scenario::new(cluster)
+    ScenarioSpec::new(cluster)
         .job(train_dag, config)
         .serving_job(serve_dag, config, JobPlacement::AtGpu(4), serving)
         .inject_all(bursts)

@@ -12,6 +12,7 @@ use photonic_rails::cost::ocs_tech::ocs_technologies;
 use photonic_rails::prelude::*;
 use photonic_rails::workload::strategy;
 use photonic_rails::workload::traffic::table2_rows;
+use std::sync::Arc;
 
 fn main() {
     // A 64-GPU DGX H200 slice: 8 nodes of 8 GPUs, ConnectX-7 in 2-port mode.
@@ -91,13 +92,15 @@ fn main() {
 
     // 5. Time-multiplex instead: Opus across OCS technologies.
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::h100());
-    let dag = DagBuilder::new(model, parallel, compute).build();
+    let dag = Arc::new(DagBuilder::new(model, parallel, compute).build());
     let mut electrical = OpusConfig::electrical();
     electrical.iterations = 2;
     electrical.compute_jitter = 0.0;
     electrical.seed = 11;
-    let baseline = OpusSimulator::new(cluster.clone(), dag.clone(), electrical).run();
-    let baseline_time = baseline.steady_state_iteration_time();
+    let baseline = ScenarioSpec::new(cluster.clone())
+        .job(Arc::clone(&dag), electrical)
+        .run();
+    let baseline_time = baseline.jobs[0].result.steady_state_iteration_time();
     println!("\nelectrical baseline iteration: {baseline_time}");
     println!("\nOpus (provisioned) across OCS technologies:");
     for tech in ocs_technologies() {
@@ -113,9 +116,14 @@ fn main() {
         config.iterations = 2;
         config.compute_jitter = 0.0;
         config.seed = 11;
-        let result = OpusSimulator::new(cluster.clone(), dag.clone(), config).run();
-        let ratio =
-            result.steady_state_iteration_time().as_secs_f64() / baseline_time.as_secs_f64();
+        let result = ScenarioSpec::new(cluster.clone())
+            .job(Arc::clone(&dag), config)
+            .run();
+        let ratio = result.jobs[0]
+            .result
+            .steady_state_iteration_time()
+            .as_secs_f64()
+            / baseline_time.as_secs_f64();
         println!(
             "  {:28} reconfig {:>10}  -> normalized iteration time {:.3}",
             tech.name,

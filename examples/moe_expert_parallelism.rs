@@ -12,6 +12,7 @@
 use photonic_rails::opus::CircuitPlanner;
 use photonic_rails::prelude::*;
 use photonic_rails::workload::windows::{window_count, WindowCountInputs};
+use std::sync::Arc;
 
 fn main() {
     // 4 DGX H200 nodes, 2-port NICs (EP needs the extra degree).
@@ -62,7 +63,7 @@ fn main() {
 
     // Build the DAG and look at the circuit demand of each axis.
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::h100());
-    let dag = DagBuilder::new(model, parallel, compute).build();
+    let dag = Arc::new(DagBuilder::new(model, parallel, compute).build());
     let planner = CircuitPlanner::for_cluster(&cluster);
     println!("\ncircuit demand per communication group (sample):");
     let mut shown = std::collections::HashSet::new();
@@ -86,8 +87,10 @@ fn main() {
     electrical.iterations = 2;
     electrical.compute_jitter = 0.0;
     electrical.seed = 21;
-    let baseline = OpusSimulator::new(cluster.clone(), dag.clone(), electrical).run();
-    let baseline_time = baseline.steady_state_iteration_time();
+    let baseline = ScenarioSpec::new(cluster.clone())
+        .job(Arc::clone(&dag), electrical)
+        .run();
+    let baseline_time = baseline.jobs[0].result.steady_state_iteration_time();
     println!("\nelectrical baseline iteration: {baseline_time}");
 
     for (name, latency) in [
@@ -99,7 +102,10 @@ fn main() {
         config.iterations = 2;
         config.compute_jitter = 0.0;
         config.seed = 21;
-        let result = OpusSimulator::new(cluster.clone(), dag.clone(), config).run();
+        let scenario = ScenarioSpec::new(cluster.clone())
+            .job(Arc::clone(&dag), config)
+            .run();
+        let result = &scenario.jobs[0].result;
         let it = result.iterations.last().expect("ran two iterations");
         println!(
             "{name:22} -> normalized {:.3}, {} reconfigs/iter, circuit wait {}",

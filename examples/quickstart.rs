@@ -6,6 +6,7 @@
 //! ```
 
 use photonic_rails::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // 1. The paper's testbed: 4 Perlmutter GPU nodes (4x A100 each), so 16 GPUs in
@@ -24,7 +25,8 @@ fn main() {
     let model = ModelConfig::llama3_8b();
     let parallel = ParallelismConfig::paper_llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
-    let dag = DagBuilder::new(model, parallel, compute).build();
+    // Behind an `Arc`, every run below shares this one DAG instead of copying it.
+    let dag = Arc::new(DagBuilder::new(model, parallel, compute).build());
     println!(
         "workload: {} tasks, {} communication ops, {} of traffic per iteration",
         dag.len(),
@@ -55,8 +57,10 @@ fn main() {
         config.iterations = 3;
         config.compute_jitter = 0.0;
         config.seed = 7;
-        let mut sim = OpusSimulator::new(cluster.clone(), dag.clone(), config);
-        let result = sim.run();
+        let scenario = ScenarioSpec::new(cluster.clone())
+            .job(Arc::clone(&dag), config)
+            .run();
+        let result = &scenario.jobs[0].result;
         let time = result.steady_state_iteration_time();
         let baseline = *baseline_time.get_or_insert(time);
         let last = result.iterations.last().expect("at least one iteration");

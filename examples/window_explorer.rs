@@ -22,8 +22,8 @@ fn main() {
     config.iterations = 10;
     config.compute_jitter = 0.05;
     config.seed = 2024;
-    let mut sim = OpusSimulator::new(cluster.clone(), dag, config);
-    let result = sim.run();
+    let scenario = ScenarioSpec::new(cluster.clone()).job(dag, config).run();
+    let result = &scenario.jobs[0].result;
 
     println!(
         "inter-parallelism windows per rail (10 iterations of Llama3-8B, TP=4/FSDP=2/PP=2):\n"

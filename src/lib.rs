@@ -17,7 +17,7 @@
 //! | [`topology`] | `railsim-topology` | clusters, rails, optical circuit switches, fat-trees |
 //! | [`collectives`] | `railsim-collectives` | communication groups, collective algorithms, α–β cost models |
 //! | [`workload`] | `railsim-workload` | model/parallelism configs, pipeline schedules, training DAGs |
-//! | [`opus`] | `opus` | the Opus shim + controller, the iteration simulator, the scenario driver and fleet sweep service, window analysis |
+//! | [`opus`] | `opus` | the Opus shim + controller, the scenario driver (the simulator's entry point) and fleet sweep service, window analysis |
 //! | [`cost`] | `railsim-cost` | fabric cost/power models and the OCS technology table |
 //!
 //! ## Quick start
@@ -32,12 +32,14 @@
 //! let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
 //! let dag = DagBuilder::new(model, parallel, compute).build();
 //!
-//! // Simulate photonic rails with a 25 ms piezo OCS and provisioning. `Scenario` is
-//! // the entry point: one or more jobs on a shared cluster, plus an injected event
-//! // timeline (rail failures/recoveries, OCS degradation, late job arrivals).
-//! let mut config = OpusConfig::provisioned(SimDuration::from_millis(25));
-//! config.iterations = 2;
-//! let result = Scenario::new(cluster)
+//! // Simulate photonic rails with a 25 ms piezo OCS and provisioning. `ScenarioSpec`
+//! // is the entry point: one or more jobs on a shared cluster, plus an injected
+//! // event timeline (rail failures/recoveries, OCS degradation, late job arrivals).
+//! let config = OpusConfig {
+//!     iterations: 2,
+//!     ..OpusConfig::provisioned(SimDuration::from_millis(25))
+//! };
+//! let result = ScenarioSpec::new(cluster)
 //!     .job(dag, config)
 //!     .inject(SimTime::from_millis(5), ScenarioEvent::RailDown(RailId(0)))
 //!     .inject(SimTime::from_millis(80), ScenarioEvent::RailUp(RailId(0)))
@@ -47,8 +49,6 @@
 //!     result.job(JobId(0)).result.steady_state_iteration_time()
 //! );
 //! println!("rail 0 outages: {}", result.fleet.rail_failures[0]);
-//! // Single pristine jobs keep the classic wrapper (byte-identical to a one-job
-//! // scenario): `OpusSimulator::new(cluster, dag, config).run()`.
 //! ```
 //!
 //! The `examples/` directory contains runnable end-to-end scenarios and the
@@ -70,9 +70,9 @@ pub mod prelude {
     pub use opus::{
         window_cdf, windows_on_rail, ArrivalProcess, EvictionPolicy, FailureModel, FleetService,
         Frontier, JobPlacement, JobSpec, LevelSummary, OpusConfig, OpusController, OpusShim,
-        OpusSimulator, Percentiles, ProvisioningLevel, ReconfigPolicy, RecoveryPolicy, Scenario,
-        ScenarioEvent, ScenarioResult, ScenarioSpec, ServingSpec, SimulationResult, SweepReport,
-        SweepSpec, VariantResult,
+        Percentiles, ProvisioningLevel, ReconfigPolicy, RecoveryPolicy, ScenarioEvent,
+        ScenarioResult, ScenarioSpec, ServingSpec, SimulationResult, SweepReport, SweepSpec,
+        VariantResult,
     };
     pub use railsim_collectives::{Algorithm, CollectiveKind, CommGroup, GroupId, ParallelismAxis};
     pub use railsim_cost::{FabricKind, GpuBackendCostModel};
@@ -83,3 +83,9 @@ pub mod prelude {
         JobId, ModelConfig, ParallelismConfig, PipelineSchedule, TrainingDag,
     };
 }
+
+/// The README's `rust` code blocks, compiled and run as doc-tests so the quickstarts
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -1,8 +1,6 @@
 //! Cross-crate consistency checks: the rank mapping, the cluster's rail structure, the
 //! circuit planner and the DAG builder must all agree about which traffic goes where.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use photonic_rails::opus::{CircuitPlanner, GroupTable};
 use photonic_rails::prelude::*;
 use photonic_rails::workload::{RankMapping, TaskId, TaskKind};
@@ -91,12 +89,16 @@ fn dag_scaleout_traffic_matches_topology_expectations() {
     let parallel = ParallelismConfig::paper_llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
     let dag = DagBuilder::new(model, parallel, compute).build();
-    let mut sim = OpusSimulator::new(
-        cluster.clone(),
-        dag,
-        OpusConfig::on_demand(SimDuration::from_millis(1)).with_iterations(1),
-    );
-    let result = sim.run();
+    let scenario = ScenarioSpec::new(cluster.clone())
+        .job(
+            dag,
+            OpusConfig {
+                iterations: 1,
+                ..OpusConfig::on_demand(SimDuration::from_millis(1))
+            },
+        )
+        .run();
+    let result = &scenario.jobs[0].result;
     for record in &result.iterations[0].comm_records {
         if record.scaleout {
             assert!(!record.rails.is_empty());
@@ -130,12 +132,16 @@ fn five_d_parallelism_maps_consistently_onto_a_bigger_cluster() {
     assert!(dag.validate().is_ok());
 
     // The job must simulate end to end on photonic rails.
-    let mut sim = OpusSimulator::new(
-        cluster,
-        dag,
-        OpusConfig::provisioned(SimDuration::from_millis(15)).with_iterations(2),
-    );
-    let result = sim.run();
+    let scenario = ScenarioSpec::new(cluster)
+        .job(
+            dag,
+            OpusConfig {
+                iterations: 2,
+                ..OpusConfig::provisioned(SimDuration::from_millis(15))
+            },
+        )
+        .run();
+    let result = &scenario.jobs[0].result;
     assert_eq!(result.iterations.len(), 2);
     assert!(result.steady_state_iteration_time() > SimDuration::ZERO);
     assert!(result.total_reconfigs() > 0);

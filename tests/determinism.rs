@@ -4,8 +4,6 @@
 //! two identically-seeded runs ever diverge in *any* recorded metric, this fails on
 //! the full serialized result, not just on a summary statistic.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use photonic_rails::prelude::*;
 
 fn serialized_run(jitter_seed: u64, latency_ms: u64) -> String {
@@ -14,11 +12,14 @@ fn serialized_run(jitter_seed: u64, latency_ms: u64) -> String {
     let parallel = ParallelismConfig::paper_llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
     let dag = DagBuilder::new(model, parallel, compute).build();
-    let config = OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
-        .with_iterations(3)
-        .with_jitter(0.05, jitter_seed);
-    let result = OpusSimulator::new(cluster, dag, config).run();
-    serde_json::to_string_pretty(&result).expect("simulation results serialize")
+    let config = OpusConfig {
+        iterations: 3,
+        compute_jitter: 0.05,
+        seed: jitter_seed,
+        ..OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
+    };
+    let result = ScenarioSpec::new(cluster).job(dag, config).run();
+    serde_json::to_string_pretty(&result.jobs[0].result).expect("simulation results serialize")
 }
 
 #[test]

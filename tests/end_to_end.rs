@@ -1,8 +1,6 @@
 //! End-to-end integration tests: the fidelity expectations listed in DESIGN.md §6,
 //! exercised through the public API exactly the way the experiment binaries use it.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use photonic_rails::cost::ocs_tech::{ocs_technologies, scaleup};
 use photonic_rails::opus::{
     default_traffic_buckets_mb, window_cdf, windows_by_following_traffic, windows_on_rail,
@@ -21,17 +19,29 @@ fn paper_dag() -> TrainingDag {
     DagBuilder::new(model, parallel, compute).build()
 }
 
+/// Runs `dag` as the only job on `cluster` and returns its per-iteration metrics.
+fn run_single(cluster: Cluster, dag: TrainingDag, config: OpusConfig) -> SimulationResult {
+    ScenarioSpec::new(cluster)
+        .job(dag, config)
+        .run()
+        .jobs
+        .remove(0)
+        .result
+}
+
 #[test]
 fn fig4_majority_of_windows_exceed_one_millisecond() {
     let cluster = paper_cluster();
-    let mut sim = OpusSimulator::new(
+    let result = run_single(
         cluster.clone(),
         paper_dag(),
-        OpusConfig::electrical()
-            .with_iterations(5)
-            .with_jitter(0.05, 42),
+        OpusConfig {
+            iterations: 5,
+            compute_jitter: 0.05,
+            seed: 42,
+            ..OpusConfig::electrical()
+        },
     );
-    let result = sim.run();
 
     for rail in cluster.all_rails() {
         let mut windows = Vec::new();
@@ -51,14 +61,16 @@ fn fig4_majority_of_windows_exceed_one_millisecond() {
 #[test]
 fn fig4_largest_traffic_class_sees_the_largest_windows() {
     let cluster = paper_cluster();
-    let mut sim = OpusSimulator::new(
+    let result = run_single(
         cluster,
         paper_dag(),
-        OpusConfig::electrical()
-            .with_iterations(5)
-            .with_jitter(0.05, 7),
+        OpusConfig {
+            iterations: 5,
+            compute_jitter: 0.05,
+            seed: 7,
+            ..OpusConfig::electrical()
+        },
     );
-    let result = sim.run();
     let windows: Vec<_> = result
         .iterations
         .iter()
@@ -92,37 +104,43 @@ fn fig4_largest_traffic_class_sees_the_largest_windows() {
 fn fig8_shape_monotone_and_provisioning_helps() {
     let cluster = paper_cluster();
     let dag = paper_dag();
-    let baseline = OpusSimulator::new(
+    let baseline = run_single(
         cluster.clone(),
         dag.clone(),
-        OpusConfig::electrical()
-            .with_iterations(2)
-            .with_jitter(0.0, 1),
-    )
-    .run();
+        OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::electrical()
+        },
+    );
     let base = baseline.steady_state_iteration_time().as_secs_f64();
 
     let mut prev_od = 0.0f64;
     for ms in [1u64, 10, 100, 1000] {
-        let od = OpusSimulator::new(
+        let od = run_single(
             cluster.clone(),
             dag.clone(),
-            OpusConfig::on_demand(SimDuration::from_millis(ms))
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::on_demand(SimDuration::from_millis(ms))
+            },
         )
-        .run()
         .steady_state_iteration_time()
         .as_secs_f64()
             / base;
-        let pr = OpusSimulator::new(
+        let pr = run_single(
             cluster.clone(),
             dag.clone(),
-            OpusConfig::provisioned(SimDuration::from_millis(ms))
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::provisioned(SimDuration::from_millis(ms))
+            },
         )
-        .run()
         .steady_state_iteration_time()
         .as_secs_f64()
             / base;
@@ -153,22 +171,26 @@ fn fig8_shape_monotone_and_provisioning_helps() {
 fn fig8_piezo_class_switch_with_provisioning_costs_little() {
     let cluster = paper_cluster();
     let dag = paper_dag();
-    let baseline = OpusSimulator::new(
+    let baseline = run_single(
         cluster.clone(),
         dag.clone(),
-        OpusConfig::electrical()
-            .with_iterations(3)
-            .with_jitter(0.0, 3),
-    )
-    .run();
-    let provisioned = OpusSimulator::new(
+        OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 3,
+            ..OpusConfig::electrical()
+        },
+    );
+    let provisioned = run_single(
         cluster,
         dag,
-        OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(3)
-            .with_jitter(0.0, 3),
-    )
-    .run();
+        OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 3,
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        },
+    );
     let ratio = provisioned.normalized_against(&baseline);
     assert!(
         ratio < 1.12,
@@ -213,22 +235,26 @@ fn electrical_and_optical_runs_agree_on_traffic_volume() {
     // The network policy changes *when* traffic moves, never *how much*.
     let cluster = paper_cluster();
     let dag = paper_dag();
-    let electrical = OpusSimulator::new(
+    let electrical = run_single(
         cluster.clone(),
         dag.clone(),
-        OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 9),
-    )
-    .run();
-    let optical = OpusSimulator::new(
+        OpusConfig {
+            iterations: 1,
+            compute_jitter: 0.0,
+            seed: 9,
+            ..OpusConfig::electrical()
+        },
+    );
+    let optical = run_single(
         cluster,
         dag,
-        OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(1)
-            .with_jitter(0.0, 9),
-    )
-    .run();
+        OpusConfig {
+            iterations: 1,
+            compute_jitter: 0.0,
+            seed: 9,
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        },
+    );
     assert_eq!(
         electrical.iterations[0].scaleout_bytes(),
         optical.iterations[0].scaleout_bytes()
@@ -243,14 +269,16 @@ fn electrical_and_optical_runs_agree_on_traffic_volume() {
 fn reconfiguration_counts_are_far_below_collective_counts() {
     // Objective 2: Opus reconfigures on parallelism shifts, not on every collective.
     let cluster = paper_cluster();
-    let mut sim = OpusSimulator::new(
+    let result = run_single(
         cluster,
         paper_dag(),
-        OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(2)
-            .with_jitter(0.0, 5),
+        OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 5,
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        },
     );
-    let result = sim.run();
     let it = result.iterations.last().unwrap();
     let scaleout_ops = it.comm_records.iter().filter(|r| r.scaleout).count();
     assert!(

@@ -3,8 +3,6 @@
 //! invariants, collective cost-model monotonicity, rank-mapping bijectivity, Clos
 //! sizing bounds and DAG acyclicity across random parallelism configurations.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use photonic_rails::collectives::cost::{collective_time, CostParams};
 use photonic_rails::opus::FleetMetrics;
 use photonic_rails::prelude::*;
@@ -269,11 +267,15 @@ proptest! {
         let parallel = ParallelismConfig::paper_llama3_8b();
         let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
         let dag = DagBuilder::new(model, parallel, compute).build();
-        let config = OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
-            .with_iterations(2)
-            .with_jitter(0.05, seed);
-        let a = OpusSimulator::new(cluster.clone(), dag.clone(), config).run();
-        let b = OpusSimulator::new(cluster, dag, config).run();
+        let config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.05,
+            seed,
+            ..OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
+        };
+        let run = || ScenarioSpec::new(cluster.clone()).job(dag.clone(), config).run();
+        let (a, b) = (run(), run());
+        let (a, b) = (&a.jobs[0].result, &b.jobs[0].result);
         prop_assert_eq!(a.steady_state_iteration_time(), b.steady_state_iteration_time());
         prop_assert_eq!(a.total_reconfigs(), b.total_reconfigs());
     }
@@ -301,7 +303,7 @@ proptest! {
             let parallel = ParallelismConfig::paper_llama3_8b();
             let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
             let dag = DagBuilder::new(model, parallel, compute).build();
-            let mut scenario = Scenario::new(cluster)
+            let mut scenario = ScenarioSpec::new(cluster)
                 .job(dag.clone(), config)
                 .job(dag, config)
                 .inject(
@@ -332,9 +334,12 @@ proptest! {
             }
             scenario.run()
         };
-        let mut config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.05, seed);
+        let mut config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.05,
+            seed,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         if replan == 1 {
             config.recovery_policy = RecoveryPolicy::Replan;
         }
@@ -381,7 +386,7 @@ proptest! {
             let inference = InferenceConfig::tiny_test(4, 2, 2);
             let serving = ServingSpec::for_inference(&inference, 1);
             let serve_dag = InferenceDagBuilder::new(inference, GpuSpec::a100()).build();
-            let mut scenario = Scenario::new(cluster)
+            let mut scenario = ScenarioSpec::new(cluster)
                 .job(train_dag, config)
                 .serving_job(serve_dag, config, JobPlacement::AtGpu(4), serving)
                 .inject(
@@ -400,9 +405,12 @@ proptest! {
             }
             scenario.run()
         };
-        let mut config = OpusConfig::on_demand(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.05, seed);
+        let mut config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.05,
+            seed,
+            ..OpusConfig::on_demand(SimDuration::from_millis(5))
+        };
         config.eviction = eviction;
         let result = build(config);
         prop_assert_eq!(
@@ -432,15 +440,24 @@ proptest! {
         // two-job scenario (memo disables itself) all serialize byte-identically to
         // the naive path. Half the cases run under `RecoveryPolicy::Replan`, so
         // fast-forward windows must also agree with the naive path while a degraded
-        // plan is live.
+        // plan is live. The controller's request counters are not serialized, so
+        // they are compared on their own.
         let base = memo_config(replan == 1);
-        let build = |config: OpusConfig| {
-            serialized(&flap_spec(flap, two_jobs == 1, config).run())
-        };
+        let run = |config: OpusConfig| flap_spec(flap, two_jobs == 1, config).run();
+        let memo = run(base);
+        let naive = run(OpusConfig {
+            memoize_steady_state: false,
+            ..base
+        });
         prop_assert_eq!(
-            build(base),
-            build(base.with_memoization(false)),
+            serialized(&memo),
+            serialized(&naive),
             "memoized and naive paths diverged"
+        );
+        prop_assert_eq!(
+            request_counters(&memo),
+            request_counters(&naive),
+            "memoized and naive request counters diverged"
         );
     }
 
@@ -455,11 +472,16 @@ proptest! {
         // and replays fast-forwards without them; everything else it reports must be
         // exactly what `run` reports, over the same memo / flap / two-job / replan
         // generator as the memoization property.
-        let config = memo_config(replan == 1).with_memoization(memo == 1);
+        let config = OpusConfig {
+            memoize_steady_state: memo == 1,
+            ..memo_config(replan == 1)
+        };
         let spec = flap_spec(flap, two_jobs == 1, config);
         let mut full = spec.clone().run();
+        let free = spec.run_without_records();
+        prop_assert_eq!(request_counters(&free), request_counters(&full));
         clear_records(&mut full);
-        prop_assert_eq!(serialized(&spec.run_without_records()), serialized(&full));
+        prop_assert_eq!(serialized(&free), serialized(&full));
     }
 
     // ---- fleet service -------------------------------------------------------------
@@ -519,9 +541,12 @@ fn record_free_serving_runs_match_runs_with_records_cleared() {
     let inference = InferenceConfig::tiny_test(4, 2, 2);
     let serving = ServingSpec::for_inference(&inference, 1);
     let serve_dag = InferenceDagBuilder::new(inference, GpuSpec::a100()).build();
-    let mut config = OpusConfig::on_demand(SimDuration::from_millis(5))
-        .with_iterations(3)
-        .with_jitter(0.0, 1);
+    let mut config = OpusConfig {
+        iterations: 3,
+        compute_jitter: 0.0,
+        seed: 1,
+        ..OpusConfig::on_demand(SimDuration::from_millis(5))
+    };
     config.eviction = EvictionPolicy::FairShare;
     let burst = |ms: u64, requests: u32| {
         (
@@ -532,7 +557,7 @@ fn record_free_serving_runs_match_runs_with_records_cleared() {
             },
         )
     };
-    let spec = Scenario::new(cluster)
+    let spec = ScenarioSpec::new(cluster)
         .job(train_dag, config)
         .serving_job(serve_dag, config, JobPlacement::AtGpu(4), serving)
         .inject_all([burst(1, 8), burst(40, 12), burst(90, 3)])
@@ -543,8 +568,7 @@ fn record_free_serving_runs_match_runs_with_records_cleared() {
         .inject(
             SimTime::from_millis(60),
             ScenarioEvent::JobShrink { job: JobId(1) },
-        )
-        .into_spec();
+        );
     let mut full = spec.clone().run();
     assert!(full.jobs[1].result.iterations.len() > 1);
     clear_records(&mut full);
@@ -561,7 +585,7 @@ fn flap_spec(flap: (u64, u64, u32), two_jobs: bool, config: OpusConfig) -> Scena
     let parallel = ParallelismConfig::paper_llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
     let dag = DagBuilder::new(model, parallel, compute).build();
-    let mut scenario = Scenario::new(cluster).job(dag.clone(), config);
+    let mut scenario = ScenarioSpec::new(cluster).job(dag.clone(), config);
     if two_jobs {
         scenario = scenario.job(dag, config);
     }
@@ -577,15 +601,18 @@ fn flap_spec(flap: (u64, u64, u32), two_jobs: bool, config: OpusConfig) -> Scena
                 ScenarioEvent::RailUp(RailId(rail)),
             );
     }
-    scenario.into_spec()
+    scenario
 }
 
 /// Eight jitter-free provisioned iterations: long enough for the memo to detect
 /// steady state and fast-forward.
 fn memo_config(replan: bool) -> OpusConfig {
-    let mut config = OpusConfig::provisioned(SimDuration::from_millis(5))
-        .with_iterations(8)
-        .with_jitter(0.0, 1);
+    let mut config = OpusConfig {
+        iterations: 8,
+        compute_jitter: 0.0,
+        seed: 1,
+        ..OpusConfig::provisioned(SimDuration::from_millis(5))
+    };
     if replan {
         config.recovery_policy = RecoveryPolicy::Replan;
     }
@@ -594,6 +621,11 @@ fn memo_config(replan: bool) -> OpusConfig {
 
 fn serialized(result: &ScenarioResult) -> String {
     serde_json::to_string_pretty(result).expect("scenario results serialize")
+}
+
+/// The controller's `(requests, no-op requests)`, which the serialization skips.
+fn request_counters(result: &ScenarioResult) -> (u64, u64) {
+    (result.fleet.controller_requests, result.fleet.noop_requests)
 }
 
 fn clear_records(result: &mut ScenarioResult) {

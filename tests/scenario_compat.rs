@@ -1,15 +1,13 @@
-//! Single-job compatibility pins: the scenario-driver redesign must be invisible to
-//! classic single-job runs.
+//! Byte-identity pins: refactors of the simulator must be invisible in its output.
 //!
-//! `OpusSimulator` is now a thin wrapper over a one-job `Scenario`; these tests pin
-//! its serialized metrics against FNV-1a hashes captured on the pre-redesign
-//! simulator (the "seed"). If any of them moves, the refactor changed observable
-//! simulation behavior — which the redesign explicitly promises not to do.
+//! These tests hash serialized metrics of single-job, multi-job and serving
+//! scenarios with FNV-1a and compare them against hashes captured on earlier
+//! simulators (the single-job ones on the simulator before the scenario driver
+//! existed, the "seed"). If any of them moves, a change altered observable
+//! simulation behavior.
 //!
 //! The 1k-GPU pins are `#[ignore]`d (release-mode CI runs them explicitly: a debug
 //! run of a 90k-task DAG is needlessly slow for the default suite).
-
-#![allow(deprecated)] // this suite deliberately exercises the legacy builder surface
 
 use photonic_rails::prelude::*;
 
@@ -32,9 +30,11 @@ fn tiny_setup() -> (Cluster, TrainingDag) {
     (cluster, dag)
 }
 
+/// Runs `dag` as the only job on `cluster` and serializes the job's per-iteration
+/// metrics, the shape every single-job pin was captured from.
 fn serialized(cluster: Cluster, dag: TrainingDag, config: OpusConfig) -> String {
-    let result = OpusSimulator::new(cluster, dag, config).run();
-    serde_json::to_string_pretty(&result).expect("simulation results serialize")
+    let result = ScenarioSpec::new(cluster).job(dag, config).run();
+    serde_json::to_string_pretty(&result.jobs[0].result).expect("simulation results serialize")
 }
 
 /// The seed hashes, captured at the pre-redesign commit with three iterations and
@@ -54,14 +54,22 @@ fn tiny_config(name: &str) -> OpusConfig {
         "electrical" => OpusConfig::electrical(),
         "on-demand-25" => OpusConfig::on_demand(SimDuration::from_millis(25)),
         "provisioned-25" => OpusConfig::provisioned(SimDuration::from_millis(25)),
-        "electrical-offload" => {
-            OpusConfig::electrical().with_host_offload(HostOffload::frontend_100g())
-        }
-        "provisioned-offload" => OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_host_offload(HostOffload::frontend_100g()),
+        "electrical-offload" => OpusConfig {
+            host_offload: Some(HostOffload::frontend_100g()),
+            ..OpusConfig::electrical()
+        },
+        "provisioned-offload" => OpusConfig {
+            host_offload: Some(HostOffload::frontend_100g()),
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        },
         other => panic!("unknown config {other}"),
     };
-    base.with_iterations(3).with_jitter(0.05, 42)
+    OpusConfig {
+        iterations: 3,
+        compute_jitter: 0.05,
+        seed: 42,
+        ..base
+    }
 }
 
 #[test]
@@ -111,28 +119,13 @@ fn inference_dag_serializes_like_the_row_major_seed() {
 }
 
 #[test]
-fn wrapper_and_single_job_scenario_serialize_identically() {
-    // The wrapper is *defined* as a one-job scenario; the serialized per-job result
-    // must be byte-identical to the wrapper's output.
-    for &(name, _) in TINY_SEED {
-        let (cluster, dag) = tiny_setup();
-        let via_wrapper = serialized(cluster.clone(), dag.clone(), tiny_config(name));
-        let mut scenario = Scenario::new(cluster).job(dag, tiny_config(name)).run();
-        let via_scenario = serde_json::to_string_pretty(&scenario.jobs.remove(0).result)
-            .expect("scenario results serialize");
-        assert_eq!(via_wrapper, via_scenario, "{name}");
-    }
-}
-
-#[test]
 fn builder_and_hand_assembled_spec_serialize_identically() {
-    // `Scenario` is a thin shim over `ScenarioSpec`: a spec assembled directly from
-    // its public fields must run byte-identically to one built through the classic
-    // builder chain, injected timeline included.
+    // A spec assembled directly from its public fields must run byte-identically to
+    // one built through `ScenarioSpec`'s builder methods, injected timeline included.
     for &(name, _) in TINY_SEED {
         let (cluster, dag) = tiny_setup();
         let config = tiny_config(name);
-        let via_builder = Scenario::new(cluster.clone())
+        let via_builder = ScenarioSpec::new(cluster.clone())
             .job(dag.clone(), config)
             .inject(SimTime::from_millis(5), ScenarioEvent::RailDown(RailId(0)))
             .inject(SimTime::from_millis(40), ScenarioEvent::RailUp(RailId(0)))
@@ -160,20 +153,33 @@ fn builder_and_hand_assembled_spec_serialize_identically() {
 fn memoized_steady_state_matches_the_naive_pin() {
     // Six jitter-free iterations: the memo detects steady state at iteration 2 and
     // fast-forwards the rest. Both paths must land on one pinned hash — the hash was
-    // captured from the naive path (`with_memoization(false)`), so this pin fails if
-    // fast-forwarding perturbs any serialized byte.
+    // captured from the naive path (`memoize_steady_state: false`), so this pin fails
+    // if fast-forwarding perturbs any serialized byte.
     let (cluster, dag) = tiny_setup();
-    let config = OpusConfig::provisioned(SimDuration::from_millis(25))
-        .with_iterations(6)
-        .with_jitter(0.0, 1);
-    let mut memoized = OpusSimulator::new(cluster.clone(), dag.clone(), config);
-    let via_memo = serde_json::to_string_pretty(&memoized.run()).expect("results serialize");
+    let config = OpusConfig {
+        iterations: 6,
+        compute_jitter: 0.0,
+        seed: 1,
+        ..OpusConfig::provisioned(SimDuration::from_millis(25))
+    };
+    let memoized = ScenarioSpec::new(cluster.clone())
+        .job(dag.clone(), config)
+        .run();
+    let job = &memoized.jobs[0];
+    let via_memo = serde_json::to_string_pretty(&job.result).expect("results serialize");
     assert!(
-        memoized.memoized_iterations() >= 3,
+        job.memoized_iterations >= 3,
         "the memo must engage on a jitter-free run, fast-forwarded {}",
-        memoized.memoized_iterations()
+        job.memoized_iterations
     );
-    let via_naive = serialized(cluster, dag, config.with_memoization(false));
+    let via_naive = serialized(
+        cluster,
+        dag,
+        OpusConfig {
+            memoize_steady_state: false,
+            ..config
+        },
+    );
     assert_eq!(via_memo, via_naive);
     assert_eq!(
         fnv1a(via_naive.as_bytes()),
@@ -195,14 +201,17 @@ fn mixed_tenancy_result(eviction: EvictionPolicy) -> String {
     let parallel = ParallelismConfig::paper_llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
     let train_dag = DagBuilder::new(model, parallel, compute).build();
-    let mut config = OpusConfig::on_demand(SimDuration::from_millis(25))
-        .with_iterations(3)
-        .with_jitter(0.0, 1);
+    let mut config = OpusConfig {
+        iterations: 3,
+        compute_jitter: 0.0,
+        seed: 1,
+        ..OpusConfig::on_demand(SimDuration::from_millis(25))
+    };
     config.eviction = eviction;
     let inference = InferenceConfig::tiny_test(4, 2, 2);
     let serving = ServingSpec::for_inference(&inference, 1);
     let serve_dag = InferenceDagBuilder::new(inference, GpuSpec::a100()).build();
-    let result = Scenario::new(cluster)
+    let result = ScenarioSpec::new(cluster)
         .job(train_dag, config)
         .serving_job(serve_dag, config, JobPlacement::AtGpu(4), serving)
         .inject(
@@ -280,9 +289,12 @@ fn scaled_setup_1k() -> (Cluster, TrainingDag) {
 }
 
 fn scale_config_1k() -> OpusConfig {
-    OpusConfig::provisioned(SimDuration::from_millis(25))
-        .with_iterations(2)
-        .with_jitter(0.0, 1)
+    OpusConfig {
+        iterations: 2,
+        compute_jitter: 0.0,
+        seed: 1,
+        ..OpusConfig::provisioned(SimDuration::from_millis(25))
+    }
 }
 
 #[test]
@@ -317,13 +329,13 @@ fn seed_pin_1k_gpus_optical_provisioned() {
 /// metrics plus the iteration-1 inflation relative to the clean calibration run.
 fn rail_flap_1k(config: OpusConfig) -> (String, f64) {
     let (cluster, dag) = scaled_setup_1k();
-    let clean = Scenario::new(cluster.clone())
+    let clean = ScenarioSpec::new(cluster.clone())
         .job(dag.clone(), config)
         .run();
     let it1 = &clean.jobs[0].result.iterations[1];
     let down = it1.started_at + it1.iteration_time.mul_f64(0.25);
     let up = down + it1.iteration_time.mul_f64(0.5);
-    let flapped = Scenario::new(cluster)
+    let flapped = ScenarioSpec::new(cluster)
         .job(dag, config)
         .inject(down, ScenarioEvent::RailDown(RailId(0)))
         .inject(up, ScenarioEvent::RailUp(RailId(0)))
@@ -367,7 +379,7 @@ fn seed_pin_1k_mixed_tenancy() {
     let inference = InferenceConfig::llama3_8b(8, 8, 2);
     let serving = ServingSpec::for_inference(&inference, 1);
     let serve_dag = InferenceDagBuilder::new(inference, GpuSpec::h200()).build();
-    let result = Scenario::new(cluster)
+    let result = ScenarioSpec::new(cluster)
         .job(dag, config)
         .serving_job(serve_dag, config, JobPlacement::AtGpu(4), serving)
         .inject(
