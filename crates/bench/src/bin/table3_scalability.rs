@@ -65,6 +65,9 @@ struct ScaleRun {
     policy: &'static str,
     dag_tasks: usize,
     iterations: u32,
+    /// Iterations of this job replayed from the steady-state memo instead of
+    /// stepped (0 with `--no-memo`, for multi-job runs and below 3 iterations).
+    memoized_iterations: u64,
     steady_iteration_time_s: f64,
     total_reconfigs: usize,
     /// Total circuit/outage wait of the job across all iterations, in seconds.
@@ -77,6 +80,9 @@ struct ScaleRun {
     /// Wall clock of the whole scenario run this row came from (shared by every row
     /// of a multi-job run).
     wall_clock_s: f64,
+    /// Engine events (a `Ready` and a `Done` per task) of the run's *stepped*
+    /// iterations per wall-clock second; fast-forwarded iterations pop no task
+    /// events.
     events_per_sec: f64,
     /// Peak resident set over DAG build + every run of this GPU count that the
     /// `--policy` filter selected, in MiB (kernel `VmHWM`, reset per scale point
@@ -229,8 +235,12 @@ fn rows_of(
     iterations: u32,
     wall_clock_s: f64,
 ) -> Vec<ScaleRun> {
-    let total_tasks: usize = dag_tasks * result.jobs.len();
-    let events = 2.0 * total_tasks as f64 * iterations as f64;
+    let stepped: u64 = result
+        .jobs
+        .iter()
+        .map(|job| u64::from(iterations) - job.memoized_iterations)
+        .sum();
+    let events = 2.0 * dag_tasks as f64 * stepped as f64;
     result
         .jobs
         .iter()
@@ -243,6 +253,7 @@ fn rows_of(
             policy,
             dag_tasks,
             iterations,
+            memoized_iterations: job.memoized_iterations,
             steady_iteration_time_s: job.result.steady_state_iteration_time().as_secs_f64(),
             total_reconfigs: job.result.total_reconfigs(),
             circuit_wait_s: job
@@ -260,6 +271,14 @@ fn rows_of(
             circuits_torn_down_by_rail: result.fleet.circuits_torn_down_by_rail.clone(),
         })
         .collect()
+}
+
+/// `memoized k/N`: iterations the run fast-forwarded out of all its jobs'
+/// iterations, for the per-run wall-clock line.
+fn memo_note(result: &ScenarioResult, iterations: u32) -> String {
+    let memoized: u64 = result.jobs.iter().map(|job| job.memoized_iterations).sum();
+    let total = u64::from(iterations) * result.jobs.len() as u64;
+    format!("memoized {memoized}/{total}")
 }
 
 fn run_scale_point(
@@ -339,7 +358,10 @@ fn run_scale_point(
                     iterations,
                     wall_clock_s,
                 ));
-                eprintln!("[{num_gpus} GPUs] {policy_name}: {wall_clock_s:.2}s wall clock");
+                eprintln!(
+                    "[{num_gpus} GPUs] {policy_name}: {wall_clock_s:.2}s wall clock, {}",
+                    memo_note(&result, iterations)
+                );
             }
             ScenarioKind::RailFlap => {
                 // The clean reference run both calibrates the pulse (a quarter into
@@ -381,8 +403,10 @@ fn run_scale_point(
                     flap_wall,
                 ));
                 eprintln!(
-                    "[{num_gpus} GPUs] {policy_name}: clean {clean_wall:.2}s + rail-flap \
-                     {flap_wall:.2}s wall clock"
+                    "[{num_gpus} GPUs] {policy_name}: clean {clean_wall:.2}s ({}) + rail-flap \
+                     {flap_wall:.2}s ({}) wall clock",
+                    memo_note(&clean, iterations),
+                    memo_note(&flapped, iterations)
                 );
             }
             ScenarioKind::TwoJob => {
@@ -402,7 +426,10 @@ fn run_scale_point(
                     iterations,
                     wall_clock_s,
                 ));
-                eprintln!("[{num_gpus} GPUs] {policy_name} two-job: {wall_clock_s:.2}s wall clock");
+                eprintln!(
+                    "[{num_gpus} GPUs] {policy_name} two-job: {wall_clock_s:.2}s wall clock, {}",
+                    memo_note(&result, iterations)
+                );
             }
         }
     }

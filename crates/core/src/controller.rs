@@ -17,11 +17,45 @@ use crate::config::EvictionPolicy;
 use crate::metrics::ReconfigEvent;
 use railsim_collectives::GroupId;
 use railsim_sim::{SimDuration, SimTime};
-use railsim_topology::{CircuitConfig, OpticalRailFabric, RailId};
+use railsim_topology::{Circuit, CircuitConfig, OpticalRailFabric, RailId};
 
 /// Sentinel tenant id: the port's current hold was not placed by a tenant-tagged
 /// transfer (or the port was never busy). Untagged holds are never evictable.
 pub const NO_TENANT: u32 = u32::MAX;
+
+/// The controller state a later request can read, taken at an iteration boundary
+/// `B` and normalized to it ([`OpusController::boundary_state`]). Steady-state
+/// detection compares it across consecutive boundaries.
+///
+/// It holds every rail's OCS matching exactly, every installed circuit's ready time
+/// and every port's busy end. A time at or before its *horizon* is *dominated*:
+/// every read from `B` on clamps it up to the horizon or later, so no read can tell
+/// it from an earlier time. It normalizes to 0; a later time normalizes to its
+/// offset past the horizon, which is at least 1.
+///
+/// * A port's horizon is `B − lat`, for the job's `reconfig_latency` `lat`: a
+///   provisioned request is back-dated to no earlier than `now − lat`, and an
+///   on-demand one starts at `now`.
+/// * A ready time's horizon is `B − max(0, lat − delay)`, for the rail's current OCS
+///   delay `delay`. A no-op request reads `max(ready, now)`. A partial install
+///   logs `max(ready, start + delay)` as its event's `ready_at`, and its switching
+///   start lies at or after `now − lat`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct FabricState {
+    /// Per rail: every installed circuit, ascending, with its normalized ready time.
+    circuits: Vec<Vec<(Circuit, u64)>>,
+    /// Per rail and dense port: the normalized busy end.
+    port_busy: Vec<Vec<u64>>,
+}
+
+/// `value` normalized to boundary `at` with horizon `at − lookback` (see
+/// [`FabricState`]): 0 at or before the horizon, otherwise the offset past it.
+fn normalized(value: SimTime, at: SimTime, lookback: SimDuration) -> u64 {
+    value
+        .as_nanos()
+        .saturating_add(lookback.as_nanos())
+        .saturating_sub(at.as_nanos())
+}
 
 /// The Opus controller: rail OCSes plus occupancy tracking and the reconfiguration log.
 ///
@@ -491,37 +525,28 @@ impl OpusController {
         }
     }
 
-    /// The occupancy footprint of a set of transfers, each given as its group's
-    /// circuits and its end: per port, the latest end among the transfers that used
-    /// it, in a table shaped like the occupancy table (`SimTime::ZERO` where none
-    /// did). [`OpusController::replay_port_ends`] merges it back.
-    pub(crate) fn port_ends<'a>(
-        &self,
-        transfers: impl IntoIterator<Item = (&'a GroupCircuits, SimTime)>,
-    ) -> Vec<Vec<SimTime>> {
-        let mut ends: Vec<Vec<SimTime>> = self
-            .port_busy
+    /// The occupancy footprint of the transfers occupied since `since`: per port, its
+    /// busy end where that lies after `since` and `SimTime::ZERO` elsewhere, in a
+    /// table shaped like the occupancy table. When no port was busy past `since` at
+    /// `since` and every one of those transfers ended after it (an iteration
+    /// boundary and the iteration that followed it), the nonzero entries are exactly
+    /// the ports the transfers used, each with its latest end: occupancy is a
+    /// max-merge. [`OpusController::replay_port_ends`] merges it back.
+    pub(crate) fn port_ends_after(&self, since: SimTime) -> Vec<Vec<SimTime>> {
+        self.port_busy
             .iter()
-            .map(|rail| vec![SimTime::ZERO; rail.len()])
-            .collect();
-        for (circuits, end) in transfers {
-            for config in circuits.per_rail.values() {
-                for port in config.ports() {
-                    let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                    let slot = &mut ends[rail][idx];
-                    *slot = (*slot).max(end);
-                }
-            }
-        }
-        ends
+            .map(|rail| {
+                rail.iter()
+                    .map(|&end| if end > since { end } else { SimTime::ZERO })
+                    .collect()
+            })
+            .collect()
     }
 
-    /// Occupies every port of a [`OpusController::port_ends`] footprint until its
-    /// end plus `shift`. Occupancy is a max-merge, so this leaves exactly what
+    /// Occupies every port of a [`OpusController::port_ends_after`] footprint until
+    /// its end plus `shift`. Occupancy is a max-merge, so this leaves exactly what
     /// occupying each transfer of the footprint, shifted, one by one would. Zero
-    /// entries mark ports the footprint never used and are skipped, so a transfer
-    /// ending at time zero must not be replayed under a nonzero shift (a memo
-    /// template never is: one that ends a transfer at zero has a zero period).
+    /// entries mark ports the footprint never used and are skipped.
     pub(crate) fn replay_port_ends(&mut self, ends: &[Vec<SimTime>], shift: SimDuration) {
         for (busy, ends) in self.port_busy.iter_mut().zip(ends) {
             for (slot, &end) in busy.iter_mut().zip(ends) {
@@ -529,6 +554,35 @@ impl OpusController {
                     *slot = (*slot).max(end + shift);
                 }
             }
+        }
+    }
+
+    /// The state every later request reads, as it stands at iteration boundary `at`
+    /// and normalized to it, for a job that back-dates its requests by at most
+    /// `reconfig_latency`; see [`FabricState`]. Two boundaries with equal states
+    /// answer every later read identically, up to the shift between them.
+    pub(crate) fn boundary_state(&self, at: SimTime, reconfig_latency: SimDuration) -> FabricState {
+        let circuits = (0..self.num_rails)
+            .map(|r| {
+                let ocs = self.fabric.ocs(RailId(r));
+                let lookback = reconfig_latency.saturating_sub(ocs.reconfig_delay());
+                ocs.circuits()
+                    .map(|(circuit, ready)| (circuit, normalized(ready, at, lookback)))
+                    .collect()
+            })
+            .collect();
+        let port_busy = self
+            .port_busy
+            .iter()
+            .map(|rail| {
+                rail.iter()
+                    .map(|&end| normalized(end, at, reconfig_latency))
+                    .collect()
+            })
+            .collect();
+        FabricState {
+            circuits,
+            port_busy,
         }
     }
 
@@ -585,6 +639,7 @@ impl OpusController {
 mod tests {
     use super::*;
     use crate::circuits::CircuitPlanner;
+    use proptest::prelude::*;
     use railsim_collectives::{CommGroup, ParallelismAxis};
     use railsim_sim::SimDuration;
     use railsim_topology::{Cluster, ClusterSpec, GpuId, NodePreset};
@@ -849,6 +904,75 @@ mod tests {
         );
         assert_eq!(ctrl.evictions_suffered_by(0), 1);
         assert_eq!(ctrl.evictions_inflicted_by(1), 1);
+    }
+
+    /// The 4-node testbed controller's state at boundary `at` for a job with
+    /// reconfiguration latency `lat`: rail 0's OCS switches in `delay`, and group
+    /// `ranks`' circuit on it became ready at `ready` and is busy until `busy` (all
+    /// in microseconds).
+    fn boundary_of(
+        ranks: &[u32],
+        lat: u64,
+        delay: u64,
+        ready: u64,
+        busy: u64,
+        at: u64,
+    ) -> FabricState {
+        let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
+        let lat = SimDuration::from_micros(lat);
+        let mut ctrl = OpusController::new(OpticalRailFabric::for_cluster(&cluster, lat));
+        ctrl.set_rail_reconfig_delay(RailId(0), SimDuration::from_micros(delay));
+        let group = dp_group(1, ranks);
+        let circuits = CircuitPlanner::for_cluster(&cluster).plan(&cluster, &group);
+        let start = SimTime::from_micros(ready - delay);
+        assert_eq!(
+            ctrl.request(group.id, &circuits, start),
+            SimTime::from_micros(ready)
+        );
+        ctrl.occupy(&circuits, SimTime::from_micros(busy));
+        ctrl.boundary_state(SimTime::from_micros(at), lat)
+    }
+
+    proptest! {
+        #[test]
+        fn boundary_states_normalize_away_only_dominated_values(
+            lat in 1u64..50_000,
+            delay in 1u64..80_000,
+            at in 200_000u64..1_000_000,
+            a in 0u64..1_000_000,
+            b in 0u64..1_000_000,
+        ) {
+            let state = |ready, busy| boundary_of(&[0, 4], lat, delay, ready, busy, at);
+            // Port ends at or before `at − lat` are dominated; ready times at or
+            // before `at − max(0, lat − delay)`. Installs start at or after zero, so
+            // a ready time is at least `delay`.
+            let port_horizon = at - lat;
+            let ready_horizon = at - lat.saturating_sub(delay);
+
+            // Moving a dominated value further into the past changes nothing.
+            let busy = a % (port_horizon + 1);
+            let earlier = busy - b % (busy + 1);
+            prop_assert_eq!(state(delay, busy), state(delay, earlier));
+            let ready = delay + a % (ready_horizon - delay + 1);
+            let earlier = ready - b % (ready - delay + 1);
+            prop_assert_eq!(state(ready, 0), state(earlier, 0));
+
+            // Moving a live value anywhere into the past changes the state.
+            let busy = port_horizon + 1 + a % lat;
+            let earlier = busy - 1 - b % busy;
+            prop_assert!(state(delay, busy) != state(delay, earlier));
+            let ready = ready_horizon + 1 + a % 10_000;
+            let earlier = ready - 1 - b % (ready - delay);
+            prop_assert!(state(ready, 0) != state(earlier, 0));
+        }
+    }
+
+    #[test]
+    fn boundary_states_compare_matchings_exactly() {
+        // Every time dominated: only the matching tells the two states apart.
+        let state = |ranks: &[u32]| boundary_of(ranks, 25_000, 25_000, 25_000, 0, 500_000);
+        assert_eq!(state(&[0, 4]), state(&[0, 4]));
+        assert_ne!(state(&[0, 4]), state(&[0, 8]));
     }
 
     #[test]

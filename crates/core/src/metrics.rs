@@ -45,25 +45,6 @@ impl CommRecord {
         self.end.duration_since(self.start)
     }
 
-    /// True when `next` is this record re-executed `shift` later: every identity and
-    /// payload field is equal and all three timestamps moved by exactly `shift`.
-    /// This is the per-record half of steady-state detection — an exact comparison
-    /// of committed timelines, not a tolerance check.
-    pub fn shift_equal(&self, next: &CommRecord, shift: SimDuration) -> bool {
-        self.task == next.task
-            && self.label == next.label
-            && self.axis == next.axis
-            && self.kind == next.kind
-            && self.group == next.group
-            && self.bytes == next.bytes
-            && self.scaleout == next.scaleout
-            && self.rails == next.rails
-            && self.circuit_wait == next.circuit_wait
-            && self.issued_at + shift == next.issued_at
-            && self.start + shift == next.start
-            && self.end + shift == next.end
-    }
-
     /// The label, resolved from the symbol table.
     pub fn label_str(&self) -> &'static str {
         self.label.as_str()
@@ -93,19 +74,6 @@ impl ReconfigEvent {
     pub fn total_latency(&self) -> SimDuration {
         self.ready_at.duration_since(self.requested_at)
     }
-
-    /// True when `next` is this reconfiguration re-performed `shift` later: same
-    /// rail, group and circuit count, all three timestamps moved by exactly `shift`.
-    /// The per-event half of steady-state detection (provisioned runs reconfigure
-    /// every iteration in a periodic pattern; see `scenario.rs`).
-    pub fn shift_equal(&self, next: &ReconfigEvent, shift: SimDuration) -> bool {
-        self.rail == next.rail
-            && self.group == next.group
-            && self.circuits_installed == next.circuits_installed
-            && self.requested_at + shift == next.requested_at
-            && self.started_at + shift == next.started_at
-            && self.ready_at + shift == next.ready_at
-    }
 }
 
 /// The outcome of simulating one training iteration.
@@ -117,7 +85,10 @@ pub struct IterationResult {
     pub iteration_time: SimDuration,
     /// When the iteration started (absolute simulation time).
     pub started_at: SimTime,
-    /// Every communication operation, in completion order.
+    /// Every communication operation, ordered by issue time (the task id breaks
+    /// ties); a fast-forwarded iteration copies its template's order. Empty for a
+    /// run made with
+    /// [`ScenarioSpec::run_without_records`](crate::ScenarioSpec::run_without_records).
     pub comm_records: Vec<CommRecord>,
     /// Every OCS reconfiguration performed during the iteration.
     pub reconfig_events: Vec<ReconfigEvent>,
@@ -138,33 +109,6 @@ impl IterationResult {
             .filter(|r| r.scaleout)
             .map(|r| r.bytes)
             .sum()
-    }
-
-    /// True when `next` is this iteration replayed with a constant time offset: same
-    /// duration, same total circuit wait, and every communication record *and*
-    /// reconfiguration event identical up to the shift between the two start times
-    /// (a provisioned run reconfigures every iteration in a periodic pattern, so
-    /// steadiness means the pattern shifts, not that it vanishes). Two consecutive
-    /// iterations in this relation are what the simulator calls *steady state* —
-    /// nothing time-varying is left, so every later unperturbed iteration is this
-    /// one shifted again (see `scenario.rs`).
-    pub fn shifted_replay_of(&self, prev: &IterationResult) -> bool {
-        let shift = self.started_at.duration_since(prev.started_at);
-        prev.started_at + shift == self.started_at
-            && self.iteration_time == prev.iteration_time
-            && self.total_circuit_wait == prev.total_circuit_wait
-            && self.reconfig_events.len() == prev.reconfig_events.len()
-            && self.comm_records.len() == prev.comm_records.len()
-            && prev
-                .reconfig_events
-                .iter()
-                .zip(&self.reconfig_events)
-                .all(|(a, b)| a.shift_equal(b, shift))
-            && prev
-                .comm_records
-                .iter()
-                .zip(&self.comm_records)
-                .all(|(a, b)| a.shift_equal(b, shift))
     }
 
     /// The communication records that used a specific rail.

@@ -68,16 +68,16 @@
 //! were declared.
 //!
 //! Single-job runs with an inert jitter RNG additionally memoize their steady state:
-//! once two consecutive iterations commit byte-identical timelines up to a constant
-//! offset, later unperturbed iterations are replayed with a shifted clock instead of
-//! re-stepped — byte-identical results at a fraction of the wall-clock cost. The
+//! once the fabric state at two consecutive iteration boundaries is equal up to the
+//! shift between them, later unperturbed iterations are replayed with a shifted
+//! clock instead of re-stepped — byte-identical results at a fraction of the
+//! wall-clock cost. A clean run steps two iterations and fast-forwards the rest. The
 //! detection and invalidation semantics are documented on the executor's private
 //! `MemoState`; [`OpusConfig::memoize_steady_state`] is the knob and
 //! [`JobResult::memoized_iterations`] counts the replayed iterations.
 //!
 //! [`ScenarioSpec::run_without_records`] runs the same simulation for callers that
-//! read only aggregates: it keeps a transfer's [`CommRecord`] only while
-//! steady-state detection may still compare it, and returns every iteration's
+//! read only aggregates: it keeps no [`CommRecord`] and returns every iteration's
 //! records empty.
 //!
 //! ## Failure and recovery model
@@ -105,7 +105,7 @@
 use crate::circuits::{CircuitPlanner, GroupCircuits};
 use crate::config::OpusConfig;
 use crate::config::{EvictionPolicy, ReconfigPolicy, RecoveryPolicy};
-use crate::controller::OpusController;
+use crate::controller::{FabricState, OpusController};
 use crate::group_table::GroupTable;
 use crate::metrics::{CommRecord, IterationResult, ReconfigEvent, SimulationResult};
 use crate::serving::ServingSpec;
@@ -320,9 +320,8 @@ impl ScenarioSpec {
     /// every [`IterationResult::comm_records`] empty; every other field is identical.
     ///
     /// For callers that read only aggregates — iteration times, circuit wait,
-    /// reconfigurations, fleet counters. The run keeps a transfer's record only
-    /// while steady-state detection may still compare it, so its memory no longer
-    /// grows with transfers × iterations.
+    /// reconfigurations, fleet counters. The run keeps no transfer record, so its
+    /// memory does not grow with transfers × iterations.
     ///
     /// # Panics
     /// Panics when the scenario is malformed; see [`ScenarioSpec::run`].
@@ -338,8 +337,8 @@ impl ScenarioSpec {
 enum Records {
     /// Every record of every iteration ([`ScenarioSpec::run`]).
     Keep,
-    /// Only the records steady-state detection may still compare, dropped once it
-    /// has ([`ScenarioSpec::run_without_records`]); see [`MemoState::may_read`].
+    /// Only the records the memo needs, which is none: steady-state detection
+    /// compares fabric state, not records ([`ScenarioSpec::run_without_records`]).
     MemoOnly,
 }
 
@@ -521,72 +520,133 @@ struct Injection {
 ///
 /// ## Detection
 ///
-/// After each naively stepped iteration the driver compares it with its predecessor
-/// via [`IterationResult::shifted_replay_of`] — an exact comparison of the committed
-/// timelines, made meaningful by the engine's byte-determinism: same records, same
-/// circuit waits, same reconfiguration pattern, all timestamps moved by one constant
-/// offset (the controller's request-counter deltas must repeat too). Two such
-/// iterations pin *everything* time-varying: compute durations are constant (the
-/// jitter RNG must be inert, see [`OpusConfig::jitter_inert`]), the circuit cycle is
-/// periodic (a provisioned run re-walks the same reconfiguration sequence every
-/// iteration; a reconfiguration-free run trivially so), and any absolute controller
-/// state (port occupancy, OCS ready times) either shifted along or was already
-/// dominated by the advancing clock — so every later unperturbed iteration is the
-/// same iteration shifted again. Each fast-forward replays the template's
-/// shared-state effects at shifted times (circuit installs, port occupancy from the
-/// template's per-port latest transfer ends, request counters, rail busy time), so
-/// the shared state a later naive iteration reads is exactly what re-stepping
-/// would have left.
+/// At the end `B_m` of a stepped iteration `m` the executor may snapshot the job's
+/// shared state as a [`Boundary`]: the controller's [`FabricState`] (every OCS
+/// matching, plus circuit ready times and port busy ends normalized to `B_m`;
+/// nothing for an electrical job, which has no controller). Iteration `m ≥ 1`
+/// becomes the *template* when both hold:
+///
+/// * `state(B_{m−1}) == state(B_m)`, compared exactly;
+/// * no injection was applied during `m − 1` or `m` (`min_pair`).
+///
+/// Iteration `m + 1` then starts from iteration `m`'s start state, shifted by the
+/// period `B_m − B_{m−1}`, under the same regime. By determinism it replays `m`
+/// shifted and ends in `state(B_m)` shifted again, and so does every later
+/// unperturbed iteration. A clean run arms its template after iteration 1 and
+/// fast-forwards from iteration 2: iteration 0 profiles on demand, yet its end state
+/// already matches iteration 1's. A snapshot is taken only while a fast-forward
+/// could still follow: the memo is enabled, no template is armed, the boundary may
+/// join a pair, and an iteration would be left to replay (a 2-iteration run takes
+/// none).
+///
+/// The state is all a later iteration reads, by this audit:
+///
+/// * **Controller reads.** A no-op request reads its circuits' ready times as
+///   `max(ready, now)`. A reconfiguring request waits for its ports' busy ends from
+///   `requested_at`, which a provisioned request clamps to no earlier than
+///   `now − reconfig_latency` and an on-demand one sets to `now`; it logs
+///   `max(ready, start + delay)` as a partial install's `ready_at`. Every read of an
+///   iteration after `B_m` happens at `now ≥ B_m`, so values at or before the
+///   [`FabricState`] horizons are indistinguishable and normalize to one marker. The
+///   ready-time horizon lies before `B_m` only after an
+///   [`ScenarioEvent::OcsDegraded`] made an OCS faster than the job's latency: then
+///   a back-dated partial install can still log an older ready time. Writes are
+///   max-merges ([`OpusController::occupy_for`]) and fresh installs, which overwrite
+///   the values they touch.
+/// * **Injections** are the only other writers of behaviour-relevant state: rail
+///   health and the outage gate, OCS delays, replan plans and arrivals. The pair
+///   excludes them, and a pending one blocks any fast-forward whose window reaches
+///   it.
+/// * **The jitter RNG** is inert ([`OpusConfig::jitter_inert`]): steady iterations
+///   never draw.
+/// * **The shim** changes only when iteration 0 ends, and
+///   [`OpusConfig::provisioning_active`] is constant from iteration 1 on; hence
+///   `m ≥ 1`.
+/// * **Pending events.** No task event of the job is pending at its boundary, and
+///   the job is the only one.
+/// * **Accumulators** (request, reconfiguration and churn counters, rail busy time)
+///   are never read by the run.
+///
+/// ## Replay
+///
+/// Each fast-forward replays the template's shared-state effects at shifted times,
+/// so the raw state a later naive iteration reads is exactly what re-stepping would
+/// have left. Its inputs come from the template's boundaries, not from records:
+///
+/// * the template's [`ReconfigEvent`]s, re-performed as installs at their shifted
+///   starts;
+/// * the occupancy footprint: the ports whose busy end at `B_m` lies after
+///   `B_{m−1}`. These are exactly the entries iteration `m` wrote, because each of
+///   its transfers starts at or after `B_{m−1}` and has positive duration. They are
+///   max-merged back, shifted;
+/// * per-rail busy time and the request counters, as differences between the two
+///   boundaries' raw values.
+///
+/// The replay does not shift the whole state instead: the naive table keeps the
+/// entries an iteration never writes where they are, and the normalized state
+/// cannot restore a dominated entry's raw value.
 ///
 /// ## Invalidation
 ///
-/// Every applied [`ScenarioEvent`] clears the template *and* forbids detection pairs
-/// that straddle the perturbed iteration (`min_pair`), because an iteration that ran
+/// Every applied [`ScenarioEvent`] clears the template and the pending snapshot,
+/// and moves `min_pair` past the perturbed iteration, because an iteration that ran
 /// under a changing fabric proves nothing about the post-change steady state. A
 /// fast-forward is only scheduled when the next unapplied injection lies strictly
 /// beyond the replayed window, so rail-flap timelines degrade to naive stepping
 /// around the fault and re-memoize on fresh evidence afterwards. Multi-job scenarios
 /// disable memoization outright (`enabled`): jobs share the fabric, so one job's
-/// iterations alone cannot witness steady state.
+/// iterations alone cannot witness steady state. So do evicting policies, whose
+/// tenancy tables the state does not cover.
 struct MemoState {
     /// Structurally allowed for this job: the config knob is on, the jitter RNG is
-    /// inert, and the scenario runs a single job.
+    /// inert, the job trains, and the scenario runs a single job without eviction.
     enabled: bool,
     /// Index into `completed` of the detected steady-state template iteration.
     template: Option<usize>,
-    /// Controller request counters `(requests, noop_requests)` at the end of the
-    /// last committed iteration, for measuring per-iteration deltas.
-    counters_at_finish: (u64, u64),
-    /// The counter delta of the most recently committed iteration.
-    last_delta: Option<(u64, u64)>,
-    /// The counter delta of one steady iteration, replayed in bulk per fast-forward.
+    /// The previous iteration's boundary, while it may still pair with the next.
+    boundary: Option<Boundary>,
+    /// The controller's request-counter delta `(requests, noop_requests)` over one
+    /// steady iteration, replayed in bulk per fast-forward.
     template_delta: (u64, u64),
     /// Per template reconfiguration event: the `circuit_pool` slot whose circuits the
     /// event installed, so the replay can re-perform the install without a search.
     template_slots: Vec<u32>,
     /// The template's occupancy footprint: per NIC port, its latest transfer end
-    /// (see [`OpusController::port_ends`]; empty without a controller).
+    /// (see [`OpusController::port_ends_after`]; empty without a controller).
     template_port_ends: Vec<Vec<SimTime>>,
     /// The template's transfer time per rail, added to the fleet's busy time by
     /// every fast-forward.
     template_rail_busy: Vec<SimDuration>,
     /// Earliest iteration index admissible as the *first* member of a detection
-    /// pair. Starts at 1 (iteration 0 profiles: the shim observes, provisioning is
-    /// still off) and moves past every iteration perturbed by an injection.
+    /// pair. Starts at 0 and moves past every iteration perturbed by an injection.
     min_pair: u32,
     /// Iterations replayed from the memo instead of re-stepped (reported as
     /// [`JobResult::memoized_iterations`], which is not serialized).
     fast_forwarded: u64,
 }
 
-impl MemoState {
-    /// True while iteration `m`'s records may still feed a detection that leads to
-    /// a fast-forward: as a member of a pair at or after `min_pair`, with no
-    /// template yet and an iteration left to replay after the pair. (An injection
-    /// that clears the template also moves `min_pair` past the in-flight
-    /// iteration, so a `false` at an iteration's start stays `false` at its end.)
-    fn may_read(&self, m: u32, iterations: u32) -> bool {
-        self.enabled && self.template.is_none() && m >= self.min_pair && m + 1 < iterations
+/// One iteration boundary as steady-state detection sees it (see [`MemoState`]).
+struct Boundary {
+    /// When the iteration ended.
+    at: SimTime,
+    /// The controller's normalized state (`None` without a controller).
+    fabric: Option<FabricState>,
+    /// The fleet's per-rail busy time.
+    rail_busy: Vec<SimDuration>,
+    /// The controller's `(requests, noop_requests)`.
+    requests: (u64, u64),
+}
+
+impl Boundary {
+    /// Snapshots `fleet` at boundary `at` for a job with `reconfig_latency`.
+    fn of(fleet: &Fleet, at: SimTime, reconfig_latency: SimDuration) -> Boundary {
+        let controller = fleet.backend.controller();
+        Boundary {
+            at,
+            fabric: controller.map(|c| c.boundary_state(at, reconfig_latency)),
+            rail_busy: fleet.rail_busy.clone(),
+            requests: controller.map_or((0, 0), |c| (c.requests(), c.noop_requests())),
+        }
     }
 }
 
@@ -639,8 +699,6 @@ struct JobContext {
     /// The latest task end of the in-flight iteration (the iteration start until a
     /// task finishes): the iteration ends when its last task does.
     iter_end: SimTime,
-    /// The in-flight iteration keeps its records (see [`Records`]).
-    keep_iter_records: bool,
     comm_records: Vec<CommRecord>,
     reconfig_events: Vec<ReconfigEvent>,
     total_circuit_wait: SimDuration,
@@ -1137,7 +1195,6 @@ impl ScenarioSim {
             iter_start: SimTime::ZERO,
             remaining: Vec::with_capacity(n),
             iter_end: SimTime::ZERO,
-            keep_iter_records: false,
             comm_records: Vec::new(),
             reconfig_events: Vec::new(),
             total_circuit_wait: SimDuration::ZERO,
@@ -1150,13 +1207,12 @@ impl ScenarioSim {
                 // additionally disables the memo for multi-job scenarios.
                 enabled: config.memoize_steady_state && config.jitter_inert() && is_training,
                 template: None,
-                counters_at_finish: (0, 0),
-                last_delta: None,
+                boundary: None,
                 template_delta: (0, 0),
                 template_slots: Vec::new(),
                 template_port_ends: Vec::new(),
                 template_rail_busy: Vec::new(),
-                min_pair: 1,
+                min_pair: 0,
                 fast_forwarded: 0,
             },
             degraded_slots: 0,
@@ -1335,12 +1391,6 @@ impl ScenarioSim {
             .unwrap_or_default();
         let (controller_requests, noop_requests) =
             controller.map_or((0, 0), |c| (c.requests(), c.noop_requests()));
-        // A record-free run hands out no records, whatever detection still held.
-        if self.records == Records::MemoOnly {
-            for it in self.jobs.iter_mut().flat_map(|ctx| &mut ctx.completed) {
-                it.comm_records = Vec::new();
-            }
-        }
         // Tenant-fairness accounting: the controller's per-tenant ledgers (only
         // populated under an eviction policy other than `Never`) plus each job's
         // share of the scenario-wide circuit wait.
@@ -1423,8 +1473,6 @@ impl ScenarioSim {
         let ctx = &mut self.jobs[j];
         ctx.iter_start = at;
         ctx.iter_degraded = ctx.degraded_slots > 0;
-        ctx.keep_iter_records = self.records == Records::Keep
-            || ctx.memo.may_read(ctx.iteration, ctx.config.iterations);
         ctx.remaining.clear();
         ctx.remaining.extend(ctx.dag.indegrees());
         ctx.iter_end = at;
@@ -1458,12 +1506,7 @@ impl ScenarioSim {
     /// Finalizes job `j`'s just-completed iteration and starts the next one (or
     /// retires the job).
     fn finish_iteration(&mut self, j: usize, engine: &mut Engine<SimEvent>) {
-        let ScenarioSim {
-            jobs,
-            fleet,
-            records,
-            ..
-        } = &mut *self;
+        let ScenarioSim { jobs, fleet, .. } = &mut *self;
         let ctx = &mut jobs[j];
         debug_assert!(
             ctx.remaining
@@ -1513,77 +1556,47 @@ impl ScenarioSim {
             }
             return;
         }
-        // Steady-state detection: an exact byte-comparison of the just-committed
-        // timeline against its predecessor's, shifted by the iteration period, plus
-        // a repeat of the controller's request-counter delta. Both members of the
-        // pair must postdate the profiling iteration and the last applied injection
-        // (`min_pair`); see [`MemoState`] for why a match makes every later
-        // unperturbed iteration a shifted replay.
-        if ctx.memo.enabled {
-            let counters = fleet
-                .backend
-                .controller()
-                .map_or((0, 0), |c| (c.requests(), c.noop_requests()));
-            let delta = (
-                counters.0 - ctx.memo.counters_at_finish.0,
-                counters.1 - ctx.memo.counters_at_finish.1,
-            );
-            if ctx.memo.template.is_none() && ctx.completed.len() >= 2 {
-                let m = ctx.completed.len() - 1;
-                if (m - 1) as u32 >= ctx.memo.min_pair
-                    && ctx.memo.last_delta == Some(delta)
-                    && ctx.completed[m].shifted_replay_of(&ctx.completed[m - 1])
-                {
-                    // The replay re-performs the template's installs; resolve each
-                    // event's circuits to its pool slot once, up front.
-                    let template = &ctx.completed[m];
-                    ctx.memo.template_slots = template
-                        .reconfig_events
-                        .iter()
-                        .map(|ev| {
-                            *ctx.slot_of_group
-                                .get(&ev.group)
-                                .expect("a logged reconfiguration names a pooled group")
-                        })
-                        .collect();
-                    // Fold the template's records into what each replay adds to the
-                    // shared state: per-rail busy time and per-port occupancy. The
-                    // rail-carrying records are the scale-out, non-offloaded ones.
-                    let mut rail_busy = vec![SimDuration::ZERO; fleet.rail_busy.len()];
-                    for rec in &template.comm_records {
-                        for rail in &rec.rails {
-                            let busy = &mut rail_busy[rail.index()];
-                            *busy = busy.saturating_add(rec.transfer_time());
-                        }
-                    }
-                    ctx.memo.template_rail_busy = rail_busy;
-                    if let Some(controller) = fleet.backend.controller() {
-                        ctx.memo.template_port_ends = controller.port_ends(
-                            template
-                                .comm_records
-                                .iter()
-                                .filter(|rec| !rec.rails.is_empty())
-                                .map(|rec| {
-                                    let slot = ctx.task_circuit_slot[rec.task.0 as usize];
-                                    (&ctx.circuit_pool[slot as usize].circuits, rec.end)
-                                }),
+        // Steady-state detection: compare this boundary's fabric state with the
+        // previous boundary's. See [`MemoState`] for why equal states make every
+        // later unperturbed iteration a shifted replay of this one.
+        let m = ctx.iteration - 1;
+        let iterations = ctx.config.iterations;
+        if ctx.memo.enabled && ctx.memo.template.is_none() && m >= ctx.memo.min_pair {
+            let prev = ctx.memo.boundary.take();
+            if prev.is_some() || m + 2 < iterations {
+                let boundary = Boundary::of(fleet, end, ctx.config.reconfig_latency);
+                match prev {
+                    Some(prev) if prev.fabric == boundary.fabric => {
+                        debug_assert_eq!(prev.at, start, "a boundary pairs with the next one");
+                        // The replay re-performs the template's installs; resolve each
+                        // event's circuits to its pool slot once, up front.
+                        ctx.memo.template_slots = ctx.completed[m as usize]
+                            .reconfig_events
+                            .iter()
+                            .map(|ev| {
+                                *ctx.slot_of_group
+                                    .get(&ev.group)
+                                    .expect("a logged reconfiguration names a pooled group")
+                            })
+                            .collect();
+                        ctx.memo.template_rail_busy = boundary
+                            .rail_busy
+                            .iter()
+                            .zip(&prev.rail_busy)
+                            .map(|(&after, &before)| after - before)
+                            .collect();
+                        ctx.memo.template_delta = (
+                            boundary.requests.0 - prev.requests.0,
+                            boundary.requests.1 - prev.requests.1,
                         );
+                        ctx.memo.template_port_ends = fleet
+                            .backend
+                            .controller()
+                            .map_or_else(Vec::new, |c| c.port_ends_after(prev.at));
+                        ctx.memo.template = Some(m as usize);
                     }
-                    ctx.memo.template = Some(m);
-                    ctx.memo.template_delta = delta;
-                }
-            }
-            ctx.memo.counters_at_finish = counters;
-            ctx.memo.last_delta = Some(delta);
-            if *records == Records::MemoOnly {
-                // Detection has compared this pair; only the newest iteration may
-                // still seed the next one.
-                let m = ctx.completed.len() - 1;
-                if m > 0 {
-                    ctx.completed[m - 1].comm_records = Vec::new();
-                }
-                if !ctx.memo.may_read(m as u32, ctx.config.iterations) {
-                    ctx.completed[m].comm_records = Vec::new();
+                    _ if m + 2 < iterations => ctx.memo.boundary = Some(boundary),
+                    _ => {}
                 }
             }
         }
@@ -1691,7 +1704,6 @@ impl ScenarioSim {
             controller.replay_port_ends(&ctx.memo.template_port_ends, shift);
             let (requests, noops) = ctx.memo.template_delta;
             controller.replay_requests(requests, noops);
-            ctx.memo.counters_at_finish = (controller.requests(), controller.noop_requests());
         }
         for (rail, &busy) in ctx.memo.template_rail_busy.iter().enumerate() {
             fleet.add_rail_busy(rail, busy);
@@ -1723,6 +1735,7 @@ impl ScenarioSim {
         match event {
             SimEvent::Ready(j, id) => {
                 let j = j as usize;
+                let keep_record = self.records == Records::Keep;
                 let (end, record) = {
                     let ScenarioSim {
                         jobs,
@@ -1744,7 +1757,7 @@ impl ScenarioSim {
                     );
                     ctx.total_circuit_wait =
                         ctx.total_circuit_wait.saturating_add(rec.circuit_wait);
-                    if ctx.keep_iter_records {
+                    if keep_record {
                         ctx.comm_records.push(rec);
                     }
                     // Attribute any reconfigurations this commit caused to the job.
@@ -1788,6 +1801,7 @@ impl ScenarioSim {
         for ctx in &mut self.jobs {
             if ctx.memo.enabled {
                 ctx.memo.template = None;
+                ctx.memo.boundary = None;
                 ctx.memo.min_pair = ctx.iteration + 1;
             }
         }
@@ -2165,6 +2179,12 @@ impl ScenarioSim {
 
         if scaleout && !offloaded {
             if optical {
+                // The memo reads an iteration's occupancy footprint off the busy ends
+                // that lie after the iteration's start (see [`MemoState`]).
+                debug_assert!(
+                    end > ctx.iter_start,
+                    "a rail transfer must end after its iteration started"
+                );
                 if let Some(controller) = fleet.backend.controller_mut() {
                     controller.occupy_for(ctx.job.0, circuits, end);
                 }
@@ -2536,6 +2556,59 @@ mod tests {
     }
 
     #[test]
+    fn clean_runs_step_two_iterations_and_fast_forward_the_rest() {
+        // Iteration 0 profiles on demand, yet its end state already matches
+        // iteration 1's, so the template arms after iteration 1 under every policy.
+        for (name, config) in [
+            (
+                "provisioned",
+                OpusConfig::provisioned(SimDuration::from_millis(5)),
+            ),
+            (
+                "on_demand",
+                OpusConfig::on_demand(SimDuration::from_millis(1)),
+            ),
+            ("electrical", OpusConfig::electrical()),
+        ] {
+            for iterations in [2, 3, 8] {
+                let spec = || {
+                    ScenarioSpec::new(tiny_cluster(4))
+                        .job(tiny_dag(), jitter_free(config, iterations))
+                };
+                for (records, result) in [
+                    ("run", spec().run()),
+                    ("run_without_records", spec().run_without_records()),
+                ] {
+                    assert_eq!(
+                        result.jobs[0].memoized_iterations,
+                        u64::from(iterations - 2),
+                        "{name}, {iterations} iterations, {records}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn record_free_memoized_runs_never_allocate_a_record_buffer() {
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 6);
+        let spec = ScenarioSpec::new(tiny_cluster(4)).job(tiny_dag(), config);
+        let mut sim = ScenarioSim::build(spec, Records::MemoOnly);
+        sim.run_scenario();
+        let ctx = &sim.jobs[0];
+        assert_eq!(ctx.memo.fast_forwarded, 4);
+        assert_eq!(ctx.comm_records.capacity(), 0);
+        for it in &ctx.completed {
+            assert_eq!(
+                it.comm_records.capacity(),
+                0,
+                "iteration {} allocated records",
+                it.iteration
+            );
+        }
+    }
+
+    #[test]
     fn memoization_gates_on_the_knob_and_on_jitter() {
         let base = OpusConfig {
             iterations: 6,
@@ -2656,6 +2729,41 @@ mod tests {
             assert_eq!(kept, naive, "{name}");
             assert_eq!(free, naive, "{name}, record-free");
         }
+    }
+
+    #[test]
+    fn memoized_runs_match_naive_after_ocses_change_speed() {
+        // Rail 0's OCS becomes faster than the job's 25 ms latency, so a back-dated
+        // partial install can log a ready time from before the boundary and the
+        // ready-time horizon moves back (see [`FabricState`]); rail 1's becomes
+        // slower. The memo must re-arm after the change and leave the naive state.
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(25)), 10);
+        let spec = |config: OpusConfig| {
+            let degrade = |rail, ms| ScenarioEvent::OcsDegraded {
+                rail: RailId(rail),
+                reconfig_latency: SimDuration::from_millis(ms),
+            };
+            ScenarioSpec::new(tiny_cluster(4))
+                .job(tiny_dag(), config)
+                .inject(SimTime::ZERO, degrade(0, 1))
+                .inject(SimTime::ZERO, degrade(1, 60))
+        };
+        let run = |config: OpusConfig| {
+            let mut sim = ScenarioSim::build(spec(config), Records::Keep);
+            sim.run_scenario();
+            let controller = sim.fleet.backend.controller().expect("optical");
+            let occupancy = controller.port_occupancy().to_vec();
+            (occupancy, sim.into_result())
+        };
+        let (naive_ports, naive) = run(OpusConfig {
+            memoize_steady_state: false,
+            ..config
+        });
+        let (memo_ports, mut memo) = run(config);
+        let ff = std::mem::take(&mut memo.jobs[0].memoized_iterations);
+        assert!(ff >= 1, "the memo must re-arm after the change (ff = {ff})");
+        assert_eq!(format!("{memo:?}"), format!("{naive:?}"));
+        assert_eq!(memo_ports, naive_ports);
     }
 
     /// Two GB200 NVL72 nodes (72 rails) running one 2-way data-parallel job whose
@@ -3240,11 +3348,9 @@ mod tests {
             ..base
         });
         assert_eq!(naive.memoized_iterations, 0);
-        assert!(
-            memoized.memoized_iterations >= 8,
-            "a 12-iteration jitter-free run must fast-forward most of its tail, \
-             fast-forwarded {}",
-            memoized.memoized_iterations
+        assert_eq!(
+            memoized.memoized_iterations, 10,
+            "a 12-iteration jitter-free run must fast-forward all but two iterations"
         );
         let (memo_result, naive_result) = (memoized.result, naive.result);
         assert_eq!(memo_result.iterations.len(), naive_result.iterations.len());

@@ -468,10 +468,10 @@ proptest! {
         replan in 0u32..2,
         memo in 0u32..2,
     ) {
-        // `run_without_records` keeps records only while the memo can compare them
-        // and replays fast-forwards without them; everything else it reports must be
-        // exactly what `run` reports, over the same memo / flap / two-job / replan
-        // generator as the memoization property.
+        // `run_without_records` keeps no records and replays fast-forwards without
+        // them; everything else it reports must be exactly what `run` reports, over
+        // the same memo / flap / two-job / replan generator as the memoization
+        // property.
         let config = OpusConfig {
             memoize_steady_state: memo == 1,
             ..memo_config(replan == 1)

@@ -151,8 +151,8 @@ fn builder_and_hand_assembled_spec_serialize_identically() {
 
 #[test]
 fn memoized_steady_state_matches_the_naive_pin() {
-    // Six jitter-free iterations: the memo detects steady state at iteration 2 and
-    // fast-forwards the rest. Both paths must land on one pinned hash — the hash was
+    // Six jitter-free iterations: the memo arms its template after iteration 1 and
+    // fast-forwards iterations 2-5. Both paths must land on one pinned hash — the hash was
     // captured from the naive path (`memoize_steady_state: false`), so this pin fails
     // if fast-forwarding perturbs any serialized byte.
     let (cluster, dag) = tiny_setup();
@@ -167,10 +167,9 @@ fn memoized_steady_state_matches_the_naive_pin() {
         .run();
     let job = &memoized.jobs[0];
     let via_memo = serde_json::to_string_pretty(&job.result).expect("results serialize");
-    assert!(
-        job.memoized_iterations >= 3,
-        "the memo must engage on a jitter-free run, fast-forwarded {}",
-        job.memoized_iterations
+    assert_eq!(
+        job.memoized_iterations, 4,
+        "the memo must engage after two stepped iterations of a jitter-free run"
     );
     let via_naive = serialized(
         cluster,
