@@ -1,8 +1,9 @@
 //! # railsim-bench — experiment harness for the photonic-rails reproduction
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` that regenerates it (see DESIGN.md for the full index), plus a set of
-//! criterion micro-benchmarks in `benches/`. This library holds what they share:
+//! `src/bin/` that regenerates it (the full index is "Regenerating the paper's
+//! figures and tables" in the repository README), plus a set of criterion
+//! micro-benchmarks in `benches/`. This library holds what they share:
 //!
 //! * [`report`] — plain-text table rendering and JSON result files under `results/`,
 //! * [`setups`] — the canonical experiment setups (the paper's Perlmutter cluster, the

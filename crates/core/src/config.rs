@@ -45,10 +45,10 @@ pub enum ReconfigPolicy {
     /// collective is issued, so the reconfiguration delay sits on the critical path
     /// ("without provisioning" in Fig. 8).
     OnDemand,
-    /// Photonic rails with provisioning: after the first (profiling) iteration the shim
-    /// issues speculative requests as soon as the previous traffic on the affected
-    /// circuits completes, hiding the delay inside the inter-parallelism window
-    /// ("with provisioning" in Fig. 8).
+    /// Photonic rails with provisioning: after the first (profiling) iteration, if it
+    /// sent traffic over the rails, the shim issues speculative requests as soon as
+    /// the previous traffic on the affected circuits completes, hiding the delay
+    /// inside the inter-parallelism window ("with provisioning" in Fig. 8).
     Provisioned,
 }
 
@@ -178,15 +178,17 @@ pub struct OpusConfig {
     pub seed: u64,
     /// Optional offload of small collectives to the host packet-switched network (§5).
     pub host_offload: Option<HostOffload>,
-    /// Steady-state iteration memoization (default: enabled). When two consecutive
-    /// iterations of a job commit byte-identical timelines up to a constant time
-    /// offset — same communication records, same circuit waits, no reconfigurations —
-    /// the simulator stops re-stepping the DAG and replays the memoized iteration
-    /// with a shifted clock. Replayed iterations are byte-identical to naive
-    /// stepping (the determinism suites pin this), so the knob exists for A/B
-    /// measurement and as an escape hatch, not because results differ. Memoization
-    /// never engages with compute jitter, in multi-job scenarios, or across injected
-    /// external events; see EXPERIMENTS.md for the detection/invalidation semantics.
+    /// Steady-state iteration memoization (default: enabled). When the fabric state
+    /// at two consecutive iteration boundaries is equal up to the shift between
+    /// them — every OCS matching exactly, circuit ready times and port busy ends
+    /// relative to the boundary — the simulator stops re-stepping the DAG and
+    /// replays the later iteration with a shifted clock. Replayed iterations are
+    /// byte-identical to naive stepping (the determinism suites pin this), so the
+    /// knob exists for A/B measurement and as an escape hatch, not because results
+    /// differ. Memoization never engages with compute jitter, for serving jobs, in
+    /// multi-job scenarios, under an evicting policy or across injected external
+    /// events; see the [`scenario`](crate::scenario) module docs for the detection
+    /// and invalidation semantics.
     pub memoize_steady_state: bool,
     /// How the job reacts to injected rail failures: [`RecoveryPolicy::Stall`] (the
     /// default — wait for recovery, byte-identical to the pre-replan behavior) or

@@ -1,7 +1,8 @@
 //! The Opus controller.
 //!
-//! The controller owns the photonic rail fabric (one OCS per rail) and turns the shim's
-//! reconfiguration requests into circuit changes, honouring the paper's objectives:
+//! The controller owns the photonic rail fabric (one OCS per rail) and turns each
+//! job's reconfiguration requests into circuit changes, honouring the paper's
+//! objectives:
 //!
 //! * **Objective 1 / 2** — requests are only acted on when the demand actually changes;
 //!   re-requesting the installed configuration is free.
@@ -78,10 +79,6 @@ pub struct OpusController {
     events: Vec<ReconfigEvent>,
     requests: u64,
     noop_requests: u64,
-    /// Reconfigurations per rail over the controller's whole lifetime, indexed by
-    /// rail. Unlike the event log this is never drained, so per-lane load stays
-    /// observable at 10k-GPU scale without retaining hundreds of thousands of events.
-    lifetime_by_rail: Vec<u64>,
     /// Per-rail no-op flags of the request being handled, reused across requests so
     /// the hot path never allocates.
     noop_scratch: Vec<bool>,
@@ -122,7 +119,6 @@ impl OpusController {
             events: Vec::new(),
             requests: 0,
             noop_requests: 0,
-            lifetime_by_rail: vec![0; num_rails],
             noop_scratch: Vec::new(),
             eviction: EvictionPolicy::Never,
             port_tenant: vec![Vec::new(); num_rails],
@@ -133,11 +129,11 @@ impl OpusController {
         }
     }
 
-    /// Activates tenant-aware contention arbitration: requests tagged through
-    /// [`OpusController::request_from`] may displace other tenants' port holds
-    /// according to `policy`, and per-tenant wait/eviction ledgers are kept for the
-    /// fairness metrics. With [`EvictionPolicy::Never`] (or when never called) every
-    /// path stays byte-identical to the single-tenant controller.
+    /// Activates tenant-aware contention arbitration: a tenant's
+    /// [`OpusController::request`] may displace other tenants' port holds according
+    /// to `policy`, and per-tenant wait/eviction ledgers are kept for the fairness
+    /// metrics. With [`EvictionPolicy::Never`] (or when never called) the tenant
+    /// argument of every request is ignored: arbitration is FC-FS over all holds.
     pub fn set_eviction(&mut self, policy: EvictionPolicy, num_tenants: u32) {
         self.eviction = policy;
         if policy.can_evict() {
@@ -175,7 +171,8 @@ impl OpusController {
     }
 
     /// `tenant`'s accumulated circuit wait in the fairness ledger, summed over rails.
-    pub fn tenant_wait(&self, tenant: u32) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn tenant_wait(&self, tenant: u32) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for rail in &self.wait_by_rail {
             if let Some(w) = rail.get(tenant as usize) {
@@ -200,11 +197,6 @@ impl OpusController {
         &self.events
     }
 
-    /// Drains the reconfiguration log (used between iterations by the simulator).
-    pub fn take_events(&mut self) -> Vec<ReconfigEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Total requests received.
     pub fn requests(&self) -> u64 {
         self.requests
@@ -213,28 +205,6 @@ impl OpusController {
     /// Requests that required no change (circuits already installed).
     pub fn noop_requests(&self) -> u64 {
         self.noop_requests
-    }
-
-    /// The earliest time at or after which every port used by `circuits` is free of
-    /// traffic.
-    pub fn ports_free_at(&self, circuits: &GroupCircuits) -> SimTime {
-        let mut free = SimTime::ZERO;
-        for config in circuits.per_rail.values() {
-            for port in config.ports() {
-                let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                free = free.max(self.port_busy[rail][idx]);
-            }
-        }
-        free
-    }
-
-    /// True when every rail already has the group's circuits installed (possibly still
-    /// settling).
-    pub fn is_installed(&self, circuits: &GroupCircuits) -> bool {
-        circuits
-            .per_rail
-            .iter()
-            .all(|(rail, config)| self.fabric.ocs(*rail).already_installed(config))
     }
 
     /// The time at which every circuit of the group is ready, or `None` when any rail
@@ -273,62 +243,34 @@ impl OpusController {
     /// Goes straight to the fabric — the conflict wait is already baked into `start`
     /// — so matching state, per-circuit ready times and the set-up/torn-down
     /// counters all advance precisely as a naive re-step would have left them.
-    /// Bumps the per-rail lifetime counter but does *not* log an event (the replay
-    /// emits the shifted template events directly) or touch the request counters
-    /// (see [`OpusController::replay_requests`]). Returns when the circuits are ready.
+    /// Does *not* log an event (the replay emits the shifted template events
+    /// directly) or touch the request counters (see
+    /// [`OpusController::replay_requests`]). Returns when the circuits are ready.
     pub fn replay_install(
         &mut self,
         rail: RailId,
         config: &CircuitConfig,
         start: SimTime,
     ) -> SimTime {
-        let ready = self
-            .fabric
+        self.fabric
             .install(rail, config, start)
-            .unwrap_or_else(|e| panic!("replayed circuit install failed on {rail}: {e}"));
-        self.lifetime_by_rail[rail.index()] += 1;
-        ready
+            .unwrap_or_else(|e| panic!("replayed circuit install failed on {rail}: {e}"))
     }
 
-    /// Handles a reconfiguration request for `group`: installs the group's circuits on
-    /// every rail it needs, waiting for conflicting traffic to drain first. Returns the
-    /// time at which all circuits are ready to carry traffic.
+    /// Handles `tenant`'s reconfiguration request for `group`: installs the group's
+    /// circuits on every rail it needs and returns the time at which all of them are
+    /// ready to carry traffic.
     ///
-    /// `requested_at` is when the (possibly speculative) request was issued; the actual
-    /// switching starts at `max(requested_at, ports-free time)`.
+    /// `requested_at` is when the (possibly speculative) request was issued. Each rail
+    /// whose circuits are not yet installed starts switching once its ports are free.
+    /// With tenancy off that means every hold on them has drained (FC-FS conflict
+    /// avoidance). Under an evicting policy the requester may displace *other*
+    /// tenants' holds instead of waiting for them (which holds it may take is the
+    /// policy's rule; see [`EvictionPolicy`]). The requester's own traffic is never
+    /// preempted, so intra-tenant ordering stays FC-FS.
     pub fn request(
         &mut self,
-        group: GroupId,
-        circuits: &GroupCircuits,
-        requested_at: SimTime,
-    ) -> SimTime {
-        self.request_as(None, group, circuits, requested_at)
-    }
-
-    /// The tenant-tagged variant of [`OpusController::request`]: identical FC-FS
-    /// semantics under [`EvictionPolicy::Never`], but under an evicting policy the
-    /// requester may displace *other* tenants' port holds instead of waiting for them
-    /// (which holds it may take is the policy's rule; see [`EvictionPolicy`]). The
-    /// requester's own traffic is never preempted, so intra-tenant ordering stays
-    /// FC-FS.
-    pub fn request_from(
-        &mut self,
         tenant: u32,
-        group: GroupId,
-        circuits: &GroupCircuits,
-        requested_at: SimTime,
-    ) -> SimTime {
-        let tenant = self.tenancy_active().then_some(tenant);
-        self.request_as(tenant, group, circuits, requested_at)
-    }
-
-    /// The one request path. Each rail whose circuits are not yet installed starts
-    /// switching once its ports are free: for an untagged request (`None`) that means
-    /// every hold has drained; a tenant-tagged request claims the ports under the
-    /// eviction policy instead.
-    fn request_as(
-        &mut self,
-        tenant: Option<u32>,
         group: GroupId,
         circuits: &GroupCircuits,
         requested_at: SimTime,
@@ -350,12 +292,13 @@ impl OpusController {
         if already_everywhere {
             self.noop_requests += 1;
         }
+        let tenancy = self.tenancy_active();
         let mut ready = requested_at;
         for (i, (rail, config)) in circuits.per_rail.iter().enumerate() {
             let ocs_already = self.noop_scratch[i];
             let start = if ocs_already {
                 requested_at
-            } else if let Some(tenant) = tenant {
+            } else if tenancy {
                 self.claim_ports(tenant, *rail, config, requested_at)
             } else {
                 // Conflict avoidance: wait for ongoing traffic on the affected ports.
@@ -379,7 +322,6 @@ impl OpusController {
                     ready_at: rail_ready,
                     circuits_installed: config.len(),
                 });
-                self.lifetime_by_rail[rail.index()] += 1;
             }
             ready = ready.max(rail_ready);
         }
@@ -454,12 +396,12 @@ impl OpusController {
         start
     }
 
-    /// The tenant-aware variant of [`OpusController::ports_free_at`]: the earliest
-    /// time at or after which every port of `circuits` that `tenant` would actually
-    /// have to *wait* for is free — holds the active eviction policy lets the tenant
-    /// displace are skipped. Used to back-date provisioned requests, so a tenant that
-    /// can evict issues its speculative request as early as eviction would allow.
-    pub fn ports_free_for(&self, tenant: u32, circuits: &GroupCircuits) -> SimTime {
+    /// The earliest time at or after which every port of `circuits` that `tenant`
+    /// would actually have to *wait* for is free of traffic. With tenancy off that is
+    /// every port; under an evicting policy the holds it lets the tenant displace are
+    /// skipped. Used to back-date provisioned requests, so a tenant that can evict
+    /// issues its speculative request as early as eviction would allow.
+    pub fn ports_free(&self, tenant: u32, circuits: &GroupCircuits) -> SimTime {
         let mut free = SimTime::ZERO;
         for config in circuits.per_rail.values() {
             for port in config.ports() {
@@ -511,18 +453,6 @@ impl OpusController {
     /// reconfigurations to the job whose request caused them.
     pub fn drain_events_into(&mut self, out: &mut Vec<ReconfigEvent>) {
         out.append(&mut self.events);
-    }
-
-    /// Records that the group's circuits carry traffic until `until`, blocking any
-    /// conflicting reconfiguration before then.
-    pub fn occupy(&mut self, circuits: &GroupCircuits, until: SimTime) {
-        for config in circuits.per_rail.values() {
-            for port in config.ports() {
-                let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                let slot = &mut self.port_busy[rail][idx];
-                *slot = (*slot).max(until);
-            }
-        }
     }
 
     /// The occupancy footprint of the transfers occupied since `since`: per port, its
@@ -592,11 +522,12 @@ impl OpusController {
         &self.port_busy
     }
 
-    /// The tenant-tagged variant of [`OpusController::occupy`]: the same max-merged
-    /// occupancy, but each port whose hold this transfer extends (or establishes) is
-    /// stamped with the owning tenant, so a later contender knows whose traffic it
-    /// would displace. Identical to [`OpusController::occupy`] when tenancy is off.
-    pub fn occupy_for(&mut self, tenant: u32, circuits: &GroupCircuits, until: SimTime) {
+    /// Records that `tenant`'s traffic holds the group's circuits until `until`,
+    /// blocking any conflicting reconfiguration before then. Occupancy is a
+    /// max-merge. Under an evicting policy each port whose hold this transfer extends
+    /// (or establishes) is also stamped with `tenant`, so a later contender knows
+    /// whose traffic it would displace.
+    pub fn occupy(&mut self, tenant: u32, circuits: &GroupCircuits, until: SimTime) {
         let active = self.tenancy_active();
         for config in circuits.per_rail.values() {
             for port in config.ports() {
@@ -608,30 +539,6 @@ impl OpusController {
                 *slot = (*slot).max(until);
             }
         }
-    }
-
-    /// Total reconfigurations actually performed.
-    pub fn total_reconfigs(&self) -> usize {
-        self.events.len()
-    }
-
-    /// The reconfigurations that touched a given rail.
-    pub fn reconfigs_on_rail(&self, rail: RailId) -> usize {
-        self.events.iter().filter(|e| e.rail == rail).count()
-    }
-
-    /// Total reconfigurations ever performed, across [`OpusController::take_events`]
-    /// drains.
-    pub fn lifetime_reconfigs(&self) -> u64 {
-        self.lifetime_by_rail.iter().sum()
-    }
-
-    /// Lifetime reconfigurations on one rail (never reset by draining the log).
-    pub fn lifetime_reconfigs_on_rail(&self, rail: RailId) -> u64 {
-        self.lifetime_by_rail
-            .get(rail.index())
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -664,9 +571,9 @@ mod tests {
         let (cluster, mut ctrl, planner) = setup();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        let ready = ctrl.request(group.id, &circuits, SimTime::from_millis(100));
+        let ready = ctrl.request(0, group.id, &circuits, SimTime::from_millis(100));
         assert_eq!(ready, SimTime::from_millis(125));
-        assert_eq!(ctrl.total_reconfigs(), 1);
+        assert_eq!(ctrl.events().len(), 1);
     }
 
     #[test]
@@ -674,12 +581,12 @@ mod tests {
         let (cluster, mut ctrl, planner) = setup();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        ctrl.request(group.id, &circuits, SimTime::ZERO);
-        let ready = ctrl.request(group.id, &circuits, SimTime::from_millis(200));
+        ctrl.request(0, group.id, &circuits, SimTime::ZERO);
+        let ready = ctrl.request(0, group.id, &circuits, SimTime::from_millis(200));
         assert_eq!(ready, SimTime::from_millis(200));
-        assert_eq!(ctrl.total_reconfigs(), 1);
+        assert_eq!(ctrl.events().len(), 1);
         assert_eq!(ctrl.noop_requests(), 1);
-        assert!(ctrl.is_installed(&circuits));
+        assert!(ctrl.installed_ready_time(&circuits).is_some());
     }
 
     #[test]
@@ -695,12 +602,12 @@ mod tests {
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
 
-        ctrl.request(dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
         // DP traffic occupies its circuit until t = 300 ms.
-        ctrl.occupy(&dp_circuits, SimTime::from_millis(300));
+        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
         // A PP request at t = 150 ms must wait for the DP traffic to finish before the
         // switch can tear the shared port's circuit down, then pay the 25 ms delay.
-        let ready = ctrl.request(pp.id, &pp_circuits, SimTime::from_millis(150));
+        let ready = ctrl.request(0, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(325));
         let event = ctrl.events().last().unwrap();
         assert_eq!(event.started_at, SimTime::from_millis(300));
@@ -714,16 +621,16 @@ mod tests {
         let b = dp_group(2, &[1, 5]); // rail 1 — no shared ports with rail 0.
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
-        ctrl.request(a.id, &ca, SimTime::ZERO);
-        ctrl.occupy(&ca, SimTime::from_secs(10));
-        let ready = ctrl.request(b.id, &cb, SimTime::from_millis(50));
+        ctrl.request(0, a.id, &ca, SimTime::ZERO);
+        ctrl.occupy(0, &ca, SimTime::from_secs(10));
+        let ready = ctrl.request(0, b.id, &cb, SimTime::from_millis(50));
         assert_eq!(
             ready,
             SimTime::from_millis(75),
             "rail 1 must not wait for rail 0 traffic"
         );
-        assert_eq!(ctrl.reconfigs_on_rail(RailId(0)), 1);
-        assert_eq!(ctrl.reconfigs_on_rail(RailId(1)), 1);
+        let rails: Vec<RailId> = ctrl.events().iter().map(|e| e.rail).collect();
+        assert_eq!(rails, [RailId(0), RailId(1)]);
     }
 
     #[test]
@@ -736,8 +643,8 @@ mod tests {
         );
         let circuits = planner.plan(&cluster, &tp);
         let t = SimTime::from_millis(42);
-        assert_eq!(ctrl.request(tp.id, &circuits, t), t);
-        assert_eq!(ctrl.total_reconfigs(), 0);
+        assert_eq!(ctrl.request(0, tp.id, &circuits, t), t);
+        assert_eq!(ctrl.events().len(), 0);
         assert_eq!(ctrl.noop_requests(), 1);
     }
 
@@ -749,14 +656,14 @@ mod tests {
         // Nothing installed yet: no fast-path ready time.
         assert_eq!(ctrl.installed_ready_time(&circuits), None);
 
-        let ready = ctrl.request(group.id, &circuits, SimTime::ZERO);
+        let ready = ctrl.request(0, group.id, &circuits, SimTime::ZERO);
         // The pure read now answers exactly what a no-op request would return.
         assert_eq!(ctrl.installed_ready_time(&circuits), Some(ready));
         let later = SimTime::from_millis(500);
-        assert_eq!(ctrl.request(group.id, &circuits, later), later);
+        assert_eq!(ctrl.request(0, group.id, &circuits, later), later);
 
         // Occupancy never changes an installed configuration's ready time.
-        ctrl.occupy(&circuits, SimTime::from_secs(10));
+        ctrl.occupy(0, &circuits, SimTime::from_secs(10));
         assert_eq!(ctrl.installed_ready_time(&circuits), Some(ready));
 
         let before = (ctrl.requests(), ctrl.noop_requests());
@@ -772,7 +679,7 @@ mod tests {
             vec![GpuId(0), GpuId(8)],
         );
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request(pp.id, &pp_circuits, SimTime::from_secs(20));
+        ctrl.request(0, pp.id, &pp_circuits, SimTime::from_secs(20));
         assert_eq!(ctrl.installed_ready_time(&circuits), None);
     }
 
@@ -783,36 +690,18 @@ mod tests {
         let b = dp_group(2, &[1, 5]);
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
-        ctrl.request(a.id, &ca, SimTime::ZERO);
-        ctrl.request(b.id, &cb, SimTime::ZERO);
+        ctrl.request(0, a.id, &ca, SimTime::ZERO);
+        ctrl.request(0, b.id, &cb, SimTime::ZERO);
         let removed = ctrl.withdraw(&ca);
         assert!(removed > 0, "group a held circuits");
-        assert!(!ctrl.is_installed(&ca));
-        assert!(ctrl.is_installed(&cb), "group b's circuits survive");
+        assert!(
+            ctrl.installed_ready_time(&cb).is_some(),
+            "group b's circuits survive"
+        );
         assert_eq!(ctrl.installed_ready_time(&ca), None);
         // Withdrawing again is a free no-op.
         assert_eq!(ctrl.withdraw(&ca), 0);
-        assert!(ctrl.is_installed(&cb));
-    }
-
-    #[test]
-    fn never_policy_request_from_is_the_plain_request() {
-        let (cluster, mut tagged, planner) = setup();
-        let mut plain = tagged.clone();
-        let group = dp_group(1, &[0, 4]);
-        let circuits = planner.plan(&cluster, &group);
-        // Tenancy never activated: the tagged entry points delegate byte-for-byte.
-        assert!(!tagged.tenancy_active());
-        let a = tagged.request_from(0, group.id, &circuits, SimTime::from_millis(10));
-        let b = plain.request(group.id, &circuits, SimTime::from_millis(10));
-        assert_eq!(a, b);
-        assert_eq!(tagged.requests(), plain.requests());
-        tagged.occupy_for(0, &circuits, SimTime::from_millis(500));
-        plain.occupy(&circuits, SimTime::from_millis(500));
-        assert_eq!(
-            tagged.ports_free_for(1, &circuits),
-            plain.ports_free_at(&circuits)
-        );
+        assert!(ctrl.installed_ready_time(&cb).is_some());
     }
 
     #[test]
@@ -828,24 +717,24 @@ mod tests {
         );
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request_from(0, dp.id, &dp_circuits, SimTime::ZERO);
-        ctrl.occupy_for(0, &dp_circuits, SimTime::from_millis(300));
+        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
         // Tenant 1 does not wait for tenant 0's hold: start at 150, ready at 175.
-        let ready = ctrl.request_from(1, pp.id, &pp_circuits, SimTime::from_millis(150));
+        let ready = ctrl.request(1, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(175));
         assert_eq!(ctrl.evictions_suffered_by(0), 1);
         assert_eq!(ctrl.evictions_inflicted_by(1), 1);
         assert!(ctrl.circuits_evicted_by_rail()[0] > 0);
         // Tenant 1's own hold is never evicted by tenant 1: a second tenant-1 group
         // on the same port waits the full FC-FS way.
-        ctrl.occupy_for(1, &pp_circuits, SimTime::from_millis(400));
+        ctrl.occupy(1, &pp_circuits, SimTime::from_millis(400));
         let own = CommGroup::new(
             railsim_collectives::GroupId(3),
             ParallelismAxis::Data,
             vec![GpuId(0), GpuId(12)],
         );
         let own_circuits = planner.plan(&cluster, &own);
-        let ready = ctrl.request_from(1, own.id, &own_circuits, SimTime::from_millis(200));
+        let ready = ctrl.request(1, own.id, &own_circuits, SimTime::from_millis(200));
         assert_eq!(ready, SimTime::from_millis(425), "own traffic drains first");
     }
 
@@ -861,15 +750,12 @@ mod tests {
         );
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request_from(0, dp.id, &dp_circuits, SimTime::ZERO);
-        ctrl.occupy_for(0, &dp_circuits, SimTime::from_millis(300));
+        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
         // Equal waits (both zero): tenant 1 may not evict and waits like FC-FS, so a
         // provisioned request could not be back-dated past the hold either.
-        assert_eq!(
-            ctrl.ports_free_for(1, &pp_circuits),
-            SimTime::from_millis(300)
-        );
-        let ready = ctrl.request_from(1, pp.id, &pp_circuits, SimTime::from_millis(150));
+        assert_eq!(ctrl.ports_free(1, &pp_circuits), SimTime::from_millis(300));
+        let ready = ctrl.request(1, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(325));
         assert_eq!(ctrl.evictions_inflicted_by(1), 0);
         assert_eq!(
@@ -879,7 +765,7 @@ mod tests {
         );
         // Now tenant 0 re-takes the port and holds it; tenant 1 has waited more, so
         // its next (circuit-changing) request displaces the hold instead of waiting.
-        ctrl.occupy_for(0, &dp_circuits, SimTime::from_millis(900));
+        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(900));
         let other = CommGroup::new(
             railsim_collectives::GroupId(3),
             ParallelismAxis::Data,
@@ -887,16 +773,16 @@ mod tests {
         );
         let other_circuits = planner.plan(&cluster, &other);
         assert_eq!(
-            ctrl.ports_free_for(1, &other_circuits),
+            ctrl.ports_free(1, &other_circuits),
             SimTime::ZERO,
             "the longer waiter's back-dating skips the evictable hold"
         );
         assert_eq!(
-            ctrl.ports_free_for(0, &other_circuits),
+            ctrl.ports_free(0, &other_circuits),
             SimTime::from_millis(900),
             "a tenant never skips its own hold"
         );
-        let ready = ctrl.request_from(1, other.id, &other_circuits, SimTime::from_millis(400));
+        let ready = ctrl.request(1, other.id, &other_circuits, SimTime::from_millis(400));
         assert_eq!(
             ready,
             SimTime::from_millis(425),
@@ -926,10 +812,10 @@ mod tests {
         let circuits = CircuitPlanner::for_cluster(&cluster).plan(&cluster, &group);
         let start = SimTime::from_micros(ready - delay);
         assert_eq!(
-            ctrl.request(group.id, &circuits, start),
+            ctrl.request(0, group.id, &circuits, start),
             SimTime::from_micros(ready)
         );
-        ctrl.occupy(&circuits, SimTime::from_micros(busy));
+        ctrl.occupy(0, &circuits, SimTime::from_micros(busy));
         ctrl.boundary_state(SimTime::from_micros(at), lat)
     }
 
@@ -973,23 +859,5 @@ mod tests {
         let state = |ranks: &[u32]| boundary_of(ranks, 25_000, 25_000, 25_000, 0, 500_000);
         assert_eq!(state(&[0, 4]), state(&[0, 4]));
         assert_ne!(state(&[0, 4]), state(&[0, 8]));
-    }
-
-    #[test]
-    fn take_events_drains_the_log() {
-        let (cluster, mut ctrl, planner) = setup();
-        let group = dp_group(1, &[0, 4]);
-        let circuits = planner.plan(&cluster, &group);
-        ctrl.request(group.id, &circuits, SimTime::ZERO);
-        assert_eq!(ctrl.take_events().len(), 1);
-        assert!(ctrl.events().is_empty());
-        assert_eq!(ctrl.total_reconfigs(), 0, "total follows the drained log");
-        assert_eq!(
-            ctrl.lifetime_reconfigs(),
-            1,
-            "lifetime counts survive drains"
-        );
-        assert_eq!(ctrl.lifetime_reconfigs_on_rail(RailId(0)), 1);
-        assert_eq!(ctrl.lifetime_reconfigs_on_rail(RailId(3)), 0);
     }
 }

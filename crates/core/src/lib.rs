@@ -10,12 +10,13 @@
 //!
 //! ## Components (Fig. 6 of the paper)
 //!
-//! * [`OpusShim`] — sits between the application and the collective library,
-//!   intercepts collective calls, profiles the per-rank group sequence during the
-//!   first iteration and predicts parallelism shifts afterwards.
-//! * [`GroupTable`] / [`CircuitPlanner`] — the controller's communication-group table
-//!   and circuit lookup table: which ranks form each group, which rails it needs and
-//!   which circuits realize its ring.
+//! * The shim — sits between the application and the collective library and
+//!   intercepts collective calls. Its first-iteration profile reduces, in the
+//!   simulator, to one flag per job: did iteration 0 issue a transfer over the
+//!   rails? Provisioning starts only after such a profiling iteration.
+//! * [`CircuitPlanner`] and each job's circuit pool — the controller's circuit
+//!   lookup table: every communication group (from the DAG's group table) is planned
+//!   once into the rails it needs and the circuits that realize its ring.
 //! * [`OpusController`] — receives (possibly speculative) reconfiguration requests,
 //!   avoids conflicts with ongoing traffic (FC-FS over the job's sequentially ordered
 //!   demands), programs the per-rail OCSes and acknowledges when circuits settle.
@@ -62,11 +63,9 @@ pub mod circuits;
 pub mod config;
 pub mod controller;
 pub mod fleet;
-pub mod group_table;
 pub mod metrics;
 pub mod scenario;
 pub mod serving;
-pub mod shim;
 pub mod window;
 
 pub use circuits::{CircuitPlanner, GroupCircuits};
@@ -76,13 +75,11 @@ pub use fleet::{
     FailureModel, FleetService, Frontier, LevelSummary, Percentiles, ProvisioningLevel,
     SweepReport, SweepSpec, VariantResult,
 };
-pub use group_table::{GroupEntry, GroupTable};
 pub use metrics::{CommRecord, IterationResult, ReconfigEvent, SimulationResult};
 pub use scenario::{
     FleetMetrics, JobPlacement, JobResult, JobSpec, ScenarioEvent, ScenarioResult, ScenarioSpec,
 };
 pub use serving::{ArrivalProcess, ServingSpec};
-pub use shim::{OpusShim, ShimProfile};
 pub use window::{
     default_traffic_buckets_mb, phases_by_rail, phases_on_rail, window_cdf,
     windows_by_following_traffic, windows_of_iterations, windows_on_rail, Phase, Window,

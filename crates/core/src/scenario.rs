@@ -38,22 +38,27 @@
 //!
 //! 1. The task becomes *group-ready* when every participant's prerequisites are done
 //!    (the paper's `T_comm_start` — the slowest rank has joined).
-//! 2. Its circuit demand is looked up in the job's [`GroupTable`]. Scale-up traffic
-//!    (TP) and the electrical baseline skip straight to the transfer.
-//! 3. On photonic rails the shim asks the controller for the group's circuits. If the
+//! 2. Its circuit demand is its group's slot in the job's circuit pool, the circuit
+//!    lookup table of Fig. 6: each group is planned once, when the job is built.
+//!    Scale-up traffic (TP) skips straight to the transfer, and on electrical rails a
+//!    scale-out transfer only pays the switch's [`ELECTRICAL_SWITCH_LATENCY`].
+//! 3. On photonic rails the job asks the controller for the group's circuits. If the
 //!    demand matrix did not change the request is free; otherwise the controller waits
 //!    for conflicting traffic to drain, reconfigures the OCS, and the transfer starts
 //!    once the circuits settle. With provisioning the request is back-dated to the
-//!    moment the affected circuits went idle, hiding the switching delay inside the
-//!    inter-parallelism window.
+//!    moment the affected circuits went idle, but by no more than one reconfiguration
+//!    latency, hiding the switching delay inside the inter-parallelism window.
+//!    Provisioning starts once iteration 0, the shim's profiling iteration, is over
+//!    and has issued at least one transfer over the rails.
 //! 4. The transfer's duration comes from the α–β collective cost model; its ports are
 //!    marked busy until it completes.
 //!
 //! ## Execution model
 //!
-//! Every job keeps its own context — DAG, group/circuit tables, shim, RNG stream,
-//! iteration state — while the discrete-event engine, the rail fabric (one OCS per
-//! rail under an optical policy) and the rail health state are shared fleet-wide.
+//! Every job keeps its own context — DAG, circuit pool, profiling flag, RNG stream,
+//! iteration state — while the discrete-event engine, the controller (one OCS per
+//! rail, when any job runs an optical policy) and the rail health state are shared
+//! fleet-wide.
 //! All events, from every job and from the injected timeline, multiplex over one
 //! [`Engine`] and commit one at a time, in the engine's `(time, scheduling order)`
 //! order, from a single sequential loop. That order is the simulator's whole
@@ -106,20 +111,17 @@ use crate::circuits::{CircuitPlanner, GroupCircuits};
 use crate::config::OpusConfig;
 use crate::config::{EvictionPolicy, ReconfigPolicy, RecoveryPolicy};
 use crate::controller::{FabricState, OpusController};
-use crate::group_table::GroupTable;
 use crate::metrics::{CommRecord, IterationResult, ReconfigEvent, SimulationResult};
 use crate::serving::ServingSpec;
-use crate::shim::OpusShim;
 use railsim_collectives::{
     cost::{collective_time, CostParams},
     degraded_params, CollectiveKind, CommGroup, GroupId, ParallelismAxis,
 };
 use railsim_sim::{Engine, SimDuration, SimRng, SimTime};
 use railsim_topology::{
-    Cluster, ElectricalRailFabric, GpuId, OpticalRailFabric, RailConnectivity, RailHealth, RailId,
-    RailSet,
+    Cluster, GpuId, OpticalRailFabric, RailHealth, RailId, RailSet, ELECTRICAL_SWITCH_LATENCY,
 };
-use railsim_workload::{JobId, LabelId, RankSet, TaskId, TaskKind, TrainingDag};
+use railsim_workload::{JobId, LabelId, TaskId, TaskKind, TrainingDag};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -551,7 +553,7 @@ struct Injection {
 ///   ready-time horizon lies before `B_m` only after an
 ///   [`ScenarioEvent::OcsDegraded`] made an OCS faster than the job's latency: then
 ///   a back-dated partial install can still log an older ready time. Writes are
-///   max-merges ([`OpusController::occupy_for`]) and fresh installs, which overwrite
+///   max-merges ([`OpusController::occupy`]) and fresh installs, which overwrite
 ///   the values they touch.
 /// * **Injections** are the only other writers of behaviour-relevant state: rail
 ///   health and the outage gate, OCS delays, replan plans and arrivals. The pair
@@ -559,9 +561,9 @@ struct Injection {
 ///   it.
 /// * **The jitter RNG** is inert ([`OpusConfig::jitter_inert`]): steady iterations
 ///   never draw.
-/// * **The shim** changes only when iteration 0 ends, and
-///   [`OpusConfig::provisioning_active`] is constant from iteration 1 on; hence
-///   `m ≥ 1`.
+/// * **The profiling flag** (did iteration 0 issue a rail transfer?) changes only
+///   during iteration 0, and [`OpusConfig::provisioning_active`] is constant from
+///   iteration 1 on; hence `m ≥ 1`.
 /// * **Pending events.** No task event of the job is pending at its boundary, and
 ///   the job is the only one.
 /// * **Accumulators** (request, reconfiguration and churn counters, rail busy time)
@@ -640,7 +642,7 @@ struct Boundary {
 impl Boundary {
     /// Snapshots `fleet` at boundary `at` for a job with `reconfig_latency`.
     fn of(fleet: &Fleet, at: SimTime, reconfig_latency: SimDuration) -> Boundary {
-        let controller = fleet.backend.controller();
+        let controller = fleet.controller.as_deref();
         Boundary {
             at,
             fabric: controller.map(|c| c.boundary_state(at, reconfig_latency)),
@@ -660,14 +662,17 @@ struct JobContext {
     /// completion; it builds no per-task copies of them.
     dag: Arc<TrainingDag>,
     config: OpusConfig,
-    /// Deduplicated circuit demands, planned from the job's [`GroupTable`]; see
-    /// [`CircuitSlot`].
+    /// Deduplicated circuit demands, one per group the job's tasks use, planned on
+    /// first use; see [`CircuitSlot`].
     circuit_pool: Vec<CircuitSlot>,
     /// The `circuit_pool` slot of each group (the first, for a repeated ad-hoc id).
     slot_of_group: HashMap<GroupId, u32>,
     /// Per-task index into `circuit_pool` (`NO_SLOT` for compute tasks).
     task_circuit_slot: Vec<u32>,
-    shim: OpusShim,
+    /// What the shim's profile contributes to a run: iteration 0, the profiling
+    /// iteration, issued at least one scale-out transfer over the rails. Provisioning
+    /// needs it on top of [`OpusConfig::provisioning_active`].
+    rail_profiled: bool,
     rng: SimRng,
     /// True when a `JobArrival` injection starts this job (it does not start at 0).
     arrives_via_event: bool,
@@ -721,43 +726,11 @@ struct JobContext {
     iter_degraded: bool,
 }
 
-/// The scale-out network backend shared by every job of the scenario.
-enum SharedBackend {
-    Electrical(ElectricalRailFabric),
-    /// Optical policies share one controller (one OCS per rail); electrical jobs in
-    /// the same scenario use the bundled electrical fabric for their transfers.
-    Optical {
-        controller: Box<OpusController>,
-        electrical: ElectricalRailFabric,
-    },
-}
-
-impl SharedBackend {
-    fn controller(&self) -> Option<&OpusController> {
-        match self {
-            SharedBackend::Optical { controller, .. } => Some(controller),
-            SharedBackend::Electrical(_) => None,
-        }
-    }
-
-    fn controller_mut(&mut self) -> Option<&mut OpusController> {
-        match self {
-            SharedBackend::Optical { controller, .. } => Some(controller),
-            SharedBackend::Electrical(_) => None,
-        }
-    }
-
-    fn electrical(&self) -> &ElectricalRailFabric {
-        match self {
-            SharedBackend::Electrical(f) => f,
-            SharedBackend::Optical { electrical, .. } => electrical,
-        }
-    }
-}
-
-/// Fleet-wide shared state: the backend, rail health and the contention counters.
+/// Fleet-wide shared state: the controller, rail health and the contention counters.
 struct Fleet {
-    backend: SharedBackend,
+    /// The controller of the photonic rails (one OCS per rail), shared by every
+    /// optical job; `None` when every job runs on electrical rails.
+    controller: Option<Box<OpusController>>,
     health: RailHealth,
     /// True when the timeline contains rail failures (the per-transfer outage gate is
     /// skipped entirely otherwise, keeping clean runs byte-identical and free).
@@ -1085,26 +1058,20 @@ impl ScenarioSim {
             contexts.push(ctx);
         }
 
-        let backend = match optical_latency {
-            Some(latency) => {
-                let mut controller = Box::new(OpusController::new(OpticalRailFabric::for_cluster(
-                    &cluster, latency,
-                )));
-                if let Some(policy) = optical_eviction.filter(|p| p.can_evict()) {
-                    controller.set_eviction(policy, contexts.len() as u32);
-                    // Evictions make the shared port state policy-dependent mid-run;
-                    // the memo's shifted-replay proof no longer holds.
-                    for ctx in &mut contexts {
-                        ctx.memo.enabled = false;
-                    }
-                }
-                SharedBackend::Optical {
-                    controller,
-                    electrical: ElectricalRailFabric::for_cluster(&cluster),
+        let controller = optical_latency.map(|latency| {
+            let mut controller = Box::new(OpusController::new(OpticalRailFabric::for_cluster(
+                &cluster, latency,
+            )));
+            if let Some(policy) = optical_eviction.filter(|p| p.can_evict()) {
+                controller.set_eviction(policy, contexts.len() as u32);
+                // Evictions make the shared port state policy-dependent mid-run;
+                // the memo's shifted-replay proof no longer holds.
+                for ctx in &mut contexts {
+                    ctx.memo.enabled = false;
                 }
             }
-            None => SharedBackend::Electrical(ElectricalRailFabric::for_cluster(&cluster)),
-        };
+            controller
+        });
         let num_rails = cluster.num_rails() as usize;
         let multi_job = contexts.len() > 1;
         if multi_job {
@@ -1122,7 +1089,7 @@ impl ScenarioSim {
             0
         };
         let fleet = Fleet {
-            backend,
+            controller,
             health: RailHealth::new(num_rails),
             faults,
             multi_job,
@@ -1156,10 +1123,8 @@ impl ScenarioSim {
         arrives_via_event: bool,
         serving: Option<ServingSpec>,
     ) -> JobContext {
-        let group_table = GroupTable::build(cluster, dag.groups.values());
-        let planner = CircuitPlanner::for_cluster(cluster);
         let (circuit_pool, slot_of_group, task_circuit_slot) =
-            Self::plan_task_circuits(cluster, &dag, &group_table, &planner);
+            Self::plan_task_circuits(cluster, &dag);
         let rng = SimRng::new(config.seed);
         let n = dag.len();
         // Inference replicas share no tasks, so a task's replica is simply its first
@@ -1179,7 +1144,7 @@ impl ScenarioSim {
             circuit_pool,
             slot_of_group,
             task_circuit_slot,
-            shim: OpusShim::new(),
+            rail_profiled: false,
             rng,
             arrives_via_event,
             active: serving.as_ref().map_or(0, |s| s.initial_replicas),
@@ -1251,14 +1216,14 @@ impl ScenarioSim {
 
     /// Plans the circuit demand of every communication task, deduplicated into one
     /// [`CircuitSlot`] per communication group (plus one per ad-hoc point-to-point
-    /// pair that belongs to no group). Returns the pool, each group's slot and the
-    /// per-task slot index.
+    /// pair that belongs to no group). Slots are assigned, and groups planned, in
+    /// task order on first use. Returns the pool, each group's slot and the per-task
+    /// slot index.
     fn plan_task_circuits(
         cluster: &Cluster,
         dag: &TrainingDag,
-        table: &GroupTable,
-        planner: &CircuitPlanner,
     ) -> (Vec<CircuitSlot>, HashMap<GroupId, u32>, Vec<u32>) {
+        let planner = CircuitPlanner::for_cluster(cluster);
         // Groups partition the ranks of each axis, so `(axis, rank) -> group` is a
         // function; index it once instead of scanning every group per point-to-point
         // task (the scan was quadratic at the 10k-GPU scale: #p2p tasks x #groups).
@@ -1273,15 +1238,15 @@ impl ScenarioSim {
         let mut task_slot = vec![NO_SLOT; dag.len()];
         let mut group_slot = |pool: &mut Vec<CircuitSlot>, id: GroupId| -> u32 {
             *group_slots.entry(id).or_insert_with(|| {
-                let circuits = table
-                    .circuits(id)
-                    .expect("communication group must be registered")
-                    .clone();
+                let group = dag
+                    .groups
+                    .get(&id)
+                    .expect("communication group must be registered");
                 let slot = pool.len() as u32;
                 pool.push(CircuitSlot {
                     group: id,
-                    group_size: dag.groups[&id].size() as u32,
-                    circuits,
+                    group_size: group.size() as u32,
+                    circuits: planner.plan(cluster, group),
                     pristine: None,
                 });
                 slot
@@ -1381,7 +1346,7 @@ impl ScenarioSim {
 
     /// Collects the per-job and fleet results.
     fn into_result(mut self) -> ScenarioResult {
-        let controller = self.fleet.backend.controller();
+        let controller = self.fleet.controller.as_deref();
         let fabric = controller.map(|c| c.fabric());
         let circuits_set_up_by_rail = fabric
             .map(|f| f.circuits_set_up_by_rail())
@@ -1394,7 +1359,7 @@ impl ScenarioSim {
         // Tenant-fairness accounting: the controller's per-tenant ledgers (only
         // populated under an eviction policy other than `Never`) plus each job's
         // share of the scenario-wide circuit wait.
-        let (evictions, circuits_evicted_by_rail) = match self.fleet.backend.controller() {
+        let (evictions, circuits_evicted_by_rail) = match controller {
             Some(c) if c.tenancy_active() => (
                 (0..self.jobs.len() as u32)
                     .map(|t| (c.evictions_suffered_by(t), c.evictions_inflicted_by(t)))
@@ -1535,9 +1500,6 @@ impl ScenarioSim {
         if ctx.iter_degraded {
             ctx.degraded_iterations += 1;
         }
-        if ctx.iteration == 0 {
-            ctx.shim.finish_profiling();
-        }
         ctx.iteration += 1;
         if let Some(spec) = ctx.serving {
             // Retire the oldest requests this iteration's active batch capacity
@@ -1590,8 +1552,8 @@ impl ScenarioSim {
                             boundary.requests.1 - prev.requests.1,
                         );
                         ctx.memo.template_port_ends = fleet
-                            .backend
-                            .controller()
+                            .controller
+                            .as_deref()
                             .map_or_else(Vec::new, |c| c.port_ends_after(prev.at));
                         ctx.memo.template = Some(m as usize);
                     }
@@ -1692,7 +1654,7 @@ impl ScenarioSim {
         // baked into `started_at`), advancing the matching cycle, per-circuit ready
         // times and lifetime counters exactly as the naive iteration would have.
         // Request counters move by the template's measured delta.
-        if let Some(controller) = fleet.backend.controller_mut() {
+        if let Some(controller) = fleet.controller.as_deref_mut() {
             for (ev, &slot) in reconfig_events.iter().zip(&ctx.memo.template_slots) {
                 let config = &ctx.circuit_pool[slot as usize].circuits.per_rail[&ev.rail];
                 let ready = controller.replay_install(ev.rail, config, ev.started_at);
@@ -1761,7 +1723,7 @@ impl ScenarioSim {
                         ctx.comm_records.push(rec);
                     }
                     // Attribute any reconfigurations this commit caused to the job.
-                    if let Some(c) = self.fleet.backend.controller_mut() {
+                    if let Some(c) = self.fleet.controller.as_deref_mut() {
                         if !c.events().is_empty() {
                             c.drain_events_into(&mut ctx.reconfig_events);
                         }
@@ -1811,7 +1773,7 @@ impl ScenarioSim {
         match event {
             ScenarioEvent::RailDown(rail) => {
                 self.fleet.health.fail(rail, now, recover_at);
-                if let Some(c) = self.fleet.backend.controller_mut() {
+                if let Some(c) = self.fleet.controller.as_deref_mut() {
                     c.rail_failed(rail);
                 }
                 self.replan_after_health_change(now);
@@ -1828,7 +1790,7 @@ impl ScenarioSim {
                 rail,
                 reconfig_latency,
             } => {
-                if let Some(c) = self.fleet.backend.controller_mut() {
+                if let Some(c) = self.fleet.controller.as_deref_mut() {
                     c.set_rail_reconfig_delay(rail, reconfig_latency);
                 }
             }
@@ -1931,7 +1893,7 @@ impl ScenarioSim {
                         if degraded == slot.circuits {
                             continue;
                         }
-                        if let Some(c) = fleet.backend.controller_mut() {
+                        if let Some(c) = fleet.controller.as_deref_mut() {
                             c.withdraw(&slot.circuits);
                         }
                         slot.circuits = degraded;
@@ -1942,7 +1904,7 @@ impl ScenarioSim {
                     // degraded circuits come down now; the pristine set reinstalls on
                     // the next request, paying the reconfiguration delay once.
                     (true, false) => {
-                        if let Some(c) = fleet.backend.controller_mut() {
+                        if let Some(c) = fleet.controller.as_deref_mut() {
                             c.withdraw(&slot.circuits);
                         }
                         slot.circuits = *slot.pristine.take().expect("matched is_some");
@@ -2001,10 +1963,9 @@ impl ScenarioSim {
         now: SimTime,
     ) -> (SimTime, Option<CommRecord>) {
         // Handles are `Copy`, so taking them out of the table costs nothing — the hot
-        // path never clones a label `String` or a participant `Vec` per event.
+        // path never clones a label `String` per event.
         let kind = *ctx.dag.kind(id);
         let label = ctx.dag.label(id);
-        let participants = ctx.dag.participants(id);
         match kind {
             TaskKind::Compute { duration } => {
                 let jitter = ctx.rng.jitter(ctx.config.compute_jitter);
@@ -2027,7 +1988,6 @@ impl ScenarioSim {
                     bytes,
                     Some(group),
                     label,
-                    participants,
                 );
                 (record.end, Some(record))
             }
@@ -2043,7 +2003,6 @@ impl ScenarioSim {
                     bytes,
                     None,
                     label,
-                    participants,
                 );
                 (record.end, Some(record))
             }
@@ -2062,7 +2021,6 @@ impl ScenarioSim {
         bytes: railsim_sim::Bytes,
         group: Option<GroupId>,
         label: LabelId,
-        participants: RankSet,
     ) -> CommRecord {
         let iteration = ctx.iteration;
         let config = &ctx.config;
@@ -2079,12 +2037,10 @@ impl ScenarioSim {
         // over the host packet-switched network instead of triggering reconfigurations.
         let offloaded = scaleout && config.host_offload.is_some_and(|h| bytes <= h.threshold);
 
-        // The shim intercepts every scale-out call that uses the rails; during the
-        // profiling iteration it records the per-rank group sequence.
+        // The shim intercepts every scale-out call that uses the rails; the profiling
+        // iteration only has to witness one for provisioning to start afterwards.
         if scaleout && !offloaded && iteration == 0 {
-            for rank in participants.ranks() {
-                ctx.shim.observe(*rank, circuit_group);
-            }
+            ctx.rail_profiled = true;
         }
 
         let mut params = Self::comm_params(config, cluster, scaleout, offloaded);
@@ -2104,13 +2060,12 @@ impl ScenarioSim {
 
         let optical = config.policy.is_optical();
         let (start, circuit_wait, datapath_latency) = if !optical {
-            let fabric = fleet.backend.electrical();
             // Every scale-out transfer pays the switch datapath latency — offloaded
             // ones included (the host network also runs through packet switches;
             // this matches the pre-redesign simulator byte for byte). Only the
             // outage gate is rail-specific and skips offloaded traffic.
             let latency = if scaleout {
-                fabric.datapath_latency()
+                ELECTRICAL_SWITCH_LATENCY
             } else {
                 SimDuration::ZERO
             };
@@ -2121,9 +2076,9 @@ impl ScenarioSim {
             }
         } else {
             let controller = fleet
-                .backend
-                .controller_mut()
-                .expect("optical job implies an optical backend");
+                .controller
+                .as_deref_mut()
+                .expect("an optical job implies a controller");
             if !scaleout || offloaded {
                 (now, SimDuration::ZERO, SimDuration::ZERO)
             } else if let Some(ready) = controller.installed_ready_time(circuits) {
@@ -2136,7 +2091,7 @@ impl ScenarioSim {
                 (start, start.duration_since(now), SimDuration::ZERO)
             } else {
                 // Not (fully) installed: the stateful reconfiguration path.
-                let provisioned = config.provisioning_active(iteration) && ctx.shim.can_provision();
+                let provisioned = config.provisioning_active(iteration) && ctx.rail_profiled;
                 let requested_at = if provisioned {
                     // Speculative request: issued as soon as the previous traffic
                     // on the affected circuits completed (Fig. 5b). Back-dating
@@ -2150,10 +2105,9 @@ impl ScenarioSim {
                             .saturating_sub(config.reconfig_latency.as_nanos()),
                     );
                     // Holds an active eviction policy would displace don't delay
-                    // the speculative request; falls back byte-identical to
-                    // `ports_free_at` under `EvictionPolicy::Never`.
+                    // the speculative request.
                     controller
-                        .ports_free_for(ctx.job.0, circuits)
+                        .ports_free(ctx.job.0, circuits)
                         .max(earliest_useful)
                 } else {
                     now
@@ -2167,8 +2121,7 @@ impl ScenarioSim {
                 } else {
                     requested_at
                 };
-                let ready =
-                    controller.request_from(ctx.job.0, circuit_group, circuits, requested_at);
+                let ready = controller.request(ctx.job.0, circuit_group, circuits, requested_at);
                 let start = ready.max(now);
                 (start, start.duration_since(now), SimDuration::ZERO)
             }
@@ -2185,8 +2138,8 @@ impl ScenarioSim {
                     end > ctx.iter_start,
                     "a rail transfer must end after its iteration started"
                 );
-                if let Some(controller) = fleet.backend.controller_mut() {
-                    controller.occupy_for(ctx.job.0, circuits, end);
+                if let Some(controller) = fleet.controller.as_deref_mut() {
+                    controller.occupy(ctx.job.0, circuits, end);
                 }
             }
             fleet.note_transfer(ctx.job.0, circuits, start, end);
@@ -2709,7 +2662,7 @@ mod tests {
                 let mut sim = ScenarioSim::build(spec(config), records);
                 sim.run_scenario();
                 let ff = sim.jobs[0].memo.fast_forwarded;
-                let controller = sim.fleet.backend.controller().expect("optical");
+                let controller = sim.fleet.controller.as_deref().expect("optical");
                 (controller.port_occupancy().to_vec(), ff)
             };
             let (naive, _) = occupancy(
@@ -2751,7 +2704,7 @@ mod tests {
         let run = |config: OpusConfig| {
             let mut sim = ScenarioSim::build(spec(config), Records::Keep);
             sim.run_scenario();
-            let controller = sim.fleet.backend.controller().expect("optical");
+            let controller = sim.fleet.controller.as_deref().expect("optical");
             let occupancy = controller.port_occupancy().to_vec();
             (occupancy, sim.into_result())
         };
@@ -2802,7 +2755,7 @@ mod tests {
         let cluster = tiny_cluster(4);
         let num_rails = cluster.num_rails() as usize;
         let mut fleet = Fleet {
-            backend: SharedBackend::Electrical(ElectricalRailFabric::for_cluster(&cluster)),
+            controller: None,
             health: RailHealth::new(num_rails),
             faults: false,
             multi_job: true,
@@ -3286,10 +3239,66 @@ mod tests {
         };
         let spec = ScenarioSpec::new(tiny_cluster(4)).job(tiny_dag(), config);
         let mut sim = ScenarioSim::build(spec, Records::Keep);
+        assert!(!sim.jobs[0].rail_profiled);
         sim.run_scenario();
-        let shim = &sim.jobs[0].shim;
-        assert!(shim.can_provision());
-        assert!(shim.profile().shift_count(GpuId(0)) > 0);
+        assert!(
+            sim.jobs[0].rail_profiled,
+            "iteration 0 carried rail traffic, so provisioning may start"
+        );
+    }
+
+    #[test]
+    fn provisioning_needs_a_profiled_rail_transfer() {
+        // Replica 0 (GPUs 1-2) lies inside node 0 and serves alone until the grow
+        // at 1 ms, so the profiling iteration 0 sends nothing over the rails. The
+        // grow adds replica 1 (GPUs 3-4), which spans both nodes. With no rail
+        // transfer profiled the provisioned job must not back-date its requests: it
+        // runs exactly as on demand.
+        use railsim_workload::{InferenceConfig, InferenceDagBuilder};
+        let inference = InferenceConfig::tiny_test(2, 1, 2);
+        let serving = ServingSpec::for_inference(&inference, 1);
+        let run = |base: OpusConfig| {
+            let dag = InferenceDagBuilder::new(inference.clone(), GpuSpec::a100()).build();
+            let config = OpusConfig {
+                compute_jitter: 0.0,
+                ..base
+            };
+            ScenarioSpec::new(tiny_cluster(2))
+                .serving_job(dag, config, JobPlacement::AtGpu(1), serving)
+                .inject(
+                    SimTime::ZERO,
+                    ScenarioEvent::RequestBurst {
+                        job: JobId(0),
+                        requests: 64,
+                    },
+                )
+                .inject(
+                    SimTime::from_millis(1),
+                    ScenarioEvent::JobGrow { job: JobId(0) },
+                )
+                .run()
+                .jobs
+                .remove(0)
+                .result
+        };
+        let latency = SimDuration::from_millis(1);
+        let provisioned = run(OpusConfig::provisioned(latency));
+        let on_demand = run(OpusConfig::on_demand(latency));
+        let rail_records: Vec<usize> = provisioned
+            .iterations
+            .iter()
+            .map(|it| {
+                it.comm_records
+                    .iter()
+                    .filter(|r| !r.rails.is_empty())
+                    .count()
+            })
+            .collect();
+        // Replica 1 joins at the first boundary after the grow (iteration 12); the
+        // two iterations it serves carry every rail transfer of the run.
+        assert_eq!(rail_records, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3]);
+        assert_eq!(provisioned.total_reconfigs(), 1);
+        assert_eq!(format!("{provisioned:?}"), format!("{on_demand:?}"));
     }
 
     #[test]

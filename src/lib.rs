@@ -17,7 +17,7 @@
 //! | [`topology`] | `railsim-topology` | clusters, rails, optical circuit switches, fat-trees |
 //! | [`collectives`] | `railsim-collectives` | communication groups, collective algorithms, α–β cost models |
 //! | [`workload`] | `railsim-workload` | model/parallelism configs, pipeline schedules, training DAGs |
-//! | [`opus`] | `opus` | the Opus shim + controller, the scenario driver (the simulator's entry point) and fleet sweep service, window analysis |
+//! | [`opus`] | `opus` | the Opus controller and circuit planner, the scenario driver (the simulator's entry point) and fleet sweep service, window analysis |
 //! | [`cost`] | `railsim-cost` | fabric cost/power models and the OCS technology table |
 //!
 //! ## Quick start
@@ -52,8 +52,8 @@
 //! ```
 //!
 //! The `examples/` directory contains runnable end-to-end scenarios and the
-//! `railsim-bench` crate regenerates every table and figure of the paper
-//! (see DESIGN.md and EXPERIMENTS.md).
+//! `railsim-bench` crate regenerates every table and figure of the paper (see
+//! "Regenerating the paper's figures and tables" in README.md, and EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,10 +69,9 @@ pub use railsim_workload as workload;
 pub mod prelude {
     pub use opus::{
         window_cdf, windows_on_rail, ArrivalProcess, EvictionPolicy, FailureModel, FleetService,
-        Frontier, JobPlacement, JobSpec, LevelSummary, OpusConfig, OpusController, OpusShim,
-        Percentiles, ProvisioningLevel, ReconfigPolicy, RecoveryPolicy, ScenarioEvent,
-        ScenarioResult, ScenarioSpec, ServingSpec, SimulationResult, SweepReport, SweepSpec,
-        VariantResult,
+        Frontier, JobPlacement, JobSpec, LevelSummary, OpusConfig, OpusController, Percentiles,
+        ProvisioningLevel, ReconfigPolicy, RecoveryPolicy, ScenarioEvent, ScenarioResult,
+        ScenarioSpec, ServingSpec, SimulationResult, SweepReport, SweepSpec, VariantResult,
     };
     pub use railsim_collectives::{Algorithm, CollectiveKind, CommGroup, GroupId, ParallelismAxis};
     pub use railsim_cost::{FabricKind, GpuBackendCostModel};

@@ -1,7 +1,7 @@
 //! Cross-crate consistency checks: the rank mapping, the cluster's rail structure, the
 //! circuit planner and the DAG builder must all agree about which traffic goes where.
 
-use photonic_rails::opus::{CircuitPlanner, GroupTable};
+use photonic_rails::opus::{CircuitPlanner, GroupCircuits};
 use photonic_rails::prelude::*;
 use photonic_rails::workload::{RankMapping, TaskId, TaskKind};
 
@@ -63,18 +63,62 @@ fn planner_circuits_only_connect_same_rail_ports() {
     }
 }
 
+/// The paper's testbed (4 nodes, TP=4 / FSDP=2 / PP=2) with the circuit plan of
+/// every communication group of its rank mapping.
+fn paper_group_plans() -> (Cluster, Vec<(CommGroup, GroupCircuits)>) {
+    let (cluster, parallel) = cluster_and_parallelism(4, ParallelismConfig::paper_llama3_8b());
+    let planner = CircuitPlanner::for_cluster(&cluster);
+    let plans = RankMapping::new(parallel)
+        .build_comm_groups()
+        .into_iter()
+        .map(|group| {
+            let plan = planner.plan(&cluster, &group);
+            (group, plan)
+        })
+        .collect();
+    (cluster, plans)
+}
+
+#[test]
+fn tp_groups_have_no_rail_circuits() {
+    let (_, plans) = paper_group_plans();
+    let scaleup_only: Vec<ParallelismAxis> = plans
+        .iter()
+        .filter(|(_, plan)| plan.is_scaleup_only())
+        .map(|(group, _)| group.axis)
+        .collect();
+    // Exactly the 4 TP groups stay inside their scale-up domains.
+    assert_eq!(scaleup_only, vec![ParallelismAxis::Tensor; 4]);
+}
+
+#[test]
+fn each_rail_carries_dp_and_pp_groups() {
+    let (cluster, plans) = paper_group_plans();
+    for rail in cluster.all_rails() {
+        let axes: Vec<ParallelismAxis> = plans
+            .iter()
+            .filter(|(_, plan)| plan.per_rail.contains_key(&rail))
+            .map(|(group, _)| group.axis)
+            .collect();
+        let on = |axis| axes.iter().filter(|&&a| a == axis).count();
+        // 2 DP groups + 2 PP groups have circuits on every rail in the paper's 3D config.
+        assert_eq!(axes.len(), 4, "rail {rail}: {axes:?}");
+        assert_eq!(on(ParallelismAxis::Data), 2, "rail {rail}: {axes:?}");
+        assert_eq!(on(ParallelismAxis::Pipeline), 2, "rail {rail}: {axes:?}");
+    }
+}
+
 #[test]
 fn group_table_covers_every_dag_collective() {
-    let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
+    // The DAG's group table registers the group of every collective task.
     let model = ModelConfig::llama3_8b();
     let parallel = ParallelismConfig::paper_llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
     let dag = DagBuilder::new(model, parallel, compute).build();
-    let table = GroupTable::build(&cluster, dag.groups.values());
     for task in dag.communication_tasks() {
         if let TaskKind::Collective { group, .. } = &task.kind {
-            let entry = table.entry(*group).expect("group registered in the table");
-            assert_eq!(entry.group.ranks.as_slice(), task.ranks());
+            let entry = dag.groups.get(group).expect("group registered in the DAG");
+            assert_eq!(entry.ranks.as_slice(), task.ranks());
         }
     }
 }

@@ -1,5 +1,9 @@
-//! End-to-end integration tests: the fidelity expectations listed in DESIGN.md §6,
-//! exercised through the public API exactly the way the experiment binaries use it.
+//! End-to-end integration tests of the paper's headline results, exercised through
+//! the public API exactly the way the experiment binaries use it: Fig. 4's window
+//! distribution, Fig. 8's latency sweep, Fig. 7's cost and power savings, Table 3
+//! and Eq. 1, plus two cross-policy checks (electrical and optical runs move the
+//! same traffic; reconfigurations are far fewer than collectives). EXPERIMENTS.md
+//! records where the reproduction deviates from the paper.
 
 use photonic_rails::cost::ocs_tech::{ocs_technologies, scaleup};
 use photonic_rails::opus::{
