@@ -67,6 +67,16 @@
 //! Parallel work runs one level up, across independent scenarios (see
 //! [`crate::fleet`]).
 //!
+//! A task event names its task by [`Position`] in the DAG's
+//! [`ExecLayout`](railsim_workload::ExecLayout), not by task id, and the job's
+//! per-task state (prerequisite counters, circuit slots, replicas) is stored by
+//! position. The layout lists tasks in FIFO-Kahn order, so the tasks a wavefront
+//! releases together sit side by side instead of one cache line apart per rank.
+//! The renumbering leaves the event order unchanged: an iteration schedules its
+//! roots in position order, which is ascending task id, and a completion releases
+//! its dependents in ascending task id, so the engine receives the same events in
+//! the same order as a walk over task ids would schedule them.
+//!
 //! Injected events are scheduled before any task event, so an injection at time `T`
 //! always applies *before* every task event at `T` (task events are scheduled later,
 //! so they queue behind it). Two injections at the same time apply in the order they
@@ -121,7 +131,7 @@ use railsim_sim::{Engine, SimDuration, SimRng, SimTime};
 use railsim_topology::{
     Cluster, GpuId, OpticalRailFabric, RailHealth, RailId, RailSet, ELECTRICAL_SWITCH_LATENCY,
 };
-use railsim_workload::{JobId, LabelId, TaskId, TaskKind, TrainingDag};
+use railsim_workload::{JobId, LabelId, Position, Step, TaskKind, TrainingDag};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -194,9 +204,10 @@ pub enum JobPlacement {
 ///
 /// The DAG rides behind an [`Arc`] so the same template can back many concurrent
 /// scenarios (a fleet sweep pays DAG construction once), and the run reads the task
-/// columns and dependents CSR through it: declaring or running a job never copies
-/// them. A rebase (non-zero placement or group-id offset) copies the rank-bearing
-/// columns at build time and shares the label and dependency columns.
+/// columns and the execution layout through it: declaring or running a job never
+/// copies them. A rebase (non-zero placement or group-id offset) copies the
+/// rank-bearing columns at build time and shares the label and dependency columns
+/// and the layout.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The job's training DAG (immutably shared; see [`ScenarioSpec`]).
@@ -454,16 +465,18 @@ impl ScenarioResult {
 /// injected external timeline. External events are scheduled at build time, before
 /// any task event, so they sort ahead of every task event at the same timestamp in
 /// the engine's `(time, scheduling order)` order.
-/// The job index rides in a `u16` so the whole event stays 8 bytes — the engine's
-/// slab nodes are the hot path's working set, and a wider event measurably slows
-/// the 100k-GPU single-job regime. 65k concurrent jobs is far beyond any scenario
-/// ([`ScenarioSim::build`] rejects more, so the index can never silently alias).
+/// A task event names the task by its [`Position`] in the DAG's execution layout,
+/// and the job index rides in a `u16`, so the whole event stays 8 bytes — the
+/// engine's slab nodes are the hot path's working set, and a wider event measurably
+/// slows the 100k-GPU single-job regime. 65k concurrent jobs is far beyond any
+/// scenario ([`ScenarioSim::build`] rejects more, so the index can never silently
+/// alias).
 #[derive(Debug, Clone, Copy)]
 enum SimEvent {
     /// All dependencies of the job's task have completed.
-    Ready(u16, TaskId),
+    Ready(u16, Position),
     /// The job's task has finished executing.
-    Done(u16, TaskId),
+    Done(u16, Position),
     /// The injected external event at this index of the (sorted) timeline.
     External(u32),
     /// The job's current iteration is a memoized steady-state replay: this single
@@ -658,8 +671,9 @@ struct JobContext {
     job: JobId,
     gpu_offset: u32,
     /// The job's (possibly rebased) DAG, shared with the spec it came from. The run
-    /// reads its task columns per event and its dependents CSR and indegrees per
-    /// completion; it builds no per-task copies of them.
+    /// steps it through its execution layout: the step class per `Ready`, the
+    /// dependents row per `Done`, the indegrees per iteration start. Only a
+    /// communication task also reads its id and label. The run copies none of it.
     dag: Arc<TrainingDag>,
     config: OpusConfig,
     /// Deduplicated circuit demands, one per group the job's tasks use, planned on
@@ -667,7 +681,7 @@ struct JobContext {
     circuit_pool: Vec<CircuitSlot>,
     /// The `circuit_pool` slot of each group (the first, for a repeated ad-hoc id).
     slot_of_group: HashMap<GroupId, u32>,
-    /// Per-task index into `circuit_pool` (`NO_SLOT` for compute tasks).
+    /// Per-position index into `circuit_pool` (`NO_SLOT` for compute tasks).
     task_circuit_slot: Vec<u32>,
     /// What the shim's profile contributes to a run: iteration 0, the profiling
     /// iteration, issued at least one scale-out transfer over the rails. Provisioning
@@ -679,8 +693,8 @@ struct JobContext {
     // ---- serving (elastic inference) state ----
     /// `Some` for serving jobs; see [`ServingSpec`].
     serving: Option<ServingSpec>,
-    /// Per-task replica index (empty for training jobs). Tasks of replica `r` are
-    /// masked out while `r >= active`.
+    /// Per-position replica index (empty for training jobs). Tasks of replica `r`
+    /// are masked out while `r >= active`.
     task_replica: Vec<u32>,
     /// Replicas executing in the in-flight iteration.
     active: u32,
@@ -700,6 +714,7 @@ struct JobContext {
     // ---- live per-iteration state ----
     iteration: u32,
     iter_start: SimTime,
+    /// Per position: the task's prerequisites not yet done this iteration.
     remaining: Vec<u32>,
     /// The latest task end of the in-flight iteration (the iteration start until a
     /// task finishes): the iteration ends when its last task does.
@@ -1130,8 +1145,11 @@ impl ScenarioSim {
         // Inference replicas share no tasks, so a task's replica is simply its first
         // participant's slice of the job's GPU range.
         let task_replica: Vec<u32> = match &serving {
-            Some(s) => (0..n as u32)
-                .map(|i| (dag.participants(TaskId(i)).first().0 - gpu_offset) / s.gpus_per_replica)
+            Some(s) => dag
+                .layout()
+                .order()
+                .iter()
+                .map(|&id| (dag.participants(id).first().0 - gpu_offset) / s.gpus_per_replica)
                 .collect(),
             None => Vec::new(),
         };
@@ -1217,8 +1235,8 @@ impl ScenarioSim {
     /// Plans the circuit demand of every communication task, deduplicated into one
     /// [`CircuitSlot`] per communication group (plus one per ad-hoc point-to-point
     /// pair that belongs to no group). Slots are assigned, and groups planned, in
-    /// task order on first use. Returns the pool, each group's slot and the per-task
-    /// slot index.
+    /// task-id order on first use. Returns the pool, each group's slot and each
+    /// position's slot index.
     fn plan_task_circuits(
         cluster: &Cluster,
         dag: &TrainingDag,
@@ -1290,7 +1308,13 @@ impl ScenarioSim {
         for (i, slot) in pool.iter().enumerate() {
             slot_of_group.entry(slot.group).or_insert(i as u32);
         }
-        (pool, slot_of_group, task_slot)
+        let position_slot = dag
+            .layout()
+            .order()
+            .iter()
+            .map(|id| task_slot[id.0 as usize])
+            .collect();
+        (pool, slot_of_group, position_slot)
     }
 
     /// Runs every job to completion, applying the injected timeline.
@@ -1433,14 +1457,17 @@ impl ScenarioSim {
         ScenarioResult { jobs, fleet }
     }
 
-    /// Resets job `j`'s per-iteration state and schedules its root tasks at `at`.
+    /// Resets job `j`'s per-iteration state and schedules its root tasks at `at`, in
+    /// position order, which is ascending task id.
     fn start_iteration(&mut self, j: usize, at: SimTime, engine: &mut Engine<SimEvent>) {
         let ctx = &mut self.jobs[j];
+        let layout = ctx.dag.layout();
         ctx.iter_start = at;
         ctx.iter_degraded = ctx.degraded_slots > 0;
         ctx.remaining.clear();
-        ctx.remaining.extend(ctx.dag.indegrees());
+        ctx.remaining.extend_from_slice(layout.indegrees());
         ctx.iter_end = at;
+        let roots = (0..layout.roots() as u32).map(Position);
         if ctx.serving.is_some() {
             // Snapshot the elastic size for this iteration and mask out every task
             // of a replica at or beyond it (replicas share no tasks, so a masked
@@ -1453,17 +1480,13 @@ impl ScenarioSim {
                 ctx.done_left > 0,
                 "a serving iteration must run at least one replica"
             );
-            for (i, indegree) in ctx.dag.indegrees().enumerate() {
-                if indegree == 0 && ctx.task_replica[i] < active {
-                    engine.schedule_at(at, SimEvent::Ready(j as u16, TaskId(i as u32)));
-                }
+            for pos in roots.filter(|pos| ctx.task_replica[pos.index()] < active) {
+                engine.schedule_at(at, SimEvent::Ready(j as u16, pos));
             }
         } else {
-            ctx.done_left = ctx.dag.len();
-            for (i, indegree) in ctx.dag.indegrees().enumerate() {
-                if indegree == 0 {
-                    engine.schedule_at(at, SimEvent::Ready(j as u16, TaskId(i as u32)));
-                }
+            ctx.done_left = layout.order().len();
+            for pos in roots {
+                engine.schedule_at(at, SimEvent::Ready(j as u16, pos));
             }
         }
     }
@@ -1695,7 +1718,7 @@ impl ScenarioSim {
     /// applies an injected external event.
     fn commit_event(&mut self, engine: &mut Engine<SimEvent>, now: SimTime, event: SimEvent) {
         match event {
-            SimEvent::Ready(j, id) => {
+            SimEvent::Ready(j, pos) => {
                 let j = j as usize;
                 let keep_record = self.records == Records::Keep;
                 let (end, record) = {
@@ -1705,7 +1728,7 @@ impl ScenarioSim {
                         cluster,
                         ..
                     } = self;
-                    Self::execute_task(&mut jobs[j], fleet, cluster, id, now)
+                    Self::execute_task(&mut jobs[j], fleet, cluster, pos, now)
                 };
                 let ctx = &mut self.jobs[j];
                 ctx.iter_end = ctx.iter_end.max(end);
@@ -1729,13 +1752,13 @@ impl ScenarioSim {
                         }
                     }
                 }
-                engine.schedule_at(end, SimEvent::Done(j as u16, id));
+                engine.schedule_at(end, SimEvent::Done(j as u16, pos));
             }
-            SimEvent::Done(j, id) => {
+            SimEvent::Done(j, pos) => {
                 let j = j as usize;
                 let ctx = &mut self.jobs[j];
-                for &dependent in ctx.dag.dependents(id) {
-                    let slot = &mut ctx.remaining[dependent.0 as usize];
+                for &dependent in ctx.dag.layout().dependents(pos) {
+                    let slot = &mut ctx.remaining[dependent.index()];
                     debug_assert!(*slot > 0, "dependency counter underflow");
                     *slot -= 1;
                     if *slot == 0 {
@@ -1953,81 +1976,63 @@ impl ScenarioSim {
         }
     }
 
-    /// Executes one task of one job that became ready at `now`; returns its end time
-    /// and, for communication tasks, the record describing what happened.
+    /// Executes the task at `pos` of one job, which became ready at `now`; returns
+    /// its end time and, for communication tasks, the record describing what
+    /// happened.
     fn execute_task(
         ctx: &mut JobContext,
         fleet: &mut Fleet,
         cluster: &Cluster,
-        id: TaskId,
+        pos: Position,
         now: SimTime,
     ) -> (SimTime, Option<CommRecord>) {
-        // Handles are `Copy`, so taking them out of the table costs nothing — the hot
-        // path never clones a label `String` per event.
-        let kind = *ctx.dag.kind(id);
-        let label = ctx.dag.label(id);
-        match kind {
-            TaskKind::Compute { duration } => {
+        let (kind, axis, bytes, collective) = match ctx.dag.layout().step(pos) {
+            Step::Compute(duration) => {
                 let jitter = ctx.rng.jitter(ctx.config.compute_jitter);
-                (now + duration.mul_f64(jitter), None)
+                return (now + duration.mul_f64(jitter), None);
             }
-            TaskKind::Collective {
-                group,
-                kind,
-                axis,
-                bytes,
-            } => {
-                let record = Self::execute_comm(
-                    ctx,
-                    fleet,
-                    cluster,
-                    id,
-                    now,
-                    kind,
-                    axis,
-                    bytes,
-                    Some(group),
-                    label,
-                );
-                (record.end, Some(record))
-            }
-            TaskKind::PointToPoint { axis, bytes, .. } => {
-                let record = Self::execute_comm(
-                    ctx,
-                    fleet,
-                    cluster,
-                    id,
-                    now,
-                    CollectiveKind::SendRecv,
-                    axis,
-                    bytes,
-                    None,
-                    label,
-                );
-                (record.end, Some(record))
-            }
-        }
+            Step::Collective { kind, axis, bytes } => (kind, axis, bytes, true),
+            Step::PointToPoint { axis, bytes } => (CollectiveKind::SendRecv, axis, bytes, false),
+        };
+        let record =
+            Self::execute_comm(ctx, fleet, cluster, pos, now, kind, axis, bytes, collective);
+        (record.end, Some(record))
     }
 
+    /// Executes the communication task at `pos`. A collective's record names its
+    /// group, which is its circuit slot's: `plan_task_circuits` keys each
+    /// collective's slot by that same group id.
     #[allow(clippy::too_many_arguments)]
     fn execute_comm(
         ctx: &mut JobContext,
         fleet: &mut Fleet,
         cluster: &Cluster,
-        id: TaskId,
+        pos: Position,
         now: SimTime,
         kind: CollectiveKind,
         axis: ParallelismAxis,
         bytes: railsim_sim::Bytes,
-        group: Option<GroupId>,
-        label: LabelId,
+        collective: bool,
     ) -> CommRecord {
+        // Handles are `Copy`, so taking them out of the table costs nothing — the hot
+        // path never clones a label `String` per event.
+        let id = ctx.dag.layout().task(pos);
+        let label = ctx.dag.label(id);
         let iteration = ctx.iteration;
         let config = &ctx.config;
-        let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
+        let slot = &ctx.circuit_pool[ctx.task_circuit_slot[pos.index()] as usize];
         let circuit_group = slot.group;
         let circuits = &slot.circuits;
-        let group_size = if group.is_some() {
+        let group = collective.then_some(circuit_group);
+        debug_assert_eq!(
+            group,
+            match ctx.dag.kind(id) {
+                TaskKind::Collective { group, .. } => Some(*group),
+                _ => None,
+            },
+            "a collective's circuit slot is keyed by its group"
+        );
+        let group_size = if collective {
             slot.group_size as usize
         } else {
             2

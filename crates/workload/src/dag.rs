@@ -26,13 +26,20 @@
 //!
 //! The DAG is stored by column, not by task: one dense vector each for the task
 //! kinds, interned labels, pooled participant sets and compact micro-batch/layer
-//! indices, plus the dependency edges in CSR form in *both* directions (each task's
-//! prerequisites, and each task's dependents). Builders append tasks and `(task,
-//! dep)` edges to `TaskColumns`, whose `finish` turns the edge log into the two CSRs
-//! with stable counting passes, once per DAG. A simulator reads the columns
-//! and the dependents CSR straight through the job's `Arc<TrainingDag>`, so a run
-//! builds no per-task tables of its own. [`Task`] is a borrowed row view that
-//! serializes exactly like the row-major task it replaced.
+//! indices, plus each task's prerequisites in CSR form. Builders append tasks and
+//! `(task, dep)` edges to `TaskColumns`, whose `finish` turns the edge log into that
+//! CSR with one stable counting pass, once per DAG. [`Task`] is a borrowed row view
+//! that serializes exactly like the row-major task it replaced.
+//!
+//! A simulator steps the DAG in execution order, through its [`ExecLayout`]: the
+//! tasks in FIFO-Kahn order, and by position each task's dependents (as positions),
+//! prerequisite count and 2-byte [`Step`] class. Task ids run stage → rank →
+//! micro-batch, so the tasks that become ready together — one (micro-batch, layer)
+//! slice across every rank of a stage — lie one cache line apart per rank; in the
+//! layout they sit side by side. The layout is built on the first
+//! [`TrainingDag::validate`] and shared by every clone and rebase, so a fleet of
+//! variants builds it once, and a run reads it straight through the job's
+//! `Arc<TrainingDag>`.
 
 use crate::compute::ComputeModel;
 use crate::intern::{LabelId, RankSet};
@@ -201,7 +208,8 @@ fn expand_index(value: u16) -> Option<u32> {
 }
 
 /// The columns a rebase leaves untouched, shared between a DAG and its rebased
-/// copies: labels, micro-batch/layer indices and both dependency CSRs.
+/// copies: labels, micro-batch/layer indices, the prerequisites CSR and the
+/// execution layout.
 #[derive(Debug)]
 struct TaskGraph {
     labels: Vec<LabelId>,
@@ -210,17 +218,238 @@ struct TaskGraph {
     /// Task `i`'s prerequisites are `deps[dep_offsets[i]..dep_offsets[i + 1]]`.
     dep_offsets: Vec<u32>,
     deps: Vec<TaskId>,
-    /// Task `i`'s dependents, ascending, in the same CSR layout.
-    dependent_offsets: Vec<u32>,
-    dependents: Vec<TaskId>,
-    /// Set once [`TrainingDag::validate`] has found the graph acyclic, so copies
-    /// sharing the graph (fleet variants, rebases) skip the Kahn pass. A failure is
-    /// never cached: every call on a cyclic graph recomputes its stuck tasks.
-    acyclic: OnceLock<()>,
+    /// Built on first use by any DAG sharing the graph, so concurrent fleet workers
+    /// and rebases build it once between them.
+    layout: OnceLock<ExecLayout>,
 }
 
-fn csr_row<'a>(offsets: &[u32], edges: &'a [TaskId], i: usize) -> &'a [TaskId] {
+fn csr_row<'a, T>(offsets: &[u32], edges: &'a [T], i: usize) -> &'a [T] {
     &edges[offsets[i] as usize..offsets[i + 1] as usize]
+}
+
+/// A task's position in its DAG's [`ExecLayout`]: the index into the layout's
+/// columns and a run's per-task state. A type of its own, so a position cannot
+/// index an id-ordered column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Position(pub u32);
+
+impl Position {
+    /// The raw index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// What executing a task takes: its [`TaskKind`] with the communication group and
+/// the endpoints cleared. Those are the only fields a rebase moves, so one step
+/// table serves every DAG sharing a graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Step {
+    /// Local GPU computation of a fixed duration.
+    Compute(SimDuration),
+    /// A collective over the task's communication group.
+    Collective {
+        /// The collective operation.
+        kind: CollectiveKind,
+        /// The parallelism axis that issued it.
+        axis: ParallelismAxis,
+        /// Logical buffer size.
+        bytes: Bytes,
+    },
+    /// A point-to-point transfer between the task's two ranks.
+    PointToPoint {
+        /// The parallelism axis that issued it.
+        axis: ParallelismAxis,
+        /// Message size.
+        bytes: Bytes,
+    },
+}
+
+impl From<TaskKind> for Step {
+    fn from(kind: TaskKind) -> Step {
+        match kind {
+            TaskKind::Compute { duration } => Step::Compute(duration),
+            TaskKind::Collective {
+                kind, axis, bytes, ..
+            } => Step::Collective { kind, axis, bytes },
+            TaskKind::PointToPoint { axis, bytes, .. } => Step::PointToPoint { axis, bytes },
+        }
+    }
+}
+
+/// A DAG's tasks in execution order, with what stepping reads per task stored by
+/// [`Position`]: the dependents, the prerequisite count and the [`Step`] class.
+///
+/// The order comes from one FIFO Kahn pass seeded with the roots in task-id order,
+/// so the roots sit at positions `0..roots()` in id order and every prerequisite
+/// precedes its dependents. Each dependents row lists positions in ascending
+/// task-id order. A simulator that schedules the roots by position and releases
+/// each row in its stored order therefore issues the same events, in the same
+/// order, as one that walks task ids. On a cyclic graph the tasks Kahn never
+/// reached follow in id order, so the layout is a permutation either way.
+#[derive(Debug)]
+pub struct ExecLayout {
+    /// Position -> task id.
+    order: Vec<TaskId>,
+    /// Prerequisite count by position.
+    indegrees: Vec<u32>,
+    /// Position `p`'s dependents are
+    /// `dependents[dependent_offsets[p]..dependent_offsets[p + 1]]`.
+    dependent_offsets: Vec<u32>,
+    dependents: Vec<Position>,
+    /// Step class by position: an index into `steps`.
+    classes: Vec<u16>,
+    steps: Vec<Step>,
+    /// How many tasks Kahn reached: all of them exactly when the graph is acyclic.
+    reached: usize,
+}
+
+impl ExecLayout {
+    /// Builds the layout from the prerequisites CSR and the kinds column.
+    fn build(graph: &TaskGraph, kinds: &[TaskKind]) -> ExecLayout {
+        let n = kinds.len();
+        let indegree = |t: usize| graph.dep_offsets[t + 1] - graph.dep_offsets[t];
+
+        // The dependents CSR in id space, for Kahn to walk: walking tasks in id
+        // order lists each task's dependents ascending. Its entries stay task ids
+        // until the same buffers are refilled by position below. Copying the rows
+        // out to a second CSR instead freed a CSR-sized block, which raised the
+        // 4k-GPU mixed-tenancy benchmark's peak RSS by about 5 MiB.
+        let mut dependent_offsets = vec![0u32; n + 1];
+        for d in &graph.deps {
+            dependent_offsets[d.0 as usize + 1] += 1;
+        }
+        prefix_sum(&mut dependent_offsets);
+        let mut cursor = dependent_offsets[..n].to_vec();
+        let mut dependents = vec![Position(0); graph.deps.len()];
+        for t in 0..n {
+            for d in csr_row(&graph.dep_offsets, &graph.deps, t) {
+                let c = &mut cursor[d.0 as usize];
+                dependents[*c as usize] = Position(t as u32);
+                *c += 1;
+            }
+        }
+
+        // FIFO Kahn with `order` as the queue.
+        let mut remaining = cursor;
+        for (t, left) in remaining.iter_mut().enumerate() {
+            *left = indegree(t);
+        }
+        let mut order: Vec<TaskId> = Vec::with_capacity(n);
+        order.extend(
+            (0..n as u32)
+                .filter(|&t| remaining[t as usize] == 0)
+                .map(TaskId),
+        );
+        let mut head = 0;
+        while let Some(&id) = order.get(head) {
+            head += 1;
+            for &d in csr_row(&dependent_offsets, &dependents, id.0 as usize) {
+                let left = &mut remaining[d.0 as usize];
+                *left -= 1;
+                if *left == 0 {
+                    order.push(TaskId(d.0));
+                }
+            }
+        }
+        let reached = order.len();
+        order.extend(
+            (0..n as u32)
+                .filter(|&t| remaining[t as usize] > 0)
+                .map(TaskId),
+        );
+
+        // Indegrees and step classes by position, written in one pass over the ids:
+        // reading the kinds column in execution order is slower, and neighbours in
+        // id order mostly share a step.
+        let mut position_of = remaining;
+        for (p, id) in order.iter().enumerate() {
+            position_of[id.0 as usize] = p as u32;
+        }
+        let mut indegrees = vec![0; n];
+        let mut classes = vec![0; n];
+        let mut steps = Vec::new();
+        let mut class_of: FastMap<Step, u16> = FastMap::default();
+        let mut last: Option<(Step, u16)> = None;
+        for (t, &kind) in kinds.iter().enumerate() {
+            let step = Step::from(kind);
+            let class = match last {
+                Some((s, class)) if s == step => class,
+                _ => {
+                    let class = *class_of.entry(step).or_insert_with(|| {
+                        steps.push(step);
+                        u16::try_from(steps.len() - 1)
+                            .expect("a DAG has at most 65536 distinct steps")
+                    });
+                    last = Some((step, class));
+                    class
+                }
+            };
+            let p = position_of[t] as usize;
+            indegrees[p] = indegree(t);
+            classes[p] = class;
+        }
+
+        // Refill the CSR by position: count each position's dependents, then place
+        // every task, in descending id order, at the back of its prerequisites'
+        // rows, so that each row lists its dependents in ascending task id.
+        dependent_offsets.fill(0);
+        for d in &graph.deps {
+            dependent_offsets[position_of[d.0 as usize] as usize] += 1;
+        }
+        // Each position's offset is now its row's end, and the last one the edge
+        // count; placing the entries moves every row's offset back to its start.
+        prefix_sum(&mut dependent_offsets);
+        for t in (0..n).rev() {
+            let p = Position(position_of[t]);
+            for d in csr_row(&graph.dep_offsets, &graph.deps, t) {
+                let end = &mut dependent_offsets[position_of[d.0 as usize] as usize];
+                *end -= 1;
+                dependents[*end as usize] = p;
+            }
+        }
+        ExecLayout {
+            order,
+            indegrees,
+            dependent_offsets,
+            dependents,
+            classes,
+            steps,
+            reached,
+        }
+    }
+
+    /// Every task id, by position.
+    pub fn order(&self) -> &[TaskId] {
+        &self.order
+    }
+
+    /// The task at a position.
+    pub fn task(&self, pos: Position) -> TaskId {
+        self.order[pos.index()]
+    }
+
+    /// Every task's prerequisite count, by position.
+    pub fn indegrees(&self) -> &[u32] {
+        &self.indegrees
+    }
+
+    /// How many roots there are: the tasks with no prerequisites, which sit at
+    /// positions `0..roots()` in ascending task id.
+    pub fn roots(&self) -> usize {
+        self.indegrees.partition_point(|&d| d == 0)
+    }
+
+    /// The positions of the tasks that list the task at `pos` as a prerequisite, in
+    /// ascending task id.
+    pub fn dependents(&self, pos: Position) -> &[Position] {
+        csr_row(&self.dependent_offsets, &self.dependents, pos.index())
+    }
+
+    /// What executing the task at `pos` takes.
+    pub fn step(&self, pos: Position) -> Step {
+        self.steps[self.classes[pos.index()] as usize]
+    }
 }
 
 /// The execution DAG of one training iteration, stored by column (see the module
@@ -288,21 +517,6 @@ impl TrainingDag {
         csr_row(&self.graph.dep_offsets, &self.graph.deps, id.0 as usize)
     }
 
-    /// The tasks that list `id` as a prerequisite, ascending.
-    pub fn dependents(&self, id: TaskId) -> &[TaskId] {
-        csr_row(
-            &self.graph.dependent_offsets,
-            &self.graph.dependents,
-            id.0 as usize,
-        )
-    }
-
-    /// Every task's prerequisite count, in id order (the roots of an iteration are
-    /// the tasks with count 0).
-    pub fn indegrees(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
-        self.graph.dep_offsets.windows(2).map(|w| w[1] - w[0])
-    }
-
     /// Borrow a communication group.
     pub fn group(&self, id: GroupId) -> &CommGroup {
         &self.groups[&id]
@@ -323,38 +537,26 @@ impl TrainingDag {
         self.kinds.iter().map(TaskKind::bytes).sum()
     }
 
-    /// Kahn's algorithm over the dependents CSR: calls `visit` on each task as it
-    /// becomes ready and returns the prerequisites left per task, which are all zero
-    /// exactly when the DAG is acyclic (the tasks left nonzero were never visited).
-    fn kahn(&self, mut visit: impl FnMut(TaskId)) -> Vec<u32> {
-        let mut remaining: Vec<u32> = self.indegrees().collect();
-        let mut ready: Vec<TaskId> = (0..self.len() as u32)
-            .filter(|&i| remaining[i as usize] == 0)
-            .map(TaskId)
-            .collect();
-        while let Some(id) = ready.pop() {
-            visit(id);
-            for &d in self.dependents(id) {
-                let left = &mut remaining[d.0 as usize];
-                *left -= 1;
-                if *left == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-        remaining
+    /// The DAG's execution layout (see the module docs), built on first use and
+    /// shared by every clone and rebase of this DAG.
+    pub fn layout(&self) -> &ExecLayout {
+        self.graph
+            .layout
+            .get_or_init(|| ExecLayout::build(&self.graph, &self.kinds))
     }
 
-    /// A topological order of the tasks, or `None` if the DAG contains a cycle.
+    /// A topological order of the tasks, or `None` if the DAG contains a cycle. It
+    /// is the layout's FIFO-Kahn order: the roots in id order, then each task as the
+    /// last of its prerequisites releases it.
     pub fn topological_order(&self) -> Option<Vec<TaskId>> {
-        let mut order = Vec::with_capacity(self.len());
-        self.kahn(|id| order.push(id));
-        (order.len() == self.len()).then_some(order)
+        let layout = self.layout();
+        (layout.reached == self.len()).then(|| layout.order.clone())
     }
 
     /// Validates structural invariants: participants are non-empty, collective groups
-    /// exist, and the graph is acyclic. The graph is shared with clones and rebases,
-    /// so its acyclicity is established once for all of them.
+    /// exist, and the graph is acyclic. Acyclicity is read off the execution layout,
+    /// which this builds on first use for the DAG and every clone and rebase sharing
+    /// its graph.
     pub fn validate(&self) -> Result<(), String> {
         // Consecutive tasks mostly share a participant set and a group, so only
         // changes need resolving.
@@ -377,33 +579,29 @@ impl TrainingDag {
                 }
             }
         }
-        if self.graph.acyclic.get().is_some() {
+        let layout = self.layout();
+        if layout.reached == self.len() {
             return Ok(());
         }
-        let mut visited = 0usize;
-        let remaining = self.kahn(|_| visited += 1);
-        if visited == self.len() {
-            let _ = self.graph.acyclic.set(());
-            return Ok(());
-        }
-        // Report a few of the tasks stuck in the cycle to make the error actionable.
-        let stuck: Vec<String> = self
-            .tasks()
-            .filter(|t| remaining[t.id.0 as usize] > 0)
+        // The tasks Kahn never reached trail the layout in id order. Report a few of
+        // them to make the error actionable.
+        let stuck = &layout.order[layout.reached..];
+        let sample: Vec<String> = stuck
+            .iter()
             .take(8)
-            .map(|t| {
-                let blocking: Vec<String> = t
-                    .deps
+            .map(|&id| {
+                let blocking: Vec<String> = self
+                    .deps(id)
                     .iter()
-                    .filter(|d| remaining[d.0 as usize] > 0)
+                    .filter(|d| stuck.binary_search(d).is_ok())
                     .map(|d| format!("{} ({})", d.0, self.label(*d)))
                     .collect();
-                format!("#{} {} <- [{}]", t.id.0, t.label, blocking.join(", "))
+                format!("#{} {} <- [{}]", id.0, self.label(id), blocking.join(", "))
             })
             .collect();
         Err(format!(
             "the task graph contains a cycle; sample of stuck tasks:\n  {}",
-            stuck.join("\n  ")
+            sample.join("\n  ")
         ))
     }
 
@@ -588,9 +786,9 @@ impl TaskColumns {
         self.edges.push((task.0, dep.0));
     }
 
-    /// Builds the dependency CSRs and assembles the DAG. Each task keeps the first
-    /// declaration of every prerequisite, in declaration order; its dependents are
-    /// listed in ascending id order.
+    /// Builds the prerequisites CSR and assembles the DAG. Each task keeps the first
+    /// declaration of every prerequisite, in declaration order. The dependents are
+    /// left to the execution layout, which the DAG builds on first use.
     pub(crate) fn finish(
         self,
         groups: BTreeMap<GroupId, CommGroup>,
@@ -644,24 +842,6 @@ impl TaskColumns {
         deps.truncate(kept);
         deps.shrink_to_fit();
 
-        // Reverse CSR: walking tasks in id order lists each task's dependents
-        // ascending.
-        let mut dependent_offsets = vec![0u32; n + 1];
-        for d in &deps {
-            dependent_offsets[d.0 as usize + 1] += 1;
-        }
-        prefix_sum(&mut dependent_offsets);
-        let mut cursor = seen;
-        cursor.copy_from_slice(&dependent_offsets[..n]);
-        let mut dependents = vec![TaskId(0); deps.len()];
-        for t in 0..n {
-            for d in csr_row(&dep_offsets, &deps, t) {
-                let c = &mut cursor[d.0 as usize];
-                dependents[*c as usize] = TaskId(t as u32);
-                *c += 1;
-            }
-        }
-
         TrainingDag {
             kinds,
             participants,
@@ -671,9 +851,7 @@ impl TaskColumns {
                 layer,
                 dep_offsets,
                 deps,
-                dependent_offsets,
-                dependents,
-                acyclic: OnceLock::new(),
+                layout: OnceLock::new(),
             }),
             rank_end,
             groups,
@@ -1530,19 +1708,22 @@ mod tests {
     #[test]
     fn dependents_and_indegrees_mirror_the_dependency_csr() {
         let dag = paper_dag();
-        let indegrees: Vec<u32> = dag.indegrees().collect();
+        let layout = dag.layout();
         let mut mirrored: Vec<Vec<TaskId>> = vec![Vec::new(); dag.len()];
         for task in dag.tasks() {
-            assert_eq!(indegrees[task.id.0 as usize] as usize, task.deps.len());
             for &dep in task.deps {
                 mirrored[dep.0 as usize].push(task.id);
             }
         }
-        for task in dag.tasks() {
-            assert_eq!(
-                dag.dependents(task.id),
-                mirrored[task.id.0 as usize].as_slice()
-            );
+        for (p, &id) in layout.order().iter().enumerate() {
+            let pos = Position(p as u32);
+            assert_eq!(layout.indegrees()[p] as usize, dag.deps(id).len());
+            let row: Vec<TaskId> = layout
+                .dependents(pos)
+                .iter()
+                .map(|&d| layout.task(d))
+                .collect();
+            assert_eq!(row, mirrored[id.0 as usize]);
         }
     }
 
@@ -1563,7 +1744,18 @@ mod tests {
         assert_eq!(dag.deps(a), &[c]);
         assert_eq!(dag.deps(b), &[a]);
         assert_eq!(dag.deps(c), &[b, a]);
-        assert_eq!(dag.dependents(a), &[b, c]);
+        let layout = dag.layout();
+        assert_eq!(
+            layout.order(),
+            &[a, b, c],
+            "tasks on a cycle trail the layout in id order"
+        );
+        let row: Vec<TaskId> = layout
+            .dependents(Position(0))
+            .iter()
+            .map(|&d| layout.task(d))
+            .collect();
+        assert_eq!(row, [b, c]);
         assert_eq!(dag.task(b).microbatch, Some(3));
         assert_eq!(dag.task(b).layer, Some(7));
         assert_eq!(dag.task(a).layer, None);
@@ -1611,11 +1803,11 @@ mod tests {
         let a = cols.push(compute, set, label, None, None, &[]);
         cols.push(compute, set, label, None, None, &[a]);
         let dag = cols.finish(BTreeMap::new(), ParallelismConfig::data_only(1), 1);
-        assert!(dag.graph.acyclic.get().is_none());
+        assert!(dag.graph.layout.get().is_none());
         assert_eq!(dag.rebase(4, 0).validate(), Ok(()));
         assert!(
-            dag.graph.acyclic.get().is_some(),
-            "validating a rebase covers the graph it shares"
+            dag.graph.layout.get().is_some(),
+            "validating a rebase lays out the graph it shares"
         );
     }
 

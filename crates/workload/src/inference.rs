@@ -300,6 +300,7 @@ impl InferenceDagBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::{Position, Step};
 
     fn dag(tensor: u32, pipeline: u32, replicas: u32) -> TrainingDag {
         InferenceDagBuilder::new(
@@ -316,6 +317,41 @@ mod tests {
         assert_eq!(dag.max_rank() + 1, 12);
         assert_eq!(dag.config.world_size(), 12);
         assert!(dag.topological_order().is_some());
+        // The execution layout is a permutation that puts every prerequisite first,
+        // with the roots as an id-ordered prefix, rows in ascending task id, and each
+        // position's indegree and step matching its task; clones and rebases share it.
+        let layout = dag.layout();
+        let mut position = vec![usize::MAX; dag.len()];
+        for (p, id) in layout.order().iter().enumerate() {
+            assert_eq!(
+                std::mem::replace(&mut position[id.0 as usize], p),
+                usize::MAX
+            );
+        }
+        assert_eq!(layout.order().len(), dag.len());
+        let roots = layout.roots();
+        let (mut deps_seen, mut rows_seen) = (0, 0);
+        for (p, &id) in layout.order().iter().enumerate() {
+            let pos = Position(p as u32);
+            let deps = dag.deps(id);
+            assert!(deps.iter().all(|d| position[d.0 as usize] < p));
+            assert_eq!(p < roots, deps.is_empty());
+            assert!(p == 0 || p >= roots || layout.order()[p - 1] < id);
+            assert_eq!(layout.indegrees()[p] as usize, deps.len());
+            let row: Vec<TaskId> = layout
+                .dependents(pos)
+                .iter()
+                .map(|&d| layout.task(d))
+                .collect();
+            assert!(row.windows(2).all(|w| w[0] < w[1]));
+            assert!(row.iter().all(|&d| dag.deps(d).contains(&id)));
+            deps_seen += deps.len();
+            rows_seen += row.len();
+            assert_eq!(layout.step(pos), Step::from(*dag.kind(id)));
+        }
+        assert_eq!(deps_seen, rows_seen);
+        assert!(std::ptr::eq(dag.clone().layout(), layout));
+        assert!(std::ptr::eq(dag.rebase(64, 100).layout(), layout));
     }
 
     #[test]

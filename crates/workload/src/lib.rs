@@ -54,7 +54,7 @@ pub mod traffic;
 pub mod windows;
 
 pub use compute::{ComputeModel, GpuSpec};
-pub use dag::{DagBuilder, JobId, Task, TaskId, TaskKind, TrainingDag};
+pub use dag::{DagBuilder, ExecLayout, JobId, Position, Step, Task, TaskId, TaskKind, TrainingDag};
 pub use inference::{InferenceConfig, InferenceDagBuilder};
 pub use intern::{LabelId, RankSet};
 pub use mem::release_free_heap;

@@ -9,7 +9,7 @@ use photonic_rails::prelude::*;
 use photonic_rails::sim::{EventQueue, SimRng};
 use photonic_rails::topology::fattree::ClosDimensions;
 use photonic_rails::topology::{Circuit, CircuitConfig, Ocs, PortId};
-use photonic_rails::workload::RankMapping;
+use photonic_rails::workload::{Position, RankMapping, Step, TaskId};
 use proptest::prelude::*;
 
 proptest! {
@@ -258,6 +258,34 @@ proptest! {
             let set: std::collections::HashSet<_> = task.ranks().iter().collect();
             prop_assert_eq!(set.len(), task.ranks().len());
         }
+        // The execution layout is a permutation that puts every prerequisite first,
+        // with the roots as an id-ordered prefix, rows in ascending task id, and each
+        // position's indegree and step matching its task; clones and rebases share it.
+        let layout = dag.layout();
+        let mut position = vec![usize::MAX; dag.len()];
+        for (p, id) in layout.order().iter().enumerate() {
+            prop_assert_eq!(std::mem::replace(&mut position[id.0 as usize], p), usize::MAX);
+        }
+        prop_assert_eq!(layout.order().len(), dag.len());
+        let roots = layout.roots();
+        let (mut deps_seen, mut rows_seen) = (0, 0);
+        for (p, &id) in layout.order().iter().enumerate() {
+            let pos = Position(p as u32);
+            let deps = dag.deps(id);
+            prop_assert!(deps.iter().all(|d| position[d.0 as usize] < p));
+            prop_assert_eq!(p < roots, deps.is_empty());
+            prop_assert!(p == 0 || p >= roots || layout.order()[p - 1] < id);
+            prop_assert_eq!(layout.indegrees()[p] as usize, deps.len());
+            let row: Vec<TaskId> = layout.dependents(pos).iter().map(|&d| layout.task(d)).collect();
+            prop_assert!(row.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(row.iter().all(|&d| dag.deps(d).contains(&id)));
+            deps_seen += deps.len();
+            rows_seen += row.len();
+            prop_assert_eq!(layout.step(pos), Step::from(*dag.kind(id)));
+        }
+        prop_assert_eq!(deps_seen, rows_seen);
+        prop_assert!(std::ptr::eq(dag.clone().layout(), layout));
+        prop_assert!(std::ptr::eq(dag.rebase(64, 100).layout(), layout));
     }
 
     #[test]
