@@ -71,9 +71,7 @@ fn run_variant(name: &str, parallel: ParallelismConfig, rows: &mut Vec<PhaseRow>
     // The distinct circuit configurations the rail cycles through = the number of
     // distinct communication groups that appear on it (Fig. 3's "circuit config" row).
     let mut groups: Vec<_> = it
-        .comm_records
-        .iter()
-        .filter(|r| r.rails.contains(RailId(0)))
+        .records_on_rail(RailId(0))
         .filter_map(|r| r.group)
         .collect();
     groups.sort();

@@ -9,10 +9,14 @@
 //!   scale-out leg runs on the *destination's* rail between the intermediate GPU (the
 //!   sender's node-mate with the destination's rank) and the destination.
 //!
-//! Each GPU only has a limited number of logical NIC ports; the planner assigns ports
-//! round-robin and, when the ring degree exceeds the port budget, drops the
-//! wrap-around pair (turning the ring into a chain) rather than failing — the paper's
-//! C1/C3 discussion notes exactly this degradation.
+//! Each GPU only has a limited number of logical NIC ports. Per rail, the planner
+//! walks the ring's pairs in order and gives each pair the next free port of both its
+//! GPUs, counting from port 0 in every group; a pair that finds either GPU out of
+//! ports is dropped rather than failing the plan. On a ring whose pairs share one
+//! rail, one port per GPU therefore keeps only disjoint pairs of an `n ≥ 3` ring (a
+//! 4-ring keeps (0,1) and (2,3), a 3-ring only (0,1)), and two or more ports drop
+//! nothing. The collective is still priced as a full ring; ROADMAP item 8 tracks
+//! planning a ring with only the pairs its port budget can realize.
 
 use railsim_collectives::{ring::ring_neighbor_pairs, CommGroup, RailStriper};
 use railsim_topology::RailSet;
@@ -26,8 +30,9 @@ use std::collections::{BTreeMap, HashMap};
 pub struct GroupCircuits {
     /// Circuit configuration per rail (only rails that carry traffic appear).
     pub per_rail: BTreeMap<RailId, CircuitConfig>,
-    /// Ring pairs that could not be realized because the port budget was exhausted
-    /// (the ring degrades to a chain).
+    /// Ring pairs that could not be realized because an endpoint's port budget was
+    /// exhausted. With one port per GPU a same-rail ring of `n ≥ 3` keeps only
+    /// disjoint pairs, so this counts the others (2 of a 4-ring); see the module doc.
     pub dropped_pairs: usize,
     /// Ring pairs carried entirely inside a scale-up domain (no circuit needed).
     pub scaleup_pairs: usize,
@@ -101,7 +106,8 @@ impl CircuitPlanner {
                 let pa = *next_port.entry(a).or_insert(0);
                 let pb = *next_port.entry(b).or_insert(0);
                 if pa >= self.ports_per_gpu || pb >= self.ports_per_gpu {
-                    // Out of ports: degrade the ring to a chain by dropping this pair.
+                    // Out of ports on an endpoint: drop this pair. Pairs are taken
+                    // greedily in ring order, so one port per GPU keeps disjoint pairs.
                     dropped_pairs += 1;
                     continue;
                 }
@@ -131,8 +137,7 @@ impl CircuitPlanner {
     /// target)` / `gpu_at(node_of(b), target)`, which forward the traffic over
     /// NVLink). Displaced circuits take fresh ports past whatever the kept circuits
     /// already use on the target rail; when a GPU's port budget runs out the pair is
-    /// dropped (the ring degrades to a chain, counted in `dropped_pairs`), exactly
-    /// like [`CircuitPlanner::plan`].
+    /// dropped (counted in `dropped_pairs`), exactly like [`CircuitPlanner::plan`].
     ///
     /// With no healthy rails at all, every pair is dropped and the result is empty —
     /// callers should treat that as "cannot re-plan" and stall instead (an empty plan
@@ -255,17 +260,21 @@ mod tests {
     #[test]
     fn four_member_rail_group_forms_a_ring() {
         // All of rail 1: {1, 5, 9, 13} -> a 4-circuit ring, but single-port NICs can
-        // only terminate one circuit per GPU, so two pairs are dropped (chain of 2).
+        // only terminate one circuit per GPU, so only the disjoint pairs (1,5) and
+        // (9,13) are kept and two pairs are dropped.
         let c = cluster();
         let planner = CircuitPlanner::for_cluster(&c);
         let g = group(ParallelismAxis::Data, &[1, 5, 9, 13]);
         let plan = planner.plan(&c, &g);
         assert_eq!(plan.rails(), vec![RailId(1)]);
         assert_eq!(plan.total_circuits() + plan.dropped_pairs, 4);
-        assert!(
-            plan.dropped_pairs > 0,
+        assert_eq!(
+            plan.dropped_pairs, 2,
             "single-port NICs cannot hold a full 4-ring"
         );
+        let cfg = &plan.per_rail[&RailId(1)];
+        assert!(cfg.connects_gpus(GpuId(1), GpuId(5)));
+        assert!(cfg.connects_gpus(GpuId(9), GpuId(13)));
     }
 
     #[test]

@@ -5,6 +5,8 @@ use railsim_sim::{Bytes, SimDuration, SimTime};
 use railsim_topology::{RailId, RailSet};
 use railsim_workload::{LabelId, TaskId};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 
 /// One communication operation as it actually executed in the simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,6 +78,156 @@ impl ReconfigEvent {
     }
 }
 
+/// A value stamped with simulation times, which a replayed iteration moves later.
+pub trait Shift {
+    /// A copy of `self` with every timestamp moved `by` later.
+    fn shifted(&self, by: SimDuration) -> Self;
+}
+
+impl Shift for CommRecord {
+    fn shifted(&self, by: SimDuration) -> Self {
+        CommRecord {
+            issued_at: self.issued_at + by,
+            start: self.start + by,
+            end: self.end + by,
+            ..self.clone()
+        }
+    }
+}
+
+impl Shift for ReconfigEvent {
+    fn shifted(&self, by: SimDuration) -> Self {
+        ReconfigEvent {
+            requested_at: self.requested_at + by,
+            started_at: self.started_at + by,
+            ready_at: self.ready_at + by,
+            ..*self
+        }
+    }
+}
+
+/// One iteration's records or reconfiguration events: shared storage plus a time
+/// shift.
+///
+/// A stepped iteration wraps the values it produced, unshifted. A fast-forwarded
+/// iteration replays its template, so it shares the template's storage and only
+/// adds the offset between the two iterations' starts; emitting it costs O(1)
+/// whatever the iteration's size. Every read — [`iter`](Shifted::iter), equality,
+/// `Debug`, serialization — sees the shifted values, so a shared sequence is
+/// indistinguishable from an owned `Vec` of them and serializes to the same bytes.
+#[derive(Clone)]
+pub struct Shifted<T> {
+    items: Arc<Vec<T>>,
+    shift: SimDuration,
+}
+
+impl<T> Shifted<T> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True when there are no values.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The same values moved `by` later, sharing this sequence's storage.
+    pub fn shifted(&self, by: SimDuration) -> Self {
+        Shifted {
+            items: Arc::clone(&self.items),
+            shift: self.shift + by,
+        }
+    }
+
+    /// The stored values before the shift, and the shift. For readers whose output
+    /// moves with its input's timestamps, which can work on the shared values and
+    /// shift the result.
+    pub(crate) fn parts(&self) -> (&[T], SimDuration) {
+        (&self.items, self.shift)
+    }
+
+    /// True when both sequences read the same storage.
+    #[cfg(test)]
+    pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.items, &other.items)
+    }
+
+    /// The capacity of the shared storage.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.items.capacity()
+    }
+}
+
+impl<T: Shift> Shifted<T> {
+    /// The values in order, each shifted.
+    pub fn iter(&self) -> ShiftedIter<'_, T> {
+        ShiftedIter {
+            items: self.items.iter(),
+            shift: self.shift,
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for Shifted<T> {
+    /// Wraps `items` unshifted, without copying them.
+    fn from(items: Vec<T>) -> Self {
+        Shifted {
+            items: Arc::new(items),
+            shift: SimDuration::ZERO,
+        }
+    }
+}
+
+impl<T: Shift + PartialEq> PartialEq for Shifted<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Shift + fmt::Debug> fmt::Debug for Shifted<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T: Shift + Serialize> Serialize for Shifted<T> {
+    /// The sequence of shifted values, exactly as a `Vec` of them serializes.
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Seq(self.iter().map(|v| v.to_value()).collect())
+    }
+}
+
+impl<'a, T: Shift> IntoIterator for &'a Shifted<T> {
+    type Item = T;
+    type IntoIter = ShiftedIter<'a, T>;
+
+    fn into_iter(self) -> ShiftedIter<'a, T> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`Shifted::iter`]: yields each stored value, shifted.
+pub struct ShiftedIter<'a, T> {
+    items: std::slice::Iter<'a, T>,
+    shift: SimDuration,
+}
+
+impl<T: Shift> Iterator for ShiftedIter<'_, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        self.items.next().map(|v| v.shifted(self.shift))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.items.size_hint()
+    }
+}
+
+impl<T: Shift> ExactSizeIterator for ShiftedIter<'_, T> {}
+
 /// The outcome of simulating one training iteration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IterationResult {
@@ -86,12 +238,13 @@ pub struct IterationResult {
     /// When the iteration started (absolute simulation time).
     pub started_at: SimTime,
     /// Every communication operation, ordered by issue time (the task id breaks
-    /// ties); a fast-forwarded iteration copies its template's order. Empty for a
-    /// run made with
+    /// ties). A fast-forwarded iteration shares its template's records, shifted to
+    /// its own start, instead of copying them. Empty for a run made with
     /// [`ScenarioSpec::run_without_records`](crate::ScenarioSpec::run_without_records).
-    pub comm_records: Vec<CommRecord>,
-    /// Every OCS reconfiguration performed during the iteration.
-    pub reconfig_events: Vec<ReconfigEvent>,
+    pub comm_records: Shifted<CommRecord>,
+    /// Every OCS reconfiguration performed during the iteration. A fast-forwarded
+    /// iteration shares its template's events, shifted, like its records.
+    pub reconfig_events: Shifted<ReconfigEvent>,
     /// Total time communication operations spent waiting for circuits.
     pub total_circuit_wait: SimDuration,
 }
@@ -111,12 +264,11 @@ impl IterationResult {
             .sum()
     }
 
-    /// The communication records that used a specific rail.
-    pub fn records_on_rail(&self, rail: RailId) -> Vec<&CommRecord> {
+    /// The communication records that used a specific rail, in order.
+    pub fn records_on_rail(&self, rail: RailId) -> impl Iterator<Item = CommRecord> + '_ {
         self.comm_records
             .iter()
-            .filter(|r| r.rails.contains(rail))
-            .collect()
+            .filter(move |r| r.rails.contains(rail))
     }
 }
 
@@ -178,8 +330,8 @@ mod tests {
             iteration: 0,
             iteration_time: SimDuration::from_millis(time_ms),
             started_at: SimTime::ZERO,
-            comm_records: records,
-            reconfig_events: vec![],
+            comm_records: records.into(),
+            reconfig_events: Vec::new().into(),
             total_circuit_wait: SimDuration::ZERO,
         }
     }
@@ -193,8 +345,8 @@ mod tests {
     #[test]
     fn rail_filter() {
         let it = iteration(100, vec![record(0, 10, 0), record(20, 30, 0)]);
-        assert_eq!(it.records_on_rail(RailId(0)).len(), 2);
-        assert_eq!(it.records_on_rail(RailId(1)).len(), 0);
+        assert_eq!(it.records_on_rail(RailId(0)).count(), 2);
+        assert_eq!(it.records_on_rail(RailId(1)).count(), 0);
         assert_eq!(it.scaleout_bytes(), Bytes::from_mb(200));
     }
 
@@ -231,6 +383,60 @@ mod tests {
             iterations: vec![iteration(100, vec![]), iteration(150, vec![])],
         };
         assert!((slow.normalized_against(&fast) - 1.5).abs() < 1e-9);
+    }
+
+    fn event(requested_ms: u64) -> ReconfigEvent {
+        ReconfigEvent {
+            rail: RailId(0),
+            group: GroupId(1),
+            requested_at: SimTime::from_millis(requested_ms),
+            started_at: SimTime::from_millis(requested_ms + 5),
+            ready_at: SimTime::from_millis(requested_ms + 30),
+            circuits_installed: 2,
+        }
+    }
+
+    #[test]
+    fn a_shared_shifted_sequence_reads_like_the_owned_shifted_values() {
+        let by = SimDuration::from_millis(7);
+        let records = vec![record(10, 30, 5), record(20, 40, 0)];
+        let shared = Shifted::from(records.clone()).shifted(by);
+        let owned: Vec<CommRecord> = records.iter().map(|r| r.shifted(by)).collect();
+        assert_eq!(shared.len(), 2);
+        assert!(!shared.is_empty());
+        assert_eq!(shared.iter().collect::<Vec<_>>(), owned);
+        assert_eq!((&shared).into_iter().len(), 2);
+        assert_eq!(shared, Shifted::from(owned.clone()));
+        assert_ne!(shared, Shifted::from(records));
+        assert_eq!(format!("{shared:?}"), format!("{owned:?}"));
+        assert_eq!(
+            serde_json::to_string_pretty(&shared).unwrap(),
+            serde_json::to_string_pretty(&owned).unwrap()
+        );
+
+        let events = Shifted::from(vec![event(10), event(50)]);
+        let owned: Vec<ReconfigEvent> = events.iter().map(|e| e.shifted(by)).collect();
+        assert_eq!(owned[1].started_at, SimTime::from_millis(62));
+        assert_eq!(
+            serde_json::to_string_pretty(&events.shifted(by)).unwrap(),
+            serde_json::to_string_pretty(&owned).unwrap()
+        );
+        let empty = Shifted::<ReconfigEvent>::from(Vec::new());
+        assert!(empty.shifted(by).is_empty());
+        assert_eq!(serde_json::to_string(&empty).unwrap(), "[]");
+    }
+
+    #[test]
+    fn shifts_compose_and_share_storage() {
+        let (a, b) = (SimDuration::from_millis(3), SimDuration::from_millis(11));
+        let base = Shifted::from(vec![event(0), event(40)]);
+        let twice = base.shifted(a).shifted(b);
+        assert_eq!(twice, base.shifted(a + b));
+        assert!(twice.shares_storage_with(&base));
+        assert_eq!(
+            twice.iter().map(|e| e.ready_at).collect::<Vec<_>>(),
+            [SimTime::from_millis(44), SimTime::from_millis(84)]
+        );
     }
 
     #[test]

@@ -86,7 +86,10 @@
 //! once the fabric state at two consecutive iteration boundaries is equal up to the
 //! shift between them, later unperturbed iterations are replayed with a shifted
 //! clock instead of re-stepped — byte-identical results at a fraction of the
-//! wall-clock cost. A clean run steps two iterations and fast-forwards the rest. The
+//! wall-clock cost. A replayed iteration shares its template's records and
+//! reconfiguration events ([`Shifted`](crate::Shifted)) instead of copying them, so
+//! it costs O(1) and a long run's memory does not grow with its iteration count. A
+//! clean run steps two iterations and fast-forwards the rest. The
 //! detection and invalidation semantics are documented on the executor's private
 //! `MemoState`; [`OpusConfig::memoize_steady_state`] is the knob and
 //! [`JobResult::memoized_iterations`] counts the replayed iterations.
@@ -1507,15 +1510,26 @@ impl ScenarioSim {
         let start = ctx.iter_start;
         let end = ctx.iter_end;
         let mut comm_records = std::mem::take(&mut ctx.comm_records);
-        // The key is unique (a task issues one record per iteration), so the unstable
-        // sort lands on the stable order without the stable sort's scratch buffer.
-        comm_records.sort_unstable_by_key(|r| (r.issued_at, r.task));
+        // Order by `(issued_at, task)`. A record is issued when its `Ready` commits,
+        // and the engine commits in time order, so the records already ascend in
+        // issue time: only each run of equal issue times needs sorting, by task id.
+        // A task issues one record per iteration, so the key is unique and the
+        // unstable sort lands on the stable order.
+        debug_assert!(
+            comm_records
+                .windows(2)
+                .all(|w| w[0].issued_at <= w[1].issued_at),
+            "records are pushed in nondecreasing issue time"
+        );
+        for tied in comm_records.chunk_by_mut(|a, b| a.issued_at == b.issued_at) {
+            tied.sort_unstable_by_key(|r| r.task);
+        }
         let result = IterationResult {
             iteration: ctx.iteration,
             iteration_time: end.duration_since(start),
             started_at: start,
-            comm_records,
-            reconfig_events: std::mem::take(&mut ctx.reconfig_events),
+            comm_records: comm_records.into(),
+            reconfig_events: std::mem::take(&mut ctx.reconfig_events).into(),
             total_circuit_wait: ctx.total_circuit_wait,
         };
         ctx.total_circuit_wait = SimDuration::ZERO;
@@ -1616,19 +1630,15 @@ impl ScenarioSim {
     }
 
     /// Commits one memoized fast-forward: emits the template iteration shifted to
-    /// start at the job's `iter_start` (its records only when the run keeps them),
-    /// replays the shared-state effects a naive re-step would have had (circuit
-    /// installs, port occupancy, request counters, rail busy time), and schedules
-    /// the next iteration (fast-forwarded again, or naively when an injection comes
-    /// into range). By the steady-state argument on [`MemoState`] the emitted result
-    /// is byte-identical to naive stepping — the determinism suites pin this.
+    /// start at the job's `iter_start` (sharing the template's records and
+    /// reconfiguration events, so the emission costs O(1)), replays the
+    /// shared-state effects a naive re-step would have had (circuit installs, port
+    /// occupancy, request counters, rail busy time), and schedules the next
+    /// iteration (fast-forwarded again, or naively when an injection comes into
+    /// range). By the steady-state argument on [`MemoState`] the emitted result is
+    /// byte-identical to naive stepping — the determinism suites pin this.
     fn commit_fast_forward(&mut self, j: usize, now: SimTime, engine: &mut Engine<SimEvent>) {
-        let ScenarioSim {
-            jobs,
-            fleet,
-            records,
-            ..
-        } = self;
+        let ScenarioSim { jobs, fleet, .. } = self;
         let ctx = &mut jobs[j];
         let template = ctx
             .memo
@@ -1641,31 +1651,8 @@ impl ScenarioSim {
             ctx.iter_start + template.iteration_time,
             "a fast-forward commits exactly at its predicted iteration end"
         );
-        let comm_records: Vec<CommRecord> = match records {
-            Records::Keep => template
-                .comm_records
-                .iter()
-                .map(|r| {
-                    let mut rec = r.clone();
-                    rec.issued_at += shift;
-                    rec.start += shift;
-                    rec.end += shift;
-                    rec
-                })
-                .collect(),
-            Records::MemoOnly => Vec::new(),
-        };
-        let reconfig_events: Vec<ReconfigEvent> = template
-            .reconfig_events
-            .iter()
-            .map(|ev| {
-                let mut ev = *ev;
-                ev.requested_at += shift;
-                ev.started_at += shift;
-                ev.ready_at += shift;
-                ev
-            })
-            .collect();
+        let comm_records = template.comm_records.shifted(shift);
+        let reconfig_events = template.reconfig_events.shifted(shift);
         let iteration_time = template.iteration_time;
         let total_circuit_wait = template.total_circuit_wait;
         // Replay the controller-side state the re-stepped iteration would have left
@@ -2556,6 +2543,8 @@ mod tests {
         let ctx = &sim.jobs[0];
         assert_eq!(ctx.memo.fast_forwarded, 4);
         assert_eq!(ctx.comm_records.capacity(), 0);
+        // The capacity of each iteration's shared storage: a stepped iteration's
+        // own buffer, or the template's for a fast-forward.
         for it in &ctx.completed {
             assert_eq!(
                 it.comm_records.capacity(),
@@ -2563,6 +2552,42 @@ mod tests {
                 "iteration {} allocated records",
                 it.iteration
             );
+        }
+    }
+
+    #[test]
+    fn fast_forwards_share_their_templates_records_and_events() {
+        // A clean run arms iteration 1 as the template and replays 2..6 from it.
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 6);
+        let spec = || ScenarioSpec::new(tiny_cluster(4)).job(tiny_dag(), config);
+        for (records, result) in [
+            ("run", spec().run()),
+            ("run_without_records", spec().run_without_records()),
+        ] {
+            assert_eq!(result.jobs[0].memoized_iterations, 4, "{records}");
+            let iterations = &result.jobs[0].result.iterations;
+            let template = &iterations[1];
+            assert_eq!(template.comm_records.is_empty(), records != "run");
+            assert!(!template.reconfig_events.is_empty(), "{records}");
+            assert!(
+                !iterations[0]
+                    .reconfig_events
+                    .shares_storage_with(&template.reconfig_events),
+                "{records}: stepped iterations own their events"
+            );
+            for it in &iterations[2..] {
+                assert!(
+                    it.comm_records.shares_storage_with(&template.comm_records),
+                    "{records}: iteration {} copied its records",
+                    it.iteration
+                );
+                assert!(
+                    it.reconfig_events
+                        .shares_storage_with(&template.reconfig_events),
+                    "{records}: iteration {} copied its events",
+                    it.iteration
+                );
+            }
         }
     }
 

@@ -15,8 +15,14 @@
 //! *issue* time (before any circuit wait), so the measurement reflects the
 //! application's intrinsic schedule exactly as the paper measured it on an electrical
 //! fabric.
+//!
+//! Phases and windows move with their records: shifting every record by `d` shifts
+//! every phase and window by `d` and leaves durations and volumes unchanged. The
+//! extractors therefore read an iteration's [`Shifted`] records in their shared,
+//! unshifted storage and shift only their output, so a fast-forwarded iteration is
+//! never copied.
 
-use crate::metrics::{CommRecord, IterationResult};
+use crate::metrics::{CommRecord, IterationResult, Shifted};
 use railsim_collectives::ParallelismAxis;
 use railsim_sim::stats::{BucketedStats, Cdf};
 use railsim_sim::{Bytes, SimDuration, SimTime};
@@ -61,13 +67,14 @@ pub struct Window {
 }
 
 /// Splits the scale-out records of one rail into parallelism phases.
-pub fn phases_on_rail(records: &[CommRecord], rail: RailId) -> Vec<Phase> {
+pub fn phases_on_rail(records: &Shifted<CommRecord>, rail: RailId) -> Vec<Phase> {
+    let (records, shift) = records.parts();
     let mut on_rail: Vec<&CommRecord> = records
         .iter()
         .filter(|r| r.scaleout && r.rails.contains(rail))
         .collect();
     on_rail.sort_by_key(|r| (r.issued_at, r.task));
-    phases_of_stream(rail, &on_rail)
+    phases_of_stream(rail, &on_rail, shift)
 }
 
 /// Extracts the inter-parallelism windows of one rail from one iteration's records.
@@ -75,7 +82,7 @@ pub fn phases_on_rail(records: &[CommRecord], rail: RailId) -> Vec<Phase> {
 /// Only positive gaps are reported: overlapping phases (the next phase's first
 /// operation was issued before the previous phase finished) leave no window to hide a
 /// reconfiguration in and are skipped.
-pub fn windows_on_rail(records: &[CommRecord], rail: RailId) -> Vec<Window> {
+pub fn windows_on_rail(records: &Shifted<CommRecord>, rail: RailId) -> Vec<Window> {
     windows_of_phases(&phases_on_rail(records, rail))
 }
 
@@ -85,7 +92,11 @@ pub fn windows_on_rail(records: &[CommRecord], rail: RailId) -> Vec<Window> {
 /// once instead of once per rail — the difference between seconds and minutes when a
 /// 10k-GPU iteration produces hundreds of thousands of records across many rails.
 /// Rails are returned in the order given.
-pub fn phases_by_rail(records: &[CommRecord], rails: &[RailId]) -> Vec<(RailId, Vec<Phase>)> {
+pub fn phases_by_rail(
+    records: &Shifted<CommRecord>,
+    rails: &[RailId],
+) -> Vec<(RailId, Vec<Phase>)> {
+    let (records, shift) = records.parts();
     // A rail may legitimately appear more than once in `rails`; every occurrence gets
     // the full stream, keeping the documented per-rail equivalence unconditional.
     let mut lanes_of: std::collections::HashMap<RailId, Vec<usize>> =
@@ -110,13 +121,14 @@ pub fn phases_by_rail(records: &[CommRecord], rails: &[RailId]) -> Vec<(RailId, 
         .zip(streams)
         .map(|(&rail, mut on_rail)| {
             on_rail.sort_by_key(|r| (r.issued_at, r.task));
-            (rail, phases_of_stream(rail, &on_rail))
+            (rail, phases_of_stream(rail, &on_rail, shift))
         })
         .collect()
 }
 
-/// Folds one rail's issue-ordered record stream into parallelism phases.
-fn phases_of_stream(rail: RailId, on_rail: &[&CommRecord]) -> Vec<Phase> {
+/// Folds one rail's issue-ordered record stream into parallelism phases, moved
+/// `shift` later.
+fn phases_of_stream(rail: RailId, on_rail: &[&CommRecord], shift: SimDuration) -> Vec<Phase> {
     let mut phases: Vec<Phase> = Vec::new();
     for rec in on_rail {
         match phases.last_mut() {
@@ -135,6 +147,10 @@ fn phases_of_stream(rail: RailId, on_rail: &[&CommRecord]) -> Vec<Phase> {
                 operations: 1,
             }),
         }
+    }
+    for phase in &mut phases {
+        phase.first_issue += shift;
+        phase.last_end += shift;
     }
     phases
 }
@@ -229,12 +245,12 @@ mod tests {
 
     #[test]
     fn phases_group_consecutive_same_axis_operations() {
-        let records = vec![
+        let records = Shifted::from(vec![
             record(ParallelismAxis::Data, 0, 0, 10, 100, 0),
             record(ParallelismAxis::Data, 5, 10, 20, 100, 0),
             record(ParallelismAxis::Pipeline, 40, 40, 45, 64, 0),
             record(ParallelismAxis::Data, 60, 60, 80, 200, 0),
-        ];
+        ]);
         let phases = phases_on_rail(&records, RailId(0));
         assert_eq!(phases.len(), 3);
         assert_eq!(phases[0].operations, 2);
@@ -246,10 +262,10 @@ mod tests {
     fn window_matches_paper_definition() {
         // P1 (DP) ends at 20 ms, P2 (PP) is issued at 40 ms -> 20 ms window whose
         // following traffic is P2's 64 MB.
-        let records = vec![
+        let records = Shifted::from(vec![
             record(ParallelismAxis::Data, 0, 0, 20, 957, 0),
             record(ParallelismAxis::Pipeline, 40, 41, 45, 64, 0),
-        ];
+        ]);
         let windows = windows_on_rail(&records, RailId(0));
         assert_eq!(windows.len(), 1);
         let w = &windows[0];
@@ -261,10 +277,10 @@ mod tests {
 
     #[test]
     fn overlapping_phases_leave_no_window() {
-        let records = vec![
+        let records = Shifted::from(vec![
             record(ParallelismAxis::Data, 0, 0, 50, 100, 0),
             record(ParallelismAxis::Pipeline, 30, 30, 60, 64, 0),
-        ];
+        ]);
         assert!(windows_on_rail(&records, RailId(0)).is_empty());
     }
 
@@ -273,23 +289,23 @@ mod tests {
         // The PP op is issued at 30 ms but only starts at 55 ms because of a circuit
         // wait; the window must be measured to the *issue* time (the application's
         // intrinsic gap), i.e. 10 ms.
-        let records = vec![
+        let records = Shifted::from(vec![
             record(ParallelismAxis::Data, 0, 0, 20, 100, 0),
             record(ParallelismAxis::Pipeline, 30, 55, 60, 64, 0),
-        ];
+        ]);
         let windows = windows_on_rail(&records, RailId(0));
         assert_eq!(windows[0].duration, SimDuration::from_millis(10));
     }
 
     #[test]
     fn single_pass_multi_rail_extraction_matches_per_rail() {
-        let records = vec![
+        let records = Shifted::from(vec![
             record(ParallelismAxis::Data, 0, 0, 20, 957, 0),
             record(ParallelismAxis::Pipeline, 40, 41, 45, 64, 0),
             record(ParallelismAxis::Data, 5, 5, 25, 100, 1),
             record(ParallelismAxis::Pipeline, 60, 60, 70, 64, 1),
             record(ParallelismAxis::Data, 90, 90, 95, 50, 1),
-        ];
+        ]);
         let rails = [RailId(0), RailId(1), RailId(2), RailId(0)];
         let by_rail = phases_by_rail(&records, &rails);
         assert_eq!(by_rail.len(), 4);
@@ -303,7 +319,7 @@ mod tests {
                 iteration_time: SimDuration::from_millis(100),
                 started_at: SimTime::ZERO,
                 comm_records: records.clone(),
-                reconfig_events: vec![],
+                reconfig_events: Vec::new().into(),
                 total_circuit_wait: SimDuration::ZERO,
             }],
             &rails,
@@ -316,22 +332,51 @@ mod tests {
     }
 
     #[test]
-    fn other_rails_are_ignored() {
+    fn shared_records_yield_the_phases_and_windows_of_their_shifted_copies() {
+        use crate::metrics::Shift;
+        let by = SimDuration::from_millis(250);
         let records = vec![
+            record(ParallelismAxis::Data, 0, 0, 20, 957, 0),
+            record(ParallelismAxis::Pipeline, 40, 41, 45, 64, 0),
+            record(ParallelismAxis::Data, 5, 5, 25, 100, 1),
+            record(ParallelismAxis::Pipeline, 60, 60, 70, 64, 1),
+        ];
+        let owned = Shifted::from(records.iter().map(|r| r.shifted(by)).collect::<Vec<_>>());
+        let shared = Shifted::from(records).shifted(by);
+        let rails = [RailId(0), RailId(1)];
+        assert_eq!(
+            phases_by_rail(&shared, &rails),
+            phases_by_rail(&owned, &rails)
+        );
+        for rail in rails {
+            assert_eq!(phases_on_rail(&shared, rail), phases_on_rail(&owned, rail));
+            assert_eq!(
+                windows_on_rail(&shared, rail),
+                windows_on_rail(&owned, rail)
+            );
+        }
+        let w = &windows_on_rail(&shared, RailId(0))[0];
+        assert_eq!(w.opens, SimTime::from_millis(270));
+        assert_eq!(w.duration, SimDuration::from_millis(20));
+    }
+
+    #[test]
+    fn other_rails_are_ignored() {
+        let records = Shifted::from(vec![
             record(ParallelismAxis::Data, 0, 0, 20, 100, 0),
             record(ParallelismAxis::Pipeline, 40, 40, 50, 64, 1),
-        ];
+        ]);
         assert!(windows_on_rail(&records, RailId(0)).is_empty());
         assert_eq!(phases_on_rail(&records, RailId(1)).len(), 1);
     }
 
     #[test]
     fn cdf_and_bucketing() {
-        let records = vec![
+        let records = Shifted::from(vec![
             record(ParallelismAxis::Data, 0, 0, 20, 3829, 0),
             record(ParallelismAxis::Pipeline, 120, 120, 130, 64, 0),
             record(ParallelismAxis::Data, 135, 135, 150, 957, 0),
-        ];
+        ]);
         let windows = windows_on_rail(&records, RailId(0));
         assert_eq!(windows.len(), 2);
         let cdf = window_cdf(&windows);
