@@ -1524,12 +1524,17 @@ impl ScenarioSim {
         for tied in comm_records.chunk_by_mut(|a, b| a.issued_at == b.issued_at) {
             tied.sort_unstable_by_key(|r| r.task);
         }
+        // The events are wrapped before the records. Either order gives the same
+        // result, but this one measured a steadier glibc heap across back-to-back
+        // runs in one process, which the next run's set-up reuses (see "Shared
+        // fast-forward records" in EXPERIMENTS.md).
+        let reconfig_events = std::mem::take(&mut ctx.reconfig_events).into();
         let result = IterationResult {
             iteration: ctx.iteration,
             iteration_time: end.duration_since(start),
             started_at: start,
             comm_records: comm_records.into(),
-            reconfig_events: std::mem::take(&mut ctx.reconfig_events).into(),
+            reconfig_events,
             total_circuit_wait: ctx.total_circuit_wait,
         };
         ctx.total_circuit_wait = SimDuration::ZERO;
