@@ -6,7 +6,7 @@ use opus::{CircuitPlanner, OpusController};
 use railsim_bench::paper_cluster;
 use railsim_collectives::{CommGroup, GroupId, ParallelismAxis};
 use railsim_sim::{SimDuration, SimTime};
-use railsim_topology::{GpuId, OpticalRailFabric};
+use railsim_topology::{GpuId, OpticalRailFabric, PortGeometry};
 
 fn bench_controller(c: &mut Criterion) {
     let cluster = paper_cluster();
@@ -20,6 +20,11 @@ fn bench_controller(c: &mut Criterion) {
     );
     let dp_circuits = planner.plan(&cluster, &dp);
     let pp_circuits = planner.plan(&cluster, &pp);
+    // The hot reads take each group's circuits prepared once, as the simulator does.
+    let geometry = PortGeometry::of(&cluster);
+    let (mut dp_plan, mut pp_plan) = (Vec::new(), Vec::new());
+    dp_circuits.resolve_into(geometry, &mut dp_plan);
+    pp_circuits.resolve_into(geometry, &mut pp_plan);
 
     c.bench_function("controller_alternating_requests_1k", |b| {
         b.iter(|| {
@@ -27,13 +32,13 @@ fn bench_controller(c: &mut Criterion) {
             let mut controller = OpusController::new(fabric);
             let mut now = SimTime::ZERO;
             for i in 0..1000u64 {
-                let (group, circuits) = if i % 2 == 0 {
-                    (dp.id, &dp_circuits)
+                let (group, circuits, plan) = if i % 2 == 0 {
+                    (dp.id, &dp_circuits, &dp_plan)
                 } else {
-                    (pp.id, &pp_circuits)
+                    (pp.id, &pp_circuits, &pp_plan)
                 };
                 let ready = controller.request(0, group, circuits, now);
-                controller.occupy(0, circuits, ready + SimDuration::from_millis(1));
+                controller.occupy(0, plan, ready + SimDuration::from_millis(1));
                 now = ready + SimDuration::from_millis(1);
             }
             black_box(controller.events().len())

@@ -19,9 +19,9 @@
 //! planning a ring with only the pairs its port budget can realize.
 
 use railsim_collectives::{ring::ring_neighbor_pairs, CommGroup, RailStriper};
-use railsim_topology::RailSet;
 use railsim_topology::{
-    Circuit, CircuitConfig, Cluster, CommPath, GpuId, PathKind, PortId, RailId,
+    Circuit, CircuitConfig, Cluster, CommPath, DenseCircuit, GpuId, PathKind, PortGeometry, PortId,
+    RailId, RailSet,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -55,10 +55,18 @@ impl GroupCircuits {
         self.per_rail.keys().copied().collect()
     }
 
-    /// The rails this group needs, as a compact set (no allocation — this is
-    /// the per-record hot path).
+    /// The rails this group needs, as a compact set.
     pub fn rail_set(&self) -> RailSet {
         self.per_rail.keys().copied().collect()
+    }
+
+    /// Appends the group's circuits to `out`, rail by rail in ascending rail order,
+    /// each resolved against `geometry`: the prepared plan the controller's hot reads
+    /// take (see [`crate::controller`]).
+    pub fn resolve_into(&self, geometry: PortGeometry, out: &mut Vec<DenseCircuit>) {
+        for (&rail, config) in &self.per_rail {
+            out.extend(config.circuits().iter().map(|&c| geometry.resolve(rail, c)));
+        }
     }
 }
 

@@ -12,13 +12,29 @@
 //!
 //! The controller also keeps the per-port occupancy bookkeeping the conflict check
 //! needs, and a log of [`ReconfigEvent`]s for the experiment harness.
+//!
+//! ## Hot reads and cold requests
+//!
+//! Every scale-out transfer reads the controller: is its group's configuration
+//! installed and when is it ready ([`OpusController::installed_ready_time`]), and
+//! which ports does it hold until when ([`OpusController::occupy`], plus
+//! [`OpusController::ports_free`] for a provisioned request). These reads take the
+//! group's circuits *prepared*: resolved once, with
+//! [`PortGeometry::resolve`](railsim_topology::PortGeometry::resolve), to the
+//! [`DenseCircuit`]s that index each OCS's matching tables and the per-rail
+//! occupancy tables directly, so a read is one pass over a slice. The calls that
+//! change the fabric — [`OpusController::request`], [`OpusController::withdraw`] and
+//! the memo's replay installs — happen once per reconfiguration, not once per
+//! transfer, and take the group's [`GroupCircuits`] or one rail's [`CircuitConfig`].
 
 use crate::circuits::GroupCircuits;
 use crate::config::EvictionPolicy;
 use crate::metrics::ReconfigEvent;
 use railsim_collectives::GroupId;
 use railsim_sim::{SimDuration, SimTime};
-use railsim_topology::{Circuit, CircuitConfig, OpticalRailFabric, RailId};
+use railsim_topology::{
+    Circuit, CircuitConfig, DenseCircuit, OpticalRailFabric, PortGeometry, RailId, RailPort,
+};
 
 /// Sentinel tenant id: the port's current hold was not placed by a tenant-tagged
 /// transfer (or the port was never busy). Untagged holds are never evictable.
@@ -61,21 +77,18 @@ fn normalized(value: SimTime, at: SimTime, lookback: SimDuration) -> u64 {
 /// The Opus controller: rail OCSes plus occupancy tracking and the reconfiguration log.
 ///
 /// All per-port and per-rail bookkeeping is *dense* — `Vec`s pre-sized from the
-/// fabric's geometry and indexed by
-/// [`PortId::rail_dense_index`](railsim_topology::PortId::rail_dense_index) / rail
-/// index. The occupancy map is touched on every scale-out communication event (the
+/// fabric's [`PortGeometry`] and indexed by a port's [`RailPort`] slot / rail index.
+/// The occupancy map is touched on every scale-out communication event (the
 /// profiled hot path of the 10k-GPU runs), so it must not hash; it is segmented by
 /// rail, one dense table per rail.
 #[derive(Debug, Clone)]
 pub struct OpusController {
     fabric: OpticalRailFabric,
     /// Until when each port is carrying traffic (conflict avoidance): one dense table
-    /// per rail of `num_nodes * ports_per_gpu` entries, indexed by
-    /// [`PortId::rail_dense_index`](railsim_topology::PortId::rail_dense_index).
-    /// `SimTime::ZERO` means "never been busy".
+    /// per rail of `num_nodes * ports_per_gpu` entries, indexed by the port's
+    /// [`RailPort`]. `SimTime::ZERO` means "never been busy".
     port_busy: Vec<Vec<SimTime>>,
-    num_rails: u32,
-    ports_per_gpu: u8,
+    geometry: PortGeometry,
     events: Vec<ReconfigEvent>,
     requests: u64,
     noop_requests: u64,
@@ -107,15 +120,12 @@ impl OpusController {
     /// Creates a controller owning the given photonic fabric. Dense occupancy and
     /// per-rail counters are pre-sized from the fabric's cluster geometry.
     pub fn new(fabric: OpticalRailFabric) -> Self {
-        let dense_ports = fabric.dense_port_count();
-        let num_rails = fabric.num_rails();
-        let ports_per_gpu = fabric.ports_per_gpu();
-        let per_rail_ports = dense_ports / num_rails.max(1);
+        let geometry = fabric.geometry();
+        let num_rails = geometry.num_rails();
         OpusController {
             fabric,
-            port_busy: vec![vec![SimTime::ZERO; per_rail_ports]; num_rails],
-            num_rails: num_rails as u32,
-            ports_per_gpu,
+            port_busy: vec![vec![SimTime::ZERO; geometry.ports_per_rail()]; num_rails],
+            geometry,
             events: Vec::new(),
             requests: 0,
             noop_requests: 0,
@@ -207,17 +217,14 @@ impl OpusController {
         self.noop_requests
     }
 
-    /// The time at which every circuit of the group is ready, or `None` when any rail
-    /// is missing part of the configuration. A pure O(circuits in the group) read: a
-    /// `Some` answer is exactly what a no-op [`OpusController::request`] would
-    /// resolve to, so the simulator uses it as the request's fast path (pair it with
+    /// The time at which every circuit of a group's prepared plan (see the module
+    /// docs) is ready, or `None` when any rail is missing part of the configuration.
+    /// A pure O(circuits in the group) read: a `Some` answer is exactly what a no-op
+    /// [`OpusController::request`] for the group would resolve to, so the simulator
+    /// uses it as the request's fast path (pair it with
     /// [`OpusController::note_noop_request`]).
-    pub fn installed_ready_time(&self, circuits: &GroupCircuits) -> Option<SimTime> {
-        let mut ready = SimTime::ZERO;
-        for (rail, config) in &circuits.per_rail {
-            ready = ready.max(self.fabric.ocs(*rail).installed_ready(config)?);
-        }
-        Some(ready)
+    pub fn installed_ready_time(&self, plan: &[DenseCircuit]) -> Option<SimTime> {
+        self.fabric.installed_ready(plan)
     }
 
     /// Accounts for a request that [`OpusController::installed_ready_time`] resolved
@@ -304,8 +311,8 @@ impl OpusController {
                 // Conflict avoidance: wait for ongoing traffic on the affected ports.
                 let mut free = requested_at;
                 for port in config.ports() {
-                    let (r, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                    free = free.max(self.port_busy[r][idx]);
+                    let RailPort { rail, index } = self.geometry.rail_port(port);
+                    free = free.max(self.port_busy[rail as usize][index as usize]);
                 }
                 free
             };
@@ -371,14 +378,14 @@ impl OpusController {
         let r = rail.index();
         let mut start = requested_at;
         for port in config.ports() {
-            let (_, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
+            let idx = self.geometry.rail_port(port).index as usize;
             if !self.evictable(tenant, r, idx) {
                 start = start.max(self.port_busy[r][idx]);
             }
         }
         let mut evicted = false;
         for port in config.ports() {
-            let (_, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
+            let idx = self.geometry.rail_port(port).index as usize;
             if self.port_busy[r][idx] > start {
                 // Only evictable holds can still extend past `start`.
                 debug_assert!(self.evictable(tenant, r, idx));
@@ -396,16 +403,16 @@ impl OpusController {
         start
     }
 
-    /// The earliest time at or after which every port of `circuits` that `tenant`
-    /// would actually have to *wait* for is free of traffic. With tenancy off that is
-    /// every port; under an evicting policy the holds it lets the tenant displace are
-    /// skipped. Used to back-date provisioned requests, so a tenant that can evict
-    /// issues its speculative request as early as eviction would allow.
-    pub fn ports_free(&self, tenant: u32, circuits: &GroupCircuits) -> SimTime {
+    /// The earliest time at or after which every port of a group's prepared plan that
+    /// `tenant` would actually have to *wait* for is free of traffic. With tenancy off
+    /// that is every port; under an evicting policy the holds it lets the tenant
+    /// displace are skipped. Used to back-date provisioned requests, so a tenant that
+    /// can evict issues its speculative request as early as eviction would allow.
+    pub fn ports_free(&self, tenant: u32, plan: &[DenseCircuit]) -> SimTime {
         let mut free = SimTime::ZERO;
-        for config in circuits.per_rail.values() {
-            for port in config.ports() {
-                let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
+        for circuit in plan {
+            for RailPort { rail, index } in circuit.ports() {
+                let (rail, idx) = (rail as usize, index as usize);
                 if !self.evictable(tenant, rail, idx) {
                     free = free.max(self.port_busy[rail][idx]);
                 }
@@ -492,7 +499,7 @@ impl OpusController {
     /// `reconfig_latency`; see [`FabricState`]. Two boundaries with equal states
     /// answer every later read identically, up to the shift between them.
     pub(crate) fn boundary_state(&self, at: SimTime, reconfig_latency: SimDuration) -> FabricState {
-        let circuits = (0..self.num_rails)
+        let circuits = (0..self.geometry.num_rails() as u32)
             .map(|r| {
                 let ocs = self.fabric.ocs(RailId(r));
                 let lookback = reconfig_latency.saturating_sub(ocs.reconfig_delay());
@@ -522,16 +529,16 @@ impl OpusController {
         &self.port_busy
     }
 
-    /// Records that `tenant`'s traffic holds the group's circuits until `until`,
-    /// blocking any conflicting reconfiguration before then. Occupancy is a
-    /// max-merge. Under an evicting policy each port whose hold this transfer extends
-    /// (or establishes) is also stamped with `tenant`, so a later contender knows
-    /// whose traffic it would displace.
-    pub fn occupy(&mut self, tenant: u32, circuits: &GroupCircuits, until: SimTime) {
+    /// Records that `tenant`'s traffic holds the ports of a group's prepared plan
+    /// until `until`, blocking any conflicting reconfiguration before then. Occupancy
+    /// is a max-merge. Under an evicting policy each port whose hold this transfer
+    /// extends (or establishes) is also stamped with `tenant`, so a later contender
+    /// knows whose traffic it would displace.
+    pub fn occupy(&mut self, tenant: u32, plan: &[DenseCircuit], until: SimTime) {
         let active = self.tenancy_active();
-        for config in circuits.per_rail.values() {
-            for port in config.ports() {
-                let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
+        for circuit in plan {
+            for RailPort { rail, index } in circuit.ports() {
+                let (rail, idx) = (rail as usize, index as usize);
                 let slot = &mut self.port_busy[rail][idx];
                 if active && until >= *slot {
                     self.port_tenant[rail][idx] = tenant;
@@ -549,13 +556,20 @@ mod tests {
     use proptest::prelude::*;
     use railsim_collectives::{CommGroup, ParallelismAxis};
     use railsim_sim::SimDuration;
-    use railsim_topology::{Cluster, ClusterSpec, GpuId, NodePreset};
+    use railsim_topology::{Cluster, ClusterSpec, GpuId, NicConfig, NodePreset, PortId};
 
     fn setup() -> (Cluster, OpusController, CircuitPlanner) {
         let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
         let fabric = OpticalRailFabric::for_cluster(&cluster, SimDuration::from_millis(25));
         let planner = CircuitPlanner::for_cluster(&cluster);
         (cluster, OpusController::new(fabric), planner)
+    }
+
+    /// `circuits` prepared against the controller's fabric, as the hot reads take them.
+    fn plan(ctrl: &OpusController, circuits: &GroupCircuits) -> Vec<DenseCircuit> {
+        let mut plan = Vec::new();
+        circuits.resolve_into(ctrl.fabric().geometry(), &mut plan);
+        plan
     }
 
     fn dp_group(id: u32, ranks: &[u32]) -> CommGroup {
@@ -586,7 +600,7 @@ mod tests {
         assert_eq!(ready, SimTime::from_millis(200));
         assert_eq!(ctrl.events().len(), 1);
         assert_eq!(ctrl.noop_requests(), 1);
-        assert!(ctrl.installed_ready_time(&circuits).is_some());
+        assert!(ctrl.installed_ready_time(&plan(&ctrl, &circuits)).is_some());
     }
 
     #[test]
@@ -604,7 +618,7 @@ mod tests {
 
         ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
         // DP traffic occupies its circuit until t = 300 ms.
-        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
+        ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // A PP request at t = 150 ms must wait for the DP traffic to finish before the
         // switch can tear the shared port's circuit down, then pay the 25 ms delay.
         let ready = ctrl.request(0, pp.id, &pp_circuits, SimTime::from_millis(150));
@@ -622,7 +636,7 @@ mod tests {
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
         ctrl.request(0, a.id, &ca, SimTime::ZERO);
-        ctrl.occupy(0, &ca, SimTime::from_secs(10));
+        ctrl.occupy(0, &plan(&ctrl, &ca), SimTime::from_secs(10));
         let ready = ctrl.request(0, b.id, &cb, SimTime::from_millis(50));
         assert_eq!(
             ready,
@@ -654,17 +668,23 @@ mod tests {
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
         // Nothing installed yet: no fast-path ready time.
-        assert_eq!(ctrl.installed_ready_time(&circuits), None);
+        assert_eq!(ctrl.installed_ready_time(&plan(&ctrl, &circuits)), None);
 
         let ready = ctrl.request(0, group.id, &circuits, SimTime::ZERO);
         // The pure read now answers exactly what a no-op request would return.
-        assert_eq!(ctrl.installed_ready_time(&circuits), Some(ready));
+        assert_eq!(
+            ctrl.installed_ready_time(&plan(&ctrl, &circuits)),
+            Some(ready)
+        );
         let later = SimTime::from_millis(500);
         assert_eq!(ctrl.request(0, group.id, &circuits, later), later);
 
         // Occupancy never changes an installed configuration's ready time.
-        ctrl.occupy(0, &circuits, SimTime::from_secs(10));
-        assert_eq!(ctrl.installed_ready_time(&circuits), Some(ready));
+        ctrl.occupy(0, &plan(&ctrl, &circuits), SimTime::from_secs(10));
+        assert_eq!(
+            ctrl.installed_ready_time(&plan(&ctrl, &circuits)),
+            Some(ready)
+        );
 
         let before = (ctrl.requests(), ctrl.noop_requests());
         ctrl.note_noop_request();
@@ -680,7 +700,7 @@ mod tests {
         );
         let pp_circuits = planner.plan(&cluster, &pp);
         ctrl.request(0, pp.id, &pp_circuits, SimTime::from_secs(20));
-        assert_eq!(ctrl.installed_ready_time(&circuits), None);
+        assert_eq!(ctrl.installed_ready_time(&plan(&ctrl, &circuits)), None);
     }
 
     #[test]
@@ -695,13 +715,13 @@ mod tests {
         let removed = ctrl.withdraw(&ca);
         assert!(removed > 0, "group a held circuits");
         assert!(
-            ctrl.installed_ready_time(&cb).is_some(),
+            ctrl.installed_ready_time(&plan(&ctrl, &cb)).is_some(),
             "group b's circuits survive"
         );
-        assert_eq!(ctrl.installed_ready_time(&ca), None);
+        assert_eq!(ctrl.installed_ready_time(&plan(&ctrl, &ca)), None);
         // Withdrawing again is a free no-op.
         assert_eq!(ctrl.withdraw(&ca), 0);
-        assert!(ctrl.installed_ready_time(&cb).is_some());
+        assert!(ctrl.installed_ready_time(&plan(&ctrl, &cb)).is_some());
     }
 
     #[test]
@@ -718,7 +738,7 @@ mod tests {
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
         ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
-        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
+        ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // Tenant 1 does not wait for tenant 0's hold: start at 150, ready at 175.
         let ready = ctrl.request(1, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(175));
@@ -727,7 +747,7 @@ mod tests {
         assert!(ctrl.circuits_evicted_by_rail()[0] > 0);
         // Tenant 1's own hold is never evicted by tenant 1: a second tenant-1 group
         // on the same port waits the full FC-FS way.
-        ctrl.occupy(1, &pp_circuits, SimTime::from_millis(400));
+        ctrl.occupy(1, &plan(&ctrl, &pp_circuits), SimTime::from_millis(400));
         let own = CommGroup::new(
             railsim_collectives::GroupId(3),
             ParallelismAxis::Data,
@@ -751,10 +771,13 @@ mod tests {
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
         ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
-        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
+        ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // Equal waits (both zero): tenant 1 may not evict and waits like FC-FS, so a
         // provisioned request could not be back-dated past the hold either.
-        assert_eq!(ctrl.ports_free(1, &pp_circuits), SimTime::from_millis(300));
+        assert_eq!(
+            ctrl.ports_free(1, &plan(&ctrl, &pp_circuits)),
+            SimTime::from_millis(300)
+        );
         let ready = ctrl.request(1, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(325));
         assert_eq!(ctrl.evictions_inflicted_by(1), 0);
@@ -765,7 +788,7 @@ mod tests {
         );
         // Now tenant 0 re-takes the port and holds it; tenant 1 has waited more, so
         // its next (circuit-changing) request displaces the hold instead of waiting.
-        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(900));
+        ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(900));
         let other = CommGroup::new(
             railsim_collectives::GroupId(3),
             ParallelismAxis::Data,
@@ -773,12 +796,12 @@ mod tests {
         );
         let other_circuits = planner.plan(&cluster, &other);
         assert_eq!(
-            ctrl.ports_free(1, &other_circuits),
+            ctrl.ports_free(1, &plan(&ctrl, &other_circuits)),
             SimTime::ZERO,
             "the longer waiter's back-dating skips the evictable hold"
         );
         assert_eq!(
-            ctrl.ports_free(0, &other_circuits),
+            ctrl.ports_free(0, &plan(&ctrl, &other_circuits)),
             SimTime::from_millis(900),
             "a tenant never skips its own hold"
         );
@@ -815,7 +838,7 @@ mod tests {
             ctrl.request(0, group.id, &circuits, start),
             SimTime::from_micros(ready)
         );
-        ctrl.occupy(0, &circuits, SimTime::from_micros(busy));
+        ctrl.occupy(0, &plan(&ctrl, &circuits), SimTime::from_micros(busy));
         ctrl.boundary_state(SimTime::from_micros(at), lat)
     }
 
@@ -850,6 +873,120 @@ mod tests {
             let ready = ready_horizon + 1 + a % 10_000;
             let earlier = ready - 1 - b % (ready - delay);
             prop_assert!(state(ready, 0) != state(earlier, 0));
+        }
+    }
+
+    /// The per-port semantics the hot reads had before they took a prepared plan:
+    /// the group's `BTreeMap` walked rail by rail, each port's slot recomputed.
+    fn per_port_slot(ctrl: &OpusController, port: PortId) -> (usize, usize) {
+        let fabric = ctrl.fabric();
+        port.rail_dense_index(fabric.num_rails() as u32, fabric.ports_per_gpu())
+    }
+
+    fn per_port_ready(ctrl: &OpusController, circuits: &GroupCircuits) -> Option<SimTime> {
+        let mut ready = SimTime::ZERO;
+        for (rail, config) in &circuits.per_rail {
+            ready = ready.max(ctrl.fabric().ocs(*rail).installed_ready(config)?);
+        }
+        Some(ready)
+    }
+
+    fn per_port_free(ctrl: &OpusController, tenant: u32, circuits: &GroupCircuits) -> SimTime {
+        let mut free = SimTime::ZERO;
+        for port in circuits.per_rail.values().flat_map(CircuitConfig::ports) {
+            let (rail, idx) = per_port_slot(ctrl, port);
+            if !ctrl.evictable(tenant, rail, idx) {
+                free = free.max(ctrl.port_busy[rail][idx]);
+            }
+        }
+        free
+    }
+
+    fn per_port_occupy(
+        ctrl: &mut OpusController,
+        tenant: u32,
+        circuits: &GroupCircuits,
+        until: SimTime,
+    ) {
+        let active = ctrl.tenancy_active();
+        for port in circuits.per_rail.values().flat_map(CircuitConfig::ports) {
+            let (rail, idx) = per_port_slot(ctrl, port);
+            let slot = &mut ctrl.port_busy[rail][idx];
+            if active && until >= *slot {
+                ctrl.port_tenant[rail][idx] = tenant;
+            }
+            *slot = (*slot).max(until);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn plan_reads_match_the_per_port_reads(
+            fair_share in 0u8..2,
+            dual_port in 0u8..2,
+            groups in proptest::collection::vec(proptest::collection::vec(0u32..16, 2..6), 1..5),
+            ops in proptest::collection::vec((0u8..4, 0u32..2, 0usize..4, 0u64..8), 1..60),
+        ) {
+            // Two controllers over the same testbed take the same operations: one
+            // reads and writes through prepared plans, the other through the
+            // per-port walk. Requests (the cold path) go to both unchanged. Times
+            // are coarse, so busy ends often tie.
+            let mut spec = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4);
+            if dual_port == 1 {
+                spec = spec.with_nic(NicConfig::slingshot11_dual());
+            }
+            let cluster = spec.build();
+            let planner = CircuitPlanner::for_cluster(&cluster);
+            let fabric = || OpticalRailFabric::for_cluster(&cluster, SimDuration::from_millis(1));
+            let (mut by_plan, mut by_port) = (OpusController::new(fabric()), OpusController::new(fabric()));
+            if fair_share == 1 {
+                by_plan.set_eviction(EvictionPolicy::FairShare, 2);
+                by_port.set_eviction(EvictionPolicy::FairShare, 2);
+            }
+            let groups: Vec<(GroupId, GroupCircuits)> = groups
+                .iter()
+                .enumerate()
+                .map(|(i, ranks)| {
+                    let mut members: Vec<u32> = Vec::new();
+                    for &r in ranks {
+                        if !members.contains(&r) {
+                            members.push(r);
+                        }
+                    }
+                    let group = dp_group(i as u32, &members);
+                    (group.id, planner.plan(&cluster, &group))
+                })
+                .collect();
+            let plans: Vec<Vec<DenseCircuit>> =
+                groups.iter().map(|(_, circuits)| plan(&by_plan, circuits)).collect();
+            let mut now = SimTime::ZERO;
+            for (op, tenant, g, dt) in ops {
+                let g = g % groups.len();
+                let (group, circuits) = &groups[g];
+                now += SimDuration::from_micros(100 * dt);
+                match op {
+                    0 => prop_assert_eq!(
+                        by_plan.request(tenant, *group, circuits, now),
+                        by_port.request(tenant, *group, circuits, now)
+                    ),
+                    1 => {
+                        let until = now + SimDuration::from_micros(100 * (1 + dt % 3));
+                        by_plan.occupy(tenant, &plans[g], until);
+                        per_port_occupy(&mut by_port, tenant, circuits, until);
+                    }
+                    2 => prop_assert_eq!(
+                        by_plan.ports_free(tenant, &plans[g]),
+                        per_port_free(&by_port, tenant, circuits)
+                    ),
+                    _ => prop_assert_eq!(
+                        by_plan.installed_ready_time(&plans[g]),
+                        per_port_ready(&by_port, circuits)
+                    ),
+                }
+                prop_assert_eq!(&by_plan.port_busy, &by_port.port_busy);
+                prop_assert_eq!(&by_plan.port_tenant, &by_port.port_tenant);
+                prop_assert_eq!(by_plan.events(), by_port.events());
+            }
         }
     }
 

@@ -520,8 +520,11 @@ pub struct SweepReport {
 ///
 /// Construction-cached assets — the cluster and the registered DAG templates — are
 /// shared immutably (`Arc`) across every variant of every sweep, so workers never
-/// rebuild them; a worker's only per-variant cost is the cluster clone the engine
-/// mutates during simulation. See the [module docs](self) for the full picture.
+/// rebuild them. Each variant's scenario gets its own copy of the cluster, which
+/// only wraps a `ClusterSpec` and which no run mutates. What a worker pays per
+/// variant is the scenario's set-up — circuit-slot planning, DAG validation, and a
+/// rebase of the rank-bearing task columns when the placement shifts the job —
+/// and then the run. See the [module docs](self) for the full picture.
 pub struct FleetService {
     cluster: Arc<Cluster>,
     templates: Mutex<HashMap<String, Arc<TrainingDag>>>,

@@ -40,18 +40,26 @@
 //!    (the paper's `T_comm_start` — the slowest rank has joined).
 //! 2. Its circuit demand is its group's slot in the job's circuit pool, the circuit
 //!    lookup table of Fig. 6: each group is planned once, when the job is built.
+//!    Each slot carries a *prepared plan*: the rails its circuits use, the circuits
+//!    resolved to the fabric's dense tables
+//!    ([`PortGeometry::resolve`](railsim_topology::PortGeometry::resolve)), and the
+//!    α–β duration of every step the slot serves, host offload and a degraded
+//!    plan's derated bandwidth included. A transfer reads only its slot's plan and
+//!    its step's price. The plans are prepared when the job is built and again
+//!    after every replan swap, so a degraded slot reads a plan like any other.
 //!    Scale-up traffic (TP) skips straight to the transfer, and on electrical rails a
 //!    scale-out transfer only pays the switch's [`ELECTRICAL_SWITCH_LATENCY`].
 //! 3. On photonic rails the job asks the controller for the group's circuits. If the
-//!    demand matrix did not change the request is free; otherwise the controller waits
+//!    demand matrix did not change the request is free: the controller reads the
+//!    plan's circuits straight off the OCS tables. Otherwise the controller waits
 //!    for conflicting traffic to drain, reconfigures the OCS, and the transfer starts
 //!    once the circuits settle. With provisioning the request is back-dated to the
 //!    moment the affected circuits went idle, but by no more than one reconfiguration
 //!    latency, hiding the switching delay inside the inter-parallelism window.
 //!    Provisioning starts once iteration 0, the shim's profiling iteration, is over
 //!    and has issued at least one transfer over the rails.
-//! 4. The transfer's duration comes from the α–β collective cost model; its ports are
-//!    marked busy until it completes.
+//! 4. The transfer lasts its step's price; the plan's ports are marked busy until it
+//!    completes.
 //!
 //! ## Execution model
 //!
@@ -132,7 +140,8 @@ use railsim_collectives::{
 };
 use railsim_sim::{Engine, SimDuration, SimRng, SimTime};
 use railsim_topology::{
-    Cluster, GpuId, OpticalRailFabric, RailHealth, RailId, RailSet, ELECTRICAL_SWITCH_LATENCY,
+    Cluster, DenseCircuit, GpuId, OpticalRailFabric, PortGeometry, RailHealth, RailId, RailSet,
+    ELECTRICAL_SWITCH_LATENCY,
 };
 use railsim_workload::{JobId, LabelId, Position, Step, TaskKind, TrainingDag};
 use serde::Serialize;
@@ -489,18 +498,51 @@ enum SimEvent {
     FastForward(u16),
 }
 
-/// One deduplicated circuit-demand entry: every task of a communication group shares
-/// this slot instead of owning a `GroupCircuits` clone (at 100k GPUs the per-task
-/// clones — a `BTreeMap` of circuit vectors each — dominated the simulator footprint).
+/// One deduplicated circuit-demand entry, the job's Fig. 6 lookup entry: every task
+/// of a communication group shares this slot instead of owning a `GroupCircuits`
+/// clone (at 100k GPUs the per-task clones — a `BTreeMap` of circuit vectors each —
+/// dominated the simulator footprint).
 struct CircuitSlot {
     group: GroupId,
     /// Member count of the group (collective cost-model input).
     group_size: u32,
+    /// The live circuit plan. Requests, withdrawals and replay installs read it;
+    /// a transfer reads `plan`, prepared from it.
     circuits: GroupCircuits,
     /// The undegraded plan, stashed while `circuits` holds a replan-degraded plan
     /// (`None` whenever the live plan *is* the pristine plan). Boxed so the common
     /// healthy case costs one pointer, not a second `GroupCircuits`.
     pristine: Option<Box<GroupCircuits>>,
+    /// The transfer plan prepared from `circuits` (see [`JobContext::prepare_plans`]).
+    plan: SlotPlan,
+}
+
+/// What a transfer through a [`CircuitSlot`] reads of it, prepared from the slot's
+/// live circuits. The prices of the steps the slot serves sit in the job's
+/// [`StepPrice`] table, and its circuits in the job's dense table.
+#[derive(Clone, Copy, Default)]
+struct SlotPlan {
+    /// The rails the live circuits use: the transfer's record rails, busy-time rails
+    /// and outage-gated rails.
+    rails: RailSet,
+    /// The live circuits resolved to the fabric's dense tables:
+    /// `dense_circuits[start..end]` of the job, the plan the controller reads.
+    start: u32,
+    end: u32,
+}
+
+/// One communication step a slot serves, priced under the slot's live plan: every
+/// task with this step and slot shares the entry.
+#[derive(Clone, Copy)]
+struct StepPrice {
+    /// The `circuit_pool` slot.
+    slot: u32,
+    /// The step, which keys the entry within its slot.
+    step: Step,
+    /// The step's α–β duration under the slot's live plan.
+    duration: SimDuration,
+    /// The step bypasses the rails over the host network.
+    offloaded: bool,
 }
 
 impl CircuitSlot {
@@ -513,9 +555,40 @@ impl CircuitSlot {
             None => params,
         }
     }
+
+    /// The α–β duration of communication `step` through this slot under its live
+    /// plan, and whether the step bypasses the rails over the host network.
+    fn price(&self, config: &OpusConfig, cluster: &Cluster, step: Step) -> (SimDuration, bool) {
+        let (kind, bytes, group_size) = match step {
+            Step::Collective { kind, bytes, .. } => (kind, bytes, self.group_size as usize),
+            Step::PointToPoint { bytes, .. } => (CollectiveKind::SendRecv, bytes, 2),
+            Step::Compute(_) => unreachable!("only communication steps have a price"),
+        };
+        let scaleout = !self.circuits.is_scaleup_only();
+        // §5 extension: small, bursty collectives can bypass the optical rails and run
+        // over the host packet-switched network instead of triggering
+        // reconfigurations.
+        let offloaded = scaleout && config.host_offload.is_some_and(|h| bytes <= h.threshold);
+        let params = if offloaded {
+            let h = config.host_offload.expect("offloaded implies configured");
+            CostParams::new(h.alpha, h.bandwidth)
+        } else if scaleout {
+            // The paper's Fig. 8 assumes equal bandwidth on electrical and optical
+            // rails, so both policies see the full NIC bandwidth once connectivity
+            // exists.
+            self.adjust_params(CostParams::new(
+                config.scaleout_alpha,
+                cluster.spec().nic.total_bandwidth,
+            ))
+        } else {
+            CostParams::new(config.scaleup_alpha, cluster.scaleup_bandwidth())
+        };
+        let duration = collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params);
+        (duration, offloaded)
+    }
 }
 
-/// Sentinel slot index for tasks without circuit demand (compute tasks).
+/// Sentinel slot or price index for tasks without circuit demand (compute tasks).
 const NO_SLOT: u32 = u32::MAX;
 
 /// Sentinel for "no job" in the fleet's per-port tenant table.
@@ -684,8 +757,13 @@ struct JobContext {
     circuit_pool: Vec<CircuitSlot>,
     /// The `circuit_pool` slot of each group (the first, for a repeated ad-hoc id).
     slot_of_group: HashMap<GroupId, u32>,
-    /// Per-position index into `circuit_pool` (`NO_SLOT` for compute tasks).
-    task_circuit_slot: Vec<u32>,
+    /// Every slot's live circuits resolved to the fabric's dense tables, slot after
+    /// slot; a slot's [`SlotPlan`] names its range. One allocation for the job.
+    dense_circuits: Vec<DenseCircuit>,
+    /// One entry per `(slot, step)` pair the job's tasks use; see [`StepPrice`].
+    prices: Vec<StepPrice>,
+    /// Per-position index into `prices` (`NO_SLOT` for compute tasks).
+    task_price: Vec<u32>,
     /// What the shim's profile contributes to a run: iteration 0, the profiling
     /// iteration, issued at least one scale-out transfer over the rails. Provisioning
     /// needs it on top of [`OpusConfig::provisioning_active`].
@@ -744,6 +822,86 @@ struct JobContext {
     iter_degraded: bool,
 }
 
+impl JobContext {
+    /// Prepares every slot's [`SlotPlan`] from its live circuits and every
+    /// [`StepPrice`] under it. Runs when the job is built and after every replan swap
+    /// (degrade, re-stripe, restore), so every transfer reads a plan prepared from
+    /// its slot's live circuits, degraded or not.
+    fn prepare_plans(&mut self, geometry: PortGeometry, cluster: &Cluster) {
+        let total = self
+            .circuit_pool
+            .iter()
+            .map(|slot| slot.circuits.total_circuits())
+            .sum();
+        self.dense_circuits.clear();
+        self.dense_circuits.reserve_exact(total);
+        for slot in &mut self.circuit_pool {
+            let start = self.dense_circuits.len() as u32;
+            slot.circuits
+                .resolve_into(geometry, &mut self.dense_circuits);
+            slot.plan = SlotPlan {
+                rails: slot.circuits.rail_set(),
+                start,
+                end: self.dense_circuits.len() as u32,
+            };
+        }
+        for price in &mut self.prices {
+            let slot = &self.circuit_pool[price.slot as usize];
+            (price.duration, price.offloaded) = slot.price(&self.config, cluster, price.step);
+        }
+    }
+}
+
+/// Each slot's plan as `execute_comm` reads it: its rails, its resolved circuits and
+/// the `(step, duration, offloaded)` price of every step it serves.
+#[cfg(test)]
+type PlanView = Vec<(RailSet, Vec<DenseCircuit>, Vec<(Step, SimDuration, bool)>)>;
+
+#[cfg(test)]
+impl JobContext {
+    /// Every slot's live prepared plan.
+    fn slot_plans(&self) -> PlanView {
+        self.circuit_pool
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let circuits =
+                    &self.dense_circuits[slot.plan.start as usize..slot.plan.end as usize];
+                let prices = self
+                    .prices
+                    .iter()
+                    .filter(|t| t.slot == i as u32)
+                    .map(|t| (t.step, t.duration, t.offloaded))
+                    .collect();
+                (slot.plan.rails, circuits.to_vec(), prices)
+            })
+            .collect()
+    }
+
+    /// Every slot's plan prepared afresh from its live circuits.
+    fn fresh_slot_plans(&self, cluster: &Cluster) -> PlanView {
+        let geometry = PortGeometry::of(cluster);
+        self.circuit_pool
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let mut circuits = Vec::new();
+                slot.circuits.resolve_into(geometry, &mut circuits);
+                let prices = self
+                    .prices
+                    .iter()
+                    .filter(|t| t.slot == i as u32)
+                    .map(|t| {
+                        let (duration, offloaded) = slot.price(&self.config, cluster, t.step);
+                        (t.step, duration, offloaded)
+                    })
+                    .collect();
+                (slot.circuits.rail_set(), circuits, prices)
+            })
+            .collect()
+    }
+}
+
 /// Fleet-wide shared state: the controller, rail health and the contention counters.
 struct Fleet {
     /// The controller of the photonic rails (one OCS per rail), shared by every
@@ -755,10 +913,10 @@ struct Fleet {
     faults: bool,
     /// True when the scenario runs more than one job (enables tenant tracking).
     multi_job: bool,
-    /// Last job to transfer over each NIC port (dense index), for tenant-takeover
-    /// accounting. Empty in single-job scenarios.
-    port_owner: Vec<u32>,
-    ports_per_gpu: u8,
+    /// Last job to transfer over each NIC port, for tenant-takeover accounting: one
+    /// table per rail, indexed by the port's
+    /// [`RailPort`](railsim_topology::RailPort) slot. Empty in single-job scenarios.
+    port_owner: Vec<Vec<u32>>,
     rail_busy: Vec<SimDuration>,
     /// Per rail: the latest transfer end seen *per job* (a bounded small map, one
     /// entry per job that ever used the rail, linearly scanned). A single latest-end
@@ -782,13 +940,21 @@ impl Fleet {
         self.rail_busy[rail] = self.rail_busy[rail].saturating_add(busy);
     }
 
-    /// Accounts one scale-out, non-offloaded transfer: its duration joins the busy
-    /// time of every rail it uses and, in multi-job scenarios, it feeds the
-    /// cross-job counters (overlap detection and port-tenant takeovers). With one
-    /// job those counters are structurally zero, and the single-job path is the
-    /// 100k-GPU perf-gated hot path, so it pays for the busy time only.
-    fn note_transfer(&mut self, job: u32, circuits: &GroupCircuits, start: SimTime, end: SimTime) {
-        for (&rail, config) in &circuits.per_rail {
+    /// Accounts one scale-out, non-offloaded transfer over `rails` and the prepared
+    /// `circuits`: its duration joins the busy time of every rail it uses and, in
+    /// multi-job scenarios, it feeds the cross-job counters (overlap detection and
+    /// port-tenant takeovers). With one job those counters are structurally zero,
+    /// and the single-job path is the 100k-GPU perf-gated hot path, so it pays for
+    /// the busy time only.
+    fn note_transfer(
+        &mut self,
+        job: u32,
+        rails: RailSet,
+        circuits: &[DenseCircuit],
+        start: SimTime,
+        end: SimTime,
+    ) {
+        for rail in rails.iter() {
             let i = rail.index();
             self.add_rail_busy(i, end.duration_since(start));
             if !self.multi_job {
@@ -808,9 +974,11 @@ impl Fleet {
                 Some(entry) => entry.1 = entry.1.max(end),
                 None => entries.push((job, end)),
             }
-            for circuit in config.circuits() {
-                for port in [circuit.a(), circuit.b()] {
-                    let slot = &mut self.port_owner[port.dense_index(self.ports_per_gpu)];
+        }
+        if self.multi_job {
+            for circuit in circuits {
+                for port in circuit.ports() {
+                    let slot = &mut self.port_owner[port.rail as usize][port.index as usize];
                     if *slot != NO_JOB && *slot != job {
                         self.port_takeovers += 1;
                     }
@@ -820,21 +988,15 @@ impl Fleet {
         }
     }
 
-    /// The earliest time at or after `now` when every rail `circuits` needs is up.
-    /// Only called when the timeline contains failures.
+    /// The earliest time at or after `now` when every one of `rails` is up. Only
+    /// called when the timeline contains failures.
     ///
     /// # Panics
     /// Panics when a needed rail is down with no scheduled recovery — the job could
     /// never finish, which makes the scenario unsatisfiable.
-    fn outage_gate(
-        &self,
-        circuits: &GroupCircuits,
-        now: SimTime,
-        job: JobId,
-        label: LabelId,
-    ) -> SimTime {
+    fn outage_gate(&self, rails: RailSet, now: SimTime, job: JobId, label: LabelId) -> SimTime {
         let mut gated = now;
-        for &rail in circuits.per_rail.keys() {
+        for rail in rails.iter() {
             if let Some(avail) = self.health.available_from(rail) {
                 assert!(
                     avail != SimTime::MAX,
@@ -894,6 +1056,7 @@ impl ScenarioSim {
             injections.len()
         );
         let gpus_per_node = cluster.gpus_per_node().max(1);
+        let geometry = PortGeometry::of(&cluster);
 
         // Sort the timeline by time (declaration order breaks ties) and precompute
         // every RailDown's scheduled recovery.
@@ -1065,6 +1228,7 @@ impl ScenarioSim {
             }
             let ctx = Self::build_job(
                 &cluster,
+                geometry,
                 JobId(j as u32),
                 gpu_offset,
                 dag,
@@ -1072,7 +1236,6 @@ impl ScenarioSim {
                 arriving[j],
                 spec.serving,
             );
-            Self::check_record_rails(&cluster, &ctx);
             contexts.push(ctx);
         }
 
@@ -1101,18 +1264,17 @@ impl ScenarioSim {
                 ctx.memo.enabled = false;
             }
         }
-        let dense_ports = if multi_job {
-            cluster.num_gpus() as usize * cluster.ports_per_gpu() as usize
+        let port_owner = if multi_job {
+            vec![vec![NO_JOB; geometry.ports_per_rail()]; num_rails]
         } else {
-            0
+            Vec::new()
         };
         let fleet = Fleet {
             controller,
             health: RailHealth::new(num_rails),
             faults,
             multi_job,
-            port_owner: vec![NO_JOB; dense_ports],
-            ports_per_gpu: cluster.ports_per_gpu(),
+            port_owner,
             rail_busy: vec![SimDuration::ZERO; num_rails],
             rail_last: vec![Vec::new(); num_rails],
             overlaps: vec![0; num_rails],
@@ -1134,6 +1296,7 @@ impl ScenarioSim {
     #[allow(clippy::too_many_arguments)]
     fn build_job(
         cluster: &Cluster,
+        geometry: PortGeometry,
         job: JobId,
         gpu_offset: u32,
         dag: Arc<TrainingDag>,
@@ -1141,8 +1304,12 @@ impl ScenarioSim {
         arrives_via_event: bool,
         serving: Option<ServingSpec>,
     ) -> JobContext {
-        let (circuit_pool, slot_of_group, task_circuit_slot) =
-            Self::plan_task_circuits(cluster, &dag);
+        let (circuit_pool, prices, task_price) = Self::plan_task_circuits(cluster, &dag);
+        Self::check_record_rails(cluster, job, &config, &circuit_pool);
+        let mut slot_of_group = HashMap::with_capacity(circuit_pool.len());
+        for (i, slot) in circuit_pool.iter().enumerate() {
+            slot_of_group.entry(slot.group).or_insert(i as u32);
+        }
         let rng = SimRng::new(config.seed);
         let n = dag.len();
         // Inference replicas share no tasks, so a task's replica is simply its first
@@ -1157,14 +1324,16 @@ impl ScenarioSim {
             None => Vec::new(),
         };
         let is_training = serving.is_none();
-        JobContext {
+        let mut ctx = JobContext {
             job,
             gpu_offset,
             dag,
             config,
             circuit_pool,
             slot_of_group,
-            task_circuit_slot,
+            dense_circuits: Vec::new(),
+            prices,
+            task_price,
             rail_profiled: false,
             rng,
             arrives_via_event,
@@ -1207,29 +1376,35 @@ impl ScenarioSim {
             replan_reconfigs: 0,
             degraded_iterations: 0,
             iter_degraded: false,
-        }
+        };
+        ctx.prepare_plans(geometry, cluster);
+        ctx
     }
 
     /// Rejects a job whose transfers could use a rail a record's [`RailSet`] cannot
     /// hold: a pristine circuit plan on such a rail, or an optical
     /// [`RecoveryPolicy::Replan`] job on a cluster that has one (a re-stripe may
     /// target any healthy rail).
-    fn check_record_rails(cluster: &Cluster, ctx: &JobContext) {
-        if ctx.config.recovery_policy == RecoveryPolicy::Replan && ctx.config.policy.is_optical() {
+    fn check_record_rails(
+        cluster: &Cluster,
+        job: JobId,
+        config: &OpusConfig,
+        pool: &[CircuitSlot],
+    ) {
+        if config.recovery_policy == RecoveryPolicy::Replan && config.policy.is_optical() {
             assert!(
                 cluster.num_rails() <= RECORD_RAILS,
-                "{} re-plans around failed rails on a cluster with {} rails, but a transfer \
-                 record holds rails 0..{RECORD_RAILS} only",
-                ctx.job,
+                "{job} re-plans around failed rails on a cluster with {} rails, but a \
+                 transfer record holds rails 0..{RECORD_RAILS} only",
                 cluster.num_rails()
             );
         }
-        for slot in &ctx.circuit_pool {
+        for slot in pool {
             if let Some(rail) = slot.circuits.per_rail.keys().find(|r| r.0 >= RECORD_RAILS) {
                 panic!(
-                    "{} {} plans circuits on {rail}, but a transfer record holds rails \
+                    "{job} {} plans circuits on {rail}, but a transfer record holds rails \
                      0..{RECORD_RAILS} only",
-                    ctx.job, slot.group
+                    slot.group
                 );
             }
         }
@@ -1237,87 +1412,125 @@ impl ScenarioSim {
 
     /// Plans the circuit demand of every communication task, deduplicated into one
     /// [`CircuitSlot`] per communication group (plus one per ad-hoc point-to-point
-    /// pair that belongs to no group). Slots are assigned, and groups planned, in
-    /// task-id order on first use. Returns the pool, each group's slot and each
-    /// position's slot index.
+    /// pair that belongs to no group), and lists each `(slot, step)` pair the tasks
+    /// use as a [`StepPrice`], not yet priced. Slots are assigned, and groups
+    /// planned, in task-id order on first use. Returns the pool, the prices and each
+    /// position's price index.
     fn plan_task_circuits(
         cluster: &Cluster,
         dag: &TrainingDag,
-    ) -> (Vec<CircuitSlot>, HashMap<GroupId, u32>, Vec<u32>) {
+    ) -> (Vec<CircuitSlot>, Vec<StepPrice>, Vec<u32>) {
+        const NO_GROUP: u32 = u32::MAX;
         let planner = CircuitPlanner::for_cluster(cluster);
-        // Groups partition the ranks of each axis, so `(axis, rank) -> group` is a
-        // function; index it once instead of scanning every group per point-to-point
-        // task (the scan was quadratic at the 10k-GPU scale: #p2p tasks x #groups).
-        let mut member_group: HashMap<(ParallelismAxis, GpuId), GroupId> = HashMap::new();
-        for g in dag.groups.values() {
-            for rank in &g.ranks {
-                member_group.insert((g.axis, *rank), g.id);
-            }
-        }
         let mut pool: Vec<CircuitSlot> = Vec::new();
-        let mut group_slots: HashMap<GroupId, u32> = HashMap::new();
-        let mut task_slot = vec![NO_SLOT; dag.len()];
-        let mut group_slot = |pool: &mut Vec<CircuitSlot>, id: GroupId| -> u32 {
-            *group_slots.entry(id).or_insert_with(|| {
-                let group = dag
-                    .groups
-                    .get(&id)
-                    .expect("communication group must be registered");
-                let slot = pool.len() as u32;
-                pool.push(CircuitSlot {
-                    group: id,
-                    group_size: group.size() as u32,
-                    circuits: planner.plan(cluster, group),
-                    pristine: None,
-                });
-                slot
-            })
+        let new_slot = |pool: &mut Vec<CircuitSlot>, group: &CommGroup, group_size: u32| {
+            pool.push(CircuitSlot {
+                group: group.id,
+                group_size,
+                circuits: planner.plan(cluster, group),
+                pristine: None,
+                plan: SlotPlan::default(),
+            });
+            pool.len() as u32 - 1
         };
-        for task in dag.communication_tasks() {
-            let slot = match &task.kind {
-                TaskKind::Collective { group, .. } => group_slot(&mut pool, *group),
+        // Group ids are dense, so a table indexed from the first id holds each
+        // group's slot.
+        let first_group = dag.groups.keys().next().map_or(0, |g| g.0);
+        let group_span = dag
+            .groups
+            .keys()
+            .next_back()
+            .map_or(0, |g| g.0 - first_group + 1);
+        let mut group_slot = vec![NO_SLOT; group_span as usize];
+        // Groups partition the ranks of each axis, so `(axis, rank) -> group` is a
+        // function: one table over the ranks per axis, filled when the axis's first
+        // point-to-point task asks.
+        let mut member_group: [Vec<u32>; ParallelismAxis::ALL.len()] = Default::default();
+        let mut prices: Vec<StepPrice> = Vec::new();
+        // Each slot's prices, chained: `first_price[slot]`, then `next_price`.
+        let mut first_price: Vec<u32> = Vec::new();
+        let mut next_price: Vec<u32> = Vec::new();
+        let mut task_price = vec![NO_SLOT; dag.len()];
+        // Consecutive tasks often repeat a kind, and a repeated kind of a group's task
+        // has the same price. (An ad-hoc pair's slot is the task's own.)
+        let mut last: Option<(TaskKind, u32)> = None;
+        for (t, &kind) in dag.kinds().iter().enumerate() {
+            if !kind.is_communication() {
+                continue;
+            }
+            if let Some((last_kind, price)) = last {
+                if last_kind == kind {
+                    task_price[t] = price;
+                    continue;
+                }
+            }
+            let mut group_slot_of = |pool: &mut Vec<CircuitSlot>, id: GroupId| {
+                let slot = &mut group_slot[(id.0 - first_group) as usize];
+                if *slot == NO_SLOT {
+                    let group = &dag.groups[&id];
+                    *slot = new_slot(pool, group, group.size() as u32);
+                }
+                *slot
+            };
+            let (slot, grouped) = match kind {
+                TaskKind::Collective { group, .. } => (group_slot_of(&mut pool, group), true),
                 TaskKind::PointToPoint { src, dst, axis, .. } => {
                     // A point-to-point transfer uses the circuits of the communication
-                    // group it belongs to (circuit allocation is per group, §5): find
-                    // the group on the same axis containing both endpoints, or fall
-                    // back to planning an ad-hoc pair.
-                    let group = member_group
-                        .get(&(*axis, *src))
-                        .filter(|id| member_group.get(&(*axis, *dst)) == Some(id));
-                    match group {
-                        Some(&id) => group_slot(&mut pool, id),
-                        None => {
-                            let pseudo = CommGroup::new(
-                                GroupId(u32::MAX - task.id.0),
-                                *axis,
-                                vec![*src, *dst],
-                            );
-                            let slot = pool.len() as u32;
-                            pool.push(CircuitSlot {
-                                group: pseudo.id,
-                                group_size: 2,
-                                circuits: planner.plan(cluster, &pseudo),
-                                pristine: None,
-                            });
-                            slot
+                    // group it belongs to (circuit allocation is per group, §5): the
+                    // group on the same axis containing both endpoints, or else an
+                    // ad-hoc pair planned for this task alone.
+                    let members = &mut member_group[axis as usize];
+                    if members.is_empty() {
+                        for g in dag.groups.values().filter(|g| g.axis == axis) {
+                            for rank in &g.ranks {
+                                if members.len() <= rank.index() {
+                                    members.resize(rank.index() + 1, NO_GROUP);
+                                }
+                                members[rank.index()] = g.id.0;
+                            }
+                        }
+                    }
+                    let member = |rank: GpuId| members.get(rank.index()).copied();
+                    match member(src) {
+                        Some(group) if group != NO_GROUP && member(dst) == Some(group) => {
+                            (group_slot_of(&mut pool, GroupId(group)), true)
+                        }
+                        _ => {
+                            let pseudo =
+                                CommGroup::new(GroupId(u32::MAX - t as u32), axis, vec![src, dst]);
+                            (new_slot(&mut pool, &pseudo, 2), false)
                         }
                     }
                 }
-                TaskKind::Compute { .. } => unreachable!("communication_tasks filters compute"),
+                TaskKind::Compute { .. } => unreachable!("compute tasks were skipped"),
             };
-            task_slot[task.id.0 as usize] = slot;
+            first_price.resize(pool.len(), NO_SLOT);
+            let step = Step::from(kind);
+            let mut price = first_price[slot as usize];
+            while price != NO_SLOT && prices[price as usize].step != step {
+                price = next_price[price as usize];
+            }
+            if price == NO_SLOT {
+                price = prices.len() as u32;
+                prices.push(StepPrice {
+                    slot,
+                    step,
+                    duration: SimDuration::ZERO,
+                    offloaded: false,
+                });
+                next_price.push(first_price[slot as usize]);
+                first_price[slot as usize] = price;
+            }
+            task_price[t] = price;
+            last = grouped.then_some((kind, price));
         }
-        let mut slot_of_group = HashMap::with_capacity(pool.len());
-        for (i, slot) in pool.iter().enumerate() {
-            slot_of_group.entry(slot.group).or_insert(i as u32);
-        }
-        let position_slot = dag
+        let position_price = dag
             .layout()
             .order()
             .iter()
-            .map(|id| task_slot[id.0 as usize])
+            .map(|id| task_price[id.0 as usize])
             .collect();
-        (pool, slot_of_group, position_slot)
+        (pool, prices, position_price)
     }
 
     /// Runs every job to completion, applying the injected timeline.
@@ -1714,13 +1927,8 @@ impl ScenarioSim {
                 let j = j as usize;
                 let keep_record = self.records == Records::Keep;
                 let (end, record) = {
-                    let ScenarioSim {
-                        jobs,
-                        fleet,
-                        cluster,
-                        ..
-                    } = self;
-                    Self::execute_task(&mut jobs[j], fleet, cluster, pos, now)
+                    let ScenarioSim { jobs, fleet, .. } = self;
+                    Self::execute_task(&mut jobs[j], fleet, pos, now)
                 };
                 let ctx = &mut self.jobs[j];
                 ctx.iter_end = ctx.iter_end.max(end);
@@ -1861,6 +2069,7 @@ impl ScenarioSim {
         }
         let healthy: Vec<RailId> = fleet.health.healthy_rails().collect();
         let planner = CircuitPlanner::for_cluster(cluster);
+        let geometry = PortGeometry::of(cluster);
         for ctx in jobs.iter_mut() {
             if ctx.config.recovery_policy != RecoveryPolicy::Replan
                 || !ctx.config.policy.is_optical()
@@ -1943,28 +2152,9 @@ impl ScenarioSim {
                     .saturating_add(now.duration_since(since));
             }
             if swapped {
+                ctx.prepare_plans(geometry, cluster);
                 ctx.iter_degraded = true;
             }
-        }
-    }
-
-    /// The α–β cost parameters of a transfer class.
-    fn comm_params(
-        config: &OpusConfig,
-        cluster: &Cluster,
-        scaleout: bool,
-        offloaded: bool,
-    ) -> CostParams {
-        if offloaded {
-            let h = config.host_offload.expect("offloaded implies configured");
-            CostParams::new(h.alpha, h.bandwidth)
-        } else if scaleout {
-            // The paper's Fig. 8 assumes equal bandwidth on electrical and optical
-            // rails, so both policies see the full NIC bandwidth once connectivity
-            // exists.
-            CostParams::new(config.scaleout_alpha, cluster.spec().nic.total_bandwidth)
-        } else {
-            CostParams::new(config.scaleup_alpha, cluster.scaleup_bandwidth())
         }
     }
 
@@ -1974,31 +2164,33 @@ impl ScenarioSim {
     fn execute_task(
         ctx: &mut JobContext,
         fleet: &mut Fleet,
-        cluster: &Cluster,
         pos: Position,
         now: SimTime,
     ) -> (SimTime, Option<CommRecord>) {
         let (kind, axis, bytes, collective) = match ctx.dag.layout().step(pos) {
             Step::Compute(duration) => {
+                // An inert jitter RNG never draws and always scales by exactly 1.
+                if ctx.config.jitter_inert() {
+                    return (now + duration, None);
+                }
                 let jitter = ctx.rng.jitter(ctx.config.compute_jitter);
                 return (now + duration.mul_f64(jitter), None);
             }
             Step::Collective { kind, axis, bytes } => (kind, axis, bytes, true),
             Step::PointToPoint { axis, bytes } => (CollectiveKind::SendRecv, axis, bytes, false),
         };
-        let record =
-            Self::execute_comm(ctx, fleet, cluster, pos, now, kind, axis, bytes, collective);
+        let record = Self::execute_comm(ctx, fleet, pos, now, kind, axis, bytes, collective);
         (record.end, Some(record))
     }
 
-    /// Executes the communication task at `pos`. A collective's record names its
-    /// group, which is its circuit slot's: `plan_task_circuits` keys each
-    /// collective's slot by that same group id.
+    /// Executes the communication task at `pos` from its slot's prepared plan and its
+    /// step's price. A collective's record names its group, which is its circuit
+    /// slot's: `plan_task_circuits` keys each collective's slot by that same group
+    /// id.
     #[allow(clippy::too_many_arguments)]
     fn execute_comm(
         ctx: &mut JobContext,
         fleet: &mut Fleet,
-        cluster: &Cluster,
         pos: Position,
         now: SimTime,
         kind: CollectiveKind,
@@ -2012,10 +2204,16 @@ impl ScenarioSim {
         let label = ctx.dag.label(id);
         let iteration = ctx.iteration;
         let config = &ctx.config;
-        let slot = &ctx.circuit_pool[ctx.task_circuit_slot[pos.index()] as usize];
-        let circuit_group = slot.group;
-        let circuits = &slot.circuits;
-        let group = collective.then_some(circuit_group);
+        let price = ctx.prices[ctx.task_price[pos.index()] as usize];
+        debug_assert_eq!(
+            price.step,
+            ctx.dag.layout().step(pos),
+            "a task's price is keyed by its step"
+        );
+        let slot = &ctx.circuit_pool[price.slot as usize];
+        let rails = slot.plan.rails;
+        let circuits = &ctx.dense_circuits[slot.plan.start as usize..slot.plan.end as usize];
+        let group = collective.then_some(slot.group);
         debug_assert_eq!(
             group,
             match ctx.dag.kind(id) {
@@ -2024,15 +2222,9 @@ impl ScenarioSim {
             },
             "a collective's circuit slot is keyed by its group"
         );
-        let group_size = if collective {
-            slot.group_size as usize
-        } else {
-            2
-        };
-        let scaleout = !circuits.is_scaleup_only();
-        // §5 extension: small, bursty collectives can bypass the optical rails and run
-        // over the host packet-switched network instead of triggering reconfigurations.
-        let offloaded = scaleout && config.host_offload.is_some_and(|h| bytes <= h.threshold);
+        let scaleout = !rails.is_empty();
+        let offloaded = price.offloaded;
+        let duration = price.duration;
 
         // The shim intercepts every scale-out call that uses the rails; the profiling
         // iteration only has to witness one for provisioning to start afterwards.
@@ -2040,17 +2232,11 @@ impl ScenarioSim {
             ctx.rail_profiled = true;
         }
 
-        let mut params = Self::comm_params(config, cluster, scaleout, offloaded);
-        if scaleout && !offloaded {
-            params = slot.adjust_params(params);
-        }
-        let duration = collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params);
-
         // The outage gate: with rail failures in the timeline, a transfer that needs
         // a down rail cannot start (electrical) or install circuits (optical) before
         // the rail's scheduled recovery. Clean timelines skip the walk entirely.
         let gated = if fleet.faults && scaleout && !offloaded {
-            fleet.outage_gate(circuits, now, ctx.job, label)
+            fleet.outage_gate(rails, now, ctx.job, label)
         } else {
             now
         };
@@ -2118,7 +2304,7 @@ impl ScenarioSim {
                 } else {
                     requested_at
                 };
-                let ready = controller.request(ctx.job.0, circuit_group, circuits, requested_at);
+                let ready = controller.request(ctx.job.0, slot.group, &slot.circuits, requested_at);
                 let start = ready.max(now);
                 (start, start.duration_since(now), SimDuration::ZERO)
             }
@@ -2139,7 +2325,7 @@ impl ScenarioSim {
                     controller.occupy(ctx.job.0, circuits, end);
                 }
             }
-            fleet.note_transfer(ctx.job.0, circuits, start, end);
+            fleet.note_transfer(ctx.job.0, rails, circuits, start, end);
         }
 
         CommRecord {
@@ -2152,11 +2338,7 @@ impl ScenarioSim {
             scaleout,
             // Offloaded traffic never touches the rails, so it carries no rail list and
             // is invisible to the per-rail window/phase analysis — which is the point.
-            rails: if offloaded {
-                RailSet::EMPTY
-            } else {
-                circuits.rail_set()
-            },
+            rails: if offloaded { RailSet::EMPTY } else { rails },
             issued_at: now,
             start,
             end,
@@ -2786,7 +2968,6 @@ mod tests {
 
     #[test]
     fn three_way_interleaved_overlaps_are_counted_against_every_tenant() {
-        use railsim_topology::CircuitConfig;
         let cluster = tiny_cluster(4);
         let num_rails = cluster.num_rails() as usize;
         let mut fleet = Fleet {
@@ -2794,36 +2975,28 @@ mod tests {
             health: RailHealth::new(num_rails),
             faults: false,
             multi_job: true,
-            port_owner: vec![
-                NO_JOB;
-                cluster.num_gpus() as usize * cluster.ports_per_gpu() as usize
-            ],
-            ports_per_gpu: cluster.ports_per_gpu(),
+            port_owner: vec![vec![NO_JOB; PortGeometry::of(&cluster).ports_per_rail()]; num_rails],
             rail_busy: vec![SimDuration::ZERO; num_rails],
             rail_last: vec![Vec::new(); num_rails],
             overlaps: vec![0; num_rails],
             port_takeovers: 0,
             injections_applied: 0,
         };
-        let circuits = GroupCircuits {
-            per_rail: [(RailId(0), CircuitConfig::empty())].into_iter().collect(),
-            dropped_pairs: 0,
-            scaleup_pairs: 0,
-        };
+        let rails: RailSet = [RailId(0)].into_iter().collect();
         let ms = SimTime::from_millis;
         // Job 0 holds the rail for [0, 300); job 1 starts inside it: one overlap.
-        fleet.note_transfer(0, &circuits, ms(0), ms(300));
-        fleet.note_transfer(1, &circuits, ms(10), ms(20));
+        fleet.note_transfer(0, rails, &[], ms(0), ms(300));
+        fleet.note_transfer(1, rails, &[], ms(10), ms(20));
         // Job 0's next transfer starts while job 1's is still in flight. The pre-fix
         // single-slot tracker had already overwritten job 1's end with job 0's own
         // long transfer and missed this overlap.
-        fleet.note_transfer(0, &circuits, ms(15), ms(30));
+        fleet.note_transfer(0, rails, &[], ms(15), ms(30));
         assert_eq!(fleet.overlaps[0], 2, "the three-way interleaving case");
         // Job 0's long transfer still bounds its in-flight window for job 1.
-        fleet.note_transfer(1, &circuits, ms(200), ms(210));
+        fleet.note_transfer(1, rails, &[], ms(200), ms(210));
         assert_eq!(fleet.overlaps[0], 3);
         // After every tenant drained, a late transfer overlaps nothing.
-        fleet.note_transfer(2, &circuits, ms(400), ms(410));
+        fleet.note_transfer(2, rails, &[], ms(400), ms(410));
         assert_eq!(fleet.overlaps[0], 3);
         // The same per-transfer accounting sums the rail's busy time, for one job
         // or many.
@@ -2954,6 +3127,173 @@ mod tests {
         let b = flapped_scenario(replan);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(b.jobs[0].replan_reconfigs, 0);
+    }
+
+    /// Commits injection `idx` of `sim`'s timeline at its time, as the run loop does.
+    fn commit_injection(sim: &mut ScenarioSim, idx: usize) {
+        let at = sim.injections[idx].at;
+        sim.apply_injection(idx, at, &mut Engine::new());
+    }
+
+    #[test]
+    fn replan_swaps_leave_every_slot_a_freshly_prepared_plan() {
+        let mut config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 2);
+        config.recovery_policy = RecoveryPolicy::Replan;
+        let spec = ScenarioSpec::new(tiny_cluster(4))
+            .job(tiny_dag(), config)
+            .inject(ms(1), ScenarioEvent::RailDown(RailId(0)))
+            .inject(ms(2), ScenarioEvent::RailDown(RailId(1)))
+            .inject(ms(3), ScenarioEvent::RailUp(RailId(0)))
+            .inject(ms(4), ScenarioEvent::RailUp(RailId(1)));
+        let mut sim = ScenarioSim::build(spec, Records::Keep);
+        let fresh = |sim: &ScenarioSim| sim.jobs[0].fresh_slot_plans(&sim.cluster);
+        let pristine = sim.jobs[0].slot_plans();
+        assert_eq!(
+            pristine,
+            fresh(&sim),
+            "the job is built with prepared plans"
+        );
+
+        // Degrade: rail 0's groups move onto the survivors. Re-stripe: a second
+        // failure moves the degraded plans again. Restore, rail by rail: rail 0's
+        // groups get their pristine plans back while rail 1's stay degraded, then
+        // every slot reads its pristine plan again.
+        let mut previous = pristine.clone();
+        for (idx, step) in ["degrade", "re-stripe", "partial restore", "restore"]
+            .into_iter()
+            .enumerate()
+        {
+            let swaps = sim.jobs[0].replan_reconfigs;
+            commit_injection(&mut sim, idx);
+            assert!(
+                sim.jobs[0].replan_reconfigs > swaps,
+                "the {step} swaps plans"
+            );
+            let plans = sim.jobs[0].slot_plans();
+            assert_ne!(plans, previous, "the {step} changes the plans");
+            assert_eq!(plans, fresh(&sim), "after the {step}");
+            previous = plans;
+        }
+        assert_eq!(sim.jobs[0].degraded_slots, 0);
+        assert_eq!(previous, pristine);
+    }
+
+    #[test]
+    fn prices_are_the_collective_cost_of_their_slot_and_step() {
+        let cluster = tiny_cluster(4);
+        let mut config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 1);
+        config.recovery_policy = RecoveryPolicy::Replan;
+        // Offload every scale-out step up to the median scale-out size, so the job
+        // prices both offloaded and rail steps.
+        let sim = ScenarioSim::build(
+            ScenarioSpec::new(cluster.clone()).job(tiny_dag(), config),
+            Records::Keep,
+        );
+        let ctx = &sim.jobs[0];
+        let step_bytes = |step: Step| match step {
+            Step::Collective { bytes, .. } | Step::PointToPoint { bytes, .. } => bytes,
+            Step::Compute(_) => unreachable!(),
+        };
+        let mut sizes: Vec<_> = ctx
+            .prices
+            .iter()
+            .filter(|t| !ctx.circuit_pool[t.slot as usize].circuits.is_scaleup_only())
+            .map(|t| step_bytes(t.step))
+            .collect();
+        sizes.sort_unstable();
+        let offload = crate::HostOffload {
+            threshold: sizes[sizes.len() / 2],
+            ..crate::HostOffload::frontend_100g()
+        };
+        config.host_offload = Some(offload);
+        let spec = ScenarioSpec::new(cluster.clone())
+            .job(tiny_dag(), config)
+            .inject(ms(1), ScenarioEvent::RailDown(RailId(0)))
+            .inject(ms(2), ScenarioEvent::RailUp(RailId(0)));
+        let mut sim = ScenarioSim::build(spec, Records::Keep);
+        commit_injection(&mut sim, 0);
+
+        let ctx = &sim.jobs[0];
+        let (mut offloaded, mut rail, mut degraded, mut scaleup) = (0, 0, 0, 0);
+        for t in &ctx.prices {
+            let slot = &ctx.circuit_pool[t.slot as usize];
+            let (kind, group_size) = match t.step {
+                Step::Collective { kind, .. } => (kind, slot.group_size as usize),
+                Step::PointToPoint { .. } => (CollectiveKind::SendRecv, 2),
+                Step::Compute(_) => unreachable!("prices are communication steps"),
+            };
+            let bytes = step_bytes(t.step);
+            let scaleout = !slot.circuits.is_scaleup_only();
+            let params = if !scaleout {
+                scaleup += 1;
+                CostParams::new(config.scaleup_alpha, cluster.scaleup_bandwidth())
+            } else if bytes <= offload.threshold {
+                offloaded += 1;
+                CostParams::new(offload.alpha, offload.bandwidth)
+            } else {
+                rail += 1;
+                let full =
+                    CostParams::new(config.scaleout_alpha, cluster.spec().nic.total_bandwidth);
+                match slot.pristine.as_deref() {
+                    Some(pristine) => {
+                        degraded += 1;
+                        let (before, after) =
+                            (pristine.per_rail.len(), slot.circuits.per_rail.len());
+                        degraded_params(&full, before, after)
+                    }
+                    None => full,
+                }
+            };
+            let expected =
+                collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params);
+            assert_eq!(
+                (t.duration, t.offloaded),
+                (expected, scaleout && bytes <= offload.threshold)
+            );
+        }
+        assert!(offloaded > 0 && rail > 0 && degraded > 0 && scaleup > 0);
+
+        // A slot whose pristine plan spans four rails and whose degraded plan spans
+        // three is priced on three quarters of the bandwidth.
+        let planner = CircuitPlanner::for_cluster(&cluster);
+        let group = CommGroup::new(
+            GroupId(0),
+            ParallelismAxis::Expert,
+            [0, 5, 10, 15].map(GpuId).to_vec(),
+        );
+        let pristine = planner.plan(&cluster, &group);
+        let survivors = vec![RailId(1), RailId(2), RailId(3)];
+        let slot = CircuitSlot {
+            group: group.id,
+            group_size: 4,
+            circuits: planner.replan_degraded(&cluster, &pristine, survivors),
+            pristine: Some(Box::new(pristine)),
+            plan: SlotPlan::default(),
+        };
+        assert_eq!(
+            (
+                slot.pristine.as_ref().unwrap().per_rail.len(),
+                slot.circuits.per_rail.len()
+            ),
+            (4, 3)
+        );
+        let bytes = railsim_sim::Bytes::from_mb(64);
+        let step = Step::Collective {
+            kind: CollectiveKind::AllReduce,
+            axis: ParallelismAxis::Expert,
+            bytes,
+        };
+        let full = CostParams::new(config.scaleout_alpha, cluster.spec().nic.total_bandwidth);
+        let derated = degraded_params(&full, 4, 3);
+        assert!(derated.bandwidth.as_bps() < full.bandwidth.as_bps());
+        let expected = collective_time(
+            CollectiveKind::AllReduce,
+            config.scaleout_algorithm,
+            4,
+            bytes,
+            &derated,
+        );
+        assert_eq!(slot.price(&config, &cluster, step), (expected, false));
     }
 
     // ---- serving (elastic inference) scenarios ------------------------------------

@@ -8,8 +8,8 @@
 //!   only communicate once a circuit between them has been installed and has settled.
 
 use crate::cluster::Cluster;
-use crate::ids::RailId;
-use crate::ocs::{CircuitConfig, Ocs, OcsError};
+use crate::ids::{PortId, RailId};
+use crate::ocs::{Circuit, CircuitConfig, Ocs, OcsError};
 use railsim_sim::{SimDuration, SimTime};
 
 /// One hop through an electrical rail switch (ASIC pipeline plus the
@@ -18,13 +18,111 @@ use railsim_sim::{SimDuration, SimTime};
 /// end-to-end light path and pays nothing.
 pub const ELECTRICAL_SWITCH_LATENCY: SimDuration = SimDuration::from_micros(1);
 
+/// The dense numbering of a rail fabric's NIC ports. Two kinds of table index by it:
+///
+/// * each rail OCS's matching tables, over every port of the cluster
+///   ([`PortId::dense_index`]);
+/// * per-rail port tables, one per rail over that rail's ports
+///   ([`PortId::rail_dense_index`]), such as the Opus controller's occupancy.
+///
+/// The cluster fixes it, so a circuit plan can be resolved against it once
+/// ([`PortGeometry::resolve`]), before any fabric exists, and every later read of the
+/// plan indexes the tables directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortGeometry {
+    num_rails: u32,
+    ports_per_gpu: u8,
+    ports_per_rail: u32,
+}
+
+impl PortGeometry {
+    /// The geometry of `cluster`'s rail fabric.
+    pub fn of(cluster: &Cluster) -> PortGeometry {
+        PortGeometry {
+            num_rails: cluster.num_rails(),
+            ports_per_gpu: cluster.ports_per_gpu(),
+            ports_per_rail: cluster.num_nodes() * cluster.ports_per_gpu() as u32,
+        }
+    }
+
+    /// Number of rails, one per-rail port table each.
+    pub fn num_rails(self) -> usize {
+        self.num_rails as usize
+    }
+
+    /// Entries in one per-rail port table: every node's ports on that rail.
+    pub fn ports_per_rail(self) -> usize {
+        self.ports_per_rail as usize
+    }
+
+    /// `port`'s slot in the per-rail port tables.
+    pub fn rail_port(self, port: PortId) -> RailPort {
+        let (rail, index) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
+        RailPort {
+            rail: rail as u32,
+            index: index as u32,
+        }
+    }
+
+    /// Resolves `circuit`, carried by `rail`'s OCS, to the dense tables.
+    ///
+    /// # Panics
+    /// Panics when an endpoint's logical port exceeds the geometry, in every build,
+    /// as [`Ocs`] does: an out-of-range port would alias the next GPU's entries.
+    pub fn resolve(self, rail: RailId, circuit: Circuit) -> DenseCircuit {
+        let ends = [circuit.a(), circuit.b()];
+        for port in ends {
+            assert!(
+                port.port < self.ports_per_gpu,
+                "{port} out of range for a fabric of {} ports/GPU",
+                self.ports_per_gpu
+            );
+        }
+        DenseCircuit {
+            rail,
+            ends: ends.map(|port| port.dense_index(self.ports_per_gpu) as u32),
+            ports: ends.map(|port| self.rail_port(port)),
+        }
+    }
+}
+
+/// A port's slot in the per-rail port tables of a [`PortGeometry`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RailPort {
+    /// The rail whose table holds the port.
+    pub rail: u32,
+    /// The port's index in that table.
+    pub index: u32,
+}
+
+/// A circuit resolved against a [`PortGeometry`]: the rail whose OCS carries it, its
+/// endpoints' indices in that OCS's matching tables and their slots in the per-rail
+/// port tables. Only [`PortGeometry::resolve`] makes one, so the three always
+/// describe the same two ports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseCircuit {
+    /// The rail whose OCS carries the circuit.
+    rail: RailId,
+    /// The endpoints' indices in the OCS's matching tables, lower endpoint first.
+    ends: [u32; 2],
+    /// The endpoints' slots in the per-rail port tables, in the same order.
+    ports: [RailPort; 2],
+}
+
+impl DenseCircuit {
+    /// The endpoints' slots in the per-rail port tables, lower endpoint first.
+    pub fn ports(&self) -> [RailPort; 2] {
+        self.ports
+    }
+}
+
 /// The photonic rail fabric: one OCS per rail, circuits installed on demand by the
 /// Opus controller.
 #[derive(Debug, Clone)]
 pub struct OpticalRailFabric {
     ocses: Vec<Ocs>,
     num_gpus: u32,
-    ports_per_gpu: u8,
+    geometry: PortGeometry,
 }
 
 impl OpticalRailFabric {
@@ -48,7 +146,7 @@ impl OpticalRailFabric {
         OpticalRailFabric {
             ocses,
             num_gpus: cluster.num_gpus(),
-            ports_per_gpu: cluster.ports_per_gpu(),
+            geometry: PortGeometry::of(cluster),
         }
     }
 
@@ -64,13 +162,12 @@ impl OpticalRailFabric {
 
     /// Logical scale-out NIC ports per GPU.
     pub fn ports_per_gpu(&self) -> u8 {
-        self.ports_per_gpu
+        self.geometry.ports_per_gpu
     }
 
-    /// Size of a dense per-port state table over every port of the cluster
-    /// (see [`PortId::dense_index`](crate::PortId::dense_index)).
-    pub fn dense_port_count(&self) -> usize {
-        self.num_gpus as usize * self.ports_per_gpu as usize
+    /// The dense port numbering of this fabric's tables.
+    pub fn geometry(&self) -> PortGeometry {
+        self.geometry
     }
 
     /// Shared access to a rail's OCS.
@@ -92,6 +189,18 @@ impl OpticalRailFabric {
         now: SimTime,
     ) -> Result<SimTime, OcsError> {
         self.ocses[rail.index()].install(config, now)
+    }
+
+    /// The time at which every one of `circuits` is ready, or `None` when any of them
+    /// is not installed: [`Ocs::installed_ready`] for a plan resolved against this
+    /// fabric's [`geometry`](OpticalRailFabric::geometry), across any number of
+    /// rails.
+    pub fn installed_ready(&self, circuits: &[DenseCircuit]) -> Option<SimTime> {
+        let mut ready = SimTime::ZERO;
+        for c in circuits {
+            ready = ready.max(self.ocses[c.rail.index()].dense_ready_time(c.ends)?);
+        }
+        Some(ready)
     }
 
     /// Lifetime circuits set up, per rail (index == rail id). Exposes per-rail
@@ -150,6 +259,45 @@ mod tests {
         let now = SimTime::from_secs(1);
         assert!(!f.ocs(RailId(1)).gpus_connected(GpuId(1), GpuId(9), now));
         assert!(f.ocs(RailId(0)).gpus_connected(GpuId(0), GpuId(8), now));
+    }
+
+    #[test]
+    fn resolved_circuits_read_the_tables_their_ports_index() {
+        let c = cluster(); // 4 nodes of 4 GPUs, 1 port per GPU
+        let mut f = OpticalRailFabric::for_cluster(&c, SimDuration::from_millis(15));
+        let geometry = f.geometry();
+        assert_eq!(geometry, PortGeometry::of(&c));
+        assert_eq!((geometry.num_rails(), geometry.ports_per_rail()), (4, 4));
+        // GPUs 1 and 9 are local rank 1 on nodes 0 and 2.
+        let circuit = Circuit::new(PortId::new(GpuId(1), 0), PortId::new(GpuId(9), 0));
+        let dense = geometry.resolve(RailId(1), circuit);
+        assert_eq!((dense.rail, dense.ends), (RailId(1), [1, 9]));
+        assert_eq!(
+            dense.ports(),
+            [
+                RailPort { rail: 1, index: 0 },
+                RailPort { rail: 1, index: 2 }
+            ]
+        );
+        assert_eq!(f.installed_ready(&[dense]), None);
+        let cfg = CircuitConfig::new(vec![circuit]).unwrap();
+        let ready = f.install(RailId(1), &cfg, SimTime::from_millis(5)).unwrap();
+        assert_eq!(f.installed_ready(&[dense]), Some(ready));
+        assert_eq!(f.ocs(RailId(1)).installed_ready(&cfg), Some(ready));
+        assert_eq!(f.installed_ready(&[]), Some(SimTime::ZERO));
+        // The same circuit on another rail's OCS is not installed there.
+        let elsewhere = geometry.resolve(RailId(2), circuit);
+        assert_eq!(f.installed_ready(&[dense, elsewhere]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for a fabric of 1 ports/GPU")]
+    fn resolving_a_port_beyond_the_nic_panics() {
+        let geometry = PortGeometry::of(&cluster());
+        let _ = geometry.resolve(
+            RailId(0),
+            Circuit::new(PortId::new(GpuId(0), 1), PortId::new(GpuId(4), 0)),
+        );
     }
 
     #[test]

@@ -44,7 +44,9 @@ pub mod path;
 pub mod spec;
 
 pub use cluster::Cluster;
-pub use fabric::{OpticalRailFabric, ELECTRICAL_SWITCH_LATENCY};
+pub use fabric::{
+    DenseCircuit, OpticalRailFabric, PortGeometry, RailPort, ELECTRICAL_SWITCH_LATENCY,
+};
 pub use fattree::{ClosDimensions, FatTreeDimensions};
 pub use health::RailHealth;
 pub use ids::{GpuId, NodeId, PortId, RailId, RailSet, RailSetIter};

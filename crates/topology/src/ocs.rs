@@ -364,7 +364,14 @@ impl Ocs {
 
     /// The ready time of the circuit between `a` and `b`, if installed.
     pub fn ready_time(&self, a: PortId, b: PortId) -> Option<SimTime> {
-        (self.peer_of(a) == Some(self.dense(b))).then(|| self.ready[self.dense(a)])
+        self.dense_ready_time([self.dense(a) as u32, self.dense(b) as u32])
+    }
+
+    /// The ready time of the circuit between the ports at dense indices `ends`
+    /// ([`PortId::dense_index`] under this switch's ports per GPU), if installed:
+    /// [`Ocs::ready_time`] for a caller that resolved its ports once.
+    pub(crate) fn dense_ready_time(&self, [a, b]: [u32; 2]) -> Option<SimTime> {
+        (self.peer.get(a as usize) == Some(&b)).then(|| self.ready[a as usize])
     }
 
     /// True when any circuit between a port of `x` and a port of `y` is ready at `now`.
@@ -414,9 +421,10 @@ impl Ocs {
 
     /// The time at which every circuit of `config` is ready, or `None` when any of
     /// them is not installed. The O(config) read half of a no-op
-    /// [`Ocs::install`] — the Opus simulator's no-op fast path uses it to answer
-    /// "would this request be free, and when would it be ready?" without touching
-    /// switch state.
+    /// [`Ocs::install`]: it answers "would this request be free, and when would it
+    /// be ready?" without touching switch state.
+    /// [`OpticalRailFabric::installed_ready`](crate::OpticalRailFabric::installed_ready)
+    /// answers the same for circuits resolved once against the fabric's geometry.
     pub fn installed_ready(&self, config: &CircuitConfig) -> Option<SimTime> {
         let mut ready = SimTime::ZERO;
         for c in config.circuits() {

@@ -502,6 +502,11 @@ impl TrainingDag {
         &self.kinds[id.0 as usize]
     }
 
+    /// What every task does, in id order: the kinds column.
+    pub fn kinds(&self) -> &[TaskKind] {
+        &self.kinds
+    }
+
     /// A task's interned label.
     pub fn label(&self, id: TaskId) -> LabelId {
         self.graph.labels[id.0 as usize]

@@ -14,7 +14,9 @@
 //!   distinct participant set instead of one per task.
 //!
 //! Both tables are global and append-only, guarded by an `RwLock` that is only
-//! write-locked when a *new* entry is inserted. Handles are only meaningful within
+//! write-locked when a *new* entry is inserted. The rank-set table is created with
+//! the empty set at handle 0, so [`RankSet::is_empty`] compares handles and takes
+//! no lock. Handles are only meaningful within
 //! the process that created them (they are never serialized as raw indices —
 //! `Serialize` resolves them back to the string / rank sequence, so serialized
 //! output is byte-identical to the owned representation it replaced).
@@ -53,9 +55,18 @@ fn labels() -> &'static RwLock<Table<str>> {
     LABELS.get_or_init(|| RwLock::new(Table::new()))
 }
 
+/// The handle of the empty rank set, reserved when the table is created.
+const EMPTY_RANK_SET: u32 = 0;
+
 fn rank_sets() -> &'static RwLock<Table<[GpuId]>> {
     static RANK_SETS: OnceLock<RwLock<Table<[GpuId]>>> = OnceLock::new();
-    RANK_SETS.get_or_init(|| RwLock::new(Table::new()))
+    RANK_SETS.get_or_init(|| {
+        let empty: &'static [GpuId] = &[];
+        let mut table = Table::new();
+        table.entries.push(empty);
+        table.by_value.insert(empty, EMPTY_RANK_SET);
+        RwLock::new(table)
+    })
 }
 
 impl LabelId {
@@ -129,9 +140,12 @@ impl RankSet {
     }
 
     /// True when the set is empty (never produced by the DAG builder, which rejects
-    /// participant-less tasks, but interning an empty slice is well-defined).
+    /// participant-less tasks, but interning an empty slice is well-defined). The
+    /// empty set owns a handle reserved when the pool is created, so this compares
+    /// handles and reads no table: concurrent validations never contend on the
+    /// pool's lock.
     pub fn is_empty(self) -> bool {
-        self.ranks().is_empty()
+        self.0 == EMPTY_RANK_SET
     }
 
     /// True when `rank` is a member.
@@ -205,6 +219,41 @@ mod tests {
         let e = RankSet::intern(&[]);
         assert!(e.is_empty());
         assert_eq!(e.ranks(), &[] as &[GpuId]);
+    }
+
+    #[test]
+    fn only_the_empty_set_is_empty_whatever_the_intern_order() {
+        // Sets interned before and after the empty slice, by this thread and by
+        // others: the empty set's handle is reserved when the pool is created, so no
+        // intern order can hand it to a non-empty set.
+        let before = RankSet::intern(&[GpuId(900_001)]);
+        let empty = RankSet::intern(&[]);
+        let after = RankSet::intern(&[GpuId(900_002), GpuId(900_003)]);
+        assert!(empty.is_empty());
+        assert!(!before.is_empty());
+        assert!(!after.is_empty());
+        let concurrent: Vec<RankSet> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4u32)
+                .map(|i| {
+                    s.spawn(move || {
+                        let set = RankSet::intern(&[GpuId(910_000 + i)]);
+                        (set, RankSet::intern(&[]))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    let (set, empty_again) = h.join().unwrap();
+                    assert_eq!(empty_again, empty);
+                    set
+                })
+                .collect()
+        });
+        for set in concurrent {
+            assert!(!set.is_empty());
+            assert_eq!(set.len(), 1);
+        }
     }
 
     #[test]
