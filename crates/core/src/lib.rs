@@ -75,7 +75,9 @@ pub use fleet::{
     FailureModel, FleetService, Frontier, LevelSummary, Percentiles, ProvisioningLevel,
     SweepReport, SweepSpec, VariantResult,
 };
-pub use metrics::{CommRecord, IterationResult, ReconfigEvent, Shift, Shifted, SimulationResult};
+pub use metrics::{
+    CommLog, CommRecord, IterationResult, ReconfigEvent, Shift, Shifted, SimulationResult,
+};
 pub use scenario::{
     FleetMetrics, JobPlacement, JobResult, JobSpec, ScenarioEvent, ScenarioResult, ScenarioSpec,
 };

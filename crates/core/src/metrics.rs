@@ -3,7 +3,7 @@
 use railsim_collectives::{CollectiveKind, GroupId, ParallelismAxis};
 use railsim_sim::{Bytes, SimDuration, SimTime};
 use railsim_topology::{RailId, RailSet};
-use railsim_workload::{LabelId, TaskId};
+use railsim_workload::{LabelId, TaskId, TaskKind, TrainingDag};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -84,17 +84,6 @@ pub trait Shift {
     fn shifted(&self, by: SimDuration) -> Self;
 }
 
-impl Shift for CommRecord {
-    fn shifted(&self, by: SimDuration) -> Self {
-        CommRecord {
-            issued_at: self.issued_at + by,
-            start: self.start + by,
-            end: self.end + by,
-            ..self.clone()
-        }
-    }
-}
-
 impl Shift for ReconfigEvent {
     fn shifted(&self, by: SimDuration) -> Self {
         ReconfigEvent {
@@ -106,8 +95,7 @@ impl Shift for ReconfigEvent {
     }
 }
 
-/// One iteration's records or reconfiguration events: shared storage plus a time
-/// shift.
+/// One iteration's reconfiguration events: shared storage plus a time shift.
 ///
 /// A stepped iteration wraps the values it produced, unshifted. A fast-forwarded
 /// iteration replays its template, so it shares the template's storage and only
@@ -115,6 +103,7 @@ impl Shift for ReconfigEvent {
 /// whatever the iteration's size. Every read — [`iter`](Shifted::iter), equality,
 /// `Debug`, serialization — sees the shifted values, so a shared sequence is
 /// indistinguishable from an owned `Vec` of them and serializes to the same bytes.
+/// An iteration's communication records share the same way, as a [`CommLog`].
 #[derive(Clone)]
 pub struct Shifted<T> {
     items: Arc<Vec<T>>,
@@ -140,23 +129,10 @@ impl<T> Shifted<T> {
         }
     }
 
-    /// The stored values before the shift, and the shift. For readers whose output
-    /// moves with its input's timestamps, which can work on the shared values and
-    /// shift the result.
-    pub(crate) fn parts(&self) -> (&[T], SimDuration) {
-        (&self.items, self.shift)
-    }
-
     /// True when both sequences read the same storage.
     #[cfg(test)]
     pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.items, &other.items)
-    }
-
-    /// The capacity of the shared storage.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.items.capacity()
     }
 }
 
@@ -228,6 +204,217 @@ impl<T: Shift> Iterator for ShiftedIter<'_, T> {
 
 impl<T: Shift> ExactSizeIterator for ShiftedIter<'_, T> {}
 
+/// What a run decided about one communication task: the fields of its
+/// [`CommRecord`] that the task's DAG does not declare. The label, axis, kind, group
+/// and bytes are read from the DAG, and the circuit wait follows from the times (see
+/// [`CommLog`]), so a row takes 40 bytes where a record takes 72.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CommRow {
+    /// The DAG task.
+    pub(crate) task: TaskId,
+    /// [`CommRecord::scaleout`].
+    pub(crate) scaleout: bool,
+    /// [`CommRecord::rails`].
+    pub(crate) rails: RailSet,
+    /// [`CommRecord::issued_at`].
+    pub(crate) issued_at: SimTime,
+    /// [`CommRecord::start`], after the datapath latency.
+    pub(crate) start: SimTime,
+    /// [`CommRecord::end`].
+    pub(crate) end: SimTime,
+}
+
+/// One iteration's rows and what reading them takes: the job's DAG and the datapath
+/// latency of its scale-out transfers.
+struct CommRows {
+    dag: Arc<TrainingDag>,
+    datapath_latency: SimDuration,
+    rows: Vec<CommRow>,
+}
+
+impl CommRows {
+    /// The record `row` stands for, moved `shift` later.
+    fn record(&self, row: &CommRow, shift: SimDuration) -> CommRecord {
+        let (axis, kind, group, bytes) = match *self.dag.kind(row.task) {
+            TaskKind::Collective {
+                group,
+                kind,
+                axis,
+                bytes,
+            } => (axis, kind, Some(group), bytes),
+            TaskKind::PointToPoint { axis, bytes, .. } => {
+                (axis, CollectiveKind::SendRecv, None, bytes)
+            }
+            TaskKind::Compute { .. } => unreachable!("a communication row names a compute task"),
+        };
+        let datapath = if row.scaleout {
+            self.datapath_latency
+        } else {
+            SimDuration::ZERO
+        };
+        CommRecord {
+            task: row.task,
+            label: self.dag.label(row.task),
+            axis,
+            kind,
+            group,
+            bytes,
+            scaleout: row.scaleout,
+            rails: row.rails,
+            issued_at: row.issued_at + shift,
+            start: row.start + shift,
+            end: row.end + shift,
+            circuit_wait: row.start.duration_since(row.issued_at) - datapath,
+        }
+    }
+}
+
+/// One iteration's communication records, stored as the rows the run decided plus
+/// the job's DAG, and read back as [`CommRecord`]s.
+///
+/// A row keeps the task id, the scale-out flag, the rails and the issue, start and
+/// end times. The task's label, axis, collective kind, group and bytes are read from
+/// the DAG when a record is read, and its circuit wait is
+/// `start − issued_at − datapath latency`, where the datapath latency is the
+/// electrical switch's on an electrical job's scale-out transfers and zero
+/// otherwise.
+///
+/// Like [`Shifted`], a log is shared storage plus a time shift: a fast-forwarded
+/// iteration shares its template's rows and DAG and adds only the offset between the
+/// two iterations' starts, so emitting it costs O(1). Every read —
+/// [`iter`](CommLog::iter), equality, `Debug`, serialization — sees the shifted
+/// records, so a log is indistinguishable from an owned `Vec<CommRecord>` and
+/// serializes to the same bytes. An empty log, such as every log of a run that keeps
+/// no records, holds no rows and no DAG.
+#[derive(Clone, Default)]
+pub struct CommLog {
+    rows: Option<Arc<CommRows>>,
+    shift: SimDuration,
+}
+
+impl CommLog {
+    /// A log of `rows`, unshifted, whose tasks `dag` declares; `datapath_latency` is
+    /// what each scale-out transfer paid on top of its circuit wait.
+    pub(crate) fn new(
+        dag: Arc<TrainingDag>,
+        datapath_latency: SimDuration,
+        rows: Vec<CommRow>,
+    ) -> CommLog {
+        CommLog {
+            rows: Some(Arc::new(CommRows {
+                dag,
+                datapath_latency,
+                rows,
+            })),
+            shift: SimDuration::ZERO,
+        }
+    }
+
+    /// The stored rows (empty when the log holds none).
+    fn rows(&self) -> &[CommRow] {
+        self.rows.as_deref().map_or(&[], |r| &r.rows)
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.rows().len()
+    }
+
+    /// True when there are no records.
+    pub fn is_empty(&self) -> bool {
+        self.rows().is_empty()
+    }
+
+    /// The records in order, each read from its row, the DAG and the shift.
+    pub fn iter(&self) -> CommLogIter<'_> {
+        CommLogIter {
+            rows: self.rows().iter(),
+            log: self.rows.as_deref(),
+            shift: self.shift,
+        }
+    }
+
+    /// The same records moved `by` later, sharing this log's rows and DAG.
+    pub(crate) fn shifted(&self, by: SimDuration) -> CommLog {
+        CommLog {
+            rows: self.rows.clone(),
+            shift: self.shift + by,
+        }
+    }
+
+    /// True when both logs read the same rows, or both hold none.
+    #[cfg(test)]
+    pub(crate) fn shares_storage_with(&self, other: &CommLog) -> bool {
+        match (&self.rows, &other.rows) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+
+    /// The capacity of the shared rows (0 when the log holds none).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.rows.as_deref().map_or(0, |r| r.rows.capacity())
+    }
+
+    /// The DAG the log reads its records from (`None` when it holds no rows).
+    #[cfg(test)]
+    pub(crate) fn dag(&self) -> Option<&Arc<TrainingDag>> {
+        self.rows.as_deref().map(|r| &r.dag)
+    }
+}
+
+impl PartialEq for CommLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for CommLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for CommLog {
+    /// The sequence of records, exactly as a `Vec<CommRecord>` of them serializes.
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Seq(self.iter().map(|r| r.to_value()).collect())
+    }
+}
+
+impl<'a> IntoIterator for &'a CommLog {
+    type Item = CommRecord;
+    type IntoIter = CommLogIter<'a>;
+
+    fn into_iter(self) -> CommLogIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`CommLog::iter`]: yields each stored row as its record.
+pub struct CommLogIter<'a> {
+    rows: std::slice::Iter<'a, CommRow>,
+    /// `None` only for a log without rows, whose `rows` is empty.
+    log: Option<&'a CommRows>,
+    shift: SimDuration,
+}
+
+impl Iterator for CommLogIter<'_> {
+    type Item = CommRecord;
+
+    fn next(&mut self) -> Option<CommRecord> {
+        let row = self.rows.next()?;
+        self.log.map(|log| log.record(row, self.shift))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl ExactSizeIterator for CommLogIter<'_> {}
+
 /// The outcome of simulating one training iteration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IterationResult {
@@ -238,10 +425,12 @@ pub struct IterationResult {
     /// When the iteration started (absolute simulation time).
     pub started_at: SimTime,
     /// Every communication operation, ordered by issue time (the task id breaks
-    /// ties). A fast-forwarded iteration shares its template's records, shifted to
-    /// its own start, instead of copying them. Empty for a run made with
+    /// ties). Stored as compact rows that read what the DAG declares from the job's
+    /// DAG (see [`CommLog`]); a fast-forwarded iteration shares its template's rows,
+    /// shifted to its own start, instead of copying them. Empty, and holding no DAG,
+    /// for a run made with
     /// [`ScenarioSpec::run_without_records`](crate::ScenarioSpec::run_without_records).
-    pub comm_records: Shifted<CommRecord>,
+    pub comm_records: CommLog,
     /// Every OCS reconfiguration performed during the iteration. A fast-forwarded
     /// iteration shares its template's events, shifted, like its records.
     pub reconfig_events: Shifted<ReconfigEvent>,
@@ -307,6 +496,7 @@ impl SimulationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
 
     fn record(start_ms: u64, end_ms: u64, wait_ms: u64) -> CommRecord {
         CommRecord {
@@ -325,15 +515,65 @@ mod tests {
         }
     }
 
-    fn iteration(time_ms: u64, records: Vec<CommRecord>) -> IterationResult {
+    fn iteration(time_ms: u64) -> IterationResult {
         IterationResult {
             iteration: 0,
             iteration_time: SimDuration::from_millis(time_ms),
             started_at: SimTime::ZERO,
-            comm_records: records.into(),
+            comm_records: CommLog::default(),
             reconfig_events: Vec::new().into(),
             total_circuit_wait: SimDuration::ZERO,
         }
+    }
+
+    fn tiny_dag() -> Arc<TrainingDag> {
+        let model = ModelConfig::tiny_test();
+        let parallel = ParallelismConfig::paper_llama3_8b();
+        let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
+        Arc::new(DagBuilder::new(model, parallel, compute).build())
+    }
+
+    /// The first collective and the first point-to-point task of `dag`.
+    fn comm_tasks(dag: &TrainingDag) -> (TaskId, TaskId) {
+        let first = |p2p: bool| {
+            let i = dag
+                .kinds()
+                .iter()
+                .position(|k| match k {
+                    TaskKind::Collective { .. } => !p2p,
+                    TaskKind::PointToPoint { .. } => p2p,
+                    TaskKind::Compute { .. } => false,
+                })
+                .expect("the tiny DAG has both kinds of communication");
+            TaskId(i as u32)
+        };
+        (first(false), first(true))
+    }
+
+    /// A row of `task` issued at `issue_ms` that started `wait_ms` later plus
+    /// `datapath`, on rail 0 when it is a scale-out transfer.
+    fn row(task: TaskId, scaleout: bool, issue_ms: u64, wait_ms: u64, datapath: u64) -> CommRow {
+        let issued_at = SimTime::from_millis(issue_ms);
+        let start =
+            issued_at + SimDuration::from_millis(wait_ms) + SimDuration::from_micros(datapath);
+        CommRow {
+            task,
+            scaleout,
+            rails: if scaleout {
+                RailSet::from_iter([RailId(0)])
+            } else {
+                RailSet::EMPTY
+            },
+            issued_at,
+            start,
+            end: start + SimDuration::from_millis(10),
+        }
+    }
+
+    #[test]
+    fn a_row_takes_at_most_40_bytes() {
+        assert!(std::mem::size_of::<CommRow>() <= 40);
+        assert!(std::mem::size_of::<CommLog>() <= 16);
     }
 
     #[test]
@@ -343,21 +583,121 @@ mod tests {
     }
 
     #[test]
+    fn a_log_reads_what_the_dag_declares_and_derives_the_wait() {
+        let dag = tiny_dag();
+        let (collective, p2p) = comm_tasks(&dag);
+        let latency = SimDuration::from_micros(1);
+        let log = CommLog::new(
+            Arc::clone(&dag),
+            latency,
+            vec![
+                row(collective, true, 0, 5, 1),
+                row(p2p, true, 20, 0, 1),
+                row(p2p, false, 40, 0, 0),
+            ],
+        );
+        let records: Vec<CommRecord> = log.iter().collect();
+        assert_eq!(records.len(), 3);
+        let TaskKind::Collective {
+            group,
+            kind,
+            axis,
+            bytes,
+        } = *dag.kind(collective)
+        else {
+            unreachable!()
+        };
+        let r = &records[0];
+        assert_eq!((r.task, r.label), (collective, dag.label(collective)));
+        assert_eq!(
+            (r.axis, r.kind, r.group, r.bytes),
+            (axis, kind, Some(group), bytes)
+        );
+        assert_eq!(r.circuit_wait, SimDuration::from_millis(5));
+        assert_eq!(r.start, r.issued_at + r.circuit_wait + latency);
+        let TaskKind::PointToPoint { axis, bytes, .. } = *dag.kind(p2p) else {
+            unreachable!()
+        };
+        for r in &records[1..] {
+            assert_eq!(
+                (r.axis, r.kind, r.group, r.bytes),
+                (axis, CollectiveKind::SendRecv, None, bytes)
+            );
+            assert_eq!(r.circuit_wait, SimDuration::ZERO, "{r:?}");
+        }
+        assert!(records[1].scaleout && !records[2].scaleout);
+        assert_eq!(records[2].rails, RailSet::EMPTY);
+        assert_eq!(log.len(), 3);
+        assert_eq!((&log).into_iter().len(), 3);
+    }
+
+    #[test]
+    fn a_shared_shifted_log_reads_like_the_owned_shifted_records() {
+        let dag = tiny_dag();
+        let (collective, p2p) = comm_tasks(&dag);
+        let by = SimDuration::from_millis(7);
+        let log = CommLog::new(
+            Arc::clone(&dag),
+            SimDuration::ZERO,
+            vec![row(collective, true, 10, 3, 0), row(p2p, false, 20, 0, 0)],
+        );
+        let shared = log.shifted(by);
+        let owned: Vec<CommRecord> = log
+            .iter()
+            .map(|r| CommRecord {
+                issued_at: r.issued_at + by,
+                start: r.start + by,
+                end: r.end + by,
+                ..r
+            })
+            .collect();
+        assert_eq!(shared.iter().collect::<Vec<_>>(), owned);
+        assert!(shared.shares_storage_with(&log));
+        assert!(Arc::ptr_eq(shared.dag().unwrap(), &dag));
+        assert_eq!(
+            shared,
+            log.shifted(SimDuration::from_millis(3))
+                .shifted(SimDuration::from_millis(4))
+        );
+        assert_ne!(shared, log);
+        assert_eq!(format!("{shared:?}"), format!("{owned:?}"));
+        assert_eq!(
+            serde_json::to_string_pretty(&shared).unwrap(),
+            serde_json::to_string_pretty(&owned).unwrap()
+        );
+        let empty = CommLog::default();
+        assert!(empty.is_empty() && empty.shifted(by).is_empty());
+        assert!(empty.dag().is_none());
+        assert_eq!(empty, CommLog::new(dag, SimDuration::ZERO, Vec::new()));
+        assert_eq!(serde_json::to_string(&empty).unwrap(), "[]");
+    }
+
+    #[test]
     fn rail_filter() {
-        let it = iteration(100, vec![record(0, 10, 0), record(20, 30, 0)]);
+        let dag = tiny_dag();
+        let (collective, p2p) = comm_tasks(&dag);
+        let mut it = iteration(100);
+        it.comm_records = CommLog::new(
+            Arc::clone(&dag),
+            SimDuration::ZERO,
+            vec![row(collective, true, 0, 0, 0), row(p2p, true, 20, 0, 0)],
+        );
         assert_eq!(it.records_on_rail(RailId(0)).count(), 2);
         assert_eq!(it.records_on_rail(RailId(1)).count(), 0);
-        assert_eq!(it.scaleout_bytes(), Bytes::from_mb(200));
+        let bytes = |id| match *dag.kind(id) {
+            TaskKind::Collective { bytes, .. } | TaskKind::PointToPoint { bytes, .. } => bytes,
+            TaskKind::Compute { .. } => unreachable!(),
+        };
+        assert_eq!(
+            it.scaleout_bytes(),
+            bytes(collective).saturating_add(bytes(p2p))
+        );
     }
 
     #[test]
     fn steady_state_skips_the_profiling_iteration() {
         let run = SimulationResult {
-            iterations: vec![
-                iteration(200, vec![]),
-                iteration(100, vec![]),
-                iteration(110, vec![]),
-            ],
+            iterations: vec![iteration(200), iteration(100), iteration(110)],
         };
         let t = run.steady_state_iteration_time();
         assert!((t.as_millis_f64() - 105.0).abs() < 1e-6);
@@ -366,7 +706,7 @@ mod tests {
     #[test]
     fn single_iteration_runs_use_it_directly() {
         let run = SimulationResult {
-            iterations: vec![iteration(250, vec![])],
+            iterations: vec![iteration(250)],
         };
         assert_eq!(
             run.steady_state_iteration_time(),
@@ -377,10 +717,10 @@ mod tests {
     #[test]
     fn normalization() {
         let fast = SimulationResult {
-            iterations: vec![iteration(100, vec![]), iteration(100, vec![])],
+            iterations: vec![iteration(100), iteration(100)],
         };
         let slow = SimulationResult {
-            iterations: vec![iteration(100, vec![]), iteration(150, vec![])],
+            iterations: vec![iteration(100), iteration(150)],
         };
         assert!((slow.normalized_against(&fast) - 1.5).abs() < 1e-9);
     }
@@ -399,26 +739,19 @@ mod tests {
     #[test]
     fn a_shared_shifted_sequence_reads_like_the_owned_shifted_values() {
         let by = SimDuration::from_millis(7);
-        let records = vec![record(10, 30, 5), record(20, 40, 0)];
-        let shared = Shifted::from(records.clone()).shifted(by);
-        let owned: Vec<CommRecord> = records.iter().map(|r| r.shifted(by)).collect();
+        let events = vec![event(10), event(50)];
+        let shared = Shifted::from(events.clone()).shifted(by);
+        let owned: Vec<ReconfigEvent> = events.iter().map(|e| e.shifted(by)).collect();
+        assert_eq!(owned[1].started_at, SimTime::from_millis(62));
         assert_eq!(shared.len(), 2);
         assert!(!shared.is_empty());
         assert_eq!(shared.iter().collect::<Vec<_>>(), owned);
         assert_eq!((&shared).into_iter().len(), 2);
         assert_eq!(shared, Shifted::from(owned.clone()));
-        assert_ne!(shared, Shifted::from(records));
+        assert_ne!(shared, Shifted::from(events));
         assert_eq!(format!("{shared:?}"), format!("{owned:?}"));
         assert_eq!(
             serde_json::to_string_pretty(&shared).unwrap(),
-            serde_json::to_string_pretty(&owned).unwrap()
-        );
-
-        let events = Shifted::from(vec![event(10), event(50)]);
-        let owned: Vec<ReconfigEvent> = events.iter().map(|e| e.shifted(by)).collect();
-        assert_eq!(owned[1].started_at, SimTime::from_millis(62));
-        assert_eq!(
-            serde_json::to_string_pretty(&events.shifted(by)).unwrap(),
             serde_json::to_string_pretty(&owned).unwrap()
         );
         let empty = Shifted::<ReconfigEvent>::from(Vec::new());

@@ -60,6 +60,12 @@
 //!    and has issued at least one transfer over the rails.
 //! 4. The transfer lasts its step's price; the plan's ports are marked busy until it
 //!    completes.
+//! 5. The run keeps a 40-byte row of what it decided: the task, whether it went
+//!    scale-out, its rails and its issue, start and end times. The iteration's
+//!    [`CommLog`] reads the record's label, axis, kind, group and bytes back from the
+//!    job's DAG, and its circuit wait as `start − issued_at −` the job's datapath
+//!    latency, so a stored transfer costs 40 bytes instead of a 72-byte
+//!    [`CommRecord`](crate::CommRecord).
 //!
 //! ## Execution model
 //!
@@ -94,17 +100,17 @@
 //! once the fabric state at two consecutive iteration boundaries is equal up to the
 //! shift between them, later unperturbed iterations are replayed with a shifted
 //! clock instead of re-stepped — byte-identical results at a fraction of the
-//! wall-clock cost. A replayed iteration shares its template's records and
-//! reconfiguration events ([`Shifted`](crate::Shifted)) instead of copying them, so
-//! it costs O(1) and a long run's memory does not grow with its iteration count. A
-//! clean run steps two iterations and fast-forwards the rest. The
-//! detection and invalidation semantics are documented on the executor's private
-//! `MemoState`; [`OpusConfig::memoize_steady_state`] is the knob and
+//! wall-clock cost. A replayed iteration shares its template's record rows and DAG
+//! ([`CommLog`]) and its reconfiguration events ([`Shifted`](crate::Shifted))
+//! instead of copying them, so it costs O(1) and a long run's memory does not grow
+//! with its iteration count. A clean run steps two iterations and fast-forwards the
+//! rest. The detection and invalidation semantics are documented on the executor's
+//! private `MemoState`; [`OpusConfig::memoize_steady_state`] is the knob and
 //! [`JobResult::memoized_iterations`] counts the replayed iterations.
 //!
 //! [`ScenarioSpec::run_without_records`] runs the same simulation for callers that
-//! read only aggregates: it keeps no [`CommRecord`] and returns every iteration's
-//! records empty.
+//! read only aggregates: it keeps no record row and returns every iteration's
+//! [`CommLog`] empty, holding no DAG.
 //!
 //! ## Failure and recovery model
 //!
@@ -132,7 +138,7 @@ use crate::circuits::{CircuitPlanner, GroupCircuits};
 use crate::config::OpusConfig;
 use crate::config::{EvictionPolicy, ReconfigPolicy, RecoveryPolicy};
 use crate::controller::{FabricState, OpusController};
-use crate::metrics::{CommRecord, IterationResult, ReconfigEvent, SimulationResult};
+use crate::metrics::{CommLog, CommRow, IterationResult, ReconfigEvent, SimulationResult};
 use crate::serving::ServingSpec;
 use railsim_collectives::{
     cost::{collective_time, CostParams},
@@ -143,7 +149,7 @@ use railsim_topology::{
     Cluster, DenseCircuit, GpuId, OpticalRailFabric, PortGeometry, RailHealth, RailId, RailSet,
     ELECTRICAL_SWITCH_LATENCY,
 };
-use railsim_workload::{JobId, LabelId, Position, Step, TaskKind, TrainingDag};
+use railsim_workload::{JobId, Position, Step, TaskId, TaskKind, TrainingDag};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -333,8 +339,8 @@ impl ScenarioSpec {
     /// iterations, a placement outside the cluster, an injection on a nonexistent
     /// rail or job, a job that arrives twice, inconsistent optical reconfiguration
     /// latencies across jobs, a job whose circuits could use a rail beyond the
-    /// 64 a [`CommRecord`] can name, or a timeline under which a job cannot finish
-    /// (a needed rail fails and never recovers).
+    /// 64 a [`CommRecord`](crate::CommRecord) can name, or a timeline under which a
+    /// job cannot finish (a needed rail fails and never recovers).
     pub fn run(self) -> ScenarioResult {
         let mut sim = ScenarioSim::build(self, Records::Keep);
         sim.run_scenario();
@@ -351,20 +357,21 @@ impl ScenarioSpec {
     /// # Panics
     /// Panics when the scenario is malformed; see [`ScenarioSpec::run`].
     pub fn run_without_records(self) -> ScenarioResult {
-        let mut sim = ScenarioSim::build(self, Records::MemoOnly);
+        let mut sim = ScenarioSim::build(self, Records::Discard);
         sim.run_scenario();
         sim.into_result()
     }
 }
 
-/// Which [`CommRecord`]s a run keeps.
+/// Whether a run keeps its [`CommRecord`](crate::CommRecord)s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Records {
     /// Every record of every iteration ([`ScenarioSpec::run`]).
     Keep,
-    /// Only the records the memo needs, which is none: steady-state detection
-    /// compares fabric state, not records ([`ScenarioSpec::run_without_records`]).
-    MemoOnly,
+    /// No record at all: every iteration's log is empty and holds no DAG
+    /// ([`ScenarioSpec::run_without_records`]). Nothing in the run reads records —
+    /// steady-state detection compares fabric state — so the simulation is the same.
+    Discard,
 }
 
 /// One job's outcome in a [`ScenarioResult`].
@@ -594,7 +601,8 @@ const NO_SLOT: u32 = u32::MAX;
 /// Sentinel for "no job" in the fleet's per-port tenant table.
 const NO_JOB: u32 = u32::MAX;
 
-/// Rails a [`CommRecord`] can name: its [`RailSet`] is a 64-bit mask.
+/// Rails a [`CommRecord`](crate::CommRecord) can name: its [`RailSet`] is a 64-bit
+/// mask.
 const RECORD_RAILS: u32 = u64::BITS;
 
 /// One entry of the sorted injected timeline.
@@ -748,10 +756,16 @@ struct JobContext {
     gpu_offset: u32,
     /// The job's (possibly rebased) DAG, shared with the spec it came from. The run
     /// steps it through its execution layout: the step class per `Ready`, the
-    /// dependents row per `Done`, the indegrees per iteration start. Only a
-    /// communication task also reads its id and label. The run copies none of it.
+    /// dependents row per `Done`, the indegrees per iteration start. A communication
+    /// task also reads its id, which its record row names; the iteration's
+    /// [`CommLog`] shares the DAG to read each record's label, axis, kind, group and
+    /// bytes back. The run copies none of it.
     dag: Arc<TrainingDag>,
     config: OpusConfig,
+    /// What each scale-out transfer pays on top of its circuit wait: the electrical
+    /// switch's latency on electrical rails, nothing on an optical circuit. Its
+    /// [`CommLog`]s derive each record's circuit wait with it.
+    datapath_latency: SimDuration,
     /// Deduplicated circuit demands, one per group the job's tasks use, planned on
     /// first use; see [`CircuitSlot`].
     circuit_pool: Vec<CircuitSlot>,
@@ -800,7 +814,8 @@ struct JobContext {
     /// The latest task end of the in-flight iteration (the iteration start until a
     /// task finishes): the iteration ends when its last task does.
     iter_end: SimTime,
-    comm_records: Vec<CommRecord>,
+    /// The in-flight iteration's record rows (none when the run discards records).
+    comm_records: Vec<CommRow>,
     reconfig_events: Vec<ReconfigEvent>,
     total_circuit_wait: SimDuration,
     /// Done events of the current iteration still to commit.
@@ -994,14 +1009,23 @@ impl Fleet {
     /// # Panics
     /// Panics when a needed rail is down with no scheduled recovery — the job could
     /// never finish, which makes the scenario unsatisfiable.
-    fn outage_gate(&self, rails: RailSet, now: SimTime, job: JobId, label: LabelId) -> SimTime {
+    fn outage_gate(
+        &self,
+        rails: RailSet,
+        now: SimTime,
+        job: JobId,
+        dag: &TrainingDag,
+        task: TaskId,
+    ) -> SimTime {
         let mut gated = now;
         for rail in rails.iter() {
             if let Some(avail) = self.health.available_from(rail) {
+                // The label is resolved only for the panic message.
                 assert!(
                     avail != SimTime::MAX,
-                    "{job} task {label} needs {rail}, which failed with no scheduled \
-                     recovery — the scenario timeline is unsatisfiable"
+                    "{job} task {} needs {rail}, which failed with no scheduled \
+                     recovery — the scenario timeline is unsatisfiable",
+                    dag.label(task)
                 );
                 gated = gated.max(avail);
             }
@@ -1324,11 +1348,17 @@ impl ScenarioSim {
             None => Vec::new(),
         };
         let is_training = serving.is_none();
+        let datapath_latency = if config.policy.is_optical() {
+            SimDuration::ZERO
+        } else {
+            ELECTRICAL_SWITCH_LATENCY
+        };
         let mut ctx = JobContext {
             job,
             gpu_offset,
             dag,
             config,
+            datapath_latency,
             circuit_pool,
             slot_of_group,
             dense_circuits: Vec::new(),
@@ -1683,6 +1713,13 @@ impl ScenarioSim {
         ctx.remaining.clear();
         ctx.remaining.extend_from_slice(layout.indegrees());
         ctx.iter_end = at;
+        if self.records == Records::Keep {
+            // An iteration usually issues as many transfers as the one before it, so
+            // reserve that many rows: the buffer then neither regrows nor keeps the
+            // doubling's slack for the rest of the run.
+            let expected = ctx.completed.last().map_or(0, |it| it.comm_records.len());
+            ctx.comm_records.reserve_exact(expected);
+        }
         let roots = (0..layout.roots() as u32).map(Position);
         if ctx.serving.is_some() {
             // Snapshot the elastic size for this iteration and mask out every task
@@ -1710,7 +1747,12 @@ impl ScenarioSim {
     /// Finalizes job `j`'s just-completed iteration and starts the next one (or
     /// retires the job).
     fn finish_iteration(&mut self, j: usize, engine: &mut Engine<SimEvent>) {
-        let ScenarioSim { jobs, fleet, .. } = &mut *self;
+        let ScenarioSim {
+            jobs,
+            fleet,
+            records,
+            ..
+        } = &mut *self;
         let ctx = &mut jobs[j];
         debug_assert!(
             ctx.remaining
@@ -1723,16 +1765,16 @@ impl ScenarioSim {
         let start = ctx.iter_start;
         let end = ctx.iter_end;
         let mut comm_records = std::mem::take(&mut ctx.comm_records);
-        // Order by `(issued_at, task)`. A record is issued when its `Ready` commits,
-        // and the engine commits in time order, so the records already ascend in
-        // issue time: only each run of equal issue times needs sorting, by task id.
-        // A task issues one record per iteration, so the key is unique and the
-        // unstable sort lands on the stable order.
+        // Order by `(issued_at, task)`. A row is issued when its `Ready` commits,
+        // and the engine commits in time order, so the rows already ascend in issue
+        // time: only each run of equal issue times needs sorting, by task id. A task
+        // issues one row per iteration, so the key is unique and the unstable sort
+        // lands on the stable order.
         debug_assert!(
             comm_records
                 .windows(2)
                 .all(|w| w[0].issued_at <= w[1].issued_at),
-            "records are pushed in nondecreasing issue time"
+            "rows are pushed in nondecreasing issue time"
         );
         for tied in comm_records.chunk_by_mut(|a, b| a.issued_at == b.issued_at) {
             tied.sort_unstable_by_key(|r| r.task);
@@ -1742,11 +1784,15 @@ impl ScenarioSim {
         // runs in one process, which the next run's set-up reuses (see "Shared
         // fast-forward records" in EXPERIMENTS.md).
         let reconfig_events = std::mem::take(&mut ctx.reconfig_events).into();
+        let comm_records = match records {
+            Records::Keep => CommLog::new(Arc::clone(&ctx.dag), ctx.datapath_latency, comm_records),
+            Records::Discard => CommLog::default(),
+        };
         let result = IterationResult {
             iteration: ctx.iteration,
             iteration_time: end.duration_since(start),
             started_at: start,
-            comm_records: comm_records.into(),
+            comm_records,
             reconfig_events,
             total_circuit_wait: ctx.total_circuit_wait,
         };
@@ -1932,18 +1978,15 @@ impl ScenarioSim {
                 };
                 let ctx = &mut self.jobs[j];
                 ctx.iter_end = ctx.iter_end.max(end);
-                if let Some(rec) = record {
+                if let Some((row, circuit_wait)) = record {
                     debug_assert!(
-                        ctx.total_circuit_wait
-                            .checked_add(rec.circuit_wait)
-                            .is_some(),
+                        ctx.total_circuit_wait.checked_add(circuit_wait).is_some(),
                         "total_circuit_wait overflowed u64 nanoseconds — the saturating \
                          clamp would silently freeze the metric"
                     );
-                    ctx.total_circuit_wait =
-                        ctx.total_circuit_wait.saturating_add(rec.circuit_wait);
+                    ctx.total_circuit_wait = ctx.total_circuit_wait.saturating_add(circuit_wait);
                     if keep_record {
-                        ctx.comm_records.push(rec);
+                        ctx.comm_records.push(row);
                     }
                     // Attribute any reconfigurations this commit caused to the job.
                     if let Some(c) = self.fleet.controller.as_deref_mut() {
@@ -2159,49 +2202,39 @@ impl ScenarioSim {
     }
 
     /// Executes the task at `pos` of one job, which became ready at `now`; returns
-    /// its end time and, for communication tasks, the record describing what
-    /// happened.
+    /// its end time and, for communication tasks, the row recording what happened
+    /// and the circuit wait it paid.
     fn execute_task(
         ctx: &mut JobContext,
         fleet: &mut Fleet,
         pos: Position,
         now: SimTime,
-    ) -> (SimTime, Option<CommRecord>) {
-        let (kind, axis, bytes, collective) = match ctx.dag.layout().step(pos) {
-            Step::Compute(duration) => {
-                // An inert jitter RNG never draws and always scales by exactly 1.
-                if ctx.config.jitter_inert() {
-                    return (now + duration, None);
-                }
-                let jitter = ctx.rng.jitter(ctx.config.compute_jitter);
-                return (now + duration.mul_f64(jitter), None);
+    ) -> (SimTime, Option<(CommRow, SimDuration)>) {
+        if let Step::Compute(duration) = ctx.dag.layout().step(pos) {
+            // An inert jitter RNG never draws and always scales by exactly 1.
+            if ctx.config.jitter_inert() {
+                return (now + duration, None);
             }
-            Step::Collective { kind, axis, bytes } => (kind, axis, bytes, true),
-            Step::PointToPoint { axis, bytes } => (CollectiveKind::SendRecv, axis, bytes, false),
-        };
-        let record = Self::execute_comm(ctx, fleet, pos, now, kind, axis, bytes, collective);
-        (record.end, Some(record))
+            let jitter = ctx.rng.jitter(ctx.config.compute_jitter);
+            return (now + duration.mul_f64(jitter), None);
+        }
+        let (row, circuit_wait) = Self::execute_comm(ctx, fleet, pos, now);
+        (row.end, Some((row, circuit_wait)))
     }
 
     /// Executes the communication task at `pos` from its slot's prepared plan and its
-    /// step's price. A collective's record names its group, which is its circuit
-    /// slot's: `plan_task_circuits` keys each collective's slot by that same group
-    /// id.
-    #[allow(clippy::too_many_arguments)]
+    /// step's price, and returns its record row and the circuit wait it paid. The row
+    /// holds only what the run decided; the label, axis, kind, group and bytes of the
+    /// record stay in the DAG. A collective's record reads its group from the DAG,
+    /// which is its circuit slot's: `plan_task_circuits` keys each collective's slot
+    /// by that same group id.
     fn execute_comm(
         ctx: &mut JobContext,
         fleet: &mut Fleet,
         pos: Position,
         now: SimTime,
-        kind: CollectiveKind,
-        axis: ParallelismAxis,
-        bytes: railsim_sim::Bytes,
-        collective: bool,
-    ) -> CommRecord {
-        // Handles are `Copy`, so taking them out of the table costs nothing — the hot
-        // path never clones a label `String` per event.
+    ) -> (CommRow, SimDuration) {
         let id = ctx.dag.layout().task(pos);
-        let label = ctx.dag.label(id);
         let iteration = ctx.iteration;
         let config = &ctx.config;
         let price = ctx.prices[ctx.task_price[pos.index()] as usize];
@@ -2213,12 +2246,10 @@ impl ScenarioSim {
         let slot = &ctx.circuit_pool[price.slot as usize];
         let rails = slot.plan.rails;
         let circuits = &ctx.dense_circuits[slot.plan.start as usize..slot.plan.end as usize];
-        let group = collective.then_some(slot.group);
-        debug_assert_eq!(
-            group,
+        debug_assert!(
             match ctx.dag.kind(id) {
-                TaskKind::Collective { group, .. } => Some(*group),
-                _ => None,
+                TaskKind::Collective { group, .. } => *group == slot.group,
+                _ => true,
             },
             "a collective's circuit slot is keyed by its group"
         );
@@ -2236,26 +2267,21 @@ impl ScenarioSim {
         // a down rail cannot start (electrical) or install circuits (optical) before
         // the rail's scheduled recovery. Clean timelines skip the walk entirely.
         let gated = if fleet.faults && scaleout && !offloaded {
-            fleet.outage_gate(rails, now, ctx.job, label)
+            fleet.outage_gate(rails, now, ctx.job, &ctx.dag, id)
         } else {
             now
         };
 
         let optical = config.policy.is_optical();
-        let (start, circuit_wait, datapath_latency) = if !optical {
-            // Every scale-out transfer pays the switch datapath latency — offloaded
-            // ones included (the host network also runs through packet switches;
-            // this matches the pre-redesign simulator byte for byte). Only the
-            // outage gate is rail-specific and skips offloaded traffic.
-            let latency = if scaleout {
-                ELECTRICAL_SWITCH_LATENCY
-            } else {
-                SimDuration::ZERO
-            };
+        let (start, circuit_wait) = if !optical {
+            // Every scale-out transfer pays the switch datapath latency (added below)
+            // — offloaded ones included (the host network also runs through packet
+            // switches; this matches the pre-redesign simulator byte for byte). Only
+            // the outage gate is rail-specific and skips offloaded traffic.
             if scaleout && !offloaded {
-                (gated, gated.duration_since(now), latency)
+                (gated, gated.duration_since(now))
             } else {
-                (now, SimDuration::ZERO, latency)
+                (now, SimDuration::ZERO)
             }
         } else {
             let controller = fleet
@@ -2263,7 +2289,7 @@ impl ScenarioSim {
                 .as_deref_mut()
                 .expect("an optical job implies a controller");
             if !scaleout || offloaded {
-                (now, SimDuration::ZERO, SimDuration::ZERO)
+                (now, SimDuration::ZERO)
             } else if let Some(ready) = controller.installed_ready_time(circuits) {
                 // The request is a no-op: the circuits are installed on every rail —
                 // which also implies every needed rail is up, because a failure tears
@@ -2271,7 +2297,7 @@ impl ScenarioSim {
                 // ready)`, found by one O(group circuits) walk.
                 controller.note_noop_request();
                 let start = ready.max(now);
-                (start, start.duration_since(now), SimDuration::ZERO)
+                (start, start.duration_since(now))
             } else {
                 // Not (fully) installed: the stateful reconfiguration path.
                 let provisioned = config.provisioning_active(iteration) && ctx.rail_profiled;
@@ -2306,11 +2332,17 @@ impl ScenarioSim {
                 };
                 let ready = controller.request(ctx.job.0, slot.group, &slot.circuits, requested_at);
                 let start = ready.max(now);
-                (start, start.duration_since(now), SimDuration::ZERO)
+                (start, start.duration_since(now))
             }
         };
 
-        let start = start + datapath_latency;
+        // The per-job datapath latency is zero on optical rails, so only electrical
+        // scale-out transfers pay it; a record derives its circuit wait the same way.
+        let start = if scaleout {
+            start + ctx.datapath_latency
+        } else {
+            start
+        };
         let end = start + duration;
 
         if scaleout && !offloaded {
@@ -2328,13 +2360,8 @@ impl ScenarioSim {
             fleet.note_transfer(ctx.job.0, rails, circuits, start, end);
         }
 
-        CommRecord {
+        let row = CommRow {
             task: id,
-            label,
-            axis,
-            kind,
-            group,
-            bytes,
             scaleout,
             // Offloaded traffic never touches the rails, so it carries no rail list and
             // is invisible to the per-rail window/phase analysis — which is the point.
@@ -2342,8 +2369,8 @@ impl ScenarioSim {
             issued_at: now,
             start,
             end,
-            circuit_wait,
-        }
+        };
+        (row, circuit_wait)
     }
 }
 
@@ -2725,7 +2752,7 @@ mod tests {
     fn record_free_memoized_runs_never_allocate_a_record_buffer() {
         let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 6);
         let spec = ScenarioSpec::new(tiny_cluster(4)).job(tiny_dag(), config);
-        let mut sim = ScenarioSim::build(spec, Records::MemoOnly);
+        let mut sim = ScenarioSim::build(spec, Records::Discard);
         sim.run_scenario();
         let ctx = &sim.jobs[0];
         assert_eq!(ctx.memo.fast_forwarded, 4);
@@ -2746,7 +2773,8 @@ mod tests {
     fn fast_forwards_share_their_templates_records_and_events() {
         // A clean run arms iteration 1 as the template and replays 2..6 from it.
         let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 6);
-        let spec = || ScenarioSpec::new(tiny_cluster(4)).job(tiny_dag(), config);
+        let dag = Arc::new(tiny_dag());
+        let spec = || ScenarioSpec::new(tiny_cluster(4)).job(Arc::clone(&dag), config);
         for (records, result) in [
             ("run", spec().run()),
             ("run_without_records", spec().run_without_records()),
@@ -2756,6 +2784,14 @@ mod tests {
             let template = &iterations[1];
             assert_eq!(template.comm_records.is_empty(), records != "run");
             assert!(!template.reconfig_events.is_empty(), "{records}");
+            // Every log reads the job's own DAG, shared and never copied; a
+            // record-free run's logs hold none.
+            for it in iterations {
+                match it.comm_records.dag() {
+                    Some(shared) => assert!(Arc::ptr_eq(shared, &dag), "{records}"),
+                    None => assert_eq!(records, "run_without_records"),
+                }
+            }
             assert!(
                 !iterations[0]
                     .reconfig_events
@@ -2890,7 +2926,7 @@ mod tests {
                 Records::Keep,
             );
             let (kept, ff_kept) = occupancy(config, Records::Keep);
-            let (free, ff_free) = occupancy(config, Records::MemoOnly);
+            let (free, ff_free) = occupancy(config, Records::Discard);
             assert!(ff_kept >= 1, "{name}: the memo must fast-forward");
             assert_eq!(
                 ff_free, ff_kept,
@@ -3674,6 +3710,49 @@ mod tests {
         assert_eq!(rail_records, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3]);
         assert_eq!(provisioned.total_reconfigs(), 1);
         assert_eq!(format!("{provisioned:?}"), format!("{on_demand:?}"));
+    }
+
+    #[test]
+    fn materialized_circuit_waits_sum_to_the_runs_own_total() {
+        // A record stores no circuit wait: it reads `start − issued_at − datapath
+        // latency` back. The run accumulates the wait it paid on its own, so the two
+        // must agree in every iteration, whatever delayed the transfers: the outage
+        // gate, the controller, the electrical datapath or host offload.
+        let latency = SimDuration::from_millis(5);
+        let mut waited = SimDuration::ZERO;
+        for (name, base) in [
+            ("electrical", OpusConfig::electrical()),
+            ("on_demand", OpusConfig::on_demand(latency)),
+            ("provisioned", OpusConfig::provisioned(latency)),
+        ] {
+            for offload in [None, Some(crate::HostOffload::frontend_100g())] {
+                let config = OpusConfig {
+                    host_offload: offload,
+                    recovery_policy: RecoveryPolicy::Replan,
+                    ..jitter_free(base, 3)
+                };
+                for (flap, result) in [
+                    (false, clean_single(config)),
+                    (true, flapped_scenario(config).jobs.remove(0).result),
+                ] {
+                    for it in &result.iterations {
+                        let sum = it
+                            .comm_records
+                            .iter()
+                            .fold(SimDuration::ZERO, |acc, r| acc + r.circuit_wait);
+                        assert_eq!(
+                            sum,
+                            it.total_circuit_wait,
+                            "{name}, offload {}, flap {flap}, iteration {}",
+                            offload.is_some(),
+                            it.iteration
+                        );
+                        waited += sum;
+                    }
+                }
+            }
+        }
+        assert!(waited > SimDuration::ZERO, "some transfer must have waited");
     }
 
     #[test]

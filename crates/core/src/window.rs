@@ -16,13 +16,11 @@
 //! application's intrinsic schedule exactly as the paper measured it on an electrical
 //! fabric.
 //!
-//! Phases and windows move with their records: shifting every record by `d` shifts
-//! every phase and window by `d` and leaves durations and volumes unchanged. The
-//! extractors therefore read an iteration's [`Shifted`] records in their shared,
-//! unshifted storage and shift only their output, so a fast-forwarded iteration is
-//! never copied.
+//! The extractors take records as values, so they read an iteration's
+//! [`CommLog`](crate::CommLog) (`&it.comm_records` or `it.comm_records.iter()`)
+//! without copying it, and hand-built records just the same.
 
-use crate::metrics::{CommRecord, IterationResult, Shifted};
+use crate::metrics::{CommRecord, IterationResult};
 use railsim_collectives::ParallelismAxis;
 use railsim_sim::stats::{BucketedStats, Cdf};
 use railsim_sim::{Bytes, SimDuration, SimTime};
@@ -67,14 +65,13 @@ pub struct Window {
 }
 
 /// Splits the scale-out records of one rail into parallelism phases.
-pub fn phases_on_rail(records: &Shifted<CommRecord>, rail: RailId) -> Vec<Phase> {
-    let (records, shift) = records.parts();
-    let mut on_rail: Vec<&CommRecord> = records
-        .iter()
+pub fn phases_on_rail(records: impl IntoIterator<Item = CommRecord>, rail: RailId) -> Vec<Phase> {
+    let mut on_rail: Vec<CommRecord> = records
+        .into_iter()
         .filter(|r| r.scaleout && r.rails.contains(rail))
         .collect();
     on_rail.sort_by_key(|r| (r.issued_at, r.task));
-    phases_of_stream(rail, &on_rail, shift)
+    phases_of_stream(rail, &on_rail)
 }
 
 /// Extracts the inter-parallelism windows of one rail from one iteration's records.
@@ -82,7 +79,7 @@ pub fn phases_on_rail(records: &Shifted<CommRecord>, rail: RailId) -> Vec<Phase>
 /// Only positive gaps are reported: overlapping phases (the next phase's first
 /// operation was issued before the previous phase finished) leave no window to hide a
 /// reconfiguration in and are skipped.
-pub fn windows_on_rail(records: &Shifted<CommRecord>, rail: RailId) -> Vec<Window> {
+pub fn windows_on_rail(records: impl IntoIterator<Item = CommRecord>, rail: RailId) -> Vec<Window> {
     windows_of_phases(&phases_on_rail(records, rail))
 }
 
@@ -93,10 +90,9 @@ pub fn windows_on_rail(records: &Shifted<CommRecord>, rail: RailId) -> Vec<Windo
 /// 10k-GPU iteration produces hundreds of thousands of records across many rails.
 /// Rails are returned in the order given.
 pub fn phases_by_rail(
-    records: &Shifted<CommRecord>,
+    records: impl IntoIterator<Item = CommRecord>,
     rails: &[RailId],
 ) -> Vec<(RailId, Vec<Phase>)> {
-    let (records, shift) = records.parts();
     // A rail may legitimately appear more than once in `rails`; every occurrence gets
     // the full stream, keeping the documented per-rail equivalence unconditional.
     let mut lanes_of: std::collections::HashMap<RailId, Vec<usize>> =
@@ -106,12 +102,12 @@ pub fn phases_by_rail(
     }
     // One issue-ordered record stream per requested rail (a record carrying several
     // rails contributes to each of them, exactly like the per-rail filter).
-    let mut streams: Vec<Vec<&CommRecord>> = vec![Vec::new(); rails.len()];
-    for rec in records.iter().filter(|r| r.scaleout) {
+    let mut streams: Vec<Vec<CommRecord>> = vec![Vec::new(); rails.len()];
+    for rec in records.into_iter().filter(|r| r.scaleout) {
         for rail in &rec.rails {
             if let Some(lanes) = lanes_of.get(&rail) {
                 for &lane in lanes {
-                    streams[lane].push(rec);
+                    streams[lane].push(rec.clone());
                 }
             }
         }
@@ -121,14 +117,13 @@ pub fn phases_by_rail(
         .zip(streams)
         .map(|(&rail, mut on_rail)| {
             on_rail.sort_by_key(|r| (r.issued_at, r.task));
-            (rail, phases_of_stream(rail, &on_rail, shift))
+            (rail, phases_of_stream(rail, &on_rail))
         })
         .collect()
 }
 
-/// Folds one rail's issue-ordered record stream into parallelism phases, moved
-/// `shift` later.
-fn phases_of_stream(rail: RailId, on_rail: &[&CommRecord], shift: SimDuration) -> Vec<Phase> {
+/// Folds one rail's issue-ordered record stream into parallelism phases.
+fn phases_of_stream(rail: RailId, on_rail: &[CommRecord]) -> Vec<Phase> {
     let mut phases: Vec<Phase> = Vec::new();
     for rec in on_rail {
         match phases.last_mut() {
@@ -147,10 +142,6 @@ fn phases_of_stream(rail: RailId, on_rail: &[&CommRecord], shift: SimDuration) -
                 operations: 1,
             }),
         }
-    }
-    for phase in &mut phases {
-        phase.first_issue += shift;
-        phase.last_end += shift;
     }
     phases
 }
@@ -219,6 +210,19 @@ mod tests {
     use railsim_topology::RailSet;
     use railsim_workload::TaskId;
 
+    /// `records` moved `by` later.
+    fn shifted(records: &[CommRecord], by: SimDuration) -> Vec<CommRecord> {
+        records
+            .iter()
+            .map(|r| CommRecord {
+                issued_at: r.issued_at + by,
+                start: r.start + by,
+                end: r.end + by,
+                ..r.clone()
+            })
+            .collect()
+    }
+
     fn record(
         axis: ParallelismAxis,
         issue_ms: u64,
@@ -245,13 +249,13 @@ mod tests {
 
     #[test]
     fn phases_group_consecutive_same_axis_operations() {
-        let records = Shifted::from(vec![
+        let records = vec![
             record(ParallelismAxis::Data, 0, 0, 10, 100, 0),
             record(ParallelismAxis::Data, 5, 10, 20, 100, 0),
             record(ParallelismAxis::Pipeline, 40, 40, 45, 64, 0),
             record(ParallelismAxis::Data, 60, 60, 80, 200, 0),
-        ]);
-        let phases = phases_on_rail(&records, RailId(0));
+        ];
+        let phases = phases_on_rail(records.clone(), RailId(0));
         assert_eq!(phases.len(), 3);
         assert_eq!(phases[0].operations, 2);
         assert_eq!(phases[0].bytes, Bytes::from_mb(200));
@@ -262,11 +266,11 @@ mod tests {
     fn window_matches_paper_definition() {
         // P1 (DP) ends at 20 ms, P2 (PP) is issued at 40 ms -> 20 ms window whose
         // following traffic is P2's 64 MB.
-        let records = Shifted::from(vec![
+        let records = vec![
             record(ParallelismAxis::Data, 0, 0, 20, 957, 0),
             record(ParallelismAxis::Pipeline, 40, 41, 45, 64, 0),
-        ]);
-        let windows = windows_on_rail(&records, RailId(0));
+        ];
+        let windows = windows_on_rail(records.clone(), RailId(0));
         assert_eq!(windows.len(), 1);
         let w = &windows[0];
         assert_eq!(w.duration, SimDuration::from_millis(20));
@@ -277,11 +281,11 @@ mod tests {
 
     #[test]
     fn overlapping_phases_leave_no_window() {
-        let records = Shifted::from(vec![
+        let records = vec![
             record(ParallelismAxis::Data, 0, 0, 50, 100, 0),
             record(ParallelismAxis::Pipeline, 30, 30, 60, 64, 0),
-        ]);
-        assert!(windows_on_rail(&records, RailId(0)).is_empty());
+        ];
+        assert!(windows_on_rail(records.clone(), RailId(0)).is_empty());
     }
 
     #[test]
@@ -289,51 +293,67 @@ mod tests {
         // The PP op is issued at 30 ms but only starts at 55 ms because of a circuit
         // wait; the window must be measured to the *issue* time (the application's
         // intrinsic gap), i.e. 10 ms.
-        let records = Shifted::from(vec![
+        let records = vec![
             record(ParallelismAxis::Data, 0, 0, 20, 100, 0),
             record(ParallelismAxis::Pipeline, 30, 55, 60, 64, 0),
-        ]);
-        let windows = windows_on_rail(&records, RailId(0));
+        ];
+        let windows = windows_on_rail(records.clone(), RailId(0));
         assert_eq!(windows[0].duration, SimDuration::from_millis(10));
     }
 
     #[test]
     fn single_pass_multi_rail_extraction_matches_per_rail() {
-        let records = Shifted::from(vec![
+        let records = vec![
             record(ParallelismAxis::Data, 0, 0, 20, 957, 0),
             record(ParallelismAxis::Pipeline, 40, 41, 45, 64, 0),
             record(ParallelismAxis::Data, 5, 5, 25, 100, 1),
             record(ParallelismAxis::Pipeline, 60, 60, 70, 64, 1),
             record(ParallelismAxis::Data, 90, 90, 95, 50, 1),
-        ]);
+        ];
         let rails = [RailId(0), RailId(1), RailId(2), RailId(0)];
-        let by_rail = phases_by_rail(&records, &rails);
+        let by_rail = phases_by_rail(records.clone(), &rails);
         assert_eq!(by_rail.len(), 4);
         for (rail, phases) in &by_rail {
             // Equivalence holds for every occurrence, including the duplicate rail 0.
-            assert_eq!(phases, &phases_on_rail(&records, *rail), "{rail}");
+            assert_eq!(phases, &phases_on_rail(records.clone(), *rail), "{rail}");
         }
-        let all = windows_of_iterations(
-            &[crate::metrics::IterationResult {
-                iteration: 0,
-                iteration_time: SimDuration::from_millis(100),
-                started_at: SimTime::ZERO,
-                comm_records: records.clone(),
-                reconfig_events: Vec::new().into(),
-                total_circuit_wait: SimDuration::ZERO,
-            }],
-            &rails,
-        );
-        let per_rail: usize = rails
+
+        // The same over the iterations of a simulated run, read from their logs.
+        let result = crate::ScenarioSpec::new(
+            railsim_topology::ClusterSpec::from_preset(
+                railsim_topology::NodePreset::PerlmutterA100,
+                4,
+            )
+            .build(),
+        )
+        .job(tiny_dag(), crate::OpusConfig::electrical())
+        .run();
+        let iterations = &result.jobs[0].result.iterations;
+        let all = windows_of_iterations(iterations, &rails);
+        let per_rail: usize = iterations
             .iter()
-            .map(|&r| windows_on_rail(&records, r).len())
+            .flat_map(|it| {
+                rails
+                    .iter()
+                    .map(|&r| windows_on_rail(&it.comm_records, r).len())
+            })
             .sum();
+        assert!(per_rail > 0);
         assert_eq!(all.len(), per_rail);
+    }
+
+    fn tiny_dag() -> railsim_workload::TrainingDag {
+        use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
+        let model = ModelConfig::tiny_test();
+        let parallel = ParallelismConfig::paper_llama3_8b();
+        let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
+        DagBuilder::new(model, parallel, compute).build()
     }
 
     #[test]
     fn shared_records_yield_the_phases_and_windows_of_their_shifted_copies() {
-        use crate::metrics::Shift;
+        // A fast-forwarded iteration's log yields its template's records shifted
+        // (pinned in `metrics`); their phases and windows are the template's, shifted.
         let by = SimDuration::from_millis(250);
         let records = vec![
             record(ParallelismAxis::Data, 0, 0, 20, 957, 0),
@@ -341,43 +361,55 @@ mod tests {
             record(ParallelismAxis::Data, 5, 5, 25, 100, 1),
             record(ParallelismAxis::Pipeline, 60, 60, 70, 64, 1),
         ];
-        let owned = Shifted::from(records.iter().map(|r| r.shifted(by)).collect::<Vec<_>>());
-        let shared = Shifted::from(records).shifted(by);
+        let moved = shifted(&records, by);
         let rails = [RailId(0), RailId(1)];
-        assert_eq!(
-            phases_by_rail(&shared, &rails),
-            phases_by_rail(&owned, &rails)
-        );
-        for rail in rails {
-            assert_eq!(phases_on_rail(&shared, rail), phases_on_rail(&owned, rail));
+        let shift_phase = |p: &Phase| Phase {
+            first_issue: p.first_issue + by,
+            last_end: p.last_end + by,
+            ..p.clone()
+        };
+        for ((rail, phases), (moved_rail, moved_phases)) in phases_by_rail(records.clone(), &rails)
+            .iter()
+            .zip(phases_by_rail(moved.clone(), &rails))
+        {
+            assert_eq!(*rail, moved_rail);
             assert_eq!(
-                windows_on_rail(&shared, rail),
-                windows_on_rail(&owned, rail)
+                phases.iter().map(shift_phase).collect::<Vec<_>>(),
+                moved_phases
             );
         }
-        let w = &windows_on_rail(&shared, RailId(0))[0];
+        for rail in rails {
+            let windows = windows_on_rail(records.clone(), rail);
+            let moved_windows = windows_on_rail(moved.clone(), rail);
+            assert_eq!(windows.len(), moved_windows.len());
+            for (w, m) in windows.iter().zip(&moved_windows) {
+                assert_eq!((w.opens + by, w.closes + by), (m.opens, m.closes));
+                assert_eq!((w.duration, w.traffic_after), (m.duration, m.traffic_after));
+            }
+        }
+        let w = &windows_on_rail(moved, RailId(0))[0];
         assert_eq!(w.opens, SimTime::from_millis(270));
         assert_eq!(w.duration, SimDuration::from_millis(20));
     }
 
     #[test]
     fn other_rails_are_ignored() {
-        let records = Shifted::from(vec![
+        let records = vec![
             record(ParallelismAxis::Data, 0, 0, 20, 100, 0),
             record(ParallelismAxis::Pipeline, 40, 40, 50, 64, 1),
-        ]);
-        assert!(windows_on_rail(&records, RailId(0)).is_empty());
-        assert_eq!(phases_on_rail(&records, RailId(1)).len(), 1);
+        ];
+        assert!(windows_on_rail(records.clone(), RailId(0)).is_empty());
+        assert_eq!(phases_on_rail(records.clone(), RailId(1)).len(), 1);
     }
 
     #[test]
     fn cdf_and_bucketing() {
-        let records = Shifted::from(vec![
+        let records = vec![
             record(ParallelismAxis::Data, 0, 0, 20, 3829, 0),
             record(ParallelismAxis::Pipeline, 120, 120, 130, 64, 0),
             record(ParallelismAxis::Data, 135, 135, 150, 957, 0),
-        ]);
-        let windows = windows_on_rail(&records, RailId(0));
+        ];
+        let windows = windows_on_rail(records.clone(), RailId(0));
         assert_eq!(windows.len(), 2);
         let cdf = window_cdf(&windows);
         assert_eq!(cdf.count(), 2);

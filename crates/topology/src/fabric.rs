@@ -18,12 +18,10 @@ use railsim_sim::{SimDuration, SimTime};
 /// end-to-end light path and pays nothing.
 pub const ELECTRICAL_SWITCH_LATENCY: SimDuration = SimDuration::from_micros(1);
 
-/// The dense numbering of a rail fabric's NIC ports. Two kinds of table index by it:
-///
-/// * each rail OCS's matching tables, over every port of the cluster
-///   ([`PortId::dense_index`]);
-/// * per-rail port tables, one per rail over that rail's ports
-///   ([`PortId::rail_dense_index`]), such as the Opus controller's occupancy.
+/// The dense numbering of a rail fabric's NIC ports: one table per rail over that
+/// rail's ports ([`PortId::rail_dense_index`]). Each rail OCS's matching tables index
+/// by it, and so do other per-rail port tables, such as the Opus controller's
+/// occupancy.
 ///
 /// The cluster fixes it, so a circuit plan can be resolved against it once
 /// ([`PortGeometry::resolve`]), before any fabric exists, and every later read of the
@@ -38,16 +36,36 @@ pub struct PortGeometry {
 impl PortGeometry {
     /// The geometry of `cluster`'s rail fabric.
     pub fn of(cluster: &Cluster) -> PortGeometry {
+        PortGeometry::new(
+            cluster.num_rails(),
+            cluster.num_nodes(),
+            cluster.ports_per_gpu(),
+        )
+    }
+
+    /// The geometry of `num_nodes` nodes of `num_rails` GPUs each, with
+    /// `ports_per_gpu` logical NIC ports per GPU.
+    ///
+    /// # Panics
+    /// Panics if `num_rails` or `ports_per_gpu` is zero.
+    pub fn new(num_rails: u32, num_nodes: u32, ports_per_gpu: u8) -> PortGeometry {
+        assert!(num_rails > 0, "a fabric must have at least one rail");
+        assert!(ports_per_gpu > 0, "GPUs must expose at least one port");
         PortGeometry {
-            num_rails: cluster.num_rails(),
-            ports_per_gpu: cluster.ports_per_gpu(),
-            ports_per_rail: cluster.num_nodes() * cluster.ports_per_gpu() as u32,
+            num_rails,
+            ports_per_gpu,
+            ports_per_rail: num_nodes * ports_per_gpu as u32,
         }
     }
 
     /// Number of rails, one per-rail port table each.
     pub fn num_rails(self) -> usize {
         self.num_rails as usize
+    }
+
+    /// Logical NIC ports per GPU.
+    pub fn ports_per_gpu(self) -> u8 {
+        self.ports_per_gpu
     }
 
     /// Entries in one per-rail port table: every node's ports on that rail.
@@ -67,22 +85,25 @@ impl PortGeometry {
     /// Resolves `circuit`, carried by `rail`'s OCS, to the dense tables.
     ///
     /// # Panics
-    /// Panics when an endpoint's logical port exceeds the geometry, in every build,
-    /// as [`Ocs`] does: an out-of-range port would alias the next GPU's entries.
+    /// Panics, in every build, as [`Ocs`] does: when an endpoint's logical port
+    /// exceeds the geometry (it would alias the next GPU's entries), or when an
+    /// endpoint is not on `rail`.
     pub fn resolve(self, rail: RailId, circuit: Circuit) -> DenseCircuit {
-        let ends = [circuit.a(), circuit.b()];
-        for port in ends {
+        let ends = [circuit.a(), circuit.b()].map(|port| {
             assert!(
                 port.port < self.ports_per_gpu,
                 "{port} out of range for a fabric of {} ports/GPU",
                 self.ports_per_gpu
             );
-        }
-        DenseCircuit {
-            rail,
-            ends: ends.map(|port| port.dense_index(self.ports_per_gpu) as u32),
-            ports: ends.map(|port| self.rail_port(port)),
-        }
+            let slot = self.rail_port(port);
+            assert!(
+                slot.rail == rail.0,
+                "{port} is on rail{}, not on {rail}, whose OCS carries {circuit}",
+                slot.rail
+            );
+            slot.index
+        });
+        DenseCircuit { rail, ends }
     }
 }
 
@@ -95,24 +116,25 @@ pub struct RailPort {
     pub index: u32,
 }
 
-/// A circuit resolved against a [`PortGeometry`]: the rail whose OCS carries it, its
-/// endpoints' indices in that OCS's matching tables and their slots in the per-rail
-/// port tables. Only [`PortGeometry::resolve`] makes one, so the three always
-/// describe the same two ports.
+/// A circuit resolved against a [`PortGeometry`]: the rail whose OCS carries it and
+/// its endpoints' slots in that rail's tables, which index the OCS's matching and
+/// every other per-rail port table alike. Only [`PortGeometry::resolve`] makes one,
+/// so both endpoints are on the circuit's rail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DenseCircuit {
     /// The rail whose OCS carries the circuit.
     rail: RailId,
-    /// The endpoints' indices in the OCS's matching tables, lower endpoint first.
+    /// The endpoints' indices in the rail's tables, lower endpoint first.
     ends: [u32; 2],
-    /// The endpoints' slots in the per-rail port tables, in the same order.
-    ports: [RailPort; 2],
 }
 
 impl DenseCircuit {
     /// The endpoints' slots in the per-rail port tables, lower endpoint first.
     pub fn ports(&self) -> [RailPort; 2] {
-        self.ports
+        self.ends.map(|index| RailPort {
+            rail: self.rail.0,
+            index,
+        })
     }
 }
 
@@ -131,22 +153,16 @@ impl OpticalRailFabric {
     /// endpoints (nodes × logical ports per GPU).
     pub fn for_cluster(cluster: &Cluster, reconfig_delay: SimDuration) -> Self {
         let radix = cluster.ocs_ports_per_rail() as usize;
-        // Pre-size every OCS's dense port tables from the cluster geometry, so the
-        // matching engine never grows mid-simulation.
+        let geometry = PortGeometry::of(cluster);
+        // Pre-size every OCS's dense port tables to its rail's ports, so the matching
+        // engine never grows mid-simulation.
         let ocses = (0..cluster.num_rails())
-            .map(|_| {
-                Ocs::with_geometry(
-                    radix,
-                    reconfig_delay,
-                    cluster.num_gpus(),
-                    cluster.ports_per_gpu(),
-                )
-            })
+            .map(|rail| Ocs::with_geometry(radix, reconfig_delay, RailId(rail), geometry))
             .collect();
         OpticalRailFabric {
             ocses,
             num_gpus: cluster.num_gpus(),
-            geometry: PortGeometry::of(cluster),
+            geometry,
         }
     }
 
@@ -162,7 +178,7 @@ impl OpticalRailFabric {
 
     /// Logical scale-out NIC ports per GPU.
     pub fn ports_per_gpu(&self) -> u8 {
-        self.geometry.ports_per_gpu
+        self.geometry.ports_per_gpu()
     }
 
     /// The dense port numbering of this fabric's tables.
@@ -271,7 +287,7 @@ mod tests {
         // GPUs 1 and 9 are local rank 1 on nodes 0 and 2.
         let circuit = Circuit::new(PortId::new(GpuId(1), 0), PortId::new(GpuId(9), 0));
         let dense = geometry.resolve(RailId(1), circuit);
-        assert_eq!((dense.rail, dense.ends), (RailId(1), [1, 9]));
+        assert_eq!((dense.rail, dense.ends), (RailId(1), [0, 2]));
         assert_eq!(
             dense.ports(),
             [
@@ -285,9 +301,52 @@ mod tests {
         assert_eq!(f.installed_ready(&[dense]), Some(ready));
         assert_eq!(f.ocs(RailId(1)).installed_ready(&cfg), Some(ready));
         assert_eq!(f.installed_ready(&[]), Some(SimTime::ZERO));
-        // The same circuit on another rail's OCS is not installed there.
-        let elsewhere = geometry.resolve(RailId(2), circuit);
+        // The same slots on another rail's OCS are not installed there.
+        let elsewhere = geometry.resolve(
+            RailId(2),
+            Circuit::new(PortId::new(GpuId(2), 0), PortId::new(GpuId(10), 0)),
+        );
+        assert_eq!(elsewhere.ends, dense.ends);
         assert_eq!(f.installed_ready(&[dense, elsewhere]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "is on rail1, not on rail2")]
+    fn resolving_a_circuit_onto_another_rail_panics() {
+        let geometry = PortGeometry::of(&cluster());
+        let _ = geometry.resolve(
+            RailId(2),
+            Circuit::new(PortId::new(GpuId(1), 0), PortId::new(GpuId(9), 0)),
+        );
+    }
+
+    #[test]
+    fn each_ocs_sizes_its_tables_to_its_rail() {
+        let c = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4)
+            .with_nic(crate::spec::NicConfig::slingshot11_dual())
+            .build();
+        let mut f = OpticalRailFabric::for_cluster(&c, SimDuration::ZERO);
+        // GPU 6 is local rank 2 on node 1; its second port is slot 1 * 2 + 1 of rail 2.
+        let (a, b) = (PortId::new(GpuId(2), 0), PortId::new(GpuId(6), 1));
+        let cfg = CircuitConfig::new(vec![Circuit::new(a, b)]).unwrap();
+        f.install(RailId(2), &cfg, SimTime::ZERO).unwrap();
+        let installed: Vec<Circuit> = f.ocs(RailId(2)).circuits().map(|(c, _)| c).collect();
+        assert_eq!(installed, [Circuit::new(a, b)]);
+        let dense = f.geometry().resolve(RailId(2), Circuit::new(a, b));
+        assert_eq!(dense.ends, [0, 3]);
+        assert_eq!(f.installed_ready(&[dense]), Some(SimTime::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "is on rail1, not on this OCS's rail0")]
+    fn installing_a_port_of_another_rail_panics() {
+        let mut f = OpticalRailFabric::for_cluster(&cluster(), SimDuration::ZERO);
+        let cfg = CircuitConfig::new(vec![Circuit::new(
+            PortId::new(GpuId(0), 0),
+            PortId::new(GpuId(9), 0),
+        )])
+        .unwrap();
+        let _ = f.install(RailId(0), &cfg, SimTime::ZERO);
     }
 
     #[test]

@@ -159,22 +159,11 @@ impl PortId {
         PortId { gpu, port }
     }
 
-    /// The port's index in a dense `num_gpus * ports_per_gpu` table: GPU-major,
-    /// logical-port-minor. Lets per-port state (e.g. the controller's occupancy
-    /// clock) live in a flat `Vec` instead of a hash map.
-    pub fn dense_index(self, ports_per_gpu: u8) -> usize {
-        debug_assert!(
-            self.port < ports_per_gpu,
-            "port {self} out of range for {ports_per_gpu} ports/GPU"
-        );
-        self.gpu.index() * ports_per_gpu as usize + self.port as usize
-    }
-
     /// The port's `(rail, index)` position in per-rail dense tables of
     /// `num_nodes * ports_per_gpu` entries each: the owning GPU's rail is its local
     /// rank (`gpu % num_rails`), and within the rail ports are node-major,
-    /// logical-port-minor. The Opus controller keeps its per-port occupancy in one
-    /// such table per rail.
+    /// logical-port-minor. Each rail's OCS keeps its matching in such a table, and
+    /// the Opus controller its per-port occupancy.
     pub fn rail_dense_index(self, num_rails: u32, ports_per_gpu: u8) -> (usize, usize) {
         debug_assert!(
             self.port < ports_per_gpu,

@@ -8,7 +8,8 @@
 //! carry no traffic; untouched circuits keep running, which is the fine-grained,
 //! per-communication-group reconfiguration granularity §5 of the paper calls for.
 
-use crate::ids::{GpuId, PortId};
+use crate::fabric::{PortGeometry, RailPort};
+use crate::ids::{GpuId, PortId, RailId};
 use railsim_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -168,27 +169,36 @@ const DEFAULT_PORTS_PER_GPU: u8 = 8;
 /// An optical circuit switch: a bounded-radix partial matching of ports, each circuit
 /// annotated with the simulated time at which it becomes usable.
 ///
-/// The matching is stored *port-indexed*: flat `Vec`s over the dense port space
-/// ([`PortId::dense_index`]) holding each port's matched peer and the circuit's ready
-/// time. That makes every per-port question — is this circuit installed, when is it
-/// ready, which peers does this GPU reach — O(1) or O(ports per GPU), and
-/// [`Ocs::install`] O(affected ports), where the previous `BTreeMap<Circuit, SimTime>`
-/// walked every installed circuit of the rail. A dense scan in port order still yields
-/// circuits in exactly the sorted order the `BTreeMap` produced (a circuit's smaller
-/// endpoint is unique per matching and dense order equals `PortId` order), so
+/// The matching is stored *port-indexed*: flat `Vec`s over the switch's own rail's
+/// ports, indexed by a port's slot in its rail's table ([`RailPort::index`]: node-major,
+/// logical-port-minor), holding each port's matched peer and the circuit's ready time.
+/// That makes every per-port question — is this circuit installed, when is it ready,
+/// which peers does this GPU reach — O(1) or O(ports per GPU), and [`Ocs::install`]
+/// O(affected ports), where the previous `BTreeMap<Circuit, SimTime>` walked every
+/// installed circuit of the rail. A dense scan in slot order still yields circuits in
+/// exactly the sorted order the `BTreeMap` produced (a circuit's smaller endpoint is
+/// unique per matching, and on one rail slot order equals `PortId` order), so
 /// serialized output is unchanged.
+///
+/// A switch built for a fabric ([`Ocs::with_geometry`]) carries one rail: its tables
+/// hold that rail's ports only, and naming a port of another rail panics. A switch
+/// built without one ([`Ocs::new`]) treats every GPU as attached to it.
 #[derive(Debug, Clone)]
 pub struct Ocs {
     radix: usize,
     reconfig_delay: SimDuration,
-    ports_per_gpu: u8,
+    /// The rail the switch carries.
+    rail: RailId,
+    /// The port numbering the tables use (one rail holding every GPU when the switch
+    /// was built without a fabric geometry).
+    geometry: PortGeometry,
     /// True when the dense tables were pre-sized from a concrete cluster geometry
     /// ([`Ocs::with_geometry`]): installing a port beyond that geometry is then a
     /// caller bug and panics at the install instead of desynchronizing from other
     /// geometry-sized state (e.g. the controller's occupancy table).
     fixed_geometry: bool,
-    /// Dense index of the port matched to port `i`, or [`NO_PEER`]. Doubles as the
-    /// per-GPU adjacency: GPU `g`'s ports occupy indices `g*ports_per_gpu ..`.
+    /// Slot of the port matched to the port in slot `i`, or [`NO_PEER`]. Doubles as
+    /// the per-GPU adjacency: a GPU's ports occupy consecutive slots.
     peer: Vec<u32>,
     /// Ready time of the circuit terminating at port `i`; meaningful only where
     /// `peer[i] != NO_PEER`. Stored on both endpoints.
@@ -197,6 +207,9 @@ pub struct Ocs {
     reconfig_count: u64,
     circuits_torn_down: u64,
     circuits_set_up: u64,
+    /// Install-time scratch: the requested circuits' endpoint slots, resolved once.
+    /// Kept on the switch so the hot path never allocates.
+    ends: Vec<[u32; 2]>,
     /// Install-time scratch: sorted dense indices of the requested new ports. Kept on
     /// the switch so the hot path never allocates.
     scratch: Vec<u32>,
@@ -210,57 +223,89 @@ impl Ocs {
     /// # Panics
     /// Panics if `radix` is zero.
     pub fn new(radix: usize, reconfig_delay: SimDuration) -> Self {
-        Self::with_geometry(radix, reconfig_delay, 0, DEFAULT_PORTS_PER_GPU)
+        let every_gpu = PortGeometry::new(1, 0, DEFAULT_PORTS_PER_GPU);
+        Self::build(radix, reconfig_delay, RailId(0), every_gpu, false)
     }
 
-    /// Creates an OCS whose dense port tables are pre-sized for a cluster of
-    /// `num_gpus` GPUs with `ports_per_gpu` logical NIC ports each.
+    /// Creates the OCS of `rail` in a fabric numbered by `geometry`, its dense port
+    /// tables pre-sized to that rail's ports
+    /// ([`ports_per_rail`](PortGeometry::ports_per_rail) entries each).
     ///
     /// # Panics
-    /// Panics if `radix` or `ports_per_gpu` is zero.
+    /// Panics if `radix` is zero or `rail` is not one of the geometry's rails.
     pub fn with_geometry(
         radix: usize,
         reconfig_delay: SimDuration,
-        num_gpus: u32,
-        ports_per_gpu: u8,
+        rail: RailId,
+        geometry: PortGeometry,
+    ) -> Self {
+        assert!(
+            rail.index() < geometry.num_rails(),
+            "{rail} is not one of the fabric's {} rails",
+            geometry.num_rails()
+        );
+        Self::build(radix, reconfig_delay, rail, geometry, true)
+    }
+
+    /// A switch for `rail`, with tables pre-sized to the rail's ports when
+    /// `fixed_geometry`, else empty and grown on demand.
+    fn build(
+        radix: usize,
+        reconfig_delay: SimDuration,
+        rail: RailId,
+        geometry: PortGeometry,
+        fixed_geometry: bool,
     ) -> Self {
         assert!(radix > 0, "an OCS must have at least one port");
-        assert!(ports_per_gpu > 0, "GPUs must expose at least one port");
-        let dense = num_gpus as usize * ports_per_gpu as usize;
+        let slots = if fixed_geometry {
+            geometry.ports_per_rail()
+        } else {
+            0
+        };
         Ocs {
             radix,
             reconfig_delay,
-            ports_per_gpu,
-            fixed_geometry: num_gpus > 0,
-            peer: vec![NO_PEER; dense],
-            ready: vec![SimTime::ZERO; dense],
+            rail,
+            geometry,
+            fixed_geometry,
+            peer: vec![NO_PEER; slots],
+            ready: vec![SimTime::ZERO; slots],
             num_circuits: 0,
             reconfig_count: 0,
             circuits_torn_down: 0,
             circuits_set_up: 0,
+            ends: Vec::new(),
             scratch: Vec::new(),
         }
     }
 
-    /// The dense index of `port` in this switch's tables.
+    /// The slot of `port` in this switch's tables: its [`RailPort::index`].
     ///
     /// # Panics
-    /// Panics when the port's logical index exceeds the switch geometry — in every
-    /// build, because a release-mode overflow would silently alias the port onto the
-    /// next GPU's table rows.
+    /// Panics, in every build, when the port's logical index exceeds the switch
+    /// geometry (a release-mode overflow would silently alias the port onto the next
+    /// GPU's slots) or when the port is not on this switch's rail.
     fn dense(&self, port: PortId) -> usize {
+        let ppg = self.geometry.ports_per_gpu();
         assert!(
-            port.port < self.ports_per_gpu,
-            "{port} out of range for an OCS of {} ports/GPU",
-            self.ports_per_gpu
+            port.port < ppg,
+            "{port} out of range for an OCS of {ppg} ports/GPU"
         );
-        port.dense_index(self.ports_per_gpu)
+        let RailPort { rail, index } = self.geometry.rail_port(port);
+        assert!(
+            rail == self.rail.0,
+            "{port} is on rail{rail}, not on this OCS's {}",
+            self.rail
+        );
+        index as usize
     }
 
     /// The port living at dense index `idx`.
     fn port_at(&self, idx: usize) -> PortId {
-        let ppg = self.ports_per_gpu as usize;
-        PortId::new(GpuId((idx / ppg) as u32), (idx % ppg) as u8)
+        let ppg = self.geometry.ports_per_gpu() as usize;
+        let node = (idx / ppg) as u32;
+        let gpu = node * self.geometry.num_rails() as u32 + self.rail.0;
+        PortId::new(GpuId(gpu), (idx % ppg) as u8)
     }
 
     /// Grows the dense tables to cover `idx` (whole-GPU granularity). Only reachable
@@ -276,7 +321,7 @@ impl Ocs {
                 "port index {idx} outside the pre-sized fabric geometry ({} dense ports)",
                 self.peer.len()
             );
-            let ppg = self.ports_per_gpu as usize;
+            let ppg = self.geometry.ports_per_gpu() as usize;
             let len = (idx / ppg + 1) * ppg;
             self.peer.resize(len, NO_PEER);
             self.ready.resize(len, SimTime::ZERO);
@@ -293,9 +338,12 @@ impl Ocs {
     }
 
     /// The dense index range of `gpu`'s ports, clamped to the allocated tables.
+    ///
+    /// # Panics
+    /// Panics when `gpu` is not on this switch's rail.
     fn gpu_range(&self, gpu: GpuId) -> std::ops::Range<usize> {
-        let ppg = self.ports_per_gpu as usize;
-        let lo = (gpu.index() * ppg).min(self.peer.len());
+        let ppg = self.geometry.ports_per_gpu() as usize;
+        let lo = self.dense(PortId::new(gpu, 0)).min(self.peer.len());
         let hi = (lo + ppg).min(self.peer.len());
         lo..hi
     }
@@ -367,9 +415,9 @@ impl Ocs {
         self.dense_ready_time([self.dense(a) as u32, self.dense(b) as u32])
     }
 
-    /// The ready time of the circuit between the ports at dense indices `ends`
-    /// ([`PortId::dense_index`] under this switch's ports per GPU), if installed:
-    /// [`Ocs::ready_time`] for a caller that resolved its ports once.
+    /// The ready time of the circuit between the ports in slots `ends` (their
+    /// [`RailPort::index`]), if installed: [`Ocs::ready_time`] for a caller that
+    /// resolved its ports once.
     pub(crate) fn dense_ready_time(&self, [a, b]: [u32; 2]) -> Option<SimTime> {
         (self.peer.get(a as usize) == Some(&b)).then(|| self.ready[a as usize])
     }
@@ -478,38 +526,46 @@ impl Ocs {
     /// Returns [`OcsError::RadixExceeded`] if the resulting matching would need more
     /// ports than the switch has; the switch state is left unchanged in that case.
     pub fn install(&mut self, config: &CircuitConfig, now: SimTime) -> Result<SimTime, OcsError> {
-        // Grow the dense tables to cover every requested port (no-op on pre-sized
-        // switches), so the passes below can index unconditionally.
-        if let Some(max_idx) = config
-            .circuits()
-            .iter()
-            .flat_map(|c| [self.dense(c.a()), self.dense(c.b())])
-            .max()
-        {
-            self.ensure(max_idx);
+        // Resolve every requested circuit to its endpoint slots once, and grow the
+        // dense tables to cover them (a no-op on pre-sized switches), so the passes
+        // below can index unconditionally.
+        let mut ends = std::mem::take(&mut self.ends);
+        ends.clear();
+        ends.extend(
+            config
+                .circuits()
+                .iter()
+                .map(|c| [self.dense(c.a()) as u32, self.dense(c.b()) as u32]),
+        );
+        if let Some(&max_idx) = ends.iter().flatten().max() {
+            self.ensure(max_idx as usize);
         }
+        let result = self.install_resolved(&ends, now);
+        self.ends = ends;
+        result
+    }
 
+    /// [`Ocs::install`] of the circuits whose endpoint slots are `ends`.
+    fn install_resolved(&mut self, ends: &[[u32; 2]], now: SimTime) -> Result<SimTime, OcsError> {
         // Collect the ports of the requested circuits that are *new* (not installed).
         // A requested circuit that is already installed cannot share a port with a new
         // one (`config` is a valid matching), so this classification stays stable
         // through the teardown pass.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        for c in config.circuits() {
-            let (a, b) = (self.dense(c.a()), self.dense(c.b()));
-            if self.peer[a] != b as u32 {
-                scratch.push(a as u32);
-                scratch.push(b as u32);
+        for &[a, b] in ends {
+            if self.peer[a as usize] != b {
+                scratch.push(a);
+                scratch.push(b);
             }
         }
 
         if scratch.is_empty() {
             // Nothing changes; ready when the slowest requested circuit is ready.
             self.scratch = scratch;
-            let ready = config
-                .circuits()
+            let ready = ends
                 .iter()
-                .map(|c| self.ready[self.dense(c.a())])
+                .map(|&[a, _]| self.ready[a as usize])
                 .max()
                 .unwrap_or(now);
             return Ok(ready.max(now));
@@ -548,8 +604,8 @@ impl Ocs {
 
         // Set up the new circuits (the already-installed ones keep their ready time).
         let ready_at = now + self.reconfig_delay;
-        for c in config.circuits() {
-            let (a, b) = (self.dense(c.a()), self.dense(c.b()));
+        for &[a, b] in ends {
+            let (a, b) = (a as usize, b as usize);
             if self.peer[a] == b as u32 {
                 continue;
             }
@@ -564,10 +620,9 @@ impl Ocs {
         self.scratch = scratch;
 
         // All requested circuits (old and new) must be ready.
-        let ready = config
-            .circuits()
+        let ready = ends
             .iter()
-            .map(|c| self.ready[self.dense(c.a())])
+            .map(|&[a, _]| self.ready[a as usize])
             .max()
             .unwrap_or(ready_at);
         Ok(ready.max(now))

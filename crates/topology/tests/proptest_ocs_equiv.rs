@@ -7,10 +7,16 @@
 //! `tear_down_gpu` / `clear` operations and asserts identical install results
 //! (including radix errors), counters, connectivity answers, ready times, and —
 //! critically for byte-identical serialized output — `circuits()` iteration order.
+//!
+//! The switch under test is one rail's OCS of a multi-rail fabric, whose tables hold
+//! only that rail's ports, or a switch built without a geometry. The operations name
+//! the rail's GPUs only.
 
 use proptest::prelude::*;
 use railsim_sim::{SimDuration, SimTime};
-use railsim_topology::{Circuit, CircuitConfig, GpuId, Ocs, OcsError, PortId};
+use railsim_topology::{
+    Circuit, CircuitConfig, GpuId, Ocs, OcsError, PortGeometry, PortId, RailId,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The reference model: the original `BTreeMap`-backed OCS, counters and all.
@@ -143,23 +149,37 @@ impl RefOcs {
     }
 }
 
-const NUM_GPUS: u32 = 10;
+const NUM_NODES: u32 = 10;
+const NUM_RAILS: u32 = 4;
 const PORTS_PER_GPU: u8 = 2;
+/// The rail whose OCS the property drives.
+const RAIL: u32 = 1;
+
+/// The GPU of `RAIL` on `node`.
+fn gpu(node: u32) -> GpuId {
+    GpuId(node * NUM_RAILS + RAIL)
+}
 
 /// One random operation applied to both switches, as raw sampled data (the vendored
 /// proptest has no `prop_map`): `kind` 0–5 installs the matching built from `pairs`
-/// at `dt_ms` past the previous operation, 6–7 tears down `gpu`, 8 clears.
+/// of `(node, port)` endpoints at `dt_ms` past the previous operation, 6–7 tears down
+/// the GPU of `node`, 8 clears.
 type RawOp = (u8, Vec<(u32, u8, u32, u8)>, u64, u32);
 
 fn op_strategy() -> impl Strategy<Value = RawOp> {
     (
         0u8..9,
         proptest::collection::vec(
-            (0..NUM_GPUS, 0..PORTS_PER_GPU, 0..NUM_GPUS, 0..PORTS_PER_GPU),
+            (
+                0..NUM_NODES,
+                0..PORTS_PER_GPU,
+                0..NUM_NODES,
+                0..PORTS_PER_GPU,
+            ),
             1..6,
         ),
         0u64..40,
-        0..NUM_GPUS,
+        0..NUM_NODES,
     )
 }
 
@@ -168,9 +188,9 @@ fn op_strategy() -> impl Strategy<Value = RawOp> {
 fn build_config(pairs: &[(u32, u8, u32, u8)]) -> Option<CircuitConfig> {
     let mut used = BTreeSet::new();
     let mut circuits = Vec::new();
-    for &(ga, pa, gb, pb) in pairs {
-        let a = PortId::new(GpuId(ga), pa);
-        let b = PortId::new(GpuId(gb), pb);
+    for &(na, pa, nb, pb) in pairs {
+        let a = PortId::new(gpu(na), pa);
+        let b = PortId::new(gpu(nb), pb);
         if a == b || used.contains(&a) || used.contains(&b) {
             continue;
         }
@@ -200,14 +220,15 @@ proptest! {
     ) {
         let delay = SimDuration::from_millis(delay_ms);
         let mut ocs = if presized == 1 {
-            Ocs::with_geometry(radix, delay, NUM_GPUS, PORTS_PER_GPU)
+            let geometry = PortGeometry::new(NUM_RAILS, NUM_NODES, PORTS_PER_GPU);
+            Ocs::with_geometry(radix, delay, RailId(RAIL), geometry)
         } else {
             Ocs::new(radix, delay)
         };
         let mut reference = RefOcs::new(radix, delay);
         let mut now = SimTime::ZERO;
 
-        for (kind, pairs, dt_ms, gpu) in &ops {
+        for (kind, pairs, dt_ms, node) in &ops {
             match kind {
                 0..=5 => {
                     now += SimDuration::from_millis(*dt_ms);
@@ -229,8 +250,8 @@ proptest! {
                 }
                 6..=7 => {
                     prop_assert_eq!(
-                        ocs.tear_down_gpu(GpuId(*gpu)),
-                        reference.tear_down_gpu(GpuId(*gpu))
+                        ocs.tear_down_gpu(gpu(*node)),
+                        reference.tear_down_gpu(gpu(*node))
                     );
                 }
                 _ => {
@@ -256,9 +277,9 @@ proptest! {
             // Connectivity answers over every GPU pair, at a probe time that splits
             // settling from settled circuits.
             let probe = now + SimDuration::from_millis(1);
-            for x in 0..NUM_GPUS {
-                for y in 0..NUM_GPUS {
-                    let (x, y) = (GpuId(x), GpuId(y));
+            for x in 0..NUM_NODES {
+                for y in 0..NUM_NODES {
+                    let (x, y) = (gpu(x), gpu(y));
                     prop_assert_eq!(
                         ocs.gpus_connected(x, y, probe),
                         reference.gpus_connected(x, y, probe)

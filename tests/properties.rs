@@ -4,7 +4,7 @@
 //! sizing bounds and DAG acyclicity across random parallelism configurations.
 
 use photonic_rails::collectives::cost::{collective_time, CostParams};
-use photonic_rails::opus::FleetMetrics;
+use photonic_rails::opus::{CommLog, FleetMetrics};
 use photonic_rails::prelude::*;
 use photonic_rails::sim::{EventQueue, SimRng};
 use photonic_rails::topology::fattree::ClosDimensions;
@@ -656,12 +656,12 @@ fn request_counters(result: &ScenarioResult) -> (u64, u64) {
     (result.fleet.controller_requests, result.fleet.noop_requests)
 }
 
-/// Replaces every iteration's records with an empty sequence, as a record-free run
+/// Replaces every iteration's records with an empty log, as a record-free run
 /// returns them.
 fn clear_records(result: &mut ScenarioResult) {
     for job in &mut result.jobs {
         for it in &mut job.result.iterations {
-            it.comm_records = Vec::new().into();
+            it.comm_records = CommLog::default();
         }
     }
 }
