@@ -22,14 +22,14 @@ fn bench_window_extraction(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for &rail in &rails {
-                total += windows_on_rail(black_box(records), rail).len();
+                total += windows_on_rail(black_box(records).on_rail(rail), rail).len();
             }
             black_box(total)
         })
     });
 
     c.bench_function("window_cdf_rail0", |b| {
-        let windows = windows_on_rail(records, RailId(0));
+        let windows = windows_on_rail(records.on_rail(RailId(0)), RailId(0));
         b.iter(|| black_box(window_cdf(&windows).quantile(0.75)))
     });
 }

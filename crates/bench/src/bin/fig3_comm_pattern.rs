@@ -45,7 +45,7 @@ fn run_variant(name: &str, parallel: ParallelismConfig, rows: &mut Vec<PhaseRow>
         ),
         &["phase#", "axis", "start (ms)", "end (ms)", "volume", "ops"],
     );
-    let phases = phases_on_rail(&it.comm_records, RailId(0));
+    let phases = phases_on_rail(it.records_on_rail(RailId(0)), RailId(0));
     for (i, phase) in phases.iter().enumerate() {
         report.row(&[
             i.to_string(),

@@ -53,7 +53,7 @@ fn main() {
     for rail in cluster.all_rails() {
         let mut windows = Vec::new();
         for it in &result.iterations {
-            windows.extend(windows_on_rail(&it.comm_records, rail));
+            windows.extend(windows_on_rail(it.records_on_rail(rail), rail));
         }
         let cdf = window_cdf(&windows);
         cdf_report.row(&[
@@ -80,7 +80,7 @@ fn main() {
     let rail0_windows: Vec<_> = result
         .iterations
         .iter()
-        .flat_map(|it| windows_on_rail(&it.comm_records, RailId(0)))
+        .flat_map(|it| windows_on_rail(it.records_on_rail(RailId(0)), RailId(0)))
         .collect();
     let buckets = windows_by_following_traffic(&rail0_windows, default_traffic_buckets_mb());
     let labels = [

@@ -1785,7 +1785,9 @@ impl ScenarioSim {
         // fast-forward records" in EXPERIMENTS.md).
         let reconfig_events = std::mem::take(&mut ctx.reconfig_events).into();
         let comm_records = match records {
-            Records::Keep => CommLog::new(Arc::clone(&ctx.dag), ctx.datapath_latency, comm_records),
+            Records::Keep => {
+                CommLog::new((Arc::clone(&ctx.dag), ctx.datapath_latency), comm_records)
+            }
             Records::Discard => CommLog::default(),
         };
         let result = IterationResult {

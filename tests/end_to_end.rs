@@ -50,7 +50,7 @@ fn fig4_majority_of_windows_exceed_one_millisecond() {
     for rail in cluster.all_rails() {
         let mut windows = Vec::new();
         for it in &result.iterations {
-            windows.extend(windows_on_rail(&it.comm_records, rail));
+            windows.extend(windows_on_rail(it.records_on_rail(rail), rail));
         }
         assert!(!windows.is_empty(), "every rail must show windows");
         let cdf = window_cdf(&windows);
@@ -78,7 +78,7 @@ fn fig4_largest_traffic_class_sees_the_largest_windows() {
     let windows: Vec<_> = result
         .iterations
         .iter()
-        .flat_map(|it| windows_on_rail(&it.comm_records, RailId(0)))
+        .flat_map(|it| windows_on_rail(it.records_on_rail(RailId(0)), RailId(0)))
         .collect();
     let buckets = windows_by_following_traffic(&windows, default_traffic_buckets_mb());
     let summaries = buckets.buckets();
