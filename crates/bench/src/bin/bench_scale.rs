@@ -1,11 +1,16 @@
 //! Turns `cargo bench` output into the CI perf-baseline artifact `BENCH_scale.json`.
 //!
-//! The CI `bench` job runs the three perf-tracking criterion benches
-//! (`iteration_sim`, `controller`, `window_extraction`), pipes their combined stdout
-//! to a file, and then runs this binary over it:
+//! The CI `bench` job runs the eleven perf-tracking criterion benches
+//! (`iteration_sim`, `controller`, `window_extraction`, `ocs_install_churn`,
+//! `scenario_step`, `memoized_iteration`, `fleet_sweep_small`, `replan_swap`,
+//! `inference_burst`, `dag_build`, `engine`), pipes their combined stdout to a file,
+//! and then runs this binary over it:
 //!
 //! ```text
 //! cargo bench --bench iteration_sim --bench controller --bench window_extraction \
+//!     --bench ocs_install_churn --bench scenario_step --bench memoized_iteration \
+//!     --bench fleet_sweep_small --bench replan_swap --bench inference_burst \
+//!     --bench dag_build --bench engine \
 //!     | tee bench.out
 //! bench_scale bench.out [BENCH_scale.json]
 //! ```

@@ -23,9 +23,10 @@
 //! [`PortGeometry::resolve`](railsim_topology::PortGeometry::resolve), to the
 //! [`DenseCircuit`]s that index each OCS's matching tables and the per-rail
 //! occupancy tables directly, so a read is one pass over a slice. The calls that
-//! change the fabric — [`OpusController::request`], [`OpusController::withdraw`] and
-//! the memo's replay installs — happen once per reconfiguration, not once per
-//! transfer, and take the group's [`GroupCircuits`] or one rail's [`CircuitConfig`].
+//! change the fabric — [`OpusController::request`] and [`OpusController::withdraw`] —
+//! happen once per reconfiguration, not once per transfer, and take the group's
+//! [`GroupCircuits`]. A memoized fast-forward installs nothing: it applies each
+//! rail's [`OcsEffect`] of the template iteration, shifted.
 
 use crate::circuits::GroupCircuits;
 use crate::config::EvictionPolicy;
@@ -33,7 +34,8 @@ use crate::metrics::ReconfigEvent;
 use railsim_collectives::GroupId;
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{
-    Circuit, CircuitConfig, DenseCircuit, OpticalRailFabric, PortGeometry, RailId, RailPort,
+    Circuit, CircuitConfig, DenseCircuit, OcsEffect, OpticalRailFabric, PortGeometry, RailId,
+    RailPort,
 };
 
 /// Sentinel tenant id: the port's current hold was not placed by a tenant-tagged
@@ -244,24 +246,26 @@ impl OpusController {
         self.noop_requests += noops;
     }
 
-    /// Re-performs one reconfiguration from a memoized steady iteration: installs
-    /// `config` on `rail` starting at `start` (the template event's start plus the
-    /// replay shift), exactly as the request that produced the original event did.
-    /// Goes straight to the fabric — the conflict wait is already baked into `start`
-    /// — so matching state, per-circuit ready times and the set-up/torn-down
-    /// counters all advance precisely as a naive re-step would have left them.
-    /// Does *not* log an event (the replay emits the shifted template events
-    /// directly) or touch the request counters (see
-    /// [`OpusController::replay_requests`]). Returns when the circuits are ready.
-    pub fn replay_install(
-        &mut self,
-        rail: RailId,
-        config: &CircuitConfig,
-        start: SimTime,
-    ) -> SimTime {
-        self.fabric
-            .install(rail, config, start)
-            .unwrap_or_else(|e| panic!("replayed circuit install failed on {rail}: {e}"))
+    /// Every rail's [`OcsEffect`] since the previous call, in rail order: the slots
+    /// each OCS's installs set up, with their ready times now, and its counter
+    /// deltas (see [`Ocs::take_effect`](railsim_topology::Ocs::take_effect)).
+    /// Starts the next span on every rail.
+    pub(crate) fn take_ocs_effects(&mut self) -> Vec<OcsEffect> {
+        (0..self.geometry.num_rails() as u32)
+            .map(|r| self.fabric.ocs_mut(RailId(r)).take_effect())
+            .collect()
+    }
+
+    /// Applies [`OpusController::take_ocs_effects`]' per-rail effects `shift` later
+    /// (see [`Ocs::apply_effect`](railsim_topology::Ocs::apply_effect)). Logs no
+    /// event and leaves the request counters alone (see
+    /// [`OpusController::replay_requests`]).
+    pub(crate) fn replay_ocs_effects(&mut self, effects: &[OcsEffect], shift: SimDuration) {
+        for (r, effect) in effects.iter().enumerate() {
+            self.fabric
+                .ocs_mut(RailId(r as u32))
+                .apply_effect(effect, shift);
+        }
     }
 
     /// Handles `tenant`'s reconfiguration request for `group`: installs the group's

@@ -102,9 +102,11 @@
 //! clock instead of re-stepped — byte-identical results at a fraction of the
 //! wall-clock cost. A replayed iteration shares its template's record rows and DAG
 //! ([`CommLog`]) and its reconfiguration events ([`Shifted`](crate::Shifted))
-//! instead of copying them, so it costs O(1) and a long run's memory does not grow
-//! with its iteration count. A clean run steps two iterations and fast-forwards the
-//! rest. The detection and invalidation semantics are documented on the executor's
+//! instead of copying them, and writes the template's net effect on the fabric
+//! (each rail's set-up OCS slots and counters, the occupancy footprint) instead
+//! of re-performing its installs. So it costs O(ports), not O(tasks), and a long
+//! run's memory does not grow with its iteration count. A clean run steps two
+//! iterations and fast-forwards the rest. The detection and invalidation semantics are documented on the executor's
 //! private `MemoState`; [`OpusConfig::memoize_steady_state`] is the knob and
 //! [`JobResult::memoized_iterations`] counts the replayed iterations.
 //!
@@ -146,12 +148,12 @@ use railsim_collectives::{
 };
 use railsim_sim::{Engine, SimDuration, SimRng, SimTime};
 use railsim_topology::{
-    Cluster, DenseCircuit, GpuId, OpticalRailFabric, PortGeometry, RailHealth, RailId, RailSet,
-    ELECTRICAL_SWITCH_LATENCY,
+    Cluster, DenseCircuit, GpuId, OcsEffect, OpticalRailFabric, PortGeometry, RailHealth, RailId,
+    RailSet, ELECTRICAL_SWITCH_LATENCY,
 };
 use railsim_workload::{JobId, Position, Step, TaskId, TaskKind, TrainingDag};
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// An external event injected into a scenario's timeline.
@@ -501,7 +503,8 @@ enum SimEvent {
     /// The job's current iteration is a memoized steady-state replay: this single
     /// event, scheduled at the iteration's predicted end, stands in for the whole
     /// per-task event cascade. Committing it emits the shifted iteration result and
-    /// replays the controller-side effects (see [`ScenarioSim::commit_fast_forward`]).
+    /// applies the template iteration's net effect on the shared state, shifted (see
+    /// [`ScenarioSim::commit_fast_forward`]).
     FastForward(u16),
 }
 
@@ -513,8 +516,8 @@ struct CircuitSlot {
     group: GroupId,
     /// Member count of the group (collective cost-model input).
     group_size: u32,
-    /// The live circuit plan. Requests, withdrawals and replay installs read it;
-    /// a transfer reads `plan`, prepared from it.
+    /// The live circuit plan. Requests and withdrawals read it; a transfer reads
+    /// `plan`, prepared from it.
     circuits: GroupCircuits,
     /// The undegraded plan, stashed while `circuits` holds a replan-degraded plan
     /// (`None` whenever the live plan *is* the pristine plan). Boxed so the common
@@ -668,20 +671,33 @@ struct Injection {
 ///
 /// ## Replay
 ///
-/// Each fast-forward replays the template's shared-state effects at shifted times,
-/// so the raw state a later naive iteration reads is exactly what re-stepping would
-/// have left. Its inputs come from the template's boundaries, not from records:
+/// Each fast-forward applies the template's net effect on the shared state, shifted
+/// to its own start, so the raw state a later naive iteration reads is exactly what
+/// re-stepping would have left. The [`Template`] keeps that effect, taken at the
+/// template's boundaries, not from records:
 ///
-/// * the template's [`ReconfigEvent`]s, re-performed as installs at their shifted
-///   starts;
-/// * the occupancy footprint: the ports whose busy end at `B_m` lies after
+/// * **Per rail, the OCS effect** ([`OcsEffect`]): every matching slot an install
+///   set up during iteration `m`, with its ready time at `B_m`, and the deltas of
+///   the set-up, torn-down and reconfiguration counters. Each OCS marks the slots
+///   whose ready time an install sets, and every boundary snapshot takes and clears
+///   the marks, so the marks taken at `B_m` are exactly iteration `m`'s. Equal
+///   boundaries hold the same matching, so a steady iteration ends with every peer
+///   where it started. Re-stepping re-performs the template's installs from that
+///   matching: it sets up exactly the marked slots, each last to its template value
+///   plus the shift, and writes no other slot. A fast-forward therefore writes the
+///   marked slots' ready times plus its shift and adds the counter deltas, in
+///   O(marked slots), with no install. A time-based rule such as "the ready times
+///   after `B_{m−1}`" would not be exact: once an `OcsDegraded` made an OCS faster
+///   than the job's latency, a back-dated install can set a ready time before
+///   `B_{m−1}` (see the audit above).
+/// * **The occupancy footprint**: the ports whose busy end at `B_m` lies after
 ///   `B_{m−1}`. These are exactly the entries iteration `m` wrote, because each of
 ///   its transfers starts at or after `B_{m−1}` and has positive duration. They are
-///   max-merged back, shifted;
-/// * per-rail busy time and the request counters, as differences between the two
-///   boundaries' raw values.
+///   max-merged back, shifted.
+/// * **Per-rail busy time and the request counters**, as differences between the
+///   two boundaries' raw values.
 ///
-/// The replay does not shift the whole state instead: the naive table keeps the
+/// The replay does not shift the whole state instead: the naive tables keep the
 /// entries an iteration never writes where they are, and the normalized state
 /// cannot restore a dominated entry's raw value.
 ///
@@ -700,28 +716,34 @@ struct MemoState {
     /// Structurally allowed for this job: the config knob is on, the jitter RNG is
     /// inert, the job trains, and the scenario runs a single job without eviction.
     enabled: bool,
-    /// Index into `completed` of the detected steady-state template iteration.
-    template: Option<usize>,
+    /// The detected steady-state template and its net effect, which every
+    /// fast-forward applies. An injection clears it in one assignment.
+    template: Option<Template>,
     /// The previous iteration's boundary, while it may still pair with the next.
     boundary: Option<Boundary>,
-    /// The controller's request-counter delta `(requests, noop_requests)` over one
-    /// steady iteration, replayed in bulk per fast-forward.
-    template_delta: (u64, u64),
-    /// Per template reconfiguration event: the `circuit_pool` slot whose circuits the
-    /// event installed, so the replay can re-perform the install without a search.
-    template_slots: Vec<u32>,
-    /// The template's occupancy footprint: per NIC port, its latest transfer end
-    /// (see [`OpusController::port_ends_after`]; empty without a controller).
-    template_port_ends: Vec<Vec<SimTime>>,
-    /// The template's transfer time per rail, added to the fleet's busy time by
-    /// every fast-forward.
-    template_rail_busy: Vec<SimDuration>,
     /// Earliest iteration index admissible as the *first* member of a detection
     /// pair. Starts at 0 and moves past every iteration perturbed by an injection.
     min_pair: u32,
     /// Iterations replayed from the memo instead of re-stepped (reported as
     /// [`JobResult::memoized_iterations`], which is not serialized).
     fast_forwarded: u64,
+}
+
+/// A detected steady-state iteration `m` and its net effect on the shared state
+/// over `(B_{m−1}, B_m]`, which every fast-forward applies shifted (see
+/// [`MemoState`]).
+struct Template {
+    /// Index into `completed` of the template iteration.
+    iteration: usize,
+    /// Per rail, the template's OCS effect (empty without a controller).
+    ocs: Vec<OcsEffect>,
+    /// The template's occupancy footprint: per NIC port, its latest transfer end
+    /// (see [`OpusController::port_ends_after`]; empty without a controller).
+    port_ends: Vec<Vec<SimTime>>,
+    /// The controller's request-counter delta `(requests, noop_requests)`.
+    requests: (u64, u64),
+    /// The template's transfer time per rail, added to the fleet's busy time.
+    rail_busy: Vec<SimDuration>,
 }
 
 /// One iteration boundary as steady-state detection sees it (see [`MemoState`]).
@@ -769,8 +791,6 @@ struct JobContext {
     /// Deduplicated circuit demands, one per group the job's tasks use, planned on
     /// first use; see [`CircuitSlot`].
     circuit_pool: Vec<CircuitSlot>,
-    /// The `circuit_pool` slot of each group (the first, for a repeated ad-hoc id).
-    slot_of_group: HashMap<GroupId, u32>,
     /// Every slot's live circuits resolved to the fabric's dense tables, slot after
     /// slot; a slot's [`SlotPlan`] names its range. One allocation for the job.
     dense_circuits: Vec<DenseCircuit>,
@@ -1330,10 +1350,6 @@ impl ScenarioSim {
     ) -> JobContext {
         let (circuit_pool, prices, task_price) = Self::plan_task_circuits(cluster, &dag);
         Self::check_record_rails(cluster, job, &config, &circuit_pool);
-        let mut slot_of_group = HashMap::with_capacity(circuit_pool.len());
-        for (i, slot) in circuit_pool.iter().enumerate() {
-            slot_of_group.entry(slot.group).or_insert(i as u32);
-        }
         let rng = SimRng::new(config.seed);
         let n = dag.len();
         // Inference replicas share no tasks, so a task's replica is simply its first
@@ -1360,7 +1376,6 @@ impl ScenarioSim {
             config,
             datapath_latency,
             circuit_pool,
-            slot_of_group,
             dense_circuits: Vec::new(),
             prices,
             task_price,
@@ -1393,10 +1408,6 @@ impl ScenarioSim {
                 enabled: config.memoize_steady_state && config.jitter_inert() && is_training,
                 template: None,
                 boundary: None,
-                template_delta: (0, 0),
-                template_slots: Vec::new(),
-                template_port_ends: Vec::new(),
-                template_rail_busy: Vec::new(),
                 min_pair: 0,
                 fast_forwarded: 0,
             },
@@ -1830,35 +1841,30 @@ impl ScenarioSim {
             let prev = ctx.memo.boundary.take();
             if prev.is_some() || m + 2 < iterations {
                 let boundary = Boundary::of(fleet, end, ctx.config.reconfig_latency);
+                // Every snapshot takes the OCS effects, so those taken at an arming
+                // boundary are exactly the template iteration's.
+                let controller = fleet.controller.as_deref_mut();
+                let ocs = controller.map_or_else(Vec::new, |c| c.take_ocs_effects());
                 match prev {
                     Some(prev) if prev.fabric == boundary.fabric => {
                         debug_assert_eq!(prev.at, start, "a boundary pairs with the next one");
-                        // The replay re-performs the template's installs; resolve each
-                        // event's circuits to its pool slot once, up front.
-                        ctx.memo.template_slots = ctx.completed[m as usize]
-                            .reconfig_events
-                            .iter()
-                            .map(|ev| {
-                                *ctx.slot_of_group
-                                    .get(&ev.group)
-                                    .expect("a logged reconfiguration names a pooled group")
-                            })
-                            .collect();
-                        ctx.memo.template_rail_busy = boundary
-                            .rail_busy
-                            .iter()
-                            .zip(&prev.rail_busy)
-                            .map(|(&after, &before)| after - before)
-                            .collect();
-                        ctx.memo.template_delta = (
-                            boundary.requests.0 - prev.requests.0,
-                            boundary.requests.1 - prev.requests.1,
-                        );
-                        ctx.memo.template_port_ends = fleet
-                            .controller
-                            .as_deref()
-                            .map_or_else(Vec::new, |c| c.port_ends_after(prev.at));
-                        ctx.memo.template = Some(m as usize);
+                        let controller = fleet.controller.as_deref();
+                        ctx.memo.template = Some(Template {
+                            iteration: m as usize,
+                            ocs,
+                            port_ends: controller
+                                .map_or_else(Vec::new, |c| c.port_ends_after(prev.at)),
+                            requests: (
+                                boundary.requests.0 - prev.requests.0,
+                                boundary.requests.1 - prev.requests.1,
+                            ),
+                            rail_busy: boundary
+                                .rail_busy
+                                .iter()
+                                .zip(&prev.rail_busy)
+                                .map(|(&after, &before)| after - before)
+                                .collect(),
+                        });
                     }
                     _ if m + 2 < iterations => ctx.memo.boundary = Some(boundary),
                     _ => {}
@@ -1876,10 +1882,10 @@ impl ScenarioSim {
     /// stepped naively.
     fn try_fast_forward(&mut self, j: usize, at: SimTime, engine: &mut Engine<SimEvent>) -> bool {
         let ctx = &self.jobs[j];
-        let Some(template) = ctx.memo.template else {
+        let Some(template) = &ctx.memo.template else {
             return false;
         };
-        let predicted_end = at + ctx.completed[template].iteration_time;
+        let predicted_end = at + ctx.completed[template.iteration].iteration_time;
         // Injections apply in timeline order, so the next unapplied one is the
         // earliest. It must lie *strictly* beyond the predicted end: an external at
         // exactly that time would commit before the replay event (externals are
@@ -1897,20 +1903,23 @@ impl ScenarioSim {
 
     /// Commits one memoized fast-forward: emits the template iteration shifted to
     /// start at the job's `iter_start` (sharing the template's records and
-    /// reconfiguration events, so the emission costs O(1)), replays the
-    /// shared-state effects a naive re-step would have had (circuit installs, port
-    /// occupancy, request counters, rail busy time), and schedules the next
-    /// iteration (fast-forwarded again, or naively when an injection comes into
-    /// range). By the steady-state argument on [`MemoState`] the emitted result is
-    /// byte-identical to naive stepping — the determinism suites pin this.
+    /// reconfiguration events, so the emission costs O(1)), applies the template's
+    /// net effect on the shared state shifted by the same offset (each rail's OCS
+    /// ready times and counters, port occupancy, request counters, rail busy time),
+    /// and schedules the next iteration (fast-forwarded again, or naively when an
+    /// injection comes into range). Nothing is installed: by the argument on
+    /// [`MemoState`] ("Replay"), writing the template's set-up slots equals
+    /// re-performing its installs, and the emitted result is byte-identical to
+    /// naive stepping — the determinism suites pin this.
     fn commit_fast_forward(&mut self, j: usize, now: SimTime, engine: &mut Engine<SimEvent>) {
         let ScenarioSim { jobs, fleet, .. } = self;
         let ctx = &mut jobs[j];
-        let template = ctx
+        let effect = ctx
             .memo
             .template
+            .as_ref()
             .expect("a scheduled fast-forward has a template");
-        let template = &ctx.completed[template];
+        let template = &ctx.completed[effect.iteration];
         let shift = ctx.iter_start.duration_since(template.started_at);
         debug_assert_eq!(
             now,
@@ -1921,29 +1930,18 @@ impl ScenarioSim {
         let reconfig_events = template.reconfig_events.shifted(shift);
         let iteration_time = template.iteration_time;
         let total_circuit_wait = template.total_circuit_wait;
-        // Replay the controller-side state the re-stepped iteration would have left
-        // behind; it matters the moment an injection later breaks steadiness and the
-        // stateful request path resumes reading shared state. Port occupancy is a
-        // max-merge, so merging the template's per-port latest ends, shifted, lands
-        // on exactly the per-transfer result. Each logged reconfiguration is
-        // re-performed against the fabric at its shifted start (the conflict wait is
-        // baked into `started_at`), advancing the matching cycle, per-circuit ready
-        // times and lifetime counters exactly as the naive iteration would have.
-        // Request counters move by the template's measured delta.
+        // Leave the shared state the re-stepped iteration would have left behind; it
+        // matters the moment an injection later breaks steadiness and the stateful
+        // request path resumes reading it. Port occupancy is a max-merge, so merging
+        // the template's per-port latest ends, shifted, lands on exactly the
+        // per-transfer result.
         if let Some(controller) = fleet.controller.as_deref_mut() {
-            for (ev, &slot) in reconfig_events.iter().zip(&ctx.memo.template_slots) {
-                let config = &ctx.circuit_pool[slot as usize].circuits.per_rail[&ev.rail];
-                let ready = controller.replay_install(ev.rail, config, ev.started_at);
-                debug_assert_eq!(
-                    ready, ev.ready_at,
-                    "a replayed install must land on the template's ready time"
-                );
-            }
-            controller.replay_port_ends(&ctx.memo.template_port_ends, shift);
-            let (requests, noops) = ctx.memo.template_delta;
+            controller.replay_ocs_effects(&effect.ocs, shift);
+            controller.replay_port_ends(&effect.port_ends, shift);
+            let (requests, noops) = effect.requests;
             controller.replay_requests(requests, noops);
         }
-        for (rail, &busy) in ctx.memo.template_rail_busy.iter().enumerate() {
+        for (rail, &busy) in effect.rail_busy.iter().enumerate() {
             fleet.add_rail_busy(rail, busy);
         }
         ctx.completed.push(IterationResult {
@@ -2379,7 +2377,7 @@ impl ScenarioSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use railsim_topology::{ClusterSpec, NodePreset};
+    use railsim_topology::{Circuit, ClusterSpec, NodePreset};
     use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
 
     fn tiny_dag() -> TrainingDag {
@@ -2889,11 +2887,44 @@ mod tests {
         assert_eq!(result.jobs[1].memoized_iterations, 0);
     }
 
+    /// What a later iteration reads of an optical run's fabric, raw: per rail, the
+    /// OCS's installed circuits with their ready times and its set-up, torn-down and
+    /// reconfiguration counters, then the port occupancy table.
+    type FabricView = (Vec<(Vec<(Circuit, SimTime)>, [u64; 3])>, Vec<Vec<SimTime>>);
+
+    /// Runs `spec` and returns the job's fast-forward count, the fabric it leaves
+    /// and its result.
+    fn run_viewing_fabric(
+        spec: ScenarioSpec,
+        records: Records,
+    ) -> (u64, FabricView, ScenarioResult) {
+        let mut sim = ScenarioSim::build(spec, records);
+        sim.run_scenario();
+        let ff = sim.jobs[0].memo.fast_forwarded;
+        let controller = sim.fleet.controller.as_deref().expect("optical");
+        let fabric = controller.fabric();
+        let ocses = (0..fabric.num_rails() as u32)
+            .map(|r| {
+                let ocs = fabric.ocs(RailId(r));
+                let counters = [
+                    ocs.circuits_set_up(),
+                    ocs.circuits_torn_down(),
+                    ocs.reconfig_count(),
+                ];
+                (ocs.circuits().collect(), counters)
+            })
+            .collect();
+        let view = (ocses, controller.port_occupancy().to_vec());
+        (ff, view, sim.into_result())
+    }
+
     #[test]
     fn memoized_runs_leave_the_naive_port_occupancy() {
-        // The fast-forward replays occupancy from the template's per-port latest
-        // ends instead of per transfer; the table it leaves must be the naive one,
-        // whether or not the run keeps its records.
+        // The fast-forward writes the template's set-up OCS slots and replays
+        // occupancy from its per-port latest ends instead of per install and per
+        // transfer; every rail's matching, ready times and counters and the port
+        // table it leaves must be the naive ones, whether or not the run keeps its
+        // records.
         let provisioned = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 10);
         let on_demand = jitter_free(OpusConfig::on_demand(SimDuration::from_millis(1)), 8);
         let clean = clean_single(provisioned);
@@ -2913,22 +2944,13 @@ mod tests {
                     .job(tiny_dag(), config)
                     .inject_all(injections.iter().copied())
             };
-            let occupancy = |config: OpusConfig, records: Records| {
-                let mut sim = ScenarioSim::build(spec(config), records);
-                sim.run_scenario();
-                let ff = sim.jobs[0].memo.fast_forwarded;
-                let controller = sim.fleet.controller.as_deref().expect("optical");
-                (controller.port_occupancy().to_vec(), ff)
+            let naive_config = OpusConfig {
+                memoize_steady_state: false,
+                ..config
             };
-            let (naive, _) = occupancy(
-                OpusConfig {
-                    memoize_steady_state: false,
-                    ..config
-                },
-                Records::Keep,
-            );
-            let (kept, ff_kept) = occupancy(config, Records::Keep);
-            let (free, ff_free) = occupancy(config, Records::Discard);
+            let (_, naive, _) = run_viewing_fabric(spec(naive_config), Records::Keep);
+            let (ff_kept, kept, _) = run_viewing_fabric(spec(config), Records::Keep);
+            let (ff_free, free, _) = run_viewing_fabric(spec(config), Records::Discard);
             assert!(ff_kept >= 1, "{name}: the memo must fast-forward");
             assert_eq!(
                 ff_free, ff_kept,
@@ -2941,37 +2963,56 @@ mod tests {
 
     #[test]
     fn memoized_runs_match_naive_after_ocses_change_speed() {
-        // Rail 0's OCS becomes faster than the job's 25 ms latency, so a back-dated
-        // partial install can log a ready time from before the boundary and the
-        // ready-time horizon moves back (see [`FabricState`]); rail 1's becomes
-        // slower. The memo must re-arm after the change and leave the naive state.
-        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(25)), 10);
-        let spec = |config: OpusConfig| {
-            let degrade = |rail, ms| ScenarioEvent::OcsDegraded {
-                rail: RailId(rail),
-                reconfig_latency: SimDuration::from_millis(ms),
+        let degrade = |rail, ms| ScenarioEvent::OcsDegraded {
+            rail: RailId(rail),
+            reconfig_latency: SimDuration::from_millis(ms),
+        };
+        let config = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(25)), 12);
+        // From the start, rail 0's OCS becomes faster than the job's 25 ms latency,
+        // so a back-dated partial install can log a ready time from before the
+        // boundary and the ready-time horizon moves back (see [`FabricState`]);
+        // rail 1's becomes slower.
+        let at_start = [
+            (SimTime::ZERO, degrade(0, 1)),
+            (SimTime::ZERO, degrade(1, 60)),
+        ];
+        // Half-way into iteration 5, after the clean run's fast-forwards of
+        // iterations 2 to 4, rail 0's OCS becomes faster. Circuits survive the
+        // change, so the iterations stepped after it read fast-forwarded ready
+        // times on every rail; the memo then re-arms under the faster switch.
+        let clean = clean_single(config);
+        let t5 = clean.iterations[5].started_at;
+        let mid_run = [(
+            t5 + clean.iterations[5].iteration_time.mul_f64(0.5),
+            degrade(0, 1),
+        )];
+        // The change at the start lands in iteration 0: iterations 1 and 2 pair and
+        // 3 to 11 fast-forward. The mid-run change lands in iteration 5, which
+        // steps: 2 to 4 fast-forward before it, 6 and 7 pair, 8 to 11 fast-forward
+        // after it.
+        for (name, injections, fast_forwards) in [
+            ("from the start", &at_start[..], 9),
+            ("after three fast-forwards", &mid_run[..], 3 + 4),
+        ] {
+            let spec = |config: OpusConfig| {
+                ScenarioSpec::new(tiny_cluster(4))
+                    .job(tiny_dag(), config)
+                    .inject_all(injections.iter().copied())
             };
-            ScenarioSpec::new(tiny_cluster(4))
-                .job(tiny_dag(), config)
-                .inject(SimTime::ZERO, degrade(0, 1))
-                .inject(SimTime::ZERO, degrade(1, 60))
-        };
-        let run = |config: OpusConfig| {
-            let mut sim = ScenarioSim::build(spec(config), Records::Keep);
-            sim.run_scenario();
-            let controller = sim.fleet.controller.as_deref().expect("optical");
-            let occupancy = controller.port_occupancy().to_vec();
-            (occupancy, sim.into_result())
-        };
-        let (naive_ports, naive) = run(OpusConfig {
-            memoize_steady_state: false,
-            ..config
-        });
-        let (memo_ports, mut memo) = run(config);
-        let ff = std::mem::take(&mut memo.jobs[0].memoized_iterations);
-        assert!(ff >= 1, "the memo must re-arm after the change (ff = {ff})");
-        assert_eq!(format!("{memo:?}"), format!("{naive:?}"));
-        assert_eq!(memo_ports, naive_ports);
+            let naive_config = OpusConfig {
+                memoize_steady_state: false,
+                ..config
+            };
+            let (_, naive_fabric, naive) = run_viewing_fabric(spec(naive_config), Records::Keep);
+            let (ff, memo_fabric, mut memo) = run_viewing_fabric(spec(config), Records::Keep);
+            assert_eq!(
+                ff, fast_forwards,
+                "{name}: the memo must re-arm after the change"
+            );
+            memo.jobs[0].memoized_iterations = 0;
+            assert_eq!(format!("{memo:?}"), format!("{naive:?}"), "{name}");
+            assert_eq!(memo_fabric, naive_fabric, "{name}");
+        }
     }
 
     /// Two GB200 NVL72 nodes (72 rails) running one 2-way data-parallel job whose

@@ -50,6 +50,6 @@ pub use fabric::{
 pub use fattree::{ClosDimensions, FatTreeDimensions};
 pub use health::RailHealth;
 pub use ids::{GpuId, NodeId, PortId, RailId, RailSet, RailSetIter};
-pub use ocs::{Circuit, CircuitConfig, Ocs, OcsError};
+pub use ocs::{Circuit, CircuitConfig, Ocs, OcsEffect, OcsError};
 pub use path::{CommPath, PathKind};
 pub use spec::{ClusterSpec, NicConfig, NodePreset};

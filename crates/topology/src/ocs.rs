@@ -161,6 +161,19 @@ impl std::error::Error for OcsError {}
 /// Sentinel in [`Ocs::peer`]: the port is not part of any circuit.
 const NO_PEER: u32 = u32::MAX;
 
+/// The net effect of an [`Ocs`]'s installs over one span of time, measured by
+/// [`Ocs::take_effect`] and applied again, shifted, by [`Ocs::apply_effect`]: every
+/// matching slot whose ready time an install set, with the ready time it held when
+/// the span ended, and how far the switch's lifetime counters moved.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OcsEffect {
+    /// `(slot, ready time)` of every slot an install set, ascending by slot.
+    ready: Vec<(u32, SimTime)>,
+    reconfigs: u64,
+    torn_down: u64,
+    set_up: u64,
+}
+
 /// Ports-per-GPU assumed by [`Ocs::new`] when no fabric geometry is supplied. Large
 /// enough for every NIC configuration in [`crate::spec::NicConfig`] (at most 4 logical
 /// ports); fabrics built from a concrete cluster pass the exact value instead.
@@ -207,6 +220,13 @@ pub struct Ocs {
     reconfig_count: u64,
     circuits_torn_down: u64,
     circuits_set_up: u64,
+    /// Per slot: an install set its ready time since the last [`Ocs::take_effect`].
+    /// Marking is one unconditional store per endpoint set up, into a table the size
+    /// of `peer`, so a run that never takes an effect pays no more than that.
+    set_since_take: Vec<bool>,
+    /// `[reconfig_count, circuits_torn_down, circuits_set_up]` at the last
+    /// [`Ocs::take_effect`].
+    counted_at_take: [u64; 3],
     /// Install-time scratch: the requested circuits' endpoint slots, resolved once.
     /// A slot costs a division by the rail count; resolving it in each of the
     /// install's passes instead measured about 1.8x slower per install churn cycle.
@@ -276,6 +296,8 @@ impl Ocs {
             reconfig_count: 0,
             circuits_torn_down: 0,
             circuits_set_up: 0,
+            set_since_take: vec![false; slots],
+            counted_at_take: [0; 3],
             ends: Vec::new(),
             scratch: Vec::new(),
         }
@@ -327,6 +349,7 @@ impl Ocs {
             let len = (idx / ppg + 1) * ppg;
             self.peer.resize(len, NO_PEER);
             self.ready.resize(len, SimTime::ZERO);
+            self.set_since_take.resize(len, false);
         }
     }
 
@@ -617,6 +640,8 @@ impl Ocs {
             self.peer[b] = a as u32;
             self.ready[a] = ready_at;
             self.ready[b] = ready_at;
+            self.set_since_take[a] = true;
+            self.set_since_take[b] = true;
             self.circuits_set_up += 1;
             self.num_circuits += 1;
         }
@@ -630,6 +655,61 @@ impl Ocs {
             .max()
             .unwrap_or(ready_at);
         Ok(ready.max(now))
+    }
+
+    /// The net effect of the installs since the previous call (or since the switch was
+    /// built), and the start of the next span: every slot an install set up, with the
+    /// ready time it holds now, and how far the lifetime counters moved.
+    ///
+    /// Scans the switch's slots once.
+    pub fn take_effect(&mut self) -> OcsEffect {
+        let ready = self
+            .set_since_take
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(slot, set)| std::mem::take(set).then(|| (slot as u32, self.ready[slot])))
+            .collect();
+        let counters = [
+            self.reconfig_count,
+            self.circuits_torn_down,
+            self.circuits_set_up,
+        ];
+        let [reconfigs, torn_down, set_up] =
+            std::array::from_fn(|i| counters[i] - self.counted_at_take[i]);
+        self.counted_at_take = counters;
+        OcsEffect {
+            ready,
+            reconfigs,
+            torn_down,
+            set_up,
+        }
+    }
+
+    /// Applies `effect` again, `shift` later: writes each of its slots' ready time
+    /// plus `shift` (marking the slot for the next [`Ocs::take_effect`]) and
+    /// advances the lifetime counters by its deltas. The matching is left as it is.
+    ///
+    /// That is exactly what re-performing the effect's installs `shift` later would
+    /// leave, provided the switch now holds the matching the effect's span started
+    /// and ended on, has the delay the span ran under, and the span changed the
+    /// switch only through installs. An install's writes depend only on the matching,
+    /// the requested circuits, the install time and the delay, so the same installs
+    /// from the same matching set up the same slots, each last to its old ready time
+    /// plus `shift`, write no other slot, end on the same matching and count the
+    /// same. Slots whose circuit the span tore down again are written too, so even
+    /// the ready entries no read can reach match.
+    ///
+    /// # Panics
+    /// Panics when a slot lies outside the switch's tables (the effect was taken from
+    /// a larger switch).
+    pub fn apply_effect(&mut self, effect: &OcsEffect, shift: SimDuration) {
+        for &(slot, ready) in &effect.ready {
+            self.ready[slot as usize] = ready + shift;
+            self.set_since_take[slot as usize] = true;
+        }
+        self.reconfig_count += effect.reconfigs;
+        self.circuits_torn_down += effect.torn_down;
+        self.circuits_set_up += effect.set_up;
     }
 
     /// Tears down every circuit touching any port of `gpu`. Returns how many were removed.
@@ -924,5 +1004,56 @@ mod tests {
         assert!(ocs.gpus_connected(GpuId(0), GpuId(1), t));
         assert!(ocs.gpus_connected(GpuId(0), GpuId(2), t));
         assert_eq!(ocs.circuits_between_gpus(GpuId(0), GpuId(1), t), 1);
+    }
+
+    #[test]
+    fn applying_an_effect_equals_re_performing_its_installs() {
+        let config = |pairs: &[(u32, u32)]| {
+            let circuits = pairs
+                .iter()
+                .map(|&(a, b)| Circuit::new(port(a, 0), port(b, 0)))
+                .collect();
+            CircuitConfig::new(circuits).unwrap()
+        };
+        let (ring, cross) = (config(&[(0, 1), (2, 3)]), config(&[(1, 2)]));
+        let (pair, kick) = (config(&[(4, 5)]), config(&[(4, 6)]));
+        // One period that ends on the matching it started from. `cross` displaces
+        // both ring circuits, `kick` sets up port (6,0)'s circuit only for `pair`
+        // to tear it down again, and the ring comes back. GPU 7 is never touched.
+        let period = |ocs: &mut Ocs, shift: SimDuration| {
+            let at = |ms| SimTime::from_millis(ms) + shift;
+            for (cfg, ms) in [(&cross, 10), (&kick, 11), (&pair, 12), (&ring, 15)] {
+                ocs.install(cfg, at(ms)).unwrap();
+            }
+        };
+        let mut ocs = Ocs::new(16, SimDuration::from_millis(2));
+        ocs.install(&ring, SimTime::ZERO).unwrap();
+        ocs.install(&pair, SimTime::ZERO).unwrap();
+        ocs.take_effect();
+        period(&mut ocs, SimDuration::ZERO);
+        let effect = ocs.take_effect();
+        assert_eq!(
+            effect
+                .ready
+                .iter()
+                .map(|&(slot, _)| slot)
+                .collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4, 5, 6].map(|gpu| ocs.dense(port(gpu, 0)) as u32),
+            "exactly the slots an install set up, torn-down port (6,0) included"
+        );
+        // Three more periods, each from where the previous one left its switch.
+        let (mut stepped, mut applied) = (ocs.clone(), ocs.clone());
+        for k in 1..=3 {
+            let shift = SimDuration::from_millis(20 * k);
+            period(&mut stepped, shift);
+            applied.apply_effect(&effect, shift);
+            assert_eq!(applied.peer, stepped.peer, "period {k}");
+            assert_eq!(applied.ready, stepped.ready, "period {k}");
+            assert_eq!(applied.num_circuits, stepped.num_circuits, "period {k}");
+            let counters = |o: &Ocs| [o.reconfig_count, o.circuits_torn_down, o.circuits_set_up];
+            assert_eq!(counters(&applied), counters(&stepped), "period {k}");
+            // The marks and the counted span match too.
+            assert_eq!(applied.take_effect(), stepped.take_effect(), "period {k}");
+        }
     }
 }

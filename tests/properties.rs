@@ -460,18 +460,20 @@ proptest! {
     #[test]
     fn memoized_fast_forward_is_byte_identical_to_naive(
         flap in (100u64..2_000, 50u64..1_000, 0u32..5),
+        degrade in (100u64..2_000, 0u32..5, 1u64..10),
         two_jobs in 0u32..2,
         replan in 0u32..2,
     ) {
         // Steady-state memoization must be invisible: a clean single-job run (memo
-        // engages), a rail-flap timeline (memo invalidates and re-arms) and a
+        // engages), a rail-flap or switch-delay timeline (memo invalidates and
+        // re-arms, a delay change leaving fast-forwarded circuits installed) and a
         // two-job scenario (memo disables itself) all serialize byte-identically to
         // the naive path. Half the cases run under `RecoveryPolicy::Replan`, so
         // fast-forward windows must also agree with the naive path while a degraded
         // plan is live. The controller's request counters are not serialized, so
         // they are compared on their own.
         let base = memo_config(replan == 1);
-        let run = |config: OpusConfig| flap_spec(flap, two_jobs == 1, config).run();
+        let run = |config: OpusConfig| flap_spec(flap, degrade, two_jobs == 1, config).run();
         let memo = run(base);
         let naive = run(OpusConfig {
             memoize_steady_state: false,
@@ -492,19 +494,20 @@ proptest! {
     #[test]
     fn record_free_runs_match_runs_with_records_cleared(
         flap in (100u64..2_000, 50u64..1_000, 0u32..5),
+        degrade in (100u64..2_000, 0u32..5, 1u64..10),
         two_jobs in 0u32..2,
         replan in 0u32..2,
         memo in 0u32..2,
     ) {
         // `run_without_records` keeps no records and replays fast-forwards without
         // them; everything else it reports must be exactly what `run` reports, over
-        // the same memo / flap / two-job / replan generator as the memoization
-        // property.
+        // the same memo / flap / switch-delay / two-job / replan generator as the
+        // memoization property.
         let config = OpusConfig {
             memoize_steady_state: memo == 1,
             ..memo_config(replan == 1)
         };
-        let spec = flap_spec(flap, two_jobs == 1, config);
+        let spec = flap_spec(flap, degrade, two_jobs == 1, config);
         let mut full = spec.clone().run();
         let free = spec.run_without_records();
         prop_assert_eq!(request_counters(&free), request_counters(&full));
@@ -604,9 +607,17 @@ fn record_free_serving_runs_match_runs_with_records_cleared() {
 }
 
 /// The memoization generator: the paper's 16-GPU job (twice, side by side, when
-/// `two_jobs`) with an optional rail flap; `flap.2 == 4` means no flap (the
-/// cluster has 4 rails).
-fn flap_spec(flap: (u64, u64, u32), two_jobs: bool, config: OpusConfig) -> ScenarioSpec {
+/// `two_jobs`) with an optional rail flap and an optional change of one rail's
+/// switch delay. `flap` is `(down ms, up after ms, rail)`; `degrade` is `(at ms,
+/// rail, latency ms)`, where a latency of 1–4 ms stays 1–4 ms, faster than the
+/// job's 5 ms, and 5–9 ms becomes 6–10 ms, slower. Rail 4 means none (the cluster
+/// has 4 rails).
+fn flap_spec(
+    flap: (u64, u64, u32),
+    degrade: (u64, u32, u64),
+    two_jobs: bool,
+    config: OpusConfig,
+) -> ScenarioSpec {
     let nodes = if two_jobs { 8 } else { 4 };
     let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, nodes).build();
     let model = ModelConfig::tiny_test();
@@ -628,6 +639,21 @@ fn flap_spec(flap: (u64, u64, u32), two_jobs: bool, config: OpusConfig) -> Scena
                 SimTime::from_millis(down_ms + up_delta_ms),
                 ScenarioEvent::RailUp(RailId(rail)),
             );
+    }
+    let (at_ms, rail, latency_ms) = degrade;
+    if rail < 4 {
+        let latency_ms = if latency_ms < 5 {
+            latency_ms
+        } else {
+            latency_ms + 1
+        };
+        scenario = scenario.inject(
+            SimTime::from_millis(at_ms),
+            ScenarioEvent::OcsDegraded {
+                rail: RailId(rail),
+                reconfig_latency: SimDuration::from_millis(latency_ms),
+            },
+        );
     }
     scenario
 }
