@@ -1495,13 +1495,14 @@ impl ScenarioSim {
         // Consecutive tasks often repeat a kind, and a repeated kind of a group's task
         // has the same price. (An ad-hoc pair's slot is the task's own.)
         let mut last: Option<(TaskKind, u32)> = None;
-        for (t, &kind) in dag.kinds().iter().enumerate() {
+        for (t, price_of_t) in task_price.iter_mut().enumerate() {
+            let kind = dag.kind(TaskId(t as u32));
             if !kind.is_communication() {
                 continue;
             }
             if let Some((last_kind, price)) = last {
                 if last_kind == kind {
-                    task_price[t] = price;
+                    *price_of_t = price;
                     continue;
                 }
             }
@@ -1562,7 +1563,7 @@ impl ScenarioSim {
                 next_price.push(first_price[slot as usize]);
                 first_price[slot as usize] = price;
             }
-            task_price[t] = price;
+            *price_of_t = price;
             last = grouped.then_some((kind, price));
         }
         let position_price = dag
@@ -2248,7 +2249,7 @@ impl ScenarioSim {
         let circuits = &ctx.dense_circuits[slot.plan.start as usize..slot.plan.end as usize];
         debug_assert!(
             match ctx.dag.kind(id) {
-                TaskKind::Collective { group, .. } => *group == slot.group,
+                TaskKind::Collective { group, .. } => group == slot.group,
                 _ => true,
             },
             "a collective's circuit slot is keyed by its group"

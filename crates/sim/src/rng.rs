@@ -52,11 +52,6 @@ impl SimRng {
         self.inner.gen_range(range)
     }
 
-    /// Samples a uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);

@@ -133,11 +133,6 @@ impl Cluster {
         (0..self.num_rails()).map(RailId).collect()
     }
 
-    /// All node ids.
-    pub fn all_nodes(&self) -> Vec<NodeId> {
-        (0..self.num_nodes()).map(NodeId).collect()
-    }
-
     /// True when `a` and `b` are in the same scale-up domain.
     pub fn same_node(&self, a: GpuId, b: GpuId) -> bool {
         self.node_of(a) == self.node_of(b)

@@ -112,11 +112,6 @@ impl ClosDimensions {
         self.leaf_switches + self.spine_switches + self.core_switches
     }
 
-    /// Total number of optical links (endpoint links + inter-switch links).
-    pub fn total_links(&self) -> u64 {
-        self.endpoint_links + self.inter_switch_links
-    }
-
     /// Number of transceivers plugged into switch ports: one per endpoint link (the
     /// switch side) plus two per inter-switch link. The NIC-side transceivers are
     /// counted separately by the cost model because every fabric needs those.

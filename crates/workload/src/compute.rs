@@ -114,12 +114,6 @@ impl ComputeModel {
         self.layer_forward
             .saturating_mul(self.layers_per_stage as u64)
     }
-
-    /// Backward time of a whole pipeline stage for one micro-batch.
-    pub fn stage_backward(&self) -> SimDuration {
-        self.layer_backward
-            .saturating_mul(self.layers_per_stage as u64)
-    }
 }
 
 #[cfg(test)]

@@ -24,12 +24,16 @@
 //!
 //! ## Layout
 //!
-//! The DAG is stored by column, not by task: one dense vector each for the task
-//! kinds, interned labels, pooled participant sets and compact micro-batch/layer
-//! indices, plus each task's prerequisites in CSR form. Builders append tasks and
-//! `(task, dep)` edges to `TaskColumns`, whose `finish` turns the edge log into that
-//! CSR with one stable counting pass, once per DAG. [`Task`] is a borrowed row view
-//! that serializes exactly like the row-major task it replaced.
+//! The DAG is stored by column, not by task: one dense vector each for the step
+//! classes, operands, interned labels, pooled participant sets and compact
+//! micro-batch/layer indices, plus each task's prerequisites in CSR form. A task's
+//! [`TaskKind`] is stored in six bytes: a 2-byte class into the DAG's table of
+//! distinct [`Step`]s and a 4-byte operand naming the collective's group or the
+//! point-to-point pair; [`TrainingDag::kind`] puts the two back together. Builders
+//! append tasks and `(task, dep)` edges to `TaskColumns`, which interns each task's
+//! step as it is pushed and whose `finish` turns the edge log into that CSR with one
+//! stable counting pass, once per DAG. [`Task`] is a borrowed row view that
+//! serializes exactly like the row-major task it replaced.
 //!
 //! A simulator steps the DAG in execution order, through its [`ExecLayout`]: the
 //! tasks in FIFO-Kahn order, and by position each task's dependents (as positions),
@@ -208,10 +212,20 @@ fn expand_index(value: u16) -> Option<u32> {
 }
 
 /// The columns a rebase leaves untouched, shared between a DAG and its rebased
-/// copies: labels, micro-batch/layer indices, the prerequisites CSR and the
+/// copies: step classes, operands and pairs (which a DAG reads through its rank and
+/// group offsets), labels, micro-batch/layer indices, the prerequisites CSR and the
 /// execution layout.
 #[derive(Debug)]
 struct TaskGraph {
+    /// Step class by task: an index into `steps`.
+    classes: Vec<u16>,
+    /// Every distinct step, in order of first use.
+    steps: Vec<Step>,
+    /// By task: a collective's group id, a point-to-point transfer's index into
+    /// `pairs`, and 0 for compute.
+    operands: Vec<u32>,
+    /// Each point-to-point operand's `[src, dst]`.
+    pairs: Vec<[GpuId; 2]>,
     labels: Vec<LabelId>,
     microbatch: Vec<u16>,
     layer: Vec<u16>,
@@ -242,7 +256,8 @@ impl Position {
 
 /// What executing a task takes: its [`TaskKind`] with the communication group and
 /// the endpoints cleared. Those are the only fields a rebase moves, so one step
-/// table serves every DAG sharing a graph.
+/// table serves every DAG sharing a graph. A DAG stores each task's kind as an index
+/// into that table plus the cleared operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Step {
     /// Local GPU computation of a fixed duration.
@@ -297,7 +312,7 @@ pub struct ExecLayout {
     /// `dependents[dependent_offsets[p]..dependent_offsets[p + 1]]`.
     dependent_offsets: Vec<u32>,
     dependents: Vec<Position>,
-    /// Step class by position: an index into `steps`.
+    /// Step class by position: an index into `steps`, the graph's step table.
     classes: Vec<u16>,
     steps: Vec<Step>,
     /// How many tasks Kahn reached: all of them exactly when the graph is acyclic.
@@ -305,9 +320,9 @@ pub struct ExecLayout {
 }
 
 impl ExecLayout {
-    /// Builds the layout from the prerequisites CSR and the kinds column.
-    fn build(graph: &TaskGraph, kinds: &[TaskKind]) -> ExecLayout {
-        let n = kinds.len();
+    /// Builds the layout from the prerequisites CSR and the step classes.
+    fn build(graph: &TaskGraph) -> ExecLayout {
+        let n = graph.classes.len();
         let indegree = |t: usize| graph.dep_offsets[t + 1] - graph.dep_offsets[t];
 
         // The dependents CSR in id space, for Kahn to walk: walking tasks in id
@@ -359,32 +374,14 @@ impl ExecLayout {
                 .map(TaskId),
         );
 
-        // Indegrees and step classes by position, written in one pass over the ids:
-        // reading the kinds column in execution order is slower, and neighbours in
-        // id order mostly share a step.
+        // Indegrees and step classes by position, written in one pass over the ids.
         let mut position_of = remaining;
         for (p, id) in order.iter().enumerate() {
             position_of[id.0 as usize] = p as u32;
         }
         let mut indegrees = vec![0; n];
         let mut classes = vec![0; n];
-        let mut steps = Vec::new();
-        let mut class_of: FastMap<Step, u16> = FastMap::default();
-        let mut last: Option<(Step, u16)> = None;
-        for (t, &kind) in kinds.iter().enumerate() {
-            let step = Step::from(kind);
-            let class = match last {
-                Some((s, class)) if s == step => class,
-                _ => {
-                    let class = *class_of.entry(step).or_insert_with(|| {
-                        steps.push(step);
-                        u16::try_from(steps.len() - 1)
-                            .expect("a DAG has at most 65536 distinct steps")
-                    });
-                    last = Some((step, class));
-                    class
-                }
-            };
+        for (t, &class) in graph.classes.iter().enumerate() {
             let p = position_of[t] as usize;
             indegrees[p] = indegree(t);
             classes[p] = class;
@@ -414,7 +411,7 @@ impl ExecLayout {
             dependent_offsets,
             dependents,
             classes,
-            steps,
+            steps: graph.steps.clone(),
             reached,
         }
     }
@@ -456,8 +453,11 @@ impl ExecLayout {
 /// docs). Built by [`DagBuilder`] or [`crate::InferenceDagBuilder`].
 #[derive(Debug, Clone)]
 pub struct TrainingDag {
-    kinds: Vec<TaskKind>,
     participants: Vec<RankSet>,
+    /// Added to every point-to-point endpoint: the rank shift of a rebase.
+    gpu_offset: u32,
+    /// Added to every collective operand: the group-id shift of a rebase.
+    group_offset: u32,
     graph: Arc<TaskGraph>,
     /// One past the largest rank any task references.
     rank_end: u32,
@@ -470,12 +470,12 @@ pub struct TrainingDag {
 impl TrainingDag {
     /// Number of tasks.
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.participants.len()
     }
 
     /// True when the DAG has no tasks.
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.participants.is_empty()
     }
 
     /// The row view of one task.
@@ -483,7 +483,7 @@ impl TrainingDag {
         let i = id.0 as usize;
         Task {
             id,
-            kind: self.kinds[i],
+            kind: self.kind(id),
             participants: self.participants[i],
             deps: self.deps(id),
             label: self.graph.labels[i],
@@ -497,14 +497,29 @@ impl TrainingDag {
         (0..self.len() as u32).map(|i| self.task(TaskId(i)))
     }
 
-    /// What a task does.
-    pub fn kind(&self, id: TaskId) -> &TaskKind {
-        &self.kinds[id.0 as usize]
-    }
-
-    /// What every task does, in id order: the kinds column.
-    pub fn kinds(&self) -> &[TaskKind] {
-        &self.kinds
+    /// What a task does, rebuilt from its step class and operand.
+    #[inline]
+    pub fn kind(&self, id: TaskId) -> TaskKind {
+        let i = id.0 as usize;
+        let operand = self.graph.operands[i];
+        match self.graph.steps[self.graph.classes[i] as usize] {
+            Step::Compute(duration) => TaskKind::Compute { duration },
+            Step::Collective { kind, axis, bytes } => TaskKind::Collective {
+                group: GroupId(operand + self.group_offset),
+                kind,
+                axis,
+                bytes,
+            },
+            Step::PointToPoint { axis, bytes } => {
+                let [src, dst] = self.graph.pairs[operand as usize];
+                TaskKind::PointToPoint {
+                    src: GpuId(src.0 + self.gpu_offset),
+                    dst: GpuId(dst.0 + self.gpu_offset),
+                    axis,
+                    bytes,
+                }
+            }
+        }
     }
 
     /// A task's interned label.
@@ -539,7 +554,9 @@ impl TrainingDag {
 
     /// Total bytes moved by all communication tasks.
     pub fn total_communication_bytes(&self) -> Bytes {
-        self.kinds.iter().map(TaskKind::bytes).sum()
+        (0..self.len() as u32)
+            .map(|i| self.kind(TaskId(i)).bytes())
+            .sum()
     }
 
     /// The DAG's execution layout (see the module docs), built on first use and
@@ -547,7 +564,7 @@ impl TrainingDag {
     pub fn layout(&self) -> &ExecLayout {
         self.graph
             .layout
-            .get_or_init(|| ExecLayout::build(&self.graph, &self.kinds))
+            .get_or_init(|| ExecLayout::build(&self.graph))
     }
 
     /// A topological order of the tasks, or `None` if the DAG contains a cycle. It
@@ -567,7 +584,7 @@ impl TrainingDag {
         // changes need resolving.
         let mut last_set = None;
         let mut last_group = None;
-        for (i, (kind, &set)) in self.kinds.iter().zip(&self.participants).enumerate() {
+        for (i, &set) in self.participants.iter().enumerate() {
             let label = self.graph.labels[i];
             if last_set != Some(set) {
                 if set.is_empty() {
@@ -575,12 +592,12 @@ impl TrainingDag {
                 }
                 last_set = Some(set);
             }
-            if let TaskKind::Collective { group, .. } = kind {
-                if last_group != Some(*group) {
-                    if !self.groups.contains_key(group) {
+            if let TaskKind::Collective { group, .. } = self.kind(TaskId(i as u32)) {
+                if last_group != Some(group) {
+                    if !self.groups.contains_key(&group) {
                         return Err(format!("task {label} references unknown group {group}"));
                     }
-                    last_group = Some(*group);
+                    last_group = Some(group);
                 }
             }
         }
@@ -619,7 +636,8 @@ impl TrainingDag {
     /// `gpu_offset` (the job's first GPU in the shared cluster) and every group id by
     /// `group_id_offset` (so two jobs' groups never collide in shared controller
     /// state). Task ids, labels, dependencies and traffic are untouched — the copy
-    /// shares the original's label and dependency columns — so a rebased job
+    /// shares the original's kind, label and dependency columns and reads its
+    /// endpoints and group ids through the shifted offsets — so a rebased job
     /// simulates exactly like the original, just elsewhere in the cluster.
     ///
     /// `rebase(0, 0)` returns a plain clone — rank sets and group ids are already
@@ -631,35 +649,6 @@ impl TrainingDag {
         }
         let shift_gpu = |g: GpuId| GpuId(g.0 + gpu_offset);
         let shift_group = |g: GroupId| GroupId(g.0 + group_id_offset);
-        let kinds = self
-            .kinds
-            .iter()
-            .map(|kind| match *kind {
-                TaskKind::Compute { .. } => *kind,
-                TaskKind::Collective {
-                    group,
-                    kind,
-                    axis,
-                    bytes,
-                } => TaskKind::Collective {
-                    group: shift_group(group),
-                    kind,
-                    axis,
-                    bytes,
-                },
-                TaskKind::PointToPoint {
-                    src,
-                    dst,
-                    axis,
-                    bytes,
-                } => TaskKind::PointToPoint {
-                    src: shift_gpu(src),
-                    dst: shift_gpu(dst),
-                    axis,
-                    bytes,
-                },
-            })
-            .collect();
         // Few distinct participant sets, many tasks: shift each set once.
         let mut shifted: FastMap<RankSet, RankSet> = FastMap::default();
         let participants = self
@@ -682,8 +671,9 @@ impl TrainingDag {
             })
             .collect();
         TrainingDag {
-            kinds,
             participants,
+            gpu_offset: self.gpu_offset + gpu_offset,
+            group_offset: self.group_offset + group_id_offset,
             graph: Arc::clone(&self.graph),
             rank_end: self.rank_end + gpu_offset,
             groups,
@@ -749,11 +739,47 @@ impl Hasher for IdHasher {
 /// A `HashMap` keyed through [`IdHasher`].
 pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// The distinct steps of one build, each interned once. Neighbouring tasks mostly
+/// repeat one of a few steps, so four recently interned steps, replaced in turn, are
+/// checked before the map: a 10k-GPU training build hashes once per distinct step.
+/// (Keeping them in most-recently-used order instead cost more in rotations than the
+/// lookups it saved.)
+#[derive(Default)]
+struct StepTable {
+    steps: Vec<Step>,
+    class_of: FastMap<Step, u16>,
+    recent: [Option<(Step, u16)>; 4],
+    /// The `recent` entry the next miss replaces.
+    next: usize,
+}
+
+impl StepTable {
+    fn intern(&mut self, step: Step) -> u16 {
+        for &(s, class) in self.recent.iter().flatten() {
+            if s == step {
+                return class;
+            }
+        }
+        let steps = &mut self.steps;
+        let class = *self.class_of.entry(step).or_insert_with(|| {
+            steps.push(step);
+            u16::try_from(steps.len() - 1).expect("a DAG has at most 65536 distinct steps")
+        });
+        self.recent[self.next] = Some((step, class));
+        self.next = (self.next + 1) % self.recent.len();
+        class
+    }
+}
+
 /// The column storage a builder appends tasks and dependency edges to;
 /// [`finish`](Self::finish) turns it into a [`TrainingDag`].
 #[derive(Default)]
 pub(crate) struct TaskColumns {
-    kinds: Vec<TaskKind>,
+    classes: Vec<u16>,
+    operands: Vec<u32>,
+    steps: StepTable,
+    pairs: Vec<[GpuId; 2]>,
+    pair_of: FastMap<(u32, u32), u32>,
     participants: Vec<RankSet>,
     labels: Vec<LabelId>,
     microbatch: Vec<u16>,
@@ -773,8 +799,14 @@ impl TaskColumns {
         layer: Option<u32>,
         deps: &[TaskId],
     ) -> TaskId {
-        let id = TaskId(u32::try_from(self.kinds.len()).expect("task count exceeds u32"));
-        self.kinds.push(kind);
+        let id = TaskId(u32::try_from(self.classes.len()).expect("task count exceeds u32"));
+        let operand = match kind {
+            TaskKind::Compute { .. } => 0,
+            TaskKind::Collective { group, .. } => group.0,
+            TaskKind::PointToPoint { src, dst, .. } => self.pair(src, dst),
+        };
+        self.classes.push(self.steps.intern(Step::from(kind)));
+        self.operands.push(operand);
         self.participants.push(participants);
         self.labels.push(label);
         self.microbatch.push(compact_index(microbatch));
@@ -783,6 +815,21 @@ impl TaskColumns {
             self.add_dep(id, dep);
         }
         id
+    }
+
+    /// The operand of the point-to-point pair `[src, dst]`, interned once. A rank's
+    /// micro-batches send over one pair in a row, so the newest pair is checked
+    /// before the map.
+    fn pair(&mut self, src: GpuId, dst: GpuId) -> u32 {
+        let next = self.pairs.len() as u32;
+        if self.pairs.last() == Some(&[src, dst]) {
+            return next - 1;
+        }
+        let pair = *self.pair_of.entry((src.0, dst.0)).or_insert(next);
+        if pair == next {
+            self.pairs.push([src, dst]);
+        }
+        pair
     }
 
     /// Declares one more prerequisite of an existing task.
@@ -801,14 +848,18 @@ impl TaskColumns {
         rank_end: u32,
     ) -> TrainingDag {
         let TaskColumns {
-            kinds,
+            classes,
+            operands,
+            steps,
+            pairs,
+            pair_of: _,
             participants,
             labels,
             microbatch,
             layer,
             edges,
         } = self;
-        let n = kinds.len();
+        let n = classes.len();
 
         // Forward CSR by a stable counting pass over the edge log.
         let mut dep_offsets = vec![0u32; n + 1];
@@ -848,9 +899,14 @@ impl TaskColumns {
         deps.shrink_to_fit();
 
         TrainingDag {
-            kinds,
             participants,
+            gpu_offset: 0,
+            group_offset: 0,
             graph: Arc::new(TaskGraph {
+                classes,
+                steps: steps.steps,
+                operands,
+                pairs,
                 labels,
                 microbatch,
                 layer,
@@ -1153,12 +1209,6 @@ impl DagBuilder {
     /// The traffic sizes the builder derived.
     pub fn sizes(&self) -> &TrafficSizes {
         &self.sizes
-    }
-
-    /// Builds the execution DAG and wraps it for shared-immutable reuse — the
-    /// template form fleet sweeps cache and hand to many concurrent scenario runs.
-    pub fn build_shared(&self) -> Arc<TrainingDag> {
-        self.build().into_shared()
     }
 
     /// Builds the execution DAG of one training iteration.
@@ -1780,21 +1830,121 @@ mod tests {
         assert_eq!(moved.len(), dag.len());
         assert_eq!(moved.max_rank(), dag.max_rank() + 64);
         assert!(Arc::ptr_eq(&moved.graph, &dag.graph));
+        let mut seen = [0; 3];
         for (a, b) in dag.tasks().zip(moved.tasks()) {
             assert_eq!(a.deps, b.deps);
             assert_eq!(a.label, b.label);
             let shifted: Vec<GpuId> = a.ranks().iter().map(|g| GpuId(g.0 + 64)).collect();
             assert_eq!(b.ranks(), shifted.as_slice());
-            if let (
-                TaskKind::Collective { group: ga, .. },
-                TaskKind::Collective { group: gb, .. },
-            ) = (a.kind, b.kind)
-            {
-                assert_eq!(gb.0, ga.0 + 100);
-                assert!(moved.groups.contains_key(&gb));
+            assert_eq!(Step::from(a.kind), Step::from(b.kind));
+            match (a.kind, b.kind) {
+                (TaskKind::Compute { duration: da }, TaskKind::Compute { duration: db }) => {
+                    assert_eq!(da, db);
+                    seen[0] += 1;
+                }
+                (
+                    TaskKind::Collective { group: ga, .. },
+                    TaskKind::Collective { group: gb, .. },
+                ) => {
+                    assert_eq!(gb.0, ga.0 + 100);
+                    assert!(moved.groups.contains_key(&gb));
+                    seen[1] += 1;
+                }
+                (
+                    TaskKind::PointToPoint {
+                        src: sa, dst: da, ..
+                    },
+                    TaskKind::PointToPoint {
+                        src: sb, dst: db, ..
+                    },
+                ) => {
+                    assert_eq!((sb.0, db.0), (sa.0 + 64, da.0 + 64));
+                    seen[2] += 1;
+                }
+                (a, b) => panic!("a rebase turned {a:?} into {b:?}"),
             }
         }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every kind is checked: {seen:?}"
+        );
         assert!(moved.validate().is_ok());
+    }
+
+    /// One task of `kind` with `participants`, in a DAG holding `groups`.
+    fn one_task_dag(kind: TaskKind, participants: &[GpuId], groups: &[GroupId]) -> TrainingDag {
+        let mut cols = TaskColumns::default();
+        let set = RankSet::intern(participants);
+        cols.push(kind, set, LabelId::intern("t"), None, None, &[]);
+        let groups = groups
+            .iter()
+            .map(|&id| {
+                (
+                    id,
+                    CommGroup::new(id, ParallelismAxis::Data, participants.to_vec()),
+                )
+            })
+            .collect();
+        cols.finish(groups, ParallelismConfig::data_only(2), 2)
+    }
+
+    #[test]
+    fn validate_rejects_an_unknown_group_and_a_task_without_participants() {
+        let ranks = [GpuId(0), GpuId(1)];
+        let all_reduce = |group| TaskKind::Collective {
+            group: GroupId(group),
+            kind: CollectiveKind::AllReduce,
+            axis: ParallelismAxis::Data,
+            bytes: Bytes::new(1),
+        };
+        let dag = one_task_dag(all_reduce(3), &ranks, &[GroupId(3)]);
+        assert_eq!(dag.validate(), Ok(()));
+        assert_eq!(
+            dag.rebase(0, 5).validate(),
+            Ok(()),
+            "groups shift with their operands"
+        );
+
+        let err = one_task_dag(all_reduce(3), &ranks, &[GroupId(2)])
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, "task t references unknown group group3");
+
+        let compute = TaskKind::Compute {
+            duration: SimDuration::ZERO,
+        };
+        let err = one_task_dag(compute, &[], &[]).validate().unwrap_err();
+        assert_eq!(err, "task t has no participants");
+    }
+
+    /// Columns of `n` compute tasks, each of a duration of its own.
+    fn distinct_steps(n: u64) -> TaskColumns {
+        let set = RankSet::intern(&[GpuId(0)]);
+        let label = LabelId::intern("t");
+        let mut cols = TaskColumns::default();
+        for ns in 0..n {
+            let duration = SimDuration::from_nanos(ns);
+            cols.push(TaskKind::Compute { duration }, set, label, None, None, &[]);
+        }
+        cols
+    }
+
+    #[test]
+    fn a_build_holds_65536_distinct_steps() {
+        let dag =
+            distinct_steps(65_536).finish(BTreeMap::new(), ParallelismConfig::data_only(1), 1);
+        assert_eq!(
+            dag.kind(TaskId(65_535)),
+            TaskKind::Compute {
+                duration: SimDuration::from_nanos(65_535)
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 distinct steps")]
+    fn a_build_with_more_than_65536_distinct_steps_fails() {
+        distinct_steps(65_537);
     }
 
     #[test]

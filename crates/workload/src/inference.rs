@@ -347,7 +347,7 @@ mod tests {
             assert!(row.iter().all(|&d| dag.deps(d).contains(&id)));
             deps_seen += deps.len();
             rows_seen += row.len();
-            assert_eq!(layout.step(pos), Step::from(*dag.kind(id)));
+            assert_eq!(layout.step(pos), Step::from(dag.kind(id)));
         }
         assert_eq!(deps_seen, rows_seen);
         assert!(std::ptr::eq(dag.clone().layout(), layout));

@@ -113,11 +113,6 @@ impl TrafficSizes {
         self.fsdp_reducescatter_per_layer * layers_per_stage as u64
     }
 
-    /// The per-axis volume used by plain data parallelism for one stage.
-    pub fn dp_allreduce_per_stage(&self, layers_per_stage: u32) -> Bytes {
-        self.dp_allreduce_per_layer * layers_per_stage as u64
-    }
-
     /// The data-parallel collective volume per layer for the configured [`DataParallelKind`].
     pub fn dp_volume_per_layer(&self, kind: DataParallelKind) -> Bytes {
         match kind {

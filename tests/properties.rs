@@ -281,7 +281,7 @@ proptest! {
             prop_assert!(row.iter().all(|&d| dag.deps(d).contains(&id)));
             deps_seen += deps.len();
             rows_seen += row.len();
-            prop_assert_eq!(layout.step(pos), Step::from(*dag.kind(id)));
+            prop_assert_eq!(layout.step(pos), Step::from(dag.kind(id)));
         }
         prop_assert_eq!(deps_seen, rows_seen);
         prop_assert!(std::ptr::eq(dag.clone().layout(), layout));
