@@ -1,0 +1,203 @@
+//! Output pins: the figure, table and ablation binaries must print and write the same
+//! bytes after a refactor.
+//!
+//! Each test runs one binary and compares an FNV-1a digest of its stdout, and of every
+//! results JSON it reports writing, against digests captured before. A change that
+//! moves a published number moves a digest here, so its diff lists every output it
+//! moved. The `(wrote …)` lines are left out of the stdout digest: they print the
+//! results directory, an absolute path under `cargo test`.
+//!
+//! `table3_scalability` and `fleet_sweep` are not pinned here, because they print and
+//! write host measurements (wall clock, events per second, peak RSS). `bench_scale`
+//! and `bench_compare` read benchmark reports instead of simulating.
+
+use std::path::Path;
+use std::process::Command;
+
+/// FNV-1a, the hash of the seed pins in the workspace's `scenario_compat` tests.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// Runs the binary at `exe` without arguments and returns the digest of its stdout
+/// minus the `(wrote …)` lines, then the file name and digest of each JSON those lines
+/// name, in the order the binary wrote them.
+fn digests(exe: &str) -> Vec<(String, u64)> {
+    let out = Command::new(exe).output().expect("the binary starts");
+    assert!(
+        out.status.success(),
+        "{exe} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let mut printed = String::new();
+    let mut written = Vec::new();
+    for line in stdout.split_inclusive('\n') {
+        match line
+            .strip_prefix("(wrote ")
+            .and_then(|l| l.trim_end().strip_suffix(')'))
+        {
+            Some(path) => written.push(path.to_string()),
+            None => printed.push_str(line),
+        }
+    }
+    let mut digests = vec![("stdout".to_string(), fnv1a(printed.as_bytes()))];
+    for path in written {
+        let path = Path::new(&path);
+        let json = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let name = path.file_name().expect("a file").to_string_lossy();
+        digests.push((name.into_owned(), fnv1a(&json)));
+    }
+    digests
+}
+
+/// Asserts the binary's digests, printing them all in the pin's own syntax on a
+/// mismatch.
+fn check(exe: &str, pinned: &[(&str, u64)]) {
+    let got = digests(exe);
+    let same = got.len() == pinned.len()
+        && got
+            .iter()
+            .zip(pinned)
+            .all(|((name, digest), (want_name, want))| name == want_name && digest == want);
+    let listed: Vec<String> = got
+        .iter()
+        .map(|(name, digest)| format!("(\"{name}\", {digest:#018x})"))
+        .collect();
+    assert!(same, "{exe} now reads [{}]", listed.join(", "));
+}
+
+#[test]
+fn eq1_window_count() {
+    check(
+        env!("CARGO_BIN_EXE_eq1_window_count"),
+        &[
+            ("stdout", 0xe30492e36431f2e7),
+            ("eq1_window_count.json", 0x32dd6e251b8ec209),
+        ],
+    );
+}
+
+#[test]
+fn fig2_iteration_dag() {
+    check(
+        env!("CARGO_BIN_EXE_fig2_iteration_dag"),
+        &[("stdout", 0x1bb2c0b3fff2f2dd)],
+    );
+}
+
+#[test]
+fn fig3_comm_pattern() {
+    check(
+        env!("CARGO_BIN_EXE_fig3_comm_pattern"),
+        &[
+            ("stdout", 0x79f2d42a3b753a96),
+            ("fig3_comm_pattern.json", 0x7b7b74a11fafcdba),
+        ],
+    );
+}
+
+#[test]
+fn fig4_windows() {
+    check(
+        env!("CARGO_BIN_EXE_fig4_windows"),
+        &[
+            ("stdout", 0x138075d757ed5a07),
+            ("fig4a_window_cdf.json", 0x2b79fca371fbeb8c),
+            ("fig4b_window_buckets.json", 0x38eeea503418c382),
+        ],
+    );
+}
+
+#[test]
+fn fig7_cost_power() {
+    check(
+        env!("CARGO_BIN_EXE_fig7_cost_power"),
+        &[
+            ("stdout", 0x6f15fd322894b0a3),
+            ("fig7_cost_power.json", 0x752cfec9be519acb),
+        ],
+    );
+}
+
+#[test]
+fn fig8_reconfig_latency() {
+    check(
+        env!("CARGO_BIN_EXE_fig8_reconfig_latency"),
+        &[
+            ("stdout", 0xb7b3c8184c61ef54),
+            ("fig8_reconfig_latency.json", 0x7197fea4d7c8c62e),
+        ],
+    );
+}
+
+#[test]
+fn table1_strategies() {
+    check(
+        env!("CARGO_BIN_EXE_table1_strategies"),
+        &[
+            ("stdout", 0x93d1ea5be2ecd143),
+            ("table1_strategies.json", 0x978208e072016204),
+        ],
+    );
+}
+
+#[test]
+fn table2_parallelism_traffic() {
+    check(
+        env!("CARGO_BIN_EXE_table2_parallelism_traffic"),
+        &[
+            ("stdout", 0x8993dc08f793d4a4),
+            ("table2_parallelism_traffic.json", 0x70e4f58128a7e1da),
+        ],
+    );
+}
+
+#[test]
+fn ablation_provisioning() {
+    check(
+        env!("CARGO_BIN_EXE_ablation_provisioning"),
+        &[
+            ("stdout", 0x9d8f8ca7ef100879),
+            ("ablation_provisioning.json", 0xf1ced0c2ca9bedfb),
+        ],
+    );
+}
+
+#[test]
+fn ablation_port_config() {
+    check(
+        env!("CARGO_BIN_EXE_ablation_port_config"),
+        &[
+            ("stdout", 0x8a66b566e6dfbd8d),
+            ("ablation_port_config.json", 0x6e8fb5567ee979e1),
+        ],
+    );
+}
+
+#[test]
+fn ablation_collective_algorithms() {
+    check(
+        env!("CARGO_BIN_EXE_ablation_collective_algorithms"),
+        &[
+            ("stdout", 0xf6508e3c70b31cb5),
+            ("ablation_collective_algorithms.json", 0xff3002caa428c07f),
+        ],
+    );
+}
+
+#[test]
+fn ablation_host_offload() {
+    check(
+        env!("CARGO_BIN_EXE_ablation_host_offload"),
+        &[
+            ("stdout", 0x22b9ff6fdc12726e),
+            ("ablation_host_offload.json", 0xf30606b6ada916c4),
+        ],
+    );
+}
