@@ -18,13 +18,16 @@ fn bench_controller(c: &mut Criterion) {
         ParallelismAxis::Pipeline,
         vec![GpuId(0), GpuId(8)],
     );
-    let dp_circuits = planner.plan(&cluster, &dp);
-    let pp_circuits = planner.plan(&cluster, &pp);
-    // The hot reads take each group's circuits prepared once, as the simulator does.
+    // Every controller call takes each group's circuits prepared once, as the
+    // simulator does.
     let geometry = PortGeometry::of(&cluster);
     let (mut dp_plan, mut pp_plan) = (Vec::new(), Vec::new());
-    dp_circuits.resolve_into(geometry, &mut dp_plan);
-    pp_circuits.resolve_into(geometry, &mut pp_plan);
+    planner
+        .plan(&cluster, &dp)
+        .resolve_into(geometry, &mut dp_plan);
+    planner
+        .plan(&cluster, &pp)
+        .resolve_into(geometry, &mut pp_plan);
 
     c.bench_function("controller_alternating_requests_1k", |b| {
         b.iter(|| {
@@ -32,12 +35,12 @@ fn bench_controller(c: &mut Criterion) {
             let mut controller = OpusController::new(fabric);
             let mut now = SimTime::ZERO;
             for i in 0..1000u64 {
-                let (group, circuits, plan) = if i % 2 == 0 {
-                    (dp.id, &dp_circuits, &dp_plan)
+                let (group, plan) = if i % 2 == 0 {
+                    (dp.id, &dp_plan)
                 } else {
-                    (pp.id, &pp_circuits, &pp_plan)
+                    (pp.id, &pp_plan)
                 };
-                let ready = controller.request(0, group, circuits, now);
+                let ready = controller.request(0, group, plan, now);
                 controller.occupy(0, plan, ready + SimDuration::from_millis(1));
                 now = ready + SimDuration::from_millis(1);
             }

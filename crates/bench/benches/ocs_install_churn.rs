@@ -14,7 +14,7 @@ use opus::CircuitPlanner;
 use railsim_bench::scaled_cluster;
 use railsim_collectives::{CommGroup, GroupId, ParallelismAxis};
 use railsim_sim::{SimDuration, SimTime};
-use railsim_topology::{OpticalRailFabric, RailId};
+use railsim_topology::{OpticalRailFabric, PortGeometry, RailId};
 
 fn bench_ocs_install_churn(c: &mut Criterion) {
     let cluster = scaled_cluster(1024);
@@ -27,8 +27,16 @@ fn bench_ocs_install_churn(c: &mut Criterion) {
         ParallelismAxis::Pipeline,
         rail_gpus.iter().copied().step_by(16).collect(),
     );
-    let dp_circuits = &planner.plan(&cluster, &dp).per_rail[&rail];
-    let pp_circuits = &planner.plan(&cluster, &pp).per_rail[&rail];
+    // Both rings are prepared once, as the simulator prepares its plans; every
+    // member is on `rail`, so each plan is one run of that rail's circuits.
+    let geometry = PortGeometry::of(&cluster);
+    let (mut dp_circuits, mut pp_circuits) = (Vec::new(), Vec::new());
+    planner
+        .plan(&cluster, &dp)
+        .resolve_into(geometry, &mut dp_circuits);
+    planner
+        .plan(&cluster, &pp)
+        .resolve_into(geometry, &mut pp_circuits);
 
     let mut fabric = OpticalRailFabric::for_cluster(&cluster, SimDuration::from_millis(25));
     let mut now = SimTime::ZERO;
@@ -37,10 +45,12 @@ fn bench_ocs_install_churn(c: &mut Criterion) {
             // One full churn cycle: DP ring in, PP ring displaces its shared ports,
             // next iteration's DP install rebuilds them.
             now = fabric
-                .install(rail, black_box(dp_circuits), now)
+                .ocs_mut(rail)
+                .install(black_box(&dp_circuits), now)
                 .expect("radix covers the full rail");
             now = fabric
-                .install(rail, black_box(pp_circuits), now)
+                .ocs_mut(rail)
+                .install(black_box(&pp_circuits), now)
                 .expect("radix covers the full rail");
             black_box(now)
         })

@@ -15,7 +15,7 @@ use opus::CircuitPlanner;
 use railsim_bench::scaled_cluster;
 use railsim_collectives::{CommGroup, GroupId, ParallelismAxis};
 use railsim_sim::{SimDuration, SimTime};
-use railsim_topology::{OpticalRailFabric, RailId};
+use railsim_topology::{OpticalRailFabric, PortGeometry, RailId};
 
 fn bench_replan_swap(c: &mut Criterion) {
     let cluster = scaled_cluster(1024);
@@ -38,20 +38,26 @@ fn bench_replan_swap(c: &mut Criterion) {
         })
     });
 
+    let geometry = PortGeometry::of(&cluster);
     let mut fabric = OpticalRailFabric::for_cluster(&cluster, SimDuration::from_millis(25));
     let mut now = SimTime::ZERO;
+    let mut plan = Vec::new();
     c.bench_function("replan_swap_install", |b| {
         b.iter(|| {
             let degraded = planner.replan_degraded(&cluster, black_box(&pristine), healthy.clone());
+            // A swap prepares the slot's plan again: resolve the degraded circuits.
+            plan.clear();
+            degraded.resolve_into(geometry, &mut plan);
             // Degrade: the replanned circuits land on the surviving rails.
-            for (&rail, config) in &degraded.per_rail {
+            for run in plan.chunk_by(|a, b| a.rail() == b.rail()) {
                 now = fabric
-                    .install(rail, config, now)
+                    .ocs_mut(run[0].rail())
+                    .install(run, now)
                     .expect("radix covers the displaced ring");
             }
             // Restore (RailUp): withdraw the degraded plan again.
-            for (&rail, config) in &degraded.per_rail {
-                black_box(fabric.ocs_mut(rail).tear_down(config));
+            for run in plan.chunk_by(|a, b| a.rail() == b.rail()) {
+                black_box(fabric.ocs_mut(run[0].rail()).tear_down(run));
             }
             black_box(now)
         })

@@ -13,29 +13,28 @@
 //! The controller also keeps the per-port occupancy bookkeeping the conflict check
 //! needs, and a log of [`ReconfigEvent`]s for the experiment harness.
 //!
-//! ## Hot reads and cold requests
+//! ## Prepared plans
 //!
-//! Every scale-out transfer reads the controller: is its group's configuration
-//! installed and when is it ready ([`OpusController::installed_ready_time`]), and
-//! which ports does it hold until when ([`OpusController::occupy`], plus
-//! [`OpusController::ports_free`] for a provisioned request). These reads take the
-//! group's circuits *prepared*: resolved once, with
+//! Every call takes a group's circuits *prepared*: resolved once, with
 //! [`PortGeometry::resolve`](railsim_topology::PortGeometry::resolve), to the
 //! [`DenseCircuit`]s that index each OCS's matching tables and the per-rail
-//! occupancy tables directly, so a read is one pass over a slice. The calls that
-//! change the fabric — [`OpusController::request`] and [`OpusController::withdraw`] —
-//! happen once per reconfiguration, not once per transfer, and take the group's
-//! [`GroupCircuits`]. A memoized fast-forward installs nothing: it applies each
-//! rail's [`OcsEffect`] of the template iteration, shifted.
+//! occupancy tables directly, listed rail by rail in ascending rail order (see
+//! [`crate::circuits`]). Every scale-out transfer reads the controller: is its
+//! group's configuration installed and when is it ready
+//! ([`OpusController::installed_ready_time`]), and which ports does it hold until
+//! when ([`OpusController::occupy`], plus [`OpusController::ports_free`] for a
+//! provisioned request); each read is one pass over the slice. The calls that change
+//! the fabric — [`OpusController::request`] and [`OpusController::withdraw`] — hand
+//! each rail's run of the same slice to that rail's OCS. A memoized fast-forward
+//! installs nothing: it applies each rail's [`OcsEffect`] of the template iteration,
+//! shifted.
 
-use crate::circuits::GroupCircuits;
 use crate::config::EvictionPolicy;
 use crate::metrics::ReconfigEvent;
 use railsim_collectives::GroupId;
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{
-    Circuit, CircuitConfig, DenseCircuit, OcsEffect, OpticalRailFabric, PortGeometry, RailId,
-    RailPort,
+    Circuit, DenseCircuit, OcsEffect, OpticalRailFabric, PortGeometry, RailId, RailPort,
 };
 
 /// Sentinel tenant id: the port's current hold was not placed by a tenant-tagged
@@ -94,9 +93,6 @@ pub struct OpusController {
     events: Vec<ReconfigEvent>,
     requests: u64,
     noop_requests: u64,
-    /// Per-rail no-op flags of the request being handled, reused across requests so
-    /// the hot path never allocates.
-    noop_scratch: Vec<bool>,
     /// The tenant-contention policy. [`EvictionPolicy::Never`] (the default) keeps
     /// every code path byte-identical to the single-tenant controller; the tenancy
     /// tables below are then empty and never touched.
@@ -131,7 +127,6 @@ impl OpusController {
             events: Vec::new(),
             requests: 0,
             noop_requests: 0,
-            noop_scratch: Vec::new(),
             eviction: EvictionPolicy::Never,
             port_tenant: vec![Vec::new(); num_rails],
             wait_by_rail: vec![Vec::new(); num_rails],
@@ -269,8 +264,8 @@ impl OpusController {
     }
 
     /// Handles `tenant`'s reconfiguration request for `group`: installs the group's
-    /// circuits on every rail it needs and returns the time at which all of them are
-    /// ready to carry traffic.
+    /// prepared circuits (see the module docs) on every rail they use and returns the
+    /// time at which all of them are ready to carry traffic.
     ///
     /// `requested_at` is when the (possibly speculative) request was issued. Each rail
     /// whose circuits are not yet installed starts switching once its ports are free.
@@ -279,62 +274,60 @@ impl OpusController {
     /// tenants' holds instead of waiting for them (which holds it may take is the
     /// policy's rule; see [`EvictionPolicy`]). The requester's own traffic is never
     /// preempted, so intra-tenant ordering stays FC-FS.
+    ///
+    /// Rails share no state, so one pass over the rail runs decides each rail's
+    /// no-op, port claim, install and event in rail order.
     pub fn request(
         &mut self,
         tenant: u32,
         group: GroupId,
-        circuits: &GroupCircuits,
+        circuits: &[DenseCircuit],
         requested_at: SimTime,
     ) -> SimTime {
+        debug_assert!(
+            circuits.is_sorted_by_key(DenseCircuit::rail),
+            "a prepared plan lists its circuits rail by rail"
+        );
         self.requests += 1;
-        if circuits.per_rail.is_empty() {
-            self.noop_requests += 1;
-            return requested_at;
-        }
-        // One pass computes every rail's no-op flag; the install loop below reuses
-        // them instead of re-walking each rail's installed circuits.
-        self.noop_scratch.clear();
-        let mut already_everywhere = true;
-        for (rail, config) in &circuits.per_rail {
-            let noop = self.fabric.ocs(*rail).already_installed(config);
-            self.noop_scratch.push(noop);
-            already_everywhere &= noop;
-        }
-        if already_everywhere {
-            self.noop_requests += 1;
-        }
         let tenancy = self.tenancy_active();
+        let mut already_everywhere = true;
         let mut ready = requested_at;
-        for (i, (rail, config)) in circuits.per_rail.iter().enumerate() {
-            let ocs_already = self.noop_scratch[i];
+        for run in circuits.chunk_by(|a, b| a.rail() == b.rail()) {
+            let rail = run[0].rail();
+            let ocs_already = self.fabric.ocs(rail).already_installed(run);
+            already_everywhere &= ocs_already;
             let start = if ocs_already {
                 requested_at
             } else if tenancy {
-                self.claim_ports(tenant, *rail, config, requested_at)
+                self.claim_ports(tenant, rail, run, requested_at)
             } else {
                 // Conflict avoidance: wait for ongoing traffic on the affected ports.
-                let mut free = requested_at;
-                for port in config.ports() {
-                    let RailPort { rail, index } = self.geometry.rail_port(port);
-                    free = free.max(self.port_busy[rail as usize][index as usize]);
-                }
-                free
+                let busy = &self.port_busy[rail.index()];
+                run.iter()
+                    .flat_map(DenseCircuit::ports)
+                    .fold(requested_at, |free, port| {
+                        free.max(busy[port.index as usize])
+                    })
             };
             let rail_ready = self
                 .fabric
-                .install(*rail, config, start)
+                .ocs_mut(rail)
+                .install(run, start)
                 .unwrap_or_else(|e| panic!("circuit install failed on {rail}: {e}"));
             if !ocs_already {
                 self.events.push(ReconfigEvent {
-                    rail: *rail,
+                    rail,
                     group,
                     requested_at,
                     started_at: start,
                     ready_at: rail_ready,
-                    circuits_installed: config.len(),
+                    circuits_installed: run.len(),
                 });
             }
             ready = ready.max(rail_ready);
+        }
+        if already_everywhere {
+            self.noop_requests += 1;
         }
         ready
     }
@@ -361,8 +354,9 @@ impl OpusController {
             }
     }
 
-    /// Claims `config`'s ports on `rail` for `tenant`'s request at `requested_at`
-    /// (tenancy must be active) and returns when the install may start:
+    /// Claims the ports of `circuits`, one rail's run of a prepared plan, on `rail` for
+    /// `tenant`'s request at `requested_at` (tenancy must be active) and returns when
+    /// the install may start:
     ///
     /// 1. the requester waits for every hold it may not evict (see
     ///    [`OpusController::evictable`]) to drain;
@@ -376,20 +370,20 @@ impl OpusController {
         &mut self,
         tenant: u32,
         rail: RailId,
-        config: &CircuitConfig,
+        circuits: &[DenseCircuit],
         requested_at: SimTime,
     ) -> SimTime {
         let r = rail.index();
         let mut start = requested_at;
-        for port in config.ports() {
-            let idx = self.geometry.rail_port(port).index as usize;
+        for port in circuits.iter().flat_map(DenseCircuit::ports) {
+            let idx = port.index as usize;
             if !self.evictable(tenant, r, idx) {
                 start = start.max(self.port_busy[r][idx]);
             }
         }
         let mut evicted = false;
-        for port in config.ports() {
-            let idx = self.geometry.rail_port(port).index as usize;
+        for port in circuits.iter().flat_map(DenseCircuit::ports) {
+            let idx = port.index as usize;
             if self.port_busy[r][idx] > start {
                 // Only evictable holds can still extend past `start`.
                 debug_assert!(self.evictable(tenant, r, idx));
@@ -401,7 +395,7 @@ impl OpusController {
             }
         }
         if evicted {
-            self.circuits_evicted[r] += self.fabric.ocs(rail).conflicting_circuits(config) as u64;
+            self.circuits_evicted[r] += self.fabric.ocs(rail).conflicting_circuits(circuits) as u64;
         }
         self.wait_by_rail[r][tenant as usize] += start - requested_at;
         start
@@ -436,7 +430,7 @@ impl OpusController {
         lost
     }
 
-    /// Withdraws a group's circuits from the fabric: tears down exactly the circuits
+    /// Withdraws a group's prepared circuits from the fabric: tears down exactly those
     /// of `circuits` that are currently installed, leaving other groups' circuits on
     /// the same rails untouched. Returns how many circuits were removed.
     ///
@@ -444,12 +438,11 @@ impl OpusController {
     /// degraded (or restored) plan, the old plan's surviving circuits are withdrawn so
     /// the group never holds ports under two plans at once; the next request pays the
     /// reconfiguration delay.
-    pub fn withdraw(&mut self, circuits: &GroupCircuits) -> usize {
-        let mut n = 0;
-        for (rail, config) in &circuits.per_rail {
-            n += self.fabric.ocs_mut(*rail).tear_down(config);
-        }
-        n
+    pub fn withdraw(&mut self, circuits: &[DenseCircuit]) -> usize {
+        circuits
+            .chunk_by(|a, b| a.rail() == b.rail())
+            .map(|run| self.fabric.ocs_mut(run[0].rail()).tear_down(run))
+            .sum()
     }
 
     /// Sets one rail's OCS reconfiguration delay (an `OcsDegraded` scenario injection:
@@ -556,11 +549,13 @@ impl OpusController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuits::CircuitPlanner;
+    use crate::circuits::{CircuitPlanner, GroupCircuits};
     use proptest::prelude::*;
     use railsim_collectives::{CommGroup, ParallelismAxis};
     use railsim_sim::SimDuration;
-    use railsim_topology::{Cluster, ClusterSpec, GpuId, NicConfig, NodePreset, PortId};
+    use railsim_topology::{
+        CircuitConfig, Cluster, ClusterSpec, GpuId, NicConfig, NodePreset, PortId,
+    };
 
     fn setup() -> (Cluster, OpusController, CircuitPlanner) {
         let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
@@ -589,7 +584,12 @@ mod tests {
         let (cluster, mut ctrl, planner) = setup();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        let ready = ctrl.request(0, group.id, &circuits, SimTime::from_millis(100));
+        let ready = ctrl.request(
+            0,
+            group.id,
+            &plan(&ctrl, &circuits),
+            SimTime::from_millis(100),
+        );
         assert_eq!(ready, SimTime::from_millis(125));
         assert_eq!(ctrl.events().len(), 1);
     }
@@ -599,8 +599,13 @@ mod tests {
         let (cluster, mut ctrl, planner) = setup();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        ctrl.request(0, group.id, &circuits, SimTime::ZERO);
-        let ready = ctrl.request(0, group.id, &circuits, SimTime::from_millis(200));
+        ctrl.request(0, group.id, &plan(&ctrl, &circuits), SimTime::ZERO);
+        let ready = ctrl.request(
+            0,
+            group.id,
+            &plan(&ctrl, &circuits),
+            SimTime::from_millis(200),
+        );
         assert_eq!(ready, SimTime::from_millis(200));
         assert_eq!(ctrl.events().len(), 1);
         assert_eq!(ctrl.noop_requests(), 1);
@@ -620,12 +625,17 @@ mod tests {
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
 
-        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.request(0, dp.id, &plan(&ctrl, &dp_circuits), SimTime::ZERO);
         // DP traffic occupies its circuit until t = 300 ms.
         ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // A PP request at t = 150 ms must wait for the DP traffic to finish before the
         // switch can tear the shared port's circuit down, then pay the 25 ms delay.
-        let ready = ctrl.request(0, pp.id, &pp_circuits, SimTime::from_millis(150));
+        let ready = ctrl.request(
+            0,
+            pp.id,
+            &plan(&ctrl, &pp_circuits),
+            SimTime::from_millis(150),
+        );
         assert_eq!(ready, SimTime::from_millis(325));
         let event = ctrl.events().last().unwrap();
         assert_eq!(event.started_at, SimTime::from_millis(300));
@@ -639,9 +649,9 @@ mod tests {
         let b = dp_group(2, &[1, 5]); // rail 1 — no shared ports with rail 0.
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
-        ctrl.request(0, a.id, &ca, SimTime::ZERO);
+        ctrl.request(0, a.id, &plan(&ctrl, &ca), SimTime::ZERO);
         ctrl.occupy(0, &plan(&ctrl, &ca), SimTime::from_secs(10));
-        let ready = ctrl.request(0, b.id, &cb, SimTime::from_millis(50));
+        let ready = ctrl.request(0, b.id, &plan(&ctrl, &cb), SimTime::from_millis(50));
         assert_eq!(
             ready,
             SimTime::from_millis(75),
@@ -661,7 +671,7 @@ mod tests {
         );
         let circuits = planner.plan(&cluster, &tp);
         let t = SimTime::from_millis(42);
-        assert_eq!(ctrl.request(0, tp.id, &circuits, t), t);
+        assert_eq!(ctrl.request(0, tp.id, &plan(&ctrl, &circuits), t), t);
         assert_eq!(ctrl.events().len(), 0);
         assert_eq!(ctrl.noop_requests(), 1);
     }
@@ -674,14 +684,17 @@ mod tests {
         // Nothing installed yet: no fast-path ready time.
         assert_eq!(ctrl.installed_ready_time(&plan(&ctrl, &circuits)), None);
 
-        let ready = ctrl.request(0, group.id, &circuits, SimTime::ZERO);
+        let ready = ctrl.request(0, group.id, &plan(&ctrl, &circuits), SimTime::ZERO);
         // The pure read now answers exactly what a no-op request would return.
         assert_eq!(
             ctrl.installed_ready_time(&plan(&ctrl, &circuits)),
             Some(ready)
         );
         let later = SimTime::from_millis(500);
-        assert_eq!(ctrl.request(0, group.id, &circuits, later), later);
+        assert_eq!(
+            ctrl.request(0, group.id, &plan(&ctrl, &circuits), later),
+            later
+        );
 
         // Occupancy never changes an installed configuration's ready time.
         ctrl.occupy(0, &plan(&ctrl, &circuits), SimTime::from_secs(10));
@@ -703,7 +716,7 @@ mod tests {
             vec![GpuId(0), GpuId(8)],
         );
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request(0, pp.id, &pp_circuits, SimTime::from_secs(20));
+        ctrl.request(0, pp.id, &plan(&ctrl, &pp_circuits), SimTime::from_secs(20));
         assert_eq!(ctrl.installed_ready_time(&plan(&ctrl, &circuits)), None);
     }
 
@@ -714,9 +727,9 @@ mod tests {
         let b = dp_group(2, &[1, 5]);
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
-        ctrl.request(0, a.id, &ca, SimTime::ZERO);
-        ctrl.request(0, b.id, &cb, SimTime::ZERO);
-        let removed = ctrl.withdraw(&ca);
+        ctrl.request(0, a.id, &plan(&ctrl, &ca), SimTime::ZERO);
+        ctrl.request(0, b.id, &plan(&ctrl, &cb), SimTime::ZERO);
+        let removed = ctrl.withdraw(&plan(&ctrl, &ca));
         assert!(removed > 0, "group a held circuits");
         assert!(
             ctrl.installed_ready_time(&plan(&ctrl, &cb)).is_some(),
@@ -724,7 +737,7 @@ mod tests {
         );
         assert_eq!(ctrl.installed_ready_time(&plan(&ctrl, &ca)), None);
         // Withdrawing again is a free no-op.
-        assert_eq!(ctrl.withdraw(&ca), 0);
+        assert_eq!(ctrl.withdraw(&plan(&ctrl, &ca)), 0);
         assert!(ctrl.installed_ready_time(&plan(&ctrl, &cb)).is_some());
     }
 
@@ -741,10 +754,15 @@ mod tests {
         );
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.request(0, dp.id, &plan(&ctrl, &dp_circuits), SimTime::ZERO);
         ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // Tenant 1 does not wait for tenant 0's hold: start at 150, ready at 175.
-        let ready = ctrl.request(1, pp.id, &pp_circuits, SimTime::from_millis(150));
+        let ready = ctrl.request(
+            1,
+            pp.id,
+            &plan(&ctrl, &pp_circuits),
+            SimTime::from_millis(150),
+        );
         assert_eq!(ready, SimTime::from_millis(175));
         assert_eq!(ctrl.evictions_suffered_by(0), 1);
         assert_eq!(ctrl.evictions_inflicted_by(1), 1);
@@ -758,7 +776,12 @@ mod tests {
             vec![GpuId(0), GpuId(12)],
         );
         let own_circuits = planner.plan(&cluster, &own);
-        let ready = ctrl.request(1, own.id, &own_circuits, SimTime::from_millis(200));
+        let ready = ctrl.request(
+            1,
+            own.id,
+            &plan(&ctrl, &own_circuits),
+            SimTime::from_millis(200),
+        );
         assert_eq!(ready, SimTime::from_millis(425), "own traffic drains first");
     }
 
@@ -774,7 +797,7 @@ mod tests {
         );
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.request(0, dp.id, &plan(&ctrl, &dp_circuits), SimTime::ZERO);
         ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // Equal waits (both zero): tenant 1 may not evict and waits like FC-FS, so a
         // provisioned request could not be back-dated past the hold either.
@@ -782,7 +805,12 @@ mod tests {
             ctrl.ports_free(1, &plan(&ctrl, &pp_circuits)),
             SimTime::from_millis(300)
         );
-        let ready = ctrl.request(1, pp.id, &pp_circuits, SimTime::from_millis(150));
+        let ready = ctrl.request(
+            1,
+            pp.id,
+            &plan(&ctrl, &pp_circuits),
+            SimTime::from_millis(150),
+        );
         assert_eq!(ready, SimTime::from_millis(325));
         assert_eq!(ctrl.evictions_inflicted_by(1), 0);
         assert_eq!(
@@ -809,7 +837,12 @@ mod tests {
             SimTime::from_millis(900),
             "a tenant never skips its own hold"
         );
-        let ready = ctrl.request(1, other.id, &other_circuits, SimTime::from_millis(400));
+        let ready = ctrl.request(
+            1,
+            other.id,
+            &plan(&ctrl, &other_circuits),
+            SimTime::from_millis(400),
+        );
         assert_eq!(
             ready,
             SimTime::from_millis(425),
@@ -839,7 +872,7 @@ mod tests {
         let circuits = CircuitPlanner::for_cluster(&cluster).plan(&cluster, &group);
         let start = SimTime::from_micros(ready - delay);
         assert_eq!(
-            ctrl.request(0, group.id, &circuits, start),
+            ctrl.request(0, group.id, &plan(&ctrl, &circuits), start),
             SimTime::from_micros(ready)
         );
         ctrl.occupy(0, &plan(&ctrl, &circuits), SimTime::from_micros(busy));
@@ -890,7 +923,9 @@ mod tests {
     fn per_port_ready(ctrl: &OpusController, circuits: &GroupCircuits) -> Option<SimTime> {
         let mut ready = SimTime::ZERO;
         for (rail, config) in &circuits.per_rail {
-            ready = ready.max(ctrl.fabric().ocs(*rail).installed_ready(config)?);
+            for c in config.circuits() {
+                ready = ready.max(ctrl.fabric().ocs(*rail).ready_time(c.a(), c.b())?);
+            }
         }
         Some(ready)
     }
@@ -933,8 +968,8 @@ mod tests {
         ) {
             // Two controllers over the same testbed take the same operations: one
             // reads and writes through prepared plans, the other through the
-            // per-port walk. Requests (the cold path) go to both unchanged. Times
-            // are coarse, so busy ends often tie.
+            // per-port walk. Requests go to both unchanged. Times are coarse, so
+            // busy ends often tie.
             let mut spec = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4);
             if dual_port == 1 {
                 spec = spec.with_nic(NicConfig::slingshot11_dual());
@@ -970,8 +1005,8 @@ mod tests {
                 now += SimDuration::from_micros(100 * dt);
                 match op {
                     0 => prop_assert_eq!(
-                        by_plan.request(tenant, *group, circuits, now),
-                        by_port.request(tenant, *group, circuits, now)
+                        by_plan.request(tenant, *group, &plans[g], now),
+                        by_port.request(tenant, *group, &plans[g], now)
                     ),
                     1 => {
                         let until = now + SimDuration::from_micros(100 * (1 + dt % 3));

@@ -516,8 +516,8 @@ struct CircuitSlot {
     group: GroupId,
     /// Member count of the group (collective cost-model input).
     group_size: u32,
-    /// The live circuit plan. Requests and withdrawals read it; a transfer reads
-    /// `plan`, prepared from it.
+    /// The live circuit plan, which `plan` is prepared from. Replan swaps read and
+    /// replace it; transfers, requests and withdrawals read `plan`.
     circuits: GroupCircuits,
     /// The undegraded plan, stashed while `circuits` holds a replan-degraded plan
     /// (`None` whenever the live plan *is* the pristine plan). Boxed so the common
@@ -539,6 +539,13 @@ struct SlotPlan {
     /// `dense_circuits[start..end]` of the job, the plan the controller reads.
     start: u32,
     end: u32,
+}
+
+impl SlotPlan {
+    /// The slot's prepared circuits in the job's dense table `dense_circuits`.
+    fn circuits(self, dense_circuits: &[DenseCircuit]) -> &[DenseCircuit] {
+        &dense_circuits[self.start as usize..self.end as usize]
+    }
 }
 
 /// One communication step a slot serves, priced under the slot's live plan: every
@@ -900,8 +907,7 @@ impl JobContext {
             .iter()
             .enumerate()
             .map(|(i, slot)| {
-                let circuits =
-                    &self.dense_circuits[slot.plan.start as usize..slot.plan.end as usize];
+                let circuits = slot.plan.circuits(&self.dense_circuits);
                 let prices = self
                     .prices
                     .iter()
@@ -2161,8 +2167,10 @@ impl ScenarioSim {
                         if degraded == slot.circuits {
                             continue;
                         }
+                        // The plan prepared from the live circuits is withdrawn:
+                        // `prepare_plans` runs only after every slot is swapped.
                         if let Some(c) = fleet.controller.as_deref_mut() {
-                            c.withdraw(&slot.circuits);
+                            c.withdraw(slot.plan.circuits(&ctx.dense_circuits));
                         }
                         slot.circuits = degraded;
                         ctx.replan_reconfigs += 1;
@@ -2173,7 +2181,7 @@ impl ScenarioSim {
                     // the next request, paying the reconfiguration delay once.
                     (true, false) => {
                         if let Some(c) = fleet.controller.as_deref_mut() {
-                            c.withdraw(&slot.circuits);
+                            c.withdraw(slot.plan.circuits(&ctx.dense_circuits));
                         }
                         slot.circuits = *slot.pristine.take().expect("matched is_some");
                         ctx.replan_reconfigs += 1;
@@ -2246,7 +2254,7 @@ impl ScenarioSim {
         );
         let slot = &ctx.circuit_pool[price.slot as usize];
         let rails = slot.plan.rails;
-        let circuits = &ctx.dense_circuits[slot.plan.start as usize..slot.plan.end as usize];
+        let circuits = slot.plan.circuits(&ctx.dense_circuits);
         debug_assert!(
             match ctx.dag.kind(id) {
                 TaskKind::Collective { group, .. } => group == slot.group,
@@ -2331,7 +2339,7 @@ impl ScenarioSim {
                 } else {
                     requested_at
                 };
-                let ready = controller.request(ctx.job.0, slot.group, &slot.circuits, requested_at);
+                let ready = controller.request(ctx.job.0, slot.group, circuits, requested_at);
                 let start = ready.max(now);
                 (start, start.duration_since(now))
             }

@@ -69,14 +69,6 @@ impl SimRng {
         }
         1.0 + self.gen_range(-a..=a)
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range(0..=i);
-            slice.swap(i, j);
-        }
-    }
 }
 
 impl RngCore for SimRng {
@@ -137,16 +129,6 @@ mod tests {
             assert!((0.9..=1.1).contains(&j), "jitter {j} out of bounds");
         }
         assert_eq!(rng.jitter(0.0), 1.0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

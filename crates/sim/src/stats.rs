@@ -76,18 +76,6 @@ impl Summary {
         })
     }
 
-    /// Population standard deviation, or `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .samples
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
-
     /// Exact percentile in `[0, 100]` using nearest-rank on the sorted samples.
     /// Returns `None` when empty.
     pub fn percentile(&self, p: f64) -> Option<f64> {
@@ -232,7 +220,6 @@ mod tests {
         assert_eq!(s.mean(), Some(2.5));
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(4.0));
-        assert!((s.std_dev().unwrap() - 1.118).abs() < 1e-3);
         assert_eq!(s.median(), Some(3.0)); // nearest-rank on even count rounds up
     }
 
@@ -249,7 +236,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean(), None);
         assert_eq!(s.percentile(50.0), None);
-        assert_eq!(s.std_dev(), None);
     }
 
     #[test]

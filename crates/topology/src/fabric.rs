@@ -9,7 +9,7 @@
 
 use crate::cluster::Cluster;
 use crate::ids::{PortId, RailId};
-use crate::ocs::{Circuit, CircuitConfig, Ocs, OcsError};
+use crate::ocs::{Circuit, Ocs};
 use railsim_sim::{SimDuration, SimTime};
 
 /// One hop through an electrical rail switch (ASIC pipeline plus the
@@ -24,8 +24,8 @@ pub const ELECTRICAL_SWITCH_LATENCY: SimDuration = SimDuration::from_micros(1);
 /// occupancy.
 ///
 /// The cluster fixes it, so a circuit plan can be resolved against it once
-/// ([`PortGeometry::resolve`]), before any fabric exists, and every later read of the
-/// plan indexes the tables directly.
+/// ([`PortGeometry::resolve`]), before any fabric exists, and every later use of the
+/// plan — a read, an install or a teardown — indexes the tables directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortGeometry {
     num_rails: u32,
@@ -85,9 +85,8 @@ impl PortGeometry {
     /// Resolves `circuit`, carried by `rail`'s OCS, to the dense tables.
     ///
     /// # Panics
-    /// Panics, in every build, as [`Ocs`] does: when an endpoint's logical port
-    /// exceeds the geometry (it would alias the next GPU's entries), or when an
-    /// endpoint is not on `rail`.
+    /// Panics, in every build, when an endpoint's logical port exceeds the geometry
+    /// (it would alias the next GPU's entries), or when an endpoint is not on `rail`.
     pub fn resolve(self, rail: RailId, circuit: Circuit) -> DenseCircuit {
         let ends = [circuit.a(), circuit.b()].map(|port| {
             assert!(
@@ -120,15 +119,23 @@ pub struct RailPort {
 /// its endpoints' slots in that rail's tables, which index the OCS's matching and
 /// every other per-rail port table alike. Only [`PortGeometry::resolve`] makes one,
 /// so both endpoints are on the circuit's rail.
+///
+/// A resolved plan lists its circuits rail by rail, so each rail's circuits form one
+/// run of the slice, which that rail's [`Ocs`] takes as it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DenseCircuit {
     /// The rail whose OCS carries the circuit.
-    rail: RailId,
+    pub(crate) rail: RailId,
     /// The endpoints' indices in the rail's tables, lower endpoint first.
-    ends: [u32; 2],
+    pub(crate) ends: [u32; 2],
 }
 
 impl DenseCircuit {
+    /// The rail whose OCS carries the circuit.
+    pub fn rail(&self) -> RailId {
+        self.rail
+    }
+
     /// The endpoints' slots in the per-rail port tables, lower endpoint first.
     pub fn ports(&self) -> [RailPort; 2] {
         self.ends.map(|index| RailPort {
@@ -143,7 +150,6 @@ impl DenseCircuit {
 #[derive(Debug, Clone)]
 pub struct OpticalRailFabric {
     ocses: Vec<Ocs>,
-    num_gpus: u32,
     geometry: PortGeometry,
 }
 
@@ -154,26 +160,15 @@ impl OpticalRailFabric {
     pub fn for_cluster(cluster: &Cluster, reconfig_delay: SimDuration) -> Self {
         let radix = cluster.ocs_ports_per_rail() as usize;
         let geometry = PortGeometry::of(cluster);
-        // Pre-size every OCS's dense port tables to its rail's ports, so the matching
-        // engine never grows mid-simulation.
         let ocses = (0..cluster.num_rails())
             .map(|rail| Ocs::with_geometry(radix, reconfig_delay, RailId(rail), geometry))
             .collect();
-        OpticalRailFabric {
-            ocses,
-            num_gpus: cluster.num_gpus(),
-            geometry,
-        }
+        OpticalRailFabric { ocses, geometry }
     }
 
     /// Number of rails (one OCS each).
     pub fn num_rails(&self) -> usize {
         self.ocses.len()
-    }
-
-    /// Number of GPUs in the cluster this fabric was built for.
-    pub fn num_gpus(&self) -> u32 {
-        self.num_gpus
     }
 
     /// Logical scale-out NIC ports per GPU.
@@ -196,21 +191,11 @@ impl OpticalRailFabric {
         &mut self.ocses[rail.index()]
     }
 
-    /// Installs a circuit configuration on one rail. Returns the time at which all
-    /// requested circuits are ready.
-    pub fn install(
-        &mut self,
-        rail: RailId,
-        config: &CircuitConfig,
-        now: SimTime,
-    ) -> Result<SimTime, OcsError> {
-        self.ocses[rail.index()].install(config, now)
-    }
-
-    /// The time at which every one of `circuits` is ready, or `None` when any of them
-    /// is not installed: [`Ocs::installed_ready`] for a plan resolved against this
-    /// fabric's [`geometry`](OpticalRailFabric::geometry), across any number of
-    /// rails.
+    /// The time at which every one of `circuits`, a plan resolved against this
+    /// fabric's [`geometry`](OpticalRailFabric::geometry) over any number of rails, is
+    /// ready, or `None` when any of them is not installed. The read half of a no-op
+    /// [`Ocs::install`] on each rail: it answers "would this request be free, and
+    /// when would it be ready?" without touching switch state.
     pub fn installed_ready(&self, circuits: &[DenseCircuit]) -> Option<SimTime> {
         let mut ready = SimTime::ZERO;
         for c in circuits {
@@ -242,6 +227,11 @@ mod tests {
         ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build()
     }
 
+    /// The circuit between ports `a` and `b`, resolved onto `rail` of `f`.
+    fn resolved(f: &OpticalRailFabric, rail: RailId, a: PortId, b: PortId) -> [DenseCircuit; 1] {
+        [f.geometry().resolve(rail, Circuit::new(a, b))]
+    }
+
     #[test]
     fn optical_fabric_requires_circuits() {
         let c = cluster();
@@ -251,9 +241,8 @@ mod tests {
         assert!(!f.ocs(rail).gpus_connected(a, b, SimTime::ZERO));
         assert_eq!(f.ocs(rail).gpu_ready_time(a, b), None);
 
-        let cfg =
-            CircuitConfig::new(vec![Circuit::new(PortId::new(a, 0), PortId::new(b, 0))]).unwrap();
-        let ready = f.install(rail, &cfg, SimTime::ZERO).unwrap();
+        let plan = resolved(&f, rail, PortId::new(a, 0), PortId::new(b, 0));
+        let ready = f.ocs_mut(rail).install(&plan, SimTime::ZERO).unwrap();
         assert_eq!(ready, SimTime::from_millis(15));
         assert!(!f.ocs(rail).gpus_connected(a, b, SimTime::from_millis(14)));
         assert!(f.ocs(rail).gpus_connected(a, b, SimTime::from_millis(15)));
@@ -265,12 +254,13 @@ mod tests {
     fn optical_fabric_rails_are_independent() {
         let c = cluster();
         let mut f = OpticalRailFabric::for_cluster(&c, SimDuration::ZERO);
-        let cfg = CircuitConfig::new(vec![Circuit::new(
+        let plan = resolved(
+            &f,
+            RailId(0),
             PortId::new(GpuId(0), 0),
             PortId::new(GpuId(8), 0),
-        )])
-        .unwrap();
-        f.install(RailId(0), &cfg, SimTime::ZERO).unwrap();
+        );
+        f.ocs_mut(RailId(0)).install(&plan, SimTime::ZERO).unwrap();
         // Rail 1 is untouched: GPUs 1 and 9 remain disconnected.
         let now = SimTime::from_secs(1);
         assert!(!f.ocs(RailId(1)).gpus_connected(GpuId(1), GpuId(9), now));
@@ -296,10 +286,11 @@ mod tests {
             ]
         );
         assert_eq!(f.installed_ready(&[dense]), None);
-        let cfg = CircuitConfig::new(vec![circuit]).unwrap();
-        let ready = f.install(RailId(1), &cfg, SimTime::from_millis(5)).unwrap();
+        let ready = f
+            .ocs_mut(RailId(1))
+            .install(&[dense], SimTime::from_millis(5))
+            .unwrap();
         assert_eq!(f.installed_ready(&[dense]), Some(ready));
-        assert_eq!(f.ocs(RailId(1)).installed_ready(&cfg), Some(ready));
         assert_eq!(f.installed_ready(&[]), Some(SimTime::ZERO));
         // The same slots on another rail's OCS are not installed there.
         let elsewhere = geometry.resolve(
@@ -328,11 +319,12 @@ mod tests {
         let mut f = OpticalRailFabric::for_cluster(&c, SimDuration::ZERO);
         // GPU 6 is local rank 2 on node 1; its second port is slot 1 * 2 + 1 of rail 2.
         let (a, b) = (PortId::new(GpuId(2), 0), PortId::new(GpuId(6), 1));
-        let cfg = CircuitConfig::new(vec![Circuit::new(a, b)]).unwrap();
-        f.install(RailId(2), &cfg, SimTime::ZERO).unwrap();
+        let [dense] = resolved(&f, RailId(2), a, b);
+        f.ocs_mut(RailId(2))
+            .install(&[dense], SimTime::ZERO)
+            .unwrap();
         let installed: Vec<Circuit> = f.ocs(RailId(2)).circuits().map(|(c, _)| c).collect();
         assert_eq!(installed, [Circuit::new(a, b)]);
-        let dense = f.geometry().resolve(RailId(2), Circuit::new(a, b));
         assert_eq!(dense.ends, [0, 3]);
         assert_eq!(f.installed_ready(&[dense]), Some(SimTime::ZERO));
     }
@@ -341,12 +333,14 @@ mod tests {
     #[should_panic(expected = "is on rail1, not on this OCS's rail0")]
     fn installing_a_port_of_another_rail_panics() {
         let mut f = OpticalRailFabric::for_cluster(&cluster(), SimDuration::ZERO);
-        let cfg = CircuitConfig::new(vec![Circuit::new(
-            PortId::new(GpuId(0), 0),
+        // GPUs 1 and 9 are local rank 1: the circuit resolves onto rail 1 only.
+        let plan = resolved(
+            &f,
+            RailId(1),
+            PortId::new(GpuId(1), 0),
             PortId::new(GpuId(9), 0),
-        )])
-        .unwrap();
-        let _ = f.install(RailId(0), &cfg, SimTime::ZERO);
+        );
+        let _ = f.ocs_mut(RailId(0)).install(&plan, SimTime::ZERO);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! carry no traffic; untouched circuits keep running, which is the fine-grained,
 //! per-communication-group reconfiguration granularity §5 of the paper calls for.
 
-use crate::fabric::{PortGeometry, RailPort};
+use crate::fabric::{DenseCircuit, PortGeometry, RailPort};
 use crate::ids::{GpuId, PortId, RailId};
 use railsim_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -169,11 +169,6 @@ pub struct OcsEffect {
     set_up: u64,
 }
 
-/// Ports-per-GPU assumed by [`Ocs::new`] when no fabric geometry is supplied. Large
-/// enough for every NIC configuration in [`crate::spec::NicConfig`] (at most 4 logical
-/// ports); fabrics built from a concrete cluster pass the exact value instead.
-const DEFAULT_PORTS_PER_GPU: u8 = 8;
-
 /// An optical circuit switch: a bounded-radix partial matching of ports, each circuit
 /// annotated with the simulated time at which it becomes usable.
 ///
@@ -188,23 +183,21 @@ const DEFAULT_PORTS_PER_GPU: u8 = 8;
 /// unique per matching, and on one rail slot order equals `PortId` order), so
 /// serialized output is unchanged.
 ///
-/// A switch built for a fabric ([`Ocs::with_geometry`]) carries one rail: its tables
-/// hold that rail's ports only, and naming a port of another rail panics. A switch
-/// built without one ([`Ocs::new`]) treats every GPU as attached to it.
+/// Each switch carries one rail of a fabric's [`PortGeometry`], and its tables hold
+/// that rail's ports only. The calls that test or change the matching for a request
+/// ([`Ocs::already_installed`], [`Ocs::conflicting_circuits`], [`Ocs::install`],
+/// [`Ocs::tear_down`]) take the request's circuits resolved against the geometry
+/// ([`DenseCircuit`]s of this rail) and index the tables directly. The GPU-level
+/// queries take [`PortId`]s and [`GpuId`]s and resolve each one. Naming a circuit or a
+/// port of another rail panics.
 #[derive(Debug, Clone)]
 pub struct Ocs {
     radix: usize,
     reconfig_delay: SimDuration,
     /// The rail the switch carries.
     rail: RailId,
-    /// The port numbering the tables use (one rail holding every GPU when the switch
-    /// was built without a fabric geometry).
+    /// The port numbering the tables use.
     geometry: PortGeometry,
-    /// True when the dense tables were pre-sized from a concrete cluster geometry
-    /// ([`Ocs::with_geometry`]): installing a port beyond that geometry is then a
-    /// caller bug and panics at the install instead of desynchronizing from other
-    /// geometry-sized state (e.g. the controller's occupancy table).
-    fixed_geometry: bool,
     /// Slot of the port matched to the port in slot `i`, or [`NO_PEER`]. Doubles as
     /// the per-GPU adjacency: a GPU's ports occupy consecutive slots.
     peer: Vec<u32>,
@@ -222,30 +215,14 @@ pub struct Ocs {
     /// `[reconfig_count, circuits_torn_down, circuits_set_up]` at the last
     /// [`Ocs::take_effect`].
     counted_at_take: [u64; 3],
-    /// Install-time scratch: the requested circuits' endpoint slots, resolved once.
-    /// A slot costs a division by the rail count; resolving it in each of the
-    /// install's passes instead measured about 1.8x slower per install churn cycle.
-    /// Kept on the switch so the hot path never allocates.
-    ends: Vec<[u32; 2]>,
     /// Install-time scratch: sorted dense indices of the requested new ports. Kept on
     /// the switch so the hot path never allocates.
     scratch: Vec<u32>,
 }
 
 impl Ocs {
-    /// Creates an OCS with the given port count and reconfiguration delay. The dense
-    /// port tables grow on demand; prefer [`Ocs::with_geometry`] when the attached
-    /// cluster's geometry is known (the fabric pre-sizes the tables once).
-    ///
-    /// # Panics
-    /// Panics if `radix` is zero.
-    pub fn new(radix: usize, reconfig_delay: SimDuration) -> Self {
-        let every_gpu = PortGeometry::new(1, 0, DEFAULT_PORTS_PER_GPU);
-        Self::build(radix, reconfig_delay, RailId(0), every_gpu, false)
-    }
-
     /// Creates the OCS of `rail` in a fabric numbered by `geometry`, its dense port
-    /// tables pre-sized to that rail's ports
+    /// tables sized to that rail's ports
     /// ([`ports_per_rail`](PortGeometry::ports_per_rail) entries each).
     ///
     /// # Panics
@@ -256,35 +233,18 @@ impl Ocs {
         rail: RailId,
         geometry: PortGeometry,
     ) -> Self {
+        assert!(radix > 0, "an OCS must have at least one port");
         assert!(
             rail.index() < geometry.num_rails(),
             "{rail} is not one of the fabric's {} rails",
             geometry.num_rails()
         );
-        Self::build(radix, reconfig_delay, rail, geometry, true)
-    }
-
-    /// A switch for `rail`, with tables pre-sized to the rail's ports when
-    /// `fixed_geometry`, else empty and grown on demand.
-    fn build(
-        radix: usize,
-        reconfig_delay: SimDuration,
-        rail: RailId,
-        geometry: PortGeometry,
-        fixed_geometry: bool,
-    ) -> Self {
-        assert!(radix > 0, "an OCS must have at least one port");
-        let slots = if fixed_geometry {
-            geometry.ports_per_rail()
-        } else {
-            0
-        };
+        let slots = geometry.ports_per_rail();
         Ocs {
             radix,
             reconfig_delay,
             rail,
             geometry,
-            fixed_geometry,
             peer: vec![NO_PEER; slots],
             ready: vec![SimTime::ZERO; slots],
             num_circuits: 0,
@@ -293,7 +253,6 @@ impl Ocs {
             circuits_set_up: 0,
             set_since_take: vec![false; slots],
             counted_at_take: [0; 3],
-            ends: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -319,6 +278,20 @@ impl Ocs {
         index as usize
     }
 
+    /// The slots of `circuit`'s endpoints in this switch's tables.
+    ///
+    /// # Panics
+    /// Panics, in every build, when the circuit is on another rail.
+    fn slots(&self, circuit: &DenseCircuit) -> [usize; 2] {
+        assert!(
+            circuit.rail == self.rail,
+            "{circuit:?} is on {}, not on this OCS's {}",
+            circuit.rail,
+            self.rail
+        );
+        circuit.ends.map(|slot| slot as usize)
+    }
+
     /// The port living at dense index `idx`.
     fn port_at(&self, idx: usize) -> PortId {
         let ppg = self.geometry.ports_per_gpu() as usize;
@@ -327,37 +300,7 @@ impl Ocs {
         PortId::new(GpuId(gpu), (idx % ppg) as u8)
     }
 
-    /// Grows the dense tables to cover `idx` (whole-GPU granularity). Only reachable
-    /// through [`Ocs::new`] without geometry; pre-sized switches never grow.
-    ///
-    /// # Panics
-    /// Panics when `idx` lies outside a pre-sized switch's cluster geometry — the
-    /// caller is asking for a port that does not exist on the fabric.
-    fn ensure(&mut self, idx: usize) {
-        if idx >= self.peer.len() {
-            assert!(
-                !self.fixed_geometry,
-                "port index {idx} outside the pre-sized fabric geometry ({} dense ports)",
-                self.peer.len()
-            );
-            let ppg = self.geometry.ports_per_gpu() as usize;
-            let len = (idx / ppg + 1) * ppg;
-            self.peer.resize(len, NO_PEER);
-            self.ready.resize(len, SimTime::ZERO);
-            self.set_since_take.resize(len, false);
-        }
-    }
-
-    /// The matched peer of `port`, if the port is part of an installed circuit.
-    fn peer_of(&self, port: PortId) -> Option<usize> {
-        let idx = self.dense(port);
-        match self.peer.get(idx) {
-            Some(&p) if p != NO_PEER => Some(p as usize),
-            _ => None,
-        }
-    }
-
-    /// The dense index range of `gpu`'s ports, clamped to the allocated tables.
+    /// The dense index range of `gpu`'s ports, clamped to the tables.
     ///
     /// # Panics
     /// Panics when `gpu` is not on this switch's rail.
@@ -478,64 +421,44 @@ impl Ocs {
             .count()
     }
 
-    /// True when installing `config` would change nothing (every requested circuit is
+    /// True when installing `circuits` would change nothing (every one of them is
     /// already installed).
-    pub fn already_installed(&self, config: &CircuitConfig) -> bool {
-        config
-            .circuits()
-            .iter()
-            .all(|c| self.peer_of(c.a()) == Some(self.dense(c.b())))
+    pub fn already_installed(&self, circuits: &[DenseCircuit]) -> bool {
+        circuits.iter().all(|c| {
+            let [a, b] = self.slots(c);
+            self.peer[a] == b as u32
+        })
     }
 
-    /// The time at which every circuit of `config` is ready, or `None` when any of
-    /// them is not installed. The O(config) read half of a no-op
-    /// [`Ocs::install`]: it answers "would this request be free, and when would it
-    /// be ready?" without touching switch state.
-    /// [`OpticalRailFabric::installed_ready`](crate::OpticalRailFabric::installed_ready)
-    /// answers the same for circuits resolved once against the fabric's geometry.
-    pub fn installed_ready(&self, config: &CircuitConfig) -> Option<SimTime> {
-        let mut ready = SimTime::ZERO;
-        for c in config.circuits() {
-            ready = ready.max(self.ready_time(c.a(), c.b())?);
-        }
-        Some(ready)
-    }
-
-    /// Number of installed circuits an [`Ocs::install`] of `config` would tear down:
+    /// Number of installed circuits an [`Ocs::install`] of `circuits` would tear down:
     /// circuits holding a requested port that are not themselves part of the request.
     /// The read half of the install's teardown pass — tenant-aware controllers use it
     /// to account evictions (who displaced whose circuits) before committing the
     /// install that performs them.
-    pub fn conflicting_circuits(&self, config: &CircuitConfig) -> usize {
+    pub fn conflicting_circuits(&self, circuits: &[DenseCircuit]) -> usize {
         let mut displaced = 0usize;
-        for c in config.circuits() {
-            let (a, b) = (self.dense(c.a()), self.dense(c.b()));
-            if self.peer.get(a).copied() == Some(b as u32) {
+        for c in circuits {
+            let [a, b] = self.slots(c);
+            if self.peer[a] == b as u32 {
                 continue; // already installed: nothing to displace
             }
             for p in [a, b] {
-                match self.peer.get(p).copied() {
-                    Some(q) if q != NO_PEER => {
-                        // Count a displaced circuit once even when the request claims
-                        // both of its endpoints (at the smaller endpoint).
-                        let q = q as usize;
-                        let other_requested = config
-                            .circuits()
-                            .iter()
-                            .any(|d| self.dense(d.a()) == q || self.dense(d.b()) == q);
-                        if !other_requested || q > p {
-                            displaced += 1;
-                        }
+                let q = self.peer[p];
+                if q != NO_PEER {
+                    // Count a displaced circuit once even when the request claims
+                    // both of its endpoints (at the smaller endpoint).
+                    let other_requested = circuits.iter().any(|d| d.ends.contains(&q));
+                    if !other_requested || q as usize > p {
+                        displaced += 1;
                     }
-                    _ => {}
                 }
             }
         }
         displaced
     }
 
-    /// Installs the circuits of `config`, tearing down any existing circuits that
-    /// conflict with the requested ports.
+    /// Installs `circuits`, a matching on this switch's rail, tearing down any
+    /// existing circuits that conflict with the requested ports.
     ///
     /// * Circuits already installed are left untouched (their ready time is preserved),
     ///   so re-installing the current configuration is free.
@@ -545,49 +468,34 @@ impl Ocs {
     /// # Errors
     /// Returns [`OcsError::RadixExceeded`] if the resulting matching would need more
     /// ports than the switch has; the switch state is left unchanged in that case.
-    pub fn install(&mut self, config: &CircuitConfig, now: SimTime) -> Result<SimTime, OcsError> {
-        // Resolve every requested circuit to its endpoint slots once, and grow the
-        // dense tables to cover them (a no-op on pre-sized switches), so the passes
-        // below can index unconditionally.
-        let mut ends = std::mem::take(&mut self.ends);
-        ends.clear();
-        ends.extend(
-            config
-                .circuits()
-                .iter()
-                .map(|c| [self.dense(c.a()) as u32, self.dense(c.b()) as u32]),
-        );
-        if let Some(&max_idx) = ends.iter().flatten().max() {
-            self.ensure(max_idx as usize);
-        }
-        let result = self.install_resolved(&ends, now);
-        self.ends = ends;
-        result
-    }
-
-    /// [`Ocs::install`] of the circuits whose endpoint slots are `ends`. The passes
-    /// read the slots as a slice argument: folded into `install` over the taken
-    /// buffer, they measured about 13 % slower per install churn cycle.
-    fn install_resolved(&mut self, ends: &[[u32; 2]], now: SimTime) -> Result<SimTime, OcsError> {
+    ///
+    /// # Panics
+    /// Panics when a circuit is on another rail.
+    pub fn install(
+        &mut self,
+        circuits: &[DenseCircuit],
+        now: SimTime,
+    ) -> Result<SimTime, OcsError> {
         // Collect the ports of the requested circuits that are *new* (not installed).
         // A requested circuit that is already installed cannot share a port with a new
-        // one (`config` is a valid matching), so this classification stays stable
+        // one (`circuits` is a valid matching), so this classification stays stable
         // through the teardown pass.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        for &[a, b] in ends {
-            if self.peer[a as usize] != b {
-                scratch.push(a);
-                scratch.push(b);
+        for c in circuits {
+            let [a, b] = self.slots(c);
+            if self.peer[a] != b as u32 {
+                scratch.push(a as u32);
+                scratch.push(b as u32);
             }
         }
 
         if scratch.is_empty() {
             // Nothing changes; ready when the slowest requested circuit is ready.
             self.scratch = scratch;
-            let ready = ends
+            let ready = circuits
                 .iter()
-                .map(|&[a, _]| self.ready[a as usize])
+                .map(|c| self.ready[c.ends[0] as usize])
                 .max()
                 .unwrap_or(now);
             return Ok(ready.max(now));
@@ -626,8 +534,8 @@ impl Ocs {
 
         // Set up the new circuits (the already-installed ones keep their ready time).
         let ready_at = now + self.reconfig_delay;
-        for &[a, b] in ends {
-            let (a, b) = (a as usize, b as usize);
+        for c in circuits {
+            let [a, b] = c.ends.map(|slot| slot as usize);
             if self.peer[a] == b as u32 {
                 continue;
             }
@@ -644,9 +552,9 @@ impl Ocs {
         self.scratch = scratch;
 
         // All requested circuits (old and new) must be ready.
-        let ready = ends
+        let ready = circuits
             .iter()
-            .map(|&[a, _]| self.ready[a as usize])
+            .map(|c| self.ready[c.ends[0] as usize])
             .max()
             .unwrap_or(ready_at);
         Ok(ready.max(now))
@@ -726,18 +634,21 @@ impl Ocs {
         n
     }
 
-    /// Tears down exactly the circuits of `config` that are currently installed
-    /// (requested circuits that are absent — or whose ports were re-matched to other
-    /// peers in the meantime — are skipped). Returns how many were removed.
+    /// Tears down exactly those of `circuits` that are currently installed (requested
+    /// circuits that are absent — or whose ports were re-matched to other peers in the
+    /// meantime — are skipped). Returns how many were removed.
     ///
     /// This is the surgical inverse of [`Ocs::install`] for plan swaps: withdrawing a
     /// group's old plan must not disturb circuits other groups still hold on the same
     /// switch, which [`Ocs::clear`] would.
-    pub fn tear_down(&mut self, config: &CircuitConfig) -> usize {
+    ///
+    /// # Panics
+    /// Panics when a circuit is on another rail.
+    pub fn tear_down(&mut self, circuits: &[DenseCircuit]) -> usize {
         let mut n = 0;
-        for c in config.circuits() {
-            let (a, b) = (self.dense(c.a()), self.dense(c.b()));
-            if self.peer.get(a).copied() == Some(b as u32) {
+        for c in circuits {
+            let [a, b] = self.slots(c);
+            if self.peer[a] == b as u32 {
                 self.peer[a] = NO_PEER;
                 self.peer[b] = NO_PEER;
                 self.circuits_torn_down += 1;
@@ -808,10 +719,31 @@ mod tests {
         assert_eq!(CircuitConfig::empty().ports().count(), 0);
     }
 
+    /// The only rail of 8 one-GPU nodes with two ports per GPU: GPU `g` is node `g`,
+    /// so the switch carries every GPU the tests name.
+    fn geometry() -> PortGeometry {
+        PortGeometry::new(1, 8, 2)
+    }
+
+    fn switch(radix: usize, delay: SimDuration) -> Ocs {
+        Ocs::with_geometry(radix, delay, RailId(0), geometry())
+    }
+
+    /// `circuits`, validated as a matching and resolved for [`switch`] as the
+    /// simulator resolves a plan.
+    fn plan(circuits: Vec<Circuit>) -> Result<Vec<DenseCircuit>, OcsError> {
+        let config = CircuitConfig::new(circuits)?;
+        Ok(config
+            .circuits()
+            .iter()
+            .map(|&c| geometry().resolve(RailId(0), c))
+            .collect())
+    }
+
     #[test]
     fn install_sets_ready_after_delay() {
-        let mut ocs = Ocs::new(16, SimDuration::from_millis(15));
-        let cfg = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
+        let mut ocs = switch(16, SimDuration::from_millis(15));
+        let cfg = plan(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
         let now = SimTime::from_millis(100);
         let ready = ocs.install(&cfg, now).unwrap();
         assert_eq!(ready, SimTime::from_millis(115));
@@ -822,8 +754,8 @@ mod tests {
 
     #[test]
     fn reinstalling_same_config_is_free() {
-        let mut ocs = Ocs::new(16, SimDuration::from_millis(15));
-        let cfg = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
+        let mut ocs = switch(16, SimDuration::from_millis(15));
+        let cfg = plan(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
         let t0 = SimTime::from_millis(0);
         let ready = ocs.install(&cfg, t0).unwrap();
         // Later, reinstalling the same circuits changes nothing and is ready immediately.
@@ -837,9 +769,9 @@ mod tests {
 
     #[test]
     fn conflicting_circuit_tears_down_old_one() {
-        let mut ocs = Ocs::new(16, SimDuration::from_millis(10));
-        let ring_dp = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
-        let ring_pp = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(2, 0))]).unwrap();
+        let mut ocs = switch(16, SimDuration::from_millis(10));
+        let ring_dp = plan(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
+        let ring_pp = plan(vec![Circuit::new(port(0, 0), port(2, 0))]).unwrap();
         ocs.install(&ring_dp, SimTime::ZERO).unwrap();
         let ready = ocs.install(&ring_pp, SimTime::from_millis(50)).unwrap();
         assert_eq!(ready, SimTime::from_millis(60));
@@ -852,8 +784,8 @@ mod tests {
 
     #[test]
     fn conflicting_circuits_counts_displacements_without_mutating() {
-        let mut ocs = Ocs::new(16, SimDuration::ZERO);
-        let installed = CircuitConfig::new(vec![
+        let mut ocs = switch(16, SimDuration::ZERO);
+        let installed = plan(vec![
             Circuit::new(port(0, 0), port(1, 0)),
             Circuit::new(port(2, 0), port(3, 0)),
         ])
@@ -861,10 +793,10 @@ mod tests {
         ocs.install(&installed, SimTime::ZERO).unwrap();
         let reconfigs = ocs.reconfig_count();
         // Claims one endpoint of each installed circuit: both get displaced.
-        let takeover = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(2, 0))]).unwrap();
+        let takeover = plan(vec![Circuit::new(port(0, 0), port(2, 0))]).unwrap();
         assert_eq!(ocs.conflicting_circuits(&takeover), 2);
         // Claims both endpoints of one installed circuit: counted once.
-        let flip = CircuitConfig::new(vec![
+        let flip = plan(vec![
             Circuit::new(port(0, 0), port(4, 0)),
             Circuit::new(port(1, 0), port(5, 0)),
         ])
@@ -873,7 +805,7 @@ mod tests {
         // Re-requesting the installed matching displaces nothing.
         assert_eq!(ocs.conflicting_circuits(&installed), 0);
         // Untouched ports conflict with nothing.
-        let free = CircuitConfig::new(vec![Circuit::new(port(6, 0), port(7, 0))]).unwrap();
+        let free = plan(vec![Circuit::new(port(6, 0), port(7, 0))]).unwrap();
         assert_eq!(ocs.conflicting_circuits(&free), 0);
         assert_eq!(
             ocs.reconfig_count(),
@@ -888,9 +820,9 @@ mod tests {
 
     #[test]
     fn non_conflicting_circuits_coexist() {
-        let mut ocs = Ocs::new(16, SimDuration::from_millis(10));
-        let a = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
-        let b = CircuitConfig::new(vec![Circuit::new(port(2, 0), port(3, 0))]).unwrap();
+        let mut ocs = switch(16, SimDuration::from_millis(10));
+        let a = plan(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
+        let b = plan(vec![Circuit::new(port(2, 0), port(3, 0))]).unwrap();
         ocs.install(&a, SimTime::ZERO).unwrap();
         ocs.install(&b, SimTime::ZERO).unwrap();
         assert_eq!(ocs.num_circuits(), 2);
@@ -901,8 +833,8 @@ mod tests {
 
     #[test]
     fn radix_bound_enforced() {
-        let mut ocs = Ocs::new(4, SimDuration::ZERO);
-        let cfg = CircuitConfig::new(vec![
+        let mut ocs = switch(4, SimDuration::ZERO);
+        let cfg = plan(vec![
             Circuit::new(port(0, 0), port(1, 0)),
             Circuit::new(port(2, 0), port(3, 0)),
             Circuit::new(port(4, 0), port(5, 0)),
@@ -925,8 +857,8 @@ mod tests {
 
     #[test]
     fn zero_delay_circuits_ready_immediately() {
-        let mut ocs = Ocs::new(8, SimDuration::ZERO);
-        let cfg = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
+        let mut ocs = switch(8, SimDuration::ZERO);
+        let cfg = plan(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
         let now = SimTime::from_secs(1);
         let ready = ocs.install(&cfg, now).unwrap();
         assert_eq!(ready, now);
@@ -935,8 +867,8 @@ mod tests {
 
     #[test]
     fn tear_down_gpu_removes_only_its_circuits() {
-        let mut ocs = Ocs::new(16, SimDuration::ZERO);
-        let cfg = CircuitConfig::new(vec![
+        let mut ocs = switch(16, SimDuration::ZERO);
+        let cfg = plan(vec![
             Circuit::new(port(0, 0), port(1, 0)),
             Circuit::new(port(2, 0), port(3, 0)),
         ])
@@ -949,9 +881,9 @@ mod tests {
 
     #[test]
     fn tear_down_removes_only_the_given_config() {
-        let mut ocs = Ocs::new(16, SimDuration::ZERO);
-        let mine = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
-        let theirs = CircuitConfig::new(vec![Circuit::new(port(2, 0), port(3, 0))]).unwrap();
+        let mut ocs = switch(16, SimDuration::ZERO);
+        let mine = plan(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
+        let theirs = plan(vec![Circuit::new(port(2, 0), port(3, 0))]).unwrap();
         ocs.install(&mine, SimTime::ZERO).unwrap();
         ocs.install(&theirs, SimTime::ZERO).unwrap();
         let reconfigs = ocs.reconfig_count();
@@ -976,9 +908,9 @@ mod tests {
     fn tear_down_skips_rematched_ports() {
         // Port (0,0) was re-matched to GPU 2 after `old` was displaced: withdrawing
         // `old` must not disturb the newer circuit.
-        let mut ocs = Ocs::new(16, SimDuration::ZERO);
-        let old = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
-        let newer = CircuitConfig::new(vec![Circuit::new(port(0, 0), port(2, 0))]).unwrap();
+        let mut ocs = switch(16, SimDuration::ZERO);
+        let old = plan(vec![Circuit::new(port(0, 0), port(1, 0))]).unwrap();
+        let newer = plan(vec![Circuit::new(port(0, 0), port(2, 0))]).unwrap();
         ocs.install(&old, SimTime::ZERO).unwrap();
         ocs.install(&newer, SimTime::ZERO).unwrap();
         assert_eq!(ocs.tear_down(&old), 0);
@@ -988,8 +920,8 @@ mod tests {
     #[test]
     fn multi_port_gpus_support_multiple_circuits() {
         // A GPU with a 2-port NIC keeps one circuit per neighbor in a ring.
-        let mut ocs = Ocs::new(32, SimDuration::from_millis(1));
-        let cfg = CircuitConfig::new(vec![
+        let mut ocs = switch(32, SimDuration::from_millis(1));
+        let cfg = plan(vec![
             Circuit::new(port(0, 0), port(1, 0)),
             Circuit::new(port(0, 1), port(2, 0)),
         ])
@@ -1008,7 +940,7 @@ mod tests {
                 .iter()
                 .map(|&(a, b)| Circuit::new(port(a, 0), port(b, 0)))
                 .collect();
-            CircuitConfig::new(circuits).unwrap()
+            plan(circuits).unwrap()
         };
         let (ring, cross) = (config(&[(0, 1), (2, 3)]), config(&[(1, 2)]));
         let (pair, kick) = (config(&[(4, 5)]), config(&[(4, 6)]));
@@ -1021,7 +953,7 @@ mod tests {
                 ocs.install(cfg, at(ms)).unwrap();
             }
         };
-        let mut ocs = Ocs::new(16, SimDuration::from_millis(2));
+        let mut ocs = switch(16, SimDuration::from_millis(2));
         ocs.install(&ring, SimTime::ZERO).unwrap();
         ocs.install(&pair, SimTime::ZERO).unwrap();
         ocs.take_effect();

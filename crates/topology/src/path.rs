@@ -13,7 +13,6 @@
 
 use crate::cluster::Cluster;
 use crate::ids::{GpuId, RailId};
-use railsim_sim::{Bandwidth, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// The kind of path between two GPUs.
@@ -100,39 +99,6 @@ impl CommPath {
             PathKind::PxnForward { rail, .. } => Some(rail),
         }
     }
-
-    /// The effective end-to-end bandwidth of the path, given the scale-up bandwidth and
-    /// the bandwidth of the scale-out leg. A forwarded path is limited by its slowest
-    /// leg (and in practice by the scale-out leg, since NVLink is much faster).
-    pub fn bottleneck_bandwidth(&self, scaleup: Bandwidth, scaleout: Bandwidth) -> Bandwidth {
-        match self.kind {
-            PathKind::IntraNode => scaleup,
-            PathKind::SameRail { .. } => scaleout,
-            PathKind::PxnForward { .. } => {
-                if scaleup.as_bps() < scaleout.as_bps() {
-                    scaleup
-                } else {
-                    scaleout
-                }
-            }
-        }
-    }
-
-    /// Base latency of the path given per-hop latencies.
-    pub fn base_latency(
-        &self,
-        scaleup_latency: SimDuration,
-        scaleout_latency: SimDuration,
-    ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for _ in 0..self.scaleup_hops() {
-            total += scaleup_latency;
-        }
-        for _ in 0..self.scaleout_hops() {
-            total += scaleout_latency;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -180,38 +146,6 @@ mod tests {
         );
         assert_eq!(p.scaleup_hops(), 1);
         assert_eq!(p.scaleout_hops(), 1);
-    }
-
-    #[test]
-    fn bottleneck_bandwidth_is_slowest_leg() {
-        let c = cluster();
-        let nvlink = Bandwidth::from_gbytes_per_sec(300.0);
-        let rail = Bandwidth::from_gbps(200.0);
-        let intra = CommPath::between(&c, GpuId(0), GpuId(1));
-        let same_rail = CommPath::between(&c, GpuId(0), GpuId(4));
-        let pxn = CommPath::between(&c, GpuId(0), GpuId(5));
-        assert_eq!(intra.bottleneck_bandwidth(nvlink, rail), nvlink);
-        assert_eq!(same_rail.bottleneck_bandwidth(nvlink, rail), rail);
-        assert_eq!(pxn.bottleneck_bandwidth(nvlink, rail), rail);
-    }
-
-    #[test]
-    fn base_latency_accumulates_hops() {
-        let c = cluster();
-        let su = SimDuration::from_micros(3);
-        let so = SimDuration::from_micros(10);
-        assert_eq!(
-            CommPath::between(&c, GpuId(0), GpuId(1)).base_latency(su, so),
-            su
-        );
-        assert_eq!(
-            CommPath::between(&c, GpuId(0), GpuId(4)).base_latency(su, so),
-            so
-        );
-        assert_eq!(
-            CommPath::between(&c, GpuId(0), GpuId(5)).base_latency(su, so),
-            su + so
-        );
     }
 
     #[test]

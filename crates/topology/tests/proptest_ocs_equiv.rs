@@ -4,18 +4,20 @@
 //! [`RefOcs`] is a line-for-line reimplementation of the pre-refactor switch (circuit
 //! set in a sorted map, installs scanning every installed circuit). The property
 //! drives both switches through identical random sequences of `install` /
-//! `tear_down_gpu` / `clear` operations and asserts identical install results
-//! (including radix errors), counters, connectivity answers, ready times, and —
-//! critically for byte-identical serialized output — `circuits()` iteration order.
+//! `tear_down` / `conflicting_circuits` / `tear_down_gpu` / `clear` operations and
+//! asserts identical install results (including radix errors), teardown and conflict
+//! counts, counters, connectivity answers, ready times, and — critically for
+//! byte-identical serialized output — `circuits()` iteration order.
 //!
 //! The switch under test is one rail's OCS of a multi-rail fabric, whose tables hold
-//! only that rail's ports, or a switch built without a geometry. The operations name
-//! the rail's GPUs only.
+//! only that rail's ports. The operations name the rail's GPUs only, and each drawn
+//! configuration reaches the switch resolved against the fabric's geometry, as the
+//! simulator resolves its plans.
 
 use proptest::prelude::*;
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{
-    Circuit, CircuitConfig, GpuId, Ocs, OcsError, PortGeometry, PortId, RailId,
+    Circuit, CircuitConfig, DenseCircuit, GpuId, Ocs, OcsError, PortGeometry, PortId, RailId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -112,6 +114,33 @@ impl RefOcs {
         n
     }
 
+    fn tear_down(&mut self, config: &CircuitConfig) -> usize {
+        let mut n = 0;
+        for c in config.circuits() {
+            if self.circuits.remove(c).is_some() {
+                self.circuits_torn_down += 1;
+                n += 1;
+            }
+        }
+        if n > 0 {
+            self.reconfig_count += 1;
+        }
+        n
+    }
+
+    fn conflicting_circuits(&self, config: &CircuitConfig) -> usize {
+        let new_ports: BTreeSet<PortId> = config
+            .circuits()
+            .iter()
+            .filter(|c| !self.circuits.contains_key(c))
+            .flat_map(|c| [c.a(), c.b()])
+            .collect();
+        self.circuits
+            .keys()
+            .filter(|c| new_ports.contains(&c.a()) || new_ports.contains(&c.b()))
+            .count()
+    }
+
     fn clear(&mut self) {
         if !self.circuits.is_empty() {
             self.circuits_torn_down += self.circuits.len() as u64;
@@ -162,13 +191,15 @@ fn gpu(node: u32) -> GpuId {
 
 /// One random operation applied to both switches, as raw sampled data (the vendored
 /// proptest has no `prop_map`): `kind` 0–5 installs the matching built from `pairs`
-/// of `(node, port)` endpoints at `dt_ms` past the previous operation, 6–7 tears down
-/// the GPU of `node`, 8 clears.
+/// of `(node, port)` endpoints at `dt_ms` past the previous operation, 6 tears that
+/// matching's installed circuits down, 7 does the same for the last matching
+/// installed (whose circuits later installs may have displaced since), 8 counts the installed circuits installing it
+/// would displace, 9–10 tear down the GPU of `node`, 11 clears.
 type RawOp = (u8, Vec<(u32, u8, u32, u8)>, u64, u32);
 
 fn op_strategy() -> impl Strategy<Value = RawOp> {
     (
-        0u8..9,
+        0u8..12,
         proptest::collection::vec(
             (
                 0..NUM_NODES,
@@ -209,46 +240,69 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     // The dense engine and the reference model agree on every observable after every
-    // operation of a random sequence, for both the pre-sized and the growable
-    // constructors and for radices small enough to trigger `RadixExceeded`.
+    // operation of a random sequence, for radices small enough to trigger
+    // `RadixExceeded`.
     #[test]
     fn port_indexed_ocs_matches_btreemap_reference(
         ops in proptest::collection::vec(op_strategy(), 1..25),
         radix in 4usize..24,
         delay_ms in 0u64..50,
-        presized in 0u8..2,
     ) {
         let delay = SimDuration::from_millis(delay_ms);
-        let mut ocs = if presized == 1 {
-            let geometry = PortGeometry::new(NUM_RAILS, NUM_NODES, PORTS_PER_GPU);
-            Ocs::with_geometry(radix, delay, RailId(RAIL), geometry)
-        } else {
-            Ocs::new(radix, delay)
-        };
+        let geometry = PortGeometry::new(NUM_RAILS, NUM_NODES, PORTS_PER_GPU);
+        let mut ocs = Ocs::with_geometry(radix, delay, RailId(RAIL), geometry);
         let mut reference = RefOcs::new(radix, delay);
         let mut now = SimTime::ZERO;
+        let mut last_installed: Option<CircuitConfig> = None;
+        let resolved = |config: &CircuitConfig| -> Vec<DenseCircuit> {
+            config.circuits().iter().map(|&c| geometry.resolve(RailId(RAIL), c)).collect()
+        };
 
         for (kind, pairs, dt_ms, node) in &ops {
             match kind {
                 0..=5 => {
                     now += SimDuration::from_millis(*dt_ms);
                     let Some(config) = build_config(pairs) else { continue };
+                    let plan = resolved(&config);
                     prop_assert_eq!(
-                        ocs.already_installed(&config),
+                        ocs.already_installed(&plan),
                         reference.already_installed(&config)
                     );
-                    let got = ocs.install(&config, now);
+                    prop_assert_eq!(
+                        ocs.conflicting_circuits(&plan),
+                        reference.conflicting_circuits(&config)
+                    );
+                    let got = ocs.install(&plan, now);
                     let want = reference.install(&config, now);
                     prop_assert_eq!(&got, &want, "install result diverged at {}", now);
                     if let Ok(ready) = got {
                         // The pure read half must agree with the no-op re-install.
-                        prop_assert_eq!(
-                            ocs.installed_ready(&config).map(|t| t.max(now)),
-                            Some(ready)
-                        );
+                        let slowest = config.circuits().iter().try_fold(SimTime::ZERO, |t, c| {
+                            Some(t.max(ocs.ready_time(c.a(), c.b())?))
+                        });
+                        prop_assert_eq!(slowest.map(|t| t.max(now)), Some(ready));
+                        last_installed = Some(config);
                     }
                 }
                 6..=7 => {
+                    let drawn = match kind {
+                        6 => build_config(pairs),
+                        _ => last_installed.clone(),
+                    };
+                    let Some(config) = drawn else { continue };
+                    prop_assert_eq!(
+                        ocs.tear_down(&resolved(&config)),
+                        reference.tear_down(&config)
+                    );
+                }
+                8 => {
+                    let Some(config) = build_config(pairs) else { continue };
+                    prop_assert_eq!(
+                        ocs.conflicting_circuits(&resolved(&config)),
+                        reference.conflicting_circuits(&config)
+                    );
+                }
+                9..=10 => {
                     prop_assert_eq!(
                         ocs.tear_down_gpu(gpu(*node)),
                         reference.tear_down_gpu(gpu(*node))

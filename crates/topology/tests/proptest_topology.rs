@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{
-    fattree::ClosDimensions, Circuit, CircuitConfig, ClusterSpec, CommPath, GpuId, NodePreset, Ocs,
-    PathKind, PortId, RailId,
+    fattree::ClosDimensions, Circuit, CircuitConfig, ClusterSpec, CommPath, DenseCircuit, GpuId,
+    NodePreset, Ocs, PathKind, PortGeometry, PortId, RailId,
 };
 
 fn any_preset() -> impl Strategy<Value = NodePreset> {
@@ -70,7 +70,9 @@ proptest! {
         installs in proptest::collection::vec(proptest::collection::vec((0u32..8, 8u32..16), 1..4), 1..20),
         delay_ms in 0u64..50,
     ) {
-        let mut ocs = Ocs::new(64, SimDuration::from_millis(delay_ms));
+        // One rail of 16 one-GPU nodes: the switch carries every GPU the pairs name.
+        let geometry = PortGeometry::new(1, 16, 1);
+        let mut ocs = Ocs::with_geometry(64, SimDuration::from_millis(delay_ms), RailId(0), geometry);
         let mut now = SimTime::ZERO;
         for batch in installs {
             // Build a valid matching out of the random pairs (skip port reuse).
@@ -87,7 +89,9 @@ proptest! {
                 continue;
             }
             let config = CircuitConfig::new(circuits).unwrap();
-            let ready = ocs.install(&config, now).unwrap();
+            let plan: Vec<DenseCircuit> =
+                config.circuits().iter().map(|&c| geometry.resolve(RailId(0), c)).collect();
+            let ready = ocs.install(&plan, now).unwrap();
             prop_assert!(ready >= now);
             // Invariant: the installed circuits always form a matching within radix.
             let mut ports = std::collections::HashSet::new();

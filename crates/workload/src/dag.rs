@@ -779,6 +779,8 @@ pub(crate) struct TaskColumns {
     operands: Vec<u32>,
     steps: StepTable,
     pairs: Vec<[GpuId; 2]>,
+    /// Each pair's participant set, indexed like `pairs`.
+    pair_sets: Vec<RankSet>,
     pair_of: FastMap<(u32, u32), u32>,
     participants: Vec<RankSet>,
     labels: Vec<LabelId>,
@@ -789,7 +791,9 @@ pub(crate) struct TaskColumns {
 }
 
 impl TaskColumns {
-    /// Appends a task depending on `deps` and returns its id.
+    /// Appends a compute or collective task over `participants`, depending on `deps`,
+    /// and returns its id. A point-to-point transfer takes
+    /// [`push_p2p`](Self::push_p2p).
     pub(crate) fn push(
         &mut self,
         kind: TaskKind,
@@ -799,12 +803,42 @@ impl TaskColumns {
         layer: Option<u32>,
         deps: &[TaskId],
     ) -> TaskId {
-        let id = TaskId(u32::try_from(self.classes.len()).expect("task count exceeds u32"));
         let operand = match kind {
             TaskKind::Compute { .. } => 0,
             TaskKind::Collective { group, .. } => group.0,
-            TaskKind::PointToPoint { src, dst, .. } => self.pair(src, dst),
+            TaskKind::PointToPoint { .. } => panic!("a transfer's participants are its pair's"),
         };
+        self.append(kind, operand, participants, label, microbatch, layer, deps)
+    }
+
+    /// Appends the point-to-point transfer `kind`, depending on `deps`, and returns its
+    /// id. Its pair, interned once, gives both its operand and its participants.
+    pub(crate) fn push_p2p(
+        &mut self,
+        kind: TaskKind,
+        label: LabelId,
+        microbatch: Option<u32>,
+        deps: &[TaskId],
+    ) -> TaskId {
+        let TaskKind::PointToPoint { src, dst, .. } = kind else {
+            panic!("{kind:?} is not a point-to-point transfer");
+        };
+        let (operand, participants) = self.pair(src, dst);
+        self.append(kind, operand, participants, label, microbatch, None, deps)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn append(
+        &mut self,
+        kind: TaskKind,
+        operand: u32,
+        participants: RankSet,
+        label: LabelId,
+        microbatch: Option<u32>,
+        layer: Option<u32>,
+        deps: &[TaskId],
+    ) -> TaskId {
+        let id = TaskId(u32::try_from(self.classes.len()).expect("task count exceeds u32"));
         self.classes.push(self.steps.intern(Step::from(kind)));
         self.operands.push(operand);
         self.participants.push(participants);
@@ -817,19 +851,21 @@ impl TaskColumns {
         id
     }
 
-    /// The operand of the point-to-point pair `[src, dst]`, interned once. A rank's
-    /// micro-batches send over one pair in a row, so the newest pair is checked
-    /// before the map.
-    fn pair(&mut self, src: GpuId, dst: GpuId) -> u32 {
-        let next = self.pairs.len() as u32;
+    /// The operand and the participant set of the point-to-point pair `[src, dst]`,
+    /// both interned once. A rank's micro-batches send over one pair in a row, so the
+    /// newest pair is checked before the map.
+    fn pair(&mut self, src: GpuId, dst: GpuId) -> (u32, RankSet) {
+        let mut pair = self.pairs.len() as u32;
         if self.pairs.last() == Some(&[src, dst]) {
-            return next - 1;
+            pair -= 1;
+        } else {
+            pair = *self.pair_of.entry((src.0, dst.0)).or_insert(pair);
+            if pair as usize == self.pairs.len() {
+                self.pairs.push([src, dst]);
+                self.pair_sets.push(RankSet::intern(&[src, dst]));
+            }
         }
-        let pair = *self.pair_of.entry((src.0, dst.0)).or_insert(next);
-        if pair == next {
-            self.pairs.push([src, dst]);
-        }
-        pair
+        (pair, self.pair_sets[pair as usize])
     }
 
     /// Declares one more prerequisite of an existing task.
@@ -852,6 +888,7 @@ impl TaskColumns {
             operands,
             steps,
             pairs,
+            pair_sets: _,
             pair_of: _,
             participants,
             labels,
@@ -1003,8 +1040,6 @@ struct BuildState {
     group_of: Vec<u32>,
     /// Each rank's singleton participant set, interned once.
     singletons: Vec<RankSet>,
-    /// Point-to-point participant pairs, interned once per pair.
-    pairs: FastMap<(u32, u32), RankSet>,
     /// Last compute task per rank (consumed by the optimizer epilogue).
     compute_tail: Vec<u32>,
     /// Last Data-axis collective per rank: the FSDP communication stream.
@@ -1166,21 +1201,15 @@ impl BuildState {
     ) -> TaskId {
         // Point-to-point ordering follows purely from data dependencies (a Send cannot
         // happen before the activation it carries exists); no stream chaining is added.
-        let participants = *self
-            .pairs
-            .entry((src.0, dst.0))
-            .or_insert_with(|| RankSet::intern(&[src, dst]));
-        self.cols.push(
+        self.cols.push_p2p(
             TaskKind::PointToPoint {
                 src,
                 dst,
                 axis,
                 bytes,
             },
-            participants,
             label,
             Some(microbatch),
-            None,
             &[dep],
         )
     }
@@ -1243,7 +1272,6 @@ impl DagBuilder {
             groups: comm_groups,
             group_of,
             singletons: (0..world).map(|r| RankSet::intern(&[GpuId(r)])).collect(),
-            pairs: FastMap::default(),
             compute_tail: vec![NONE; world as usize],
             data_tail: vec![NONE; world as usize],
             collective_instances: FastMap::default(),

@@ -214,16 +214,14 @@ impl InferenceDagBuilder {
                 );
                 let hop = (s + 1 < cfg.pipeline).then(|| {
                     let (src, dst) = (ranks[0], GpuId(base + (s + 1) * cfg.tensor));
-                    cols.push(
+                    cols.push_p2p(
                         TaskKind::PointToPoint {
                             src,
                             dst,
                             axis: ParallelismAxis::Pipeline,
                             bytes,
                         },
-                        RankSet::intern(&[src, dst]),
                         LabelId::intern(&hop_label),
-                        None,
                         None,
                         &[sync],
                     )

@@ -8,9 +8,25 @@ use photonic_rails::opus::{CommLog, FleetMetrics};
 use photonic_rails::prelude::*;
 use photonic_rails::sim::{EventQueue, SimRng};
 use photonic_rails::topology::fattree::ClosDimensions;
-use photonic_rails::topology::{Circuit, CircuitConfig, Ocs, PortId};
+use photonic_rails::topology::{Circuit, CircuitConfig, DenseCircuit, Ocs, PortGeometry, PortId};
 use photonic_rails::workload::{Position, RankMapping, Step, TaskId};
 use proptest::prelude::*;
+
+/// The OCS of the only rail of `gpus` one-GPU nodes with one port each: GPU `g` is
+/// node `g`, so the switch carries every GPU below `gpus`.
+fn one_rail_ocs(gpus: u32, radix: usize, delay: SimDuration) -> Ocs {
+    Ocs::with_geometry(radix, delay, RailId(0), PortGeometry::new(1, gpus, 1))
+}
+
+/// `config` resolved for [`one_rail_ocs`] of `gpus`, as the simulator resolves a plan.
+fn one_rail_plan(gpus: u32, config: &CircuitConfig) -> Vec<DenseCircuit> {
+    let geometry = PortGeometry::new(1, gpus, 1);
+    config
+        .circuits()
+        .iter()
+        .map(|&c| geometry.resolve(RailId(0), c))
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -91,8 +107,8 @@ proptest! {
         }
         prop_assume!(!circuits.is_empty());
         let config = CircuitConfig::new(circuits).expect("deduplicated ports form a valid matching");
-        let mut ocs = Ocs::new(64, SimDuration::from_millis(delay_ms));
-        let ready = ocs.install(&config, SimTime::ZERO).expect("radix 64 is large enough");
+        let mut ocs = one_rail_ocs(32, 64, SimDuration::from_millis(delay_ms));
+        let ready = ocs.install(&one_rail_plan(32, &config), SimTime::ZERO).expect("radix 64 is large enough");
         prop_assert_eq!(ready, SimTime::from_millis(delay_ms));
         // Invariant: every port appears in at most one installed circuit.
         let mut seen = std::collections::HashSet::new();
@@ -108,9 +124,10 @@ proptest! {
         let a = PortId::new(GpuId(0), 0);
         let b = PortId::new(GpuId(1), 0);
         let config = CircuitConfig::new(vec![Circuit::new(a, b)]).unwrap();
-        let mut ocs = Ocs::new(8, SimDuration::from_millis(delay_ms));
-        let first = ocs.install(&config, SimTime::ZERO).unwrap();
-        let again = ocs.install(&config, first).unwrap();
+        let plan = one_rail_plan(2, &config);
+        let mut ocs = one_rail_ocs(2, 8, SimDuration::from_millis(delay_ms));
+        let first = ocs.install(&plan, SimTime::ZERO).unwrap();
+        let again = ocs.install(&plan, first).unwrap();
         prop_assert_eq!(again, first);
         prop_assert_eq!(ocs.reconfig_count(), 1);
     }
