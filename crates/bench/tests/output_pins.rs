@@ -7,9 +7,11 @@
 //! moved. The `(wrote …)` lines are left out of the stdout digest: they print the
 //! results directory, an absolute path under `cargo test`.
 //!
-//! `table3_scalability` and `fleet_sweep` are not pinned here, because they print and
-//! write host measurements (wall clock, events per second, peak RSS). `bench_scale`
-//! and `bench_compare` read benchmark reports instead of simulating.
+//! `table3_scalability` and `fleet_sweep` print and write host measurements (wall
+//! clock, events per second, peak RSS), so their stdout is not pinned. Their results
+//! JSON is, minus the lines of those fields, at the points CI runs: the 1k-GPU Table 3
+//! points and the fleet smoke's 36-variant grid. `bench_scale` and `bench_compare`
+//! read benchmark reports instead of simulating.
 
 use std::path::Path;
 use std::process::Command;
@@ -24,11 +26,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs the binary at `exe` without arguments and returns the digest of its stdout
-/// minus the `(wrote …)` lines, then the file name and digest of each JSON those lines
-/// name, in the order the binary wrote them.
-fn digests(exe: &str) -> Vec<(String, u64)> {
-    let out = Command::new(exe).output().expect("the binary starts");
+/// Runs the binary at `exe` with `args` and returns the digest of its stdout minus the
+/// `(wrote …)` lines, then the file name and digest of each JSON those lines name, in
+/// the order the binary wrote them. A JSON line whose key is one of `host_keys` is left
+/// out of its file's digest.
+fn digests(exe: &str, args: &[&str], host_keys: &[&str]) -> Vec<(String, u64)> {
+    let out = Command::new(exe)
+        .args(args)
+        .output()
+        .expect("the binary starts");
     assert!(
         out.status.success(),
         "{exe} failed: {}",
@@ -46,20 +52,29 @@ fn digests(exe: &str) -> Vec<(String, u64)> {
             None => printed.push_str(line),
         }
     }
+    let host_line = |line: &str| {
+        host_keys
+            .iter()
+            .any(|key| line.trim_start().starts_with(&format!("\"{key}\":")))
+    };
     let mut digests = vec![("stdout".to_string(), fnv1a(printed.as_bytes()))];
     for path in written {
         let path = Path::new(&path);
-        let json = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let json =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let kept: String = json
+            .split_inclusive('\n')
+            .filter(|line| !host_line(line))
+            .collect();
         let name = path.file_name().expect("a file").to_string_lossy();
-        digests.push((name.into_owned(), fnv1a(&json)));
+        digests.push((name.into_owned(), fnv1a(kept.as_bytes())));
     }
     digests
 }
 
-/// Asserts the binary's digests, printing them all in the pin's own syntax on a
-/// mismatch.
-fn check(exe: &str, pinned: &[(&str, u64)]) {
-    let got = digests(exe);
+/// Asserts `got` against `pinned`, printing every digest of `got` in the pin's own
+/// syntax on a mismatch.
+fn assert_pinned(run: &str, got: &[(String, u64)], pinned: &[(&str, u64)]) {
     let same = got.len() == pinned.len()
         && got
             .iter()
@@ -69,7 +84,20 @@ fn check(exe: &str, pinned: &[(&str, u64)]) {
         .iter()
         .map(|(name, digest)| format!("(\"{name}\", {digest:#018x})"))
         .collect();
-    assert!(same, "{exe} now reads [{}]", listed.join(", "));
+    assert!(same, "{run} now reads [{}]", listed.join(", "));
+}
+
+/// Asserts the digests of the binary's run without arguments.
+fn check(exe: &str, pinned: &[(&str, u64)]) {
+    assert_pinned(exe, &digests(exe, &[], &[]), pinned);
+}
+
+/// Asserts the digests of the JSON that the binary's run with `args` writes, minus the
+/// lines of `host_keys`. Its stdout prints host measurements and is not pinned.
+fn check_json(exe: &str, args: &[&str], host_keys: &[&str], pinned: &[(&str, u64)]) {
+    let mut got = digests(exe, args, host_keys);
+    got.retain(|(name, _)| name != "stdout");
+    assert_pinned(&format!("{exe} {}", args.join(" ")), &got, pinned);
 }
 
 #[test]
@@ -199,5 +227,52 @@ fn ablation_host_offload() {
             ("stdout", 0x22b9ff6fdc12726e),
             ("ablation_host_offload.json", 0xf30606b6ada916c4),
         ],
+    );
+}
+
+#[test]
+fn table3_scalability_1k_points() {
+    // One test runs every point: each run rewrites the same results files. The
+    // technology table is the same at every point.
+    let point = |args: &[&str], scale: u64| {
+        check_json(
+            env!("CARGO_BIN_EXE_table3_scalability"),
+            args,
+            &["wall_clock_s", "events_per_sec", "peak_rss_mib"],
+            &[
+                ("table3_scalability.json", 0x9d9ba5a6c1310350),
+                ("table3_scale.json", scale),
+            ],
+        )
+    };
+    point(&["--gpus", "1024"], 0x4f5fdd7b0bbd5ff3);
+    point(
+        &["--gpus", "1024", "--scenario", "two-job"],
+        0x48a6bbbe6b793ea1,
+    );
+    point(
+        &["--gpus", "1024", "--scenario", "rail-flap"],
+        0x7e00f443cc167f35,
+    );
+    point(
+        &[
+            "--gpus",
+            "1024",
+            "--scenario",
+            "rail-flap",
+            "--policy",
+            "replan",
+        ],
+        0x8679869f2ff148dc,
+    );
+}
+
+#[test]
+fn fleet_sweep_1k_grid() {
+    check_json(
+        env!("CARGO_BIN_EXE_fleet_sweep"),
+        &["--gpus", "1024", "--variants", "32", "--workers", "2"],
+        &["wall_seconds"],
+        &[("fleet_frontier.json", 0xf88a81882dd050a7)],
     );
 }
