@@ -220,7 +220,8 @@ fn main() {
         ]);
     }
     table.note(format!(
-        "{total} variants in {wall:.2}s on {workers} workers; {} Pareto points",
+        "{total} variants ({} simulated) in {wall:.2}s on {workers} workers; {} Pareto points",
+        report.scenarios_run,
         report.frontier.pareto_points()
     ));
     println!("{}", table.render());

@@ -11,15 +11,21 @@
 //! * [`SweepSpec`] describes the variant grid *declaratively*: provisioning levels
 //!   (policy + reconfiguration latency + cost), placements, seeded failure traces and
 //!   the memoization knob. The grid expands to concrete [`ScenarioSpec`]s on demand;
-//!   per-variant seeds derive deterministically from the base seed via splitmix64
-//!   ([`SweepSpec::seed_for`]), so results are reproducible independent of worker
-//!   count.
-//! * A fixed-size `std::thread::scope` worker pool evaluates variants one per core
+//!   per-variant seeds derive deterministically from the base seed and the flat
+//!   variant index via splitmix64 ([`SweepSpec::seed_for`]), so results are
+//!   reproducible independent of worker count.
+//! * A sweep simulates each distinct scenario once. Variants whose specs the
+//!   simulator cannot tell apart form a group: a `+replan` twin's clean trace runs
+//!   its stall level's scenario (a recovery policy acts only on a rail failure), and
+//!   the sweep turns jitter off, so a seed draws nothing. The scenario driver decides
+//!   the groups; the sweep runs each group's first variant and reports the others
+//!   with its simulated fields.
+//! * A fixed-size `std::thread::scope` worker pool evaluates those runs one per core
 //!   and streams [`VariantResult`]s through a channel-backed iterator as they finish
 //!   ([`FleetService::evaluate_streaming`]); the final report orders results by
-//!   variant index regardless of completion order and attaches a [`Frontier`] —
-//!   availability/cost Pareto points with P50/P95/P99 makespan and circuit-wait
-//!   percentiles per provisioning level.
+//!   variant index regardless of completion order, counts the scenarios it ran, and
+//!   attaches a [`Frontier`] — availability/cost Pareto points with P50/P95/P99
+//!   makespan and circuit-wait percentiles per provisioning level.
 //!
 //! Cost figures on [`ProvisioningLevel`] are plain data: the `railsim-cost` crate
 //! (device-level DAC/ADC/laser tables) fills them in from outside, keeping this crate
@@ -61,7 +67,7 @@
 //! ```
 
 use crate::config::{OpusConfig, ReconfigPolicy, RecoveryPolicy};
-use crate::scenario::{JobPlacement, ScenarioEvent, ScenarioSpec};
+use crate::scenario::{first_same_simulation, JobPlacement, ScenarioEvent, ScenarioSpec};
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{Cluster, RailId};
 use railsim_workload::TrainingDag;
@@ -502,6 +508,22 @@ impl Frontier {
     }
 }
 
+impl VariantResult {
+    /// The result of variant `variant_idx`, which ran the same simulation as `self`:
+    /// its own grid coordinates and seed, and `self`'s simulated fields.
+    fn for_twin(&self, sweep: &SweepSpec, variant_idx: usize) -> VariantResult {
+        let (level, placement, trace) = sweep.coords(variant_idx);
+        VariantResult {
+            variant: variant_idx,
+            level,
+            placement,
+            trace,
+            seed: sweep.seed_for(variant_idx),
+            ..self.clone()
+        }
+    }
+}
+
 /// A completed sweep: every variant in grid order plus the frontier report.
 #[derive(Debug, Clone, Serialize)]
 pub struct SweepReport {
@@ -510,6 +532,10 @@ pub struct SweepReport {
     pub variants: Vec<VariantResult>,
     /// The availability/cost frontier.
     pub frontier: Frontier,
+    /// Scenarios the sweep simulated: one per group of variants the simulator cannot
+    /// tell apart, so at most `variants.len()`. Not serialized.
+    #[serde(skip)]
+    pub scenarios_run: usize,
 }
 
 // ---------------------------------------------------------------------------------
@@ -522,9 +548,10 @@ pub struct SweepReport {
 /// shared immutably (`Arc`) across every variant of every sweep, so workers never
 /// rebuild them. Each variant's scenario gets its own copy of the cluster, which
 /// only wraps a `ClusterSpec` and which no run mutates. What a worker pays per
-/// variant is the scenario's set-up — circuit-slot planning, DAG validation, and a
-/// rebase of the rank-bearing task columns when the placement shifts the job —
-/// and then the run. See the [module docs](self) for the full picture.
+/// distinct scenario is its set-up — circuit-slot planning, DAG validation, and a
+/// rebase of the rank-bearing task columns when the placement shifts the job — and
+/// then the run; a variant that shares another's scenario costs a copy of its
+/// result. See the [module docs](self) for the full picture.
 pub struct FleetService {
     cluster: Arc<Cluster>,
     templates: Mutex<HashMap<String, Arc<TrainingDag>>>,
@@ -606,9 +633,9 @@ impl FleetService {
         spec
     }
 
-    fn run_variant(&self, sweep: &SweepSpec, variant_idx: usize) -> VariantResult {
+    /// Runs `spec`, variant `variant_idx`'s scenario, and reports it.
+    fn run_variant(sweep: &SweepSpec, variant_idx: usize, spec: ScenarioSpec) -> VariantResult {
         let (level, placement, trace) = sweep.coords(variant_idx);
-        let spec = self.variant_spec(sweep, variant_idx);
         let outages = injected_outages(&spec.injections);
         // A variant reports aggregates only, so its run keeps no per-transfer
         // records.
@@ -649,10 +676,18 @@ impl FleetService {
     /// each [`VariantResult`] *as it finishes* (completion order — useful for
     /// progress streaming), then returns the report with variants in grid order.
     ///
-    /// Workers claim variant indices from a shared atomic counter and send results
+    /// The sweep simulates each distinct scenario once. Variants whose specs the
+    /// simulator cannot tell apart form a group (the `+replan` twin of a level runs
+    /// the same clean trace as its stall level, and a seed draws nothing without
+    /// jitter), and only the group's first variant runs. Each other member takes its
+    /// representative's simulated fields with its own grid coordinates and seed, and
+    /// reaches `sink` right after its representative.
+    ///
+    /// Workers claim representatives from a shared atomic counter and send results
     /// over a channel; the calling thread drains the channel-backed iterator. The
     /// report is byte-identical for any worker count: each variant's result depends
-    /// only on its derived seed, and the report orders by variant index.
+    /// only on its spec, and the report orders by variant index. A panic in a
+    /// worker, such as a scenario the build rejects, resumes on the calling thread.
     pub fn evaluate_streaming(
         &self,
         sweep: &SweepSpec,
@@ -660,29 +695,51 @@ impl FleetService {
     ) -> SweepReport {
         sweep.validate();
         let n = sweep.num_variants();
-        let workers = (sweep.workers.max(1) as usize).min(n);
+        let specs: Vec<ScenarioSpec> = (0..n).map(|idx| self.variant_spec(sweep, idx)).collect();
+        // The variants that run a scenario, and the twins each one's result stands for.
+        let mut runs = Vec::new();
+        let mut twins: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (idx, first) in first_same_simulation(&specs).into_iter().enumerate() {
+            if first == idx {
+                runs.push(idx);
+            } else {
+                twins[first].push(idx);
+            }
+        }
+        let workers = (sweep.workers.max(1) as usize).min(runs.len());
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<VariantResult>> = (0..n).map(|_| None).collect();
         let (tx, rx) = mpsc::channel::<VariantResult>();
         thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    if tx.send(self.run_variant(sweep, idx)).is_err() {
-                        break;
-                    }
-                });
-            }
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let tx = tx.clone();
+                    let (next, runs, specs) = (&next, &runs, &specs);
+                    scope.spawn(move || {
+                        while let Some(&idx) = runs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let result = Self::run_variant(sweep, idx, specs[idx].clone());
+                            if tx.send(result).is_err() {
+                                break;
+                            }
+                        }
+                    })
+                })
+                .collect();
             drop(tx); // the iterator below ends when the last worker hangs up
             for result in rx.iter() {
                 sink(&result);
+                for &idx in &twins[result.variant] {
+                    let twin = result.for_twin(sweep, idx);
+                    sink(&twin);
+                    slots[idx] = Some(twin);
+                }
                 let idx = result.variant;
                 slots[idx] = Some(result);
+            }
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         let variants: Vec<VariantResult> = slots
@@ -690,7 +747,11 @@ impl FleetService {
             .map(|slot| slot.expect("every variant index was evaluated exactly once"))
             .collect();
         let frontier = Frontier::build(sweep, &variants);
-        SweepReport { variants, frontier }
+        SweepReport {
+            variants,
+            frontier,
+            scenarios_run: runs.len(),
+        }
     }
 }
 
@@ -700,9 +761,9 @@ mod tests {
     use railsim_topology::{ClusterSpec, NodePreset};
     use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
 
-    fn tiny_service() -> FleetService {
-        let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
-        let service = FleetService::new(cluster);
+    /// A service on `nodes` nodes of `preset` with the 16-rank "tiny" template.
+    fn tiny_service_on(preset: NodePreset, nodes: u32) -> FleetService {
+        let service = FleetService::new(ClusterSpec::from_preset(preset, nodes).build());
         service.dag_template("tiny", || {
             let model = ModelConfig::tiny_test();
             let parallel = ParallelismConfig::paper_llama3_8b();
@@ -710,6 +771,10 @@ mod tests {
             DagBuilder::new(model, parallel, compute).build()
         });
         service
+    }
+
+    fn tiny_service() -> FleetService {
+        tiny_service_on(NodePreset::PerlmutterA100, 4)
     }
 
     fn tiny_sweep(traces: u32) -> SweepSpec {
@@ -845,14 +910,7 @@ mod tests {
     fn a_second_placement_cell_doubles_the_grid_and_shifts_the_job() {
         // A 5-node cluster leaves one spare node so the 16-rank job fits at a
         // non-zero offset; the sweep evaluates every level under both cells.
-        let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 5).build();
-        let service = FleetService::new(cluster);
-        service.dag_template("tiny", || {
-            let model = ModelConfig::tiny_test();
-            let parallel = ParallelismConfig::paper_llama3_8b();
-            let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
-            DagBuilder::new(model, parallel, compute).build()
-        });
+        let service = tiny_service_on(NodePreset::PerlmutterA100, 5);
         let mut sweep = tiny_sweep(2);
         sweep.placements = vec![JobPlacement::Auto, JobPlacement::AtGpu(4)];
         assert_eq!(sweep.num_variants(), 2 * 2 * 2);
@@ -908,9 +966,10 @@ mod tests {
     #[test]
     fn the_frontier_ranks_replan_above_stall_under_failures() {
         // Two otherwise-identical provisioned levels, one stalling and one
-        // re-planning, under the same seeded failure traces: the replan twin must
-        // buy availability (it trains through outages instead of waiting them out)
-        // at identical cost, so it Pareto-dominates its stall sibling.
+        // re-planning, under the same failure model: the replan twin must buy
+        // availability (it trains through outages instead of waiting them out) at
+        // identical cost, so it Pareto-dominates its stall sibling. The twins do not
+        // share failure traces: a trace's seed comes from the flat variant index.
         let service = tiny_service();
         let base = ProvisioningLevel::bare(
             "piezo-25ms",
@@ -948,6 +1007,53 @@ mod tests {
     }
 
     #[test]
+    fn every_row_matches_its_variant_run_alone() {
+        // Brute force over a grid whose replan twin runs its stall level's clean
+        // traces: 3 levels x 2 placements x 2 traces, of which the twin's two clean
+        // variants take their stall level's run.
+        let service = tiny_service_on(NodePreset::PerlmutterA100, 5);
+        let mut sweep = tiny_sweep(2);
+        let replan = sweep.levels[1]
+            .clone()
+            .with_recovery(RecoveryPolicy::Replan);
+        sweep.levels.push(replan);
+        sweep.placements = vec![JobPlacement::Auto, JobPlacement::AtGpu(4)];
+        sweep.workers = 2;
+        let mut order = Vec::new();
+        let report = service.evaluate_streaming(&sweep, |v| order.push(v.variant));
+        assert_eq!(report.variants.len(), 12);
+        assert_eq!(report.scenarios_run, 10);
+        for (idx, row) in report.variants.iter().enumerate() {
+            let alone = FleetService::run_variant(&sweep, idx, service.variant_spec(&sweep, idx));
+            assert_eq!(
+                serde_json::to_string(row).unwrap(),
+                serde_json::to_string(&alone).unwrap(),
+                "variant {idx}"
+            );
+        }
+        // Each clean twin reaches the sink right after the stall variant it copies.
+        for (twin, stall) in [(8, 4), (10, 6)] {
+            let at = order.iter().position(|&v| v == twin).unwrap();
+            assert_eq!(order[at - 1], stall);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "re-plans around failed rails on a cluster with 72 rails")]
+    fn a_replan_twin_the_build_rejects_still_runs_and_panics() {
+        // On 72 rails the build rejects an optical replan job, so the clean twin
+        // cannot take its stall level's run: it runs, and its panic reaches the
+        // caller.
+        let service = tiny_service_on(NodePreset::Gb200Nvl72, 1);
+        let mut sweep = tiny_sweep(1);
+        let replan = sweep.levels[1]
+            .clone()
+            .with_recovery(RecoveryPolicy::Replan);
+        sweep.levels.push(replan);
+        service.evaluate(&sweep);
+    }
+
+    #[test]
     fn variant_results_depend_only_on_their_seed() {
         // Re-running one variant in isolation reproduces the sweep's row exactly.
         let service = tiny_service();
@@ -955,7 +1061,7 @@ mod tests {
         sweep.workers = 2;
         let report = service.evaluate(&sweep);
         for idx in [1usize, 3] {
-            let solo = service.run_variant(&sweep, idx);
+            let solo = FleetService::run_variant(&sweep, idx, service.variant_spec(&sweep, idx));
             assert_eq!(
                 serde_json::to_string(&solo).unwrap(),
                 serde_json::to_string(&report.variants[idx]).unwrap()

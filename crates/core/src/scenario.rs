@@ -153,11 +153,13 @@ use railsim_topology::{
 };
 use railsim_workload::{JobId, Position, Step, TaskId, TaskKind, TrainingDag};
 use serde::Serialize;
-use std::collections::VecDeque;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An external event injected into a scenario's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioEvent {
     /// The rail fails: its switch stops carrying traffic and (under an optical
     /// policy) every circuit on its OCS is torn down.
@@ -208,7 +210,7 @@ pub enum ScenarioEvent {
 }
 
 /// Where a job's ranks land in the shared cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum JobPlacement {
     /// Pack the job onto the first free node boundary after every previously
     /// declared job (job 0 starts at GPU 0).
@@ -363,6 +365,86 @@ impl ScenarioSpec {
         sim.run_scenario();
         sim.into_result()
     }
+}
+
+/// For each spec, the index of the first spec in `specs` that runs the same
+/// simulation, so that a caller can run each distinct simulation once. Two specs run
+/// the same simulation when their clusters and injected timelines (the same events in
+/// the same order) match, their jobs share DAG [`Arc`]s, placements and serving specs
+/// pairwise, and each pair of job configs is equal once [`simulated_config`] has
+/// cleared what the run does not read. A spec is compared only with the earlier
+/// representatives that hash alike.
+pub(crate) fn first_same_simulation(specs: &[ScenarioSpec]) -> Vec<usize> {
+    let mut representatives: HashMap<u64, Vec<usize>> = HashMap::new();
+    specs
+        .iter()
+        .enumerate()
+        .map(|(idx, spec)| {
+            let alike = representatives.entry(simulation_hash(spec)).or_default();
+            match alike
+                .iter()
+                .find(|&&rep| same_simulation(&specs[rep], spec))
+            {
+                Some(&rep) => rep,
+                None => {
+                    alike.push(idx);
+                    idx
+                }
+            }
+        })
+        .collect()
+}
+
+/// A job's `config` in `spec` minus what the run does not read:
+///
+/// * the recovery policy, when the timeline fails no rail (a policy acts only on a
+///   rail failure) and the build accepts either policy ([`replan_fits_record_rails`]);
+/// * the seed, when the jitter RNG it seeds is inert and never draws.
+fn simulated_config(spec: &ScenarioSpec, config: &OpusConfig) -> OpusConfig {
+    let mut config = *config;
+    let fails_a_rail = spec
+        .injections
+        .iter()
+        .any(|(_, event)| matches!(event, ScenarioEvent::RailDown(_)));
+    if !fails_a_rail && replan_fits_record_rails(&spec.cluster, &config) {
+        config.recovery_policy = RecoveryPolicy::Stall;
+    }
+    if config.jitter_inert() {
+        config.seed = 0;
+    }
+    config
+}
+
+/// Whether `a` and `b` run the same simulation; see [`first_same_simulation`].
+fn same_simulation(a: &ScenarioSpec, b: &ScenarioSpec) -> bool {
+    a.cluster.spec() == b.cluster.spec()
+        && a.injections == b.injections
+        && a.jobs.len() == b.jobs.len()
+        && a.jobs.iter().zip(&b.jobs).all(|(x, y)| {
+            Arc::ptr_eq(&x.dag, &y.dag)
+                && x.placement == y.placement
+                && x.serving == y.serving
+                && simulated_config(a, &x.config) == simulated_config(b, &y.config)
+        })
+}
+
+/// A hash that specs running the same simulation share.
+fn simulation_hash(spec: &ScenarioSpec) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    spec.injections.hash(&mut hasher);
+    for job in &spec.jobs {
+        let config = simulated_config(spec, &job.config);
+        Arc::as_ptr(&job.dag).hash(&mut hasher);
+        job.placement.hash(&mut hasher);
+        (
+            config.policy,
+            config.reconfig_latency,
+            config.recovery_policy,
+        )
+            .hash(&mut hasher);
+        (config.iterations, config.seed).hash(&mut hasher);
+    }
+    hasher.finish()
 }
 
 /// Whether a run keeps its [`CommRecord`](crate::CommRecord)s.
@@ -614,6 +696,13 @@ const NO_JOB: u32 = u32::MAX;
 /// Rails a [`CommRecord`](crate::CommRecord) can name: its [`RailSet`] is a 64-bit
 /// mask.
 const RECORD_RAILS: u32 = u64::BITS;
+
+/// Whether the build accepts a job of `config` on `cluster` under
+/// [`RecoveryPolicy::Replan`]: an optical job's re-stripe may target any healthy rail,
+/// so the cluster's rails must fit a record.
+fn replan_fits_record_rails(cluster: &Cluster, config: &OpusConfig) -> bool {
+    !config.policy.is_optical() || cluster.num_rails() <= RECORD_RAILS
+}
 
 /// One entry of the sorted injected timeline.
 struct Injection {
@@ -1438,9 +1527,9 @@ impl ScenarioSim {
         config: &OpusConfig,
         pool: &[CircuitSlot],
     ) {
-        if config.recovery_policy == RecoveryPolicy::Replan && config.policy.is_optical() {
+        if config.recovery_policy == RecoveryPolicy::Replan {
             assert!(
-                cluster.num_rails() <= RECORD_RAILS,
+                replan_fits_record_rails(cluster, config),
                 "{job} re-plans around failed rails on a cluster with {} rails, but a \
                  transfer record holds rails 0..{RECORD_RAILS} only",
                 cluster.num_rails()
@@ -3022,6 +3111,70 @@ mod tests {
             assert_eq!(format!("{memo:?}"), format!("{naive:?}"), "{name}");
             assert_eq!(memo_fabric, naive_fabric, "{name}");
         }
+    }
+
+    #[test]
+    fn specs_that_differ_only_in_what_the_run_does_not_read_share_a_simulation() {
+        let dag = Arc::new(tiny_dag());
+        let spec = |config| ScenarioSpec::new(tiny_cluster(4)).job(Arc::clone(&dag), config);
+        let flap = |spec: ScenarioSpec| {
+            spec.inject(SimTime::from_millis(1), ScenarioEvent::RailDown(RailId(0)))
+                .inject(SimTime::from_millis(9), ScenarioEvent::RailUp(RailId(0)))
+        };
+        let stall = jitter_free(OpusConfig::provisioned(SimDuration::from_millis(5)), 2);
+        let replan = OpusConfig {
+            recovery_policy: RecoveryPolicy::Replan,
+            ..stall
+        };
+        let reseeded = OpusConfig { seed: 2, ..stall };
+        let jittered = OpusConfig {
+            compute_jitter: 0.03,
+            ..stall
+        };
+        let specs = vec![
+            spec(stall),
+            spec(replan),
+            spec(reseeded),
+            spec(jittered),
+            spec(OpusConfig {
+                seed: 2,
+                ..jittered
+            }),
+            flap(spec(stall)),
+            flap(spec(replan)),
+            flap(spec(reseeded)),
+            ScenarioSpec::new(tiny_cluster(4)).job(tiny_dag(), stall),
+            ScenarioSpec::new(tiny_cluster(4)).job_placed(
+                Arc::clone(&dag),
+                stall,
+                JobPlacement::AtGpu(0),
+            ),
+            ScenarioSpec::new(tiny_cluster(5)).job(Arc::clone(&dag), stall),
+        ];
+        // A recovery policy acts only on a failure and an inert RNG never draws;
+        // a drawing RNG, a failure, another DAG `Arc`, placement or cluster do count.
+        let firsts = first_same_simulation(&specs);
+        assert_eq!(firsts, vec![0, 0, 0, 3, 4, 5, 6, 5, 8, 9, 10]);
+        for (idx, &first) in firsts.iter().enumerate().filter(|(i, &f)| *i != f) {
+            assert_eq!(
+                format!("{:?}", specs[idx].clone().run()),
+                format!("{:?}", specs[first].clone().run()),
+                "spec {idx} shares spec {first}'s simulation"
+            );
+        }
+        // On 72 rails the build rejects an optical replan job but not an
+        // electrical one, whose recovery policy it never reads.
+        let stall = nvl72_spec(RecoveryPolicy::Stall);
+        let mut replan = stall.clone();
+        replan.jobs[0].config.recovery_policy = RecoveryPolicy::Replan;
+        assert_eq!(
+            first_same_simulation(&[stall.clone(), replan.clone()]),
+            vec![0, 1]
+        );
+        let [mut stall, mut replan] = [stall, replan];
+        stall.jobs[0].config.policy = ReconfigPolicy::Electrical;
+        replan.jobs[0].config.policy = ReconfigPolicy::Electrical;
+        assert_eq!(first_same_simulation(&[stall, replan]), vec![0, 0]);
     }
 
     /// Two GB200 NVL72 nodes (72 rails) running one 2-way data-parallel job whose
