@@ -4,11 +4,12 @@
 //! A DP ring occupies every GPU of rail 0 on a 1024-GPU DGX H200 cluster; the rail
 //! then fails. `replan_swap_recompute` isolates `CircuitPlanner::replan_degraded`:
 //! re-striping the dead rail's circuits onto the surviving rails (round-robin
-//! assignment + per-GPU port watermarks). `replan_swap_install` adds the fabric-side
-//! cost of actually swapping: installing the degraded plan on the surviving rails and
-//! tearing it back down (the `RailUp` swap-back), so one iteration is one full
-//! degrade/restore cycle — the work `RecoveryPolicy::Replan` pays per health
-//! transition, isolated from the event engine.
+//! assignment + per-GPU port watermarks). `replan_swap_install` times the fabric side
+//! of the swap on its own: the degraded plan is computed once, outside the timed
+//! loop, and one iteration resolves it to the fabric's dense tables, installs it on
+//! the surviving rails and tears it back down (the `RailUp` swap-back) — the fabric
+//! work `RecoveryPolicy::Replan` pays per health transition, isolated from the event
+//! engine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opus::CircuitPlanner;
@@ -42,12 +43,12 @@ fn bench_replan_swap(c: &mut Criterion) {
     let mut fabric = OpticalRailFabric::for_cluster(&cluster, SimDuration::from_millis(25));
     let mut now = SimTime::ZERO;
     let mut plan = Vec::new();
+    let degraded = planner.replan_degraded(&cluster, &pristine, healthy);
     c.bench_function("replan_swap_install", |b| {
         b.iter(|| {
-            let degraded = planner.replan_degraded(&cluster, black_box(&pristine), healthy.clone());
             // A swap prepares the slot's plan again: resolve the degraded circuits.
             plan.clear();
-            degraded.resolve_into(geometry, &mut plan);
+            black_box(&degraded).resolve_into(geometry, &mut plan);
             // Degrade: the replanned circuits land on the surviving rails.
             for run in plan.chunk_by(|a, b| a.rail() == b.rail()) {
                 now = fabric
