@@ -440,9 +440,9 @@ fn simulation_hash(spec: &ScenarioSpec) -> u64 {
             config.policy,
             config.reconfig_latency,
             config.recovery_policy,
+            config.seed,
         )
             .hash(&mut hasher);
-        (config.iterations, config.seed).hash(&mut hasher);
     }
     hasher.finish()
 }
