@@ -21,8 +21,10 @@
 //!   assert the ordered results serialize identically, and report the speedup.
 //!
 //! The failure window calibrates itself from a clean electrical run: outages land
-//! inside the job's real runtime, lasting 2–10 % of it. Results land in
-//! `results/fleet_frontier.json`.
+//! inside the job's real runtime, lasting 2–10 % of it. The sweep simulates each
+//! distinct scenario once (a `+replan` twin's clean trace runs its stall level's
+//! scenario), and the note under the frontier counts the scenarios it simulated.
+//! Results land in `results/fleet_frontier.json`.
 
 use opus::fleet::{FailureModel, FleetService, ProvisioningLevel, SweepSpec, VariantResult};
 use opus::{JobPlacement, ReconfigPolicy, RecoveryPolicy};
