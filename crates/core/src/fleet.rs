@@ -803,6 +803,16 @@ mod tests {
         }
     }
 
+    /// `sweep` plus a `+replan` twin of its second level, whose clean traces run
+    /// that level's scenarios.
+    fn with_replan_twin(mut sweep: SweepSpec) -> SweepSpec {
+        let replan = sweep.levels[1]
+            .clone()
+            .with_recovery(RecoveryPolicy::Replan);
+        sweep.levels.push(replan);
+        sweep
+    }
+
     #[test]
     fn the_first_eight_derived_seeds_are_pinned() {
         // splitmix64 over base seed 42; independent of everything but the index.
@@ -894,10 +904,14 @@ mod tests {
     #[test]
     fn streaming_sink_sees_every_variant_exactly_once() {
         let service = tiny_service();
-        let mut sweep = tiny_sweep(2);
+        let mut sweep = with_replan_twin(tiny_sweep(2));
         sweep.workers = 3;
-        let mut seen = Vec::new();
-        let report = service.evaluate_streaming(&sweep, |v| seen.push(v.variant));
+        let mut order = Vec::new();
+        let report = service.evaluate_streaming(&sweep, |v| order.push(v.variant));
+        // The twin's clean variant 4 takes variant 2's run and follows it.
+        let twin = order.iter().position(|&v| v == 4).unwrap();
+        assert_eq!(order[twin - 1], 2);
+        let mut seen = order;
         seen.sort_unstable();
         assert_eq!(seen, (0..sweep.num_variants()).collect::<Vec<_>>());
         // The report itself is in grid order regardless of completion order.
@@ -1007,64 +1021,32 @@ mod tests {
     }
 
     #[test]
-    fn every_row_matches_its_variant_run_alone() {
-        // Brute force over a grid whose replan twin runs its stall level's clean
-        // traces: 3 levels x 2 placements x 2 traces, of which the twin's two clean
-        // variants take their stall level's run.
-        let service = tiny_service_on(NodePreset::PerlmutterA100, 5);
-        let mut sweep = tiny_sweep(2);
-        let replan = sweep.levels[1]
-            .clone()
-            .with_recovery(RecoveryPolicy::Replan);
-        sweep.levels.push(replan);
-        sweep.placements = vec![JobPlacement::Auto, JobPlacement::AtGpu(4)];
-        sweep.workers = 2;
-        let mut order = Vec::new();
-        let report = service.evaluate_streaming(&sweep, |v| order.push(v.variant));
-        assert_eq!(report.variants.len(), 12);
-        assert_eq!(report.scenarios_run, 10);
-        for (idx, row) in report.variants.iter().enumerate() {
-            let alone = FleetService::run_variant(&sweep, idx, service.variant_spec(&sweep, idx));
-            assert_eq!(
-                serde_json::to_string(row).unwrap(),
-                serde_json::to_string(&alone).unwrap(),
-                "variant {idx}"
-            );
-        }
-        // Each clean twin reaches the sink right after the stall variant it copies.
-        for (twin, stall) in [(8, 4), (10, 6)] {
-            let at = order.iter().position(|&v| v == twin).unwrap();
-            assert_eq!(order[at - 1], stall);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "re-plans around failed rails on a cluster with 72 rails")]
     fn a_replan_twin_the_build_rejects_still_runs_and_panics() {
         // On 72 rails the build rejects an optical replan job, so the clean twin
         // cannot take its stall level's run: it runs, and its panic reaches the
         // caller.
         let service = tiny_service_on(NodePreset::Gb200Nvl72, 1);
-        let mut sweep = tiny_sweep(1);
-        let replan = sweep.levels[1]
-            .clone()
-            .with_recovery(RecoveryPolicy::Replan);
-        sweep.levels.push(replan);
-        service.evaluate(&sweep);
+        service.evaluate(&with_replan_twin(tiny_sweep(1)));
     }
 
     #[test]
     fn variant_results_depend_only_on_their_seed() {
-        // Re-running one variant in isolation reproduces the sweep's row exactly.
-        let service = tiny_service();
-        let mut sweep = tiny_sweep(2);
+        // Re-running each variant in isolation reproduces the sweep's row exactly,
+        // twins included: 3 levels x 2 placements x 2 traces, of which the replan
+        // twin's two clean variants take their stall level's runs.
+        let service = tiny_service_on(NodePreset::PerlmutterA100, 5);
+        let mut sweep = with_replan_twin(tiny_sweep(2));
+        sweep.placements = vec![JobPlacement::Auto, JobPlacement::AtGpu(4)];
         sweep.workers = 2;
         let report = service.evaluate(&sweep);
-        for idx in [1usize, 3] {
+        assert_eq!(report.scenarios_run, 10);
+        for (idx, row) in report.variants.iter().enumerate() {
             let solo = FleetService::run_variant(&sweep, idx, service.variant_spec(&sweep, idx));
             assert_eq!(
                 serde_json::to_string(&solo).unwrap(),
-                serde_json::to_string(&report.variants[idx]).unwrap()
+                serde_json::to_string(row).unwrap(),
+                "variant {idx}"
             );
         }
     }
