@@ -10,11 +10,29 @@
 //! `table3_scalability` and `fleet_sweep` print and write host measurements (wall
 //! clock, events per second, peak RSS), so their stdout is not pinned. Their results
 //! JSON is, minus the lines of those fields, at the points CI runs: the 1k-GPU Table 3
-//! points and the fleet smoke's 36-variant grid. `bench_scale` and `bench_compare`
-//! read benchmark reports instead of simulating.
+//! points, the 10k and 100k optical points, and the fleet smoke's 36-variant grid. The
+//! 100k point takes about 16 s in a debug build on a 2-core machine, so it is
+//! `#[ignore]`d and CI runs it in release. `fig7_cost_power --simulate` prints each
+//! simulated size's wall clock in its table's last column; its stdout is pinned
+//! without that column. `bench_scale` and `bench_compare` read benchmark reports
+//! instead of simulating.
+//!
+//! Runs of one binary rewrite the same results files, so its tests take turns on a
+//! lock.
 
 use std::path::Path;
 use std::process::Command;
+use std::sync::Mutex;
+
+/// Held by the `fig7_cost_power` tests while one runs.
+static FIG7: Mutex<()> = Mutex::new(());
+/// Held by the `table3_scalability` tests while one runs.
+static TABLE3: Mutex<()> = Mutex::new(());
+
+/// Takes `lock` even if a test that held it failed.
+fn take(lock: &Mutex<()>) -> std::sync::MutexGuard<'_, ()> {
+    lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// FNV-1a, the hash of the seed pins in the workspace's `scenario_compat` tests.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -26,11 +44,39 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// `text` without the column headed `header`, which must be its table's last: from the
+/// header line to the table's first note or blank line, each line is cut where that
+/// column starts.
+fn without_last_column(text: &str, header: &str) -> String {
+    let mut out = String::new();
+    let mut cut_at = None;
+    for line in text.split_inclusive('\n') {
+        if let Some(at) = line.find(header) {
+            cut_at = Some(at);
+        } else if line.starts_with("note: ") || line.trim().is_empty() {
+            cut_at = None;
+        }
+        match cut_at {
+            Some(at) => {
+                out.push_str(line.get(..at).unwrap_or(line).trim_end());
+                out.push('\n');
+            }
+            None => out.push_str(line),
+        }
+    }
+    out
+}
+
 /// Runs the binary at `exe` with `args` and returns the digest of its stdout minus the
-/// `(wrote …)` lines, then the file name and digest of each JSON those lines name, in
-/// the order the binary wrote them. A JSON line whose key is one of `host_keys` is left
-/// out of its file's digest.
-fn digests(exe: &str, args: &[&str], host_keys: &[&str]) -> Vec<(String, u64)> {
+/// `(wrote …)` lines and minus the table column headed `host_column`, if any, then the
+/// file name and digest of each JSON those lines name, in the order the binary wrote
+/// them. A JSON line whose key is one of `host_keys` is left out of its file's digest.
+fn digests(
+    exe: &str,
+    args: &[&str],
+    host_keys: &[&str],
+    host_column: Option<&str>,
+) -> Vec<(String, u64)> {
     let out = Command::new(exe)
         .args(args)
         .output()
@@ -51,6 +97,9 @@ fn digests(exe: &str, args: &[&str], host_keys: &[&str]) -> Vec<(String, u64)> {
             Some(path) => written.push(path.to_string()),
             None => printed.push_str(line),
         }
+    }
+    if let Some(header) = host_column {
+        printed = without_last_column(&printed, header);
     }
     let host_line = |line: &str| {
         host_keys
@@ -89,13 +138,13 @@ fn assert_pinned(run: &str, got: &[(String, u64)], pinned: &[(&str, u64)]) {
 
 /// Asserts the digests of the binary's run without arguments.
 fn check(exe: &str, pinned: &[(&str, u64)]) {
-    assert_pinned(exe, &digests(exe, &[], &[]), pinned);
+    assert_pinned(exe, &digests(exe, &[], &[], None), pinned);
 }
 
 /// Asserts the digests of the JSON that the binary's run with `args` writes, minus the
 /// lines of `host_keys`. Its stdout prints host measurements and is not pinned.
 fn check_json(exe: &str, args: &[&str], host_keys: &[&str], pinned: &[(&str, u64)]) {
-    let mut got = digests(exe, args, host_keys);
+    let mut got = digests(exe, args, host_keys, None);
     got.retain(|(name, _)| name != "stdout");
     assert_pinned(&format!("{exe} {}", args.join(" ")), &got, pinned);
 }
@@ -144,10 +193,26 @@ fn fig4_windows() {
 
 #[test]
 fn fig7_cost_power() {
+    let _turn = take(&FIG7);
     check(
         env!("CARGO_BIN_EXE_fig7_cost_power"),
         &[
             ("stdout", 0x6f15fd322894b0a3),
+            ("fig7_cost_power.json", 0x752cfec9be519acb),
+        ],
+    );
+}
+
+#[test]
+fn fig7_cost_power_simulated() {
+    let _turn = take(&FIG7);
+    let exe = env!("CARGO_BIN_EXE_fig7_cost_power");
+    let args = ["--simulate"];
+    assert_pinned(
+        &format!("{exe} --simulate"),
+        &digests(exe, &args, &[], Some("Wall clock (s)")),
+        &[
+            ("stdout", 0x564db82abc00adb5),
             ("fig7_cost_power.json", 0x752cfec9be519acb),
         ],
     );
@@ -230,31 +295,33 @@ fn ablation_host_offload() {
     );
 }
 
+/// Asserts the results JSON of one `table3_scalability` run against `scale`, the
+/// digest of its `table3_scale.json`. The technology table is the same at every point.
+fn table3_point(args: &[&str], scale: u64) {
+    check_json(
+        env!("CARGO_BIN_EXE_table3_scalability"),
+        args,
+        &["wall_clock_s", "events_per_sec", "peak_rss_mib"],
+        &[
+            ("table3_scalability.json", 0x9d9ba5a6c1310350),
+            ("table3_scale.json", scale),
+        ],
+    )
+}
+
 #[test]
 fn table3_scalability_1k_points() {
-    // One test runs every point: each run rewrites the same results files. The
-    // technology table is the same at every point.
-    let point = |args: &[&str], scale: u64| {
-        check_json(
-            env!("CARGO_BIN_EXE_table3_scalability"),
-            args,
-            &["wall_clock_s", "events_per_sec", "peak_rss_mib"],
-            &[
-                ("table3_scalability.json", 0x9d9ba5a6c1310350),
-                ("table3_scale.json", scale),
-            ],
-        )
-    };
-    point(&["--gpus", "1024"], 0x4f5fdd7b0bbd5ff3);
-    point(
+    let _turn = take(&TABLE3);
+    table3_point(&["--gpus", "1024"], 0x4f5fdd7b0bbd5ff3);
+    table3_point(
         &["--gpus", "1024", "--scenario", "two-job"],
         0x48a6bbbe6b793ea1,
     );
-    point(
+    table3_point(
         &["--gpus", "1024", "--scenario", "rail-flap"],
         0x7e00f443cc167f35,
     );
-    point(
+    table3_point(
         &[
             "--gpus",
             "1024",
@@ -264,6 +331,25 @@ fn table3_scalability_1k_points() {
             "replan",
         ],
         0x8679869f2ff148dc,
+    );
+}
+
+#[test]
+fn table3_scalability_10k_optical() {
+    let _turn = take(&TABLE3);
+    table3_point(
+        &["--gpus", "10240", "--policy", "optical"],
+        0xf29265071e8c3e8a,
+    );
+}
+
+#[test]
+#[ignore = "slow in a debug build; CI runs it in release"]
+fn table3_scalability_100k_optical() {
+    let _turn = take(&TABLE3);
+    table3_point(
+        &["--gpus", "102400", "--policy", "optical"],
+        0xc80ae0b45e285e6f,
     );
 }
 
