@@ -65,10 +65,40 @@ fn bench_engine_same_instant_fanout(c: &mut Criterion) {
     });
 }
 
+fn bench_engine_spread_instants(c: &mut Criterion) {
+    // Mixed tenancy's regime: the same 1k chains of 10 events, but roots start on 220
+    // instants and each future follow-up lands 1-220 ns later, the delay hashed from
+    // the event. About 150 future instants stay pending (147 on average when a
+    // schedule looks its instant up, as mixed tenancy's 155), where the fan-out bench
+    // keeps 2.
+    c.bench_function("engine_spread_instants_10k", |b| {
+        b.iter(|| {
+            let mut engine: Engine<u32> = Engine::new();
+            for chain in 0..1_000u32 {
+                engine.schedule_at(SimTime::from_nanos(u64::from(chain % 220)), chain * 10);
+            }
+            let mut total = 0u64;
+            engine.run(|eng, _t, ev| {
+                total = total.wrapping_add(u64::from(black_box(ev)));
+                match ev % 10 {
+                    9 => {}
+                    step if step % 2 == 0 => eng.schedule_now(ev + 1),
+                    _ => {
+                        let delay = 1 + u64::from(ev).wrapping_mul(2_654_435_761) % 220;
+                        eng.schedule_after(SimDuration::from_nanos(delay), ev + 1)
+                    }
+                }
+            });
+            total
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
     bench_engine_cascade,
-    bench_engine_same_instant_fanout
+    bench_engine_same_instant_fanout,
+    bench_engine_spread_instants
 );
 criterion_main!(benches);

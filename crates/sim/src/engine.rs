@@ -1,31 +1,38 @@
 //! The discrete-event simulation driver.
 //!
 //! [`Engine`] owns the pending events plus the simulation clock. Callers drive the
-//! simulation explicitly with [`Engine::pop`] (pull style) or [`Engine::run`] /
-//! [`Engine::run_until`] (push style with a handler closure). The engine never runs
-//! events "in the past": popping an event advances the clock to that event's timestamp,
-//! and scheduling an event before the current time is a logic error that panics in
-//! debug builds and is clamped to `now` in release builds.
+//! simulation explicitly with [`Engine::pop`] (pull style) or [`Engine::run`] (push
+//! style with a handler closure). The engine never runs events "in the past": popping
+//! an event advances the clock to that event's timestamp, and scheduling an event
+//! before the current time is a logic error that panics in debug builds and is clamped
+//! to `now` in release builds.
 //!
 //! ## Timestamp buckets
 //!
 //! Events pop in `(time, scheduling order)` order — exactly the order of the
 //! [`EventQueue`](crate::EventQueue) binary heap keyed on `(time, seq)` — but the
-//! engine stores neither value per event. Events due at the current time sit in one
-//! FIFO list; every later timestamp has a FIFO list of its own, the earliest held
-//! aside and the rest in an ordered map. Scheduling appends to the list of the event's
-//! exact timestamp, and scheduling order *is* sequence order, so every list is already
-//! sorted. Popping drains the current list, then promotes the earliest future list to
-//! be the current one, advances the clock to its timestamp and takes the map's first
-//! list as the next earliest.
+//! engine stores neither value per event. Every timestamp after the current time has a
+//! FIFO list of its own. Scheduling appends to the list of the event's exact timestamp,
+//! and scheduling order *is* sequence order, so every list is already sorted. The
+//! earliest future list is held aside. The later ones are found by timestamp in a hash
+//! map, and a min-heap of their timestamps alone decides which comes next. When the
+//! current time's events are done, the held list is promoted: the clock advances to
+//! its timestamp, and the heap's earliest timestamp, whose list leaves the map, is held
+//! aside next.
+//!
+//! An event scheduled at the current time, or clamped to it, joins no list. It was
+//! scheduled after every event of the promoted list, so it waits in a plain FIFO queue
+//! that pops once the promoted list is empty.
 //!
 //! The workspace's simulations repeat one traffic pattern across replicas and
 //! iterations, so millions of events share a few thousand distinct timestamps: almost
-//! every schedule appends to an existing list (zero-delay follow-ups to the current
-//! one), and the map stays small. Holding the earliest future list outside the map
-//! keeps the opposite extreme cheap too: a chain with one future instant at a time
-//! never touches the map. All lists thread through one slab of `(event, next)` nodes
-//! with a free list, so a running simulation allocates nothing per event.
+//! every schedule appends to an existing list or to the FIFO (the zero-delay
+//! follow-ups), and the map stays small. A multi-tenant run still keeps over a hundred
+//! instants pending, which is why they are found by hash rather than by an ordered
+//! search. Holding the earliest future list outside the map keeps the opposite extreme
+//! cheap too: a chain with one future instant at a time never touches the map. The
+//! future lists thread through one slab of `(event, next)` nodes with a free list and
+//! the FIFO is a ring buffer, so a running simulation allocates nothing per event.
 //!
 //! ```
 //! use railsim_sim::{Engine, SimTime};
@@ -44,7 +51,10 @@
 //! ```
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// End-of-list marker for slab indices.
 const NIL: u32 = u32::MAX;
@@ -83,22 +93,51 @@ impl List {
     }
 }
 
+/// Hashes a [`SimTime`], a single `u64`, with one multiply: the instants map needs no
+/// defence against chosen keys, and SipHash would cost more than the lookup it serves.
+#[derive(Default)]
+struct InstantHasher(u64);
+
+impl Hasher for InstantHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits depend on every bit of the key; move them down to
+        // the bits the table indexes by.
+        self.0.rotate_left(26)
+    }
+}
+
 /// A minimal deterministic discrete-event simulation engine.
 ///
 /// `E` is the caller-defined event type. See the crate-level documentation for an
 /// end-to-end example and the module documentation for the data structure.
 #[derive(Debug)]
 pub struct Engine<E> {
-    /// Every list's nodes; free slots chain from `free`.
+    /// Every future list's nodes; free slots chain from `free`.
     nodes: Vec<Node<E>>,
     free: u32,
-    /// Events due at `now`, in scheduling order.
+    /// The promoted list: events that were scheduled for `now` before the clock
+    /// reached it, in scheduling order.
     due: List,
+    /// Events scheduled at `now` since the clock reached it, in scheduling order. They
+    /// pop after `due`.
+    now_queue: VecDeque<E>,
     /// The earliest timestamp after `now` and its events (an empty list when nothing
     /// is scheduled after `now`).
     next: (SimTime, List),
     /// Events due after `next`'s timestamp, one list per exact timestamp.
-    later: BTreeMap<SimTime, List>,
+    later: HashMap<SimTime, List, BuildHasherDefault<InstantHasher>>,
+    /// Every key of `later`, once each: the order in which they are promoted.
+    instants: BinaryHeap<Reverse<SimTime>>,
     now: SimTime,
     pending: usize,
     processed: u64,
@@ -118,8 +157,10 @@ impl<E> Engine<E> {
             nodes: Vec::new(),
             free: NIL,
             due: List::EMPTY,
+            now_queue: VecDeque::new(),
             next: (SimTime::ZERO, List::EMPTY),
-            later: BTreeMap::new(),
+            later: HashMap::default(),
+            instants: BinaryHeap::new(),
             now: SimTime::ZERO,
             pending: 0,
             processed: 0,
@@ -163,35 +204,43 @@ impl<E> Engine<E> {
     /// builds the event is clamped to fire "now", behind everything already due now,
     /// so the simulation still makes progress, and the clamp is counted in
     /// [`Engine::clamped_events`] so callers can assert it never happened.
+    #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled an event in the past: at={at} now={}",
             self.now
         );
-        let node = self.alloc(event);
-        let list = if at <= self.now {
+        self.pending += 1;
+        if at <= self.now {
             if at < self.now {
                 self.clamped += 1;
             }
-            &mut self.due
+            self.now_queue.push_back(event);
+            return;
+        }
+        let node = self.alloc(event);
+        let (next_at, next) = self.next;
+        let list = if next.is_empty() || at < next_at {
+            // `at` becomes the earliest future instant.
+            if !next.is_empty() {
+                self.later.insert(next_at, next);
+                self.instants.push(Reverse(next_at));
+            }
+            self.next = (at, List::EMPTY);
+            &mut self.next.1
+        } else if at == next_at {
+            &mut self.next.1
         } else {
-            let (next_at, next) = self.next;
-            if next.is_empty() || at < next_at {
-                // `at` becomes the earliest future instant.
-                if !next.is_empty() {
-                    self.later.insert(next_at, next);
+            match self.later.entry(at) {
+                Entry::Occupied(list) => list.into_mut(),
+                Entry::Vacant(slot) => {
+                    self.instants.push(Reverse(at));
+                    slot.insert(List::EMPTY)
                 }
-                self.next = (at, List::EMPTY);
-                &mut self.next.1
-            } else if at == next_at {
-                &mut self.next.1
-            } else {
-                self.later.entry(at).or_insert(List::EMPTY)
             }
         };
         list.push_back(&mut self.nodes, node);
-        self.pending += 1;
     }
 
     /// Schedules `event` to fire `after` the current simulated time.
@@ -206,15 +255,25 @@ impl<E> Engine<E> {
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.due.is_empty() {
+            if let Some(event) = self.now_queue.pop_front() {
+                return Some(self.popped(event));
+            }
             let (time, list) = self.next;
             if list.is_empty() {
                 return None;
             }
             self.now = time;
             self.due = list;
-            self.next = self.later.pop_first().unwrap_or((time, List::EMPTY));
+            self.next = match self.instants.pop() {
+                Some(Reverse(at)) => {
+                    let list = self.later.remove(&at).expect("a heap instant has a list");
+                    (at, list)
+                }
+                None => (time, List::EMPTY),
+            };
         }
         let idx = self.due.head;
         let slot = &mut self.nodes[idx as usize];
@@ -225,18 +284,14 @@ impl<E> Engine<E> {
         }
         slot.next = self.free;
         self.free = idx;
-        self.pending -= 1;
-        self.processed += 1;
-        Some((self.now, event))
+        Some(self.popped(event))
     }
 
-    /// The timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if !self.due.is_empty() {
-            Some(self.now)
-        } else {
-            (!self.next.1.is_empty()).then_some(self.next.0)
-        }
+    /// Counts `event` out of the pending set and returns it with its timestamp.
+    fn popped(&mut self, event: E) -> (SimTime, E) {
+        self.pending -= 1;
+        self.processed += 1;
+        (self.now, event)
     }
 
     /// Runs the simulation to completion, invoking `handler` for every event.
@@ -245,24 +300,6 @@ impl<E> Engine<E> {
     /// Returns the final simulated time.
     pub fn run(&mut self, mut handler: impl FnMut(&mut Engine<E>, SimTime, E)) -> SimTime {
         while let Some((time, event)) = self.pop() {
-            handler(self, time, event);
-        }
-        self.now
-    }
-
-    /// Runs the simulation until the clock would pass `deadline` (exclusive) or the
-    /// queue drains, whichever comes first. Events at exactly `deadline` are *not*
-    /// processed. Returns the final simulated time.
-    pub fn run_until(
-        &mut self,
-        deadline: SimTime,
-        mut handler: impl FnMut(&mut Engine<E>, SimTime, E),
-    ) -> SimTime {
-        while let Some(next) = self.peek_time() {
-            if next >= deadline {
-                break;
-            }
-            let (time, event) = self.pop().expect("peeked event must exist");
             handler(self, time, event);
         }
         self.now
@@ -348,18 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_before_deadline() {
-        let mut engine = Engine::new();
-        for i in 0..10u64 {
-            engine.schedule_at(SimTime::from_millis(i), i);
-        }
-        let mut seen = Vec::new();
-        engine.run_until(SimTime::from_millis(5), |_eng, _t, ev| seen.push(ev));
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        assert_eq!(engine.pending_events(), 5);
-    }
-
-    #[test]
     fn clock_advances_monotonically() {
         let mut engine = Engine::new();
         engine.schedule_at(SimTime::from_millis(10), "late");
@@ -376,16 +401,17 @@ mod tests {
         let mut engine = Engine::new();
         engine.schedule_at(SimTime::from_millis(10), "late");
         engine.schedule_at(SimTime::from_millis(2), "early");
-        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(2)));
+        assert_eq!(engine.now(), SimTime::ZERO);
         assert_eq!(engine.pop(), Some((SimTime::from_millis(2), "early")));
         assert_eq!(engine.now(), SimTime::from_millis(2));
         engine.schedule_now("now");
-        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(2)));
-        engine.pop();
-        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(10)));
-        engine.pop();
+        assert_eq!(engine.pop(), Some((SimTime::from_millis(2), "now")));
+        assert_eq!(engine.now(), SimTime::from_millis(2));
+        assert_eq!(engine.pop(), Some((SimTime::from_millis(10), "late")));
         assert_eq!(engine.now(), SimTime::from_millis(10));
-        assert_eq!(engine.peek_time(), None);
+        // Draining leaves the clock where the last event fired.
+        assert_eq!(engine.pop(), None);
+        assert_eq!(engine.now(), SimTime::from_millis(10));
     }
 
     #[test]
@@ -462,9 +488,11 @@ mod tests {
         engine.schedule_at(t, 0u32);
         engine.schedule_at(t, 1);
         engine.pop();
-        engine.schedule_at(SimTime::from_millis(1), 2);
+        engine.schedule_now(2);
+        engine.schedule_at(SimTime::from_millis(1), 3);
         assert_eq!(engine.clamped_events(), 1);
-        // Clamped to now, not the past, and behind the event already due now.
-        assert_eq!(drain(&mut engine), vec![(t, 1), (t, 2)]);
+        // Clamped to now, not the past, and behind every event already due now: the
+        // one scheduled for `t` before the clock got there and the one scheduled at it.
+        assert_eq!(drain(&mut engine), vec![(t, 1), (t, 2), (t, 3)]);
     }
 }

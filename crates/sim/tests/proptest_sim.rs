@@ -4,7 +4,13 @@
 
 use proptest::prelude::*;
 use railsim_sim::stats::{Cdf, Summary};
-use railsim_sim::{Bandwidth, Bytes, Engine, EventQueue, Scheduled, SimDuration, SimTime};
+use railsim_sim::{Bandwidth, Bytes, Engine, EventQueue, SimDuration, SimTime};
+
+/// Spans of the engine properties' draws, as (root times, follow-up delays) in ns: a
+/// few instants, most of them shared, as in the simulator's steady state, or dozens
+/// pending at once, as in a multi-tenant run.
+const NARROW: (u64, u64) = (8, 3);
+const WIDE: (u64, u64) = (10_000, 1_000);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -53,27 +59,35 @@ proptest! {
 
     #[test]
     fn engine_pops_the_event_queue_order(
-        schedule in proptest::collection::vec((0u64..8u64, 0usize..3usize), 1..300),
+        schedule in proptest::collection::vec((0u64..10_000u64, 0usize..3usize), 1..300),
+        span in prop_oneof![Just(NARROW.0), Just(WIDE.0)],
     ) {
         // The engine must pop exactly the `(time, seq)` order of the reference heap.
-        // Timestamps come from a narrow range, so most events share an instant. After
-        // each scheduled event a few pops advance the clock, and an event drawn before
-        // the clock is scheduled at `now` instead: most schedules then land on the
-        // instant being drained, which is the simulator's regime.
+        // After each scheduled event a few pops advance the clock, and an event drawn
+        // before the clock is scheduled at `now` instead. With the narrow span most
+        // events share an instant and most schedules land on the instant being
+        // drained, which is the simulator's regime. With the wide span dozens of
+        // future instants are pending at once, so their heap decides the order.
         let mut engine: Engine<usize> = Engine::new();
         let mut reference = EventQueue::new();
         let mut popped = Vec::new();
         let mut reference_popped = Vec::new();
         for (i, &(nanos, pops)) in schedule.iter().enumerate() {
-            let at = SimTime::from_nanos(nanos).max(engine.now());
+            let at = SimTime::from_nanos(nanos % span).max(engine.now());
             engine.schedule_at(at, i);
             reference.push(at, i);
+            prop_assert_eq!(engine.pending_events(), reference.len());
             for _ in 0..pops {
                 popped.extend(engine.pop());
                 reference_popped.extend(reference.pop().map(|s| (s.time, s.event)));
+                prop_assert_eq!(engine.pending_events(), reference.len());
             }
         }
-        popped.extend(std::iter::from_fn(|| engine.pop()));
+        while let Some(event) = engine.pop() {
+            popped.push(event);
+            reference_popped.extend(reference.pop().map(|s| (s.time, s.event)));
+            prop_assert_eq!(engine.pending_events(), reference.len());
+        }
         reference_popped.extend(std::iter::from_fn(|| reference.pop()).map(|s| (s.time, s.event)));
         prop_assert_eq!(popped, reference_popped);
         prop_assert_eq!(engine.processed_events(), schedule.len() as u64);
@@ -83,42 +97,42 @@ proptest! {
 
     #[test]
     fn engine_matches_event_queue_with_cascading_events(
-        seeds in proptest::collection::vec(0u64..8u64, 1..40),
+        seeds in proptest::collection::vec(0u64..10_000u64, 1..40),
         fanout in 1u32..4u32,
+        (span, follow_span) in prop_oneof![Just(NARROW), Just(WIDE)],
     ) {
         // Events scheduled *during* the run (the simulator's Ready -> Done pattern):
         // every popped event below a depth budget schedules follow-ups at now + delta,
-        // with delta in 0..3 ns, so zero-delay follow-ups join the instant being
-        // drained. The reference replays the same handler over the `(time, seq)` heap.
+        // with delta below `follow_span`. With the narrow spans, zero-delay follow-ups
+        // often join the instant being drained; with the wide ones, follow-ups spread
+        // over dozens of pending instants, promoted while new ones arrive. The reference
+        // replays the same handler over the `(time, seq)` heap in lockstep.
         let follow_ups = |tag: u64, depth: u32| {
             let n = if depth < 3 { fanout } else { 0 };
             (0..u64::from(n)).map(move |f| {
-                let delta = SimDuration::from_nanos(tag.wrapping_add(f) % 3);
+                let delta = SimDuration::from_nanos(tag.wrapping_add(f) % follow_span);
                 (delta, (tag.wrapping_mul(31).wrapping_add(f + 1), depth + 1))
             })
         };
         let mut engine: Engine<(u64, u32)> = Engine::new();
         let mut reference = EventQueue::new();
         for &nanos in &seeds {
-            let at = SimTime::from_nanos(nanos);
+            let at = SimTime::from_nanos(nanos % span);
             engine.schedule_at(at, (nanos, 0));
             reference.push(at, (nanos, 0));
         }
-        let mut log = Vec::new();
-        engine.run(|eng, t, (tag, depth)| {
-            log.push((t, tag, depth));
+        loop {
+            let got = engine.pop();
+            let want = reference.pop().map(|s| (s.time, s.event));
+            prop_assert_eq!(got, want);
+            let Some((t, (tag, depth))) = got else { break };
             for (delta, event) in follow_ups(tag, depth) {
-                eng.schedule_after(delta, event);
+                engine.schedule_after(delta, event);
+                reference.push(t + delta, event);
             }
-        });
-        let mut reference_log = Vec::new();
-        while let Some(Scheduled { time, event: (tag, depth), .. }) = reference.pop() {
-            reference_log.push((time, tag, depth));
-            for (delta, event) in follow_ups(tag, depth) {
-                reference.push(time + delta, event);
-            }
+            prop_assert_eq!(engine.pending_events(), reference.len());
         }
-        prop_assert_eq!(log, reference_log);
+        prop_assert!(engine.is_idle());
         prop_assert_eq!(engine.clamped_events(), 0);
     }
 

@@ -132,11 +132,13 @@ pub struct DenseCircuit {
 
 impl DenseCircuit {
     /// The rail whose OCS carries the circuit.
+    #[inline]
     pub fn rail(&self) -> RailId {
         self.rail
     }
 
     /// The endpoints' slots in the per-rail port tables, lower endpoint first.
+    #[inline]
     pub fn ports(&self) -> [RailPort; 2] {
         self.ends.map(|index| RailPort {
             rail: self.rail.0,
@@ -182,11 +184,13 @@ impl OpticalRailFabric {
     }
 
     /// Shared access to a rail's OCS.
+    #[inline]
     pub fn ocs(&self, rail: RailId) -> &Ocs {
         &self.ocses[rail.index()]
     }
 
     /// Mutable access to a rail's OCS (used by the Opus controller).
+    #[inline]
     pub fn ocs_mut(&mut self, rail: RailId) -> &mut Ocs {
         &mut self.ocses[rail.index()]
     }
@@ -196,6 +200,7 @@ impl OpticalRailFabric {
     /// ready, or `None` when any of them is not installed. The read half of a no-op
     /// [`Ocs::install`] on each rail: it answers "would this request be free, and
     /// when would it be ready?" without touching switch state.
+    #[inline]
     pub fn installed_ready(&self, circuits: &[DenseCircuit]) -> Option<SimTime> {
         let mut ready = SimTime::ZERO;
         for c in circuits {

@@ -381,6 +381,7 @@ impl Ocs {
     /// The ready time of the circuit between the ports in slots `ends` (their
     /// [`RailPort::index`]), if installed: [`Ocs::ready_time`] for a caller that
     /// resolved its ports once.
+    #[inline]
     pub(crate) fn dense_ready_time(&self, [a, b]: [u32; 2]) -> Option<SimTime> {
         (self.peer.get(a as usize) == Some(&b)).then(|| self.ready[a as usize])
     }

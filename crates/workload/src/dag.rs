@@ -422,11 +422,13 @@ impl ExecLayout {
     }
 
     /// The task at a position.
+    #[inline]
     pub fn task(&self, pos: Position) -> TaskId {
         self.order[pos.index()]
     }
 
     /// Every task's prerequisite count, by position.
+    #[inline]
     pub fn indegrees(&self) -> &[u32] {
         &self.indegrees
     }
@@ -439,11 +441,13 @@ impl ExecLayout {
 
     /// The positions of the tasks that list the task at `pos` as a prerequisite, in
     /// ascending task id.
+    #[inline]
     pub fn dependents(&self, pos: Position) -> &[Position] {
         csr_row(&self.dependent_offsets, &self.dependents, pos.index())
     }
 
     /// What executing the task at `pos` takes.
+    #[inline]
     pub fn step(&self, pos: Position) -> Step {
         self.steps[self.classes[pos.index()] as usize]
     }
@@ -561,6 +565,7 @@ impl TrainingDag {
 
     /// The DAG's execution layout (see the module docs), built on first use and
     /// shared by every clone and rebase of this DAG.
+    #[inline]
     pub fn layout(&self) -> &ExecLayout {
         self.graph
             .layout
