@@ -207,10 +207,9 @@ fn fig7_cost_power() {
 fn fig7_cost_power_simulated() {
     let _turn = take(&FIG7);
     let exe = env!("CARGO_BIN_EXE_fig7_cost_power");
-    let args = ["--simulate"];
     assert_pinned(
         &format!("{exe} --simulate"),
-        &digests(exe, &args, &[], Some("Wall clock (s)")),
+        &digests(exe, &["--simulate"], &[], Some("Wall clock (s)")),
         &[
             ("stdout", 0x564db82abc00adb5),
             ("fig7_cost_power.json", 0x752cfec9be519acb),
