@@ -1,14 +1,14 @@
-//! Fig. 3: the per-rail PP/FSDP communication pattern of one iteration, split by the
-//! warm-up / steady / cool-down pipeline phases, for (a) PP=2, FSDP=2 and (b) PP=3,
-//! FSDP=2, together with the distinct circuit configurations each rail cycles through.
+//! Fig. 3: the per-rail PP/FSDP communication pattern of one iteration, split into
+//! parallelism phases (maximal runs of rail-0 operations of one axis), for (a) PP=2,
+//! FSDP=2 and (b) PP=3, FSDP=2, together with the distinct circuit configurations each
+//! rail cycles through.
 
 use opus::{phases_on_rail, OpusConfig, ScenarioSpec};
 use railsim_bench::Report;
 use railsim_sim::SimDuration;
 use railsim_topology::{ClusterSpec, NodePreset, RailId};
-use railsim_workload::{
-    ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig, PipelineSchedule,
-};
+use railsim_workload::pipeline::bubble_fraction;
+use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -80,10 +80,9 @@ fn run_variant(name: &str, parallel: ParallelismConfig, rows: &mut Vec<PhaseRow>
         "distinct circuit configurations on rail 0: {} (one per communication group)",
         groups.len()
     ));
-    let schedule = PipelineSchedule::OneFOneB;
     report.note(format!(
         "pipeline bubble fraction: {:.2}",
-        schedule.bubble_fraction(parallel.pipeline, parallel.num_microbatches)
+        bubble_fraction(parallel.pipeline, parallel.num_microbatches)
     ));
     report.note(format!(
         "iteration time: {}",

@@ -4,7 +4,8 @@
 //! With `--simulate`, each figure size is also *synthesized and executed*: a DGX H200
 //! cluster of that size runs one provisioned-optical training iteration on the
 //! event engine, demonstrating that the cost model's x-axis is a regime the
-//! simulator actually covers (not just a spreadsheet row).
+//! simulator actually covers (not just a spreadsheet row). Any other argument is
+//! rejected.
 
 use opus::ScenarioSpec;
 use railsim_bench::{scale_run_config, scaled_cluster, scaled_dag, Report};
@@ -43,7 +44,13 @@ fn simulated_iteration_table(sizes: &[u64]) {
 }
 
 fn main() {
-    let simulate = std::env::args().any(|a| a == "--simulate");
+    let mut simulate = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--simulate" => simulate = true,
+            other => panic!("unknown argument {other}; the only option is --simulate"),
+        }
+    }
     let model = GpuBackendCostModel::dgx_h200_400g();
     let sizes = [1024u64, 2048, 4096, 8192];
     let rows: Vec<FabricCost> = model.sweep(&sizes);

@@ -20,6 +20,8 @@
 //! * `--verify-workers` — additionally re-evaluate the sweep with 1 worker,
 //!   assert the ordered results serialize identically, and report the speedup.
 //!
+//! Any other argument, or a flag missing its value, is rejected.
+//!
 //! The failure window calibrates itself from a clean electrical run: outages land
 //! inside the job's real runtime, lasting 2–10 % of it. The sweep simulates each
 //! distinct scenario once (a `+replan` twin's clean trace runs its stall level's
@@ -48,34 +50,38 @@ struct FrontierReport {
     variants: Vec<VariantResult>,
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The number after `flag`.
+///
+/// # Panics
+/// Panics when `args` holds no value or the value is not a number.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    args.next()
+        .unwrap_or_else(|| panic!("{flag} needs a value"))
+        .parse()
+        .unwrap_or_else(|_| panic!("{flag} expects a number"))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let num_gpus: u32 = arg_value(&args, "--gpus")
-        .map(|v| v.parse().expect("--gpus expects a number"))
-        .unwrap_or(256);
-    let requested_variants: usize = arg_value(&args, "--variants")
-        .map(|v| v.parse().expect("--variants expects a number"))
-        .unwrap_or(100);
-    let iterations: u32 = arg_value(&args, "--iterations")
-        .map(|v| v.parse().expect("--iterations expects a number"))
-        .unwrap_or(2);
-    let base_seed: u64 = arg_value(&args, "--base-seed")
-        .map(|v| v.parse().expect("--base-seed expects a number"))
-        .unwrap_or(42);
-    let workers: u32 = arg_value(&args, "--workers")
-        .map(|v| v.parse().expect("--workers expects a number"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        });
-    let verify_workers = args.iter().any(|a| a == "--verify-workers");
+    let mut num_gpus: u32 = 256;
+    let mut requested_variants: usize = 100;
+    let mut iterations: u32 = 2;
+    let mut base_seed: u64 = 42;
+    let mut workers: u32 = std::thread::available_parallelism()
+        .map(|n| n.get() as u32)
+        .unwrap_or(1);
+    let mut verify_workers = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--gpus" => num_gpus = number(&mut args, &arg),
+            "--variants" => requested_variants = number(&mut args, &arg),
+            "--iterations" => iterations = number(&mut args, &arg),
+            "--base-seed" => base_seed = number(&mut args, &arg),
+            "--workers" => workers = number(&mut args, &arg),
+            "--verify-workers" => verify_workers = true,
+            other => panic!("unknown argument {other}; see the crate docs"),
+        }
+    }
 
     // The provisioning ladder: electrical baseline + photonic points, priced by the
     // component catalog and the device-level tables.
@@ -159,7 +165,6 @@ fn main() {
         placements,
         failures,
         workers,
-        ..SweepSpec::default()
     };
 
     let started = Instant::now();

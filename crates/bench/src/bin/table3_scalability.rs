@@ -6,7 +6,7 @@
 //! ```text
 //! table3_scalability [--gpus 1024,4096,10240,102400,1024000] [--iterations 2]
 //!                    [--policy electrical|optical|replan|both]
-//!                    [--scenario clean|rail-flap|two-job] [--no-memo] [--skip-sim]
+//!                    [--scenario clean|rail-flap|two-job] [--no-memo]
 //! ```
 //!
 //! `--gpus` accepts a comma-separated list of cluster sizes (positive multiples of
@@ -38,7 +38,7 @@
 //! so many-iteration runs re-step every iteration — the naive control for measuring
 //! the fast-forward speedup (both paths produce byte-identical metrics).
 //!
-//! `--skip-sim` prints only the OCS technology table.
+//! Any other argument is rejected. The OCS technology table always prints first.
 
 use opus::{
     OpusConfig, ReconfigPolicy, RecoveryPolicy, ScenarioEvent, ScenarioResult, ScenarioSpec,
@@ -131,7 +131,6 @@ struct Args {
     policy: PolicyFilter,
     scenario: ScenarioKind,
     memoize: bool,
-    skip_sim: bool,
 }
 
 fn parse_args() -> Args {
@@ -141,7 +140,6 @@ fn parse_args() -> Args {
         policy: PolicyFilter::Both,
         scenario: ScenarioKind::Clean,
         memoize: true,
-        skip_sim: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -181,7 +179,6 @@ fn parse_args() -> Args {
                 };
             }
             "--no-memo" => parsed.memoize = false,
-            "--skip-sim" => parsed.skip_sim = true,
             other => panic!("unknown argument {other}; see the crate docs"),
         }
     }
@@ -446,9 +443,6 @@ fn run_scale_point(
 fn main() {
     let args = parse_args();
     tech_table();
-    if args.skip_sim {
-        return;
-    }
 
     let mut report = Report::new(
         "Table 3 (simulated) — datacenter-scale scalability runs",

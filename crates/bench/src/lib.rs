@@ -17,10 +17,10 @@ pub mod mem;
 pub mod report;
 pub mod setups;
 
-pub use mem::{peak_rss_bytes, peak_rss_mib, reset_peak_rss};
+pub use mem::{peak_rss_mib, reset_peak_rss};
 pub use report::Report;
 pub use setups::{
     fig8_latencies_ms, paper_cluster, paper_compute, paper_dag, paper_dag_large_batch, paper_model,
-    paper_parallelism, scale_gpu_counts, scale_run_config, scaled_cluster, scaled_cluster_100k,
-    scaled_cluster_with_spare, scaled_dag, scaled_parallelism, SCALE_100K_GPUS,
+    paper_parallelism, scale_run_config, scaled_cluster, scaled_cluster_with_spare, scaled_dag,
+    scaled_parallelism,
 };

@@ -8,7 +8,7 @@
 
 /// Peak resident set size (`VmHWM`) of this process in bytes, when the platform
 /// exposes it (`None` off Linux or if procfs is unavailable).
-pub fn peak_rss_bytes() -> Option<u64> {
+pub(crate) fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix("VmHWM:") {
@@ -19,12 +19,13 @@ pub fn peak_rss_bytes() -> Option<u64> {
     None
 }
 
-/// Peak resident set in MiB (see [`peak_rss_bytes`]).
+/// Peak resident set size (`VmHWM`) of this process in MiB, when the platform exposes
+/// it (`None` off Linux or if procfs is unavailable).
 pub fn peak_rss_mib() -> Option<f64> {
     peak_rss_bytes().map(|b| b as f64 / (1024.0 * 1024.0))
 }
 
-/// Resets the kernel's peak-RSS watermark so the next [`peak_rss_bytes`] reading
+/// Resets the kernel's peak-RSS watermark so the next [`peak_rss_mib`] reading
 /// reflects only allocations made after this call. Best-effort: returns `false`
 /// where unsupported (non-Linux, restricted procfs), in which case subsequent peaks
 /// are cumulative over the process lifetime.

@@ -125,7 +125,7 @@ impl Report {
 
 /// The directory experiment results are written to: `<workspace root>/results` when it
 /// can be located via `CARGO_MANIFEST_DIR`, otherwise `./results`.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let manifest = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_default();
     if manifest.is_empty() {
         return PathBuf::from("results");

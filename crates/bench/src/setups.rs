@@ -52,16 +52,6 @@ pub fn fig8_latencies_ms() -> Vec<f64> {
     vec![0.1, 1.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0]
 }
 
-/// The GPU counts of the datacenter-scale Table 3 / Fig. 7 runs.
-pub fn scale_gpu_counts() -> Vec<u32> {
-    vec![1024, 4096, 10240, SCALE_100K_GPUS]
-}
-
-/// The 100k-GPU ceiling: 12800 DGX H200 nodes (TP=8 × PP=8 × FSDP=1600). The
-/// interned-DAG + dense-controller memory budget and the parallel-stepping
-/// methodology for this point are documented in EXPERIMENTS.md.
-pub const SCALE_100K_GPUS: u32 = 102_400;
-
 /// A datacenter-scale cluster with `spare_nodes` extra DGX H200 nodes beyond the
 /// job's world size — headroom for shifted placement cells (a fleet sweep placing
 /// the same job at a non-zero GPU offset) and for co-located serving tenants.
@@ -71,11 +61,6 @@ pub fn scaled_cluster_with_spare(num_gpus: u32, spare_nodes: u32) -> Cluster {
         "scaled setups need a positive multiple of 64 GPUs (8 per node x PP=8), got {num_gpus}"
     );
     ClusterSpec::from_preset(NodePreset::DgxH200, num_gpus / 8 + spare_nodes).build()
-}
-
-/// The 100k-GPU cluster preset (see [`SCALE_100K_GPUS`]).
-pub fn scaled_cluster_100k() -> Cluster {
-    scaled_cluster(SCALE_100K_GPUS)
 }
 
 /// A datacenter-scale cluster of DGX H200 nodes (8 GPUs, 8 rails, ConnectX-7 400 G).
@@ -177,10 +162,9 @@ mod tests {
 
     #[test]
     fn scale_gpu_counts_cover_the_table3_regime() {
-        let counts = scale_gpu_counts();
-        assert_eq!(counts, vec![1024, 4096, 10240, 102400]);
-        for n in counts {
-            // Every advertised size must be constructible.
+        // The paper regime `table3_scalability` documents and the 100k ceiling: every
+        // size must be constructible.
+        for n in [1024, 4096, 10240, 102_400] {
             let p = scaled_parallelism(n);
             assert!(p.validate(n).is_ok());
         }
@@ -190,12 +174,13 @@ mod tests {
     fn the_100k_preset_is_well_formed() {
         // Validate the configuration without building the ~9M-task DAG (that runs in
         // release mode via `table3_scalability --gpus 102400`; see EXPERIMENTS.md).
-        let cluster = scaled_cluster_100k();
-        assert_eq!(cluster.num_gpus(), SCALE_100K_GPUS);
+        // 12800 DGX H200 nodes: TP=8 x PP=8 x FSDP=1600.
+        let cluster = scaled_cluster(102_400);
+        assert_eq!(cluster.num_gpus(), 102_400);
         assert_eq!(cluster.num_rails(), 8);
-        let p = scaled_parallelism(SCALE_100K_GPUS);
+        let p = scaled_parallelism(102_400);
         assert_eq!(p.data, 1600);
-        assert!(p.validate(SCALE_100K_GPUS).is_ok());
+        assert!(p.validate(102_400).is_ok());
     }
 
     #[test]

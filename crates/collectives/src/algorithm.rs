@@ -56,20 +56,6 @@ impl Algorithm {
         self.required_degree(group_size) <= degree
     }
 
-    /// The algorithms a rank with `degree` simultaneous circuits can use for a group of
-    /// `group_size`, most bandwidth-efficient first.
-    pub fn available_for_degree(group_size: usize, degree: usize) -> Vec<Algorithm> {
-        [
-            Algorithm::Ring,
-            Algorithm::HalvingDoubling,
-            Algorithm::DoubleBinaryTree,
-            Algorithm::Direct,
-        ]
-        .into_iter()
-        .filter(|a| a.fits_degree(group_size, degree))
-        .collect()
-    }
-
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -111,11 +97,20 @@ mod tests {
     fn degree_constrained_rail_only_supports_rings() {
         // The paper's C1: with 2 circuits per GPU, only ring algorithms survive for
         // groups larger than 4.
-        let available = Algorithm::available_for_degree(8, 2);
-        assert_eq!(available, vec![Algorithm::Ring]);
+        let available = |degree| {
+            [
+                Algorithm::Ring,
+                Algorithm::HalvingDoubling,
+                Algorithm::DoubleBinaryTree,
+                Algorithm::Direct,
+            ]
+            .into_iter()
+            .filter(|a| a.fits_degree(8, degree))
+            .collect::<Vec<_>>()
+        };
+        assert_eq!(available(2), vec![Algorithm::Ring]);
         // An electrical rail (effectively unbounded degree) supports everything.
-        let all = Algorithm::available_for_degree(8, 64);
-        assert_eq!(all.len(), 4);
+        assert_eq!(available(64).len(), 4);
     }
 
     #[test]

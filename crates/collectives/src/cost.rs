@@ -39,19 +39,6 @@ impl CostParams {
     pub fn new(alpha: SimDuration, bandwidth: Bandwidth) -> Self {
         CostParams { alpha, bandwidth }
     }
-
-    /// Typical scale-out parameters: 10 µs step latency on a 400 Gbps port.
-    pub fn scaleout_400g() -> Self {
-        CostParams::new(SimDuration::from_micros(10), Bandwidth::from_gbps(400.0))
-    }
-
-    /// Typical scale-up parameters: 3 µs step latency on a 450 GB/s NVLink domain.
-    pub fn scaleup_nvlink() -> Self {
-        CostParams::new(
-            SimDuration::from_micros(3),
-            Bandwidth::from_gbytes_per_sec(450.0),
-        )
-    }
 }
 
 /// Number of α-latency steps for a `(kind, algorithm)` pair over `p` ranks.
@@ -135,24 +122,13 @@ pub fn collective_time(
     latency.saturating_add(serialization)
 }
 
-/// Convenience: the time of a point-to-point transfer of `bytes`.
-pub fn point_to_point_time(bytes: Bytes, params: &CostParams) -> SimDuration {
-    collective_time(
-        CollectiveKind::SendRecv,
-        Algorithm::Direct,
-        2,
-        bytes,
-        params,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn params() -> CostParams {
         // 400 Gbps = 50 GB/s, alpha = 10 us.
-        CostParams::scaleout_400g()
+        CostParams::new(SimDuration::from_micros(10), Bandwidth::from_gbps(400.0))
     }
 
     #[test]
@@ -256,7 +232,13 @@ mod tests {
 
     #[test]
     fn send_recv_is_latency_plus_serialization() {
-        let t = point_to_point_time(Bytes::from_mb(64), &params());
+        let t = collective_time(
+            CollectiveKind::SendRecv,
+            Algorithm::Direct,
+            2,
+            Bytes::from_mb(64),
+            &params(),
+        );
         // 64 MB / 50 GB/s = 1.28 ms + 10 us.
         assert!((t.as_millis_f64() - 1.29).abs() < 0.01, "got {t}");
     }

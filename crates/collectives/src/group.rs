@@ -62,7 +62,7 @@ impl CommGroup {
     }
 
     /// The position of `gpu` within the group, if it is a member.
-    pub fn index_of(&self, gpu: GpuId) -> Option<usize> {
+    pub(crate) fn index_of(&self, gpu: GpuId) -> Option<usize> {
         self.ranks.iter().position(|&r| r == gpu)
     }
 

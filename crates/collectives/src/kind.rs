@@ -23,11 +23,6 @@ pub enum CollectiveKind {
 }
 
 impl CollectiveKind {
-    /// True for point-to-point operations (exactly two participants).
-    pub fn is_point_to_point(self) -> bool {
-        matches!(self, CollectiveKind::SendRecv)
-    }
-
     /// Short name as used in the paper's tables ("AR", "AG", "RS", ...).
     pub fn short_name(self) -> &'static str {
         match self {
@@ -87,13 +82,6 @@ impl ParallelismAxis {
             ParallelismAxis::Expert => "EP",
         }
     }
-
-    /// True for axes whose collectives are usually confined to the scale-up domain in
-    /// a rail-optimized mapping (TP, and by construction their traffic never touches
-    /// the scale-out rails).
-    pub fn typically_scaleup(self) -> bool {
-        matches!(self, ParallelismAxis::Tensor)
-    }
 }
 
 impl fmt::Display for ParallelismAxis {
@@ -116,16 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn point_to_point_classification() {
-        assert!(CollectiveKind::SendRecv.is_point_to_point());
-        assert!(!CollectiveKind::AllReduce.is_point_to_point());
-        assert!(!CollectiveKind::Barrier.is_point_to_point());
-    }
-
-    #[test]
     fn axis_properties() {
-        assert!(ParallelismAxis::Tensor.typically_scaleup());
-        assert!(!ParallelismAxis::Data.typically_scaleup());
         assert_eq!(ParallelismAxis::ALL.len(), 5);
     }
 }

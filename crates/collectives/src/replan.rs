@@ -48,11 +48,6 @@ impl RailStriper {
         RailStriper { healthy, cursor: 0 }
     }
 
-    /// Number of healthy rails available for re-striping.
-    pub fn healthy_count(&self) -> usize {
-        self.healthy.len()
-    }
-
     /// True when no healthy rails remain (re-planning is impossible; callers should
     /// fall back to stalling).
     pub fn is_empty(&self) -> bool {
@@ -116,7 +111,6 @@ mod tests {
     #[test]
     fn striper_round_robins_over_sorted_healthy_rails() {
         let mut striper = RailStriper::new(vec![RailId(5), RailId(1), RailId(3)]);
-        assert_eq!(striper.healthy_count(), 3);
         let assigned: Vec<RailId> = (0..5).map(|_| striper.assign().unwrap()).collect();
         assert_eq!(
             assigned,
@@ -126,11 +120,13 @@ mod tests {
 
     #[test]
     fn striper_dedups_and_reports_health() {
-        let striper = RailStriper::new(vec![RailId(2), RailId(2), RailId(0)]);
-        assert_eq!(striper.healthy_count(), 2);
+        let mut striper = RailStriper::new(vec![RailId(2), RailId(2), RailId(0)]);
         assert!(striper.is_healthy(RailId(0)));
         assert!(striper.is_healthy(RailId(2)));
         assert!(!striper.is_healthy(RailId(1)));
+        // The repeated rail 2 is striped onto once per round.
+        let assigned: Vec<RailId> = (0..3).map(|_| striper.assign().unwrap()).collect();
+        assert_eq!(assigned, [RailId(0), RailId(2), RailId(0)]);
     }
 
     #[test]

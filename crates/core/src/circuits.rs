@@ -56,7 +56,7 @@ impl GroupCircuits {
     }
 
     /// The rails this group needs, as a compact set.
-    pub fn rail_set(&self) -> RailSet {
+    pub(crate) fn rail_set(&self) -> RailSet {
         self.per_rail.keys().copied().collect()
     }
 

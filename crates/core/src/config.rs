@@ -1,6 +1,5 @@
 //! Opus configuration.
 
-use railsim_collectives::Algorithm;
 use railsim_sim::{Bandwidth, Bytes, SimDuration};
 use serde::{Deserialize, Serialize};
 
@@ -129,7 +128,7 @@ impl EvictionPolicy {
     }
 
     /// True when the policy can displace another tenant's holds.
-    pub fn can_evict(self) -> bool {
+    pub(crate) fn can_evict(self) -> bool {
         !matches!(self, EvictionPolicy::Never)
     }
 }
@@ -158,14 +157,6 @@ pub struct OpusConfig {
     pub policy: ReconfigPolicy,
     /// OCS reconfiguration latency (ignored by the electrical baseline).
     pub reconfig_latency: SimDuration,
-    /// Per-step latency of scale-out collectives (NIC + propagation).
-    pub scaleout_alpha: SimDuration,
-    /// Per-step latency of scale-up collectives (NVLink-domain kernel launch).
-    pub scaleup_alpha: SimDuration,
-    /// The collective algorithm used on the scale-out network. Rings are the only
-    /// option that fits the photonic degree constraint (C1); the electrical baseline
-    /// may use any algorithm.
-    pub scaleout_algorithm: Algorithm,
     /// Number of training iterations to simulate (at least one: a scenario rejects a
     /// job with zero). Provisioning only becomes active after the first (profiling)
     /// iteration, so Fig. 8 style experiments should run at least two.
@@ -242,9 +233,6 @@ impl OpusConfig {
         OpusConfig {
             policy: ReconfigPolicy::OnDemand,
             reconfig_latency,
-            scaleout_alpha: SimDuration::from_micros(10),
-            scaleup_alpha: SimDuration::from_micros(3),
-            scaleout_algorithm: Algorithm::Ring,
             iterations: 2,
             compute_jitter: 0.03,
             seed: 7,
@@ -257,7 +245,7 @@ impl OpusConfig {
 
     /// True when provisioning is active for the given iteration index (the first
     /// iteration always profiles).
-    pub fn provisioning_active(&self, iteration: u32) -> bool {
+    pub(crate) fn provisioning_active(&self, iteration: u32) -> bool {
         self.policy == ReconfigPolicy::Provisioned && iteration >= 1
     }
 

@@ -21,7 +21,7 @@
 //! occupancy tables directly, listed rail by rail in ascending rail order (see
 //! [`crate::circuits`]). Every scale-out transfer reads the controller: is its
 //! group's configuration installed and when is it ready
-//! ([`OpusController::installed_ready_time`]), and which ports does it hold until
+//! (`OpusController::installed_ready_time`), and which ports does it hold until
 //! when ([`OpusController::occupy`], plus [`OpusController::ports_free`] for a
 //! provisioned request); each read is one pass over the slice. The calls that change
 //! the fabric — [`OpusController::request`] and [`OpusController::withdraw`] — hand
@@ -39,7 +39,7 @@ use railsim_topology::{
 
 /// Sentinel tenant id: the port's current hold was not placed by a tenant-tagged
 /// transfer (or the port was never busy). Untagged holds are never evictable.
-pub const NO_TENANT: u32 = u32::MAX;
+pub(crate) const NO_TENANT: u32 = u32::MAX;
 
 /// The controller state a later request can read, taken at an iteration boundary
 /// `B` and normalized to it ([`OpusController::boundary_state`]). Steady-state
@@ -141,7 +141,7 @@ impl OpusController {
     /// to `policy`, and per-tenant wait/eviction ledgers are kept for the fairness
     /// metrics. With [`EvictionPolicy::Never`] (or when never called) the tenant
     /// argument of every request is ignored: arbitration is FC-FS over all holds.
-    pub fn set_eviction(&mut self, policy: EvictionPolicy, num_tenants: u32) {
+    pub(crate) fn set_eviction(&mut self, policy: EvictionPolicy, num_tenants: u32) {
         self.eviction = policy;
         if policy.can_evict() {
             self.port_tenant = self
@@ -157,12 +157,12 @@ impl OpusController {
     }
 
     /// True when tenant-aware arbitration is active (an evicting policy was set).
-    pub fn tenancy_active(&self) -> bool {
+    pub(crate) fn tenancy_active(&self) -> bool {
         self.eviction.can_evict()
     }
 
     /// Port holds evicted *from* `tenant`, summed over rails.
-    pub fn evictions_suffered_by(&self, tenant: u32) -> u64 {
+    pub(crate) fn evictions_suffered_by(&self, tenant: u32) -> u64 {
         self.evictions_suffered
             .iter()
             .filter_map(|v| v.get(tenant as usize))
@@ -170,7 +170,7 @@ impl OpusController {
     }
 
     /// Port holds evicted *by* `tenant`, summed over rails.
-    pub fn evictions_inflicted_by(&self, tenant: u32) -> u64 {
+    pub(crate) fn evictions_inflicted_by(&self, tenant: u32) -> u64 {
         self.evictions_inflicted
             .iter()
             .filter_map(|v| v.get(tenant as usize))
@@ -220,14 +220,14 @@ impl OpusController {
     /// [`OpusController::request`] for the group would resolve to, so the simulator
     /// uses it as the request's fast path (pair it with
     /// [`OpusController::note_noop_request`]).
-    pub fn installed_ready_time(&self, plan: &[DenseCircuit]) -> Option<SimTime> {
+    pub(crate) fn installed_ready_time(&self, plan: &[DenseCircuit]) -> Option<SimTime> {
         self.fabric.installed_ready(plan)
     }
 
     /// Accounts for a request that [`OpusController::installed_ready_time`] resolved
     /// as a no-op (circuits installed everywhere): bumps the same counters
     /// [`OpusController::request`] would have, without re-walking the rails.
-    pub fn note_noop_request(&mut self) {
+    pub(crate) fn note_noop_request(&mut self) {
         self.requests += 1;
         self.noop_requests += 1;
     }
@@ -236,7 +236,7 @@ impl OpusController {
     /// the memoized-iteration replay: the counter deltas of a steady iteration were
     /// measured when the template was detected, and the replay applies them in bulk
     /// exactly as the re-stepped iteration would have one by one.
-    pub fn replay_requests(&mut self, requests: u64, noops: u64) {
+    pub(crate) fn replay_requests(&mut self, requests: u64, noops: u64) {
         self.requests += requests;
         self.noop_requests += noops;
     }
@@ -423,7 +423,7 @@ impl OpusController {
     /// path is gone, whatever group owned it). Returns how many circuits were lost.
     /// The next request for a group touching this rail therefore takes the full
     /// install path and pays the reconfiguration delay after recovery.
-    pub fn rail_failed(&mut self, rail: RailId) -> usize {
+    pub(crate) fn rail_failed(&mut self, rail: RailId) -> usize {
         let ocs = self.fabric.ocs_mut(rail);
         let lost = ocs.num_circuits();
         ocs.clear();
@@ -448,14 +448,14 @@ impl OpusController {
     /// Sets one rail's OCS reconfiguration delay (an `OcsDegraded` scenario injection:
     /// the switch still works, but reconfigures slower — or faster, after repair).
     /// Installed circuits and their ready times are untouched.
-    pub fn set_rail_reconfig_delay(&mut self, rail: RailId, delay: railsim_sim::SimDuration) {
+    pub(crate) fn set_rail_reconfig_delay(&mut self, rail: RailId, delay: SimDuration) {
         self.fabric.ocs_mut(rail).set_reconfig_delay(delay);
     }
 
     /// Drains the reconfiguration log into `out`, preserving order and the log's
     /// allocation. Scenario drivers call this after every committed event to attribute
     /// reconfigurations to the job whose request caused them.
-    pub fn drain_events_into(&mut self, out: &mut Vec<ReconfigEvent>) {
+    pub(crate) fn drain_events_into(&mut self, out: &mut Vec<ReconfigEvent>) {
         out.append(&mut self.events);
     }
 
@@ -920,11 +920,16 @@ mod tests {
         port.rail_dense_index(fabric.num_rails() as u32, fabric.ports_per_gpu())
     }
 
+    /// The slowest ready time of the group's circuits, read from each rail's
+    /// [`Ocs::circuits`](railsim_topology::Ocs::circuits); `None` when one is not
+    /// installed.
     fn per_port_ready(ctrl: &OpusController, circuits: &GroupCircuits) -> Option<SimTime> {
         let mut ready = SimTime::ZERO;
         for (rail, config) in &circuits.per_rail {
+            let installed: std::collections::HashMap<_, _> =
+                ctrl.fabric().ocs(*rail).circuits().collect();
             for c in config.circuits() {
-                ready = ready.max(ctrl.fabric().ocs(*rail).ready_time(c.a(), c.b())?);
+                ready = ready.max(*installed.get(c)?);
             }
         }
         Some(ready)

@@ -9,10 +9,10 @@
 //!   cluster geometry and interned [`TrainingDag`] templates behind `Arc` — so a
 //!   sweep of hundreds of variants pays DAG construction once.
 //! * [`SweepSpec`] describes the variant grid *declaratively*: provisioning levels
-//!   (policy + reconfiguration latency + cost), placements, seeded failure traces and
-//!   the memoization knob. The grid expands to concrete [`ScenarioSpec`]s on demand;
-//!   per-variant seeds derive deterministically from the base seed and the flat
-//!   variant index via splitmix64 ([`SweepSpec::seed_for`]), so results are
+//!   (policy + reconfiguration latency + cost), placements and seeded failure traces.
+//!   Every run keeps steady-state memoization on. The grid expands to concrete
+//!   [`ScenarioSpec`]s on demand; per-variant seeds derive deterministically from
+//!   the base seed and the flat variant index via splitmix64, so results are
 //!   reproducible independent of worker count.
 //! * A sweep simulates each distinct scenario once. Variants whose specs the
 //!   simulator cannot tell apart form a group: a `+replan` twin's clean trace runs
@@ -67,6 +67,7 @@
 //! ```
 
 use crate::config::{OpusConfig, ReconfigPolicy, RecoveryPolicy};
+use crate::metrics::nearest_rank;
 use crate::scenario::{first_same_simulation, JobPlacement, ScenarioEvent, ScenarioSpec};
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{Cluster, RailId};
@@ -248,7 +249,8 @@ impl FailureModel {
 pub struct SweepSpec {
     /// Key of the DAG template registered via [`FleetService::dag_template`].
     pub template: String,
-    /// Base seed; per-variant seeds derive from it via [`SweepSpec::seed_for`].
+    /// Base seed; per-variant seeds derive from it and the flat variant index via
+    /// splitmix64.
     pub base_seed: u64,
     /// Iterations per scenario run.
     pub iterations: u32,
@@ -261,9 +263,6 @@ pub struct SweepSpec {
     pub placements: Vec<JobPlacement>,
     /// The failure model faulted traces draw from.
     pub failures: FailureModel,
-    /// Steady-state memoization for the scenario runs (results are byte-identical
-    /// either way; the knob exists for A/B wall-clock measurement).
-    pub memoize: bool,
     /// Worker threads for evaluation. `0` and `1` both mean sequential; the pool is
     /// additionally capped at the variant count.
     pub workers: u32,
@@ -279,7 +278,6 @@ impl Default for SweepSpec {
             levels: Vec::new(),
             placements: vec![JobPlacement::Auto],
             failures: FailureModel::default(),
-            memoize: true,
             workers: 1,
         }
     }
@@ -294,7 +292,7 @@ impl SweepSpec {
     /// The deterministic seed of variant `variant_idx`: splitmix64 over the base
     /// seed. Independent of worker count and evaluation order by construction, so a
     /// sweep's failure traces are reproducible from `(base_seed, variant_idx)` alone.
-    pub fn seed_for(&self, variant_idx: usize) -> u64 {
+    pub(crate) fn seed_for(&self, variant_idx: usize) -> u64 {
         splitmix64_mix(
             self.base_seed
                 .wrapping_add((variant_idx as u64 + 1).wrapping_mul(SPLITMIX64_GOLDEN)),
@@ -380,17 +378,13 @@ impl Percentiles {
     /// Nearest-rank percentiles (deterministic, no interpolation). Panics on an
     /// empty sample — every frontier level has at least its clean trace.
     fn of(samples: &mut [SimDuration]) -> Percentiles {
-        assert!(!samples.is_empty(), "percentiles need at least one sample");
         samples.sort_unstable();
-        let rank = |p: f64| {
-            let n = samples.len();
-            let idx = (p * n as f64).ceil() as usize;
-            samples[idx.clamp(1, n) - 1]
-        };
+        let rank =
+            |percent| nearest_rank(samples, percent).expect("percentiles need at least one sample");
         Percentiles {
-            p50: rank(0.50),
-            p95: rank(0.95),
-            p99: rank(0.99),
+            p50: rank(50),
+            p95: rank(95),
+            p99: rank(99),
         }
     }
 }
@@ -585,14 +579,6 @@ impl FleetService {
         dag
     }
 
-    /// Registered template keys, sorted.
-    pub fn template_keys(&self) -> Vec<String> {
-        let templates = self.templates.lock().expect("template cache poisoned");
-        let mut keys: Vec<String> = templates.keys().cloned().collect();
-        keys.sort();
-        keys
-    }
-
     /// Expands variant `variant_idx` of `sweep` to a concrete scenario spec.
     /// Pure: workers call this independently; the spec depends only on
     /// `(service assets, sweep, variant_idx)`.
@@ -615,7 +601,6 @@ impl FleetService {
         config.iterations = sweep.iterations;
         config.compute_jitter = 0.0; // variants differ by their traces, not by jitter
         config.seed = sweep.seed_for(variant_idx);
-        config.memoize_steady_state = sweep.memoize;
         config.recovery_policy = level.recovery;
         let mut spec = ScenarioSpec::new((*self.cluster).clone()).job_placed(
             dag,
@@ -884,7 +869,9 @@ mod tests {
         let second = service.dag_template("counted", || unreachable!("cached"));
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(builds, 1);
-        assert_eq!(service.template_keys(), vec!["counted", "tiny"]);
+        let mut keys: Vec<String> = service.templates.lock().unwrap().keys().cloned().collect();
+        keys.sort();
+        assert_eq!(keys, ["counted", "tiny"]);
     }
 
     #[test]

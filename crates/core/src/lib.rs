@@ -83,6 +83,6 @@ pub use scenario::{
 };
 pub use serving::{ArrivalProcess, ServingSpec};
 pub use window::{
-    default_traffic_buckets_mb, phases_by_rail, phases_on_rail, window_cdf,
-    windows_by_following_traffic, windows_of_iterations, windows_on_rail, Phase, Window,
+    default_traffic_buckets_mb, phases_on_rail, window_cdf, windows_by_following_traffic,
+    windows_on_rail, Phase, Window,
 };

@@ -70,14 +70,6 @@ pub struct ReconfigEvent {
     pub circuits_installed: usize,
 }
 
-impl ReconfigEvent {
-    /// How long the reconfiguration took end to end, including any wait for ongoing
-    /// traffic to drain.
-    pub fn total_latency(&self) -> SimDuration {
-        self.ready_at.duration_since(self.requested_at)
-    }
-}
-
 /// A value stored once per iteration and read back, with its simulation times moved
 /// later, by every iteration that replays it (see [`Shifted`]).
 pub trait Shift {
@@ -438,6 +430,14 @@ impl SimulationResult {
     }
 }
 
+/// The nearest-rank `percent`th percentile (`percent` in `1..=100`) of `sorted`, an
+/// ascending sample: the value at rank `⌈percent · n / 100⌉`, counting from 1. Exact
+/// integer arithmetic, no interpolation; `None` for an empty sample.
+pub(crate) fn nearest_rank<T: Copy>(sorted: &[T], percent: usize) -> Option<T> {
+    let rank = (sorted.len() * percent).div_ceil(100);
+    rank.checked_sub(1).map(|index| sorted[index])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,15 +728,27 @@ mod tests {
     }
 
     #[test]
-    fn reconfig_event_latency() {
-        let ev = ReconfigEvent {
-            rail: RailId(0),
-            group: GroupId(1),
-            requested_at: SimTime::from_millis(10),
-            started_at: SimTime::from_millis(15),
-            ready_at: SimTime::from_millis(40),
-            circuits_installed: 2,
-        };
-        assert_eq!(ev.total_latency(), SimDuration::from_millis(30));
+    fn nearest_rank_takes_the_ceiling_rank() {
+        // Sample `i` holds the value `i`, so each percentile reads as its 0-based index.
+        let expect = [
+            (1, [0, 0, 0]),
+            (2, [0, 1, 1]),
+            (100, [49, 94, 98]),
+            (101, [50, 95, 99]),
+        ];
+        for (n, want) in expect {
+            let sorted: Vec<usize> = (0..n).collect();
+            for (percent, want) in [50, 95, 99].into_iter().zip(want) {
+                assert_eq!(
+                    nearest_rank(&sorted, percent),
+                    Some(want),
+                    "p{percent} of {n}"
+                );
+                // The floating-point ceiling the frontier used before agrees.
+                let rank = (percent as f64 / 100.0 * n as f64).ceil() as usize;
+                assert_eq!(rank - 1, want, "p{percent} of {n}");
+            }
+        }
+        assert_eq!(nearest_rank::<usize>(&[], 99), None);
     }
 }

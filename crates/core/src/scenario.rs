@@ -140,11 +140,13 @@ use crate::circuits::{CircuitPlanner, GroupCircuits};
 use crate::config::OpusConfig;
 use crate::config::{EvictionPolicy, ReconfigPolicy, RecoveryPolicy};
 use crate::controller::{FabricState, OpusController};
-use crate::metrics::{CommLog, CommRow, IterationResult, ReconfigEvent, SimulationResult};
+use crate::metrics::{
+    nearest_rank, CommLog, CommRow, IterationResult, ReconfigEvent, SimulationResult,
+};
 use crate::serving::ServingSpec;
 use railsim_collectives::{
     cost::{collective_time, CostParams},
-    degraded_params, CollectiveKind, CommGroup, GroupId, ParallelismAxis,
+    degraded_params, Algorithm, CollectiveKind, CommGroup, GroupId, ParallelismAxis,
 };
 use railsim_sim::{Engine, SimDuration, SimRng, SimTime};
 use railsim_topology::{
@@ -656,7 +658,9 @@ impl CircuitSlot {
     }
 
     /// The α–β duration of communication `step` through this slot under its live
-    /// plan, and whether the step bypasses the rails over the host network.
+    /// plan, and whether the step bypasses the rails over the host network. Every
+    /// collective is priced with [`COLLECTIVE_ALGORITHM`] at [`SCALEOUT_ALPHA`] or
+    /// [`SCALEUP_ALPHA`] per step.
     fn price(&self, config: &OpusConfig, cluster: &Cluster, step: Step) -> (SimDuration, bool) {
         let (kind, bytes, group_size) = match step {
             Step::Collective { kind, bytes, .. } => (kind, bytes, self.group_size as usize),
@@ -676,16 +680,27 @@ impl CircuitSlot {
             // rails, so both policies see the full NIC bandwidth once connectivity
             // exists.
             self.adjust_params(CostParams::new(
-                config.scaleout_alpha,
+                SCALEOUT_ALPHA,
                 cluster.spec().nic.total_bandwidth,
             ))
         } else {
-            CostParams::new(config.scaleup_alpha, cluster.scaleup_bandwidth())
+            CostParams::new(SCALEUP_ALPHA, cluster.scaleup_bandwidth())
         };
-        let duration = collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params);
+        let duration = collective_time(kind, COLLECTIVE_ALGORITHM, group_size, bytes, &params);
         (duration, offloaded)
     }
 }
+
+/// Per-step latency of scale-out collectives (NIC + propagation).
+const SCALEOUT_ALPHA: SimDuration = SimDuration::from_micros(10);
+
+/// Per-step latency of scale-up collectives (NVLink-domain kernel launch).
+const SCALEUP_ALPHA: SimDuration = SimDuration::from_micros(3);
+
+/// The algorithm every collective is priced with. Rings are the only option that fits
+/// the photonic degree constraint (C1), and the electrical baseline uses them too, so
+/// the policies differ only in connectivity.
+const COLLECTIVE_ALGORITHM: Algorithm = Algorithm::Ring;
 
 /// Sentinel slot or price index for tasks without circuit demand (compute tasks).
 const NO_SLOT: u32 = u32::MAX;
@@ -1152,12 +1167,8 @@ impl Fleet {
 /// Nearest-rank 99th percentile of request latencies (sorts in place). `None` for an
 /// empty set — training jobs serve no requests.
 fn p99(latencies: &mut [SimDuration]) -> Option<SimDuration> {
-    if latencies.is_empty() {
-        return None;
-    }
     latencies.sort_unstable();
-    let idx = (latencies.len() * 99).div_ceil(100) - 1;
-    Some(latencies[idx])
+    nearest_rank(latencies, 99)
 }
 
 /// The built, runnable scenario.
@@ -3467,14 +3478,13 @@ mod tests {
             let scaleout = !slot.circuits.is_scaleup_only();
             let params = if !scaleout {
                 scaleup += 1;
-                CostParams::new(config.scaleup_alpha, cluster.scaleup_bandwidth())
+                CostParams::new(SCALEUP_ALPHA, cluster.scaleup_bandwidth())
             } else if bytes <= offload.threshold {
                 offloaded += 1;
                 CostParams::new(offload.alpha, offload.bandwidth)
             } else {
                 rail += 1;
-                let full =
-                    CostParams::new(config.scaleout_alpha, cluster.spec().nic.total_bandwidth);
+                let full = CostParams::new(SCALEOUT_ALPHA, cluster.spec().nic.total_bandwidth);
                 match slot.pristine.as_deref() {
                     Some(pristine) => {
                         degraded += 1;
@@ -3485,8 +3495,7 @@ mod tests {
                     None => full,
                 }
             };
-            let expected =
-                collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params);
+            let expected = collective_time(kind, COLLECTIVE_ALGORITHM, group_size, bytes, &params);
             assert_eq!(
                 (t.duration, t.offloaded),
                 (expected, scaleout && bytes <= offload.threshold)
@@ -3524,12 +3533,12 @@ mod tests {
             axis: ParallelismAxis::Expert,
             bytes,
         };
-        let full = CostParams::new(config.scaleout_alpha, cluster.spec().nic.total_bandwidth);
+        let full = CostParams::new(SCALEOUT_ALPHA, cluster.spec().nic.total_bandwidth);
         let derated = degraded_params(&full, 4, 3);
         assert!(derated.bandwidth.as_bps() < full.bandwidth.as_bps());
         let expected = collective_time(
             CollectiveKind::AllReduce,
-            config.scaleout_algorithm,
+            COLLECTIVE_ALGORITHM,
             4,
             bytes,
             &derated,

@@ -16,14 +16,13 @@
 //! application's intrinsic schedule exactly as the paper measured it on an electrical
 //! fabric.
 //!
-//! The extractors take records as values, so they read an iteration's
-//! [`CommLog`](crate::CommLog) without copying it, and hand-built records just the
-//! same. A per-rail pass reads
-//! [`IterationResult::records_on_rail`] (`it.records_on_rail(rail)`), which skips
-//! other rails' rows before reading them; [`phases_by_rail`] and
-//! [`windows_of_iterations`] read every record once for all rails.
+//! The extractors read one rail at a time and take records as values, so they read an
+//! iteration's [`CommLog`](crate::CommLog) without copying it, and hand-built records
+//! just the same. Pass them
+//! [`IterationResult::records_on_rail`](crate::IterationResult::records_on_rail)
+//! (`it.records_on_rail(rail)`), which skips other rails' rows before reading them.
 
-use crate::metrics::{CommRecord, IterationResult};
+use crate::metrics::CommRecord;
 use railsim_collectives::ParallelismAxis;
 use railsim_sim::stats::{BucketedStats, Cdf};
 use railsim_sim::{Bytes, SimDuration, SimTime};
@@ -70,7 +69,9 @@ pub struct Window {
 
 /// Splits the scale-out records of one rail into parallelism phases. Records of other
 /// rails are skipped, so `records` may be a whole iteration, but
-/// [`IterationResult::records_on_rail`] skips them without reading them.
+/// [`IterationResult::records_on_rail`](crate::IterationResult::records_on_rail)
+/// skips them without reading them. A record carrying several rails joins each of
+/// their phases; records issued at the same instant are taken in task order.
 pub fn phases_on_rail(records: impl IntoIterator<Item = CommRecord>, rail: RailId) -> Vec<Phase> {
     // Reserving the most the stream can yield allocates the buffer once instead of
     // regrowing it; pages past what the rail fills stay untouched.
@@ -92,46 +93,6 @@ pub fn phases_on_rail(records: impl IntoIterator<Item = CommRecord>, rail: RailI
 /// reconfiguration in and are skipped.
 pub fn windows_on_rail(records: impl IntoIterator<Item = CommRecord>, rail: RailId) -> Vec<Window> {
     windows_of_phases(&phases_on_rail(records, rail))
-}
-
-/// Splits the scale-out records of *every* requested rail into phases in one pass.
-///
-/// Equivalent to calling [`phases_on_rail`] per rail, but the record list is walked
-/// once instead of once per rail — the difference between seconds and minutes when a
-/// 10k-GPU iteration produces hundreds of thousands of records across many rails.
-/// Rails are returned in the order given.
-pub fn phases_by_rail(
-    records: impl IntoIterator<Item = CommRecord>,
-    rails: &[RailId],
-) -> Vec<(RailId, Vec<Phase>)> {
-    // A rail may legitimately appear more than once in `rails`; every occurrence gets
-    // the full stream, keeping the documented per-rail equivalence unconditional.
-    let mut lanes_of: std::collections::HashMap<RailId, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, &rail) in rails.iter().enumerate() {
-        lanes_of.entry(rail).or_default().push(i);
-    }
-    // One issue-ordered record stream per requested rail (a record carrying several
-    // rails contributes to each of them, exactly like the per-rail filter).
-    let mut streams: Vec<Vec<Op>> = vec![Vec::new(); rails.len()];
-    for rec in records.into_iter().filter(|r| r.scaleout) {
-        let op = Op::of(&rec);
-        for rail in &rec.rails {
-            if let Some(lanes) = lanes_of.get(&rail) {
-                for &lane in lanes {
-                    streams[lane].push(op);
-                }
-            }
-        }
-    }
-    rails
-        .iter()
-        .zip(streams)
-        .map(|(&rail, mut on_rail)| {
-            on_rail.sort_by_key(|op| (op.issued_at, op.task));
-            (rail, phases_of_stream(rail, &on_rail))
-        })
-        .collect()
 }
 
 /// What a phase reads of one scale-out record: 32 bytes where the record takes 72, so
@@ -201,18 +162,6 @@ fn windows_of_phases(phases: &[Phase]) -> Vec<Window> {
         }
     }
     windows
-}
-
-/// Extracts the windows of every rail from a set of iteration results (Fig. 4
-/// aggregates 10 iterations). Single pass over each iteration's records.
-pub fn windows_of_iterations(iterations: &[IterationResult], rails: &[RailId]) -> Vec<Window> {
-    let mut all = Vec::new();
-    for it in iterations {
-        for (_, phases) in phases_by_rail(&it.comm_records, rails) {
-            all.extend(windows_of_phases(&phases));
-        }
-    }
-    all
 }
 
 /// The empirical CDF of window sizes in milliseconds (Fig. 4(a)).
@@ -338,23 +287,52 @@ mod tests {
     }
 
     #[test]
-    fn single_pass_multi_rail_extraction_matches_per_rail() {
-        let records = vec![
+    fn per_rail_phases_take_multi_rail_records_and_issue_ties_in_task_order() {
+        // A DP record striped over rails 0 and 1 joins both rails' phases.
+        let striped = CommRecord {
+            rails: RailSet::from_iter([RailId(0), RailId(1)]),
+            ..record(ParallelismAxis::Data, 90, 90, 95, 50, 0)
+        };
+        // Two records issued at 60 ms, listed in reverse task order: task 3 (DP) goes
+        // before task 7 (PP) whatever the input order.
+        let tied = [
+            CommRecord {
+                task: TaskId(7),
+                ..record(ParallelismAxis::Pipeline, 60, 60, 70, 64, 1)
+            },
+            CommRecord {
+                task: TaskId(3),
+                ..record(ParallelismAxis::Data, 60, 60, 65, 100, 1)
+            },
+        ];
+        let records: Vec<CommRecord> = [
             record(ParallelismAxis::Data, 0, 0, 20, 957, 0),
             record(ParallelismAxis::Pipeline, 40, 41, 45, 64, 0),
             record(ParallelismAxis::Data, 5, 5, 25, 100, 1),
-            record(ParallelismAxis::Pipeline, 60, 60, 70, 64, 1),
-            record(ParallelismAxis::Data, 90, 90, 95, 50, 1),
-        ];
-        let rails = [RailId(0), RailId(1), RailId(2), RailId(0)];
-        let by_rail = phases_by_rail(records.clone(), &rails);
-        assert_eq!(by_rail.len(), 4);
-        for (rail, phases) in &by_rail {
-            // Equivalence holds for every occurrence, including the duplicate rail 0.
-            assert_eq!(phases, &phases_on_rail(records.clone(), *rail), "{rail}");
-        }
+            striped,
+        ]
+        .into_iter()
+        .chain(tied)
+        .collect();
+        let summary = |rail| {
+            phases_on_rail(records.clone(), RailId(rail))
+                .iter()
+                .map(|p| (p.axis, p.first_issue.as_millis_f64(), p.operations))
+                .collect::<Vec<_>>()
+        };
+        use ParallelismAxis::{Data, Pipeline};
+        assert_eq!(
+            summary(0),
+            [(Data, 0.0, 1), (Pipeline, 40.0, 1), (Data, 90.0, 1)]
+        );
+        assert_eq!(
+            summary(1),
+            [(Data, 5.0, 2), (Pipeline, 60.0, 1), (Data, 90.0, 1)]
+        );
+        assert!(summary(2).is_empty());
 
-        // The same over the iterations of a simulated run, read from their logs.
+        // Over the iterations of a simulated run, a rail's records read the same
+        // windows as the whole log.
         let result = crate::ScenarioSpec::new(
             railsim_topology::ClusterSpec::from_preset(
                 railsim_topology::NodePreset::PerlmutterA100,
@@ -365,7 +343,7 @@ mod tests {
         .job(tiny_dag(), crate::OpusConfig::electrical())
         .run();
         let iterations = &result.jobs[0].result.iterations;
-        let all = windows_of_iterations(iterations, &rails);
+        let rails = [RailId(0), RailId(1), RailId(2)];
         let per_rail: usize = iterations
             .iter()
             .flat_map(|it| {
@@ -377,7 +355,6 @@ mod tests {
             })
             .sum();
         assert!(per_rail > 0);
-        assert_eq!(all.len(), per_rail);
     }
 
     fn tiny_dag() -> railsim_workload::TrainingDag {
@@ -406,17 +383,12 @@ mod tests {
             last_end: p.last_end + by,
             ..p.clone()
         };
-        for ((rail, phases), (moved_rail, moved_phases)) in phases_by_rail(records.clone(), &rails)
-            .iter()
-            .zip(phases_by_rail(moved.clone(), &rails))
-        {
-            assert_eq!(*rail, moved_rail);
+        for rail in rails {
+            let phases = phases_on_rail(records.clone(), rail);
             assert_eq!(
                 phases.iter().map(shift_phase).collect::<Vec<_>>(),
-                moved_phases
+                phases_on_rail(moved.clone(), rail)
             );
-        }
-        for rail in rails {
             let windows = windows_on_rail(records.clone(), rail);
             let moved_windows = windows_on_rail(moved.clone(), rail);
             assert_eq!(windows.len(), moved_windows.len());

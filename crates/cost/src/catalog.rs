@@ -38,7 +38,7 @@ pub struct ComponentCatalog {
 
 impl ComponentCatalog {
     /// The 400 G generation catalog used by Fig. 7 (DGX H200 + 400 G optics).
-    pub fn gen_400g() -> Self {
+    pub(crate) fn gen_400g() -> Self {
         ComponentCatalog {
             transceiver_400g_usd: 550.0,
             transceiver_400g_watts: 12.0,
@@ -50,16 +50,6 @@ impl ComponentCatalog {
             nic_usd: 1_600.0,
             nic_watts: 25.0,
         }
-    }
-
-    /// Electrical switch price per port.
-    pub fn electrical_switch_usd_per_port(&self) -> f64 {
-        self.electrical_switch_usd / self.electrical_switch_ports as f64
-    }
-
-    /// Electrical switch power per port.
-    pub fn electrical_switch_watts_per_port(&self) -> f64 {
-        self.electrical_switch_watts / self.electrical_switch_ports as f64
     }
 }
 
@@ -73,22 +63,32 @@ impl Default for ComponentCatalog {
 mod tests {
     use super::*;
 
+    /// An electrical switch's price and power per port.
+    fn electrical_per_port(c: &ComponentCatalog) -> (f64, f64) {
+        let ports = c.electrical_switch_ports as f64;
+        (
+            c.electrical_switch_usd / ports,
+            c.electrical_switch_watts / ports,
+        )
+    }
+
     #[test]
     fn per_port_figures() {
-        let c = ComponentCatalog::gen_400g();
-        assert!((c.electrical_switch_usd_per_port() - 562.5).abs() < 1e-9);
-        assert!((c.electrical_switch_watts_per_port() - 28.125).abs() < 1e-9);
+        let (usd, watts) = electrical_per_port(&ComponentCatalog::gen_400g());
+        assert!((usd - 562.5).abs() < 1e-9);
+        assert!((watts - 28.125).abs() < 1e-9);
     }
 
     #[test]
     fn optical_ports_are_cheaper_and_far_lower_power() {
         let c = ComponentCatalog::gen_400g();
+        let (usd, watts) = electrical_per_port(&c);
         // An electrical switch port also needs a transceiver on the switch side, so the
         // electrical per-port cost is switch port + transceiver.
-        let electrical_port_total = c.electrical_switch_usd_per_port() + c.transceiver_400g_usd;
+        let electrical_port_total = usd + c.transceiver_400g_usd;
         assert!(c.ocs_port_usd < electrical_port_total);
         // The power gap is two orders of magnitude — this is what drives the 95%+
         // power saving of photonic rails.
-        assert!(c.electrical_switch_watts_per_port() / c.ocs_port_watts > 100.0);
+        assert!(watts / c.ocs_port_watts > 100.0);
     }
 }

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// One data-converter design point (a DAC or an ADC): silicon area, resolution,
 /// power and sample rate, as published.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConverterDevice {
+pub(crate) struct ConverterDevice {
     /// Design-point label.
     pub name: &'static str,
     /// Silicon area in µm².
@@ -29,7 +29,7 @@ pub struct ConverterDevice {
 
 /// The DAC design points of the SNIPPETS.md table (area µm², precision bit,
 /// power mW, sample rate GS/s).
-pub fn dac_catalog() -> Vec<ConverterDevice> {
+pub(crate) fn dac_catalog() -> Vec<ConverterDevice> {
     vec![
         ConverterDevice {
             name: "dac-12b-14gsps",
@@ -70,7 +70,7 @@ pub fn dac_catalog() -> Vec<ConverterDevice> {
 }
 
 /// The ADC design points of the SNIPPETS.md table (both SAR converters).
-pub fn adc_catalog() -> Vec<ConverterDevice> {
+pub(crate) fn adc_catalog() -> Vec<ConverterDevice> {
     vec![
         ConverterDevice {
             name: "adc-sar-8b-10gsps",
@@ -92,7 +92,7 @@ pub fn adc_catalog() -> Vec<ConverterDevice> {
 /// A laser design point: optical output power, die dimensions and wall-plug
 /// efficiency (electrical-to-optical conversion).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LaserModel {
+pub(crate) struct LaserModel {
     /// Optical output power in milliwatts.
     pub power_mw: f64,
     /// Die length in µm.
@@ -106,7 +106,7 @@ pub struct LaserModel {
 impl LaserModel {
     /// The SNIPPETS.md default laser: 0.5 mW out of a 400 µm × 300 µm die at 25 %
     /// wall-plug efficiency.
-    pub fn default_point() -> Self {
+    pub(crate) fn default_point() -> Self {
         LaserModel {
             power_mw: 0.5,
             length_um: 400.0,
@@ -115,14 +115,9 @@ impl LaserModel {
         }
     }
 
-    /// Die area in µm².
-    pub fn area_um2(&self) -> f64 {
-        self.length_um * self.width_um
-    }
-
     /// Electrical input power in milliwatts: optical output divided by wall-plug
     /// efficiency.
-    pub fn wall_plug_power_mw(&self) -> f64 {
+    pub(crate) fn wall_plug_power_mw(&self) -> f64 {
         self.power_mw / self.wall_plug_eff
     }
 }
@@ -130,7 +125,7 @@ impl LaserModel {
 /// The electro-optical engine of one 400 G transceiver lane-set: per-lane DAC (TX
 /// drive), ADC (RX sampling) and laser, rolled up across the module's lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransceiverDeviceModel {
+pub(crate) struct TransceiverDeviceModel {
     /// Electrical lanes in the module (4 × 100 G for a 400 G DR4/XDR4 part).
     pub lanes: u32,
     /// The DAC design point per lane.
@@ -144,7 +139,7 @@ pub struct TransceiverDeviceModel {
 impl TransceiverDeviceModel {
     /// The 400 G generation: 4 lanes, the 8-bit 14 GS/s DAC, the 10 GS/s SAR ADC and
     /// the default laser point.
-    pub fn gen_400g() -> Self {
+    pub(crate) fn gen_400g() -> Self {
         TransceiverDeviceModel {
             lanes: 4,
             dac: dac_catalog()[1],
@@ -157,15 +152,10 @@ impl TransceiverDeviceModel {
     /// draw. A floor, not the module figure — the ~12 W datasheet number also
     /// carries CDR/DSP retiming, control and thermal overhead this table does not
     /// model.
-    pub fn engine_power_watts(&self) -> f64 {
+    pub(crate) fn engine_power_watts(&self) -> f64 {
         self.lanes as f64
             * (self.dac.power_mw + self.adc.power_mw + self.laser.wall_plug_power_mw())
             / 1_000.0
-    }
-
-    /// Engine silicon area in µm² (converters + lasers, all lanes).
-    pub fn engine_area_um2(&self) -> f64 {
-        self.lanes as f64 * (self.dac.area_um2 + self.adc.area_um2 + self.laser.area_um2())
     }
 }
 
@@ -183,7 +173,7 @@ mod tests {
         assert_eq!(adcs.len(), 2);
         assert_eq!(adcs[0].area_um2, 2_850.0);
         let laser = LaserModel::default_point();
-        assert_eq!(laser.area_um2(), 120_000.0);
+        assert_eq!(laser.length_um * laser.width_um, 120_000.0);
         assert_eq!(laser.wall_plug_power_mw(), 2.0);
     }
 
@@ -194,6 +184,5 @@ mod tests {
         // 4 × (50 + 14.8 + 2) mW = 267.2 mW — a floor far under the ~12 W module.
         assert!((watts - 0.2672).abs() < 1e-9);
         assert!(watts < 12.0);
-        assert!(engine.engine_area_um2() > 0.0);
     }
 }

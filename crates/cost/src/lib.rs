@@ -32,7 +32,6 @@ pub mod ocs_tech;
 pub mod provisioning;
 
 pub use catalog::ComponentCatalog;
-pub use devices::{adc_catalog, dac_catalog, ConverterDevice, LaserModel, TransceiverDeviceModel};
 pub use fabric::{FabricCost, FabricKind, GpuBackendCostModel};
 pub use ocs_tech::{ocs_technologies, OcsTechnology};
 pub use provisioning::{standard_points, ProvisioningPoint};

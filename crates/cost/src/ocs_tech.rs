@@ -25,14 +25,6 @@ impl OcsTechnology {
     pub fn max_gpus(&self, gpus_per_scaleup: u64) -> u64 {
         gpus_per_scaleup * self.radix / 2
     }
-
-    /// True when the technology can hide its reconfiguration inside windows of the
-    /// given size (Fig. 4 shows >75 % of windows exceed 1 ms; the paper argues Piezo
-    /// and 3D MEMS are ideal because tens of milliseconds still fit the large windows
-    /// while offering high radix).
-    pub fn fits_window(&self, window: SimDuration) -> bool {
-        self.reconfig_time <= window
-    }
 }
 
 /// The seven technologies of Table 3, in the paper's order.
@@ -128,9 +120,13 @@ mod tests {
         let mems = techs.iter().find(|t| t.name.contains("MEMS")).unwrap();
         let piezo = techs.iter().find(|t| t.name.contains("Piezo")).unwrap();
         let robotic = techs.iter().find(|t| t.name.contains("Robotic")).unwrap();
-        assert!(mems.fits_window(window));
-        assert!(piezo.fits_window(window));
-        assert!(!robotic.fits_window(window));
+        // A technology hides its reconfiguration inside windows at least as long as
+        // its switching time. Fig. 4 shows >75 % of windows exceed 1 ms; the paper
+        // argues Piezo and 3D MEMS are ideal because tens of milliseconds still fit
+        // the large windows while offering high radix.
+        assert!(mems.reconfig_time <= window);
+        assert!(piezo.reconfig_time <= window);
+        assert!(robotic.reconfig_time > window);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl<E> EventQueue<E> {
         self.heap.pop()
     }
 
-    /// The delivery time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -102,11 +97,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -134,17 +124,5 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|s| s.event).collect();
         let expected: Vec<_> = (0..100).collect();
         assert_eq!(order, expected);
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_secs(2), ());
-        q.push(SimTime::from_secs(1), ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        assert_eq!(q.scheduled_count(), 2);
     }
 }

@@ -44,18 +44,12 @@ impl SimRng {
     }
 
     /// Samples a value uniformly from `range`.
-    pub fn gen_range<T, R>(&mut self, range: R) -> T
+    pub(crate) fn gen_range<T, R>(&mut self, range: R) -> T
     where
         T: SampleUniform,
         R: SampleRange<T>,
     {
         self.inner.gen_range(range)
-    }
-
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.inner.gen_bool(p)
     }
 
     /// Samples a multiplicative jitter factor in `[1 - amplitude, 1 + amplitude]`.
@@ -129,14 +123,5 @@ mod tests {
             assert!((0.9..=1.1).contains(&j), "jitter {j} out of bounds");
         }
         assert_eq!(rng.jitter(0.0), 1.0);
-    }
-
-    #[test]
-    fn gen_bool_extremes() {
-        let mut rng = SimRng::new(5);
-        assert!(!rng.gen_bool(0.0));
-        assert!(rng.gen_bool(1.0));
-        assert!(!rng.gen_bool(-1.0));
-        assert!(rng.gen_bool(2.0));
     }
 }

@@ -76,24 +76,6 @@ impl Summary {
         })
     }
 
-    /// Exact percentile in `[0, 100]` using nearest-rank on the sorted samples.
-    /// Returns `None` when empty.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        Some(sorted[rank])
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&self) -> Option<f64> {
-        self.percentile(50.0)
-    }
-
     /// Borrow the raw samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -189,13 +171,8 @@ impl BucketedStats {
     }
 
     /// Index of the bucket a key falls in.
-    pub fn bucket_index(&self, key: f64) -> usize {
+    pub(crate) fn bucket_index(&self, key: f64) -> usize {
         self.edges.partition_point(|&e| e < key)
-    }
-
-    /// Number of buckets (edges + 1).
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Per-bucket summaries, in edge order.
@@ -220,7 +197,6 @@ mod tests {
         assert_eq!(s.mean(), Some(2.5));
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(4.0));
-        assert_eq!(s.median(), Some(3.0)); // nearest-rank on even count rounds up
     }
 
     #[test]
@@ -235,7 +211,6 @@ mod tests {
         let s = Summary::new();
         assert!(s.is_empty());
         assert_eq!(s.mean(), None);
-        assert_eq!(s.percentile(50.0), None);
     }
 
     #[test]
@@ -246,7 +221,9 @@ mod tests {
         assert_eq!(cdf.fraction_at_or_below(10.0), 1.0);
         assert_eq!(cdf.fraction_above(3.0), 0.25);
         assert_eq!(cdf.quantile(0.0), Some(1.0));
+        assert_eq!(cdf.quantile(0.5), Some(3.0)); // the rank rounds up on an even count
         assert_eq!(cdf.quantile(1.0), Some(4.0));
+        assert_eq!(Cdf::from_samples(Vec::new()).quantile(0.5), None);
     }
 
     #[test]
@@ -269,7 +246,7 @@ mod tests {
         b.add(64.0, 20.0);
         b.add(100.0, 30.0);
         b.add(3829.0, 40.0);
-        assert_eq!(b.num_buckets(), 4);
+        assert_eq!(b.buckets().len(), 4);
         assert_eq!(b.buckets()[0].count(), 1);
         assert_eq!(b.buckets()[1].count(), 1);
         assert_eq!(b.buckets()[2].count(), 1);

@@ -11,11 +11,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// Number of nanoseconds in one microsecond.
-pub const NANOS_PER_MICRO: u64 = 1_000;
+pub(crate) const NANOS_PER_MICRO: u64 = 1_000;
 /// Number of nanoseconds in one millisecond.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
+pub(crate) const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Number of nanoseconds in one second.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+pub(crate) const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An absolute simulated timestamp, in nanoseconds since simulation start.
 #[derive(
@@ -65,11 +65,6 @@ impl SimTime {
     /// Raw nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Time as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MICRO as f64
     }
 
     /// Time as fractional milliseconds.
@@ -155,7 +150,7 @@ impl SimDuration {
     }
 
     /// Duration as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_MICRO as f64
     }
 

@@ -41,14 +41,6 @@ impl Bytes {
         Bytes(gb * 1_000_000_000)
     }
 
-    /// Creates a byte count from a fractional number of decimal megabytes.
-    pub fn from_mb_f64(mb: f64) -> Self {
-        if mb <= 0.0 || !mb.is_finite() {
-            return Bytes::ZERO;
-        }
-        Bytes((mb * 1e6).round() as u64)
-    }
-
     /// Raw byte count.
     pub const fn as_u64(self) -> u64 {
         self.0
@@ -65,7 +57,7 @@ impl Bytes {
     }
 
     /// Number of bits.
-    pub fn as_bits(self) -> u64 {
+    pub(crate) fn as_bits(self) -> u64 {
         self.0.saturating_mul(8)
     }
 
@@ -191,11 +183,6 @@ impl Bandwidth {
         self.bits_per_sec / 1e9
     }
 
-    /// Bandwidth in gigabytes per second.
-    pub fn as_gbytes_per_sec(self) -> f64 {
-        self.bits_per_sec / 8e9
-    }
-
     /// True when the bandwidth is zero.
     pub fn is_zero(self) -> bool {
         self.bits_per_sec == 0.0
@@ -254,8 +241,6 @@ mod tests {
         assert_eq!(Bytes::from_kb(2), Bytes::new(2_000));
         assert_eq!(Bytes::from_mb(3), Bytes::new(3_000_000));
         assert_eq!(Bytes::from_gb(1), Bytes::new(1_000_000_000));
-        assert_eq!(Bytes::from_mb_f64(1.5), Bytes::new(1_500_000));
-        assert_eq!(Bytes::from_mb_f64(-1.0), Bytes::ZERO);
     }
 
     #[test]
@@ -272,7 +257,7 @@ mod tests {
     #[test]
     fn bandwidth_units_agree() {
         let nic = Bandwidth::from_gbps(400.0);
-        assert!((nic.as_gbytes_per_sec() - 50.0).abs() < 1e-9);
+        assert!((nic.as_bps() - 400e9).abs() < 1e-3);
         let nvlink = Bandwidth::from_gbytes_per_sec(300.0);
         assert!((nvlink.as_gbps() - 2400.0).abs() < 1e-9);
     }

@@ -155,8 +155,9 @@ proptest! {
         let s = Summary::from_samples(samples.iter().copied());
         let (min, max, mean) = (s.min().unwrap(), s.max().unwrap(), s.mean().unwrap());
         prop_assert!(min <= mean + 1e-9 && mean <= max + 1e-9);
-        prop_assert!(s.percentile(0.0).unwrap() >= min - 1e-9);
-        prop_assert!(s.percentile(100.0).unwrap() <= max + 1e-9);
+        let cdf = Cdf::from_samples(samples.iter().copied());
+        prop_assert!(cdf.quantile(0.0).unwrap() >= min - 1e-9);
+        prop_assert!(cdf.quantile(1.0).unwrap() <= max + 1e-9);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A [`Cluster`] answers the structural questions the rest of the workspace asks:
 //! which node a GPU lives in, which rail it belongs to, which GPUs share a rail, and
-//! which scale-out NIC ports it owns.
+//! how many scale-out NIC ports each GPU has.
 
-use crate::ids::{GpuId, NodeId, PortId, RailId};
+use crate::ids::{GpuId, NodeId, RailId};
 use crate::spec::ClusterSpec;
 use railsim_sim::Bandwidth;
 
@@ -106,14 +106,6 @@ impl Cluster {
         GpuId(node.0 * self.spec.gpus_per_node + local_rank)
     }
 
-    /// All GPUs in `node`, in local-rank order.
-    pub fn gpus_in_node(&self, node: NodeId) -> Vec<GpuId> {
-        assert!(node.0 < self.spec.num_nodes, "node {node} out of range");
-        (0..self.spec.gpus_per_node)
-            .map(|r| self.gpu_at(node, r))
-            .collect()
-    }
-
     /// All GPUs attached to `rail`, in node order. These are the GPUs with local rank
     /// `rail.0` in every scale-up domain.
     pub fn gpus_in_rail(&self, rail: RailId) -> Vec<GpuId> {
@@ -139,21 +131,13 @@ impl Cluster {
     }
 
     /// True when `a` and `b` are on the same rail (same local rank, different or same node).
-    pub fn same_rail(&self, a: GpuId, b: GpuId) -> bool {
+    pub(crate) fn same_rail(&self, a: GpuId, b: GpuId) -> bool {
         self.local_rank_of(a) == self.local_rank_of(b)
-    }
-
-    /// The scale-out NIC ports owned by `gpu`.
-    pub fn ports_of(&self, gpu: GpuId) -> Vec<PortId> {
-        self.check(gpu);
-        (0..self.spec.nic.ports)
-            .map(|p| PortId::new(gpu, p))
-            .collect()
     }
 
     /// Number of OCS ports a photonic rail needs to terminate this cluster's rail
     /// endpoints: one per logical NIC port per node on the rail.
-    pub fn ocs_ports_per_rail(&self) -> u32 {
+    pub(crate) fn ocs_ports_per_rail(&self) -> u32 {
         self.spec.num_nodes * self.spec.nic.ports as u32
     }
 
@@ -202,10 +186,7 @@ mod tests {
     #[test]
     fn node_membership() {
         let c = perlmutter4();
-        assert_eq!(
-            c.gpus_in_node(NodeId(1)),
-            vec![GpuId(4), GpuId(5), GpuId(6), GpuId(7)]
-        );
+        assert!((4..8).all(|g| c.node_of(GpuId(g)) == NodeId(1)));
         assert!(c.same_node(GpuId(4), GpuId(7)));
         assert!(!c.same_node(GpuId(3), GpuId(4)));
         assert!(c.same_rail(GpuId(1), GpuId(13)));
@@ -232,7 +213,6 @@ mod tests {
             .with_nic(crate::spec::NicConfig::connectx7_dual());
         let c = spec.build();
         assert_eq!(c.ports_per_gpu(), 2);
-        assert_eq!(c.ports_of(GpuId(5)).len(), 2);
         assert_eq!(c.ocs_ports_per_rail(), 8);
         assert!((c.port_bandwidth().as_gbps() - 200.0).abs() < 1e-9);
     }

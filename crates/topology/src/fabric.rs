@@ -74,7 +74,7 @@ impl PortGeometry {
     }
 
     /// `port`'s slot in the per-rail port tables.
-    pub fn rail_port(self, port: PortId) -> RailPort {
+    pub(crate) fn rail_port(self, port: PortId) -> RailPort {
         let (rail, index) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
         RailPort {
             rail: rail as u32,
@@ -243,14 +243,12 @@ mod tests {
         let mut f = OpticalRailFabric::for_cluster(&c, SimDuration::from_millis(15));
         let rail = RailId(0);
         let (a, b) = (GpuId(0), GpuId(8));
-        assert!(!f.ocs(rail).gpus_connected(a, b, SimTime::ZERO));
-        assert_eq!(f.ocs(rail).gpu_ready_time(a, b), None);
-
         let plan = resolved(&f, rail, PortId::new(a, 0), PortId::new(b, 0));
+        assert_eq!(f.installed_ready(&plan), None);
+
         let ready = f.ocs_mut(rail).install(&plan, SimTime::ZERO).unwrap();
         assert_eq!(ready, SimTime::from_millis(15));
-        assert!(!f.ocs(rail).gpus_connected(a, b, SimTime::from_millis(14)));
-        assert!(f.ocs(rail).gpus_connected(a, b, SimTime::from_millis(15)));
+        assert_eq!(f.installed_ready(&plan), Some(SimTime::from_millis(15)));
         assert_eq!(f.ocs(rail).reconfig_count(), 1);
         assert_eq!(f.circuits_set_up_by_rail(), vec![1, 0, 0, 0]);
     }
@@ -267,9 +265,15 @@ mod tests {
         );
         f.ocs_mut(RailId(0)).install(&plan, SimTime::ZERO).unwrap();
         // Rail 1 is untouched: GPUs 1 and 9 remain disconnected.
-        let now = SimTime::from_secs(1);
-        assert!(!f.ocs(RailId(1)).gpus_connected(GpuId(1), GpuId(9), now));
-        assert!(f.ocs(RailId(0)).gpus_connected(GpuId(0), GpuId(8), now));
+        let other = resolved(
+            &f,
+            RailId(1),
+            PortId::new(GpuId(1), 0),
+            PortId::new(GpuId(9), 0),
+        );
+        assert_eq!(f.installed_ready(&other), None);
+        assert_eq!(f.ocs(RailId(1)).num_circuits(), 0);
+        assert_eq!(f.installed_ready(&plan), Some(SimTime::ZERO));
     }
 
     #[test]

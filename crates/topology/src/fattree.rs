@@ -120,22 +120,6 @@ impl ClosDimensions {
     }
 }
 
-/// Component counts for a full-bisection fat-tree connecting `endpoints` GPU NIC ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FatTreeDimensions {
-    /// The underlying Clos sizing.
-    pub clos: ClosDimensions,
-}
-
-impl FatTreeDimensions {
-    /// Sizes a fat-tree for the given number of endpoints and switch radix.
-    pub fn size(endpoints: u64, radix: u64) -> Self {
-        FatTreeDimensions {
-            clos: ClosDimensions::size(endpoints, radix),
-        }
-    }
-}
-
 /// Component counts for a rail-optimized fabric: one independent Clos per rail, each
 /// connecting the same-rank GPUs of every scale-up domain (the design of \[71\]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,11 +149,6 @@ impl RailClosDimensions {
     /// Total switch-side transceivers across all rails.
     pub fn switch_side_transceivers(&self) -> u64 {
         self.rails * self.per_rail.switch_side_transceivers()
-    }
-
-    /// Total inter-switch links across all rails.
-    pub fn inter_switch_links(&self) -> u64 {
-        self.rails * self.per_rail.inter_switch_links
     }
 }
 

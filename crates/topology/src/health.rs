@@ -55,11 +55,6 @@ impl RailHealth {
         self.down_until[rail.index()].is_none()
     }
 
-    /// True when any rail is currently down.
-    pub fn any_down(&self) -> bool {
-        self.down_until.iter().any(|d| d.is_some())
-    }
-
     /// Marks `rail` as failed at `now`. `recover_at` is the scheduled recovery time,
     /// when known (`None` = no recovery scheduled). Failing an already-down rail only
     /// tightens its recovery time; it is not counted as a second failure.
@@ -118,11 +113,6 @@ impl RailHealth {
         self.down_until[rail.index()]
     }
 
-    /// Lifetime failures of one rail.
-    pub fn failures_on(&self, rail: RailId) -> u64 {
-        self.failures[rail.index()]
-    }
-
     /// Lifetime failures per rail (index == rail id).
     pub fn failures_by_rail(&self) -> &[u64] {
         &self.failures
@@ -131,11 +121,6 @@ impl RailHealth {
     /// Accumulated downtime per rail (index == rail id; closed outages only).
     pub fn downtime_by_rail(&self) -> &[SimDuration] {
         &self.downtime
-    }
-
-    /// Total failures across all rails.
-    pub fn total_failures(&self) -> u64 {
-        self.failures.iter().sum()
     }
 }
 
@@ -148,8 +133,7 @@ mod tests {
         let h = RailHealth::new(4);
         assert_eq!(h.num_rails(), 4);
         assert!((0..4).all(|r| h.is_up(RailId(r))));
-        assert!(!h.any_down());
-        assert_eq!(h.total_failures(), 0);
+        assert_eq!(h.failures_by_rail(), [0; 4]);
     }
 
     #[test]
@@ -162,15 +146,14 @@ mod tests {
         );
         assert!(!h.is_up(RailId(0)));
         assert!(h.is_up(RailId(1)));
-        assert!(h.any_down());
+        assert_eq!(h.healthy_rails().collect::<Vec<_>>(), [RailId(1)]);
         assert_eq!(h.available_from(RailId(0)), Some(SimTime::from_millis(60)));
         assert_eq!(h.available_from(RailId(1)), None);
 
         h.recover(RailId(0), SimTime::from_millis(60));
         assert!(h.is_up(RailId(0)));
-        assert_eq!(h.failures_on(RailId(0)), 1);
+        assert_eq!(h.failures_by_rail(), [1, 0]);
         assert_eq!(h.downtime_by_rail()[0], SimDuration::from_millis(50));
-        assert_eq!(h.total_failures(), 1);
     }
 
     #[test]
@@ -221,7 +204,7 @@ mod tests {
             SimTime::from_millis(15),
             Some(SimTime::from_millis(40)),
         );
-        assert_eq!(h.failures_on(RailId(0)), 1);
+        assert_eq!(h.failures_by_rail()[0], 1);
         assert_eq!(h.available_from(RailId(0)), Some(SimTime::from_millis(40)));
         h.recover(RailId(0), SimTime::from_millis(40));
         assert_eq!(h.downtime_by_rail()[0], SimDuration::from_millis(30));

@@ -47,7 +47,7 @@ pub use cluster::Cluster;
 pub use fabric::{
     DenseCircuit, OpticalRailFabric, PortGeometry, RailPort, ELECTRICAL_SWITCH_LATENCY,
 };
-pub use fattree::{ClosDimensions, FatTreeDimensions};
+pub use fattree::ClosDimensions;
 pub use health::RailHealth;
 pub use ids::{GpuId, NodeId, PortId, RailId, RailSet, RailSetIter};
 pub use ocs::{Circuit, CircuitConfig, Ocs, OcsEffect, OcsError};

@@ -8,7 +8,7 @@
 //! carry no traffic; untouched circuits keep running, which is the fine-grained,
 //! per-communication-group reconfiguration granularity §5 of the paper calls for.
 
-use crate::fabric::{DenseCircuit, PortGeometry, RailPort};
+use crate::fabric::{DenseCircuit, PortGeometry};
 use crate::ids::{GpuId, PortId, RailId};
 use railsim_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -47,11 +47,6 @@ impl Circuit {
     /// The lexicographically larger endpoint.
     pub fn b(&self) -> PortId {
         self.hi
-    }
-
-    /// True when either endpoint belongs to `gpu`.
-    pub fn touches_gpu(&self, gpu: GpuId) -> bool {
-        self.lo.gpu == gpu || self.hi.gpu == gpu
     }
 
     /// True when this circuit connects the two given GPUs (in either direction).
@@ -173,23 +168,23 @@ pub struct OcsEffect {
 /// annotated with the simulated time at which it becomes usable.
 ///
 /// The matching is stored *port-indexed*: flat `Vec`s over the switch's own rail's
-/// ports, indexed by a port's slot in its rail's table ([`RailPort::index`]: node-major,
-/// logical-port-minor), holding each port's matched peer and the circuit's ready time.
-/// That makes every per-port question — is this circuit installed, when is it ready,
-/// which peers does this GPU reach — O(1) or O(ports per GPU), and [`Ocs::install`]
-/// O(affected ports), where the previous `BTreeMap<Circuit, SimTime>` walked every
-/// installed circuit of the rail. A dense scan in slot order still yields circuits in
-/// exactly the sorted order the `BTreeMap` produced (a circuit's smaller endpoint is
-/// unique per matching, and on one rail slot order equals `PortId` order), so
-/// serialized output is unchanged.
+/// ports, indexed by a port's slot in its rail's table
+/// ([`RailPort::index`](crate::RailPort::index): node-major, logical-port-minor),
+/// holding each port's matched peer and the circuit's ready time. That makes every
+/// per-port question — is this circuit installed, when is it ready — O(1), and
+/// [`Ocs::install`] O(affected ports), where the previous `BTreeMap<Circuit, SimTime>`
+/// walked every installed circuit of the rail. A dense scan in slot order still yields
+/// circuits in exactly the sorted order the `BTreeMap` produced (a circuit's smaller
+/// endpoint is unique per matching, and on one rail slot order equals `PortId`
+/// order), so serialized output is unchanged.
 ///
 /// Each switch carries one rail of a fabric's [`PortGeometry`], and its tables hold
 /// that rail's ports only. The calls that test or change the matching for a request
 /// ([`Ocs::already_installed`], [`Ocs::conflicting_circuits`], [`Ocs::install`],
 /// [`Ocs::tear_down`]) take the request's circuits resolved against the geometry
-/// ([`DenseCircuit`]s of this rail) and index the tables directly. The GPU-level
-/// queries take [`PortId`]s and [`GpuId`]s and resolve each one. Naming a circuit or a
-/// port of another rail panics.
+/// ([`DenseCircuit`]s of this rail) and index the tables directly. Naming a circuit
+/// of another rail panics. Only [`Ocs::circuits`] speaks in [`PortId`]s: it names
+/// each installed circuit by its endpoints.
 #[derive(Debug, Clone)]
 pub struct Ocs {
     radix: usize,
@@ -257,27 +252,6 @@ impl Ocs {
         }
     }
 
-    /// The slot of `port` in this switch's tables: its [`RailPort::index`].
-    ///
-    /// # Panics
-    /// Panics, in every build, when the port's logical index exceeds the switch
-    /// geometry (a release-mode overflow would silently alias the port onto the next
-    /// GPU's slots) or when the port is not on this switch's rail.
-    fn dense(&self, port: PortId) -> usize {
-        let ppg = self.geometry.ports_per_gpu();
-        assert!(
-            port.port < ppg,
-            "{port} out of range for an OCS of {ppg} ports/GPU"
-        );
-        let RailPort { rail, index } = self.geometry.rail_port(port);
-        assert!(
-            rail == self.rail.0,
-            "{port} is on rail{rail}, not on this OCS's {}",
-            self.rail
-        );
-        index as usize
-    }
-
     /// The slots of `circuit`'s endpoints in this switch's tables.
     ///
     /// # Panics
@@ -300,17 +274,6 @@ impl Ocs {
         PortId::new(GpuId(gpu), (idx % ppg) as u8)
     }
 
-    /// The dense index range of `gpu`'s ports, clamped to the tables.
-    ///
-    /// # Panics
-    /// Panics when `gpu` is not on this switch's rail.
-    fn gpu_range(&self, gpu: GpuId) -> std::ops::Range<usize> {
-        let ppg = self.geometry.ports_per_gpu() as usize;
-        let lo = self.dense(PortId::new(gpu, 0)).min(self.peer.len());
-        let hi = (lo + ppg).min(self.peer.len());
-        lo..hi
-    }
-
     /// The switch radix (number of ports).
     pub fn radix(&self) -> usize {
         self.radix
@@ -329,11 +292,6 @@ impl Ocs {
     /// Number of installed circuits (ready or still settling).
     pub fn num_circuits(&self) -> usize {
         self.num_circuits
-    }
-
-    /// Number of ports currently part of a circuit.
-    pub fn ports_in_use(&self) -> usize {
-        self.num_circuits * 2
     }
 
     /// Number of reconfiguration operations performed (install calls that changed state).
@@ -368,58 +326,11 @@ impl Ocs {
         })
     }
 
-    /// True when a circuit between `a` and `b` is installed and ready at `now`.
-    pub fn is_connected(&self, a: PortId, b: PortId, now: SimTime) -> bool {
-        self.ready_time(a, b).is_some_and(|ready| ready <= now)
-    }
-
-    /// The ready time of the circuit between `a` and `b`, if installed.
-    pub fn ready_time(&self, a: PortId, b: PortId) -> Option<SimTime> {
-        self.dense_ready_time([self.dense(a) as u32, self.dense(b) as u32])
-    }
-
     /// The ready time of the circuit between the ports in slots `ends` (their
-    /// [`RailPort::index`]), if installed: [`Ocs::ready_time`] for a caller that
-    /// resolved its ports once.
+    /// [`RailPort::index`](crate::RailPort::index)), if installed.
     #[inline]
     pub(crate) fn dense_ready_time(&self, [a, b]: [u32; 2]) -> Option<SimTime> {
         (self.peer.get(a as usize) == Some(&b)).then(|| self.ready[a as usize])
-    }
-
-    /// True when any circuit between a port of `x` and a port of `y` is ready at `now`.
-    pub fn gpus_connected(&self, x: GpuId, y: GpuId, now: SimTime) -> bool {
-        self.gpu_range(x).any(|i| {
-            let q = self.peer[i];
-            q != NO_PEER && self.port_at(q as usize).gpu == y && self.ready[i] <= now
-        })
-    }
-
-    /// Earliest ready time over circuits connecting GPUs `x` and `y`, if any circuit
-    /// between them is installed (possibly still settling).
-    pub fn gpu_ready_time(&self, x: GpuId, y: GpuId) -> Option<SimTime> {
-        self.gpu_range(x)
-            .filter(|&i| {
-                let q = self.peer[i];
-                q != NO_PEER && self.port_at(q as usize).gpu == y
-            })
-            .map(|i| self.ready[i])
-            .min()
-    }
-
-    /// Number of ready circuits between GPUs `x` and `y` at `now` (used to compute the
-    /// aggregate bandwidth of a multi-port connection).
-    pub fn circuits_between_gpus(&self, x: GpuId, y: GpuId, now: SimTime) -> usize {
-        self.gpu_range(x)
-            .filter(|&i| {
-                let q = self.peer[i];
-                // A circuit looping both its endpoints onto one GPU shows up at both
-                // of that GPU's ports; count it at the smaller one only.
-                q != NO_PEER
-                    && self.port_at(q as usize).gpu == y
-                    && self.ready[i] <= now
-                    && (x != y || q as usize > i)
-            })
-            .count()
     }
 
     /// True when installing `circuits` would change nothing (every one of them is
@@ -616,25 +527,6 @@ impl Ocs {
         self.circuits_set_up += effect.set_up;
     }
 
-    /// Tears down every circuit touching any port of `gpu`. Returns how many were removed.
-    pub fn tear_down_gpu(&mut self, gpu: GpuId) -> usize {
-        let mut n = 0;
-        for i in self.gpu_range(gpu) {
-            let q = self.peer[i];
-            if q != NO_PEER {
-                self.peer[i] = NO_PEER;
-                self.peer[q as usize] = NO_PEER;
-                self.circuits_torn_down += 1;
-                self.num_circuits -= 1;
-                n += 1;
-            }
-        }
-        if n > 0 {
-            self.reconfig_count += 1;
-        }
-        n
-    }
-
     /// Tears down exactly those of `circuits` that are currently installed (requested
     /// circuits that are absent — or whose ports were re-matched to other peers in the
     /// meantime — are skipped). Returns how many were removed.
@@ -730,6 +622,13 @@ mod tests {
         Ocs::with_geometry(radix, delay, RailId(0), geometry())
     }
 
+    /// True when `ocs` holds a circuit between GPUs `x` and `y` that is ready at
+    /// `now`, read from [`Ocs::circuits`].
+    fn connected(ocs: &Ocs, x: u32, y: u32, now: SimTime) -> bool {
+        ocs.circuits()
+            .any(|(c, ready)| c.connects_gpus(GpuId(x), GpuId(y)) && ready <= now)
+    }
+
     /// `circuits`, validated as a matching and resolved for [`switch`] as the
     /// simulator resolves a plan.
     fn plan(circuits: Vec<Circuit>) -> Result<Vec<DenseCircuit>, OcsError> {
@@ -748,8 +647,8 @@ mod tests {
         let now = SimTime::from_millis(100);
         let ready = ocs.install(&cfg, now).unwrap();
         assert_eq!(ready, SimTime::from_millis(115));
-        assert!(!ocs.gpus_connected(GpuId(0), GpuId(1), now));
-        assert!(ocs.gpus_connected(GpuId(0), GpuId(1), ready));
+        assert!(!connected(&ocs, 0, 1, now));
+        assert!(connected(&ocs, 0, 1, ready));
         assert_eq!(ocs.reconfig_count(), 1);
     }
 
@@ -777,8 +676,8 @@ mod tests {
         let ready = ocs.install(&ring_pp, SimTime::from_millis(50)).unwrap();
         assert_eq!(ready, SimTime::from_millis(60));
         assert_eq!(ocs.num_circuits(), 1);
-        assert!(!ocs.gpus_connected(GpuId(0), GpuId(1), SimTime::from_millis(200)));
-        assert!(ocs.gpus_connected(GpuId(0), GpuId(2), SimTime::from_millis(200)));
+        assert!(!connected(&ocs, 0, 1, SimTime::from_millis(200)));
+        assert!(connected(&ocs, 0, 2, SimTime::from_millis(200)));
         assert_eq!(ocs.circuits_torn_down(), 1);
         assert_eq!(ocs.circuits_set_up(), 2);
     }
@@ -828,8 +727,8 @@ mod tests {
         ocs.install(&b, SimTime::ZERO).unwrap();
         assert_eq!(ocs.num_circuits(), 2);
         let t = SimTime::from_millis(20);
-        assert!(ocs.gpus_connected(GpuId(0), GpuId(1), t));
-        assert!(ocs.gpus_connected(GpuId(2), GpuId(3), t));
+        assert!(connected(&ocs, 0, 1, t));
+        assert!(connected(&ocs, 2, 3, t));
     }
 
     #[test]
@@ -863,21 +762,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         let ready = ocs.install(&cfg, now).unwrap();
         assert_eq!(ready, now);
-        assert!(ocs.gpus_connected(GpuId(0), GpuId(1), now));
-    }
-
-    #[test]
-    fn tear_down_gpu_removes_only_its_circuits() {
-        let mut ocs = switch(16, SimDuration::ZERO);
-        let cfg = plan(vec![
-            Circuit::new(port(0, 0), port(1, 0)),
-            Circuit::new(port(2, 0), port(3, 0)),
-        ])
-        .unwrap();
-        ocs.install(&cfg, SimTime::ZERO).unwrap();
-        assert_eq!(ocs.tear_down_gpu(GpuId(0)), 1);
-        assert_eq!(ocs.num_circuits(), 1);
-        assert_eq!(ocs.tear_down_gpu(GpuId(7)), 0);
+        assert!(connected(&ocs, 0, 1, now));
     }
 
     #[test]
@@ -890,7 +775,7 @@ mod tests {
         let reconfigs = ocs.reconfig_count();
         assert_eq!(ocs.tear_down(&mine), 1);
         assert_eq!(ocs.num_circuits(), 1, "the other group's circuit survives");
-        assert!(ocs.gpus_connected(GpuId(2), GpuId(3), SimTime::ZERO));
+        assert!(connected(&ocs, 2, 3, SimTime::ZERO));
         assert_eq!(
             ocs.reconfig_count(),
             reconfigs + 1,
@@ -915,7 +800,7 @@ mod tests {
         ocs.install(&old, SimTime::ZERO).unwrap();
         ocs.install(&newer, SimTime::ZERO).unwrap();
         assert_eq!(ocs.tear_down(&old), 0);
-        assert!(ocs.gpus_connected(GpuId(0), GpuId(2), SimTime::ZERO));
+        assert!(connected(&ocs, 0, 2, SimTime::ZERO));
     }
 
     #[test]
@@ -929,9 +814,13 @@ mod tests {
         .unwrap();
         ocs.install(&cfg, SimTime::ZERO).unwrap();
         let t = SimTime::from_millis(5);
-        assert!(ocs.gpus_connected(GpuId(0), GpuId(1), t));
-        assert!(ocs.gpus_connected(GpuId(0), GpuId(2), t));
-        assert_eq!(ocs.circuits_between_gpus(GpuId(0), GpuId(1), t), 1);
+        assert!(connected(&ocs, 0, 1, t));
+        assert!(connected(&ocs, 0, 2, t));
+        let between_0_and_1 = ocs
+            .circuits()
+            .filter(|(c, ready)| c.connects_gpus(GpuId(0), GpuId(1)) && *ready <= t)
+            .count();
+        assert_eq!(between_0_and_1, 1);
     }
 
     #[test]
@@ -966,7 +855,7 @@ mod tests {
                 .iter()
                 .map(|&(slot, _)| slot)
                 .collect::<Vec<_>>(),
-            [0, 1, 2, 3, 4, 5, 6].map(|gpu| ocs.dense(port(gpu, 0)) as u32),
+            [0, 1, 2, 3, 4, 5, 6].map(|gpu| geometry().rail_port(port(gpu, 0)).index),
             "exactly the slots an install set up, torn-down port (6,0) included"
         );
         // Three more periods, each from where the previous one left its switch.

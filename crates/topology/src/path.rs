@@ -86,11 +86,6 @@ impl CommPath {
         }
     }
 
-    /// True when the path needs the scale-out fabric at all.
-    pub fn uses_scaleout(&self) -> bool {
-        self.scaleout_hops() > 0
-    }
-
     /// The rail used by the scale-out leg, if any.
     pub fn rail(&self) -> Option<RailId> {
         match self.kind {
@@ -118,7 +113,6 @@ mod tests {
         assert_eq!(p.kind, PathKind::IntraNode);
         assert_eq!(p.scaleup_hops(), 1);
         assert_eq!(p.scaleout_hops(), 0);
-        assert!(!p.uses_scaleout());
         assert_eq!(p.rail(), None);
     }
 

@@ -50,7 +50,7 @@ impl NicConfig {
     }
 
     /// A Slingshot-11 200 G NIC (Perlmutter) as a single port.
-    pub fn slingshot11() -> Self {
+    pub(crate) fn slingshot11() -> Self {
         NicConfig {
             total_bandwidth: Bandwidth::from_gbps(200.0),
             ports: 1,

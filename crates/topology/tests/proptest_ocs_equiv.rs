@@ -4,10 +4,11 @@
 //! [`RefOcs`] is a line-for-line reimplementation of the pre-refactor switch (circuit
 //! set in a sorted map, installs scanning every installed circuit). The property
 //! drives both switches through identical random sequences of `install` /
-//! `tear_down` / `conflicting_circuits` / `tear_down_gpu` / `clear` operations and
-//! asserts identical install results (including radix errors), teardown and conflict
-//! counts, counters, connectivity answers, ready times, and — critically for
-//! byte-identical serialized output — `circuits()` iteration order.
+//! `tear_down` / `conflicting_circuits` / `clear` operations and asserts identical
+//! install results (including radix errors), teardown and conflict counts, counters,
+//! and `circuits()` after every operation: the same circuits with the same ready
+//! times, in the same order (serialized output depends on it). Which GPUs a circuit
+//! connects, and from when, is read from that list.
 //!
 //! The switch under test is one rail's OCS of a multi-rail fabric, whose tables hold
 //! only that rail's ports. The operations name the rail's GPUs only, and each drawn
@@ -96,24 +97,6 @@ impl RefOcs {
         Ok(ready.max(now))
     }
 
-    fn tear_down_gpu(&mut self, gpu: GpuId) -> usize {
-        let to_remove: Vec<Circuit> = self
-            .circuits
-            .keys()
-            .filter(|c| c.touches_gpu(gpu))
-            .copied()
-            .collect();
-        let n = to_remove.len();
-        for c in to_remove {
-            self.circuits.remove(&c);
-            self.circuits_torn_down += 1;
-        }
-        if n > 0 {
-            self.reconfig_count += 1;
-        }
-        n
-    }
-
     fn tear_down(&mut self, config: &CircuitConfig) -> usize {
         let mut n = 0;
         for c in config.circuits() {
@@ -149,27 +132,6 @@ impl RefOcs {
         self.circuits.clear();
     }
 
-    fn gpus_connected(&self, x: GpuId, y: GpuId, now: SimTime) -> bool {
-        self.circuits
-            .iter()
-            .any(|(c, &ready)| c.connects_gpus(x, y) && ready <= now)
-    }
-
-    fn gpu_ready_time(&self, x: GpuId, y: GpuId) -> Option<SimTime> {
-        self.circuits
-            .iter()
-            .filter(|(c, _)| c.connects_gpus(x, y))
-            .map(|(_, &ready)| ready)
-            .min()
-    }
-
-    fn circuits_between_gpus(&self, x: GpuId, y: GpuId, now: SimTime) -> usize {
-        self.circuits
-            .iter()
-            .filter(|(c, &ready)| c.connects_gpus(x, y) && ready <= now)
-            .count()
-    }
-
     fn already_installed(&self, config: &CircuitConfig) -> bool {
         config
             .circuits()
@@ -193,13 +155,13 @@ fn gpu(node: u32) -> GpuId {
 /// proptest has no `prop_map`): `kind` 0–5 installs the matching built from `pairs`
 /// of `(node, port)` endpoints at `dt_ms` past the previous operation, 6 tears that
 /// matching's installed circuits down, 7 does the same for the last matching
-/// installed (whose circuits later installs may have displaced since), 8 counts the installed circuits installing it
-/// would displace, 9–10 tear down the GPU of `node`, 11 clears.
-type RawOp = (u8, Vec<(u32, u8, u32, u8)>, u64, u32);
+/// installed (whose circuits later installs may have displaced since), 8 counts the
+/// installed circuits installing it would displace, 9 clears.
+type RawOp = (u8, Vec<(u32, u8, u32, u8)>, u64);
 
 fn op_strategy() -> impl Strategy<Value = RawOp> {
     (
-        0u8..12,
+        0u8..10,
         proptest::collection::vec(
             (
                 0..NUM_NODES,
@@ -210,7 +172,6 @@ fn op_strategy() -> impl Strategy<Value = RawOp> {
             1..6,
         ),
         0u64..40,
-        0..NUM_NODES,
     )
 }
 
@@ -258,7 +219,7 @@ proptest! {
             config.circuits().iter().map(|&c| geometry.resolve(RailId(RAIL), c)).collect()
         };
 
-        for (kind, pairs, dt_ms, node) in &ops {
+        for (kind, pairs, dt_ms) in &ops {
             match kind {
                 0..=5 => {
                     now += SimDuration::from_millis(*dt_ms);
@@ -276,9 +237,11 @@ proptest! {
                     let want = reference.install(&config, now);
                     prop_assert_eq!(&got, &want, "install result diverged at {}", now);
                     if let Ok(ready) = got {
-                        // The pure read half must agree with the no-op re-install.
+                        // The installed circuits' ready times must agree with the
+                        // install's answer.
+                        let installed: BTreeMap<Circuit, SimTime> = ocs.circuits().collect();
                         let slowest = config.circuits().iter().try_fold(SimTime::ZERO, |t, c| {
-                            Some(t.max(ocs.ready_time(c.a(), c.b())?))
+                            Some(t.max(*installed.get(c)?))
                         });
                         prop_assert_eq!(slowest.map(|t| t.max(now)), Some(ready));
                         last_installed = Some(config);
@@ -302,12 +265,6 @@ proptest! {
                         reference.conflicting_circuits(&config)
                     );
                 }
-                9..=10 => {
-                    prop_assert_eq!(
-                        ocs.tear_down_gpu(gpu(*node)),
-                        reference.tear_down_gpu(gpu(*node))
-                    );
-                }
                 _ => {
                     ocs.clear();
                     reference.clear();
@@ -316,40 +273,16 @@ proptest! {
 
             // Counters.
             prop_assert_eq!(ocs.num_circuits(), reference.circuits.len());
-            prop_assert_eq!(ocs.ports_in_use(), reference.circuits.len() * 2);
             prop_assert_eq!(ocs.reconfig_count(), reference.reconfig_count);
             prop_assert_eq!(ocs.circuits_torn_down(), reference.circuits_torn_down);
             prop_assert_eq!(ocs.circuits_set_up(), reference.circuits_set_up);
 
-            // Iteration order: the dense port scan must reproduce the BTreeMap's
-            // sorted circuit order exactly (serialized output depends on it).
+            // The installed circuits and their ready times, in order: the dense port
+            // scan must reproduce the BTreeMap's sorted circuit order exactly.
             let dense: Vec<(Circuit, SimTime)> = ocs.circuits().collect();
             let sorted: Vec<(Circuit, SimTime)> =
                 reference.circuits.iter().map(|(c, t)| (*c, *t)).collect();
             prop_assert_eq!(dense, sorted);
-
-            // Connectivity answers over every GPU pair, at a probe time that splits
-            // settling from settled circuits.
-            let probe = now + SimDuration::from_millis(1);
-            for x in 0..NUM_NODES {
-                for y in 0..NUM_NODES {
-                    let (x, y) = (gpu(x), gpu(y));
-                    prop_assert_eq!(
-                        ocs.gpus_connected(x, y, probe),
-                        reference.gpus_connected(x, y, probe)
-                    );
-                    prop_assert_eq!(ocs.gpu_ready_time(x, y), reference.gpu_ready_time(x, y));
-                    prop_assert_eq!(
-                        ocs.circuits_between_gpus(x, y, probe),
-                        reference.circuits_between_gpus(x, y, probe)
-                    );
-                }
-            }
-            // Per-circuit ready times.
-            for (c, &ready) in reference.circuits.iter() {
-                prop_assert_eq!(ocs.ready_time(c.a(), c.b()), Some(ready));
-                prop_assert_eq!(ocs.is_connected(c.a(), c.b(), ready), true);
-            }
         }
     }
 }

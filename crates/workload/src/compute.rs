@@ -58,12 +58,12 @@ impl GpuSpec {
     }
 
     /// Effective sustained FLOP/s.
-    pub fn effective_flops(&self) -> f64 {
+    pub(crate) fn effective_flops(&self) -> f64 {
         self.peak_bf16_flops * self.mfu
     }
 
     /// Time to execute `flops` floating-point operations.
-    pub fn time_for_flops(&self, flops: f64) -> SimDuration {
+    pub(crate) fn time_for_flops(&self, flops: f64) -> SimDuration {
         SimDuration::from_secs_f64(flops / self.effective_flops())
     }
 }
@@ -107,12 +107,6 @@ impl ComputeModel {
             optimizer_step,
             layers_per_stage,
         }
-    }
-
-    /// Forward time of a whole pipeline stage for one micro-batch.
-    pub fn stage_forward(&self) -> SimDuration {
-        self.layer_forward
-            .saturating_mul(self.layers_per_stage as u64)
     }
 }
 
@@ -163,13 +157,20 @@ mod tests {
 
     #[test]
     fn stage_times_scale_with_layers() {
+        // A stage runs its share of the layers, each at the per-layer time: 32 layers
+        // over PP 2 give 16 per stage, over PP 4 give 8, at unchanged layer times.
         let model = ModelConfig::llama3_8b();
         let parallel = ParallelismConfig::paper_llama3_8b();
         let cm = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
-        assert_eq!(
-            cm.stage_forward().as_nanos(),
-            cm.layer_forward.as_nanos() * 16
-        );
+        assert_eq!(cm.layers_per_stage, 16);
+        let deeper = ParallelismConfig {
+            pipeline: 4,
+            data: 1,
+            ..parallel
+        };
+        let cm4 = ComputeModel::derive(&model, &deeper, &GpuSpec::a100());
+        assert_eq!(cm4.layers_per_stage, 8);
+        assert_eq!(cm4.layer_forward, cm.layer_forward);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::compute::ComputeModel;
 use crate::intern::{LabelId, RankSet};
 use crate::model::ModelConfig;
 use crate::parallelism::{DataParallelKind, ParallelismConfig};
-use crate::pipeline::PipelineSchedule;
+use crate::pipeline;
 use crate::rank_map::RankMapping;
 use crate::sizes::TrafficSizes;
 use railsim_collectives::{CollectiveKind, CommGroup, GroupId, ParallelismAxis};
@@ -692,13 +692,6 @@ impl TrainingDag {
             .filter(|t| t.participants.contains(rank))
             .collect()
     }
-
-    /// Wraps the DAG in an [`Arc`] for shared-immutable reuse across scenario runs: a
-    /// fleet sweep evaluates hundreds of variants against one template, paying DAG
-    /// construction once.
-    pub fn into_shared(self) -> Arc<TrainingDag> {
-        Arc::new(self)
-    }
 }
 
 impl Serialize for TrainingDag {
@@ -976,7 +969,6 @@ pub struct DagBuilder {
     parallel: ParallelismConfig,
     compute: ComputeModel,
     sizes: TrafficSizes,
-    schedule: PipelineSchedule,
 }
 
 /// Sentinel for "no task yet" in the builder's dense per-rank tables.
@@ -1230,14 +1222,7 @@ impl DagBuilder {
             parallel,
             compute,
             sizes,
-            schedule: PipelineSchedule::OneFOneB,
         }
-    }
-
-    /// Selects a different pipeline schedule (default: 1F1B).
-    pub fn with_schedule(mut self, schedule: PipelineSchedule) -> Self {
-        self.schedule = schedule;
-        self
     }
 
     /// The traffic sizes the builder derived.
@@ -1671,9 +1656,7 @@ impl DagBuilder {
         // Every op occurs once per rank, so each compute task receives at most one
         // ordering edge: the order ranks are visited in cannot reorder any task's deps.
         for (stage, ranks) in ranks_of_stage.iter().enumerate() {
-            let ops = self
-                .schedule
-                .ops(stage as u32, self.parallel.pipeline, st.num_mb);
+            let ops = pipeline::one_f_one_b(stage as u32, self.parallel.pipeline, st.num_mb);
             for &rank in ranks {
                 for pair in ops.windows(2) {
                     let (prev, next) = (pair[0], pair[1]);
@@ -2127,23 +2110,6 @@ mod tests {
         let dag = DagBuilder::new(model, parallel, compute).build();
         assert!(dag.validate().is_ok());
         assert!(dag.tasks().any(|t| t.label_str().contains("EP-")));
-    }
-
-    #[test]
-    fn gpipe_schedule_builds_valid_dag() {
-        let model = ModelConfig::tiny_test();
-        let parallel = ParallelismConfig {
-            pipeline: 2,
-            data: 1,
-            tensor: 2,
-            num_microbatches: 4,
-            ..ParallelismConfig::paper_llama3_8b()
-        };
-        let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
-        let dag = DagBuilder::new(model, parallel, compute)
-            .with_schedule(PipelineSchedule::GPipe)
-            .build();
-        assert!(dag.validate().is_ok());
     }
 
     #[test]

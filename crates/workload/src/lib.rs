@@ -11,8 +11,8 @@
 //!   DP/PP on the rails (Fig. 1 of the paper),
 //! * [`TrafficSizes`] and [`traffic::table2_rows`] — per-axis communication volumes
 //!   (Table 2),
-//! * [`PipelineSchedule`] — 1F1B and GPipe schedules with warm-up/steady/cool-down
-//!   phase classification (Fig. 3),
+//! * [`pipeline`] — the 1F1B schedule that orders each stage's passes, and its
+//!   bubble fraction,
 //! * [`DagBuilder`] / [`TrainingDag`] — the execution DAG of one training iteration
 //!   (Fig. 2), consumed by the Opus simulator,
 //! * [`InferenceDagBuilder`] / [`InferenceConfig`] — the serving workload class:
@@ -60,7 +60,6 @@ pub use intern::{LabelId, RankSet};
 pub use mem::release_free_heap;
 pub use model::{DType, ModelConfig};
 pub use parallelism::{DataParallelKind, ParallelismConfig};
-pub use pipeline::{PipelineOp, PipelinePhase, PipelineSchedule};
 pub use rank_map::{Coords, RankMapping};
 pub use sizes::TrafficSizes;
 pub use strategy::{recommend, StrategyFamily, StrategyRecommendation};

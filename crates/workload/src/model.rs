@@ -118,24 +118,6 @@ impl ModelConfig {
         }
     }
 
-    /// GPT-3 175B.
-    pub fn gpt3_175b() -> Self {
-        ModelConfig {
-            name: "GPT-3 175B".into(),
-            num_layers: 96,
-            hidden_size: 12288,
-            ffn_hidden_size: 49152,
-            num_heads: 96,
-            num_kv_heads: 96,
-            vocab_size: 50_257,
-            dtype: DType::Bf16,
-            grad_dtype: DType::Fp32,
-            num_experts: 1,
-            experts_per_token: 1,
-            gated_mlp: false,
-        }
-    }
-
     /// Mixtral-8x7B-style mixture-of-experts model (for expert-parallel scenarios).
     pub fn mixtral_8x7b() -> Self {
         ModelConfig {
@@ -173,22 +155,22 @@ impl ModelConfig {
     }
 
     /// True for mixture-of-experts models.
-    pub fn is_moe(&self) -> bool {
+    pub(crate) fn is_moe(&self) -> bool {
         self.num_experts > 1
     }
 
     /// Head dimension.
-    pub fn head_dim(&self) -> u64 {
+    pub(crate) fn head_dim(&self) -> u64 {
         self.hidden_size / self.num_heads
     }
 
     /// Key/value projection width (grouped-query attention).
-    pub fn kv_dim(&self) -> u64 {
+    pub(crate) fn kv_dim(&self) -> u64 {
         self.head_dim() * self.num_kv_heads
     }
 
     /// Parameter count of the attention block of one layer (Q, K, V, O projections).
-    pub fn attention_params_per_layer(&self) -> u64 {
+    pub(crate) fn attention_params_per_layer(&self) -> u64 {
         let h = self.hidden_size;
         let kv = self.kv_dim();
         // Q and O: h*h each; K and V: h*kv each.
@@ -198,13 +180,13 @@ impl ModelConfig {
     /// Parameter count of the MLP block of one layer: gate/up/down projections for
     /// gated (SwiGLU-style) MLPs, up/down for classic MLPs. For MoE models this is the
     /// size of a single expert.
-    pub fn mlp_params_per_expert(&self) -> u64 {
+    pub(crate) fn mlp_params_per_expert(&self) -> u64 {
         let matrices = if self.gated_mlp { 3 } else { 2 };
         matrices * self.hidden_size * self.ffn_hidden_size
     }
 
     /// Parameter count of one transformer layer (all experts included).
-    pub fn params_per_layer(&self) -> u64 {
+    pub(crate) fn params_per_layer(&self) -> u64 {
         let mlp = self.mlp_params_per_expert() * self.num_experts as u64;
         // Two RMSNorm weight vectors per layer.
         let norms = 2 * self.hidden_size;
@@ -212,7 +194,7 @@ impl ModelConfig {
     }
 
     /// Parameter count of the embedding (and tied output projection counted once).
-    pub fn embedding_params(&self) -> u64 {
+    pub(crate) fn embedding_params(&self) -> u64 {
         self.vocab_size * self.hidden_size
     }
 
@@ -223,7 +205,7 @@ impl ModelConfig {
 
     /// Forward FLOPs per token for one layer (dense approximation `2 * params`, with
     /// only the routed experts active for MoE models).
-    pub fn fwd_flops_per_token_per_layer(&self, seq_len: u64) -> u64 {
+    pub(crate) fn fwd_flops_per_token_per_layer(&self, seq_len: u64) -> u64 {
         let active_mlp = self.mlp_params_per_expert() * self.experts_per_token.max(1) as u64;
         let dense = self.attention_params_per_layer() + active_mlp;
         // Attention score computation: 2 * seq * head_dim per head per token ~ 2*seq*h.
@@ -269,7 +251,21 @@ mod tests {
 
     #[test]
     fn gpt3_param_count_is_about_175b() {
-        let m = ModelConfig::gpt3_175b();
+        // GPT-3's shape: full multi-head attention and an ungated MLP.
+        let m = ModelConfig {
+            name: "GPT-3 175B".into(),
+            num_layers: 96,
+            hidden_size: 12288,
+            ffn_hidden_size: 49152,
+            num_heads: 96,
+            num_kv_heads: 96,
+            vocab_size: 50_257,
+            dtype: DType::Bf16,
+            grad_dtype: DType::Fp32,
+            num_experts: 1,
+            experts_per_token: 1,
+            gated_mlp: false,
+        };
         let total = m.total_params() as f64;
         assert!((165e9..185e9).contains(&total), "got {total}");
     }

@@ -104,7 +104,7 @@ impl ParallelismConfig {
     }
 
     /// The axes with degree greater than one, in canonical order.
-    pub fn active_axes(&self) -> Vec<ParallelismAxis> {
+    pub(crate) fn active_axes(&self) -> Vec<ParallelismAxis> {
         ParallelismAxis::ALL
             .into_iter()
             .filter(|&a| self.degree(a) > 1)
@@ -114,14 +114,6 @@ impl ParallelismConfig {
     /// Number of parallelism dimensions in use ("3D", "5D", ...).
     pub fn dimensionality(&self) -> usize {
         self.active_axes().len()
-    }
-
-    /// Tokens processed per iteration across the whole job.
-    pub fn tokens_per_iteration(&self) -> u64 {
-        self.microbatch_size as u64
-            * self.num_microbatches as u64
-            * self.seq_len as u64
-            * self.data as u64
     }
 
     /// Global batch size in sequences.
@@ -206,12 +198,5 @@ mod tests {
         let mut p = ParallelismConfig::paper_llama3_8b();
         p.num_microbatches = 1;
         assert!(p.validate(16).is_err());
-    }
-
-    #[test]
-    fn tokens_per_iteration() {
-        let p = ParallelismConfig::paper_llama3_8b();
-        // 2 sequences * 2 microbatches * 8192 tokens * DP 2.
-        assert_eq!(p.tokens_per_iteration(), 2 * 2 * 8192 * 2);
     }
 }

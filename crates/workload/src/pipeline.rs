@@ -1,16 +1,14 @@
-//! Pipeline-parallel schedules.
+//! The pipeline-parallel schedule.
 //!
 //! The paper's trace study (§3.1) uses the 1-forward-1-backward (1F1B) schedule: each
 //! stage performs a number of warm-up forward passes, then alternates one forward with
 //! one backward (the *steady* phase), and finally drains the remaining backwards
-//! (*cool-down*). Fig. 3 splits the per-rail communication pattern along exactly these
-//! phases, so the schedule and its phase classification are first-class citizens here.
-
-use serde::{Deserialize, Serialize};
+//! (*cool-down*). The training builder orders every stage's passes this way; Fig. 3
+//! shows the traffic that order produces on the rails, grouped by parallelism axis.
 
 /// One compute step of a pipeline stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PipelineOp {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PipelineOp {
     /// Forward pass of one micro-batch.
     Forward {
         /// Micro-batch index.
@@ -25,114 +23,54 @@ pub enum PipelineOp {
 
 impl PipelineOp {
     /// The micro-batch this op processes.
-    pub fn microbatch(self) -> u32 {
+    pub(crate) fn microbatch(self) -> u32 {
         match self {
             PipelineOp::Forward { microbatch } | PipelineOp::Backward { microbatch } => microbatch,
         }
     }
 
     /// True for forward ops.
-    pub fn is_forward(self) -> bool {
+    pub(crate) fn is_forward(self) -> bool {
         matches!(self, PipelineOp::Forward { .. })
     }
 }
 
-/// The pipeline phase an op belongs to (the x-axis segmentation of Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PipelinePhase {
-    /// Initial forwards before the first backward.
-    WarmUp,
-    /// Alternating 1F1B region.
-    Steady,
-    /// Trailing backwards after the last forward.
-    CoolDown,
-    /// The optimizer/synchronization epilogue after all micro-batches complete.
-    Sync,
+/// The 1F1B op sequence executed by `stage` (0-based) of a pipeline with `num_stages`
+/// stages and `num_microbatches` micro-batches: `num_stages − stage − 1` warm-up
+/// forwards (at most one per micro-batch), then alternating forwards and backwards,
+/// then the remaining backwards.
+///
+/// # Panics
+/// Panics if `stage >= num_stages`, or either count is zero.
+pub(crate) fn one_f_one_b(stage: u32, num_stages: u32, num_microbatches: u32) -> Vec<PipelineOp> {
+    assert!(num_stages > 0 && num_microbatches > 0, "empty pipeline");
+    assert!(stage < num_stages, "stage {stage} out of range");
+    let warmup = (num_stages - stage - 1).min(num_microbatches);
+    let mut ops = Vec::new();
+    for m in 0..warmup {
+        ops.push(PipelineOp::Forward { microbatch: m });
+    }
+    let steady = num_microbatches - warmup;
+    for i in 0..steady {
+        ops.push(PipelineOp::Forward {
+            microbatch: warmup + i,
+        });
+        ops.push(PipelineOp::Backward { microbatch: i });
+    }
+    for i in 0..warmup {
+        ops.push(PipelineOp::Backward {
+            microbatch: steady + i,
+        });
+    }
+    ops
 }
 
-/// The supported pipeline schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PipelineSchedule {
-    /// 1-forward-1-backward (Megatron/TorchTitan default, used by the paper).
-    OneFOneB,
-    /// GPipe: all forwards, then all backwards.
-    GPipe,
-}
-
-impl PipelineSchedule {
-    /// The op sequence executed by `stage` (0-based) of a pipeline with `num_stages`
-    /// stages and `num_microbatches` micro-batches.
-    ///
-    /// # Panics
-    /// Panics if `stage >= num_stages`, or either count is zero.
-    pub fn ops(self, stage: u32, num_stages: u32, num_microbatches: u32) -> Vec<PipelineOp> {
-        assert!(num_stages > 0 && num_microbatches > 0, "empty pipeline");
-        assert!(stage < num_stages, "stage {stage} out of range");
-        match self {
-            PipelineSchedule::GPipe => {
-                let mut ops: Vec<PipelineOp> = (0..num_microbatches)
-                    .map(|m| PipelineOp::Forward { microbatch: m })
-                    .collect();
-                ops.extend((0..num_microbatches).map(|m| PipelineOp::Backward { microbatch: m }));
-                ops
-            }
-            PipelineSchedule::OneFOneB => {
-                let warmup = (num_stages - stage - 1).min(num_microbatches);
-                let mut ops = Vec::new();
-                for m in 0..warmup {
-                    ops.push(PipelineOp::Forward { microbatch: m });
-                }
-                let steady = num_microbatches - warmup;
-                for i in 0..steady {
-                    ops.push(PipelineOp::Forward {
-                        microbatch: warmup + i,
-                    });
-                    ops.push(PipelineOp::Backward { microbatch: i });
-                }
-                for i in 0..warmup {
-                    ops.push(PipelineOp::Backward {
-                        microbatch: steady + i,
-                    });
-                }
-                ops
-            }
-        }
-    }
-
-    /// Classifies each op of [`PipelineSchedule::ops`] into warm-up / steady / cool-down.
-    pub fn phases(
-        self,
-        stage: u32,
-        num_stages: u32,
-        num_microbatches: u32,
-    ) -> Vec<(PipelineOp, PipelinePhase)> {
-        let ops = self.ops(stage, num_stages, num_microbatches);
-        // Warm-up depth of this stage: the forwards it runs before its first backward
-        // under 1F1B. GPipe is treated the same way for classification purposes.
-        let warmup = (num_stages - stage - 1).min(num_microbatches) as usize;
-        let n = ops.len();
-        ops.iter()
-            .enumerate()
-            .map(|(i, &op)| {
-                let phase = if i < warmup {
-                    PipelinePhase::WarmUp
-                } else if i >= n - warmup {
-                    PipelinePhase::CoolDown
-                } else {
-                    PipelinePhase::Steady
-                };
-                (op, phase)
-            })
-            .collect()
-    }
-
-    /// The pipeline-bubble fraction of the schedule: idle compute slots divided by the
-    /// total slots, `(S - 1) / (M + S - 1)` for both supported schedules.
-    pub fn bubble_fraction(self, num_stages: u32, num_microbatches: u32) -> f64 {
-        let s = num_stages as f64;
-        let m = num_microbatches as f64;
-        (s - 1.0) / (m + s - 1.0)
-    }
+/// The pipeline-bubble fraction of the 1F1B schedule: idle compute slots divided by
+/// the total slots, `(S - 1) / (M + S - 1)`.
+pub fn bubble_fraction(num_stages: u32, num_microbatches: u32) -> f64 {
+    let s = num_stages as f64;
+    let m = num_microbatches as f64;
+    (s - 1.0) / (m + s - 1.0)
 }
 
 #[cfg(test)]
@@ -142,8 +80,8 @@ mod tests {
     #[test]
     fn one_f_one_b_paper_configuration() {
         // PP=2, M=2. Stage 0: F0, F1, B0, B1. Stage 1: F0, B0, F1, B1.
-        let s0 = PipelineSchedule::OneFOneB.ops(0, 2, 2);
-        let s1 = PipelineSchedule::OneFOneB.ops(1, 2, 2);
+        let s0 = one_f_one_b(0, 2, 2);
+        let s1 = one_f_one_b(1, 2, 2);
         use PipelineOp::*;
         assert_eq!(
             s0,
@@ -167,23 +105,21 @@ mod tests {
 
     #[test]
     fn every_microbatch_appears_exactly_once_per_direction() {
-        for schedule in [PipelineSchedule::OneFOneB, PipelineSchedule::GPipe] {
-            for stages in 1..=4u32 {
-                for stage in 0..stages {
-                    let m = 6;
-                    let ops = schedule.ops(stage, stages, m);
-                    assert_eq!(ops.len() as u32, 2 * m);
-                    for mb in 0..m {
-                        let fwd = ops
-                            .iter()
-                            .filter(|o| o.is_forward() && o.microbatch() == mb)
-                            .count();
-                        let bwd = ops
-                            .iter()
-                            .filter(|o| !o.is_forward() && o.microbatch() == mb)
-                            .count();
-                        assert_eq!((fwd, bwd), (1, 1));
-                    }
+        for stages in 1..=4u32 {
+            for stage in 0..stages {
+                let m = 6;
+                let ops = one_f_one_b(stage, stages, m);
+                assert_eq!(ops.len() as u32, 2 * m);
+                for mb in 0..m {
+                    let fwd = ops
+                        .iter()
+                        .filter(|o| o.is_forward() && o.microbatch() == mb)
+                        .count();
+                    let bwd = ops
+                        .iter()
+                        .filter(|o| !o.is_forward() && o.microbatch() == mb)
+                        .count();
+                    assert_eq!((fwd, bwd), (1, 1));
                 }
             }
         }
@@ -193,7 +129,7 @@ mod tests {
     fn backward_never_precedes_its_forward() {
         for stages in 1..=4u32 {
             for stage in 0..stages {
-                let ops = PipelineSchedule::OneFOneB.ops(stage, stages, 8);
+                let ops = one_f_one_b(stage, stages, 8);
                 for mb in 0..8 {
                     let f = ops
                         .iter()
@@ -209,46 +145,39 @@ mod tests {
         }
     }
 
+    /// The forwards `ops` runs before its first backward (the warm-up) and the
+    /// backwards it runs after its last forward (the cool-down).
+    fn warmup_and_cooldown(ops: &[PipelineOp]) -> (usize, usize) {
+        let warmup = ops.iter().take_while(|o| o.is_forward()).count();
+        let cooldown = ops.iter().rev().take_while(|o| !o.is_forward()).count();
+        (warmup, cooldown)
+    }
+
     #[test]
     fn last_stage_has_no_warmup() {
-        let phases = PipelineSchedule::OneFOneB.phases(3, 4, 8);
-        assert!(phases.iter().all(|(_, p)| *p != PipelinePhase::WarmUp));
-        assert_eq!(phases[0].1, PipelinePhase::Steady);
+        let ops = one_f_one_b(3, 4, 8);
+        // One forward, then strict alternation: the steady phase starts at once.
+        assert_eq!(warmup_and_cooldown(&ops), (1, 1));
+        assert!(ops.iter().step_by(2).all(|o| o.is_forward()));
     }
 
     #[test]
     fn first_stage_has_longest_warmup() {
-        let phases = PipelineSchedule::OneFOneB.phases(0, 4, 8);
-        let warmup = phases
-            .iter()
-            .filter(|(_, p)| *p == PipelinePhase::WarmUp)
-            .count();
-        assert_eq!(warmup, 3);
-        let cooldown = phases
-            .iter()
-            .filter(|(_, p)| *p == PipelinePhase::CoolDown)
-            .count();
-        assert_eq!(cooldown, 3);
-    }
-
-    #[test]
-    fn gpipe_is_all_forwards_then_all_backwards() {
-        let ops = PipelineSchedule::GPipe.ops(1, 2, 3);
-        assert!(ops[..3].iter().all(|o| o.is_forward()));
-        assert!(ops[3..].iter().all(|o| !o.is_forward()));
+        // Three warm-up forwards beyond the steady phase's first, and three cool-down
+        // backwards beyond its last.
+        assert_eq!(warmup_and_cooldown(&one_f_one_b(0, 4, 8)), (4, 4));
     }
 
     #[test]
     fn bubble_fraction_shrinks_with_more_microbatches() {
-        let s = PipelineSchedule::OneFOneB;
-        assert!(s.bubble_fraction(4, 4) > s.bubble_fraction(4, 16));
-        assert!((s.bubble_fraction(1, 8) - 0.0).abs() < 1e-12);
-        assert!((s.bubble_fraction(2, 2) - 1.0 / 3.0).abs() < 1e-12);
+        assert!(bubble_fraction(4, 4) > bubble_fraction(4, 16));
+        assert!((bubble_fraction(1, 8) - 0.0).abs() < 1e-12);
+        assert!((bubble_fraction(2, 2) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn invalid_stage_panics() {
-        PipelineSchedule::OneFOneB.ops(2, 2, 2);
+        one_f_one_b(2, 2, 2);
     }
 }

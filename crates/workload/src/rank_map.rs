@@ -109,13 +109,13 @@ impl RankMapping {
     }
 
     /// The pipeline stage of `rank`.
-    pub fn pipeline_stage_of(&self, rank: u32) -> u32 {
+    pub(crate) fn pipeline_stage_of(&self, rank: u32) -> u32 {
         self.coords_of(rank).pipeline
     }
 
     /// The rank in the next pipeline stage with otherwise identical coordinates, or
     /// `None` if `rank` is in the last stage.
-    pub fn pipeline_next(&self, rank: u32) -> Option<u32> {
+    pub(crate) fn pipeline_next(&self, rank: u32) -> Option<u32> {
         let mut coords = self.coords_of(rank);
         if coords.pipeline + 1 >= self.config.pipeline {
             return None;
@@ -126,7 +126,7 @@ impl RankMapping {
 
     /// The rank in the previous pipeline stage with otherwise identical coordinates, or
     /// `None` if `rank` is in the first stage.
-    pub fn pipeline_prev(&self, rank: u32) -> Option<u32> {
+    pub(crate) fn pipeline_prev(&self, rank: u32) -> Option<u32> {
         let mut coords = self.coords_of(rank);
         if coords.pipeline == 0 {
             return None;
@@ -137,7 +137,7 @@ impl RankMapping {
 
     /// The ranks of the communication group containing `rank` along `axis`: all ranks
     /// whose coordinates match `rank`'s except along `axis`, ordered by that coordinate.
-    pub fn group_members(&self, rank: u32, axis: ParallelismAxis) -> Vec<u32> {
+    pub(crate) fn group_members(&self, rank: u32, axis: ParallelismAxis) -> Vec<u32> {
         let base = self.coords_of(rank);
         let degree = self.config.degree(axis);
         (0..degree)

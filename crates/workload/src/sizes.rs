@@ -15,7 +15,7 @@
 //! [`railsim_collectives::cost`].
 
 use crate::model::ModelConfig;
-use crate::parallelism::{DataParallelKind, ParallelismConfig};
+use crate::parallelism::ParallelismConfig;
 use railsim_sim::Bytes;
 
 /// Sizes of the communication buffers for a specific (model, parallelism) pair.
@@ -101,25 +101,6 @@ impl TrafficSizes {
             sync_allreduce,
         }
     }
-
-    /// Total bytes AllGathered by FSDP over one pipeline stage (all its layers), i.e.
-    /// the volume of one "DP AllGather" phase in Fig. 4(b).
-    pub fn fsdp_allgather_per_stage(&self, layers_per_stage: u32) -> Bytes {
-        self.fsdp_allgather_per_layer * layers_per_stage as u64
-    }
-
-    /// Total bytes ReduceScattered by FSDP over one pipeline stage.
-    pub fn fsdp_reducescatter_per_stage(&self, layers_per_stage: u32) -> Bytes {
-        self.fsdp_reducescatter_per_layer * layers_per_stage as u64
-    }
-
-    /// The data-parallel collective volume per layer for the configured [`DataParallelKind`].
-    pub fn dp_volume_per_layer(&self, kind: DataParallelKind) -> Bytes {
-        match kind {
-            DataParallelKind::AllReduce => self.dp_allreduce_per_layer,
-            DataParallelKind::FullySharded => self.fsdp_reducescatter_per_layer,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +122,9 @@ mod tests {
         let layers_per_stage = 16;
         let sync = s.sync_allreduce.as_mb_f64();
         let pp = s.pp_sendrecv_per_microbatch.as_mb_f64();
-        let ag = s.fsdp_allgather_per_stage(layers_per_stage).as_mb_f64();
-        let rs = s.fsdp_reducescatter_per_stage(layers_per_stage).as_mb_f64();
+        // One DP AllGather or ReduceScatter phase covers every layer of a stage.
+        let ag = (s.fsdp_allgather_per_layer * layers_per_stage).as_mb_f64();
+        let rs = (s.fsdp_reducescatter_per_layer * layers_per_stage).as_mb_f64();
         assert!(sync < 1.0, "sync AR should be <1MB, got {sync}");
         assert!(
             (10.0..200.0).contains(&pp),
@@ -228,14 +210,49 @@ mod tests {
 
     #[test]
     fn dp_volume_depends_on_kind() {
-        let s = paper_sizes();
-        assert_eq!(
-            s.dp_volume_per_layer(DataParallelKind::AllReduce),
-            s.dp_allreduce_per_layer
-        );
-        assert_eq!(
-            s.dp_volume_per_layer(DataParallelKind::FullySharded),
-            s.fsdp_reducescatter_per_layer
-        );
+        // The training DAG reduces each layer's gradients along DP with an AllReduce
+        // of `dp_allreduce_per_layer` under plain DP and a ReduceScatter of
+        // `fsdp_reducescatter_per_layer` under FSDP.
+        use crate::{ComputeModel, DagBuilder, DataParallelKind, GpuSpec, TaskKind};
+        use railsim_collectives::{CollectiveKind, ParallelismAxis};
+        let model = ModelConfig::tiny_test();
+        for data_kind in [DataParallelKind::AllReduce, DataParallelKind::FullySharded] {
+            let parallel = ParallelismConfig {
+                data_kind,
+                ..ParallelismConfig::paper_llama3_8b()
+            };
+            let s = TrafficSizes::derive(&model, &parallel);
+            let (gradients, per_layer) = match data_kind {
+                DataParallelKind::AllReduce => {
+                    (CollectiveKind::AllReduce, s.dp_allreduce_per_layer)
+                }
+                DataParallelKind::FullySharded => (
+                    CollectiveKind::ReduceScatter,
+                    s.fsdp_reducescatter_per_layer,
+                ),
+            };
+            let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
+            let dag = DagBuilder::new(model.clone(), parallel, compute).build();
+            let sizes: Vec<Bytes> = dag
+                .tasks()
+                .filter_map(|t| match t.kind {
+                    TaskKind::Collective {
+                        kind,
+                        axis: ParallelismAxis::Data,
+                        bytes,
+                        ..
+                    } if kind == gradients => Some(bytes),
+                    _ => None,
+                })
+                .collect();
+            assert!(sizes.contains(&per_layer), "{data_kind:?}");
+            // The only other DP collective of that kind is the small grad-norm sync.
+            assert!(
+                sizes
+                    .iter()
+                    .all(|&b| b == per_layer || b == s.sync_allreduce),
+                "{data_kind:?}"
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! | [`sim`] | `railsim-sim` | deterministic discrete-event engine, time/units, statistics |
 //! | [`topology`] | `railsim-topology` | clusters, rails, optical circuit switches, fat-trees |
 //! | [`collectives`] | `railsim-collectives` | communication groups, collective algorithms, α–β cost models |
-//! | [`workload`] | `railsim-workload` | model/parallelism configs, pipeline schedules, training DAGs |
+//! | [`workload`] | `railsim-workload` | model/parallelism configs, the 1F1B pipeline schedule, training DAGs |
 //! | [`opus`] | `opus` | the Opus controller and circuit planner, the scenario driver (the simulator's entry point) and fleet sweep service, window analysis |
 //! | [`cost`] | `railsim-cost` | fabric cost/power models and the OCS technology table |
 //!
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use railsim_topology::{Cluster, ClusterSpec, GpuId, NicConfig, NodePreset, RailId};
     pub use railsim_workload::{
         ComputeModel, DagBuilder, DataParallelKind, GpuSpec, InferenceConfig, InferenceDagBuilder,
-        JobId, ModelConfig, ParallelismConfig, PipelineSchedule, TrainingDag,
+        JobId, ModelConfig, ParallelismConfig, TrainingDag,
     };
 }
 

@@ -116,7 +116,7 @@ proptest! {
             prop_assert!(seen.insert(c.a()), "port {} reused", c.a());
             prop_assert!(seen.insert(c.b()), "port {} reused", c.b());
         }
-        prop_assert!(ocs.ports_in_use() <= ocs.radix());
+        prop_assert!(ocs.num_circuits() * 2 <= ocs.radix());
     }
 
     #[test]
