@@ -33,6 +33,7 @@ fn bench_controller(c: &mut Criterion) {
         b.iter(|| {
             let fabric = OpticalRailFabric::for_cluster(&cluster, SimDuration::from_millis(25));
             let mut controller = OpusController::new(fabric);
+            let mut events = Vec::new();
             let mut now = SimTime::ZERO;
             for i in 0..1000u64 {
                 let (group, plan) = if i % 2 == 0 {
@@ -40,11 +41,11 @@ fn bench_controller(c: &mut Criterion) {
                 } else {
                     (pp.id, &pp_plan)
                 };
-                let ready = controller.request(0, group, plan, now);
+                let ready = controller.request(0, group, plan, now, &mut events);
                 controller.occupy(0, plan, ready + SimDuration::from_millis(1));
                 now = ready + SimDuration::from_millis(1);
             }
-            black_box(controller.events().len())
+            black_box(events.len())
         })
     });
 }

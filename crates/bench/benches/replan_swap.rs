@@ -3,13 +3,13 @@
 //!
 //! A DP ring occupies every GPU of rail 0 on a 1024-GPU DGX H200 cluster; the rail
 //! then fails. `replan_swap_recompute` isolates `CircuitPlanner::replan_degraded`:
-//! re-striping the dead rail's circuits onto the surviving rails (round-robin
-//! assignment + per-GPU port watermarks). `replan_swap_install` times the fabric side
-//! of the swap on its own: the degraded plan is computed once, outside the timed
-//! loop, and one iteration resolves it to the fabric's dense tables, installs it on
-//! the surviving rails and tears it back down (the `RailUp` swap-back) — the fabric
-//! work `RecoveryPolicy::Replan` pays per health transition, isolated from the event
-//! engine.
+//! re-striping the dead rail's circuits onto the surviving rails (each dead rail onto
+//! the next healthy rail, on fresh ports past the kept circuits).
+//! `replan_swap_install` times the fabric side of the swap on its own: the degraded
+//! plan is computed once, outside the timed loop, and one iteration resolves it to
+//! the fabric's dense tables, installs it on the surviving rails and tears it back
+//! down (the `RailUp` swap-back) — the fabric work `RecoveryPolicy::Replan` pays per
+//! health transition, isolated from the event engine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opus::CircuitPlanner;
@@ -33,7 +33,7 @@ fn bench_replan_swap(c: &mut Criterion) {
 
     c.bench_function("replan_swap_recompute", |b| {
         b.iter(|| {
-            let degraded = planner.replan_degraded(&cluster, black_box(&pristine), healthy.clone());
+            let degraded = planner.replan_degraded(&cluster, black_box(&pristine), &healthy);
             assert!(!degraded.is_scaleup_only());
             black_box(degraded)
         })
@@ -43,7 +43,7 @@ fn bench_replan_swap(c: &mut Criterion) {
     let mut fabric = OpticalRailFabric::for_cluster(&cluster, SimDuration::from_millis(25));
     let mut now = SimTime::ZERO;
     let mut plan = Vec::new();
-    let degraded = planner.replan_degraded(&cluster, &pristine, healthy);
+    let degraded = planner.replan_degraded(&cluster, &pristine, &healthy);
     c.bench_function("replan_swap_install", |b| {
         b.iter(|| {
             // A swap prepares the slot's plan again: resolve the degraded circuits.

@@ -12,9 +12,7 @@
 //!   together with the node-degree each requires (the paper's constraint C1),
 //! * [`cost`] — α–β completion-time models for every (collective, algorithm) pair,
 //! * [`constraints`] — the C1/C2/C3 feasibility and bandwidth-fragmentation analysis
-//!   for photonic rails with a limited number of NIC ports,
-//! * [`replan`] — degraded-schedule planning: deterministic re-striping of rings onto
-//!   the surviving rails after a failure, with the matching α–β cost adjustment.
+//!   for photonic rails with a limited number of NIC ports.
 //!
 //! ```
 //! use railsim_collectives::{Algorithm, CollectiveKind, cost::CostParams};
@@ -41,7 +39,6 @@ pub mod constraints;
 pub mod cost;
 pub mod group;
 pub mod kind;
-pub mod replan;
 pub mod ring;
 
 pub use algorithm::Algorithm;
@@ -49,4 +46,3 @@ pub use constraints::{DegreeBudget, FeasibilityReport};
 pub use cost::CostParams;
 pub use group::{CommGroup, GroupId};
 pub use kind::{CollectiveKind, ParallelismAxis};
-pub use replan::{degraded_params, RailStriper};

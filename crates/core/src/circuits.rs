@@ -9,16 +9,19 @@
 //!   scale-out leg runs on the *destination's* rail between the intermediate GPU (the
 //!   sender's node-mate with the destination's rank) and the destination.
 //!
-//! Each GPU only has a limited number of logical NIC ports. Per rail, the planner
-//! walks the ring's pairs in order and gives each pair the next free port of both its
-//! GPUs, counting from port 0 in every group; a pair that finds either GPU out of
-//! ports is dropped rather than failing the plan. On a ring whose pairs share one
-//! rail, one port per GPU therefore keeps only disjoint pairs of an `n ≥ 3` ring (a
-//! 4-ring keeps (0,1) and (2,3), a 3-ring only (0,1)), and two or more ports drop
-//! nothing. The collective is still priced as a full ring; ROADMAP item 8 tracks
-//! planning a ring with only the pairs its port budget can realize.
+//! Each GPU only has a limited number of logical NIC ports. One private routine,
+//! `CircuitPlanner::assign_ports`, assigns them for both the pristine plan and a
+//! re-striped one ([`CircuitPlanner::replan_degraded`]): per rail, circuits kept from
+//! an earlier plan set each GPU's next free port, and the rail's pairs then take, in
+//! order, the next free port of both their GPUs. A pristine plan keeps nothing, so
+//! every group counts from port 0; a pair that finds either GPU out of ports is
+//! dropped rather than failing the plan. On a ring whose pairs share one rail, one
+//! port per GPU therefore keeps only disjoint pairs of an `n ≥ 3` ring (a 4-ring
+//! keeps (0,1) and (2,3), a 3-ring only (0,1)), and two or more ports drop nothing.
+//! The collective is still priced as a full ring; ROADMAP item 8 tracks planning a
+//! ring with only the pairs its port budget can realize.
 
-use railsim_collectives::{ring::ring_neighbor_pairs, CommGroup, RailStriper};
+use railsim_collectives::{ring::ring_neighbor_pairs, CommGroup};
 use railsim_topology::{
     Circuit, CircuitConfig, Cluster, CommPath, DenseCircuit, GpuId, PathKind, PortGeometry, PortId,
     RailId, RailSet,
@@ -104,32 +107,14 @@ impl CircuitPlanner {
             }
         }
 
-        let mut per_rail = BTreeMap::new();
         let mut dropped_pairs = 0usize;
-        for (rail, pairs) in per_rail_pairs {
-            // Assign ports round-robin per GPU within this rail's configuration.
-            let mut next_port: HashMap<GpuId, u8> = HashMap::new();
-            let mut circuits = Vec::new();
-            for (a, b) in pairs {
-                let pa = *next_port.entry(a).or_insert(0);
-                let pb = *next_port.entry(b).or_insert(0);
-                if pa >= self.ports_per_gpu || pb >= self.ports_per_gpu {
-                    // Out of ports on an endpoint: drop this pair. Pairs are taken
-                    // greedily in ring order, so one port per GPU keeps disjoint pairs.
-                    dropped_pairs += 1;
-                    continue;
-                }
-                circuits.push(Circuit::new(PortId::new(a, pa), PortId::new(b, pb)));
-                *next_port.get_mut(&a).expect("just inserted") += 1;
-                *next_port.get_mut(&b).expect("just inserted") += 1;
-            }
-            if !circuits.is_empty() {
-                let config = CircuitConfig::new(circuits)
-                    .expect("round-robin port assignment cannot reuse a port");
-                per_rail.insert(rail, config);
-            }
-        }
-
+        let per_rail = per_rail_pairs
+            .into_iter()
+            .filter_map(|(rail, pairs)| {
+                let config = self.assign_ports(&[], pairs, &mut dropped_pairs)?;
+                Some((rail, config))
+            })
+            .collect();
         GroupCircuits {
             per_rail,
             dropped_pairs,
@@ -138,91 +123,103 @@ impl CircuitPlanner {
     }
 
     /// Re-plans `pristine` around dead rails: circuits on rails listed in `healthy`
-    /// are kept verbatim (ports included), while each dead rail's circuits are
-    /// re-striped onto a healthy rail chosen round-robin ([`RailStriper`]) — a
-    /// displaced circuit between GPUs `a` and `b` becomes a circuit between their
-    /// *node-mates* on the target rail (the PXN intermediates `gpu_at(node_of(a),
-    /// target)` / `gpu_at(node_of(b), target)`, which forward the traffic over
-    /// NVLink). Displaced circuits take fresh ports past whatever the kept circuits
-    /// already use on the target rail; when a GPU's port budget runs out the pair is
-    /// dropped (counted in `dropped_pairs`), exactly like [`CircuitPlanner::plan`].
+    /// (ascending) are kept verbatim (ports included), while each dead rail, in
+    /// ascending order, moves onto the next healthy rail in turn, cycling through
+    /// `healthy`. A displaced circuit between GPUs `a` and `b` becomes a pair of
+    /// their *node-mates* on the target rail (the PXN intermediates
+    /// `gpu_at(node_of(a), target)` / `gpu_at(node_of(b), target)`, which forward the
+    /// traffic over NVLink), and the displaced pairs take ports past the kept
+    /// circuits exactly as [`CircuitPlanner::plan`] assigns them; a pair that finds a
+    /// GPU out of ports is dropped (counted in `dropped_pairs`).
     ///
     /// With no healthy rails at all, every pair is dropped and the result is empty —
     /// callers should treat that as "cannot re-plan" and stall instead (an empty plan
     /// would masquerade as scale-up-only).
     ///
-    /// The result depends only on `pristine`, the cluster geometry and the sorted
-    /// healthy-rail set, so every run (and every fleet worker) derives the same
-    /// degraded plan.
+    /// The result depends only on `pristine`, the cluster geometry and the healthy
+    /// rails, so every run (and every fleet worker) derives the same degraded plan.
     pub fn replan_degraded(
         &self,
         cluster: &Cluster,
         pristine: &GroupCircuits,
-        healthy: Vec<RailId>,
+        healthy: &[RailId],
     ) -> GroupCircuits {
-        let mut striper = RailStriper::new(healthy);
-        let mut per_rail_circuits: BTreeMap<RailId, Vec<Circuit>> = BTreeMap::new();
-        let mut next_port: HashMap<(RailId, GpuId), u8> = HashMap::new();
+        debug_assert!(
+            healthy.is_sorted_by(|a, b| a < b),
+            "healthy rails ascend without repeats"
+        );
         let mut dropped_pairs = pristine.dropped_pairs;
-
-        // Kept rails first: their circuits are untouched and seed the per-GPU port
-        // watermark displaced circuits must allocate past.
-        for (&rail, config) in &pristine.per_rail {
-            if !striper.is_healthy(rail) {
+        let mut displaced: BTreeMap<RailId, Vec<(GpuId, GpuId)>> = BTreeMap::new();
+        let mut targets = healthy.iter().cycle();
+        for (rail, config) in &pristine.per_rail {
+            if healthy.binary_search(rail).is_ok() {
                 continue;
             }
-            for c in config.circuits() {
-                for port in [c.a(), c.b()] {
-                    let slot = next_port.entry((rail, port.gpu)).or_insert(0);
-                    *slot = (*slot).max(port.port + 1);
-                }
-            }
-            per_rail_circuits.insert(rail, config.circuits().to_vec());
-        }
-
-        // Dead rails in ascending order, each displaced onto the next healthy rail.
-        for (&rail, config) in &pristine.per_rail {
-            if striper.is_healthy(rail) {
-                continue;
-            }
-            let Some(target) = striper.assign() else {
+            let Some(&target) = targets.next() else {
                 dropped_pairs += config.len();
                 continue;
             };
+            let pairs = displaced.entry(target).or_default();
             for c in config.circuits() {
                 let node_a = cluster.node_of(c.a().gpu);
                 let node_b = cluster.node_of(c.b().gpu);
                 debug_assert_ne!(node_a, node_b, "rail circuits span nodes");
-                let a = cluster.gpu_at(node_a, target.0);
-                let b = cluster.gpu_at(node_b, target.0);
-                let pa = *next_port.entry((target, a)).or_insert(0);
-                let pb = *next_port.entry((target, b)).or_insert(0);
-                if pa >= self.ports_per_gpu || pb >= self.ports_per_gpu {
-                    dropped_pairs += 1;
-                    continue;
-                }
-                per_rail_circuits
-                    .entry(target)
-                    .or_default()
-                    .push(Circuit::new(PortId::new(a, pa), PortId::new(b, pb)));
-                *next_port.get_mut(&(target, a)).expect("just inserted") += 1;
-                *next_port.get_mut(&(target, b)).expect("just inserted") += 1;
+                pairs.push((
+                    cluster.gpu_at(node_a, target.0),
+                    cluster.gpu_at(node_b, target.0),
+                ));
             }
         }
 
-        let per_rail = per_rail_circuits
-            .into_iter()
-            .map(|(rail, circuits)| {
-                let config = CircuitConfig::new(circuits)
-                    .expect("watermarked port assignment cannot reuse a port");
-                (rail, config)
-            })
-            .collect();
+        let mut per_rail = BTreeMap::new();
+        for &rail in healthy {
+            let kept = pristine
+                .per_rail
+                .get(&rail)
+                .map_or(&[][..], |c| c.circuits());
+            let pairs = displaced.remove(&rail).unwrap_or_default();
+            if let Some(config) = self.assign_ports(kept, pairs, &mut dropped_pairs) {
+                per_rail.insert(rail, config);
+            }
+        }
         GroupCircuits {
             per_rail,
             dropped_pairs,
             scaleup_pairs: pristine.scaleup_pairs,
         }
+    }
+
+    /// The port assignment of one rail, shared by [`CircuitPlanner::plan`] and
+    /// [`CircuitPlanner::replan_degraded`]: the `kept` circuits stay as they are and
+    /// set each GPU's next free port past the ports they hold; each of `pairs`, in
+    /// order, then takes the next free port on both its GPUs, or is dropped (counted
+    /// in `dropped_pairs`) when either GPU is out of ports. Returns the rail's
+    /// configuration, kept circuits first, or `None` when it holds no circuit.
+    fn assign_ports(
+        &self,
+        kept: &[Circuit],
+        pairs: Vec<(GpuId, GpuId)>,
+        dropped_pairs: &mut usize,
+    ) -> Option<CircuitConfig> {
+        let mut next_port: HashMap<GpuId, u8> = HashMap::new();
+        for port in kept.iter().flat_map(|c| [c.a(), c.b()]) {
+            let next = next_port.entry(port.gpu).or_insert(0);
+            *next = (*next).max(port.port + 1);
+        }
+        let mut circuits = kept.to_vec();
+        for (a, b) in pairs {
+            let pa = next_port.get(&a).copied().unwrap_or(0);
+            let pb = next_port.get(&b).copied().unwrap_or(0);
+            if pa >= self.ports_per_gpu || pb >= self.ports_per_gpu {
+                *dropped_pairs += 1;
+                continue;
+            }
+            circuits.push(Circuit::new(PortId::new(a, pa), PortId::new(b, pb)));
+            next_port.insert(a, pa + 1);
+            next_port.insert(b, pb + 1);
+        }
+        (!circuits.is_empty())
+            .then(|| CircuitConfig::new(circuits).expect("port assignment never reuses a port"))
     }
 }
 
@@ -330,7 +327,7 @@ mod tests {
         let dp = group(ParallelismAxis::Data, &[0, 4]);
         let pristine = planner.plan(&c, &dp);
         let healthy: Vec<RailId> = (1..4).map(RailId).collect();
-        let degraded = planner.replan_degraded(&c, &pristine, healthy);
+        let degraded = planner.replan_degraded(&c, &pristine, &healthy);
         assert_eq!(degraded.rails(), vec![RailId(1)]);
         assert!(degraded.per_rail[&RailId(1)].connects_gpus(GpuId(1), GpuId(5)));
         assert_eq!(degraded.total_circuits(), 1);
@@ -346,7 +343,7 @@ mod tests {
         let g = group(ParallelismAxis::Pipeline, &[2, 10]);
         let pristine = planner.plan(&c, &g);
         let healthy: Vec<RailId> = (1..4).map(RailId).collect();
-        let degraded = planner.replan_degraded(&c, &pristine, healthy);
+        let degraded = planner.replan_degraded(&c, &pristine, &healthy);
         assert_eq!(degraded, pristine);
     }
 
@@ -363,7 +360,7 @@ mod tests {
         pristine
             .per_rail
             .insert(RailId(0), displaced.per_rail[&RailId(0)].clone());
-        let degraded = planner.replan_degraded(&c, &pristine, vec![RailId(1)]);
+        let degraded = planner.replan_degraded(&c, &pristine, &[RailId(1)]);
         assert_eq!(degraded.rails(), vec![RailId(1)]);
         assert_eq!(degraded.total_circuits(), 1, "only the kept circuit fits");
         assert_eq!(degraded.dropped_pairs, 1);
@@ -375,9 +372,64 @@ mod tests {
         let planner = CircuitPlanner::for_cluster(&c);
         let dp = group(ParallelismAxis::Data, &[0, 4]);
         let pristine = planner.plan(&c, &dp);
-        let degraded = planner.replan_degraded(&c, &pristine, Vec::new());
+        let degraded = planner.replan_degraded(&c, &pristine, &[]);
         assert!(degraded.is_scaleup_only());
         assert_eq!(degraded.dropped_pairs, 1);
+    }
+
+    /// A plan with one circuit on rail 0 (GPUs 0 and 4) and one on rail 1 (GPUs 9
+    /// and 13), on disjoint nodes.
+    fn rail_0_and_1_plan(c: &Cluster, planner: &CircuitPlanner) -> GroupCircuits {
+        let mut plan = planner.plan(c, &group(ParallelismAxis::Data, &[0, 4]));
+        let rail1 = planner.plan(c, &group(ParallelismAxis::Data, &[9, 13]));
+        plan.per_rail.extend(rail1.per_rail);
+        plan
+    }
+
+    #[test]
+    fn replan_puts_every_dead_rail_on_the_one_healthy_rail() {
+        let c = cluster();
+        let planner = CircuitPlanner::for_cluster(&c);
+        let pristine = rail_0_and_1_plan(&c, &planner);
+        let degraded = planner.replan_degraded(&c, &pristine, &[RailId(2)]);
+        assert_eq!(degraded.rails(), vec![RailId(2)]);
+        let rail2 = &degraded.per_rail[&RailId(2)];
+        assert!(rail2.connects_gpus(GpuId(2), GpuId(6)), "rail 0's pair");
+        assert!(rail2.connects_gpus(GpuId(10), GpuId(14)), "rail 1's pair");
+        assert_eq!(degraded.dropped_pairs, 0);
+    }
+
+    #[test]
+    fn replan_gives_each_dead_rail_the_next_healthy_rail_in_ascending_order() {
+        let c = cluster();
+        let planner = CircuitPlanner::for_cluster(&c);
+        let pristine = rail_0_and_1_plan(&c, &planner);
+        let degraded = planner.replan_degraded(&c, &pristine, &[RailId(2), RailId(3)]);
+        assert_eq!(degraded.rails(), vec![RailId(2), RailId(3)]);
+        assert!(degraded.per_rail[&RailId(2)].connects_gpus(GpuId(2), GpuId(6)));
+        assert!(degraded.per_rail[&RailId(3)].connects_gpus(GpuId(11), GpuId(15)));
+        assert_eq!(degraded.total_circuits(), 2);
+    }
+
+    #[test]
+    fn replan_cycles_through_the_healthy_rails_when_more_rails_are_dead() {
+        // DGX H200 nodes have 8 rails. Dead rails 0, 1 and 2 go to healthy rails 5,
+        // 6 and 5 again.
+        let c = ClusterSpec::from_preset(NodePreset::DgxH200, 4).build();
+        let planner = CircuitPlanner::for_cluster(&c);
+        let mut pristine = planner.plan(&c, &group(ParallelismAxis::Data, &[0, 8]));
+        for ranks in [[1, 9], [18, 26]] {
+            let plan = planner.plan(&c, &group(ParallelismAxis::Data, &ranks));
+            pristine.per_rail.extend(plan.per_rail);
+        }
+        assert_eq!(pristine.rails(), [RailId(0), RailId(1), RailId(2)]);
+        let degraded = planner.replan_degraded(&c, &pristine, &[RailId(5), RailId(6)]);
+        assert_eq!(degraded.rails(), [RailId(5), RailId(6)]);
+        let rail5 = &degraded.per_rail[&RailId(5)];
+        assert!(rail5.connects_gpus(GpuId(5), GpuId(13)), "rail 0's pair");
+        assert!(rail5.connects_gpus(GpuId(21), GpuId(29)), "rail 2's pair");
+        let rail6 = &degraded.per_rail[&RailId(6)];
+        assert!(rail6.connects_gpus(GpuId(6), GpuId(14)), "rail 1's pair");
     }
 
     #[test]
@@ -395,7 +447,7 @@ mod tests {
         pristine
             .per_rail
             .insert(RailId(0), displaced.per_rail[&RailId(0)].clone());
-        let degraded = planner.replan_degraded(&c, &pristine, vec![RailId(1)]);
+        let degraded = planner.replan_degraded(&c, &pristine, &[RailId(1)]);
         assert_eq!(degraded.rails(), vec![RailId(1)]);
         assert_eq!(degraded.total_circuits(), 2);
         assert_eq!(degraded.dropped_pairs, 0);

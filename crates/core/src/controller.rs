@@ -11,7 +11,7 @@
 //!   first-come-first-serve policy over the sequentially ordered demands of one job).
 //!
 //! The controller also keeps the per-port occupancy bookkeeping the conflict check
-//! needs, and a log of [`ReconfigEvent`]s for the experiment harness.
+//! needs, and reports each reconfiguration to the requester as a [`ReconfigEvent`].
 //!
 //! ## Prepared plans
 //!
@@ -75,7 +75,7 @@ fn normalized(value: SimTime, at: SimTime, lookback: SimDuration) -> u64 {
         .saturating_sub(at.as_nanos())
 }
 
-/// The Opus controller: rail OCSes plus occupancy tracking and the reconfiguration log.
+/// The Opus controller: rail OCSes plus occupancy tracking.
 ///
 /// All per-port and per-rail bookkeeping is *dense* — `Vec`s pre-sized from the
 /// fabric's [`PortGeometry`] and indexed by a port's [`RailPort`] slot / rail index.
@@ -90,7 +90,6 @@ pub struct OpusController {
     /// [`RailPort`]. `SimTime::ZERO` means "never been busy".
     port_busy: Vec<Vec<SimTime>>,
     geometry: PortGeometry,
-    events: Vec<ReconfigEvent>,
     requests: u64,
     noop_requests: u64,
     /// The tenant-contention policy. [`EvictionPolicy::Never`] (the default) keeps
@@ -124,7 +123,6 @@ impl OpusController {
             fabric,
             port_busy: vec![vec![SimTime::ZERO; geometry.ports_per_rail()]; num_rails],
             geometry,
-            events: Vec::new(),
             requests: 0,
             noop_requests: 0,
             eviction: EvictionPolicy::Never,
@@ -199,11 +197,6 @@ impl OpusController {
         &self.fabric
     }
 
-    /// The reconfiguration log.
-    pub fn events(&self) -> &[ReconfigEvent] {
-        &self.events
-    }
-
     /// Total requests received.
     pub fn requests(&self) -> u64 {
         self.requests
@@ -264,8 +257,9 @@ impl OpusController {
     }
 
     /// Handles `tenant`'s reconfiguration request for `group`: installs the group's
-    /// prepared circuits (see the module docs) on every rail they use and returns the
-    /// time at which all of them are ready to carry traffic.
+    /// prepared circuits (see the module docs) on every rail they use, pushes one
+    /// [`ReconfigEvent`] per rail it reconfigures onto `events`, and returns the time
+    /// at which all of them are ready to carry traffic.
     ///
     /// `requested_at` is when the (possibly speculative) request was issued. Each rail
     /// whose circuits are not yet installed starts switching once its ports are free.
@@ -283,6 +277,7 @@ impl OpusController {
         group: GroupId,
         circuits: &[DenseCircuit],
         requested_at: SimTime,
+        events: &mut Vec<ReconfigEvent>,
     ) -> SimTime {
         debug_assert!(
             circuits.is_sorted_by_key(DenseCircuit::rail),
@@ -315,7 +310,7 @@ impl OpusController {
                 .install(run, start)
                 .unwrap_or_else(|e| panic!("circuit install failed on {rail}: {e}"));
             if !ocs_already {
-                self.events.push(ReconfigEvent {
+                events.push(ReconfigEvent {
                     rail,
                     group,
                     requested_at,
@@ -452,13 +447,6 @@ impl OpusController {
         self.fabric.ocs_mut(rail).set_reconfig_delay(delay);
     }
 
-    /// Drains the reconfiguration log into `out`, preserving order and the log's
-    /// allocation. Scenario drivers call this after every committed event to attribute
-    /// reconfigurations to the job whose request caused them.
-    pub(crate) fn drain_events_into(&mut self, out: &mut Vec<ReconfigEvent>) {
-        out.append(&mut self.events);
-    }
-
     /// The occupancy footprint of the transfers occupied since `since`: per port, its
     /// busy end where that lies after `since` and `SimTime::ZERO` elsewhere, in a
     /// table shaped like the occupancy table. When no port was busy past `since` at
@@ -582,6 +570,7 @@ mod tests {
     #[test]
     fn first_request_pays_the_reconfig_delay() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
         let ready = ctrl.request(
@@ -589,25 +578,34 @@ mod tests {
             group.id,
             &plan(&ctrl, &circuits),
             SimTime::from_millis(100),
+            &mut events,
         );
         assert_eq!(ready, SimTime::from_millis(125));
-        assert_eq!(ctrl.events().len(), 1);
+        assert_eq!(events.len(), 1);
     }
 
     #[test]
     fn repeated_requests_for_the_same_group_are_free() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        ctrl.request(0, group.id, &plan(&ctrl, &circuits), SimTime::ZERO);
+        ctrl.request(
+            0,
+            group.id,
+            &plan(&ctrl, &circuits),
+            SimTime::ZERO,
+            &mut events,
+        );
         let ready = ctrl.request(
             0,
             group.id,
             &plan(&ctrl, &circuits),
             SimTime::from_millis(200),
+            &mut events,
         );
         assert_eq!(ready, SimTime::from_millis(200));
-        assert_eq!(ctrl.events().len(), 1);
+        assert_eq!(events.len(), 1);
         assert_eq!(ctrl.noop_requests(), 1);
         assert!(ctrl.installed_ready_time(&plan(&ctrl, &circuits)).is_some());
     }
@@ -615,6 +613,7 @@ mod tests {
     #[test]
     fn conflicting_reconfiguration_waits_for_traffic_to_drain() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         // DP group {0, 4} and PP group {0, 8} share GPU 0's single NIC port on rail 0.
         let dp = dp_group(1, &[0, 4]);
         let pp = CommGroup::new(
@@ -625,7 +624,13 @@ mod tests {
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
 
-        ctrl.request(0, dp.id, &plan(&ctrl, &dp_circuits), SimTime::ZERO);
+        ctrl.request(
+            0,
+            dp.id,
+            &plan(&ctrl, &dp_circuits),
+            SimTime::ZERO,
+            &mut events,
+        );
         // DP traffic occupies its circuit until t = 300 ms.
         ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // A PP request at t = 150 ms must wait for the DP traffic to finish before the
@@ -635,9 +640,10 @@ mod tests {
             pp.id,
             &plan(&ctrl, &pp_circuits),
             SimTime::from_millis(150),
+            &mut events,
         );
         assert_eq!(ready, SimTime::from_millis(325));
-        let event = ctrl.events().last().unwrap();
+        let event = events.last().unwrap();
         assert_eq!(event.started_at, SimTime::from_millis(300));
         assert_eq!(event.requested_at, SimTime::from_millis(150));
     }
@@ -645,25 +651,67 @@ mod tests {
     #[test]
     fn non_conflicting_groups_reconfigure_independently() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         let a = dp_group(1, &[0, 4]);
         let b = dp_group(2, &[1, 5]); // rail 1 — no shared ports with rail 0.
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
-        ctrl.request(0, a.id, &plan(&ctrl, &ca), SimTime::ZERO);
+        ctrl.request(0, a.id, &plan(&ctrl, &ca), SimTime::ZERO, &mut events);
         ctrl.occupy(0, &plan(&ctrl, &ca), SimTime::from_secs(10));
-        let ready = ctrl.request(0, b.id, &plan(&ctrl, &cb), SimTime::from_millis(50));
+        let ready = ctrl.request(
+            0,
+            b.id,
+            &plan(&ctrl, &cb),
+            SimTime::from_millis(50),
+            &mut events,
+        );
         assert_eq!(
             ready,
             SimTime::from_millis(75),
             "rail 1 must not wait for rail 0 traffic"
         );
-        let rails: Vec<RailId> = ctrl.events().iter().map(|e| e.rail).collect();
+        let rails: Vec<RailId> = events.iter().map(|e| e.rail).collect();
         assert_eq!(rails, [RailId(0), RailId(1)]);
+    }
+
+    #[test]
+    fn requests_append_one_event_per_reconfigured_rail_to_the_callers_log() {
+        let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
+        let dp = dp_group(1, &[0, 4]);
+        ctrl.request(
+            0,
+            dp.id,
+            &plan(&ctrl, &planner.plan(&cluster, &dp)),
+            SimTime::ZERO,
+            &mut events,
+        );
+        // The ring {0, 5, 10, 15} holds one PXN circuit on each of the four rails.
+        let ring = CommGroup::new(
+            railsim_collectives::GroupId(2),
+            ParallelismAxis::Expert,
+            [0, 5, 10, 15].map(GpuId).to_vec(),
+        );
+        let ring = (ring.id, plan(&ctrl, &planner.plan(&cluster, &ring)));
+        for _ in 0..2 {
+            ctrl.request(0, ring.0, &ring.1, SimTime::from_millis(50), &mut events);
+        }
+        // The first event stays; the repeated ring request is a no-op and logs none.
+        let logged: Vec<(GroupId, RailId)> = events.iter().map(|e| (e.group, e.rail)).collect();
+        let ring_rails = (0..4).map(|r| (ring.0, RailId(r)));
+        assert_eq!(
+            logged,
+            [(dp.id, RailId(0))]
+                .into_iter()
+                .chain(ring_rails)
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn scaleup_only_groups_are_noops() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         let tp = CommGroup::new(
             railsim_collectives::GroupId(3),
             ParallelismAxis::Tensor,
@@ -671,20 +719,30 @@ mod tests {
         );
         let circuits = planner.plan(&cluster, &tp);
         let t = SimTime::from_millis(42);
-        assert_eq!(ctrl.request(0, tp.id, &plan(&ctrl, &circuits), t), t);
-        assert_eq!(ctrl.events().len(), 0);
+        assert_eq!(
+            ctrl.request(0, tp.id, &plan(&ctrl, &circuits), t, &mut events),
+            t
+        );
+        assert_eq!(events.len(), 0);
         assert_eq!(ctrl.noop_requests(), 1);
     }
 
     #[test]
     fn installed_ready_matches_noop_requests() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
         // Nothing installed yet: no fast-path ready time.
         assert_eq!(ctrl.installed_ready_time(&plan(&ctrl, &circuits)), None);
 
-        let ready = ctrl.request(0, group.id, &plan(&ctrl, &circuits), SimTime::ZERO);
+        let ready = ctrl.request(
+            0,
+            group.id,
+            &plan(&ctrl, &circuits),
+            SimTime::ZERO,
+            &mut events,
+        );
         // The pure read now answers exactly what a no-op request would return.
         assert_eq!(
             ctrl.installed_ready_time(&plan(&ctrl, &circuits)),
@@ -692,7 +750,7 @@ mod tests {
         );
         let later = SimTime::from_millis(500);
         assert_eq!(
-            ctrl.request(0, group.id, &plan(&ctrl, &circuits), later),
+            ctrl.request(0, group.id, &plan(&ctrl, &circuits), later, &mut events),
             later
         );
 
@@ -716,19 +774,26 @@ mod tests {
             vec![GpuId(0), GpuId(8)],
         );
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request(0, pp.id, &plan(&ctrl, &pp_circuits), SimTime::from_secs(20));
+        ctrl.request(
+            0,
+            pp.id,
+            &plan(&ctrl, &pp_circuits),
+            SimTime::from_secs(20),
+            &mut events,
+        );
         assert_eq!(ctrl.installed_ready_time(&plan(&ctrl, &circuits)), None);
     }
 
     #[test]
     fn withdraw_removes_only_the_groups_circuits() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         let a = dp_group(1, &[0, 4]);
         let b = dp_group(2, &[1, 5]);
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
-        ctrl.request(0, a.id, &plan(&ctrl, &ca), SimTime::ZERO);
-        ctrl.request(0, b.id, &plan(&ctrl, &cb), SimTime::ZERO);
+        ctrl.request(0, a.id, &plan(&ctrl, &ca), SimTime::ZERO, &mut events);
+        ctrl.request(0, b.id, &plan(&ctrl, &cb), SimTime::ZERO, &mut events);
         let removed = ctrl.withdraw(&plan(&ctrl, &ca));
         assert!(removed > 0, "group a held circuits");
         assert!(
@@ -744,6 +809,7 @@ mod tests {
     #[test]
     fn lru_tenant_evicts_other_tenants_but_waits_for_its_own() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         ctrl.set_eviction(EvictionPolicy::LruTenant, 2);
         // Tenant 0's DP group and tenant 1's PP group share GPU 0's port on rail 0.
         let dp = dp_group(1, &[0, 4]);
@@ -754,7 +820,13 @@ mod tests {
         );
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request(0, dp.id, &plan(&ctrl, &dp_circuits), SimTime::ZERO);
+        ctrl.request(
+            0,
+            dp.id,
+            &plan(&ctrl, &dp_circuits),
+            SimTime::ZERO,
+            &mut events,
+        );
         ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // Tenant 1 does not wait for tenant 0's hold: start at 150, ready at 175.
         let ready = ctrl.request(
@@ -762,6 +834,7 @@ mod tests {
             pp.id,
             &plan(&ctrl, &pp_circuits),
             SimTime::from_millis(150),
+            &mut events,
         );
         assert_eq!(ready, SimTime::from_millis(175));
         assert_eq!(ctrl.evictions_suffered_by(0), 1);
@@ -781,6 +854,7 @@ mod tests {
             own.id,
             &plan(&ctrl, &own_circuits),
             SimTime::from_millis(200),
+            &mut events,
         );
         assert_eq!(ready, SimTime::from_millis(425), "own traffic drains first");
     }
@@ -788,6 +862,7 @@ mod tests {
     #[test]
     fn fair_share_only_lets_the_longer_waiter_evict() {
         let (cluster, mut ctrl, planner) = setup();
+        let mut events = Vec::new();
         ctrl.set_eviction(EvictionPolicy::FairShare, 2);
         let dp = dp_group(1, &[0, 4]);
         let pp = CommGroup::new(
@@ -797,7 +872,13 @@ mod tests {
         );
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request(0, dp.id, &plan(&ctrl, &dp_circuits), SimTime::ZERO);
+        ctrl.request(
+            0,
+            dp.id,
+            &plan(&ctrl, &dp_circuits),
+            SimTime::ZERO,
+            &mut events,
+        );
         ctrl.occupy(0, &plan(&ctrl, &dp_circuits), SimTime::from_millis(300));
         // Equal waits (both zero): tenant 1 may not evict and waits like FC-FS, so a
         // provisioned request could not be back-dated past the hold either.
@@ -810,6 +891,7 @@ mod tests {
             pp.id,
             &plan(&ctrl, &pp_circuits),
             SimTime::from_millis(150),
+            &mut events,
         );
         assert_eq!(ready, SimTime::from_millis(325));
         assert_eq!(ctrl.evictions_inflicted_by(1), 0);
@@ -842,6 +924,7 @@ mod tests {
             other.id,
             &plan(&ctrl, &other_circuits),
             SimTime::from_millis(400),
+            &mut events,
         );
         assert_eq!(
             ready,
@@ -867,12 +950,13 @@ mod tests {
         let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
         let lat = SimDuration::from_micros(lat);
         let mut ctrl = OpusController::new(OpticalRailFabric::for_cluster(&cluster, lat));
+        let mut events = Vec::new();
         ctrl.set_rail_reconfig_delay(RailId(0), SimDuration::from_micros(delay));
         let group = dp_group(1, ranks);
         let circuits = CircuitPlanner::for_cluster(&cluster).plan(&cluster, &group);
         let start = SimTime::from_micros(ready - delay);
         assert_eq!(
-            ctrl.request(0, group.id, &plan(&ctrl, &circuits), start),
+            ctrl.request(0, group.id, &plan(&ctrl, &circuits), start, &mut events),
             SimTime::from_micros(ready)
         );
         ctrl.occupy(0, &plan(&ctrl, &circuits), SimTime::from_micros(busy));
@@ -983,6 +1067,7 @@ mod tests {
             let planner = CircuitPlanner::for_cluster(&cluster);
             let fabric = || OpticalRailFabric::for_cluster(&cluster, SimDuration::from_millis(1));
             let (mut by_plan, mut by_port) = (OpusController::new(fabric()), OpusController::new(fabric()));
+            let (mut plan_events, mut port_events) = (Vec::new(), Vec::new());
             if fair_share == 1 {
                 by_plan.set_eviction(EvictionPolicy::FairShare, 2);
                 by_port.set_eviction(EvictionPolicy::FairShare, 2);
@@ -1010,8 +1095,8 @@ mod tests {
                 now += SimDuration::from_micros(100 * dt);
                 match op {
                     0 => prop_assert_eq!(
-                        by_plan.request(tenant, *group, &plans[g], now),
-                        by_port.request(tenant, *group, &plans[g], now)
+                        by_plan.request(tenant, *group, &plans[g], now, &mut plan_events),
+                        by_port.request(tenant, *group, &plans[g], now, &mut port_events)
                     ),
                     1 => {
                         let until = now + SimDuration::from_micros(100 * (1 + dt % 3));
@@ -1029,7 +1114,7 @@ mod tests {
                 }
                 prop_assert_eq!(&by_plan.port_busy, &by_port.port_busy);
                 prop_assert_eq!(&by_plan.port_tenant, &by_port.port_tenant);
-                prop_assert_eq!(by_plan.events(), by_port.events());
+                prop_assert_eq!(&plan_events, &port_events);
             }
         }
     }

@@ -69,6 +69,7 @@
 use crate::config::{OpusConfig, ReconfigPolicy, RecoveryPolicy};
 use crate::metrics::nearest_rank;
 use crate::scenario::{first_same_simulation, JobPlacement, ScenarioEvent, ScenarioSpec};
+use crate::splitmix::{SplitMix64, GOLDEN_GAMMA};
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{Cluster, RailId};
 use railsim_workload::TrainingDag;
@@ -77,43 +78,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
-
-// ---------------------------------------------------------------------------------
-// Deterministic per-variant seeding
-// ---------------------------------------------------------------------------------
-
-const SPLITMIX64_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn splitmix64_mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A splitmix64 stream: the standard 64-bit seed expander (Steele et al.), used for
-/// per-variant seed derivation and failure-trace generation. Deliberately *not* the
-/// simulation RNG — variant seeds must be derivable without constructing a scenario.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(SPLITMIX64_GOLDEN);
-        splitmix64_mix(self.state)
-    }
-
-    /// A draw in `[0, bound)`. Modulo bias is irrelevant here: bounds are tiny
-    /// (rail counts, outage counts, nanosecond windows) against a 64-bit stream.
-    fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        self.next_u64() % bound
-    }
-}
 
 /// Number of rail outages (`RailDown` events) in an injected timeline.
 fn injected_outages(injections: &[(SimTime, ScenarioEvent)]) -> usize {
@@ -293,10 +257,9 @@ impl SweepSpec {
     /// seed. Independent of worker count and evaluation order by construction, so a
     /// sweep's failure traces are reproducible from `(base_seed, variant_idx)` alone.
     pub(crate) fn seed_for(&self, variant_idx: usize) -> u64 {
-        splitmix64_mix(
-            self.base_seed
-                .wrapping_add((variant_idx as u64 + 1).wrapping_mul(SPLITMIX64_GOLDEN)),
-        )
+        // The stream's draw `variant_idx`, skipping the draws before it.
+        let skipped = (variant_idx as u64).wrapping_mul(GOLDEN_GAMMA);
+        SplitMix64::new(self.base_seed.wrapping_add(skipped)).next_u64()
     }
 
     /// Decomposes a variant index into `(level, placement, trace)` grid coordinates.

@@ -66,6 +66,7 @@ pub mod fleet;
 pub mod metrics;
 pub mod scenario;
 pub mod serving;
+mod splitmix;
 pub mod window;
 
 pub use circuits::{CircuitPlanner, GroupCircuits};

@@ -126,15 +126,17 @@
 //! not a simulation outcome.
 //!
 //! That stalling behavior is [`RecoveryPolicy::Stall`](crate::RecoveryPolicy), the
-//! default. Under [`RecoveryPolicy::Replan`](crate::RecoveryPolicy) an optical job
-//! instead swaps every affected group onto a *degraded* circuit plan the moment the
-//! failure commits: the dead rail's ring circuits are re-striped onto surviving
-//! rails (fresh ports on the node-mate GPUs of those rails), the collective cost
-//! model is derated by the lost rail parallelism, and the group pays one
-//! reconfiguration delay to install the new circuits. On `RailUp` the pristine plan
-//! is restored the same way. [`JobResult`] reports the stall-vs-replan inflation
-//! inputs: degraded iterations, replan reconfigurations and time under a degraded
-//! plan.
+//! default. Under [`RecoveryPolicy::Replan`](crate::RecoveryPolicy) every health
+//! change re-picks each group's plan of an optical job by one rule: a group runs its
+//! pristine plan unless one of its rails is down and the pristine plan re-striped
+//! onto the healthy rails is non-empty, in which case it runs that *degraded* plan.
+//! Re-striping moves each dead rail's ring circuits onto a surviving rail (fresh
+//! ports on the node-mate GPUs of that rail), the collective cost model is derated
+//! by the lost rail parallelism, and a group whose plan changes pays one
+//! reconfiguration delay to install the new circuits. A group with no healthy rail
+//! left keeps its pristine plan and stalls. [`JobResult`] reports the
+//! stall-vs-replan inflation inputs: degraded iterations, replan reconfigurations
+//! and time under a degraded plan.
 
 use crate::circuits::{CircuitPlanner, GroupCircuits};
 use crate::config::OpusConfig;
@@ -146,7 +148,7 @@ use crate::metrics::{
 use crate::serving::ServingSpec;
 use railsim_collectives::{
     cost::{collective_time, CostParams},
-    degraded_params, Algorithm, CollectiveKind, CommGroup, GroupId, ParallelismAxis,
+    Algorithm, CollectiveKind, CommGroup, GroupId, ParallelismAxis,
 };
 use railsim_sim::{Engine, SimDuration, SimRng, SimTime};
 use railsim_topology::{
@@ -472,8 +474,8 @@ pub struct JobResult {
     /// Iterations during which the job ran — for any part of the iteration — on a
     /// replan-degraded circuit plan. Always 0 under [`RecoveryPolicy::Stall`].
     pub degraded_iterations: u32,
-    /// Circuit-plan swaps the replan machinery performed for this job (each degrade,
-    /// re-stripe and restore transition counts once per affected group).
+    /// Circuit-plan swaps the replan machinery performed for this job (each change
+    /// of a group's plan counts once).
     pub replan_reconfigs: u64,
     /// Total simulated time the job spent with at least one group on a degraded plan.
     pub time_under_degraded_plan: SimDuration,
@@ -600,14 +602,14 @@ struct CircuitSlot {
     group: GroupId,
     /// Member count of the group (collective cost-model input).
     group_size: u32,
-    /// The live circuit plan, which `plan` is prepared from. Replan swaps read and
-    /// replace it; transfers, requests and withdrawals read `plan`.
-    circuits: GroupCircuits,
-    /// The undegraded plan, stashed while `circuits` holds a replan-degraded plan
-    /// (`None` whenever the live plan *is* the pristine plan). Boxed so the common
+    /// The group's plan as [`CircuitPlanner::plan`] made it.
+    pristine: GroupCircuits,
+    /// The pristine plan re-striped onto the healthy rails, while the slot runs it
+    /// (see [`ScenarioSim::replan_after_health_change`]). Boxed so the common
     /// healthy case costs one pointer, not a second `GroupCircuits`.
-    pristine: Option<Box<GroupCircuits>>,
-    /// The transfer plan prepared from `circuits` (see [`JobContext::prepare_plans`]).
+    degraded: Option<Box<GroupCircuits>>,
+    /// The transfer plan prepared from the live circuits (see
+    /// [`JobContext::prepare_plans`]).
     plan: SlotPlan,
 }
 
@@ -647,13 +649,29 @@ struct StepPrice {
 }
 
 impl CircuitSlot {
+    /// The live circuit plan, which `plan` is prepared from: the degraded plan while
+    /// the slot runs one, else the pristine plan. Transfers, requests and withdrawals
+    /// read `plan`.
+    fn circuits(&self) -> &GroupCircuits {
+        self.degraded.as_deref().unwrap_or(&self.pristine)
+    }
+
     /// The slot's effective scale-out cost parameters: while a degraded plan is live,
     /// bandwidth is derated by the ratio of live to pristine rail counts (the
-    /// surviving rails carry the displaced traffic on top of their own).
+    /// surviving rails carry the displaced traffic on top of their own); the
+    /// per-step latency stays, since a ring step is a ring step.
     fn adjust_params(&self, params: CostParams) -> CostParams {
-        match self.pristine.as_deref() {
-            Some(p) => degraded_params(&params, p.per_rail.len(), self.circuits.per_rail.len()),
-            None => params,
+        let Some(degraded) = self.degraded.as_deref() else {
+            return params;
+        };
+        let (live, pristine) = (degraded.per_rail.len(), self.pristine.per_rail.len());
+        debug_assert!(
+            live <= pristine,
+            "a degraded plan spans no more rails than its pristine plan"
+        );
+        CostParams {
+            bandwidth: params.bandwidth.scale(live as f64 / pristine as f64),
+            ..params
         }
     }
 
@@ -667,7 +685,7 @@ impl CircuitSlot {
             Step::PointToPoint { bytes, .. } => (CollectiveKind::SendRecv, bytes, 2),
             Step::Compute(_) => unreachable!("only communication steps have a price"),
         };
-        let scaleout = !self.circuits.is_scaleup_only();
+        let scaleout = !self.circuits().is_scaleup_only();
         // §5 extension: small, bursty collectives can bypass the optical rails and run
         // over the host packet-switched network instead of triggering
         // reconfigurations.
@@ -960,7 +978,7 @@ struct JobContext {
     degraded_since: Option<SimTime>,
     /// Closed degraded periods, accumulated; an open period is closed at collection.
     time_under_degraded_plan: SimDuration,
-    /// Plan swaps performed for this job (degrades, re-stripes and restores).
+    /// Plan swaps performed for this job.
     replan_reconfigs: u64,
     /// Completed iterations that ran degraded for any part of their span.
     degraded_iterations: u32,
@@ -970,23 +988,23 @@ struct JobContext {
 
 impl JobContext {
     /// Prepares every slot's [`SlotPlan`] from its live circuits and every
-    /// [`StepPrice`] under it. Runs when the job is built and after every replan swap
-    /// (degrade, re-stripe, restore), so every transfer reads a plan prepared from
-    /// its slot's live circuits, degraded or not.
+    /// [`StepPrice`] under it. Runs when the job is built and after every replan
+    /// swap, so every transfer reads a plan prepared from its slot's live circuits,
+    /// degraded or not.
     fn prepare_plans(&mut self, geometry: PortGeometry, cluster: &Cluster) {
         let total = self
             .circuit_pool
             .iter()
-            .map(|slot| slot.circuits.total_circuits())
+            .map(|slot| slot.circuits().total_circuits())
             .sum();
         self.dense_circuits.clear();
         self.dense_circuits.reserve_exact(total);
         for slot in &mut self.circuit_pool {
             let start = self.dense_circuits.len() as u32;
-            slot.circuits
+            slot.circuits()
                 .resolve_into(geometry, &mut self.dense_circuits);
             slot.plan = SlotPlan {
-                rails: slot.circuits.rail_set(),
+                rails: slot.circuits().rail_set(),
                 start,
                 end: self.dense_circuits.len() as u32,
             };
@@ -1031,7 +1049,7 @@ impl JobContext {
             .enumerate()
             .map(|(i, slot)| {
                 let mut circuits = Vec::new();
-                slot.circuits.resolve_into(geometry, &mut circuits);
+                slot.circuits().resolve_into(geometry, &mut circuits);
                 let prices = self
                     .prices
                     .iter()
@@ -1041,7 +1059,7 @@ impl JobContext {
                         (t.step, duration, offloaded)
                     })
                     .collect();
-                (slot.circuits.rail_set(), circuits, prices)
+                (slot.circuits().rail_set(), circuits, prices)
             })
             .collect()
     }
@@ -1547,7 +1565,7 @@ impl ScenarioSim {
             );
         }
         for slot in pool {
-            if let Some(rail) = slot.circuits.per_rail.keys().find(|r| r.0 >= RECORD_RAILS) {
+            if let Some(rail) = slot.pristine.per_rail.keys().find(|r| r.0 >= RECORD_RAILS) {
                 panic!(
                     "{job} {} plans circuits on {rail}, but a transfer record holds rails \
                      0..{RECORD_RAILS} only",
@@ -1574,8 +1592,8 @@ impl ScenarioSim {
             pool.push(CircuitSlot {
                 group: group.id,
                 group_size,
-                circuits: planner.plan(cluster, group),
-                pristine: None,
+                pristine: planner.plan(cluster, group),
+                degraded: None,
                 plan: SlotPlan::default(),
             });
             pool.len() as u32 - 1
@@ -2095,12 +2113,6 @@ impl ScenarioSim {
                     if keep_record {
                         ctx.comm_records.push(row);
                     }
-                    // Attribute any reconfigurations this commit caused to the job.
-                    if let Some(c) = self.fleet.controller.as_deref_mut() {
-                        if !c.events().is_empty() {
-                            c.drain_events_into(&mut ctx.reconfig_events);
-                        }
-                    }
                 }
                 engine.schedule_at(end, SimEvent::Done(j as u16, pos));
             }
@@ -2196,15 +2208,20 @@ impl ScenarioSim {
     }
 
     /// Re-plans every `RecoveryPolicy::Replan` job's circuit demands against the rail
-    /// health that the just-committed injection left behind. Per slot, exactly one of
-    /// four transitions applies: nothing (pristine plan, all its rails up), *degrade*
-    /// (a rail under the pristine plan just failed: re-stripe its circuits onto
-    /// surviving rails via [`CircuitPlanner::replan_degraded`]), *re-stripe* (already
-    /// degraded and the healthy set changed again), or *restore* (every rail of the
-    /// pristine plan is back). Swapped-out circuits are withdrawn from the fabric and
-    /// the new plan is installed lazily by the group's next request, paying one
-    /// reconfiguration delay. Everything here runs at injection commit time, so the
-    /// swap is a deterministic function of the committed timeline.
+    /// health that the just-committed injection left behind, by one rule: a slot runs
+    /// its pristine plan unless one of its rails is down and the pristine plan
+    /// re-striped onto the healthy rails ([`CircuitPlanner::replan_degraded`]) is
+    /// non-empty, in which case it runs that re-striped plan. A group with no healthy
+    /// rail to re-stripe onto therefore keeps its pristine plan and stalls, as under
+    /// [`RecoveryPolicy::Stall`]; an empty plan would masquerade as scale-up-only.
+    ///
+    /// A slot whose plan changes swaps to it. The plan it leaves is withdrawn from
+    /// the fabric only when it was a degraded one: a pristine plan lost its circuits
+    /// on the failed rail with the rail (`rail_failed` cleared its OCS), and the
+    /// re-striped plan keeps its surviving circuits verbatim. The new plan installs
+    /// lazily on the group's next request, paying one reconfiguration delay.
+    /// Everything here runs at injection commit time, so each swap is a
+    /// deterministic function of the committed timeline.
     fn replan_after_health_change(&mut self, now: SimTime) {
         let ScenarioSim {
             cluster,
@@ -2228,71 +2245,31 @@ impl ScenarioSim {
             }
             let mut swapped = false;
             for slot in &mut ctx.circuit_pool {
-                let pristine_hit = slot
-                    .pristine
-                    .as_deref()
-                    .unwrap_or(&slot.circuits)
+                let pristine = &slot.pristine;
+                let degraded = pristine
                     .per_rail
                     .keys()
-                    .any(|&r| !fleet.health.is_up(r));
-                match (slot.pristine.is_some(), pristine_hit) {
-                    // The live plan is pristine and every rail it needs is up.
-                    (false, false) => {}
-                    // A rail under the pristine plan failed: degrade. The failed
-                    // rail's circuits are already gone (`rail_failed` cleared its
-                    // OCS) and the surviving rails' circuits are reused verbatim, so
-                    // nothing needs withdrawing; only the displaced circuits install
-                    // on the group's next request.
-                    (false, true) => {
-                        let degraded =
-                            planner.replan_degraded(cluster, &slot.circuits, healthy.clone());
-                        // An empty degraded plan would masquerade as scale-up-only
-                        // traffic; with no healthy rail to re-stripe onto, the group
-                        // stalls exactly like today.
-                        if degraded.is_scaleup_only() && !slot.circuits.is_scaleup_only() {
-                            continue;
-                        }
-                        slot.pristine =
-                            Some(Box::new(std::mem::replace(&mut slot.circuits, degraded)));
-                        ctx.replan_reconfigs += 1;
-                        swapped = true;
-                    }
-                    // Already degraded, and the healthy set changed again: re-stripe
-                    // against the current survivors (the round-robin targets shift
-                    // with the healthy list, so the plan may change even when the
-                    // event hit a rail this group never used).
-                    (true, true) => {
-                        let pristine = slot.pristine.as_deref().expect("matched is_some");
-                        let degraded = planner.replan_degraded(cluster, pristine, healthy.clone());
-                        if degraded == slot.circuits {
-                            continue;
-                        }
-                        // The plan prepared from the live circuits is withdrawn:
-                        // `prepare_plans` runs only after every slot is swapped.
-                        if let Some(c) = fleet.controller.as_deref_mut() {
-                            c.withdraw(slot.plan.circuits(&ctx.dense_circuits));
-                        }
-                        slot.circuits = degraded;
-                        ctx.replan_reconfigs += 1;
-                        swapped = true;
-                    }
-                    // Every rail of the pristine plan is back: restore it. The
-                    // degraded circuits come down now; the pristine set reinstalls on
-                    // the next request, paying the reconfiguration delay once.
-                    (true, false) => {
-                        if let Some(c) = fleet.controller.as_deref_mut() {
-                            c.withdraw(slot.plan.circuits(&ctx.dense_circuits));
-                        }
-                        slot.circuits = *slot.pristine.take().expect("matched is_some");
-                        ctx.replan_reconfigs += 1;
-                        swapped = true;
+                    .any(|&r| !fleet.health.is_up(r))
+                    .then(|| planner.replan_degraded(cluster, pristine, &healthy))
+                    .filter(|plan| !plan.is_scaleup_only());
+                if degraded.as_ref() == slot.degraded.as_deref() {
+                    continue;
+                }
+                // `prepare_plans` runs only after every slot is swapped, so `plan`
+                // is still the one prepared from the plan being left.
+                if slot.degraded.is_some() {
+                    if let Some(c) = fleet.controller.as_deref_mut() {
+                        c.withdraw(slot.plan.circuits(&ctx.dense_circuits));
                     }
                 }
+                slot.degraded = degraded.map(Box::new);
+                ctx.replan_reconfigs += 1;
+                swapped = true;
             }
             ctx.degraded_slots = ctx
                 .circuit_pool
                 .iter()
-                .filter(|s| s.pristine.is_some())
+                .filter(|s| s.degraded.is_some())
                 .count() as u32;
             if ctx.degraded_slots > 0 {
                 if ctx.degraded_since.is_none() {
@@ -2439,7 +2416,13 @@ impl ScenarioSim {
                 } else {
                     requested_at
                 };
-                let ready = controller.request(ctx.job.0, slot.group, circuits, requested_at);
+                let ready = controller.request(
+                    ctx.job.0,
+                    slot.group,
+                    circuits,
+                    requested_at,
+                    &mut ctx.reconfig_events,
+                );
                 let start = ready.max(now);
                 (start, start.duration_since(now))
             }
@@ -2486,6 +2469,7 @@ impl ScenarioSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use railsim_sim::Bandwidth;
     use railsim_topology::{Circuit, ClusterSpec, NodePreset};
     use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
 
@@ -3369,6 +3353,40 @@ mod tests {
     }
 
     #[test]
+    fn replan_with_every_rail_down_keeps_the_pristine_plan_and_stalls() {
+        // Rails 0–3 fail one by one early in iteration 0 (an 18 ms iteration) and
+        // recover at 5 s. Once no healthy rail is left to re-stripe onto, a degraded
+        // group goes back to its pristine plan and stalls, as the Stall twin does,
+        // instead of running its scale-out transfers on an empty plan as NVLink
+        // traffic.
+        let mut config = jitter_free(OpusConfig::on_demand(SimDuration::from_millis(1)), 2);
+        config.recovery_policy = RecoveryPolicy::Replan;
+        let mut spec = ScenarioSpec::new(tiny_cluster(4)).job(tiny_dag(), config);
+        for rail in 0..4 {
+            let down = SimTime::from_micros(1_800 + 360 * u64::from(rail));
+            spec = spec
+                .inject(down, ScenarioEvent::RailDown(RailId(rail)))
+                .inject(SimTime::from_secs(5), ScenarioEvent::RailUp(RailId(rail)));
+        }
+        let job = spec.run().jobs.remove(0);
+        assert_eq!(job.result.iterations.len(), 2, "both iterations finish");
+        assert!(
+            job.replan_reconfigs > 0,
+            "the first failures degrade groups"
+        );
+        let mut scaleout = 0;
+        for it in &job.result.iterations {
+            for r in &it.comm_records {
+                if matches!(r.axis, ParallelismAxis::Data | ParallelismAxis::Pipeline) {
+                    assert!(!r.rails.is_empty(), "a rail-less scale-out record: {r:?}");
+                    scaleout += 1;
+                }
+            }
+        }
+        assert!(scaleout > 0);
+    }
+
+    #[test]
     fn replan_policy_on_electrical_jobs_is_inert() {
         // Electrical fabrics have no circuits to re-stripe; the policy knob must not
         // change their (stalling) behavior or invent replan metrics.
@@ -3449,7 +3467,11 @@ mod tests {
         let mut sizes: Vec<_> = ctx
             .prices
             .iter()
-            .filter(|t| !ctx.circuit_pool[t.slot as usize].circuits.is_scaleup_only())
+            .filter(|t| {
+                !ctx.circuit_pool[t.slot as usize]
+                    .circuits()
+                    .is_scaleup_only()
+            })
             .map(|t| step_bytes(t.step))
             .collect();
         sizes.sort_unstable();
@@ -3475,7 +3497,7 @@ mod tests {
                 Step::Compute(_) => unreachable!("prices are communication steps"),
             };
             let bytes = step_bytes(t.step);
-            let scaleout = !slot.circuits.is_scaleup_only();
+            let scaleout = !slot.circuits().is_scaleup_only();
             let params = if !scaleout {
                 scaleup += 1;
                 CostParams::new(SCALEUP_ALPHA, cluster.scaleup_bandwidth())
@@ -3485,12 +3507,13 @@ mod tests {
             } else {
                 rail += 1;
                 let full = CostParams::new(SCALEOUT_ALPHA, cluster.spec().nic.total_bandwidth);
-                match slot.pristine.as_deref() {
-                    Some(pristine) => {
+                match slot.degraded.as_deref() {
+                    Some(live) => {
                         degraded += 1;
-                        let (before, after) =
-                            (pristine.per_rail.len(), slot.circuits.per_rail.len());
-                        degraded_params(&full, before, after)
+                        let ratio =
+                            live.per_rail.len() as f64 / slot.pristine.per_rail.len() as f64;
+                        let bandwidth = Bandwidth::from_bps(full.bandwidth.as_bps() * ratio);
+                        CostParams::new(SCALEOUT_ALPHA, bandwidth)
                     }
                     None => full,
                 }
@@ -3504,7 +3527,8 @@ mod tests {
         assert!(offloaded > 0 && rail > 0 && degraded > 0 && scaleup > 0);
 
         // A slot whose pristine plan spans four rails and whose degraded plan spans
-        // three is priced on three quarters of the bandwidth.
+        // three is priced on three quarters of the bandwidth and the same per-step
+        // latency; the undegraded slot prices at full bandwidth.
         let planner = CircuitPlanner::for_cluster(&cluster);
         let group = CommGroup::new(
             GroupId(0),
@@ -3512,21 +3536,16 @@ mod tests {
             [0, 5, 10, 15].map(GpuId).to_vec(),
         );
         let pristine = planner.plan(&cluster, &group);
-        let survivors = vec![RailId(1), RailId(2), RailId(3)];
-        let slot = CircuitSlot {
+        let survivors = [RailId(1), RailId(2), RailId(3)];
+        let degraded = planner.replan_degraded(&cluster, &pristine, &survivors);
+        assert_eq!((pristine.per_rail.len(), degraded.per_rail.len()), (4, 3));
+        let mut slot = CircuitSlot {
             group: group.id,
             group_size: 4,
-            circuits: planner.replan_degraded(&cluster, &pristine, survivors),
-            pristine: Some(Box::new(pristine)),
+            pristine,
+            degraded: Some(Box::new(degraded)),
             plan: SlotPlan::default(),
         };
-        assert_eq!(
-            (
-                slot.pristine.as_ref().unwrap().per_rail.len(),
-                slot.circuits.per_rail.len()
-            ),
-            (4, 3)
-        );
         let bytes = railsim_sim::Bytes::from_mb(64);
         let step = Step::Collective {
             kind: CollectiveKind::AllReduce,
@@ -3534,16 +3553,25 @@ mod tests {
             bytes,
         };
         let full = CostParams::new(SCALEOUT_ALPHA, cluster.spec().nic.total_bandwidth);
-        let derated = degraded_params(&full, 4, 3);
-        assert!(derated.bandwidth.as_bps() < full.bandwidth.as_bps());
-        let expected = collective_time(
-            CollectiveKind::AllReduce,
-            COLLECTIVE_ALGORITHM,
-            4,
-            bytes,
-            &derated,
+        let derated = CostParams::new(
+            SCALEOUT_ALPHA,
+            Bandwidth::from_bps(full.bandwidth.as_bps() * 0.75),
         );
-        assert_eq!(slot.price(&config, &cluster, step), (expected, false));
+        assert_eq!(slot.adjust_params(full), derated);
+        let price = |params| {
+            let time = collective_time(
+                CollectiveKind::AllReduce,
+                COLLECTIVE_ALGORITHM,
+                4,
+                bytes,
+                &params,
+            );
+            (time, false)
+        };
+        assert_eq!(slot.price(&config, &cluster, step), price(derated));
+        slot.degraded = None;
+        assert_eq!(slot.adjust_params(full), full);
+        assert_eq!(slot.price(&config, &cluster, step), price(full));
     }
 
     // ---- serving (elastic inference) scenarios ------------------------------------

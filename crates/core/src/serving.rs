@@ -19,6 +19,7 @@
 //! scenarios are byte-identical run to run like everything else in the simulator.
 
 use crate::scenario::ScenarioEvent;
+use crate::splitmix::SplitMix64;
 use railsim_sim::{SimDuration, SimTime};
 use railsim_workload::{InferenceConfig, JobId};
 
@@ -74,13 +75,10 @@ impl ServingSpec {
 /// backlog instead of thinning the offered load.
 #[derive(Debug, Clone)]
 pub struct ArrivalProcess {
-    state: u64,
+    rng: SplitMix64,
     mean_interarrival: SimDuration,
     max_burst: u32,
 }
-
-/// splitmix64's golden-gamma increment.
-const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl ArrivalProcess {
     /// Starts a stream.
@@ -95,24 +93,10 @@ impl ArrivalProcess {
         );
         assert!(max_burst >= 1, "arrival bursts carry at least one request");
         ArrivalProcess {
-            state: seed,
+            rng: SplitMix64::new(seed),
             mean_interarrival,
             max_burst,
         }
-    }
-
-    /// One splitmix64 step.
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(SPLITMIX_GAMMA);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Generates every burst for `job` in `[from, horizon)`, ready to feed to
@@ -127,12 +111,12 @@ impl ArrivalProcess {
         let mut out = Vec::new();
         let mut at = from;
         loop {
-            let gap = self.mean_interarrival.mul_f64(0.5 + self.next_f64());
+            let gap = self.mean_interarrival.mul_f64(0.5 + self.rng.next_f64());
             at += gap;
             if at >= horizon {
                 return out;
             }
-            let requests = 1 + (self.next_u64() % self.max_burst as u64) as u32;
+            let requests = 1 + self.rng.below(self.max_burst as u64) as u32;
             out.push((at, ScenarioEvent::RequestBurst { job, requests }));
         }
     }
